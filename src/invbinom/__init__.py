@@ -11,7 +11,6 @@ special values every route is checked against.
 
 from .closed_forms import (
     CardanoRoot,
-    FOLD_IMAG_TOL,
     PRINCIPAL_BRANCH,
     REAL_BRANCH,
     fold,
@@ -34,16 +33,14 @@ from .identities import EXPERIMENTAL_IDS, SPECIAL_VALUES, IdentityRecord, record
 from .integral_reps import TwoTermLimits, quad_polylog, quad_two_term, two_term_limits
 from .polylog import PolylogQuery, li, li_factorized, root_of_unity
 from .quadrature import QuadratureSpec, adaptive_quad
-from .routes import METHODS, PFQ_RECIPES, evaluate, hypergeometric_value, resolve_auto
+from .routes import METHODS, evaluate, hypergeometric_value, resolve_auto
 from .series import (
     Domain,
     Evaluation,
-    RADIUS_BASE,
     SeriesParams,
     beta_term_identity,
     binomial_exact,
     convergence_radius,
-    default_max_terms,
     series_terms,
     sum_direct,
     term_ratio,
@@ -73,15 +70,12 @@ __all__ = [
     "DomainError",
     "Evaluation",
     "EXPERIMENTAL_IDS",
-    "FOLD_IMAG_TOL",
     "IdentityRecord",
     "METHODS",
-    "PFQ_RECIPES",
     "PRINCIPAL_BRANCH",
     "PoleError",
     "PolylogQuery",
     "QuadratureSpec",
-    "RADIUS_BASE",
     "REAL_BRANCH",
     "SeriesError",
     "SeriesParams",
@@ -93,7 +87,6 @@ __all__ = [
     "binomial_exact",
     "convergence_radius",
     "default_grid",
-    "default_max_terms",
     "evaluate",
     "fold",
     "hypergeometric_value",

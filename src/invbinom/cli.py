@@ -22,13 +22,12 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import verify as verify_suites
 from .errors import DomainError, SeriesError
 from .quadrature import QuadratureSpec
 from .routes import METHODS, evaluate
-from .series import Evaluation, SeriesParams, Domain, default_max_terms
+from .series import Evaluation, SeriesParams, default_max_terms
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -78,21 +77,6 @@ def fmt_complex(z: complex) -> str:
     return f"{fmt_float(z.real)}{sign}{fmt_float(abs(z.imag))}i"
 
 
-@dataclass(frozen=True)
-class CliRequest:
-    command: str
-    n: int = 0
-    m: int = 1
-    x: complex = 0j
-    method: str = "auto"
-    tol: float | None = None
-    output: str = "text"
-    x_from: float = 0.0
-    x_to: float = 0.0
-    steps: int = 1
-    suite: str = "all"
-
-
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="invbinom",
@@ -131,18 +115,13 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _request(ns: argparse.Namespace) -> CliRequest:
-    fields = {k: v for k, v in vars(ns).items() if v is not None}
-    return CliRequest(**fields)
-
-
 def _spec_for(tol: float | None) -> QuadratureSpec | None:
     if tol is None:
         return None
     return QuadratureSpec(abs_tol=tol, rel_tol=tol)
 
 
-def _evaluate(req: CliRequest, x: complex) -> Evaluation:
+def _evaluate(req: argparse.Namespace, x: complex) -> Evaluation:
     return evaluate(
         req.n,
         req.m,
@@ -184,7 +163,7 @@ def _row_json(x: complex, ev: Evaluation) -> dict:
     }
 
 
-def cmd_eval(req: CliRequest) -> int:
+def cmd_eval(req: argparse.Namespace) -> int:
     ev = _evaluate(req, req.x)
     if req.output == "json":
         payload = {"n": req.n, "m": req.m}
@@ -209,18 +188,11 @@ def _grid(x_from: float, x_to: float, steps: int) -> list[float]:
     return sorted(xs)
 
 
-def cmd_table(req: CliRequest) -> int:
+def cmd_table(req: argparse.Namespace) -> int:
     xs = _grid(req.x_from, req.x_to, req.steps)
     # reject the whole grid before evaluating anything
     for x in xs:
-        p = SeriesParams(req.n, req.m, x)
-        dom = p.classify()
-        if dom is Domain.OUTSIDE or (dom is Domain.BOUNDARY and req.n < 2):
-            raise DomainError(
-                f"grid point x = {fmt_float(x)} leaves the domain: |x| <= (27/4)**{req.m} "
-                f"= {fmt_float(p.radius)}"
-                + ("" if req.n >= 2 else f" (strict for n = {req.n} < 2)")
-            )
+        SeriesParams.require_summable(req.n, req.m, x)
     rows = [(complex(x), _evaluate(req, complex(x))) for x in xs]
     if req.output == "json":
         payload = {
@@ -242,7 +214,7 @@ def cmd_table(req: CliRequest) -> int:
     return EXIT_OK
 
 
-def _verify_report(req: CliRequest):
+def _verify_report(req: argparse.Namespace):
     if req.suite == "special-values":
         return verify_suites.run_special_values(req.tol)
     if req.suite == "cross-routes":
@@ -254,7 +226,7 @@ def _verify_report(req: CliRequest):
     return verify_suites.run_all(req.tol)
 
 
-def cmd_verify(req: CliRequest) -> int:
+def cmd_verify(req: argparse.Namespace) -> int:
     report = _verify_report(req)
     if req.output == "json":
         print(report.serialize())
@@ -295,13 +267,12 @@ def main(argv: list[str] | None = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:  # --help exits 0; parse errors exit 1 via _Parser.error
         return int(exc.code or 0)
-    req = _request(ns)
     try:
-        if req.command == "eval":
-            return cmd_eval(req)
-        if req.command == "table":
-            return cmd_table(req)
-        return cmd_verify(req)
+        if ns.command == "eval":
+            return cmd_eval(ns)
+        if ns.command == "table":
+            return cmd_table(ns)
+        return cmd_verify(ns)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

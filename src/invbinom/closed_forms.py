@@ -27,14 +27,7 @@ from typing import Sequence
 from .errors import ArgumentError, BranchFailure, ConvergenceError, DomainError
 from .polylog import root_of_unity
 from .quadrature import QuadratureSpec
-from .series import (
-    RADIUS_BASE,
-    Evaluation,
-    SeriesParams,
-    binomial_exact,
-    convergence_radius,
-    sum_direct,
-)
+from .series import RADIUS_BASE, Evaluation, SeriesParams, binomial_exact
 
 SQRT3 = math.sqrt(3.0)
 REAL_BRANCH = "real-cube-root"
@@ -42,7 +35,6 @@ PRINCIPAL_BRANCH = "principal-complex"
 FOLD_IMAG_TOL = 1e-9
 _RESIDUAL_TOL = 1e-9
 _EPS = 2.220446049250313e-16
-_INNER_ROUTES = ("closed-form", "quad-polylog", "direct-sum")
 
 # Below this the closed forms switch to exact leading series terms: the
 # explicit expressions cancel to ~x/3 out of pieces of size x**(2/3), so
@@ -128,10 +120,10 @@ def s21(x: complex) -> Evaluation:
     x = 0 short-circuits to 0 (phi is undefined there, the series is not).
     """
     xc = complex(x)
+    if abs(xc) >= RADIUS_BASE:  # pre-test: the rule can fail only here
+        SeriesParams.require_summable(2, 1, xc)
     if xc == 0:
         return Evaluation(0j, 0.0, "closed-form", 1)
-    if abs(xc) > RADIUS_BASE:
-        raise DomainError(f"closed form needs |x| <= 27/4, got |x| = {abs(xc)!r}")
     if abs(xc) < _TINY_X:
         return _leading_terms(2, 1, xc)
     root = phi(xc)
@@ -144,10 +136,10 @@ def s21(x: complex) -> Evaluation:
 def s11(x: complex) -> Evaluation:
     """Closed form of S(1, 1; x) on |x| < 27/4 (strictly inside)."""
     xc = complex(x)
+    if abs(xc) >= RADIUS_BASE:  # pre-test: the rule can fail only here
+        SeriesParams.require_summable(1, 1, xc)
     if xc == 0:
         return Evaluation(0j, 0.0, "closed-form", 1)
-    if abs(xc) >= RADIUS_BASE:
-        raise DomainError(f"this closed form needs |x| < 27/4 strictly, got |x| = {abs(xc)!r}")
     if abs(xc) < _TINY_X:
         return _leading_terms(1, 1, xc)
     root = phi(xc)
@@ -173,10 +165,10 @@ def s01(x: complex) -> Evaluation:
     108 phi**3 / ((27 - 4x) (1 + phi**3)**2).
     """
     xc = complex(x)
+    if abs(xc) >= RADIUS_BASE:  # pre-test: the rule can fail only here
+        SeriesParams.require_summable(0, 1, xc)
     if xc == 0:
         return Evaluation(0j, 0.0, "closed-form", 1)
-    if abs(xc) >= RADIUS_BASE:
-        raise DomainError(f"this closed form needs |x| < 27/4 strictly, got |x| = {abs(xc)!r}")
     if abs(xc) < _TINY_X:
         return _leading_terms(0, 1, xc)
     root = phi(xc)
@@ -293,6 +285,11 @@ def _discard_imag(total: complex, err: float, x: complex) -> tuple[complex, floa
     return complex(total.real, 0.0), err + resid
 
 
+def stride_refusal(m: int) -> str | None:
+    """Why ``fold`` and ``s2m_closed`` refuse stride m, or None."""
+    return None if 1 <= m <= 6 else f"folding stride must be in [1, 6], got {m}"
+
+
 def fold(
     n: int,
     m: int,
@@ -304,28 +301,18 @@ def fold(
 ) -> Evaluation:
     """S(n, m; x) as m**(n-1) * sum_{j=1..m} S(n, 1; w**j * x**(1/m)).
 
-    ``inner`` names the stride-1 evaluator: "closed-form" (n <= 2),
-    "quad-polylog" (n >= 1) or "direct-sum". x**(1/m) is the principal
-    root; w**j are the m-th roots of unity, exact on the axes so that
-    real rotated arguments stay on the real branch of phi.
+    ``inner`` names the stride-1 route of ``routes.ROUTES`` that evaluates
+    each term; ArgumentError when it refuses one. x**(1/m) is the principal
+    root; w**j are the m-th roots of unity, exact on the axes so that real
+    rotated arguments stay on the real branch of phi.
     """
-    if n < 0:
-        raise ArgumentError(f"weight n must be >= 0, got {n}")
-    if not 1 <= m <= 6:
-        raise ArgumentError(f"folding stride must be in [1, 6], got {m}")
-    if inner not in _INNER_ROUTES:
-        raise ArgumentError(f"unknown inner route {inner!r}; choose from {_INNER_ROUTES}")
-    if inner == "closed-form" and n > 2:
-        raise ArgumentError("closed forms exist for n <= 2 only; fold over quad-polylog instead")
-    if inner == "quad-polylog" and n < 1:
-        raise ArgumentError("the polylog-kernel quadrature needs n >= 1")
-    xc = complex(x)
-    radius = convergence_radius(m)
-    ax = abs(xc)
-    if ax > radius:
-        raise DomainError(f"|x| = {ax!r} exceeds the folding domain |x| <= (27/4)**{m} = {radius!r}")
-    if ax == radius and n < 2:
-        raise DomainError(f"the rim |x| = (27/4)**{m} is summable only for n >= 2, got n = {n}")
+    reason = stride_refusal(m)
+    if reason is not None:
+        raise ArgumentError(reason)
+    route = routes.ROUTES.get(inner)
+    if route is None:
+        raise ArgumentError(f"unknown inner route {inner!r}; choose from {routes.METHODS}")
+    xc = SeriesParams.require_summable(n, m, x)
     if xc == 0:
         return Evaluation(0j, 0.0, "folding", 0)
 
@@ -335,14 +322,12 @@ def fold(
     work = 0
     for j in range(1, m + 1):
         arg = root_of_unity(j, m) * root
-        if inner == "closed-form":
-            ev = (s21 if n == 2 else s11 if n == 1 else s01)(arg)
-        elif inner == "direct-sum":
-            ev = sum_direct(SeriesParams(n, 1, arg), rel_tol=rel_tol)
-        else:
-            from .integral_reps import quad_polylog  # deferred; that module imports this one
-
-            ev = quad_polylog(n, arg, spec)
+        while abs(arg) >= RADIUS_BASE and not SeriesParams(n, 1, arg).summable():
+            arg *= 1.0 - _EPS  # x is summable, so the root is: undo rounding past the rim
+        reason = route.refuses(n, 1, arg)
+        if reason is not None:
+            raise ArgumentError(reason)
+        ev = route.run(n, 1, arg, rel_tol, spec, None)
         total += ev.value
         err += ev.abs_error_est
         work += ev.work
@@ -364,12 +349,10 @@ def s2m_closed(m: int, x: complex) -> Evaluation:
     construction, but assembled directly so the two routes stay
     independent above the shared root.
     """
-    if not 1 <= m <= 6:
-        raise ArgumentError(f"stride must be in [1, 6], got {m}")
-    xc = complex(x)
-    radius = convergence_radius(m)
-    if abs(xc) > radius:
-        raise DomainError(f"|x| = {abs(xc)!r} exceeds |x| <= (27/4)**{m} = {radius!r}")
+    reason = stride_refusal(m)
+    if reason is not None:
+        raise ArgumentError(reason)
+    xc = SeriesParams.require_summable(2, m, x)
     if xc == 0:
         return Evaluation(0j, 0.0, "closed-form", m)
     if abs(xc) < _TINY_X:
@@ -380,6 +363,8 @@ def s2m_closed(m: int, x: complex) -> Evaluation:
     scale_err = 0.0
     for k in range(1, m + 1):
         arg = root_of_unity(k, m) * root
+        while abs(arg) >= RADIUS_BASE and not SeriesParams(2, 1, arg).summable():
+            arg *= 1.0 - _EPS  # as in fold
         r = phi(arg)
         at, lg = _atan_log_parts(r.phi, r.branch == REAL_BRANCH)
         total += 6.0 * at * at - 0.5 * lg * lg
@@ -389,3 +374,7 @@ def s2m_closed(m: int, x: complex) -> Evaluation:
     if xc.imag == 0.0:
         total, err = _discard_imag(total, err, xc)
     return Evaluation(total, err, "closed-form", m)
+
+
+# Last, as the route table imports the functions above; fold reads it at call time.
+from . import routes  # noqa: E402

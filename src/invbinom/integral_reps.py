@@ -24,10 +24,10 @@ import math
 from dataclasses import dataclass
 
 from .closed_forms import phi
-from .errors import ArgumentError, BranchFailure, DomainError
+from .errors import ArgumentError, DomainError
 from .polylog import li
 from .quadrature import QuadratureSpec, adaptive_quad
-from .series import RADIUS_BASE, Evaluation
+from .series import RADIUS_BASE, Evaluation, SeriesParams
 
 _TWO_PI = 2.0 * math.pi
 _TINY = 1e-300
@@ -47,16 +47,13 @@ class TwoTermLimits:
 
 
 def two_term_limits(x: float) -> TwoTermLimits:
-    """Limits (alpha, beta) for real x with 0 < |x| <= 27/4.
-
-    Raises DomainError at x = 0, where phi and hence both limits are
-    unbounded.
+    """Limits (alpha, beta) for real x with 0 < |x| <= 27/4, the closed disk of
+    the n >= 2 series they serve; DomainError elsewhere (phi diverges at x = 0).
     """
     xr = float(x)
     if xr == 0.0:
         raise DomainError("limits are unbounded as x -> 0 (phi diverges)")
-    if abs(xr) > RADIUS_BASE:
-        raise DomainError(f"need 0 < |x| <= 27/4, got |x| = {abs(xr)!r}")
+    SeriesParams.require_summable(2, 1, xr)
     p = phi(xr).phi.real
     # (p**3 + 1) / (p + 1)**3 = (1 + p**-3) / (1 + 1/p)**3; the log1p form
     # stays finite for the enormous roots produced by tiny x (p**3 would
@@ -77,15 +74,9 @@ def quad_polylog(n: int, x: complex, spec: QuadratureSpec | None = None) -> Eval
     """
     if n < 1:
         raise ArgumentError(f"this route needs n >= 1, got {n}")
-    xc = complex(x)
-    ax = abs(xc)
-    if ax > RADIUS_BASE:
-        raise DomainError(f"need |x| <= 27/4, got |x| = {ax!r}")
-    if ax == RADIUS_BASE and n < 2:
-        raise DomainError("the rim |x| = 27/4 is integrable only for n >= 2")
+    xc = SeriesParams.require_summable(n, 1, x)
     if xc == 0:
         return Evaluation(0j, 0.0, "quad-polylog", 0)
-    spec = spec or QuadratureSpec()
     weight = n - 1
     real_arg = xc.imag == 0.0
 
@@ -139,7 +130,7 @@ def _logpow(arg: float, p: int) -> float:
     return math.log(arg) ** p
 
 
-def _oriented(f, upper: float, spec: QuadratureSpec) -> tuple[float, float, int]:
+def _oriented(f, upper: float, spec: QuadratureSpec | None) -> tuple[float, float, int]:
     """Integral of f from 0 to ``upper``, either orientation."""
     if upper == 0.0:
         return 0.0, 0.0, 0
@@ -151,13 +142,7 @@ def _oriented(f, upper: float, spec: QuadratureSpec) -> tuple[float, float, int]
     return value.real if isinstance(value, complex) else value, err, work
 
 
-def quad_two_term(
-    n: int,
-    x: float,
-    spec: QuadratureSpec | None = None,
-    *,
-    cross_check: bool = False,
-) -> Evaluation:
+def quad_two_term(n: int, x: float, spec: QuadratureSpec | None = None) -> Evaluation:
     """S(n, 1; x) as the sum of the two oriented quadratures, n >= 2, real x.
 
     First term: prefactor (-1)**(n-1) / (n-2)! over [0, alpha], integrand
@@ -165,20 +150,11 @@ def quad_two_term(
     prefactor 4*(-1)**(n-2) / (3*(n-2)!) over [0, beta], trigonometric
     inner argument. Negative limits (the rule for x > 0) integrate over
     the flipped interval and negate.
-
-    ``cross_check=True`` compares against ``quad_polylog`` and raises
-    BranchFailure beyond 1e-8, escalating any branch questions instead of
-    letting them pass.
     """
     if n < 2:
         raise ArgumentError(f"this route needs n >= 2, got {n}")
     xr = float(x)
-    if xr == 0.0:
-        raise DomainError("x = 0 is outside this route (unbounded limits); the series there is 0")
-    if abs(xr) > RADIUS_BASE:
-        raise DomainError(f"need 0 < |x| <= 27/4, got |x| = {abs(xr)!r}")
-    spec = spec or QuadratureSpec()
-    limits = two_term_limits(xr)
+    limits = two_term_limits(xr)  # applies the domain rule
     p = n - 2
     fac = math.factorial(p)
 
@@ -196,13 +172,4 @@ def quad_two_term(
     pref2 = 4.0 * (-1.0) ** (n - 2) / (3.0 * fac)
     value = pref1 * i1 + pref2 * i2
     err = abs(pref1) * e1 + abs(pref2) * e2
-    work = w1 + w2
-    if cross_check:
-        ref = quad_polylog(n, xr, spec)
-        work += ref.work
-        if abs(value - ref.value) > 1e-8:
-            raise BranchFailure(
-                f"two-term route differs from the polylog-kernel route by "
-                f"{abs(value - ref.value):.3e} at n = {n}, x = {xr!r}"
-            )
-    return Evaluation(complex(value), err, "quad-two-term", work)
+    return Evaluation(complex(value), err, "quad-two-term", w1 + w2)

@@ -21,7 +21,6 @@ from typing import Callable
 
 from .errors import ArgumentError, ConvergenceError
 
-_RULES = ("nested-embedded", "fixed-composite")
 _EPS = 2.220446049250313e-16
 
 # 15-point Kronrod extension of 7-point Gauss, positive half of the nodes.
@@ -56,20 +55,17 @@ _WG = (
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances, subdivision budget and node rule for the integrator."""
+    """Tolerances and subdivision budget for the integrator."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-12
     max_subdivisions: int = 2000
-    rule: str = "nested-embedded"
 
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise ArgumentError("quadrature tolerances must be positive")
         if not 1 <= self.max_subdivisions <= 10_000:
             raise ArgumentError("max_subdivisions must be in [1, 10000]")
-        if self.rule not in _RULES:
-            raise ArgumentError(f"unknown rule {self.rule!r}; choose from {_RULES}")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -132,8 +128,6 @@ def adaptive_quad(
         return 0j, 0.0, 0
     if a > b:
         raise ArgumentError("adaptive_quad requires a <= b; flip and negate at the call site")
-    if spec.rule == "fixed-composite":
-        return _fixed_composite(f, a, b, spec)
 
     value, err, _ = _gk15(f, a, b)
     # heap entries: (-local_err, insertion_index, lo, hi, value, local_err)
@@ -181,29 +175,3 @@ def adaptive_quad(
     err_total = math.fsum(entry[5] for entry in panels)
     return complex(re, im), err_total, neval
 
-
-def _fixed_composite(f, a, b, spec):
-    """Uniform composite rule, doubling the panel count until the tolerance holds."""
-    panels = 8
-    neval = 0
-    while True:
-        h = (b - a) / panels
-        vals = []
-        errs = []
-        for i in range(panels):
-            v, e, _ = _gk15(f, a + i * h, a + (i + 1) * h)
-            vals.append(v)
-            errs.append(e)
-        neval += 15 * panels
-        re = math.fsum(v.real if isinstance(v, complex) else v for v in vals)
-        im = math.fsum(v.imag if isinstance(v, complex) else 0.0 for v in vals)
-        value = complex(re, im)
-        err = math.fsum(errs)
-        if err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
-            return value, err, neval
-        if 2 * panels > spec.max_subdivisions:
-            raise ConvergenceError(
-                f"fixed-composite rule hit the panel cap {spec.max_subdivisions} "
-                f"(error estimate {err:.3e})"
-            )
-        panels *= 2

@@ -1,26 +1,20 @@
-"""Uniform dispatch over the evaluation routes, plus the auto resolution rule.
+"""The route table, and dispatch over it with the auto rule.
 
-An explicitly named method is never silently substituted; requests a route
-cannot serve raise instead. x = 0 short-circuits to exactly 0 on every
-route, including the ones whose underlying operation excludes it.
+``ROUTES`` states once which route serves which (n, m, x); ``evaluate``, ``fold``,
+the cross-route verification and the CLI read it. A named method is never silently
+substituted: a route that cannot serve a request raises ArgumentError. x = 0
+short-circuits to exactly 0 on every route, even where the operation excludes it.
 """
 
 from __future__ import annotations
 
-from .closed_forms import _pfq_terms, fold, s01, s11, s21, s2m_closed
-from .errors import ArgumentError, DomainError
+from typing import Callable, NamedTuple
+
+from .closed_forms import _pfq_terms, fold, s01, s11, s21, s2m_closed, stride_refusal
+from .errors import ArgumentError
 from .integral_reps import quad_polylog, quad_two_term
 from .quadrature import QuadratureSpec
-from .series import Domain, Evaluation, SeriesParams, sum_direct
-
-METHODS = (
-    "direct-sum",
-    "closed-form",
-    "quad-polylog",
-    "quad-two-term",
-    "folding",
-    "pfq",
-)
+from .series import Evaluation, SeriesParams, sum_direct
 
 # Hypergeometric cross-check forms of S(n, 1; x): value = (x/3) * pFq(...; 4x/27).
 PFQ_RECIPES: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {
@@ -30,14 +24,87 @@ PFQ_RECIPES: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {
 }
 
 
+class Route(NamedTuple):
+    """An evaluation route: ``limits(n, m, x)`` says why its operation cannot serve
+    summable (n, m, x), None if it can; ``run(n, m, x, rel_tol, spec, max_terms)``."""
+
+    name: str
+    limits: Callable[[int, int, complex], str | None]
+    run: Callable[[int, int, complex, float, QuadratureSpec | None, int | None], Evaluation]
+
+    def refuses(self, n: int, m: int, x: complex) -> str | None:
+        """Why ``evaluate`` refuses (n, m, x) here, or None; every route serves x = 0."""
+        return None if x == 0 else self.limits(n, m, x)
+
+
+def _stride_one(name: str, n: int, m: int, n_min: int) -> str | None:
+    if m != 1:
+        return f"{name} serves stride 1; use folding for m >= 2"
+    return f"{name} needs n >= {n_min}, got {n}" if n < n_min else None
+
+
+def _closed_form_limits(n: int, m: int, x: complex) -> str | None:
+    if m == 1:
+        return "no stride-1 closed form for n >= 3; use quad-polylog" if n > 2 else None
+    if n != 2:
+        return "the stride m >= 2 closed form exists for n = 2 only; use folding"
+    return stride_refusal(m)
+
+
+def _closed_form(n: int, m: int, x: complex, rel_tol, spec, max_terms) -> Evaluation:
+    if m > 1:
+        return s2m_closed(m, x)
+    return (s21 if n == 2 else s11 if n == 1 else s01)(x)
+
+
+def _pfq_limits(n: int, m: int, x: complex) -> str | None:
+    if m != 1 or n not in PFQ_RECIPES:
+        return "the hypergeometric route covers n <= 2 at stride 1"
+    if abs(4.0 * x / 27.0) >= 1.0:
+        return "the hypergeometric series needs |4x/27| < 1, which excludes the rim"
+    return None
+
+
+def _pfq(n: int, m: int, x: complex, rel_tol, spec, max_terms) -> Evaluation:
+    value, terms = hypergeometric_value(n, x)
+    return Evaluation(value, 8e-16 * (1.0 + abs(value)), "pfq", terms)
+
+
+def _folding(n: int, m: int, x: complex, rel_tol, spec, max_terms) -> Evaluation:
+    return fold(n, m, x, resolve_auto(n, 1), rel_tol=rel_tol, spec=spec)
+
+
+ROUTES: dict[str, Route] = {
+    route.name: route
+    for route in (
+        Route(
+            "direct-sum",
+            lambda n, m, x: None,
+            lambda n, m, x, tol, spec, cap: sum_direct(SeriesParams(n, m, x), tol, cap),
+        ),
+        Route("closed-form", _closed_form_limits, _closed_form),
+        Route(
+            "quad-polylog",
+            lambda n, m, x: _stride_one("quad-polylog", n, m, 1),
+            lambda n, m, x, tol, spec, cap: quad_polylog(n, x, spec),
+        ),
+        Route(
+            "quad-two-term",
+            lambda n, m, x: _stride_one("quad-two-term", n, m, 2)
+            or ("quad-two-term is a real-argument route" if x.imag != 0.0 else None),
+            lambda n, m, x, tol, spec, cap: quad_two_term(n, x.real, spec),
+        ),
+        Route("folding", lambda n, m, x: stride_refusal(m), _folding),
+        Route("pfq", _pfq_limits, _pfq),
+    )
+}
+METHODS = tuple(ROUTES)
+
+
 def resolve_auto(n: int, m: int) -> str:
     """Closed form when one exists, folding for higher stride, quadrature otherwise."""
-    if n <= 2 and m == 1:
-        return "closed-form"
-    if n <= 2:
-        return "folding"
     if m == 1:
-        return "quad-polylog"
+        return "closed-form" if n <= 2 else "quad-polylog"
     return "folding"
 
 
@@ -68,55 +135,24 @@ def evaluate(
     spec: QuadratureSpec | None = None,
     max_terms: int | None = None,
 ) -> Evaluation:
-    """Evaluate S(n, m; x) by the named route ("auto" resolves first).
+    """Evaluate S(n, m; x) by the named route.
 
-    Raises DomainError outside the convergence disk, on the rim with
-    n < 2, and ArgumentError when the requested route does not serve the
-    given (n, m, x) shape.
+    "auto" takes ``resolve_auto(n, m)``, or direct summation where that
+    route refuses. Raises DomainError where the series does not converge,
+    and ArgumentError when the named route does not serve (n, m, x).
     """
-    params = SeriesParams(n, m, complex(x))
-    dom = params.classify()
-    if dom is Domain.OUTSIDE:
-        raise DomainError(
-            f"|x| = {abs(params.x)!r} exceeds the convergence radius "
-            f"(27/4)**{m} = {params.radius!r}"
-        )
-    if dom is Domain.BOUNDARY and n < 2:
-        raise DomainError(
-            f"the rim |x| = (27/4)**{m} = {params.radius!r} is summable only "
-            f"for n >= 2, got n = {n}"
-        )
-    chosen = resolve_auto(n, m) if method == "auto" else method
-    if chosen not in METHODS:
+    xc = SeriesParams.require_summable(n, m, x)
+    if method == "auto":
+        route = ROUTES[resolve_auto(n, m)]
+        if route.refuses(n, m, xc) is not None:
+            route = ROUTES["direct-sum"]
+    elif method in ROUTES:
+        route = ROUTES[method]
+        reason = route.refuses(n, m, xc)
+        if reason is not None:
+            raise ArgumentError(reason)
+    else:
         raise ArgumentError(f"unknown method {method!r}; choose from {METHODS} or 'auto'")
-    if params.x == 0:
-        return Evaluation(0j, 0.0, chosen, 0)
-
-    if chosen == "direct-sum":
-        return sum_direct(params, rel_tol=rel_tol, max_terms=max_terms)
-    if chosen == "closed-form":
-        if m == 1:
-            if n > 2:
-                raise ArgumentError("no stride-1 closed form for n >= 3; use quad-polylog")
-            return (s21 if n == 2 else s11 if n == 1 else s01)(params.x)
-        if n == 2:
-            return s2m_closed(m, params.x)
-        raise ArgumentError("the stride m >= 2 closed form exists for n = 2 only; use folding")
-    if chosen == "quad-polylog":
-        if m != 1:
-            raise ArgumentError("quad-polylog serves stride 1; use folding for m >= 2")
-        return quad_polylog(n, params.x, spec)
-    if chosen == "quad-two-term":
-        if m != 1:
-            raise ArgumentError("quad-two-term serves stride 1; use folding for m >= 2")
-        if params.x.imag != 0.0:
-            raise ArgumentError("quad-two-term is a real-argument route")
-        return quad_two_term(n, params.x.real, spec)
-    if chosen == "folding":
-        inner = "closed-form" if n <= 2 else "quad-polylog"
-        return fold(n, m, params.x, inner, rel_tol=rel_tol, spec=spec)
-    # pfq
-    if m != 1 or n > 2:
-        raise ArgumentError("the hypergeometric route covers n <= 2 at stride 1")
-    value, terms = hypergeometric_value(n, params.x)
-    return Evaluation(value, 8e-16 * (1.0 + abs(value)), "pfq", terms)
+    if xc == 0:
+        return Evaluation(0j, 0.0, route.name, 0)
+    return route.run(n, m, xc, rel_tol, spec, max_terms)

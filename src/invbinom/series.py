@@ -37,10 +37,13 @@ class Domain(Enum):
 
 
 def convergence_radius(m: int) -> float:
-    """Radius (27/4)**m of the convergence disk at stride m."""
+    """Radius (27/4)**m of the convergence disk at stride m; inf past binary64 (m >= 372)."""
     if m < 1:
         raise ArgumentError(f"stride m must be >= 1, got {m}")
-    return RADIUS_BASE**m
+    try:
+        return RADIUS_BASE**m
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -64,16 +67,36 @@ class SeriesParams:
 
     def classify(self) -> Domain:
         ax = abs(self.x)
-        if ax < self.radius:
+        radius = self.radius
+        if ax < radius:
             return Domain.INTERIOR
-        if ax == self.radius:
+        if ax == radius != math.inf:
             return Domain.BOUNDARY
         return Domain.OUTSIDE
 
+    @staticmethod
+    def require_summable(n: int, m: int, x: complex) -> complex:
+        """The domain rule of every entry point: ``complex(x)`` where S(n, m; x)
+        converges, else DomainError naming the bound (ArgumentError for n < 0 or
+        m < 1). Static, so that entry points need not build a SeriesParams."""
+        if n < 0:
+            raise ArgumentError(f"weight n must be >= 0, got {n}")
+        xc = complex(x)
+        ax, radius = abs(xc), convergence_radius(m)
+        if ax < radius or (ax == radius != math.inf and n >= 2):
+            return xc
+        raise DomainError(
+            f"|x| = {ax!r} lies outside the convergence disk |x| < (27/4)**{m} = {radius!r}; "
+            f"its rim is summable only for n >= 2, got n = {n}"
+        )
+
     def summable(self) -> bool:
         """True when the series converges at these parameters (rim needs n >= 2)."""
-        dom = self.classify()
-        return dom is Domain.INTERIOR or (dom is Domain.BOUNDARY and self.n >= 2)
+        try:
+            self.require_summable(self.n, self.m, self.x)
+        except DomainError:
+            return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -155,6 +178,9 @@ def _binomial_step(k: int, m: int) -> float:
     den = 1.0
     for i in range(1, 3 * m + 1):
         den *= 3 * m * k + i
+    if den == math.inf:  # large m: the products overflow, so pair factors into ratios
+        lo = math.prod((m * k + i) / (3 * m * k + i) for i in range(1, m + 1))
+        return lo * math.prod((2 * m * k + i) / (3 * m * k + m + i) for i in range(1, 2 * m + 1))
     return num / den
 
 
@@ -213,16 +239,7 @@ def sum_direct(
         DomainError: outside the disk, or on the rim with n < 2.
         ConvergenceError: ``max_terms`` exhausted before the stop rule hit.
     """
-    dom = params.classify()
-    if dom is Domain.OUTSIDE:
-        raise DomainError(
-            f"|x| = {abs(params.x)!r} is outside the convergence disk "
-            f"|x| <= (27/4)**{params.m} = {params.radius!r}"
-        )
-    if dom is Domain.BOUNDARY and params.n < 2:
-        raise DomainError(
-            f"the rim |x| = (27/4)**{params.m} is summable only for n >= 2, got n = {params.n}"
-        )
+    SeriesParams.require_summable(params.n, params.m, params.x)
     if rel_tol <= 0.0:
         raise ArgumentError("rel_tol must be positive")
     if max_terms is None:
@@ -257,7 +274,7 @@ def sum_direct(
     else:
         hint = (
             " (rim arguments decay polynomially; use the quadrature route)"
-            if dom is Domain.BOUNDARY
+            if params.classify() is Domain.BOUNDARY
             else ""
         )
         raise ConvergenceError(

@@ -22,13 +22,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .closed_forms import fold, s01, s11, s21, s2m_closed
+from .closed_forms import fold
 from .errors import ArgumentError
 from .identities import EXPERIMENTAL_IDS, SPECIAL_VALUES, record_by_id
-from .integral_reps import quad_polylog, quad_two_term
 from .polylog import li, li_factorized
-from .routes import PFQ_RECIPES, hypergeometric_value
-from .series import Domain, SeriesParams, sum_direct
+from .routes import ROUTES, evaluate
+from .series import Domain, SeriesParams
 
 TOL_SERIES = 1e-12
 TOL_FOLDING = 1e-10
@@ -185,12 +184,9 @@ def _special_value_entries(
     for rec in records:
         start = time.perf_counter()
         exact = rec.value()
-        if rec.boundary:
-            route = quad_polylog(rec.params.n, rec.params.x)
-            this_tol = TOL_QUAD if tol is None else tol
-        else:
-            route = sum_direct(rec.params)
-            this_tol = default_interior if tol is None else tol
+        p = rec.params
+        route = evaluate(p.n, p.m, p.x, "quad-polylog" if rec.boundary else "direct-sum")
+        this_tol = tol if tol is not None else TOL_QUAD if rec.boundary else default_interior
         wall = (time.perf_counter() - start) * 1000.0
         entries.append(_entry(rec.id, rec.params, exact, route.value, this_tol, wall))
     return entries
@@ -223,35 +219,34 @@ def _format_x(x: complex) -> str:
     return f"{x.real:g}{'+' if x.imag >= 0 else '-'}{abs(x.imag):g}i"
 
 
-def _applicable_routes(p: SeriesParams) -> dict[str, Callable[[], complex]]:
-    """Zero-argument evaluators for every route that serves these parameters.
+# Stride-1 routes the cross-route check folds over at stride m >= 2.
+FOLD_INNERS = ("closed-form", "quad-polylog", "direct-sum")
 
-    Keys carry the inner route of a fold so pair tolerances can be tiered.
+
+def _applicable_routes(p: SeriesParams) -> dict[str, Callable[[], complex]]:
+    """Zero-argument evaluators for every route of the table that serves p.
+
+    A stride-1 fold repeats its inner route and is left out. At m >= 2 a fold
+    runs per route in ``FOLD_INNERS`` (keyed "folding[<inner>]", so pair
+    tolerances can be tiered) and the closed form comes last ("s2m-closed").
+    Direct summation is left out on the rim, where terms decay like k**(1/2 - n).
     """
     n, m, x = p.n, p.m, p.x
-    rim = p.classify() is Domain.BOUNDARY
+    slow = ("direct-sum",) if p.classify() is Domain.BOUNDARY else ()
+    served = [
+        name for name, route in ROUTES.items() if route.limits(n, m, x) is None and name not in slow
+    ]
     routes: dict[str, Callable[[], complex]] = {}
-    if not rim:
-        routes["direct-sum"] = lambda: sum_direct(p).value
-    if m == 1:
-        if n <= 2 and (n == 2 or not rim):
-            forms = {2: s21, 1: s11, 0: s01}
-            routes["closed-form"] = lambda fn=forms[n]: fn(x).value
-        if n >= 1 and (n >= 2 or not rim):
-            routes["quad-polylog"] = lambda: quad_polylog(n, x).value
-        if n >= 2 and x.imag == 0.0 and x != 0:
-            routes["quad-two-term"] = lambda: quad_two_term(n, x.real).value
-        if n in PFQ_RECIPES and abs(4.0 * x / 27.0) < 1.0:
-            routes["pfq"] = lambda: hypergeometric_value(n, x)[0]
-    else:
-        if n <= 2:
-            routes["folding[closed-form]"] = lambda: fold(n, m, x, "closed-form").value
-        if n >= 1:
-            routes["folding[quad-polylog]"] = lambda: fold(n, m, x, "quad-polylog").value
-        if not rim:
-            routes["folding[direct-sum]"] = lambda: fold(n, m, x, "direct-sum").value
-        if n == 2:
-            routes["s2m-closed"] = lambda: s2m_closed(m, x).value
+    for name in served:
+        if name == "folding" and m > 1:
+            root = abs(x) ** (1.0 / m)
+            for i in FOLD_INNERS:
+                if ROUTES[i].limits(n, 1, root) is None and i not in slow:
+                    routes[f"folding[{i}]"] = lambda i=i: fold(n, m, x, i).value
+        elif name != "folding" and (m == 1 or name != "closed-form"):
+            routes[name] = lambda name=name: evaluate(n, m, x, name).value
+    if m > 1 and "closed-form" in served:
+        routes["s2m-closed"] = lambda: evaluate(n, m, x, "closed-form").value
     return routes
 
 

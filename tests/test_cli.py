@@ -102,6 +102,14 @@ class TestEval:
         _, second, _ = run(capsys, "eval", "--n", "2", "--m", "2", "--x", "1", "--output", "json")
         assert first == second
 
+    @pytest.mark.parametrize("m", ["372", "400", "100000"])
+    def test_huge_stride_is_an_error_not_a_traceback(self, capsys, m):
+        # (27/4)**m overflows binary64 from m = 372 on
+        code, out, err = run(capsys, "eval", "--n", "2", "--m", m, "--x", "1")
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_env_cap_surfaces_as_error(self, capsys, monkeypatch):
         monkeypatch.setenv("SERIES_MAX_TERMS", "10")
         code, _, err = run(

@@ -11,6 +11,7 @@ from invbinom import (
     ArgumentError,
     DomainError,
     SeriesParams,
+    evaluate,
     fold,
     hypergeometric_value,
     pfq,
@@ -363,6 +364,30 @@ class TestBranchGuards:
 
 
 class TestRimFolding:
+    def test_root_rounding_past_the_rim_is_pulled_back(self):
+        # |x| is exactly (27/4)**4, but x**(1/4) rounds to modulus 6.750000000000001
+        x = 2075.8492076904977 - 19.56499716229806j
+        assert abs(x) == (27 / 4) ** 4
+        ev = evaluate(2, 4, x)
+        assert ev.method == "folding"
+        assert abs(ev.value - s2m_closed(4, x).value) < 1e-12
+
+    def test_stride5_real_rim_roots_stay_on_the_rim(self):
+        # the real fifth root of (27/4)**5 rounds past 27/4 and left the real branch
+        rim5 = (27 / 4) ** 5
+        a = s2m_closed(5, rim5)
+        b = fold(2, 5, rim5)
+        assert a.value.imag == 0.0 and abs(a.value - b.value) < 1e-11
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_every_exact_rim_point_folds(self, m):
+        rim = (27 / 4) ** m
+        for k in range(120):
+            x = rim * cmath.exp(2j * math.pi * (k + 0.37) / 120)
+            if abs(x) == rim:
+                a = fold(2, m, x).value
+                assert abs(a - s2m_closed(m, x).value) < 1e-11, x
+
     def test_stride2_rim_quad_inner_agrees_with_the_closed_form(self):
         rim2 = 45.5625
         a = fold(2, 2, rim2, "quad-polylog").value

@@ -1,0 +1,168 @@
+"""Golden CLI output: sha256 of stdout for a fixed invocation list.
+
+The hashes were recorded before the route table and the domain rule were
+consolidated; any byte of difference in values, error estimates, method
+tags, work counts or formatting fails here. An intended output change must
+update the hash and say so in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from invbinom.cli import EXIT_OK, main
+
+GOLDEN = {
+    "eval --n 2 --m 1 --x 0.5 --method direct-sum --output json": (
+        "3354fe7f9bb90f223b9f50c95ee84b6af38e2f65a60652a883c23213c1c720e7"
+    ),
+    "eval --n 2 --m 1 --x 0.5 --method closed-form --output json": (
+        "b1bfd002236bbb3a909291737ca73fa2cb78214a6093526e8a72147924c2caca"
+    ),
+    "eval --n 2 --m 1 --x 0.5 --method quad-polylog --output json": (
+        "cb1ddd52577e07ec9805074347497a413dd8a35496a8e0773b02348977563262"
+    ),
+    "eval --n 2 --m 1 --x 0.5 --method quad-two-term --output json": (
+        "067d0d18b7afab13dcb5373ebd9c3256a038b2d377646592c9d4451f3bc94430"
+    ),
+    "eval --n 2 --m 1 --x 0.5 --method folding --output json": (
+        "d3adc2eaaea3f53a52b8f78d4f6b8555d99a0f4f972a377c61a85fa6e5a9289c"
+    ),
+    "eval --n 2 --m 1 --x 0.5 --method pfq --output json": (
+        "2663a381bcf4136591ab5795fc8eb7885e52a281265a761476655341a34e29a4"
+    ),
+    "eval --n 2 --m 1 --x 0.5 --method auto --output json": (
+        "b1bfd002236bbb3a909291737ca73fa2cb78214a6093526e8a72147924c2caca"
+    ),
+    "eval --n 2 --m 1 --x 6.6825 --method direct-sum --output json": (
+        "f00d97555111e3398b994949356f5165adaf3dbda7802d25402a4379de4ea55d"
+    ),
+    "eval --n 2 --m 1 --x 6.6825 --method closed-form --output json": (
+        "666a32c7682973f71e096509f50d1aba94cc68b3af961ea7a2b93fff1eb48bbb"
+    ),
+    "eval --n 2 --m 1 --x 6.6825 --method quad-polylog --output json": (
+        "85f2d5cc6e6cea081363964ce7aae326de18c27ab1c5a6b6a184ff7bcbdc12fe"
+    ),
+    "eval --n 2 --m 1 --x 6.6825 --method quad-two-term --output json": (
+        "600029497f19fa8f7c6811603392652961c11464b7b43faffb84e90d02e90b51"
+    ),
+    "eval --n 2 --m 1 --x 6.6825 --method folding --output json": (
+        "c08f5947c413acec1c2921e056ee4cdda847466265f0dfe32a95edc197d3af57"
+    ),
+    "eval --n 2 --m 1 --x 6.6825 --method pfq --output json": (
+        "afe872c35a8419b1519ede327334bf82c1d86322db0165bcdfe563ffc6a19099"
+    ),
+    "eval --n 2 --m 1 --x 6.6825 --method auto --output json": (
+        "666a32c7682973f71e096509f50d1aba94cc68b3af961ea7a2b93fff1eb48bbb"
+    ),
+    "eval --n 2 --m 1 --x 6.75 --method closed-form --output json": (
+        "8b19b00eca7f7f2d40b6d5b799424fb73f73cbc068f3935a4d2dfbc987574170"
+    ),
+    "eval --n 2 --m 1 --x 6.75 --method quad-polylog --output json": (
+        "6483140425dab77a76abfb033ee4a476e00962fe0822d4ff92f923453db55c00"
+    ),
+    "eval --n 2 --m 1 --x 6.75 --method quad-two-term --output json": (
+        "2ef4b3d2163497cbb2dbe9fc3f71cb8336e6977027a0768dab2da9b1466e6b51"
+    ),
+    "eval --n 2 --m 1 --x 6.75 --method folding --output json": (
+        "e29e38b87a6e4e988faf79ede2006c6f8f650b8e3fa809d67b53fd8b5c78ee44"
+    ),
+    "eval --n 2 --m 1 --x 6.75 --method auto --output json": (
+        "8b19b00eca7f7f2d40b6d5b799424fb73f73cbc068f3935a4d2dfbc987574170"
+    ),
+    "eval --n 2 --m 1 --x 1+1i --method direct-sum --output json": (
+        "88392c0409d0bdbc6014fcbd636843e80145b6c6987df8793f092ba8e8fc6c23"
+    ),
+    "eval --n 2 --m 1 --x 1+1i --method closed-form --output json": (
+        "6868525796d0ab39f42c713c564ae9d10dfa3684f50270c57b576f1b7330f80b"
+    ),
+    "eval --n 2 --m 1 --x 1+1i --method quad-polylog --output json": (
+        "13614fbc959b8ee5093bc16e77e5cd23f6004d627021c63047b229eda2b5fac7"
+    ),
+    "eval --n 2 --m 1 --x 1+1i --method folding --output json": (
+        "5ccba444cba47629fd74f692a73eebe42a8872416e13f1f790d6dd11168d9f16"
+    ),
+    "eval --n 2 --m 1 --x 1+1i --method pfq --output json": (
+        "2dc464495c0ce0866d63868533b43a5635ae2833245da14df2460d43ec8db8e6"
+    ),
+    "eval --n 2 --m 1 --x 1+1i --method auto --output json": (
+        "6868525796d0ab39f42c713c564ae9d10dfa3684f50270c57b576f1b7330f80b"
+    ),
+    "eval --n 2 --m 2 --x 20 --method direct-sum --output json": (
+        "f2d0b72229ea4e9e6f47bd24a86bf270d5962d62413fc8a364ee54129509fc6c"
+    ),
+    "eval --n 2 --m 2 --x 20 --method closed-form --output json": (
+        "1c0d287471a43a0ce8c327611c7ce52f32debe5fc551a4941ae785063afce4a5"
+    ),
+    "eval --n 2 --m 2 --x 20 --method folding --output json": (
+        "e73e2c2f35b9fd1d20b022210e02dbd5fdb38d529a964beb6aecb5ea92252a70"
+    ),
+    "eval --n 2 --m 2 --x 20 --method auto --output json": (
+        "e73e2c2f35b9fd1d20b022210e02dbd5fdb38d529a964beb6aecb5ea92252a70"
+    ),
+    "eval --n 2 --m 3 --x 100 --method direct-sum --output json": (
+        "19282489436476d239c0a72258ac701fab7ab39a556ec089e4abdaaf4f8d6b36"
+    ),
+    "eval --n 2 --m 3 --x 100 --method closed-form --output json": (
+        "b43ad2bbdb3ac06f075cb99c75248581a304556a9165e89bfcbe4d78921059e4"
+    ),
+    "eval --n 2 --m 3 --x 100 --method folding --output json": (
+        "6833fc5ee8e3a055616338ca34b680aa691aa940a79182af7ced24673db6e096"
+    ),
+    "eval --n 2 --m 3 --x 100 --method auto --output json": (
+        "6833fc5ee8e3a055616338ca34b680aa691aa940a79182af7ced24673db6e096"
+    ),
+    "eval --n 0 --m 1 --x 0.5 --method direct-sum --output json": (
+        "b006175c57fdaffa214717a6fee3259f8852d00d0ebc044dd31c2f646dc73fd4"
+    ),
+    "eval --n 0 --m 1 --x 0.5 --method closed-form --output json": (
+        "37a9a4f8b1c38e7ef6060dbeafe4527b3fe46d4cfe5ee94d9081edd12af85125"
+    ),
+    "eval --n 0 --m 1 --x 0.5 --method folding --output json": (
+        "26539147f2103966c0f5daa559e2c20ec4a7f2304f8ca8d749dc84f018129fd9"
+    ),
+    "eval --n 0 --m 1 --x 0.5 --method pfq --output json": (
+        "39576c47ae5dfa0b8b49aefd09ab89bbc5d343da3a109cc28bdccbb11be6ca16"
+    ),
+    "eval --n 0 --m 1 --x 0.5 --method auto --output json": (
+        "37a9a4f8b1c38e7ef6060dbeafe4527b3fe46d4cfe5ee94d9081edd12af85125"
+    ),
+    "eval --n 3 --m 1 --x 0.5 --method direct-sum --output json": (
+        "38e2196d010be45ac24e390e3c1e655678b4f90ec0a6bc036204c75d3fe121ae"
+    ),
+    "eval --n 3 --m 1 --x 0.5 --method quad-polylog --output json": (
+        "ca83c1c2996df99cc0b42e8314df697133ac61678c7eba7eb378162af3842671"
+    ),
+    "eval --n 3 --m 1 --x 0.5 --method quad-two-term --output json": (
+        "963d932d5bb6d611651c05b65de21d79ab4acdd93a176d483b655b68ac92b03a"
+    ),
+    "eval --n 3 --m 1 --x 0.5 --method folding --output json": (
+        "855e7ffc6935a741c0dcc10994f76e4b0c496741292e2fc18c40173b7bec0922"
+    ),
+    "eval --n 3 --m 1 --x 0.5 --method auto --output json": (
+        "ca83c1c2996df99cc0b42e8314df697133ac61678c7eba7eb378162af3842671"
+    ),
+    "eval --n 3 --m 2 --x 20 --method direct-sum --output json": (
+        "dd3e8cd72ea586d9f6ace4b97deeb6e8ac216b27bed14b40f80f1aec88985312"
+    ),
+    "eval --n 3 --m 2 --x 20 --method folding --output json": (
+        "90d0fde821237fe45291207acfd4a3a488c18486f5d322b6b9acef98f07feb0d"
+    ),
+    "eval --n 3 --m 2 --x 20 --method auto --output json": (
+        "90d0fde821237fe45291207acfd4a3a488c18486f5d322b6b9acef98f07feb0d"
+    ),
+    "table --n 2 --m 1 --x-from -6.75 --x-to 6.75 --steps 101 --output csv": (
+        "9cf9c9edf1f1377af2d5b5df4d7623839c517ec7f7100b2f5324925f983dc52a"
+    ),
+    "verify --suite all --output json": (
+        "16f59aec715e94642e7974424a156c796388c2050ce46e760430d1a7c5ae13d3"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_stdout_is_byte_identical(command, capsys):
+    assert main(command.split()) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
+

@@ -132,10 +132,6 @@ class TestQuadTwoTerm:
         ref = sum_direct(SeriesParams(n, 1, x))
         assert abs(quad_two_term(n, x).value - ref.value) <= 1e-8
 
-    def test_cross_check_flag_passes(self):
-        ev = quad_two_term(2, 1.0, cross_check=True)
-        assert ev.work > 30
-
     def test_errors(self):
         with pytest.raises(ArgumentError):
             quad_two_term(1, 0.5)

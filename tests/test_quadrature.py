@@ -52,13 +52,6 @@ def test_budget_exhaustion_raises():
         adaptive_quad(lambda t: 1.0 / math.sqrt(t), 0.0, 1.0, spec)
 
 
-def test_fixed_composite_agrees_with_adaptive():
-    spec = QuadratureSpec(rule="fixed-composite", max_subdivisions=512)
-    fixed, _, _ = adaptive_quad(lambda t: math.exp(-t * t), 0.0, 2.0, spec)
-    nested, _, _ = adaptive_quad(lambda t: math.exp(-t * t), 0.0, 2.0)
-    assert abs(fixed - nested) < 1e-12
-
-
 def test_deterministic_rerun():
     f = lambda t: math.log(t) ** 2 / (1.0 + t)  # noqa: E731
     first = adaptive_quad(f, 0.0, 1.0)
@@ -71,5 +64,3 @@ def test_spec_validation():
         QuadratureSpec(abs_tol=0.0)
     with pytest.raises(ArgumentError):
         QuadratureSpec(max_subdivisions=20_000)
-    with pytest.raises(ArgumentError):
-        QuadratureSpec(rule="monte-carlo")

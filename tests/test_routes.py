@@ -1,5 +1,6 @@
-"""Route dispatch and the auto resolution rule."""
+"""Route dispatch, the route table and the auto resolution rule."""
 
+import cmath
 import math
 
 import pytest
@@ -8,14 +9,17 @@ from hypothesis import strategies as st
 
 from invbinom import (
     ArgumentError,
+    ConvergenceError,
     DomainError,
     METHODS,
+    QuadratureSpec,
     SeriesParams,
     evaluate,
     resolve_auto,
     s21,
     sum_direct,
 )
+from invbinom.routes import ROUTES
 
 
 class TestResolveAuto:
@@ -89,6 +93,10 @@ class TestEvaluate:
             evaluate(3, 1, 0.5, "pfq")
         with pytest.raises(ArgumentError):
             evaluate(2, 1, 0.5, "newton")
+        with pytest.raises(ArgumentError):
+            evaluate(2, 7, 1.0, "folding")  # auto falls back here; a named route does not
+        with pytest.raises(ArgumentError):
+            evaluate(2, 7, 1.0, "closed-form")
 
     def test_complex_arguments_through_auto(self):
         z = 0.4 + 1.1j
@@ -110,3 +118,56 @@ class TestEvaluate:
         ref = sum_direct(SeriesParams(n, m, x)).value
         got = evaluate(n, m, x).value
         assert abs(got - ref) <= 1e-9 * (1.0 + abs(ref))
+
+
+def _contract_points():
+    """x = 0, real and complex interior points, 0.99 R and the rim R = (27/4)**m."""
+    for n in range(6):
+        for m in range(1, 9):
+            r = (27 / 4) ** m
+            for x in (0.0, 0.5 * r, -0.3 * r, 0.4 * r * cmath.exp(1j), 0.99 * r, r):
+                yield n, m, complex(x)
+
+
+# Loose quadrature and a short term budget keep the rim and near-rim points
+# cheap; they can only turn a slow evaluation into a ConvergenceError, which
+# the contract does not constrain. Any other error at a summable point fails.
+_CHEAP = dict(spec=QuadratureSpec(abs_tol=1e-5, rel_tol=1e-5), max_terms=200)
+
+
+class TestRouteTable:
+    @pytest.mark.parametrize("name", list(ROUTES))
+    def test_refuses_exactly_when_evaluate_raises_argument_error(self, name):
+        route = ROUTES[name]
+        for n, m, x in _contract_points():
+            if not SeriesParams(n, m, x).summable():
+                with pytest.raises(DomainError):
+                    evaluate(n, m, x, name, **_CHEAP)
+                continue
+            reason = route.refuses(n, m, x)
+            try:
+                evaluate(n, m, x, name, **_CHEAP)
+            except ArgumentError as exc:
+                assert reason is not None, (n, m, x, exc)
+                continue
+            except ConvergenceError:
+                pass
+            assert reason is None, (n, m, x, reason)
+
+    def test_auto_never_refuses_a_summable_point(self):
+        for n, m, x in _contract_points():
+            if SeriesParams(n, m, x).summable():
+                try:
+                    evaluate(n, m, x, **_CHEAP)
+                except ArgumentError as exc:
+                    pytest.fail(f"auto refused S({n},{m};{x}): {exc}")
+                except ConvergenceError:
+                    pass
+
+    @pytest.mark.parametrize("n,m,x", [(2, 7, 1.0), (3, 8, 10.0), (2, 60, 1.0)])
+    def test_auto_falls_back_to_direct_summation_past_the_fold_stride(self, n, m, x):
+        got = evaluate(n, m, x)
+        ref = sum_direct(SeriesParams(n, m, x))
+        assert got.method == "direct-sum"
+        assert got.value == ref.value
+        assert got.abs_error_est == ref.abs_error_est

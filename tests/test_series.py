@@ -1,6 +1,7 @@
 """Direct summation, exact binomials and the term recurrence."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +52,19 @@ class TestDomainModel:
         with pytest.raises(ArgumentError):
             SeriesParams(2, 0, 0.5)
 
+    def test_radius_past_binary64_is_infinite(self):
+        assert convergence_radius(371) < math.inf
+        assert convergence_radius(372) == math.inf
+        assert SeriesParams(2, 400, 1e300).summable()
+        assert not SeriesParams(2, 400, math.inf).summable()
+
+    def test_domain_rule_names_the_bound(self):
+        with pytest.raises(DomainError, match=r"\(27/4\)\*\*1 = 6.75"):
+            SeriesParams.require_summable(2, 1, 7.0)
+        with pytest.raises(DomainError, match="n >= 2, got n = 1"):
+            SeriesParams.require_summable(1, 1, 27 / 4)
+        assert SeriesParams.require_summable(2, 1, 27 / 4) == 6.75 + 0j
+
 
 class TestTermRatio:
     def test_ratio_at_k1_weight0(self):
@@ -76,6 +90,13 @@ class TestTermRatio:
 
     def test_stride_ratio_reduces_to_stride_one(self):
         assert term_ratio_stride(3, 2, 1, 0.7) == term_ratio(3, 2, 0.7)
+
+    @pytest.mark.parametrize("m", [45, 60, 133])
+    @pytest.mark.parametrize("k", [1, 7, 50])
+    def test_large_stride_ratio_does_not_overflow(self, m, k):
+        # the 3m-factor products overflow binary64 here; the ratio must not
+        exact = Fraction(math.comb(3 * m * k, m * k), math.comb(3 * m * (k + 1), m * (k + 1)))
+        assert term_ratio_stride(k, 0, m, 1.0).real == pytest.approx(float(exact), rel=1e-14)
 
 
 class TestBinomialExact:

@@ -83,6 +83,21 @@ class TestCrossRoutes:
             routes.update((a, b))
         assert routes == {"direct-sum", "closed-form", "quad-polylog", "quad-two-term", "pfq"}
 
+    @pytest.mark.parametrize(
+        "p,expected",
+        [
+            (SeriesParams(2, 1, 27 / 4), {"closed-form", "quad-polylog", "quad-two-term"}),
+            (SeriesParams(2, 2, 45.5625), {"folding[closed-form]", "folding[quad-polylog]", "s2m-closed"}),
+        ],
+    )
+    def test_rim_points_leave_out_direct_summation(self, p, expected):
+        report = run_cross_routes(grid=[p])
+        routes = set()
+        for e in report.entries:
+            routes.update(e.id.rsplit(" ", 1)[1].split("|"))
+        assert routes == expected
+        assert report.all_passed
+
     def test_pair_tolerance_tiers(self):
         assert pair_tolerance("direct-sum", "closed-form") == 1e-12
         assert pair_tolerance("direct-sum", "folding[closed-form]") == 1e-10
