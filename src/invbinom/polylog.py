@@ -2,11 +2,23 @@
 
 Weights 0 and 1 use their elementary closed forms, z/(1-z) and
 -log(1-z). Higher weights sum the defining series sum_{k>=1} z**k / k**n
-up to |z| = 0.99 and switch to the integral representation
+up to |z| = 0.5 (about 55 terms) and, beyond it, the expansion in powers
+of L = log z (R. Crandall, "Note on fast polylogarithm computation",
+2006), which converges for |L| < 2*pi:
 
-    Li_n(z) = (-1)**(n-1) / (n-1)! * int_0^1 z * log(t)**(n-1) / (1 - z*t) dt
+    Li_n(z) = sum_{k >= 0, k != n-1} zeta(n-k) * L**k / k!
+              + L**(n-1) / (n-1)! * (H_{n-1} - log(-L)),   Li_n(1) = zeta(n).
 
-near the rim, where the series would need tens of thousands of terms.
+For k >= n the coefficients are zeta(0) = -1/2, the zeros of zeta at the
+negative even integers (skipped, so they never stop the sum) and
+zeta(1-2i) = (-1)**i * 2 * (2i-1)! * zeta(2i) / (2*pi)**(2i). In the left
+half-plane the duplication formula Li_n(z) = 2**(1-n) Li_n(z**2) - Li_n(-z)
+keeps |L| small and real arguments real. zeta(2..53) is a table of the
+correctly rounded binary64 values, as P. Borwein's alternating-series
+algorithm ("An efficient algorithm for the Riemann zeta function", 2000)
+gives them in exact rational arithmetic; from zeta(54) on the rounded value
+is 1.0.
+
 Principal branches everywhere; no caches, so every function here is pure
 and safe to call from any number of threads.
 """
@@ -18,11 +30,30 @@ import math
 from dataclasses import dataclass
 
 from .errors import ArgumentError, ConvergenceError, DomainError, PoleError
-from .quadrature import QuadratureSpec, adaptive_quad
 
-SERIES_RADIUS = 0.99
+SERIES_RADIUS = 0.5
 RIM_TOL = 1e-12
 _MAX_SERIES_TERMS = 60_000
+_MAX_LOG_TERMS = 100
+_TOL = 4e-17
+_TWO_PI_SQ = (2.0 * math.pi) ** 2
+
+# zeta(s) for s = 2..53, correctly rounded.
+_ZETA = (
+    1.6449340668482264, 1.2020569031595942, 1.0823232337111381, 1.03692775514337,
+    1.0173430619844492, 1.008349277381923, 1.0040773561979444, 1.0020083928260821,
+    1.000994575127818, 1.0004941886041194, 1.000246086553308, 1.0001227133475785,
+    1.0000612481350588, 1.000030588236307, 1.0000152822594086, 1.0000076371976379,
+    1.000003817293265, 1.0000019082127165, 1.0000009539620338, 1.0000004769329869,
+    1.0000002384505027, 1.000000119219926, 1.000000059608189, 1.0000000298035034,
+    1.0000000149015549, 1.0000000074507118, 1.000000003725334, 1.0000000018626598,
+    1.0000000009313275, 1.0000000004656628, 1.000000000232831, 1.0000000001164155,
+    1.0000000000582077, 1.0000000000291038, 1.000000000014552, 1.000000000007276,
+    1.000000000003638, 1.000000000001819, 1.0000000000009095, 1.0000000000004547,
+    1.0000000000002274, 1.0000000000001137, 1.0000000000000568, 1.0000000000000284,
+    1.0000000000000142, 1.000000000000007, 1.0000000000000036, 1.0000000000000018,
+    1.0000000000000009, 1.0000000000000004, 1.0000000000000002, 1.0000000000000002,
+)
 
 
 @dataclass(frozen=True)
@@ -59,10 +90,17 @@ def li(n: int, z: complex) -> complex:
         return -cmath.log(1.0 - zc)
     if abs(zc) <= SERIES_RADIUS:
         return _li_series(n, zc)
-    return _li_integral(n, zc)
+    if zc.imag == 0.0 and abs(zc.real) > 1.0:  # rounding past the rim on the real axis
+        zc = complex(math.copysign(1.0, zc.real))
+    return _li_log(n, zc)
 
 
-def _li_series(n: int, z: complex, tol: float = 4e-17) -> complex:
+def _zeta(s: int) -> float:
+    """zeta(s) for integer s >= 2, correctly rounded."""
+    return _ZETA[s - 2] if s - 2 < len(_ZETA) else 1.0
+
+
+def _li_series(n: int, z: complex, tol: float = _TOL) -> complex:
     """Direct series with a geometric tail bound; |z| < 1 strictly."""
     if z == 0:
         return 0j
@@ -82,20 +120,44 @@ def _li_series(n: int, z: complex, tol: float = 4e-17) -> complex:
     raise ConvergenceError(f"polylog series stalled at |z| = {r!r}")
 
 
-def _li_integral(n: int, z: complex, spec: QuadratureSpec | None = None) -> complex:
-    """Integral representation; only meaningful for weight >= 2."""
-    if n < 2:
-        raise ArgumentError("the integral representation needs weight >= 2")
-    zc = complex(z)
-    p = n - 1
+def _li_log(n: int, z: complex) -> complex:
+    """Li_n(z) for n >= 2 beyond the series radius: Crandall's expansion,
+    through the duplication formula in the left half-plane."""
+    if z.real >= 0.0:
+        return _crandall(n, z)
+    z2 = z * z
+    even = _li_series(n, z2) if abs(z2) <= SERIES_RADIUS else _crandall(n, z2)
+    return 2.0 ** (1 - n) * even - _crandall(n, -z)
 
-    def integrand(t: float) -> complex:
-        if t <= 0.0:
-            return 0j  # nodes are interior; guard only
-        return zc * math.log(t) ** p / (1.0 - zc * t)
 
-    value, _, _ = adaptive_quad(integrand, 0.0, 1.0, spec or QuadratureSpec())
-    return (-1.0) ** p / math.factorial(p) * value
+def _crandall(n: int, z: complex) -> complex:
+    """Crandall's expansion of Li_n(z) in powers of L = log z, n >= 2, |L| < 2*pi."""
+    if z == 1:
+        return complex(_zeta(n))
+    big_l = cmath.log(z)
+    total = 0j
+    power = complex(1.0)  # L**k / k!
+    for k in range(n - 1):
+        total += _zeta(n - k) * power
+        power *= big_l / (k + 1)
+    harmonic = math.fsum(1.0 / j for j in range(1, n))
+    total += power * (harmonic - cmath.log(-big_l))
+    power *= big_l / n
+    total -= 0.5 * power  # zeta(0) = -1/2
+    # Odd negative arguments, k = n-1+2i: coef = zeta(1-2i) / zeta(2i) * L**k / k!.
+    # Its modulus shrinks by at least q = |L|**2 / (2*pi)**2 per step, and so
+    # does the term (zeta(2i) decreases), which bounds the tail geometrically.
+    l_sq = big_l * big_l
+    q = abs(l_sq) / _TWO_PI_SQ
+    geo = q / (1.0 - q)
+    coef = power * big_l * (-2.0 / (_TWO_PI_SQ * (n + 1)))
+    for i in range(1, _MAX_LOG_TERMS):
+        term = coef * _zeta(2 * i)
+        total += term
+        if abs(term) * geo <= _TOL * abs(total):
+            break
+        coef *= -(2 * i) * (2 * i + 1) * l_sq / (_TWO_PI_SQ * (n + 2 * i) * (n + 2 * i + 1))
+    return total
 
 
 def root_of_unity(k: int, m: int) -> complex:

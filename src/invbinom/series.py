@@ -26,6 +26,7 @@ from .errors import ArgumentError, ConvergenceError, DomainError
 RADIUS_BASE = 27.0 / 4.0
 ENV_MAX_TERMS = "SERIES_MAX_TERMS"
 _EPS = 2.220446049250313e-16
+_LOG_UNDERFLOW = 2100 * math.log(2.0)  # C(3m, m) above 2**2100 sends every x / C(3m, m) to 0
 
 
 class Domain(Enum):
@@ -184,6 +185,31 @@ def _binomial_step(k: int, m: int) -> float:
     return num / den
 
 
+def _first_term(m: int, x: complex) -> complex:
+    """t_1 = x / C(3m, m); exact-integer division once C(3m, m) exceeds binary64."""
+    if math.lgamma(3 * m + 1) - math.lgamma(m + 1) - math.lgamma(2 * m + 1) > _LOG_UNDERFLOW:
+        return x * 0.0  # |x| < 2**1024, so |t_1| < 2**-1076 rounds to zero (m >= ~763)
+    c = math.comb(3 * m, m)
+    try:
+        return x / c
+    except OverflowError:
+        re_num, re_den = x.real.as_integer_ratio()
+        im_num, im_den = x.imag.as_integer_ratio()
+        return complex(re_num / (re_den * c), im_num / (im_den * c))
+
+
+def _rim_terms_needed(n: int, rel_tol: float) -> float:
+    """Lower bound on the terms the stop rule of ``sum_direct`` needs on the rim.
+
+    Robbins' Stirling bounds give sqrt(3/(4 pi N)) R**N e**(-1/(8N)) <=
+    C(3N, N) <= sqrt(3/(4 pi N)) R**N, so with c = sqrt(4 pi m / 3) every rim
+    term has |t_k| >= c k**(1/2 - n) while |S| and every partial sum stay
+    below e**(1/8) c zeta(n - 1/2) < 2 c (1 + 1/(n - 3/2)). The rule
+    |t_k| <= rel_tol |partial sum| therefore cannot hold before this k.
+    """
+    return (2.0 * rel_tol * (1.0 + 1.0 / (n - 1.5))) ** (-1.0 / (n - 0.5))
+
+
 def term_ratio(k: int, n: int, x: complex) -> complex:
     """Ratio t_{k+1} / t_k of consecutive stride-1 terms.
 
@@ -210,7 +236,7 @@ def series_terms(n: int, m: int, x: complex, count: int) -> list[complex]:
     terms: list[complex] = []
     if count == 0:
         return terms
-    t = xc / binomial_exact(3 * m, m)
+    t = _first_term(m, xc)
     for k in range(1, count + 1):
         terms.append(t)
         t *= term_ratio_stride(k, n, m, xc)
@@ -227,8 +253,9 @@ def sum_direct(
     Stops once two consecutive terms fall below ``rel_tol`` times the
     running sum (a single accidentally tiny term must not stop an
     alternating series). Rim parameters (n >= 2) are accepted but decay
-    polynomially; expect ``max_terms`` to run out there and prefer the
-    quadrature route instead.
+    polynomially: where a bound on the needed term count exceeds
+    ``max_terms`` (every n = 2 rim point at the default cap) the cap error
+    is raised at once; prefer the quadrature route there.
 
     The error estimate is a geometric tail bound from the last term and
     the current term ratio, plus a rounding floor proportional to the
@@ -250,8 +277,13 @@ def sum_direct(
     n, m, x = params.n, params.m, params.x
     if x == 0:
         return Evaluation(0j, 0.0, "direct-sum", 0)
+    rim = params.classify() is Domain.BOUNDARY
+    if rim and _rim_terms_needed(n, rel_tol) > max_terms:
+        raise _term_cap_error(rel_tol, max_terms, rim)
 
-    t = x / binomial_exact(3 * m, m)
+    t = _first_term(m, x)
+    if t == 0:  # underflow (subnormal x or huge m); every later term is smaller still
+        return Evaluation(t, 0.0, "direct-sum", 1)
     total = 0j
     comp = 0j
     abs_sum = 0.0
@@ -272,14 +304,7 @@ def sum_direct(
             small = 0
         t *= term_ratio_stride(k, n, m, x)
     else:
-        hint = (
-            " (rim arguments decay polynomially; use the quadrature route)"
-            if params.classify() is Domain.BOUNDARY
-            else ""
-        )
-        raise ConvergenceError(
-            f"series did not meet rel_tol={rel_tol:g} within {max_terms} terms{hint}"
-        )
+        raise _term_cap_error(rel_tol, max_terms, rim)
 
     # _binomial_step decreases in k, and (k/(k+1))**n <= 1, so this bounds
     # every remaining ratio.
@@ -289,3 +314,10 @@ def sum_direct(
     else:
         tail = abs(t) * work / max(n - 1.5, 0.5)
     return Evaluation(total, tail + 4.0 * _EPS * abs_sum, "direct-sum", work)
+
+
+def _term_cap_error(rel_tol: float, max_terms: int, rim: bool) -> ConvergenceError:
+    hint = " (rim arguments decay polynomially; use the quadrature route)" if rim else ""
+    return ConvergenceError(
+        f"series did not meet rel_tol={rel_tol:g} within {max_terms} terms{hint}"
+    )

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -103,12 +104,15 @@ class TestEval:
         assert first == second
 
     @pytest.mark.parametrize("m", ["372", "400", "100000"])
-    def test_huge_stride_is_an_error_not_a_traceback(self, capsys, m):
-        # (27/4)**m overflows binary64 from m = 372 on
-        code, out, err = run(capsys, "eval", "--n", "2", "--m", m, "--x", "1")
-        assert code == EXIT_DOMAIN
-        assert out == ""
-        assert err.startswith("error: ") and "Traceback" not in err
+    def test_huge_stride_answers_without_a_traceback(self, capsys, m):
+        # (27/4)**m overflows binary64 from m = 372 on, C(3m, m) from m = 374;
+        # S(2, m; 1) is then 1 / C(3m, m) to binary64 precision (0 from m ~ 390)
+        code, out, err = run(capsys, "eval", "--n", "2", "--m", m, "--x", "1", "--output", "json")
+        assert code == EXIT_OK and err == ""
+        record = json.loads(out)
+        k = int(m)
+        assert record["method"] == "direct-sum"
+        assert record["value_re"] == float(Fraction(1, math.comb(3 * k, k)))
 
     def test_env_cap_surfaces_as_error(self, capsys, monkeypatch):
         monkeypatch.setenv("SERIES_MAX_TERMS", "10")

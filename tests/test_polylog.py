@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from invbinom import (
     li_factorized,
     root_of_unity,
 )
-from invbinom.polylog import _li_integral, _li_series
+from invbinom.polylog import RIM_TOL, _ZETA, _li_log, _li_series, _zeta
 
 LI2_QUARTER = 0.2676526390827326  # exact-fraction partial sums
 ZETA2 = math.pi**2 / 6
@@ -69,14 +70,73 @@ def test_rim_rounding_tolerated():
     assert abs(li(2, 1.0 + 1e-13) - ZETA2) < 1e-9
 
 
-def test_series_integral_agreement_near_the_rim():
-    # 20 points on |z| = 0.995, both internal routes explicitly
-    for k in range(20):
-        z = 0.995 * cmath.exp(2j * math.pi * (k + 0.5) / 20)
-        for n in (2, 3):
-            a = _li_series(n, z)
-            b = _li_integral(n, z)
-            assert abs(a - b) < 1e-10, (n, z)
+def test_series_and_log_branch_agree_across_the_switch():
+    # both internal routes explicitly, on circles either side of SERIES_RADIUS
+    for r in (0.45, 0.5, 0.55, 0.6):
+        for k in range(20):
+            z = r * cmath.exp(2j * math.pi * (k + 0.5) / 20)
+            for n in (2, 3, 4, 5):
+                a = _li_series(n, z)
+                b = _li_log(n, z)
+                assert abs(a - b) <= 1e-14 * (1.0 + abs(a)), (n, z)
+
+
+def _borwein_zeta(s, d):
+    """P. Borwein's alternating sum for zeta(s), exact rationals; d from _borwein_d."""
+    n = len(d) - 1
+    total = sum(Fraction((-1) ** k * (d[k] - d[n]), (k + 1) ** s) for k in range(n))
+    return -total / (d[n] * (1 - Fraction(1, 2 ** (s - 1))))
+
+
+def _borwein_d(n):
+    """d_k = n * sum_{i <= k} (n+i-1)! 4**i / ((n-i)! (2i)!), k = 0..n."""
+    d, acc = [], Fraction(0)
+    for i in range(n + 1):
+        acc += Fraction(
+            math.factorial(n + i - 1) * 4**i, math.factorial(n - i) * math.factorial(2 * i)
+        )
+        d.append(n * acc)
+    return d
+
+
+def test_zeta_table_is_correctly_rounded():
+    # Borwein's truncation error is below 3 / (3 + sqrt(8))**n / (1 - 2**(1-s))
+    # <= 6 / 5**n; both ends of that interval must round to the table entry.
+    n = 40
+    d = _borwein_d(n)
+    bound = Fraction(6, 5**n)
+    for s in range(2, 61):
+        approx = _borwein_zeta(s, d)
+        expected = float(approx - bound)
+        assert expected == float(approx + bound), s
+        assert _zeta(s) == expected, s
+        if s - 2 < len(_ZETA):
+            assert _ZETA[s - 2] == expected, s
+    assert _zeta(54) == 1.0 and len(_ZETA) == 52
+
+
+def _ulps(value, exact):
+    return abs(value - exact) / math.ulp(abs(exact))
+
+
+def test_special_values_within_four_ulp():
+    # correctly rounded references (mpmath at 200 bits)
+    assert _ulps(li(2, 0.5).real, 0.5822405264650125) <= 4  # pi^2/12 - log(2)^2/2
+    assert _ulps(li(3, 0.5).real, 0.5372131936080402) <= 4
+    assert _ulps(li(2, -1.0).real, -0.8224670334241132) <= 4  # -pi^2/12
+    value = li(2, 1j)
+    assert _ulps(value.real, -0.2056167583560283) <= 4  # -pi^2/48
+    assert _ulps(value.imag, 0.915965594177219) <= 4  # Catalan's constant
+    for n in range(2, 60):
+        assert li(n, 1.0) == _zeta(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+def test_real_arguments_give_real_values(n):
+    for i in range(-50, 51):
+        assert li(n, i / 50).imag == 0.0, i / 50
+    for x in (1.0 + RIM_TOL, 1.0 + RIM_TOL / 2, -1.0 - RIM_TOL, 0.5000001, -0.7071):
+        assert li(n, x).imag == 0.0, x
 
 
 @given(

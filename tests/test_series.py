@@ -1,6 +1,7 @@
 """Direct summation, exact binomials and the term recurrence."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from invbinom import (
     beta_term_identity,
     binomial_exact,
     convergence_radius,
+    evaluate,
     series_terms,
     sum_direct,
     term_ratio,
@@ -193,6 +195,34 @@ class TestSumDirect:
     def test_rim_hits_term_cap(self):
         with pytest.raises(ConvergenceError):
             sum_direct(SeriesParams(2, 1, 27 / 4), max_terms=20_000)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_rim_weight_two_fails_fast(self, m):
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="decay polynomially"):
+            evaluate(2, m, convergence_radius(m), "direct-sum")
+        assert time.perf_counter() - start < 0.01
+
+    def test_rim_weight_four_still_sums(self):
+        ev = sum_direct(SeriesParams(4, 1, 27 / 4))
+        assert ev.work == 18193
+        assert ev.value == 2.520440094566093  # the value before the fast-fail bound
+
+    @pytest.mark.parametrize("m", [134, 200, 371])
+    def test_first_term_past_the_old_binomial_cap(self, m):
+        x = 0.75 - 0.5j
+        exact = Fraction(1, math.comb(3 * m, m))
+        t1 = series_terms(2, m, x, 1)[0]
+        for got, want in ((t1.real, Fraction(x.real) * exact), (t1.imag, Fraction(x.imag) * exact)):
+            assert abs(Fraction(got) - want) <= abs(want) * Fraction(2, 2**53)
+        # the next term underflows, so the sum is the first term
+        assert evaluate(2, m, x).value == t1
+
+    def test_first_term_where_the_binomial_exceeds_binary64(self):
+        m = 400
+        x = 1e300
+        want = Fraction(x) / math.comb(3 * m, m)
+        assert series_terms(2, m, x, 1)[0] == complex(float(want))
 
     def test_env_var_caps_terms(self, monkeypatch):
         monkeypatch.setenv("SERIES_MAX_TERMS", "25")
