@@ -4,6 +4,8 @@
 the cross-route verification and the CLI read it. A named method is never silently
 substituted: a route that cannot serve a request raises ArgumentError. x = 0
 short-circuits to exactly 0 on every route, even where the operation excludes it.
+``auto`` is a cost rule: closed forms where they exist (n <= 2), and for n >= 3
+direct summation when its predicted term count undercuts the quadrature route.
 """
 
 from __future__ import annotations
@@ -14,7 +16,14 @@ from .closed_forms import _pfq_terms, fold, s01, s11, s21, s2m_closed, stride_re
 from .errors import ArgumentError
 from .integral_reps import quad_polylog, quad_two_term
 from .quadrature import QuadratureSpec
-from .series import Evaluation, SeriesParams, sum_direct
+from .series import (
+    Evaluation,
+    SeriesParams,
+    convergence_radius,
+    default_max_terms,
+    sum_direct,
+    terms_needed,
+)
 
 # Hypergeometric cross-check forms of S(n, 1; x): value = (x/3) * pFq(...; 4x/27).
 PFQ_RECIPES: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {
@@ -71,7 +80,8 @@ def _pfq(n: int, m: int, x: complex, rel_tol, spec, max_terms) -> Evaluation:
 
 
 def _folding(n: int, m: int, x: complex, rel_tol, spec, max_terms) -> Evaluation:
-    return fold(n, m, x, resolve_auto(n, 1), rel_tol=rel_tol, spec=spec)
+    inner = "closed-form" if n <= 2 else "quad-polylog"
+    return fold(n, m, x, inner, rel_tol=rel_tol, spec=spec)
 
 
 ROUTES: dict[str, Route] = {
@@ -101,11 +111,30 @@ ROUTES: dict[str, Route] = {
 METHODS = tuple(ROUTES)
 
 
-def resolve_auto(n: int, m: int) -> str:
-    """Closed form when one exists, folding for higher stride, quadrature otherwise."""
-    if m == 1:
-        return "closed-form" if n <= 2 else "quad-polylog"
-    return "folding"
+# Direct-summation terms, per unit of stride, that cost about what quadrature does.
+# quad-polylog takes 1.5-2.5 ms per stride-1 evaluation and folding makes m of them;
+# direct-sum takes about (2.6 + 0.75 m) us per term (2-core x86-64 VM, CPython 3.11).
+# Break-even is near 600 terms at m = 1 and 300-350 m at m = 6, so at high stride
+# the budget leans towards direct summation, where the two cost about the same.
+DIRECT_TERM_BUDGET = 500
+
+
+def resolve_auto(
+    n: int, m: int, x: complex, *, rel_tol: float = 1e-15, max_terms: int | None = None
+) -> str:
+    """The route ``auto`` takes at summable (n, m, x): the closed form for n <= 2
+    (folding for m >= 2). For n >= 3 direct summation when ``terms_needed`` at
+    rho = |x| / R**m is within DIRECT_TERM_BUDGET * m and, with room for the
+    estimate's error, within the term cap; else quad-polylog (folding for m >= 2)."""
+    if n <= 2:
+        return "closed-form" if m == 1 else "folding"
+    need = terms_needed(n, abs(x) / convergence_radius(m), rel_tol)
+    if need <= DIRECT_TERM_BUDGET * m:
+        cap = default_max_terms() if max_terms is None else max_terms
+        # the stop rule can take up to ~10% more terms than estimated (2 more at k = 1)
+        if 1.125 * need + 2 <= cap:
+            return "direct-sum"
+    return "quad-polylog" if m == 1 else "folding"
 
 
 def hypergeometric_value(n: int, x: complex, tol: float = 1e-16) -> tuple[complex, int]:
@@ -137,13 +166,13 @@ def evaluate(
 ) -> Evaluation:
     """Evaluate S(n, m; x) by the named route.
 
-    "auto" takes ``resolve_auto(n, m)``, or direct summation where that
-    route refuses. Raises DomainError where the series does not converge,
-    and ArgumentError when the named route does not serve (n, m, x).
+    "auto" takes ``resolve_auto``, or direct summation where that route
+    refuses. Raises DomainError where the series does not converge, and
+    ArgumentError when the named route does not serve (n, m, x).
     """
     xc = SeriesParams.require_summable(n, m, x)
     if method == "auto":
-        route = ROUTES[resolve_auto(n, m)]
+        route = ROUTES[resolve_auto(n, m, xc, rel_tol=rel_tol, max_terms=max_terms)]
         if route.refuses(n, m, xc) is not None:
             route = ROUTES["direct-sum"]
     elif method in ROUTES:

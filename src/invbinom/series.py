@@ -198,16 +198,32 @@ def _first_term(m: int, x: complex) -> complex:
         return complex(re_num / (re_den * c), im_num / (im_den * c))
 
 
-def _rim_terms_needed(n: int, rel_tol: float) -> float:
-    """Lower bound on the terms the stop rule of ``sum_direct`` needs on the rim.
+def terms_needed(n: int, rho: float, rel_tol: float) -> float:
+    """Estimate of the terms the stop rule of ``sum_direct`` takes at
+    rho = |x| / R**m (within 10% where it takes 20 or more).
 
-    Robbins' Stirling bounds give sqrt(3/(4 pi N)) R**N e**(-1/(8N)) <=
-    C(3N, N) <= sqrt(3/(4 pi N)) R**N, so with c = sqrt(4 pi m / 3) every rim
-    term has |t_k| >= c k**(1/2 - n) while |S| and every partial sum stay
-    below e**(1/8) c zeta(n - 1/2) < 2 c (1 + 1/(n - 3/2)). The rule
-    |t_k| <= rel_tol |partial sum| therefore cannot hold before this k.
+    By Stirling, C(3N, N) ~ sqrt(3/(4 pi N)) R**N, so the terms relative to
+    the sum behave like rho**k k**(1/2 - n); the estimate is the smallest
+    k >= 1 with k ln(rho) + (1/2 - n) ln k <= ln(rel_tol), inf where no k
+    gets there (rel_tol <= 0, or the rim with n = 0). Newton's method finds
+    the continuous root; the estimate is its ceiling.
     """
-    return (2.0 * rel_tol * (1.0 + 1.0 / (n - 1.5))) ** (-1.0 / (n - 0.5))
+    if rel_tol <= 0.0:
+        return math.inf
+    log_tol = math.log(rel_tol)
+    a = math.log(rho) if rho > 0.0 else -math.inf
+    b = 0.5 - n
+    if a <= log_tol:
+        return 1
+    if a >= 0.0:  # the rim: rho**k stays 1
+        return math.ceil(math.exp(log_tol / b)) if b < 0.0 else math.inf
+    k = log_tol / a
+    for _ in range(64):
+        step = (a * k + b * math.log(k) - log_tol) / (a + b / k)
+        k = max(k - step, 1.0)  # k = 1 misses the bound, so the root lies right of it
+        if abs(step) <= 1e-12 * k:
+            break
+    return math.ceil(k)
 
 
 def term_ratio(k: int, n: int, x: complex) -> complex:
@@ -278,7 +294,12 @@ def sum_direct(
     if x == 0:
         return Evaluation(0j, 0.0, "direct-sum", 0)
     rim = params.classify() is Domain.BOUNDARY
-    if rim and _rim_terms_needed(n, rel_tol) > max_terms:
+    # Robbins' Stirling bounds give sqrt(3/(4 pi N)) R**N e**(-1/(8N)) <=
+    # C(3N, N) <= sqrt(3/(4 pi N)) R**N, so with c = sqrt(4 pi m / 3) every rim
+    # term has |t_k| >= c k**(1/2 - n) while every partial sum stays below
+    # e**(1/8) c zeta(n - 1/2) < 2 c (1 + 1/(n - 3/2)): the stop rule cannot
+    # hold before the rho = 1 estimate at that tolerance.
+    if rim and terms_needed(n, 1.0, 2.0 * rel_tol * (1.0 + 1.0 / (n - 1.5))) > max_terms:
         raise _term_cap_error(rel_tol, max_terms, rim)
 
     t = _first_term(m, x)

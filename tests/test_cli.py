@@ -1,14 +1,29 @@
 """Command-line interface: exit codes, formats, reproducibility."""
 
+import cmath
+import contextlib
 import csv
 import io
 import json
 import math
+import os
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from invbinom.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main, parse_complex
+from invbinom.cli import (
+    EXIT_DOMAIN,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VERIFY,
+    fmt_complex,
+    main,
+    parse_complex,
+)
+from invbinom.routes import METHODS
 
 
 def run(capsys, *argv):
@@ -121,6 +136,27 @@ class TestEval:
         )
         assert code == EXIT_DOMAIN
         assert "10 terms" in err
+
+
+class TestEvalFuzz:
+    @given(
+        n=st.integers(0, 6),
+        m=st.integers(1, 8),
+        rho=st.floats(0.0, 1.0),
+        theta=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_auto_exits_cleanly(self, n, m, rho, theta):
+        x = rho * (27 / 4) ** m * cmath.exp(1j * theta)
+        argv = ["eval", "--n", str(n), "--m", str(m), "--x", fmt_complex(x), "--output", "json"]
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, {"SERIES_MAX_TERMS": "20000"}):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)  # an uncaught exception fails the test
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_DOMAIN), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == EXIT_OK:
+            assert json.loads(out.getvalue())["method"] in METHODS
 
 
 class TestTable:

@@ -5,7 +5,10 @@ consolidated; any byte of difference in values, error estimates, method
 tags, work counts or formatting fails here. An intended output change must
 update the hash and say so in CHANGES.md. The three S(3,2;20) folding/auto
 and ``verify`` hashes were re-recorded when the near-rim polylog moved from
-nested quadrature to the log-series expansion (last-bit changes only).
+nested quadrature to the log-series expansion (last-bit changes only). The
+n = 3 ``auto`` hashes at S(3,1;0.5) and S(3,2;20) were re-recorded when
+``auto`` began to pick direct summation by its predicted term count; they
+now equal the ``direct-sum`` hashes of the same points.
 """
 
 import hashlib
@@ -142,7 +145,7 @@ GOLDEN = {
         "855e7ffc6935a741c0dcc10994f76e4b0c496741292e2fc18c40173b7bec0922"
     ),
     "eval --n 3 --m 1 --x 0.5 --method auto --output json": (
-        "ca83c1c2996df99cc0b42e8314df697133ac61678c7eba7eb378162af3842671"
+        "38e2196d010be45ac24e390e3c1e655678b4f90ec0a6bc036204c75d3fe121ae"
     ),
     "eval --n 3 --m 2 --x 20 --method direct-sum --output json": (
         "dd3e8cd72ea586d9f6ace4b97deeb6e8ac216b27bed14b40f80f1aec88985312"
@@ -151,7 +154,7 @@ GOLDEN = {
         "e4b18d646a09b727f2d3f458bba9e9226f3a248dd7a9c84c10f949194501d9ae"
     ),
     "eval --n 3 --m 2 --x 20 --method auto --output json": (
-        "e4b18d646a09b727f2d3f458bba9e9226f3a248dd7a9c84c10f949194501d9ae"
+        "dd3e8cd72ea586d9f6ace4b97deeb6e8ac216b27bed14b40f80f1aec88985312"
     ),
     "table --n 2 --m 1 --x-from -6.75 --x-to 6.75 --steps 101 --output csv": (
         "9cf9c9edf1f1377af2d5b5df4d7623839c517ec7f7100b2f5324925f983dc52a"

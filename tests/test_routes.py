@@ -13,6 +13,7 @@ from invbinom import (
     DomainError,
     METHODS,
     QuadratureSpec,
+    SeriesError,
     SeriesParams,
     evaluate,
     resolve_auto,
@@ -22,22 +23,70 @@ from invbinom import (
 from invbinom.routes import ROUTES
 
 
+R = 27 / 4
+
+# The route of auto before the cost rule: closed form for n <= 2 at m = 1,
+# quad-polylog for n >= 3 at m = 1, folding for m >= 2.
+PARENT_ROUTE = {
+    (2, 1): "closed-form",
+    (2, 2): "folding",
+    (3, 1): "quad-polylog",
+    (3, 2): "folding",
+    (4, 1): "quad-polylog",
+    (4, 2): "folding",
+}
+
+
+def _at(rho, m, theta=0.0):
+    return rho * R**m * cmath.exp(1j * theta)
+
+
 class TestResolveAuto:
-    def test_closed_form_for_low_weight_stride_one(self):
-        assert resolve_auto(2, 1) == "closed-form"
-        assert resolve_auto(0, 1) == "closed-form"
+    @pytest.mark.parametrize("m", [1, 2, 3, 6])
+    @pytest.mark.parametrize("rho", [1e-9, 0.3, 0.9])
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_high_weight_sums_directly_where_few_terms_suffice(self, n, rho, m):
+        for theta in (0.0, math.pi, 2.0):
+            assert resolve_auto(n, m, _at(rho, m, theta)) == "direct-sum"
+            assert evaluate(n, m, _at(rho, m, theta)).method == "direct-sum"
 
-    def test_folding_for_low_weight_higher_stride(self):
-        assert resolve_auto(2, 2) == "folding"
-        assert resolve_auto(1, 3) == "folding"
+    @pytest.mark.parametrize("n,m", list(PARENT_ROUTE))
+    @pytest.mark.parametrize("rho", [1.0, 1.0 - 1e-3, 1.0 - 1e-4])
+    def test_rim_points_keep_their_route(self, n, m, rho):
+        for theta in (0.0, math.pi, 2.0):
+            assert resolve_auto(n, m, _at(rho, m, theta)) == PARENT_ROUTE[n, m]
 
-    def test_quadrature_for_high_weight_stride_one(self):
-        assert resolve_auto(3, 1) == "quad-polylog"
-        assert resolve_auto(7, 1) == "quad-polylog"
+    @pytest.mark.parametrize("m", [1, 2, 3, 6])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_low_weight_keeps_closed_form_and_folding(self, n, m):
+        for rho in (0.0, 1e-9, 0.5, 0.99, 1.0):
+            assert resolve_auto(n, m, _at(rho, m, 1.0)) == ("closed-form" if m == 1 else "folding")
 
-    def test_folding_otherwise(self):
-        assert resolve_auto(3, 2) == "folding"
-        assert resolve_auto(5, 4) == "folding"
+    def test_quadrature_where_direct_summation_costs_more(self):
+        assert resolve_auto(3, 1, 0.99 * R) == "quad-polylog"
+        assert resolve_auto(3, 2, 0.999 * R**2) == "folding"
+
+    def test_a_short_term_cap_keeps_quadrature(self, monkeypatch):
+        x = 0.9 * R
+        assert evaluate(3, 1, x).method == "direct-sum"
+        assert evaluate(3, 1, x, max_terms=50).method == "quad-polylog"
+        monkeypatch.setenv("SERIES_MAX_TERMS", "50")
+        assert evaluate(3, 1, x).method == "quad-polylog"
+
+    @pytest.mark.parametrize("n,m,rho", [(3, 1, 0.3), (5, 1, 0.3), (6, 3, 0.35), (4, 2, 0.9)])
+    def test_auto_never_picks_direct_summation_that_hits_its_cap(self, n, m, rho):
+        # the estimate falls up to 2 terms short here; a ConvergenceError fails the test
+        x = _at(rho, m, 0.5)
+        need = sum_direct(SeriesParams(n, m, x)).work
+        caps = range(need - 3, need + need // 8 + 4)
+        methods = [evaluate(n, m, x, max_terms=cap).method for cap in caps]
+        assert methods[0] != "direct-sum" and methods[-1] == "direct-sum"
+
+    def test_tolerance_is_passed_through(self):
+        x = 0.99 * R
+        assert evaluate(3, 1, x).method == "quad-polylog"
+        assert evaluate(3, 1, x, rel_tol=1e-6).method == "direct-sum"
+        assert evaluate(3, 1, 0.5, rel_tol=0.0).method == "quad-polylog"
 
 
 class TestEvaluate:
@@ -118,6 +167,25 @@ class TestEvaluate:
         ref = sum_direct(SeriesParams(n, m, x)).value
         got = evaluate(n, m, x).value
         assert abs(got - ref) <= 1e-9 * (1.0 + abs(ref))
+
+
+class TestAutoFuzz:
+    @given(
+        n=st.integers(0, 6),
+        m=st.integers(1, 8),
+        rho=st.floats(0.0, 1.0),
+        theta=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_auto_ends_in_an_evaluation_or_a_series_error(self, n, m, rho, theta):
+        x = _at(rho, m, theta)  # the term cap keeps every example short
+        try:
+            ev = evaluate(n, m, x, max_terms=20_000)
+        except ArgumentError as exc:
+            pytest.fail(f"auto raised ArgumentError at S({n},{m};{x!r}): {exc}")
+        except SeriesError:
+            return
+        assert cmath.isfinite(ev.value) and math.isfinite(ev.abs_error_est)
 
 
 def _contract_points():

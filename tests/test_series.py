@@ -1,6 +1,8 @@
 """Direct summation, exact binomials and the term recurrence."""
 
+import cmath
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -23,6 +25,7 @@ from invbinom import (
     term_ratio,
     term_ratio_stride,
 )
+from invbinom.series import terms_needed
 
 # Frozen from exact-fraction partial sums (math.comb over Fraction).
 S22_AT_1 = 0.06717778880529868
@@ -247,6 +250,43 @@ class TestSumDirect:
         loose = sum_direct(SeriesParams(n, m, x), rel_tol=1e-8)
         tight = sum_direct(SeriesParams(n, m, x), rel_tol=1e-15)
         assert abs(loose.value - tight.value) <= loose.abs_error_est + 1e-15 * abs(tight.value)
+
+
+class TestTermsNeeded:
+    def test_predicts_the_work_of_direct_summation(self):
+        # one seeded point per (n, m, band); each band meets all four angles
+        rng = random.Random(2005)
+        bands = ((0.3, 0.9), (0.9, 0.99), (0.99, 0.999), (0.999, 0.9999))
+        angles = [0.0, math.pi, rng.uniform(0.0, math.pi), rng.uniform(math.pi, 2 * math.pi)]
+        checked = 0
+        for n in range(3, 7):
+            for m in (1, 2, 3):
+                rng.shuffle(angles)
+                for (lo, hi), theta in zip(bands, angles):
+                    rho = rng.uniform(lo, hi)
+                    x = rho * convergence_radius(m) * cmath.exp(1j * theta)
+                    work = sum_direct(SeriesParams(n, m, x)).work
+                    if work >= 20:
+                        need = terms_needed(n, abs(x) / convergence_radius(m), 1e-15)
+                        assert abs(need - work) <= 0.1 * work, (n, m, rho, theta, need, work)
+                        checked += 1
+        assert checked == 48
+
+    def test_edges(self):
+        assert terms_needed(3, 0.0, 1e-15) == 1
+        assert terms_needed(3, 1e-20, 1e-15) == 1
+        assert terms_needed(3, 0.5, 0.0) == math.inf
+        assert terms_needed(0, 1.0, 1e-15) == math.inf
+        assert terms_needed(4, 1.0, 1e-15) == math.ceil(1e15 ** (1 / 3.5))
+
+    @pytest.mark.parametrize("n", [1, 3, 6, 20])
+    @pytest.mark.parametrize("rho", [1e-6, 0.3, 0.9, 0.99, 1 - 1e-9])
+    def test_smallest_k_meeting_the_bound(self, n, rho):
+        def meets(k):
+            return k * math.log(rho) + (0.5 - n) * math.log(k) <= math.log(1e-15)
+
+        k = terms_needed(n, rho, 1e-15)
+        assert meets(k) and (k == 1 or not meets(k - 1))
 
 
 class TestSeriesTerms:
