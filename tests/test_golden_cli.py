@@ -8,7 +8,10 @@ and ``verify`` hashes were re-recorded when the near-rim polylog moved from
 nested quadrature to the log-series expansion (last-bit changes only). The
 n = 3 ``auto`` hashes at S(3,1;0.5) and S(3,2;20) were re-recorded when
 ``auto`` began to pick direct summation by its predicted term count; they
-now equal the ``direct-sum`` hashes of the same points.
+now equal the ``direct-sum`` hashes of the same points. The two direct-sum
+hashes at 0.9 R**m e**(0.7i), m = 8 and m = 60 (where the term ratio pairs
+its factors because the 3m-factor products overflow), were recorded before
+the term recurrence moved to ``math.prod``.
 """
 
 import hashlib
@@ -155,6 +158,13 @@ GOLDEN = {
     ),
     "eval --n 3 --m 2 --x 20 --method auto --output json": (
         "dd3e8cd72ea586d9f6ace4b97deeb6e8ac216b27bed14b40f80f1aec88985312"
+    ),
+    "eval --n 3 --m 8 --x 2966501.190067826+2498649.4830240267i --method direct-sum --output json": (
+        "78dbf7d0c6d29c3e9674517800f7ff977d4ed397e1a7d90f75509a29931c5844"
+    ),
+    "eval --n 3 --m 60 --x 3.9449428327662113e+49+3.3227795096300843e+49i "
+    "--method direct-sum --output json": (
+        "4e074c0dd424311e21940b74431a53dc067587a15dffbb21ad74c6ec950e63f7"
     ),
     "table --n 2 --m 1 --x-from -6.75 --x-to 6.75 --steps 101 --output csv": (
         "9cf9c9edf1f1377af2d5b5df4d7623839c517ec7f7100b2f5324925f983dc52a"
