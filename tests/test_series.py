@@ -25,7 +25,7 @@ from invbinom import (
     term_ratio,
     term_ratio_stride,
 )
-from invbinom.series import terms_needed
+from invbinom.series import _binomial_step, terms_needed
 
 # Frozen from exact-fraction partial sums (math.comb over Fraction).
 S22_AT_1 = 0.06717778880529868
@@ -102,6 +102,49 @@ class TestTermRatio:
         # the 3m-factor products overflow binary64 here; the ratio must not
         exact = Fraction(math.comb(3 * m * k, m * k), math.comb(3 * m * (k + 1), m * (k + 1)))
         assert term_ratio_stride(k, 0, m, 1.0).real == pytest.approx(float(exact), rel=1e-14)
+
+
+def _binomial_step_loop(k, m):
+    """The term-ratio binomial step as a Python loop of float multiplies, the
+    form ``_binomial_step`` had before it moved to ``math.prod``."""
+    num = 1.0
+    for i in range(1, m + 1):
+        num *= m * k + i
+    for i in range(1, 2 * m + 1):
+        num *= 2 * m * k + i
+    den = 1.0
+    for i in range(1, 3 * m + 1):
+        den *= 3 * m * k + i
+    if den == math.inf:
+        lo = math.prod((m * k + i) / (3 * m * k + i) for i in range(1, m + 1))
+        return lo * math.prod((2 * m * k + i) / (3 * m * k + m + i) for i in range(1, 2 * m + 1))
+    return num / den
+
+
+def _compensated_sum(terms):
+    total = comp = 0j
+    for t in terms:
+        y = t - comp
+        s = total + y
+        comp = (s - total) - y
+        total = s
+    return total
+
+
+class TestBitIdentity:
+    def test_binomial_step_equals_the_python_loop(self):
+        # m = 60 crosses the pair-ratio fallback, where the products overflow
+        for m in range(1, 61):
+            for k in [*range(1, 51), 97, 500, 3000]:
+                got, want = _binomial_step(k, m), _binomial_step_loop(k, m)
+                assert got.hex() == want.hex(), (k, m)
+
+    @pytest.mark.parametrize(
+        "n,m,x", [(0, 1, 6.5), (3, 4, 0.9 * 6.75**4 * cmath.exp(0.7j)), (2, 8, -0.99 * 6.75**8)]
+    )
+    def test_sum_direct_is_the_compensated_sum_of_series_terms(self, n, m, x):
+        ev = sum_direct(SeriesParams(n, m, x))
+        assert ev.value == _compensated_sum(series_terms(n, m, x, ev.work))
 
 
 class TestBinomialExact:
