@@ -274,8 +274,10 @@ def sum_direct(
 
     The error estimate is a geometric tail bound from the last term and
     the current term ratio, plus a rounding floor proportional to the
-    accumulated absolute sum. On the rim, where the ratio bound reaches 1,
-    an integral tail bound on k**(1/2 - n) is used instead.
+    accumulated absolute sum, which grows with the stride and with the
+    mean term index because the recurrence's roundings compound along k.
+    On the rim, where the ratio bound reaches 1, an integral tail bound on
+    k**(1/2 - n) is used instead.
 
     Raises:
         DomainError: outside the disk, or on the rim with n < 2.
@@ -332,9 +334,18 @@ def sum_direct(
     r = abs(x) * _binomial_step(work, m)
     if r < 1.0:
         tail = abs(t) * r / (1.0 - r)
+        mean_k = min(work, 2.0 / (1.0 - r))
     else:
         tail = abs(t) * work / max(n - 1.5, 0.5)
-    return Evaluation(total, tail + 4.0 * _EPS * abs_sum, "direct-sum", work)
+        mean_k = work
+    # Each ratio carries about 6m + n + 3 roundings, so t_k drifts from the true
+    # term by a random walk of k - 1 such steps, of standard deviation about
+    # _EPS sqrt((6m + n + 3) k / 12). Terms shaped like rho**k k**(1/2 - n) have
+    # their |t|-weighted mean index below 2 / (1 - rho) <= 2 / (1 - r); the floor
+    # takes 3.5 deviations at that index, on top of 4 _EPS for the first term
+    # and the compensated sum.
+    drift = math.sqrt((6 * m + n + 3) * mean_k)
+    return Evaluation(total, tail + (4.0 + drift) * _EPS * abs_sum, "direct-sum", work)
 
 
 def _term_cap_error(rel_tol: float, max_terms: int, rim: bool) -> ConvergenceError:

@@ -11,7 +11,10 @@ n = 3 ``auto`` hashes at S(3,1;0.5) and S(3,2;20) were re-recorded when
 now equal the ``direct-sum`` hashes of the same points. The two direct-sum
 hashes at 0.9 R**m e**(0.7i), m = 8 and m = 60 (where the term ratio pairs
 its factors because the 3m-factor products overflow), were recorded before
-the term recurrence moved to ``math.prod``.
+the term recurrence moved to ``math.prod``. Every ``direct-sum`` hash, and the
+two n = 3 ``auto`` hashes that sum directly, were re-recorded when the
+direct-sum rounding floor grew to cover the recurrence's drift along k (only
+``abs_error_est`` moved).
 """
 
 import hashlib
@@ -22,7 +25,7 @@ from invbinom.cli import EXIT_OK, main
 
 GOLDEN = {
     "eval --n 2 --m 1 --x 0.5 --method direct-sum --output json": (
-        "3354fe7f9bb90f223b9f50c95ee84b6af38e2f65a60652a883c23213c1c720e7"
+        "f9efee8e85a7b5534941e56919e8f99b7411a5dc365d25be5742fdac164e4c67"
     ),
     "eval --n 2 --m 1 --x 0.5 --method closed-form --output json": (
         "b1bfd002236bbb3a909291737ca73fa2cb78214a6093526e8a72147924c2caca"
@@ -43,7 +46,7 @@ GOLDEN = {
         "b1bfd002236bbb3a909291737ca73fa2cb78214a6093526e8a72147924c2caca"
     ),
     "eval --n 2 --m 1 --x 6.6825 --method direct-sum --output json": (
-        "f00d97555111e3398b994949356f5165adaf3dbda7802d25402a4379de4ea55d"
+        "8e29681038c31b44dbffbf798fc9b17a0b6c76aa2e50aa5ba46de63d982c6331"
     ),
     "eval --n 2 --m 1 --x 6.6825 --method closed-form --output json": (
         "666a32c7682973f71e096509f50d1aba94cc68b3af961ea7a2b93fff1eb48bbb"
@@ -79,7 +82,7 @@ GOLDEN = {
         "8b19b00eca7f7f2d40b6d5b799424fb73f73cbc068f3935a4d2dfbc987574170"
     ),
     "eval --n 2 --m 1 --x 1+1i --method direct-sum --output json": (
-        "88392c0409d0bdbc6014fcbd636843e80145b6c6987df8793f092ba8e8fc6c23"
+        "8d0b0fd12ae8f8cd6d65a12f8385e1cc7530a99e2e518ef71598c4222bb60cd4"
     ),
     "eval --n 2 --m 1 --x 1+1i --method closed-form --output json": (
         "6868525796d0ab39f42c713c564ae9d10dfa3684f50270c57b576f1b7330f80b"
@@ -97,7 +100,7 @@ GOLDEN = {
         "6868525796d0ab39f42c713c564ae9d10dfa3684f50270c57b576f1b7330f80b"
     ),
     "eval --n 2 --m 2 --x 20 --method direct-sum --output json": (
-        "f2d0b72229ea4e9e6f47bd24a86bf270d5962d62413fc8a364ee54129509fc6c"
+        "62d914615c4217d1d84db501e315bfc1254729ad8147b5f8ae3aa1127e295ce4"
     ),
     "eval --n 2 --m 2 --x 20 --method closed-form --output json": (
         "1c0d287471a43a0ce8c327611c7ce52f32debe5fc551a4941ae785063afce4a5"
@@ -109,7 +112,7 @@ GOLDEN = {
         "e73e2c2f35b9fd1d20b022210e02dbd5fdb38d529a964beb6aecb5ea92252a70"
     ),
     "eval --n 2 --m 3 --x 100 --method direct-sum --output json": (
-        "19282489436476d239c0a72258ac701fab7ab39a556ec089e4abdaaf4f8d6b36"
+        "dabc5dcf10525d7ac8bc9fc438a88cb68a6843afb2b6de32efbe99c5a997df8f"
     ),
     "eval --n 2 --m 3 --x 100 --method closed-form --output json": (
         "b43ad2bbdb3ac06f075cb99c75248581a304556a9165e89bfcbe4d78921059e4"
@@ -121,7 +124,7 @@ GOLDEN = {
         "6833fc5ee8e3a055616338ca34b680aa691aa940a79182af7ced24673db6e096"
     ),
     "eval --n 0 --m 1 --x 0.5 --method direct-sum --output json": (
-        "b006175c57fdaffa214717a6fee3259f8852d00d0ebc044dd31c2f646dc73fd4"
+        "eb8658bea61097d79292ed469aef8db2e66e7caaab6b4fa5ba3fc5f808b9dd05"
     ),
     "eval --n 0 --m 1 --x 0.5 --method closed-form --output json": (
         "37a9a4f8b1c38e7ef6060dbeafe4527b3fe46d4cfe5ee94d9081edd12af85125"
@@ -136,7 +139,7 @@ GOLDEN = {
         "37a9a4f8b1c38e7ef6060dbeafe4527b3fe46d4cfe5ee94d9081edd12af85125"
     ),
     "eval --n 3 --m 1 --x 0.5 --method direct-sum --output json": (
-        "38e2196d010be45ac24e390e3c1e655678b4f90ec0a6bc036204c75d3fe121ae"
+        "2f2422f077edbe9d3c06b890dc8a7c886a6affafff55f1bb1f73872419580074"
     ),
     "eval --n 3 --m 1 --x 0.5 --method quad-polylog --output json": (
         "ca83c1c2996df99cc0b42e8314df697133ac61678c7eba7eb378162af3842671"
@@ -148,23 +151,23 @@ GOLDEN = {
         "855e7ffc6935a741c0dcc10994f76e4b0c496741292e2fc18c40173b7bec0922"
     ),
     "eval --n 3 --m 1 --x 0.5 --method auto --output json": (
-        "38e2196d010be45ac24e390e3c1e655678b4f90ec0a6bc036204c75d3fe121ae"
+        "2f2422f077edbe9d3c06b890dc8a7c886a6affafff55f1bb1f73872419580074"
     ),
     "eval --n 3 --m 2 --x 20 --method direct-sum --output json": (
-        "dd3e8cd72ea586d9f6ace4b97deeb6e8ac216b27bed14b40f80f1aec88985312"
+        "4308aff8530e078b00b0d744ce954ce47f9b8c92677efa31af55a6c4b373aecf"
     ),
     "eval --n 3 --m 2 --x 20 --method folding --output json": (
         "e4b18d646a09b727f2d3f458bba9e9226f3a248dd7a9c84c10f949194501d9ae"
     ),
     "eval --n 3 --m 2 --x 20 --method auto --output json": (
-        "dd3e8cd72ea586d9f6ace4b97deeb6e8ac216b27bed14b40f80f1aec88985312"
+        "4308aff8530e078b00b0d744ce954ce47f9b8c92677efa31af55a6c4b373aecf"
     ),
     "eval --n 3 --m 8 --x 2966501.190067826+2498649.4830240267i --method direct-sum --output json": (
-        "78dbf7d0c6d29c3e9674517800f7ff977d4ed397e1a7d90f75509a29931c5844"
+        "c8c1b262991e073c9372d5f1ebf9b52a9909cb9c2941fb11b8b979fe62a23336"
     ),
     "eval --n 3 --m 60 --x 3.9449428327662113e+49+3.3227795096300843e+49i "
     "--method direct-sum --output json": (
-        "4e074c0dd424311e21940b74431a53dc067587a15dffbb21ad74c6ec950e63f7"
+        "3c8bb212a945d3bedb326fe85fd377a5fda4b931c6826fbec8ce3f9d9e239042"
     ),
     "table --n 2 --m 1 --x-from -6.75 --x-to 6.75 --steps 101 --output csv": (
         "9cf9c9edf1f1377af2d5b5df4d7623839c517ec7f7100b2f5324925f983dc52a"

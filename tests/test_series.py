@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import statistics
 import time
 from fractions import Fraction
 
@@ -293,6 +294,71 @@ class TestSumDirect:
         loose = sum_direct(SeriesParams(n, m, x), rel_tol=1e-8)
         tight = sum_direct(SeriesParams(n, m, x), rel_tol=1e-15)
         assert abs(loose.value - tight.value) <= loose.abs_error_est + 1e-15 * abs(tight.value)
+
+
+def _fixed_point_reference(n, m, x, prec=160):
+    """S(n, m; x) inside the disk, summed in fixed-point big integers.
+
+    Every binary64 x is (a + ib) / 2**e exactly, and the term recurrence is
+    exact up to one floor division per component and step, so the returned
+    pair (re, im) of Fractions is within ``bound`` of S: a geometric tail from
+    the current term, valid because |x| C(3mk, mk) / C(3m(k+1), m(k+1))
+    decreases in k, plus the floor roundings, which the recurrence amplifies
+    by at most a small power of k (k**3 units of 2**-prec is ample).
+    """
+    xr, xi = Fraction(x.real), Fraction(x.imag)
+    e = max(xr.denominator, xi.denominator).bit_length() - 1
+    a = xr.numerator * (2**e // xr.denominator)
+    b = xi.numerator * (2**e // xi.denominator)
+    c = math.comb(3 * m, m)
+    ur, ui = (a << prec) // (c << e), (b << prec) // (c << e)  # x**k / C(3mk, mk)
+    sr = si = 0
+    k = 0
+    while True:
+        k += 1
+        sr += ur // k**n
+        si += ui // k**n
+        num = math.prod(range(m * k + 1, m * k + m + 1)) * math.prod(
+            range(2 * m * k + 1, 2 * m * k + 2 * m + 1)
+        )
+        den = math.prod(range(3 * m * k + 1, 3 * m * k + 3 * m + 1))
+        r = abs(x) * num / den
+        ur, ui = (ur * a - ui * b) * num // (den << e), (ur * b + ui * a) * num // (den << e)
+        if r < 1.0:
+            tail = (math.hypot(ur, ui) + k**3) / (1.0 - r)
+            if tail < 2.0 ** (prec - 80):
+                return Fraction(sr, 2**prec), Fraction(si, 2**prec), (tail + k**3) / 2.0**prec
+
+
+# Two direct-workload points whose error once exceeded the estimate: the
+# rounding floor missed the drift the recurrence accumulates along k.
+DRIFT_MISSES = [(0, 5, 13093.916867221438), (0, 5, 13167.412860449718)]
+# Median abs_error_est over the grid below before the floor grew with the drift.
+PARENT_MEDIAN_ESTIMATE = 1.928156583551455e-14
+
+
+def _estimate_grid():
+    rng = random.Random("direct-sum error estimate")
+    points = list(DRIFT_MISSES)
+    for n in range(5):
+        for m in range(1, 9):
+            for theta in (0.0, math.pi, rng.uniform(0.0, 2.0 * math.pi)):
+                rho = rng.uniform(0.5, 0.999)
+                points.append((n, m, rho * convergence_radius(m) * cmath.exp(1j * theta)))
+    return points
+
+
+class TestErrorEstimate:
+    def test_estimate_bounds_the_error_against_a_big_integer_reference(self):
+        estimates = []
+        for n, m, x in _estimate_grid():
+            x = complex(x)
+            ev = sum_direct(SeriesParams(n, m, x))
+            re, im, bound = _fixed_point_reference(n, m, x)
+            err = math.hypot(float(Fraction(ev.value.real) - re), float(Fraction(ev.value.imag) - im))
+            assert err + bound <= ev.abs_error_est, (n, m, x, err, ev.abs_error_est)
+            estimates.append(ev.abs_error_est)
+        assert statistics.median(estimates) <= 4.0 * PARENT_MEDIAN_ESTIMATE
 
 
 class TestTermsNeeded:
