@@ -112,11 +112,12 @@ METHODS = tuple(ROUTES)
 
 
 # Direct-summation terms, per unit of stride, that cost about what quadrature does.
-# quad-polylog takes 1.5-2.5 ms per stride-1 evaluation and folding makes m of them;
-# direct-sum takes about (2.6 + 0.75 m) us per term (2-core x86-64 VM, CPython 3.11).
-# Break-even is near 600 terms at m = 1 and 300-350 m at m = 6, so at high stride
-# the budget leans towards direct summation, where the two cost about the same.
-DIRECT_TERM_BUDGET = 500
+# quad-polylog takes about 2.1 ms per stride-1 evaluation and folding makes m of them;
+# direct-sum takes about (2.9 + 0.2 m) us per term (2-core x86-64 VM, CPython 3.11,
+# min of 5, n 3..4, m 1..6, rho 0.9..0.995). The measured break-even is 690-970
+# terms per unit of stride for each m (median 750); the rim keeps quadrature while
+# 2 * budget stays under the 4,841 terms n = 4 needs at rho = 1 - 1e-3.
+DIRECT_TERM_BUDGET = 750
 
 
 def resolve_auto(

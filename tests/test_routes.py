@@ -66,6 +66,23 @@ class TestResolveAuto:
         assert resolve_auto(3, 1, 0.99 * R) == "quad-polylog"
         assert resolve_auto(3, 2, 0.999 * R**2) == "folding"
 
+    # (n, m, rho) -> route at angle 0.7, with the measured direct / quadrature
+    # times (ms, min of 5) that place each point on its side of the break-even.
+    @pytest.mark.parametrize(
+        "n,m,rho,route",
+        [
+            (3, 1, 0.97, "direct-sum"),  # 608 terms: 1.9 vs 2.2
+            (3, 1, 0.98, "quad-polylog"),  # 872 terms: 2.7 vs 2.1
+            (3, 3, 0.99, "direct-sum"),  # 1,602 terms: 5.6 vs 11.1
+            (3, 6, 0.995, "direct-sum"),  # 2,913 terms: 11.9 vs 18.5
+            (4, 2, 0.99, "direct-sum"),  # 1,024 terms: 3.3 vs 4.6
+            (4, 2, 0.995, "folding"),  # 1,698 terms: 5.6 vs 4.3
+            (4, 5, 0.995, "direct-sum"),  # 1,698 terms: 6.6 vs 12.3
+        ],
+    )
+    def test_budget_sits_at_the_measured_break_even(self, n, m, rho, route):
+        assert resolve_auto(n, m, _at(rho, m, 0.7)) == route
+
     def test_a_short_term_cap_keeps_quadrature(self, monkeypatch):
         x = 0.9 * R
         assert evaluate(3, 1, x).method == "direct-sum"
