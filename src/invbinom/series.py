@@ -306,7 +306,6 @@ def sum_direct(
     t = _first_term(m, x)
     if t == 0:  # underflow (subnormal x or huge m); every later term is smaller still
         return Evaluation(t, 0.0, "direct-sum", 1)
-    step = _binomial_step
     total = 0j
     comp = 0j
     abs_sum = 0.0
@@ -324,7 +323,7 @@ def sum_direct(
                 break
         else:
             small = 0
-        t *= x * (k / (k + 1)) ** n * step(k, m)  # the term_ratio_stride expression
+        t *= x * (k / (k + 1)) ** n * _binomial_step(k, m)  # the term_ratio_stride expression
     else:
         raise _term_cap_error(rel_tol, max_terms, rim)
     work = k

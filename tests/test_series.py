@@ -322,7 +322,7 @@ def _fixed_point_reference(n, m, x, prec=160):
             range(2 * m * k + 1, 2 * m * k + 2 * m + 1)
         )
         den = math.prod(range(3 * m * k + 1, 3 * m * k + 3 * m + 1))
-        r = abs(x) * num / den
+        r = abs(x) * (num / den)
         ur, ui = (ur * a - ui * b) * num // (den << e), (ur * b + ui * a) * num // (den << e)
         if r < 1.0:
             tail = (math.hypot(ur, ui) + k**3) / (1.0 - r)
@@ -342,9 +342,8 @@ def _estimate_grid():
     points = list(DRIFT_MISSES)
     for n in range(5):
         for m in range(1, 9):
-            for theta in (0.0, math.pi, rng.uniform(0.0, 2.0 * math.pi)):
-                rho = rng.uniform(0.5, 0.999)
-                points.append((n, m, rho * convergence_radius(m) * cmath.exp(1j * theta)))
+            for unit in (1.0, -1.0, cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))):
+                points.append((n, m, unit * rng.uniform(0.5, 0.999) * convergence_radius(m)))
     return points
 
 
