@@ -30,7 +30,13 @@ from .errors import (
     SeriesError,
 )
 from .identities import EXPERIMENTAL_IDS, SPECIAL_VALUES, IdentityRecord, record_by_id, render
-from .integral_reps import TwoTermLimits, quad_polylog, quad_two_term, two_term_limits
+from .integral_reps import (
+    TwoTermLimits,
+    quad_cardano,
+    quad_polylog,
+    quad_two_term,
+    two_term_limits,
+)
 from .polylog import PolylogQuery, li, li_factorized, root_of_unity
 from .quadrature import QuadratureSpec, adaptive_quad
 from .routes import METHODS, evaluate, hypergeometric_value, resolve_auto
@@ -95,6 +101,7 @@ __all__ = [
     "pair_tolerance",
     "pfq",
     "phi",
+    "quad_cardano",
     "quad_polylog",
     "quad_two_term",
     "record_by_id",

@@ -1,11 +1,15 @@
 """Quadrature evaluation through the integral representations of the series.
 
-Two independent routes at stride 1:
+Three independent routes at stride 1:
 
 * ``quad_polylog`` integrates Li_{n-1}(x*t*(1-t)**2) / t over the unit
-  interval. It works for every n >= 1 (n >= 2 on the rim) and it is the
-  only practical route on the rim, where direct summation decays like
-  k**(1/2 - n).
+  interval. It works for every n >= 1 (n >= 2 on the rim); it is the
+  independent cross-check of the Cardano-root route.
+* ``quad_cardano`` (n >= 3) integrates the elementary weight-2 closed form
+  along the Cardano root and sums the far end of the path as a fast series.
+  It is about 20 times cheaper than ``quad_polylog`` and is the route ``auto``
+  takes where direct summation, which decays like k**(1/2 - n) on the rim,
+  costs more.
 * ``quad_two_term`` evaluates the two-term log/trig form whose limits come
   from the Cardano root. Restricted to real x, where its trigonometric
   integrand is derived; complex arguments are served by ``quad_polylog``
@@ -20,10 +24,11 @@ route-equivalence tests at n = 3 pin this down numerically.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
-from .closed_forms import phi
+from .closed_forms import _TINY_X, REAL_BRANCH, SQRT3, phi
 from .errors import ArgumentError, DomainError
 from .polylog import li
 from .quadrature import QuadratureSpec, adaptive_quad
@@ -31,6 +36,11 @@ from .series import RADIUS_BASE, Evaluation, SeriesParams
 
 _TWO_PI = 2.0 * math.pi
 _TINY = 1e-300
+_EPS = 2.220446049250313e-16
+
+# |r| where quad_cardano hands over from quadrature to the series: beyond it the
+# weight-2 kernel cancels by a factor of about |r|, and the series ratio is below 0.3.
+CARDANO_SPLIT = 2.5
 
 
 @dataclass(frozen=True)
@@ -110,6 +120,105 @@ def quad_polylog(n: int, x: complex, spec: QuadratureSpec | None = None) -> Eval
 
     value, err, work = adaptive_quad(integrand, 0.0, 1.0, spec)
     return Evaluation(value, err, "quad-polylog", work)
+
+
+def quad_cardano(n: int, x: complex, spec: QuadratureSpec | None = None) -> Evaluation:
+    """S(n, 1; x), n >= 3, by quadrature along the Cardano root of the weight-2 closed form.
+
+    With q = phi(x), u(r) = 27 r**3 / (1 + r**3)**2 (so u(q) = x) and
+    w(r) = -d log u / dr = 3 (r**3 - 1) / (r (1 + r**3)), repeating
+    x d/dx S(n, 1; x) = S(n - 1, 1; x) down to weight 2 gives
+
+        S(n, 1; x) = 1/(n-3)! * int_q^inf K(r) l(r)**(n-3) w(r) dr,
+
+    K(r) = S(2, 1; u(r)) = 6 atan(sqrt3/(2r - 1))**2 - log((r**2 - r + 1)/(r + 1)**2)**2 / 2,
+    l(r) = log(x / u(r)). The path is the ray r = q/tau, tau in (0, 1], on which
+    l = 2 log(1 + c (tau**-3 - 1)) + 3 log tau with c = q**3 / (1 + q**3): the
+    argument 1 + c s, s >= 0, never crosses the principal cut. The head
+    |r| <= CARDANO_SPLIT is one adaptive Gauss-Kronrod integral; beyond it,
+    where K cancels (both halves ~ 9/(2 r**2)), the rest is the series
+    sum_k y**k / (k**3 C(3k, k)) * sum_{i<=n-3} l0**i / (i! k**(n-3-i)),
+    y = u(r0), l0 = l(r0), whose ratio is at most 4|y|/27 < 0.3. For |q| >=
+    CARDANO_SPLIT (small |x|) the head is empty and the series is the direct one.
+    """
+    if n < 3:
+        raise ArgumentError(f"this route needs n >= 3, got {n}")
+    xc = SeriesParams.require_summable(n, 1, x)
+    if xc == 0:
+        return Evaluation(0j, 0.0, "quad-cardano", 0)
+    p = n - 3
+    head, head_err, work = 0j, 0.0, 0
+    y0, ell0 = xc, 0j
+    root = None if abs(xc) < _TINY_X else phi(xc)  # phi overflows for tiny |x|
+    if root is not None and abs(root.phi) < CARDANO_SPLIT:
+        q = root.phi
+        tau0 = abs(q) / CARDANO_SPLIT
+        if root.branch == REAL_BRANCH:
+            integrand, ell = _cardano_path(q.real, p, math)  # real arithmetic, about 30% faster
+        else:
+            integrand, ell = _cardano_path(q, p, cmath)
+        # adaptive_quad floors each panel's estimate at 50 eps of its value, which
+        # covers the integrand's rounding: the kernel cancels by at most |r| <= 2.5
+        head, head_err, work = adaptive_quad(integrand, tau0, 1.0, spec)
+        scale = 1.0 / math.factorial(p)
+        head *= scale
+        head_err *= scale
+        r0 = q / tau0
+        r3 = r0**3
+        y0 = complex(27.0 * r3 / (1.0 + r3) ** 2)
+        ell0 = complex(ell(tau0))
+    tail, tail_err, terms = _cardano_tail(p, y0, ell0)
+    return Evaluation(head + tail, head_err + tail_err, "quad-cardano", work + terms)
+
+
+def _cardano_path(q: complex, p: int, lib):
+    """Head integrand over tau, and l(tau); ``lib`` is math for the real branch of
+    phi (q real, |q| >= 1, every value real) and cmath for principal branches."""
+    c = q**3 / (1.0 + q**3)
+
+    def ell(tau: float) -> complex:
+        return 2.0 * lib.log(1.0 + c * (tau**-3 - 1.0)) + 3.0 * math.log(tau)
+
+    def integrand(tau: float) -> complex:
+        r = q / tau
+        r3 = r * r * r
+        at = lib.atan(SQRT3 / (2.0 * r - 1.0))
+        lg = lib.log((r * r - r + 1.0) / ((r + 1.0) * (r + 1.0)))
+        kernel = 6.0 * at * at - 0.5 * lg * lg
+        return kernel * ell(tau) ** p * 3.0 * (r3 - 1.0) / ((1.0 + r3) * tau)
+
+    return integrand, ell
+
+
+def _cardano_tail(p: int, y: complex, ell0: complex) -> tuple[complex, float, int]:
+    """sum_k y**k / (k**3 C(3k, k)) * e_p(k l0) / k**p, e_p the degree-p exponential
+    sum, for |y| < 2.1 (so the ratio 4|y|/27 < 0.3). Returns (value, error bound, terms)."""
+    # |e_p(k l0)| / k**p <= sum_i |l0|**i / i! for every k >= 1
+    amp = sum(abs(ell0) ** i / math.factorial(i) for i in range(p + 1))
+    ay = abs(y)
+    t = y / 3.0  # y**k / C(3k, k) at k = 1
+    total = 0j
+    mag = 0.0
+    k = 1
+    while True:
+        z = k * ell0
+        e = 1.0
+        for i in range(p, 0, -1):
+            e = 1.0 + z * e / i
+        term = t * e / k ** (p + 3)
+        total += term
+        mag += (k + 2) * abs(term)
+        ratio = 2.0 * (k + 1) * (2 * k + 1) / (3.0 * (3 * k + 1) * (3 * k + 2))
+        t *= y * ratio
+        k += 1
+        # the ratios of |y**k / C(3k, k)| fall towards 4|y|/27, so a geometric tail bounds the rest
+        bound = abs(t) * amp / k**3 / (1.0 - ay * ratio)
+        if bound <= 0.25 * _EPS * abs(total) or t == 0:
+            break
+    # Term k carries about 4 roundings per step of the recurrence and k times the
+    # relative rounding of y (about 4 more), so below 8k eps relative; the Horner
+    # sum, the power of k and the running sum add about 2 steps' worth.
+    return total, bound + 8.0 * _EPS * mag, k - 1
 
 
 def _stable_complement(x: float, t: float) -> float:

@@ -5,7 +5,9 @@ the cross-route verification and the CLI read it. A named method is never silent
 substituted: a route that cannot serve a request raises ArgumentError. x = 0
 short-circuits to exactly 0 on every route, even where the operation excludes it.
 ``auto`` is a cost rule: closed forms where they exist (n <= 2), and for n >= 3
-direct summation when its predicted term count undercuts the quadrature route.
+direct summation when its predicted term count undercuts the Cardano-root
+quadrature (quad-cardano, folded over for m >= 2); quad-polylog is never chosen
+by ``auto`` and stays an explicit route and verify's cross-check.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Callable, NamedTuple
 
 from .closed_forms import _pfq_terms, fold, s01, s11, s21, s2m_closed, stride_refusal
 from .errors import ArgumentError
-from .integral_reps import quad_polylog, quad_two_term
+from .integral_reps import quad_cardano, quad_polylog, quad_two_term
 from .quadrature import QuadratureSpec
 from .series import (
     Evaluation,
@@ -54,7 +56,7 @@ def _stride_one(name: str, n: int, m: int, n_min: int) -> str | None:
 
 def _closed_form_limits(n: int, m: int, x: complex) -> str | None:
     if m == 1:
-        return "no stride-1 closed form for n >= 3; use quad-polylog" if n > 2 else None
+        return "no stride-1 closed form for n >= 3; use quad-cardano" if n > 2 else None
     if n != 2:
         return "the stride m >= 2 closed form exists for n = 2 only; use folding"
     return stride_refusal(m)
@@ -80,7 +82,7 @@ def _pfq(n: int, m: int, x: complex, rel_tol, spec, max_terms) -> Evaluation:
 
 
 def _folding(n: int, m: int, x: complex, rel_tol, spec, max_terms) -> Evaluation:
-    inner = "closed-form" if n <= 2 else "quad-polylog"
+    inner = "closed-form" if n <= 2 else "quad-cardano"
     return fold(n, m, x, inner, rel_tol=rel_tol, spec=spec)
 
 
@@ -99,6 +101,11 @@ ROUTES: dict[str, Route] = {
             lambda n, m, x, tol, spec, cap: quad_polylog(n, x, spec),
         ),
         Route(
+            "quad-cardano",
+            lambda n, m, x: _stride_one("quad-cardano", n, m, 3),
+            lambda n, m, x, tol, spec, cap: quad_cardano(n, x, spec),
+        ),
+        Route(
             "quad-two-term",
             lambda n, m, x: _stride_one("quad-two-term", n, m, 2)
             or ("quad-two-term is a real-argument route" if x.imag != 0.0 else None),
@@ -112,12 +119,13 @@ METHODS = tuple(ROUTES)
 
 
 # Direct-summation terms, per unit of stride, that cost about what quadrature does.
-# quad-polylog takes about 2.1 ms per stride-1 evaluation and folding makes m of them;
-# direct-sum takes about (2.9 + 0.2 m) us per term (2-core x86-64 VM, CPython 3.11,
-# min of 5, n 3..4, m 1..6, rho 0.9..0.995). The measured break-even is 690-970
-# terms per unit of stride for each m (median 750); the rim keeps quadrature while
-# 2 * budget stays under the 4,841 terms n = 4 needs at rho = 1 - 1e-3.
-DIRECT_TERM_BUDGET = 750
+# quad-cardano takes about 0.08-0.15 ms per stride-1 evaluation and folding makes m of
+# them; direct-sum takes about 3-4.5 us per term, rising with m (2-core x86-64 VM,
+# CPython 3.11, min of 5, both routes timed in one run, n 3..4, m 1..6, rho 0.3..0.995
+# at angle 0.7). The measured break-even is 35-44 terms per unit of stride (quartiles,
+# median 39) with no trend in m or rho; the rim keeps quadrature while 2 * budget stays
+# under the 4,841 terms n = 4 needs at rho = 1 - 1e-3.
+DIRECT_TERM_BUDGET = 40
 
 
 def resolve_auto(
@@ -126,7 +134,7 @@ def resolve_auto(
     """The route ``auto`` takes at summable (n, m, x): the closed form for n <= 2
     (folding for m >= 2). For n >= 3 direct summation when ``terms_needed`` at
     rho = |x| / R**m is within DIRECT_TERM_BUDGET * m and, with room for the
-    estimate's error, within the term cap; else quad-polylog (folding for m >= 2)."""
+    estimate's error, within the term cap; else quad-cardano (folding for m >= 2)."""
     if n <= 2:
         return "closed-form" if m == 1 else "folding"
     need = terms_needed(n, abs(x) / convergence_radius(m), rel_tol)
@@ -135,7 +143,7 @@ def resolve_auto(
         # the stop rule can take up to ~10% more terms than estimated (2 more at k = 1)
         if 1.125 * need + 2 <= cap:
             return "direct-sum"
-    return "quad-polylog" if m == 1 else "folding"
+    return "quad-cardano" if m == 1 else "folding"
 
 
 def hypergeometric_value(n: int, x: complex, tol: float = 1e-16) -> tuple[complex, int]:

@@ -5,8 +5,8 @@ factorization identity.
 Tolerances are tiered by route class and reflect honest binary64 error
 budgets: 1e-12 for series / closed-form / hypergeometric pairs, 1e-10
 once folding enters (m rotated complex evaluations), 1e-9 for anything
-touching the polylog-kernel quadrature, and 1e-8 for the two-term route
-(two stacked adaptive integrals).
+touching the polylog-kernel or Cardano-root quadrature, and 1e-8 for the
+two-term route (two stacked adaptive integrals).
 
 Failures are report entries, never exceptions; a report serializes to the
 documented JSON shape and parses back to an equal report (wall times are
@@ -220,7 +220,7 @@ def _format_x(x: complex) -> str:
 
 
 # Stride-1 routes the cross-route check folds over at stride m >= 2.
-FOLD_INNERS = ("closed-form", "quad-polylog", "direct-sum")
+FOLD_INNERS = ("closed-form", "quad-polylog", "quad-cardano", "direct-sum")
 
 
 def _applicable_routes(p: SeriesParams) -> dict[str, Callable[[], complex]]:
@@ -254,7 +254,7 @@ def pair_tolerance(route_a: str, route_b: str) -> float:
     keys = (route_a, route_b)
     if any("quad-two-term" in k for k in keys):
         return TOL_TWO_TERM
-    if any("quad-polylog" in k for k in keys):
+    if any("quad-polylog" in k or "quad-cardano" in k for k in keys):
         return TOL_QUAD
     if any(k.startswith("folding") or k == "s2m-closed" for k in keys):
         return TOL_FOLDING

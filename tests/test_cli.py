@@ -94,7 +94,7 @@ class TestEval:
             capsys, "eval", "--n", "3", "--m", "1", "--x", "0.5", "--method", "closed-form"
         )
         assert code == EXIT_DOMAIN
-        assert "quad-polylog" in err  # message points at the serving route
+        assert "quad-cardano" in err  # message points at the serving route
 
     def test_complex_argument_round_trip(self, capsys):
         code, out, _ = run(
@@ -157,6 +157,26 @@ class TestEvalFuzz:
         assert "Traceback" not in err.getvalue()
         if code == EXIT_OK:
             assert json.loads(out.getvalue())["method"] in METHODS
+
+    @given(
+        method=st.sampled_from(["quad-cardano", "folding"]),
+        n=st.integers(0, 6),
+        m=st.integers(1, 8),
+        rho=st.floats(0.0, 1.0),
+        theta=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_explicit_quadrature_methods_exit_cleanly(self, method, n, m, rho, theta):
+        x = rho * (27 / 4) ** m * cmath.exp(1j * theta)
+        argv = ["eval", "--n", str(n), "--m", str(m), "--x", fmt_complex(x)]
+        argv += ["--method", method, "--output", "json"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)  # an uncaught exception fails the test
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_DOMAIN), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == EXIT_OK:
+            assert json.loads(out.getvalue())["method"] == method
 
 
 class TestTable:

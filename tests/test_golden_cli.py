@@ -14,7 +14,10 @@ its factors because the 3m-factor products overflow), were recorded before
 the term recurrence moved to ``math.prod``. Every ``direct-sum`` hash, and the
 two n = 3 ``auto`` hashes that sum directly, were re-recorded when the
 direct-sum rounding floor grew to cover the recurrence's drift along k (only
-``abs_error_est`` moved).
+``abs_error_est`` moved). The two n = 3 ``folding`` hashes and ``verify`` were
+re-recorded when folding at n >= 3 moved its inner route from quad-polylog to
+quad-cardano (and verify gained the quad-cardano pairs); the three
+``quad-cardano`` hashes were recorded with that route.
 """
 
 import hashlib
@@ -148,7 +151,7 @@ GOLDEN = {
         "963d932d5bb6d611651c05b65de21d79ab4acdd93a176d483b655b68ac92b03a"
     ),
     "eval --n 3 --m 1 --x 0.5 --method folding --output json": (
-        "855e7ffc6935a741c0dcc10994f76e4b0c496741292e2fc18c40173b7bec0922"
+        "d368c91d9edc3eda911b8420474d4655d2e6c21c1ff192320bc3445b9abb1af5"
     ),
     "eval --n 3 --m 1 --x 0.5 --method auto --output json": (
         "2f2422f077edbe9d3c06b890dc8a7c886a6affafff55f1bb1f73872419580074"
@@ -157,7 +160,7 @@ GOLDEN = {
         "4308aff8530e078b00b0d744ce954ce47f9b8c92677efa31af55a6c4b373aecf"
     ),
     "eval --n 3 --m 2 --x 20 --method folding --output json": (
-        "e4b18d646a09b727f2d3f458bba9e9226f3a248dd7a9c84c10f949194501d9ae"
+        "b83196188b076de279d4ed0b0bd42a7f83503782ced0852a0d89e399e33748ef"
     ),
     "eval --n 3 --m 2 --x 20 --method auto --output json": (
         "4308aff8530e078b00b0d744ce954ce47f9b8c92677efa31af55a6c4b373aecf"
@@ -169,11 +172,20 @@ GOLDEN = {
     "--method direct-sum --output json": (
         "3c8bb212a945d3bedb326fe85fd377a5fda4b931c6826fbec8ce3f9d9e239042"
     ),
+    "eval --n 3 --m 1 --x 6.75 --method quad-cardano --output json": (
+        "ba433c5e4d532bdeb5cd4f7eace15522d092904414042e1077fbc32e6571d81e"
+    ),
+    "eval --n 4 --m 1 --x -6.75 --method quad-cardano --output json": (
+        "77b9416fe42eb27c682fa5f99d77732e8969fd4e77488dd18ad34110236573ea"
+    ),
+    "eval --n 3 --m 1 --x 1+1i --method quad-cardano --output json": (
+        "34e8ab7de84940e53ad9dbd70c3d872c3914771f3e3a878122547cb48509609f"
+    ),
     "table --n 2 --m 1 --x-from -6.75 --x-to 6.75 --steps 101 --output csv": (
         "9cf9c9edf1f1377af2d5b5df4d7623839c517ec7f7100b2f5324925f983dc52a"
     ),
     "verify --suite all --output json": (
-        "6a39156090b6d15f7c3afced3ec70ce30682c2010b2456c613f5b3885f06bf3c"
+        "bf99f8c3cb3d62ad81792ac1f92d3c39b0fe8c09d4f9743288ba231cddca4ea8"
     ),
 }
 

@@ -1,6 +1,8 @@
 """Quadrature routes built on the integral representations."""
 
+import cmath
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -9,11 +11,13 @@ from invbinom import (
     DomainError,
     QuadratureSpec,
     SeriesParams,
+    quad_cardano,
     quad_polylog,
     quad_two_term,
     sum_direct,
     two_term_limits,
 )
+from test_series import _fixed_point_reference
 
 RIM = 27 / 4
 RIM_VALUE = 2 * math.pi**2 / 3 - 2 * math.log(2) ** 2
@@ -159,3 +163,64 @@ class TestNegativeRim:
             lim = two_term_limits(x)
             assert lim.alpha < 0.0, x
             assert -math.pi <= lim.beta < 0.0, x
+
+
+# Exact rim references (fixed-point summation with a rigorous tail, rounded to
+# binary64); the complex points lie 1e-14 inside the rim.
+RIM_REFERENCES = [
+    (3, RIM, 2.974506287708767),
+    (3, -RIM, -1.9635326305975798),
+    (4, RIM, 2.5204400945844294),
+    (4, -RIM, -2.093928828088923),
+    (3, -2.211503712041399 + 6.377440813651366j, -0.9295848913264654 + 1.8671011211200321j),
+    (4, 6.285700809621863 + 2.4601758741842294j, 2.2463667460376575 + 1.0158953843725302j),
+]
+
+
+def _cardano_grid():
+    """n 3..6, rho in {1e-9, ..., 0.995}, both real half-axes and five angles."""
+    for n in range(3, 7):
+        for rho in (1e-9, 1e-3, 0.3, 0.9, 0.99, 0.995):
+            for unit in (1.0, -1.0, *(cmath.exp(1j * t) for t in (0.4, 1.3, 2.2, 3.9, 5.6))):
+                yield n, complex(unit * rho * RIM)
+
+
+class TestQuadCardano:
+    def test_error_and_estimate_against_a_big_integer_reference(self):
+        for n, x in _cardano_grid():
+            ev = quad_cardano(n, x)
+            re, im, bound = _fixed_point_reference(n, 1, x)
+            err = math.hypot(
+                float(Fraction(ev.value.real) - re), float(Fraction(ev.value.imag) - im)
+            ) + bound
+            ref = abs(complex(float(re), float(im)))
+            assert err <= ev.abs_error_est, (n, x, err, ev.abs_error_est)
+            assert err <= 1e-13 * max(1.0, ref), (n, x, err)
+
+    @pytest.mark.parametrize("n,x,ref", RIM_REFERENCES)
+    def test_rim_references(self, n, x, ref):
+        ev = quad_cardano(n, x)
+        assert ev.method == "quad-cardano"
+        assert abs(ev.value - ref) <= 1e-14 * abs(ref)
+        assert abs(ev.value - ref) <= ev.abs_error_est
+        assert abs(ev.value - quad_polylog(n, x).value) <= 1e-9
+
+    @pytest.mark.parametrize("x", [1e-300, -1e-300, 1e-300j, 1e-320])
+    def test_tiny_arguments_answer_by_the_series(self, x):
+        ev = quad_cardano(3, x)
+        assert ev.value == x / 3.0
+        assert ev.abs_error_est <= 1e-14 * abs(x)
+
+    def test_zero_and_refusals(self):
+        ev = quad_cardano(3, 0.0)
+        assert ev.value == 0 and ev.work == 0
+        with pytest.raises(ArgumentError):
+            quad_cardano(2, 1.0)
+        with pytest.raises(DomainError):
+            quad_cardano(3, 6.76)
+
+    def test_custom_spec_threading(self):
+        spec = QuadratureSpec(abs_tol=1e-6, rel_tol=1e-6)
+        ev = quad_cardano(4, 6.0 + 1.0j, spec)
+        ref = sum_direct(SeriesParams(4, 1, 6.0 + 1.0j))
+        assert abs(ev.value - ref.value) <= max(ev.abs_error_est, 1e-6)

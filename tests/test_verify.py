@@ -88,6 +88,8 @@ class TestCrossRoutes:
         [
             (SeriesParams(2, 1, 27 / 4), {"closed-form", "quad-polylog", "quad-two-term"}),
             (SeriesParams(2, 2, 45.5625), {"folding[closed-form]", "folding[quad-polylog]", "s2m-closed"}),
+            (SeriesParams(3, 1, 27 / 4), {"quad-polylog", "quad-cardano", "quad-two-term"}),
+            (SeriesParams(3, 2, -45.5625), {"folding[quad-polylog]", "folding[quad-cardano]"}),
         ],
     )
     def test_rim_points_leave_out_direct_summation(self, p, expected):
@@ -104,6 +106,9 @@ class TestCrossRoutes:
         assert pair_tolerance("s2m-closed", "direct-sum") == 1e-10
         assert pair_tolerance("folding[quad-polylog]", "direct-sum") == 1e-9
         assert pair_tolerance("quad-two-term", "quad-polylog") == 1e-8
+        assert pair_tolerance("quad-cardano", "direct-sum") == 1e-9
+        assert pair_tolerance("folding[quad-cardano]", "s2m-closed") == 1e-9
+        assert pair_tolerance("quad-two-term", "quad-cardano") == 1e-8
 
 
 class TestPolylogSuite:
