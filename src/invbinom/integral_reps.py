@@ -11,9 +11,9 @@ Three independent routes at stride 1:
   takes where direct summation, which decays like k**(1/2 - n) on the rim,
   costs more.
 * ``quad_two_term`` evaluates the two-term log/trig form whose limits come
-  from the Cardano root. Restricted to real x, where its trigonometric
-  integrand is derived; complex arguments are served by ``quad_polylog``
-  and by folding.
+  from the Cardano root, each integral in s with u = limit * s**3. Restricted
+  to real x, where its trigonometric integrand is derived; complex arguments
+  are served by ``quad_polylog`` and by folding.
 
 Sign convention of the angular limit: ``two_term_limits`` returns
 beta = 3*arctan(sqrt(3)/(1 - 2*phi)), which is negative on (0, 27/4] with
@@ -240,15 +240,11 @@ def _logpow(arg: float, p: int) -> float:
 
 
 def _oriented(f, upper: float, spec: QuadratureSpec | None) -> tuple[float, float, int]:
-    """Integral of f from 0 to ``upper``, either orientation."""
-    if upper == 0.0:
-        return 0.0, 0.0, 0
-    if upper > 0.0:
-        value, err, work = adaptive_quad(f, 0.0, upper, spec)
-    else:
-        value, err, work = adaptive_quad(f, upper, 0.0, spec)
-        value = -value
-    return value.real if isinstance(value, complex) else value, err, work
+    """Integral of f from 0 to ``upper``, either sign, through u = upper * s**3, s in [0, 1]:
+    the two-term integrands' u log(u)**p at u = 0 becomes a smooth s**5 log(s)**p."""
+    scale = 3.0 * upper
+    value, err, work = adaptive_quad(lambda s: scale * s * s * f(upper * s * s * s), 0.0, 1.0, spec)
+    return value.real, err, work
 
 
 def quad_two_term(n: int, x: float, spec: QuadratureSpec | None = None) -> Evaluation:
@@ -257,8 +253,8 @@ def quad_two_term(n: int, x: float, spec: QuadratureSpec | None = None) -> Evalu
     First term: prefactor (-1)**(n-1) / (n-2)! over [0, alpha], integrand
     u * log(...)**(n-2) with an exponential inner argument. Second term:
     prefactor 4*(-1)**(n-2) / (3*(n-2)!) over [0, beta], trigonometric
-    inner argument. Negative limits (the rule for x > 0) integrate over
-    the flipped interval and negate.
+    inner argument. Both integrals run through u = limit * s**3, s in [0, 1]
+    (``_oriented``), which serves either sign of the limit (negative for x > 0).
     """
     if n < 2:
         raise ArgumentError(f"this route needs n >= 2, got {n}")
@@ -267,13 +263,15 @@ def quad_two_term(n: int, x: float, spec: QuadratureSpec | None = None) -> Evalu
     p = n - 2
     fac = math.factorial(p)
 
+    # 1 - e**u and 1 + 2 cos((2v + 2 pi)/3), written not to cancel near 0
     def f_exp(u: float) -> float:
         eu = math.exp(u)
-        return u * _logpow((1.0 - eu) ** 3 / (xr * eu * eu), p)
+        return u * _logpow(-math.expm1(u) ** 3 / (xr * eu * eu), p)
 
     def f_trig(v: float) -> float:
         c = math.cos((2.0 * v + _TWO_PI) / 3.0)
-        return v * _logpow((1.0 + 2.0 * c) ** 3 / (2.0 * xr * (1.0 + c)), p)
+        d = -4.0 * math.sin(v / 3.0 + _TWO_PI / 3.0) * math.sin(v / 3.0)
+        return v * _logpow(d**3 / (2.0 * xr * (1.0 + c)), p)
 
     i1, e1, w1 = _oriented(f_exp, limits.alpha, spec)
     i2, e2, w2 = _oriented(f_trig, limits.beta, spec)

@@ -2,9 +2,9 @@
 
 Weights 0 and 1 use their elementary closed forms, z/(1-z) and
 -log(1-z). Higher weights sum the defining series sum_{k>=1} z**k / k**n
-up to |z| = 0.5 (about 55 terms) and, beyond it, the expansion in powers
-of L = log z (R. Crandall, "Note on fast polylogarithm computation",
-2006), which converges for |L| < 2*pi:
+up to |z| = 0.5 by Horner's rule (57 terms at most) and, beyond it, the
+expansion in powers of L = log z (R. Crandall, "Note on fast polylogarithm
+computation", 2006), which converges for |L| < 2*pi:
 
     Li_n(z) = sum_{k >= 0, k != n-1} zeta(n-k) * L**k / k!
               + L**(n-1) / (n-1)! * (H_{n-1} - log(-L)),   Li_n(1) = zeta(n).
@@ -29,11 +29,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import ArgumentError, ConvergenceError, DomainError, PoleError
+from .errors import ArgumentError, DomainError, PoleError
 
 SERIES_RADIUS = 0.5
 RIM_TOL = 1e-12
-_MAX_SERIES_TERMS = 60_000
 _MAX_LOG_TERMS = 100
 _TOL = 4e-17
 _TWO_PI_SQ = (2.0 * math.pi) ** 2
@@ -64,26 +63,31 @@ class PolylogQuery:
     z: complex
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ArgumentError(f"polylog weight must be >= 0, got {self.n}")
-        z = complex(self.z)
-        object.__setattr__(self, "z", z)
-        r = abs(z)
+        object.__setattr__(self, "z", self.require_valid(self.n, self.z))
+
+    @staticmethod
+    def require_valid(n: int, z: complex) -> complex:
+        """``complex(z)`` where Li_n is served, else ArgumentError, DomainError or
+        PoleError: the one domain rule, static so that ``li`` builds no query."""
+        if n < 0:
+            raise ArgumentError(f"polylog weight must be >= 0, got {n}")
+        zc = complex(z)
+        r = abs(zc)
         if r > 1.0 + RIM_TOL:
             raise DomainError(f"|z| = {r!r} lies outside the closed unit disk")
-        if self.n == 1 and z == 1:
+        if n == 1 and zc == 1:
             raise PoleError("Li_1 has a logarithmic singularity at z = 1")
-        if self.n == 0:
-            if z == 1:
+        if n == 0:
+            if zc == 1:
                 raise PoleError("Li_0 has a pole at z = 1")
             if r >= 1.0:
                 raise DomainError("Li_0 requires |z| < 1")
+        return zc
 
 
 def li(n: int, z: complex) -> complex:
     """Polylogarithm Li_n(z) for |z| <= 1 (weight >= 2 required on the rim)."""
-    query = PolylogQuery(n, z)
-    zc = query.z
+    zc = PolylogQuery.require_valid(n, z)
     if n == 0:
         return zc / (1.0 - zc)
     if n == 1:
@@ -95,29 +99,38 @@ def li(n: int, z: complex) -> complex:
     return _li_log(n, zc)
 
 
+def _series_terms(r: float, tol: float = _TOL) -> int:
+    """Terms K of the series at |z| = r: the least K >= 1 with r**K / (1 - r) <= tol / 2."""
+    return max(1, math.ceil(math.log(0.5 * tol * (1.0 - r)) / math.log(r)))
+
+
+# Weights 2..8: the series coefficients 1/k**n (correctly rounded, as int division is)
+# up to the term count at |z| = SERIES_RADIUS, and H_{n-1} for Crandall's expansion.
+_SERIES_TERMS = _series_terms(SERIES_RADIUS)
+_INV_POWERS = tuple(tuple([1 / k**n for k in range(1, _SERIES_TERMS + 1)]) for n in range(2, 9))
+_HARMONIC = tuple(math.fsum(1.0 / j for j in range(1, n)) for n in range(2, 9))
+
+
 def _zeta(s: int) -> float:
     """zeta(s) for integer s >= 2, correctly rounded."""
     return _ZETA[s - 2] if s - 2 < len(_ZETA) else 1.0
 
 
 def _li_series(n: int, z: complex, tol: float = _TOL) -> complex:
-    """Direct series with a geometric tail bound; |z| < 1 strictly."""
+    """Direct series by Horner's rule, n >= 2 and r = |z| <= 2/3. There |Li_n(z)| >= r/2
+    and the tail past K terms is below r**(K+1) / (1 - r), so ``_series_terms`` meets tol."""
     if z == 0:
         return 0j
-    r = abs(z)
-    geo = r / (1.0 - r)
-    t = complex(z)
-    total = 0j
-    comp = 0j
-    for k in range(1, _MAX_SERIES_TERMS + 1):
-        y = t - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        if abs(t) * geo <= tol * abs(total):
-            return total
-        t *= z * (k / (k + 1)) ** n
-    raise ConvergenceError(f"polylog series stalled at |z| = {r!r}")
+    terms = _series_terms(abs(z), tol)
+    if n <= 8 and terms <= _SERIES_TERMS:
+        coefs = _INV_POWERS[n - 2][terms - 1 :: -1]
+    else:
+        coefs = [1 / k**n for k in range(terms, 0, -1)]
+    w = z.real if z.imag == 0.0 else z  # real arithmetic keeps real arguments real
+    total = 0.0
+    for c in coefs:
+        total = total * w + c
+    return complex(total * w)
 
 
 def _li_log(n: int, z: complex) -> complex:
@@ -140,7 +153,7 @@ def _crandall(n: int, z: complex) -> complex:
     for k in range(n - 1):
         total += _zeta(n - k) * power
         power *= big_l / (k + 1)
-    harmonic = math.fsum(1.0 / j for j in range(1, n))
+    harmonic = _HARMONIC[n - 2] if n <= 8 else math.fsum(1.0 / j for j in range(1, n))
     total += power * (harmonic - cmath.log(-big_l))
     power *= big_l / n
     total -= 0.5 * power  # zeta(0) = -1/2

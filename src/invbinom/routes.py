@@ -77,8 +77,8 @@ def _pfq_limits(n: int, m: int, x: complex) -> str | None:
 
 
 def _pfq(n: int, m: int, x: complex, rel_tol, spec, max_terms) -> Evaluation:
-    value, terms = hypergeometric_value(n, x)
-    return Evaluation(value, 8e-16 * (1.0 + abs(value)), "pfq", terms)
+    value, terms, err = hypergeometric_value(n, x)
+    return Evaluation(value, err, "pfq", terms)
 
 
 def _folding(n: int, m: int, x: complex, rel_tol, spec, max_terms) -> Evaluation:
@@ -146,8 +146,9 @@ def resolve_auto(
     return "quad-cardano" if m == 1 else "folding"
 
 
-def hypergeometric_value(n: int, x: complex, tol: float = 1e-16) -> tuple[complex, int]:
-    """(x/3) * pFq form of S(n, 1; x), n <= 2. Returns (value, terms summed).
+def hypergeometric_value(n: int, x: complex, tol: float = 1e-16) -> tuple[complex, int, float]:
+    """(x/3) * pFq form of S(n, 1; x), n <= 2. Returns (value, terms summed, error
+    bound): the running rounding bound of the terms plus a geometric tail.
 
     The weight-0 recipe carries the same x/3 prefactor as the others; its
     term ratio matches the series term ratio exactly, which the
@@ -157,10 +158,10 @@ def hypergeometric_value(n: int, x: complex, tol: float = 1e-16) -> tuple[comple
         raise ArgumentError(f"hypergeometric recipes exist for n in (0, 1, 2), got {n}")
     xc = complex(x)
     if xc == 0:
-        return 0j, 0
+        return 0j, 0, 0.0
     num, den = PFQ_RECIPES[n]
-    value, terms = _pfq_terms(num, den, 4.0 * xc / 27.0, tol)
-    return xc / 3.0 * value, terms
+    value, terms, err = _pfq_terms(num, den, 4.0 * xc / 27.0, tol)
+    return xc / 3.0 * value, terms, abs(xc / 3.0) * err
 
 
 def evaluate(

@@ -102,10 +102,10 @@ def test_criterion_4_hypergeometric_cross_check():
     """(x/3) * pFq recipes equal the weight-2 and weight-1 closed forms to 1e-12."""
     failures = []
     for x in (-1.0, 0.5, 2.0, 6.0):
-        v2, _ = hypergeometric_value(2, x)
+        v2, _, _ = hypergeometric_value(2, x)
         if abs(v2 - s21(x).value) > 1e-12:
             failures.append((2, x, abs(v2 - s21(x).value)))
-        v1, _ = hypergeometric_value(1, x)
+        v1, _, _ = hypergeometric_value(1, x)
         if abs(v1 - s11(x).value) > 1e-12:
             failures.append((1, x, abs(v1 - s11(x).value)))
     report(4, "hypergeometric recipes vs closed forms", failures)

@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import statistics
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from invbinom import (
     sum_direct,
 )
 from invbinom.closed_forms import PRINCIPAL_BRANCH, REAL_BRANCH
+from test_series import _fixed_point_reference
 
 SQRT3 = math.sqrt(3.0)
 
@@ -35,6 +38,10 @@ S01_AT_1 = 0.4143220443218204
 S01_AT_NEG_QUARTER = -0.07934509970656523
 S22_AT_1 = 0.06717778880529868
 S23_AT_1 = 0.011918252587160321
+# Median estimate/error of pfq over the grid of its error-estimate test, as recorded
+# when the running bound was introduced: the worst-case linear rounding model is loose
+# off the positive axis, where terms alternate or rotate.
+PFQ_MEDIAN_RATIO = 334.5
 
 
 class TestPhi:
@@ -248,18 +255,35 @@ class TestHypergeometric:
 
     @pytest.mark.parametrize("x", [-1.0, 0.5, 2.0, 6.0])
     def test_weight2_recipe_matches_closed_form(self, x):
-        value, _ = hypergeometric_value(2, x)
+        value, _, _ = hypergeometric_value(2, x)
         assert abs(value - s21(x).value) < 1e-12
 
     @pytest.mark.parametrize("x", [-1.0, 0.5, 2.0, 6.0])
     def test_weight1_recipe_matches_closed_form(self, x):
-        value, _ = hypergeometric_value(1, x)
+        value, _, _ = hypergeometric_value(1, x)
         assert abs(value - s11(x).value) < 1e-12
 
     @pytest.mark.parametrize("x", [-1.0, 0.5, 2.0, 6.0])
     def test_weight0_recipe_matches_closed_form(self, x):
-        value, _ = hypergeometric_value(0, x)
+        value, _, _ = hypergeometric_value(0, x)
         assert abs(value - s01(x).value) < 1e-12
+
+    def test_estimate_bounds_the_error_against_a_big_integer_reference(self):
+        # The flat 8e-16 (1 + |v|) estimate this replaced missed by up to 98x at
+        # rho = 0.999 and 10-19x at rho = 0.99-0.995.
+        ratios = []
+        for n in (0, 1, 2):
+            for rho in (0.3, 0.9, 0.99, 0.995):
+                for unit in (1.0, -1.0, cmath.exp(0.7j), cmath.exp(2.4j)):
+                    x = complex(unit * rho * 27 / 4)
+                    ev = evaluate(n, 1, x, "pfq")
+                    re, im, bound = _fixed_point_reference(n, 1, x)
+                    err = math.hypot(
+                        float(Fraction(ev.value.real) - re), float(Fraction(ev.value.imag) - im)
+                    ) + bound
+                    assert err <= ev.abs_error_est, (n, x, err, ev.abs_error_est)
+                    ratios.append(ev.abs_error_est / err)
+        assert statistics.median(ratios) <= 4.0 * PFQ_MEDIAN_RATIO
 
 
 class TestFolding:

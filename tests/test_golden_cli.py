@@ -17,7 +17,12 @@ direct-sum rounding floor grew to cover the recurrence's drift along k (only
 ``abs_error_est`` moved). The two n = 3 ``folding`` hashes and ``verify`` were
 re-recorded when folding at n >= 3 moved its inner route from quad-polylog to
 quad-cardano (and verify gained the quad-cardano pairs); the three
-``quad-cardano`` hashes were recorded with that route.
+``quad-cardano`` hashes were recorded with that route. The four
+``quad-two-term`` hashes and ``verify`` were re-recorded when the two-term
+integrals moved to the substitution u = limit * s**3 and the ``li`` series to
+Horner's rule (last-bit changes in values and estimates, less work at n = 3);
+the four ``pfq`` hashes when its flat error estimate became a running bound
+(only ``abs_error_est`` moved).
 """
 
 import hashlib
@@ -37,13 +42,13 @@ GOLDEN = {
         "cb1ddd52577e07ec9805074347497a413dd8a35496a8e0773b02348977563262"
     ),
     "eval --n 2 --m 1 --x 0.5 --method quad-two-term --output json": (
-        "067d0d18b7afab13dcb5373ebd9c3256a038b2d377646592c9d4451f3bc94430"
+        "32ae7cb3ba4cccd91d317ed3cded3d81578d3d67d2694170feb29637576af20d"
     ),
     "eval --n 2 --m 1 --x 0.5 --method folding --output json": (
         "d3adc2eaaea3f53a52b8f78d4f6b8555d99a0f4f972a377c61a85fa6e5a9289c"
     ),
     "eval --n 2 --m 1 --x 0.5 --method pfq --output json": (
-        "2663a381bcf4136591ab5795fc8eb7885e52a281265a761476655341a34e29a4"
+        "4ce3ea2f08fe10f3f8383867d3062556e846f466b273e23dd18a5e51f418df92"
     ),
     "eval --n 2 --m 1 --x 0.5 --method auto --output json": (
         "b1bfd002236bbb3a909291737ca73fa2cb78214a6093526e8a72147924c2caca"
@@ -58,13 +63,13 @@ GOLDEN = {
         "85f2d5cc6e6cea081363964ce7aae326de18c27ab1c5a6b6a184ff7bcbdc12fe"
     ),
     "eval --n 2 --m 1 --x 6.6825 --method quad-two-term --output json": (
-        "600029497f19fa8f7c6811603392652961c11464b7b43faffb84e90d02e90b51"
+        "194a35870f4990a296c52c38ae73aa816133744bc6a4df906146860c52b93af2"
     ),
     "eval --n 2 --m 1 --x 6.6825 --method folding --output json": (
         "c08f5947c413acec1c2921e056ee4cdda847466265f0dfe32a95edc197d3af57"
     ),
     "eval --n 2 --m 1 --x 6.6825 --method pfq --output json": (
-        "afe872c35a8419b1519ede327334bf82c1d86322db0165bcdfe563ffc6a19099"
+        "dc9019f2e7b1e2c3dd08d95d4da4ebaa62d9c05a6044e8721a13b57a92c64357"
     ),
     "eval --n 2 --m 1 --x 6.6825 --method auto --output json": (
         "666a32c7682973f71e096509f50d1aba94cc68b3af961ea7a2b93fff1eb48bbb"
@@ -76,7 +81,7 @@ GOLDEN = {
         "6483140425dab77a76abfb033ee4a476e00962fe0822d4ff92f923453db55c00"
     ),
     "eval --n 2 --m 1 --x 6.75 --method quad-two-term --output json": (
-        "2ef4b3d2163497cbb2dbe9fc3f71cb8336e6977027a0768dab2da9b1466e6b51"
+        "c4a0dbad2c31e8782bbdffd1be7dea2b4cd26d52b2affad552a7d55daa04e503"
     ),
     "eval --n 2 --m 1 --x 6.75 --method folding --output json": (
         "e29e38b87a6e4e988faf79ede2006c6f8f650b8e3fa809d67b53fd8b5c78ee44"
@@ -97,7 +102,7 @@ GOLDEN = {
         "5ccba444cba47629fd74f692a73eebe42a8872416e13f1f790d6dd11168d9f16"
     ),
     "eval --n 2 --m 1 --x 1+1i --method pfq --output json": (
-        "2dc464495c0ce0866d63868533b43a5635ae2833245da14df2460d43ec8db8e6"
+        "f693c06c19bf6fd7d52feb8d2588d47d80adceb49b4fe56bae3091edc690bddc"
     ),
     "eval --n 2 --m 1 --x 1+1i --method auto --output json": (
         "6868525796d0ab39f42c713c564ae9d10dfa3684f50270c57b576f1b7330f80b"
@@ -136,7 +141,7 @@ GOLDEN = {
         "26539147f2103966c0f5daa559e2c20ec4a7f2304f8ca8d749dc84f018129fd9"
     ),
     "eval --n 0 --m 1 --x 0.5 --method pfq --output json": (
-        "39576c47ae5dfa0b8b49aefd09ab89bbc5d343da3a109cc28bdccbb11be6ca16"
+        "3f4bd438b465896982b8fa01dea0bc2497634e1a97379a56bcd4260b551d9017"
     ),
     "eval --n 0 --m 1 --x 0.5 --method auto --output json": (
         "37a9a4f8b1c38e7ef6060dbeafe4527b3fe46d4cfe5ee94d9081edd12af85125"
@@ -148,7 +153,7 @@ GOLDEN = {
         "ca83c1c2996df99cc0b42e8314df697133ac61678c7eba7eb378162af3842671"
     ),
     "eval --n 3 --m 1 --x 0.5 --method quad-two-term --output json": (
-        "963d932d5bb6d611651c05b65de21d79ab4acdd93a176d483b655b68ac92b03a"
+        "190e978d65385b160367af92ef23b2e40437e4bca96381a5572b818eb0e9fa3c"
     ),
     "eval --n 3 --m 1 --x 0.5 --method folding --output json": (
         "d368c91d9edc3eda911b8420474d4655d2e6c21c1ff192320bc3445b9abb1af5"
@@ -185,7 +190,7 @@ GOLDEN = {
         "9cf9c9edf1f1377af2d5b5df4d7623839c517ec7f7100b2f5324925f983dc52a"
     ),
     "verify --suite all --output json": (
-        "bf99f8c3cb3d62ad81792ac1f92d3c39b0fe8c09d4f9743288ba231cddca4ea8"
+        "bfa4eac8ddbdf1653ece1b32760ac52bdac5fe5b97558079c83f50bf7826b3b7"
     ),
 }
 

@@ -17,10 +17,13 @@ from invbinom import (
     sum_direct,
     two_term_limits,
 )
+from invbinom.verify import _applicable_routes, default_grid
 from test_series import _fixed_point_reference
 
 RIM = 27 / 4
 RIM_VALUE = 2 * math.pi**2 / 3 - 2 * math.log(2) ** 2
+# The points of the default cross-route grid that the two-term route serves.
+TWO_TERM_GRID = [p for p in default_grid() if "quad-two-term" in _applicable_routes(p)]
 
 
 class TestTwoTermLimits:
@@ -143,6 +146,25 @@ class TestQuadTwoTerm:
             quad_two_term(2, 0.0)
         with pytest.raises(DomainError):
             quad_two_term(2, -6.76)
+
+    def test_error_and_estimate_against_a_big_integer_reference(self):
+        points = [(p.n, p.x.real) for p in TWO_TERM_GRID]
+        points += [(n, s * 0.999 * RIM) for n in (2, 3, 4) for s in (1.0, -1.0)]
+        for n, x in points:
+            ev = quad_two_term(n, x)
+            re, _, bound = _fixed_point_reference(n, 1, complex(x))
+            err = abs(float(Fraction(ev.value.real) - re)) + bound
+            assert err <= ev.abs_error_est, (n, x, err, ev.abs_error_est)
+        # on the rim, against references within 2 ulp (rounded, or a float expression)
+        for n, ref in ((2, RIM_VALUE), *((n, r) for n, x, r in RIM_REFERENCES if x == RIM)):
+            ev = quad_two_term(n, RIM)
+            err = abs(ev.value.real - ref) + 2.0 * math.ulp(ref)
+            assert err <= ev.abs_error_est, (n, err, ev.abs_error_est)
+
+    def test_work_on_the_verify_grid(self):
+        # u = limit * s**3 smooths the u log(u)**p endpoint; bisecting towards it took 14,430
+        assert len(TWO_TERM_GRID) == 19
+        assert sum(quad_two_term(p.n, p.x.real).work for p in TWO_TERM_GRID) <= 3600
 
     def test_custom_spec_threading(self):
         spec = QuadratureSpec(abs_tol=1e-8, rel_tol=1e-8)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,16 @@ from invbinom import (
     li_factorized,
     root_of_unity,
 )
-from invbinom.polylog import RIM_TOL, _ZETA, _li_log, _li_series, _zeta
+from invbinom.polylog import (
+    RIM_TOL,
+    SERIES_RADIUS,
+    _TOL,
+    _ZETA,
+    _li_log,
+    _li_series,
+    _series_terms,
+    _zeta,
+)
 
 LI2_QUARTER = 0.2676526390827326  # exact-fraction partial sums
 ZETA2 = math.pi**2 / 6
@@ -68,6 +78,69 @@ def test_poles_and_domain():
 
 def test_rim_rounding_tolerated():
     assert abs(li(2, 1.0 + 1e-13) - ZETA2) < 1e-9
+
+
+def test_li_and_polylog_query_share_one_domain_rule():
+    cases = [(-1, 0.5), (-2, 0.1), (2, 1.5), (3, 0.9 + 0.9j), (1, 1.0), (0, 1.0), (0, 1j), (0, -1.0)]
+    for n, z in cases:
+        with pytest.raises((ArgumentError, DomainError, PoleError)) as from_li:
+            li(n, z)
+        with pytest.raises((ArgumentError, DomainError, PoleError)) as from_query:
+            PolylogQuery(n, z)
+        assert type(from_li.value) is type(from_query.value), (n, z)
+        assert str(from_li.value) == str(from_query.value), (n, z)
+    assert PolylogQuery(2, 0.5).z == 0.5 + 0j
+
+
+def _exact_series(n, z):
+    """sum z**k / k**n as a pair of Fractions, summed until the geometric tail
+    r**(k+1) / (1 - r) is below 1e-25 of |z|, far past binary64 resolution."""
+    zr, zi = Fraction(z.real), Fraction(z.imag)
+    r = abs(z)
+    pr, pi, sr, si, k = Fraction(1), Fraction(0), Fraction(0), Fraction(0), 0
+    while True:
+        k += 1
+        pr, pi = pr * zr - pi * zi, pr * zi + pi * zr
+        sr += pr / k**n
+        si += pi / k**n
+        if r**k / (1.0 - r) < 1e-25:
+            return sr, si
+
+
+def _rel_error(value, exact):
+    re, im = exact
+    ref = math.hypot(float(re), float(im))
+    return math.hypot(float(Fraction(value.real) - re), float(Fraction(value.imag) - im)) / ref
+
+
+def test_series_against_exact_partial_sums():
+    # seeded grid: |z| <= 0.5 on both real half-axes, both imaginary ones, and random angles
+    rng = random.Random("li series")
+    worst = 0.0
+    for n in range(2, 9):
+        for unit in (1.0, -1.0, 1j, -1j, *(cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(3))):
+            z = complex(unit * rng.uniform(1e-3, SERIES_RADIUS))
+            err = _rel_error(_li_series(n, z), _exact_series(n, z))
+            assert err <= 5e-16, (n, z, err)
+            worst = max(worst, err)
+    assert worst > 0.0  # the grid does reach rounding
+
+
+@pytest.mark.parametrize("r,terms", [(0.5, 57), (0.6, 78), (1e-300, 1), (5e-324, 1)])
+def test_series_term_count(r, terms):
+    # the least K with r**K / (1 - r) <= tol / 2, which bounds the tail relative to |Li_n| >= r/2
+    assert _series_terms(r) == terms
+    assert r**terms / (1.0 - r) <= _TOL / 2
+    assert terms == 1 or r ** (terms - 1) / (1.0 - r) > _TOL / 2
+
+
+@pytest.mark.parametrize("n", [2, 5, 8, 9])
+def test_series_past_the_table_radius(n):
+    # |z| = 0.6 (the switch test's widest circle) and weight 9 take the inline coefficients
+    z = 0.6 * cmath.exp(0.9j)
+    assert _rel_error(_li_series(n, z), _exact_series(n, z)) <= 5e-16
+    z = complex(-0.45)
+    assert _rel_error(_li_series(n, z), _exact_series(n, z)) <= 5e-16
 
 
 def test_series_and_log_branch_agree_across_the_switch():
