@@ -194,7 +194,7 @@ def _cardano_tail(p: int, y: complex, ell0: complex) -> tuple[complex, float, in
     """sum_k y**k / (k**3 C(3k, k)) * e_p(k l0) / k**p, e_p the degree-p exponential
     sum, for |y| < 2.1 (so the ratio 4|y|/27 < 0.3). Returns (value, error bound, terms)."""
     # |e_p(k l0)| / k**p <= sum_i |l0|**i / i! for every k >= 1
-    amp = sum(abs(ell0) ** i / math.factorial(i) for i in range(p + 1))
+    amp = math.fsum(abs(ell0) ** i / math.factorial(i) for i in range(p + 1))
     ay = abs(y)
     t = y / 3.0  # y**k / C(3k, k) at k = 1
     total = 0j
