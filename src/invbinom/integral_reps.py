@@ -6,10 +6,11 @@ Three independent routes at stride 1:
   interval. It works for every n >= 1 (n >= 2 on the rim); it is the
   independent cross-check of the Cardano-root route.
 * ``quad_cardano`` (n >= 3) integrates the elementary weight-2 closed form
-  along the Cardano root and sums the far end of the path as a fast series.
-  It is about 20 times cheaper than ``quad_polylog`` and is the route ``auto``
-  takes where direct summation, which decays like k**(1/2 - n) on the rim,
-  costs more.
+  along the Cardano root and sums the far end of the path as a fast series:
+  n - 2 Horner sums over an import-time coefficient table, with the term count
+  fixed in advance. It is about 20 times cheaper than ``quad_polylog`` and is
+  the route ``auto`` takes where direct summation, which decays like
+  k**(1/2 - n) on the rim, costs more.
 * ``quad_two_term`` evaluates the two-term log/trig form whose limits come
   from the Cardano root, each integral in s with u = limit * s**3. Restricted
   to real x, where its trigonometric integrand is derived; complex arguments
@@ -138,8 +139,9 @@ def quad_cardano(n: int, x: complex, spec: QuadratureSpec | None = None) -> Eval
     |r| <= CARDANO_SPLIT is one adaptive Gauss-Kronrod integral; beyond it,
     where K cancels (both halves ~ 9/(2 r**2)), the rest is the series
     sum_k y**k / (k**3 C(3k, k)) * sum_{i<=n-3} l0**i / (i! k**(n-3-i)),
-    y = u(r0), l0 = l(r0), whose ratio is at most 4|y|/27 < 0.3. For |q| >=
-    CARDANO_SPLIT (small |x|) the head is empty and the series is the direct one.
+    y = u(r0), l0 = l(r0), whose ratio is at most 4|y|/27 < 0.3 (``_cardano_tail``).
+    For |q| >= CARDANO_SPLIT (small |x|) the head is empty and the series is the
+    direct one.
     """
     if n < 3:
         raise ArgumentError(f"this route needs n >= 3, got {n}")
@@ -185,40 +187,71 @@ def _cardano_path(q: complex, p: int, lib):
         at = lib.atan(SQRT3 / (2.0 * r - 1.0))
         lg = lib.log((r * r - r + 1.0) / ((r + 1.0) * (r + 1.0)))
         kernel = 6.0 * at * at - 0.5 * lg * lg
-        return kernel * ell(tau) ** p * 3.0 * (r3 - 1.0) / ((1.0 + r3) * tau)
+        if p:  # weight 3 has no l(tau) factor: two logs fewer per node
+            kernel *= ell(tau) ** p
+        return kernel * 3.0 * (r3 - 1.0) / ((1.0 + r3) * tau)
 
     return integrand, ell
 
 
+def _tail_terms(r: float) -> int:
+    """Terms K of the tail series at the ratio bound r = 4|y|/27 < 1: the least K >= 1
+    with r**K <= eps (1 - r) / 8 (see ``_cardano_tail``)."""
+    if r <= _EPS / 16:
+        return 1
+    return math.ceil(math.log(0.125 * _EPS * (1.0 - r)) / math.log(r))
+
+
+# 1/(k**w C(3k, k)) for weights w = 3..8 and k = 1.._TAIL_TERMS, correctly rounded (as int
+# division is); _TAIL_TERMS is the count at the ratio bound 0.3, which the tail's |y| <= 1.98
+# stays below. Higher weights, or longer sums, compute the same expression inline.
+_TAIL_TERMS = _tail_terms(0.3)
+_TAIL_COEFS = tuple(
+    tuple([1 / (k**w * math.comb(3 * k, k)) for k in range(1, _TAIL_TERMS + 1)])
+    for w in range(3, 9)
+)
+
+
 def _cardano_tail(p: int, y: complex, ell0: complex) -> tuple[complex, float, int]:
-    """sum_k y**k / (k**3 C(3k, k)) * e_p(k l0) / k**p, e_p the degree-p exponential
-    sum, for |y| < 2.1 (so the ratio 4|y|/27 < 0.3). Returns (value, error bound, terms)."""
-    # |e_p(k l0)| / k**p <= sum_i |l0|**i / i! for every k >= 1
-    amp = math.fsum(abs(ell0) ** i / math.factorial(i) for i in range(p + 1))
+    """sum_k y**k / (k**3 C(3k, k)) * e_p(k l0) / k**p, e_p the degree-p exponential sum,
+    for |y| < 2 (ratio bound r = 4|y|/27 < 0.3). Returns (value, error bound, terms).
+
+    Since e_p(k l0) / k**p = sum_{i<=p} l0**i / i! * k**(i-p), the sum is
+    sum_{i<=p} l0**i / i! * T_{p+3-i}(y) with T_w(y) = sum_{k<=K} y**k / (k**w C(3k, k)) =
+    y/3 + y**2 H_w(y): each H_w by Horner's rule over the coefficient table, and the sum
+    over i by Horner's rule in l0. Real y and l0 run in float arithmetic.
+    """
     ay = abs(y)
-    t = y / 3.0  # y**k / C(3k, k) at k = 1
-    total = 0j
-    mag = 0.0
-    k = 1
-    while True:
-        z = k * ell0
-        e = 1.0
-        for i in range(p, 0, -1):
-            e = 1.0 + z * e / i
-        term = t * e / k ** (p + 3)
-        total += term
-        mag += (k + 2) * abs(term)
-        ratio = 2.0 * (k + 1) * (2 * k + 1) / (3.0 * (3 * k + 1) * (3 * k + 2))
-        t *= y * ratio
-        k += 1
-        # the ratios of |y**k / C(3k, k)| fall towards 4|y|/27, so a geometric tail bounds the rest
-        bound = abs(t) * amp / k**3 / (1.0 - ay * ratio)
-        if bound <= 0.25 * _EPS * abs(total) or t == 0:
-            break
-    # Term k carries about 4 roundings per step of the recurrence and k times the
-    # relative rounding of y (about 4 more), so below 8k eps relative; the Horner
-    # sum, the power of k and the running sum add about 2 steps' worth.
-    return total, bound + 8.0 * _EPS * mag, k - 1
+    r = 4.0 * ay / 27.0
+    terms = _tail_terms(r)
+    real = y.imag == 0.0 and ell0.imag == 0.0
+    w = y.real if real else y
+    ell = ell0.real if real else ell0
+    al = abs(ell0)
+    s = e = 0.0  # sum_i l0**i / i! H_{p+3-i}, and e_p(l0)
+    amp = 0.0  # e_p(|l0|) >= |e_p(k l0)| / k**p for every k >= 1
+    for i in range(p, -1, -1):
+        weight = p + 3 - i
+        if weight <= 8 and terms <= _TAIL_TERMS:
+            coefs = _TAIL_COEFS[weight - 3][terms - 1 : 0 : -1]
+        else:
+            coefs = [1 / (k**weight * math.comb(3 * k, k)) for k in range(terms, 1, -1)]
+        h = 0.0
+        for c in coefs:
+            h = h * w + c
+        scale = 1.0 / (i + 1)
+        s = s * ell * scale + h
+        e = e * ell * scale + 1.0
+        amp = amp * al * scale + 1.0
+    total = w / 3.0 * e + w * w * s
+    # The weight-3 terms bound the others and, as every ratio
+    # |y C(3k, k) k**3 / (C(3k+3, k+1) (k+1)**3)| is below r, are at most (|y|/3) r**(k-1):
+    # past K terms the rest is below amp (|y|/3) eps / 8. Rounding: each Horner level j
+    # rounds about 4 times relative to its partial sum (at most the terms k >= j), and y
+    # and l0 carry a few eps of relative rounding that term k takes k-fold; so below
+    # 8 eps sum_k k amp (|y|/3) r**(k-1) = 8 eps amp (|y|/3) / (1 - r)**2. The factor 3
+    # taken here covers the l0 sum, the leading y/3, the final sum and the truncation.
+    return complex(total), 8.0 * _EPS * amp * ay / (1.0 - r) ** 2, terms
 
 
 def _stable_complement(x: float, t: float) -> float:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,8 @@ from invbinom import (
     sum_direct,
     two_term_limits,
 )
+from invbinom import integral_reps
+from invbinom.integral_reps import _TAIL_COEFS, _TAIL_TERMS, _cardano_tail, _tail_terms
 from invbinom.verify import _applicable_routes, default_grid
 from test_series import _fixed_point_reference
 
@@ -246,3 +249,87 @@ class TestQuadCardano:
         ev = quad_cardano(4, 6.0 + 1.0j, spec)
         ref = sum_direct(SeriesParams(4, 1, 6.0 + 1.0j))
         assert abs(ev.value - ref.value) <= max(ev.abs_error_est, 1e-6)
+
+
+# Largest |y| = |u(r0)| the Cardano route hands its tail, at |r0| = CARDANO_SPLIT and
+# r0**3 < 0: 27 * 2.5**3 / (2.5**3 - 1)**2.
+TAIL_Y_MAX = 27 * 2.5**3 / (2.5**3 - 1) ** 2
+
+
+def _exact_tail(p, y, ell0, prec=256):
+    """sum_k y**k / (k**3 C(3k, k)) * e_p(k l0) / k**p in fixed-point big integers (units
+    of 2**-prec, one floor per operation): (re, im, bound on the rest and the floors)."""
+    one = 1 << prec
+
+    def fixed(v):
+        return math.floor(Fraction(v) * one)
+
+    def mul(u, v):
+        return (u[0] * v[0] - u[1] * v[1]) >> prec, (u[0] * v[1] + u[1] * v[0]) >> prec
+
+    yf = (fixed(y.real), fixed(y.imag))
+    lpow = [(one, 0)]
+    for _ in range(p):
+        lpow.append(mul(lpow[-1], (fixed(ell0.real), fixed(ell0.imag))))
+    r = 4 * abs(y) / 27
+    terms = max(2, math.ceil(-60 / math.log10(r)))  # r**terms <= 1e-60
+    sr = si = 0
+    power = (one, 0)
+    for k in range(1, terms + 1):
+        power = mul(power, yf)
+        er = sum(lpow[i][0] * k**i // math.factorial(i) for i in range(p + 1))
+        ei = sum(lpow[i][1] * k**i // math.factorial(i) for i in range(p + 1))
+        tr, ti = mul(power, (er, ei))
+        c = k ** (3 + p) * math.comb(3 * k, k)
+        sr += tr // c
+        si += ti // c
+    amp = sum(abs(ell0) ** i / math.factorial(i) for i in range(p + 1))
+    return Fraction(sr, one), Fraction(si, one), 2 * amp * abs(y) * r**terms + 2.0 ** (60 - prec)
+
+
+def _tail_grid():
+    """p 0..5 (6 and 7 take the inline coefficients), |y| up to the route's maximum at
+    seeded angles, complex and real l0."""
+    rng = random.Random(8)
+    for p in range(8):
+        for ay in (1e-7, 0.05, 0.6, 1.3, 1.8, TAIL_Y_MAX):
+            for _ in range(2 if p > 5 else 4):
+                y = ay * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+                ell0 = complex(rng.uniform(-1.0, 2.0), rng.uniform(-4.0, 4.0))
+                yield p, y, ell0
+            yield p, complex(ay), complex(rng.uniform(-1.0, 2.0))
+            yield p, complex(-ay), complex(rng.uniform(-1.0, 2.0))
+
+
+class TestCardanoTail:
+    def test_table_entries_are_correctly_rounded(self):
+        assert len(_TAIL_COEFS) == 6 and _tail_terms(4 * TAIL_Y_MAX / 27) <= _TAIL_TERMS
+        for w, row in enumerate(_TAIL_COEFS, start=3):
+            assert len(row) == _TAIL_TERMS
+            for k, c in enumerate(row, start=1):
+                assert c == float(Fraction(1, k**w * math.comb(3 * k, k))), (w, k)
+
+    def test_tail_stays_within_its_bound_against_exact_rationals(self):
+        for p, y, ell0 in _tail_grid():
+            value, bound, terms = _cardano_tail(p, y, ell0)
+            re, im, rest = _exact_tail(p, y, ell0)
+            err = math.hypot(float(Fraction(value.real) - re), float(Fraction(value.imag) - im))
+            assert err + rest <= bound, (p, y, ell0, err, bound)
+            assert terms == _tail_terms(4 * abs(y) / 27)
+
+    def test_real_arguments_stay_real(self):
+        value, _, _ = _cardano_tail(2, complex(1.5), complex(0.7))
+        assert value.imag == 0.0
+
+    def test_the_route_stays_within_the_table(self, monkeypatch):
+        seen = []
+
+        def spy(p, y, ell0):
+            seen.append(abs(y))
+            return _cardano_tail(p, y, ell0)
+
+        monkeypatch.setattr(integral_reps, "_cardano_tail", spy)
+        rng = random.Random(3)
+        for _ in range(200):
+            quad_cardano(3, cmath.rect(6.75 * rng.random() ** 0.25, rng.uniform(-math.pi, math.pi)))
+        assert max(seen) <= TAIL_Y_MAX * (1 + 1e-12)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from invbinom import (
 )
 from invbinom import routes
 from invbinom.routes import ROUTES
+from invbinom.series import convergence_radius, terms_needed
 
 
 R = 27 / 4
@@ -118,6 +120,55 @@ class TestResolveAuto:
         assert evaluate(3, 1, x).method == "quad-cardano"
         assert evaluate(3, 1, x, rel_tol=1e-6).method == "direct-sum"
         assert evaluate(3, 1, 0.5, rel_tol=0.0).method == "quad-cardano"
+
+
+def _term_count_rule(n, m, x, rel_tol, cap):
+    """auto's route for n >= 3 by the predicted term count (series.terms_needed)."""
+    need = terms_needed(n, abs(x) / convergence_radius(m), rel_tol)
+    if need <= routes.DIRECT_TERM_BUDGET * m and 1.125 * need + 2 <= cap:
+        return "direct-sum"
+    return "quad-cardano" if m == 1 else "folding"
+
+
+def _rule_grid():
+    """Seeded (n, m, rho, angle, cap, rel_tol) points, and points whose continuous term
+    count lies within 1e-9 of the budget, of the cap's limit or of another integer."""
+    rng = random.Random(2024)
+    for _ in range(3000):
+        n, m = rng.randint(3, 8), rng.randint(1, 60)
+        rho = rng.choice([1.0, 1.0 - 10 ** rng.uniform(-8, 0), 10 ** rng.uniform(-12, 0)])
+        cap = rng.choice([1_000_000, rng.randint(1, 3000)])
+        tol = rng.choice([1e-15, 1e-12, 10 ** rng.uniform(-16, -1)])
+        yield n, m, rho, rng.uniform(-math.pi, math.pi), cap, tol
+    for _ in range(600):
+        n, m = rng.randint(3, 8), rng.randint(1, 60)
+        cap = rng.choice([1_000_000, rng.randint(30, 3000)])
+        tol = rng.choice([1e-15, 1e-12, 1e-9])
+        budget = min(routes.DIRECT_TERM_BUDGET * m, 8 * (cap - 2) // 9)
+        k = rng.choice([budget, budget + 1, max(2, budget - 1), rng.randint(2, 3000)])
+        root = k + rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-12, -9)
+        # f(root) = ln(rel_tol) with f(k) = k ln(rho) + (1/2 - n) ln(k)
+        rho = math.exp((math.log(tol) - (0.5 - n) * math.log(root)) / root)
+        if rho < 1.0:
+            yield n, m, rho, rng.uniform(-math.pi, math.pi), cap, tol
+
+
+class TestAutoRuleEquivalence:
+    def test_one_budget_test_picks_the_term_count_rule(self):
+        at_the_edge = 0
+        for n, m, rho, theta, cap, tol in _rule_grid():
+            x = _at(rho, m, theta)
+            want = _term_count_rule(n, m, x, tol, cap)
+            assert resolve_auto(n, m, x, rel_tol=tol, max_terms=cap) == want, (n, m, rho, cap, tol)
+            need = terms_needed(n, abs(x) / convergence_radius(m), tol)
+            budget = min(routes.DIRECT_TERM_BUDGET * m, 8 * (cap - 2) // 9)
+            at_the_edge += need in (budget, budget + 1)
+        assert at_the_edge >= 50  # both sides of the budget are sampled closely
+
+    def test_non_positive_tolerance_and_tiny_caps_keep_quadrature(self):
+        for tol, cap in [(0.0, None), (-1.0, None), (1e-15, 1), (1e-15, 2), (1e-15, 3)]:
+            assert resolve_auto(3, 1, 1e-20, rel_tol=tol, max_terms=cap) == "quad-cardano"
+        assert resolve_auto(3, 1, 1e-20, max_terms=4) == "direct-sum"  # 1 term: 1.125 + 2 <= 4
 
 
 class TestEvaluate:
