@@ -79,13 +79,17 @@ def phi(x: complex) -> CardanoRoot:
         raise DomainError("phi(x) diverges as x -> 0; the series limit there is 0")
     if abs(xc) < 1e-306:
         raise DomainError("phi(x) exceeds the binary64 range for |x| < 1e-306")
-    if xc.imag == 0.0 and xc.real <= RADIUS_BASE:
-        xr = xc.real
-        s = complex(math.sqrt(81.0 - 12.0 * xr))
+    # 81 - 12x as (81 - 8x) - 4x: near the branch point x = 27/4 both steps are exact
+    # (8x and 4x are, and Sterbenz's lemma holds), where a rounded 12x would lose about
+    # half the digits of s = sqrt(81 - 12x). For complex x this is the real part.
+    xr = xc.real
+    disc = (81.0 - 8.0 * xr) - 4.0 * xr
+    if xc.imag == 0.0 and xr <= RADIUS_BASE:
+        s = complex(math.sqrt(disc))
         value = complex(_real_cbrt((27.0 - 2.0 * xr + 3.0 * s.real) / (2.0 * xr)))
         branch = REAL_BRANCH
     else:
-        s = cmath.sqrt(81.0 - 12.0 * xc)
+        s = cmath.sqrt(complex(disc, 0.0 - 12.0 * xc.imag))
         value = ((27.0 - 2.0 * xc + 3.0 * s) / (2.0 * xc)) ** (1.0 / 3.0)
         branch = PRINCIPAL_BRANCH
     residual = abs(2.0 * xc * value**3 + 2.0 * xc - 27.0 - 3.0 * s)
@@ -127,21 +131,9 @@ def s21(x: complex) -> Evaluation:
     if abs(xc) < _TINY_X:
         return _leading_terms(2, 1, xc)
     root = phi(xc)
-    p = root.phi
-    at, lg = _atan_log_parts(p, root.branch == REAL_BRANCH)
+    at, lg = _atan_log_parts(root.phi, root.branch == REAL_BRANCH)
     value = 6.0 * at * at - 0.5 * lg * lg
     err = 8.0 * _EPS * (6.0 * abs(at) ** 2 + 0.5 * abs(lg) ** 2) + _EPS
-    # First-order effect of the rounding of s = sqrt(81 - 12x) inside phi, which outgrows
-    # the flat model near the branch point x = 27/4 (s -> 0). 81 - 12x rounds by up to
-    # eps (81 + 12|x|), moving s by that over 2|s|; dphi/ds = 1/(2x phi**2), and
-    # dS/dphi = -(6 sqrt3 at (phi + 1) + 3 lg (phi - 1)) / (phi**3 + 1). Since
-    # x = 27 phi**3 / (1 + phi**3)**2, |s| = 9 |1 - phi**3| / |1 + phi**3|. s = 0 only at
-    # x = 27/4 itself, where 12x = 81 is exact and nothing rounds.
-    gap = abs(1.0 - p * p * p)
-    if gap != 0.0:
-        ax = abs(xc)
-        slope = abs(2.0 * SQRT3 * at * (p + 1.0) + lg * (p - 1.0))
-        err += slope * _EPS * (81.0 + 12.0 * ax) / (12.0 * ax * abs(p) ** 2 * gap)
     return Evaluation(value, err, "closed-form", 1)
 
 
@@ -163,24 +155,10 @@ def s11(x: complex) -> Evaluation:
     else:
         p = root.phi
         sq = cmath.sqrt(27.0 - 4.0 * xc)
-    p2 = p * p
-    p3 = p**3
-    quad = 1.0 - p + p2
-    one_p3 = 1.0 + p3
-    t_at = at * 18.0 * p / quad
-    t_lg = lg * 3.0 * SQRT3 * p * (1.0 - p) / one_p3
+    t_at = at * 18.0 * p / (1.0 - p + p * p)
+    t_lg = lg * 3.0 * SQRT3 * p * (1.0 - p) / (1.0 + p**3)
     value = (t_at - t_lg) / sq
-    asq = abs(sq)
-    err = 8.0 * _EPS * (abs(t_at) + abs(t_lg)) / asq + _EPS
-    # The rounding of s = sqrt(81 - 12x) inside phi, as in s21, moves phi by
-    # eps (81 + 12|x|) / (4 |s| |x| |phi|**2) with |s| = sqrt3 |sq|; 27 - 4x is exact
-    # near the branch point (4x is, and Sterbenz's lemma holds). d(t_at - t_lg)/dphi:
-    one_p = 1.0 - p
-    slope = (18.0 * at * (1.0 - p2) - 9.0 * SQRT3 * p) / (quad * quad) + 3.0 * SQRT3 * (
-        3.0 * p * one_p * one_p - lg * (1.0 - 2.0 * p - 2.0 * p3 + p3 * p)
-    ) / (one_p3 * one_p3)
-    ax = abs(xc)
-    err += abs(slope) * _EPS * (81.0 + 12.0 * ax) / (4.0 * SQRT3 * asq * asq * ax * abs(p2))
+    err = 8.0 * _EPS * (abs(t_at) + abs(t_lg)) / abs(sq) + _EPS
     return Evaluation(value, err, "closed-form", 1)
 
 

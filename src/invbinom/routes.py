@@ -12,7 +12,6 @@ by ``auto`` and stays an explicit route and verify's cross-check.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, NamedTuple
 
 from .closed_forms import _pfq_terms, fold, s01, s11, s21, s2m_closed, stride_refusal
@@ -25,6 +24,7 @@ from .series import (
     convergence_radius,
     default_max_terms,
     sum_direct,
+    within_terms,
 )
 
 # Hypergeometric cross-check forms of S(n, 1; x): value = (x/3) * pFq(...; 4x/27).
@@ -119,15 +119,15 @@ METHODS = tuple(ROUTES)
 
 
 # Direct-summation terms, per unit of stride, that cost about what quadrature does.
-# quad-cardano takes about 0.01-0.09 ms per stride-1 evaluation (most near the rim) and
-# folding makes m of them; direct-sum takes about 3-4.5 us per term, rising with m
+# quad-cardano takes about 0.06-0.1 ms per stride-1 evaluation and folding makes m of
+# them; with the block kernel direct-sum takes about 1.3-3.2 us per term, rising with m
 # (2-core x86-64 VM, CPython 3.11, min of 5, both routes timed in one run, n 3..4,
-# m 1..6, rho 0.3..0.995 at angle 0.7). With the Horner tail the measured break-even fell
-# from 35-44 terms per unit of stride (quartiles, median 39) to 20-35 (median 24-28 in
-# three runs), with no trend in m or rho. The budget stays 40: at 27, 22-24 of the 720
-# interior cases of a pass would move to quadrature for a pass 2-4% shorter, which is
-# within run-to-run noise. The rim keeps quadrature while 2 * budget stays under the
-# 4,841 terms n = 4 needs at rho = 1 - 1e-3.
+# m 1..6, rho 0.3..0.995 at angle 0.7). The measured break-even rose from 21-35 terms
+# per unit of stride (quartiles, median 28 in two runs) with the per-term loop to 26-46
+# (median 34.8-35.6 in three runs). It falls with m: 40-70 at m = 1, about 35 at m = 6.
+# The budget stays 40: that median sits at the foot of the 35-44 band it was set from. The
+# rim keeps quadrature while 2 * budget stays under the 4,841 terms n = 4 needs at
+# rho = 1 - 1e-3.
 DIRECT_TERM_BUDGET = 40
 
 
@@ -139,9 +139,7 @@ def resolve_auto(
     rho = |x| / R**m is within DIRECT_TERM_BUDGET * m and, with room for the
     estimate's error, within the term cap; else quad-cardano (folding for m >= 2).
 
-    ``terms_needed`` is the least k >= 1 with f(k) = k ln(rho) + (1/2 - n) ln(k) <=
-    ln(rel_tol), and f decreases for n >= 1, so it is within a budget K exactly when
-    f(K) <= ln(rel_tol): one test, with no root to find.
+    ``within_terms`` makes that comparison with one test, with no root to find.
     """
     if n <= 2:
         return "closed-form" if m == 1 else "folding"
@@ -149,11 +147,8 @@ def resolve_auto(
     # the stop rule can take up to ~10% more terms than estimated (2 more at k = 1), so
     # direct summation needs 1.125 * terms + 2 <= cap, that is terms <= 8 (cap - 2) / 9
     budget = min(DIRECT_TERM_BUDGET * m, 8 * (cap - 2) // 9)
-    if budget >= 1 and rel_tol > 0.0:
-        rho = abs(x) / convergence_radius(m)
-        slope = math.log(rho) if rho > 0.0 else -math.inf
-        if budget * slope + (0.5 - n) * math.log(budget) <= math.log(rel_tol):
-            return "direct-sum"
+    if budget >= 1 and within_terms(n, abs(x) / convergence_radius(m), rel_tol, budget):
+        return "direct-sum"
     return "quad-cardano" if m == 1 else "folding"
 
 

@@ -9,9 +9,11 @@ The series converges strictly inside |x| < (27/4)**m, and on the rim
 |x| = (27/4)**m once n >= 2 (terms there decay like k**(1/2 - n)).
 
 ``sum_direct`` is the reference oracle every other evaluation route in the
-package is validated against: terms are built by an exact ratio recurrence
-and accumulated with compensated (Kahan) summation, because near the rim a
-plain running sum loses digits.
+package is validated against. Its terms come from the ratio recurrence, each
+stride-m ratio a product of m exact stride-1 factors, built a block of terms
+at a time in C-level passes (``map``, ``itertools.accumulate``), and their
+sum is correctly rounded (``math.fsum``), because near the rim a plain
+running sum loses digits.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, islice, repeat
+from operator import attrgetter, le, mul, truediv
+from typing import Iterator
 
 from .errors import ArgumentError, ConvergenceError, DomainError
 
@@ -27,6 +32,8 @@ RADIUS_BASE = 27.0 / 4.0
 ENV_MAX_TERMS = "SERIES_MAX_TERMS"
 _EPS = 2.220446049250313e-16
 _LOG_UNDERFLOW = 2100 * math.log(2.0)  # C(3m, m) above 2**2100 sends every x / C(3m, m) to 0
+_REAL = attrgetter("real")
+_IMAG = attrgetter("imag")
 
 
 class Domain(Enum):
@@ -169,19 +176,53 @@ def beta_term_identity(k: int) -> float:
     return k * math.exp(math.lgamma(k) + math.lgamma(2 * k + 1) - math.lgamma(3 * k + 1))
 
 
-def _binomial_step(k: int, m: int) -> float:
-    """C(3mk, mk) / C(3m(k+1), m(k+1)) as a float; decreasing, limit (4/27)**m.
+def _stride_factors(k0: int, k1: int, m: int) -> list[float]:
+    """C(3mk, mk) / C(3m(k+1), m(k+1)) for k0 <= k < k1; decreasing, limit (4/27)**m.
 
-    ``math.prod`` with a float start multiplies each factor into a C double in
-    order, exactly as a Python loop would, at a fraction of the cost.
+    Each is the product, in order, of the stride-1 factors
+    f_j = C(3j, j) / C(3j+3, j+1) = (2j+2)(2j+1) / ((9j+3)(3j+2)) over
+    j = mk .. mk+m-1, each one correctly rounded division of exact integers;
+    every f_j lies near 4/27, so no product overflows. One C-level pass per
+    offset j - mk: along k, j steps by m, and the numerator and denominator
+    of f_j come from ``accumulate`` over their differences, which step by
+    8m**2 and 54m**2.
     """
-    mk = m * k
-    den = math.prod(range(3 * mk + 1, 3 * mk + 3 * m + 1), start=1.0)
-    if den == math.inf:  # large m: the products overflow, so pair factors into ratios
-        lo = math.prod((mk + i) / (3 * mk + i) for i in range(1, m + 1))
-        return lo * math.prod((2 * mk + i) / (3 * mk + m + i) for i in range(1, 2 * m + 1))
-    num = math.prod(range(mk + 1, mk + m + 1), start=1.0)
-    return math.prod(range(2 * mk + 1, 2 * mk + 2 * m + 1), start=num) / den
+    count = k1 - k0
+    if count <= 0:
+        return []
+    steps: list[float] = []
+    for j in range(m * k0, m * k0 + m):
+        # from j to j + m, (2j+2)(2j+1) grows by 8mj + 4m^2 + 6m, (9j+3)(3j+2) by 54mj + 27m^2 + 27m
+        dn, rn = 8 * m * j + 4 * m * m + 6 * m, 8 * m * m
+        dd, rd = 54 * m * j + 27 * m * (m + 1), 54 * m * m
+        num = accumulate(range(dn, dn + rn * (count - 1), rn), initial=(2 * j + 2) * (2 * j + 1))
+        den = accumulate(range(dd, dd + rd * (count - 1), rd), initial=(9 * j + 3) * (3 * j + 2))
+        f = map(truediv, num, den)
+        steps = list(map(mul, steps, f)) if steps else list(f)
+    return steps
+
+
+def _step(k: int, m: int) -> float:
+    """The k-th value of ``_stride_factors``, by the same operations in a Python loop:
+    f_j = u (u + 1) / (3 v (v + 1)) with u = 2j + 1 and v = 3j + 1."""
+    u = 2 * m * k + 1
+    v = 3 * m * k + 1
+    step = u * (u + 1) / (3 * v * (v + 1))
+    for _ in range(m - 1):
+        u += 2
+        v += 3
+        step *= u * (u + 1) / (3 * v * (v + 1))
+    return step
+
+
+def _ratios(k0: int, k1: int, n: int, m: int, x: complex | float) -> Iterator[complex | float]:
+    """Term ratios t_{k+1} / t_k = x (k/(k+1))**n C(3mk, mk) / C(3m(k+1), m(k+1))
+    for k0 <= k < k1, multiplied left to right; float when x is."""
+    steps = _stride_factors(k0, k1, m)
+    if n == 0:
+        return map(mul, repeat(x), steps)
+    weights = map(pow, map(truediv, range(k0, k1), range(k0 + 1, k1 + 1)), repeat(n))
+    return map(mul, map(mul, repeat(x), weights), steps)
 
 
 def _first_term(m: int, x: complex) -> complex:
@@ -225,6 +266,19 @@ def terms_needed(n: int, rho: float, rel_tol: float) -> float:
     return math.ceil(k)
 
 
+def within_terms(n: int, rho: float, rel_tol: float, budget: int) -> bool:
+    """True when ``terms_needed(n, rho, rel_tol)`` is at most ``budget`` (>= 1).
+
+    terms_needed is the least k >= 1 with f(k) = k ln(rho) + (1/2 - n) ln(k) <=
+    ln(rel_tol), and f decreases from that k on, so it is within the budget K
+    exactly when f(K) <= ln(rel_tol): one test, with no root to find.
+    """
+    if rel_tol <= 0.0:
+        return False
+    slope = math.log(rho) if rho > 0.0 else -math.inf
+    return budget * slope + (0.5 - n) * math.log(budget) <= math.log(rel_tol)
+
+
 def term_ratio(k: int, n: int, x: complex) -> complex:
     """Ratio t_{k+1} / t_k of consecutive stride-1 terms.
 
@@ -235,27 +289,87 @@ def term_ratio(k: int, n: int, x: complex) -> complex:
 
 
 def term_ratio_stride(k: int, n: int, m: int, x: complex) -> complex:
-    """Stride-m term ratio t_{k+1} / t_k, from the Gamma-product form."""
+    """Stride-m term ratio t_{k+1} / t_k, as ``series_terms`` and ``sum_direct`` form it."""
     if k < 1:
         raise ArgumentError(f"k must be >= 1, got {k}")
     if m < 1:
         raise ArgumentError(f"stride m must be >= 1, got {m}")
-    return complex(x) * (k / (k + 1)) ** n * _binomial_step(k, m)
+    return next(_ratios(k, k + 1, n, m, complex(x)))
+
+
+def _terms(t: complex | float, k: int, count: int, n: int, m: int, x: complex | float) -> list:
+    """``count`` + 1 terms t_k .. t_{k+count}, from t = t_k by the ratio recurrence."""
+    return list(accumulate(_ratios(k, k + count, n, m, x), mul, initial=t))
 
 
 def series_terms(n: int, m: int, x: complex, count: int) -> list[complex]:
-    """First ``count`` terms t_k = x**k / (k**n * C(3mk, mk)), built recursively."""
+    """First ``count`` terms t_k = x**k / (k**n * C(3mk, mk)), built recursively
+    exactly as ``sum_direct`` builds them (in float arithmetic for real x)."""
     if count < 0:
         raise ArgumentError("count must be >= 0")
-    xc = complex(x)
-    terms: list[complex] = []
     if count == 0:
-        return terms
+        return []
+    xc = complex(x)
     t = _first_term(m, xc)
-    for k in range(1, count + 1):
+    if xc.imag == 0.0:
+        return list(map(complex, _terms(t.real, 1, count - 1, n, m, xc.real)))
+    return _terms(t, 1, count - 1, n, m, xc)
+
+
+# Sums predicted to take at most this many terms run term by term: below it a block's
+# fixed cost (a dozen C-level passes, the term-count prediction) outweighs what its
+# passes save per term (measured break-even about 60-200 terms, rising with m).
+_SHORT_SUM = 64
+_BLOCK_CAP = 1 << 15
+
+
+def _short_sum_terms(t, n: int, m: int, x, rel_tol: float, max_terms: int):
+    """``_block_terms`` one term at a time: the same factors, products, ratios,
+    running sums and tests, so the same bits."""
+    terms = []
+    total = t * 0
+    prev = False
+    for k in range(1, max_terms + 1):
         terms.append(t)
-        t *= xc * (k / (k + 1)) ** n * _binomial_step(k, m)
-    return terms
+        total += t
+        step = _step(k, m)
+        small = abs(t) <= rel_tol * abs(total)
+        if small and prev:
+            return terms, step
+        prev = small
+        t *= (x * (k / (k + 1)) ** n if n else x) * step
+    return None, 0.0
+
+
+def _block_terms(t, n: int, m: int, x, rel_tol: float, max_terms: int, size: int):
+    """(t_1 .. t_K, C(3mK, mK) / C(3m(K+1), m(K+1))) at the stop index K of
+    ``sum_direct``, or (None, 0.0) when ``max_terms`` runs out first.
+
+    Blocks of ``size`` terms, doubling up to _BLOCK_CAP: ``_terms`` builds each,
+    ``accumulate`` its running sums, one C-level pass flags |t_k| <= rel_tol |S_k|,
+    and ``bytes.find`` looks for two flags in a row."""
+    terms: list = []
+    total = t * 0
+    last = b"\0"  # the flag of the term before the block
+    k = 1
+    while k <= max_terms:
+        size = min(size, max_terms + 1 - k)
+        block = _terms(t, k, size, n, m, x)
+        t = block.pop()  # t_{k+size}, the first term of the next block
+        sums = list(accumulate(block, initial=total))
+        total = sums[-1]
+        flags = last + bytes(
+            map(le, map(abs, block), map(mul, repeat(rel_tol), map(abs, islice(sums, 1, None))))
+        )
+        stop = flags.find(b"\1\1")
+        if stop >= 0:
+            terms += block[: stop + 1]
+            return terms, _step(len(terms), m)
+        terms += block
+        last = flags[-1:]
+        k += size
+        size = min(2 * size, _BLOCK_CAP)
+    return None, 0.0
 
 
 def sum_direct(
@@ -263,7 +377,7 @@ def sum_direct(
     rel_tol: float = 1e-15,
     max_terms: int | None = None,
 ) -> Evaluation:
-    """Compensated direct summation of S(n, m; x).
+    """Direct summation of S(n, m; x), correctly rounded over its terms.
 
     Stops once two consecutive terms fall below ``rel_tol`` times the
     running sum (a single accidentally tiny term must not stop an
@@ -272,11 +386,14 @@ def sum_direct(
     ``max_terms`` (every n = 2 rim point at the default cap) the cap error
     is raised at once; prefer the quadrature route there.
 
-    The error estimate is a geometric tail bound from the last term and
-    the current term ratio, plus a rounding floor proportional to the
-    accumulated absolute sum, which grows with the stride and with the
-    mean term index because the recurrence's roundings compound along k.
-    On the rim, where the ratio bound reaches 1, an integral tail bound on
+    The terms come from the ratio recurrence in blocks sized by
+    ``terms_needed`` (term by term below _SHORT_SUM terms), in float
+    arithmetic for real x, and the value is ``math.fsum`` of their real and
+    imaginary parts. The error estimate is a geometric tail bound from the
+    last term and the current term ratio, plus a rounding floor proportional
+    to the absolute sum, which grows with the stride and with the mean term
+    index because the recurrence's roundings compound along k. On the rim,
+    where the ratio bound reaches 1, an integral tail bound on
     k**(1/2 - n) is used instead.
 
     Raises:
@@ -294,7 +411,8 @@ def sum_direct(
     n, m, x = params.n, params.m, params.x
     if x == 0:
         return Evaluation(0j, 0.0, "direct-sum", 0)
-    rim = params.classify() is Domain.BOUNDARY
+    ax, radius = abs(x), params.radius
+    rim = ax == radius  # x is summable, so |x| <= radius
     # Robbins' Stirling bounds give sqrt(3/(4 pi N)) R**N e**(-1/(8N)) <=
     # C(3N, N) <= sqrt(3/(4 pi N)) R**N, so with c = sqrt(4 pi m / 3) every rim
     # term has |t_k| >= c k**(1/2 - n) while every partial sum stays below
@@ -306,44 +424,42 @@ def sum_direct(
     t = _first_term(m, x)
     if t == 0:  # underflow (subnormal x or huge m); every later term is smaller still
         return Evaluation(t, 0.0, "direct-sum", 1)
-    total = 0j
-    comp = 0j
-    abs_sum = 0.0
-    small = 0
-    for k in range(1, max_terms + 1):
-        y = t - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        at = abs(t)
-        abs_sum += at
-        if at <= rel_tol * abs(total):
-            small += 1
-            if small >= 2:
-                break
-        else:
-            small = 0
-        t *= x * (k / (k + 1)) ** n * _binomial_step(k, m)  # the term_ratio_stride expression
+    real = x.imag == 0.0
+    xs, t = (x.real, t.real) if real else (x, t)
+    rho = ax / radius
+    if within_terms(n, rho, rel_tol, _SHORT_SUM):
+        terms, step = _short_sum_terms(t, n, m, xs, rel_tol, max_terms)
     else:
+        # the stop rule takes up to ~10% more terms than estimated, and two to confirm
+        size = int(min(1.125 * terms_needed(n, rho, rel_tol) + 2, _BLOCK_CAP))
+        terms, step = _block_terms(t, n, m, xs, rel_tol, max_terms, size)
+    if terms is None:
         raise _term_cap_error(rel_tol, max_terms, rim)
-    work = k
+    work = len(terms)
+    if real:
+        total = complex(math.fsum(terms))
+    else:
+        total = complex(math.fsum(map(_REAL, terms)), math.fsum(map(_IMAG, terms)))
+    abs_sum = math.fsum(map(abs, terms))
 
-    # _binomial_step decreases in k, and (k/(k+1))**n <= 1, so this bounds
-    # every remaining ratio.
-    r = abs(x) * _binomial_step(work, m)
+    # the step C(3mk, mk) / C(3m(k+1), m(k+1)) decreases in k, and (k/(k+1))**n <= 1,
+    # so this bounds every remaining ratio.
+    r = ax * step
     if r < 1.0:
-        tail = abs(t) * r / (1.0 - r)
+        tail = abs(terms[-1]) * r / (1.0 - r)
         mean_k = min(work, 2.0 / (1.0 - r))
     else:
-        tail = abs(t) * work / max(n - 1.5, 0.5)
+        tail = abs(terms[-1]) * work / max(n - 1.5, 0.5)
         mean_k = work
-    # Each ratio carries about 6m + n + 3 roundings, so t_k drifts from the true
-    # term by a random walk of k - 1 such steps, of standard deviation about
-    # _EPS sqrt((6m + n + 3) k / 12). Terms shaped like rho**k k**(1/2 - n) have
-    # their |t|-weighted mean index below 2 / (1 - rho) <= 2 / (1 - r); the floor
-    # takes 3.5 deviations at that index, on top of 4 _EPS for the first term
-    # and the compensated sum.
-    drift = math.sqrt((6 * m + n + 3) * mean_k)
+    # Each ratio carries about 2m + n + 4 roundings: m stride-1 factors and the
+    # m - 1 products of the step, the weight (k/(k+1))**n, the two products with
+    # x and the product with the term (up to 2 more for complex x). So t_k drifts
+    # from the true term by a random walk of k - 1 such steps, of standard
+    # deviation about _EPS sqrt((2m + n + 4) k / 12). Terms shaped like
+    # rho**k k**(1/2 - n) have their |t|-weighted mean index below
+    # 2 / (1 - rho) <= 2 / (1 - r); the floor takes 3.5 deviations at that index,
+    # on top of 4 _EPS for the first term and the correctly rounded sum.
+    drift = math.sqrt((2 * m + n + 4) * mean_k)
     return Evaluation(total, tail + (4.0 + drift) * _EPS * abs_sum, "direct-sum", work)
 
 

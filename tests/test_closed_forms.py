@@ -42,13 +42,17 @@ S23_AT_1 = 0.011918252587160321
 # when the running bound was introduced: the worst-case linear rounding model is loose
 # off the positive axis, where terms alternate or rotate.
 PFQ_MEDIAN_RATIO = 334.5
-# S(2, 1; x) and S(1, 1; x) near the branch point x = 27/4 (mpmath at 50 digits; the
-# closed forms and the hypergeometric series agree there to 1e-42).
+# S(n, 1; x) near the branch point x = 27/4 (the closed forms in mpmath at 50 digits; at
+# 0.9999 * 27/4 they and the hypergeometric series agree to 1e-42).
 NEAR_RIM = {
     (2, 0.9999 * 6.75): "5.546523140000718230206005",
     (2, (1 - 1e-6) * 6.75): "5.611577502855102219321304",
+    (2, math.nextafter(6.75, 0)): "5.618830156332719155547024",
     (1, 0.9999 * 6.75): "360.281721459123361107657",
     (1, (1 - 1e-6) * 6.75): "3625.135018824431756125082",
+    (1, math.nextafter(6.75, 0)): "316243068.7376366804746926",
+    (0, (1 - 1e-6) * 6.75): "1813798355.93683670141629",
+    (0, math.nextafter(6.75, 0)): "1201695899861497666232153.0",
 }
 
 
@@ -200,9 +204,9 @@ class TestWeightZeroClosedForm:
 class TestNearTheBranchPoint:
     @pytest.mark.parametrize("n,x", list(NEAR_RIM))
     def test_error_inside_the_estimate(self, n, x):
-        # the rounding of sqrt(81 - 12x) inside phi dominates here, 1.6e-13 in S(2, 1)
-        # at 1 - 1e-6, and the flat 8 eps model misses it
-        ev = (s21 if n == 2 else s11)(x)
+        # phi forms 81 - 12x exactly here; a rounded 12x put S(2, 1) one ulp below 27/4
+        # off by 1.3e-8, outside the flat 8 eps model
+        ev = {2: s21, 1: s11, 0: s01}[n](x)
         err = abs(float(Fraction(ev.value.real) - Fraction(NEAR_RIM[n, x])))
         assert ev.value.imag == 0.0
         assert err <= ev.abs_error_est <= 20.0 * max(err, 1e-15 * abs(ev.value))

@@ -27,7 +27,28 @@ the four ``pfq`` hashes when its flat error estimate became a running bound
 Horner sums with a term count fixed in advance (last-bit values, estimates, work); every
 n = 2 ``closed-form``, ``folding`` and ``auto`` hash except those at the rim 6.75, and
 the n = 2 ``table``, when ``s21`` added the rounding of sqrt(81 - 12x) to its estimate
-(only ``abs_error_est`` moved).
+(only ``abs_error_est`` moved). Every ``direct-sum`` hash and the two n = 3 ``auto`` hashes
+that sum directly were re-recorded when direct summation moved to the block kernel (exact
+stride-1 factors, ``math.fsum``): ``abs_error_est`` fell everywhere and the m = 60 real part
+moved by one ulp; old -> new, by leading hex digits:
+
+    S(2,1;0.5)      f9efee8e -> 6b01664a    S(2,1;6.6825)   8e296810 -> d627c449
+    S(2,1;1+1i)     8d0b0fd1 -> 3ecaa5a4    S(2,2;20)       62d91461 -> d86959ee
+    S(2,3;100)      dabc5dcf -> 0720ca86    S(0,1;0.5)      eb8658be -> 8138be3d
+    S(3,1;0.5)      2f2422f0 -> b90ee746    (and its auto)
+    S(3,2;20)       4308aff8 -> 20d0d31d    (and its auto)
+    S(3,8;0.9 R**8 e**(0.7i))   c8c1b262 -> 1311fa95
+    S(3,60;0.9 R**60 e**(0.7i)) 3c8bb212 -> f5a7f7c2
+
+In the same change ``phi`` began to form 81 - 12x as (81 - 8x) - 4x, exact near the branch
+point, and ``s21`` and ``s11`` dropped the rounding term again: the thirteen n = 2
+``closed-form``, ``folding`` and ``auto`` hashes off the rim went back to the values they
+had before that term (closed-form and auto at 0.5 bf175fa4 -> b1bfd002, at 6.6825
+ad22fd30 -> 666a32c7, at 1+1i 67872e1e -> 68685257; folding at 0.5 b99fa38f -> d3adc2ea,
+at 6.6825 b19cc54f -> c08f5947, at 1+1i cac2cf6e -> 5ccba444; folding and auto at
+S(2,2;20) abba7de7 -> e73e2c2f and at S(2,3;100) 85b53ffd -> 6833fc5e), and the n = 2
+``table`` (4240e93a -> 57dafe31) and ``verify`` (9f214b6a -> a38bb59a) moved with the exact
+discriminant.
 """
 
 import hashlib
@@ -38,10 +59,10 @@ from invbinom.cli import EXIT_OK, main
 
 GOLDEN = {
     "eval --n 2 --m 1 --x 0.5 --method direct-sum --output json": (
-        "f9efee8e85a7b5534941e56919e8f99b7411a5dc365d25be5742fdac164e4c67"
+        "6b01664a1241ac4b747c6f4e177d3c892075c728531d51eba8e1f8846b1033b0"
     ),
     "eval --n 2 --m 1 --x 0.5 --method closed-form --output json": (
-        "bf175fa4238518ad99ade6540bab344239cb5ab3da745beacd61239d68c49403"
+        "b1bfd002236bbb3a909291737ca73fa2cb78214a6093526e8a72147924c2caca"
     ),
     "eval --n 2 --m 1 --x 0.5 --method quad-polylog --output json": (
         "cb1ddd52577e07ec9805074347497a413dd8a35496a8e0773b02348977563262"
@@ -50,19 +71,19 @@ GOLDEN = {
         "32ae7cb3ba4cccd91d317ed3cded3d81578d3d67d2694170feb29637576af20d"
     ),
     "eval --n 2 --m 1 --x 0.5 --method folding --output json": (
-        "b99fa38f3e3ac5345921b5b97bcfd20049c1a0a019a08443912d7fba03413be3"
+        "d3adc2eaaea3f53a52b8f78d4f6b8555d99a0f4f972a377c61a85fa6e5a9289c"
     ),
     "eval --n 2 --m 1 --x 0.5 --method pfq --output json": (
         "4ce3ea2f08fe10f3f8383867d3062556e846f466b273e23dd18a5e51f418df92"
     ),
     "eval --n 2 --m 1 --x 0.5 --method auto --output json": (
-        "bf175fa4238518ad99ade6540bab344239cb5ab3da745beacd61239d68c49403"
+        "b1bfd002236bbb3a909291737ca73fa2cb78214a6093526e8a72147924c2caca"
     ),
     "eval --n 2 --m 1 --x 6.6825 --method direct-sum --output json": (
-        "8e29681038c31b44dbffbf798fc9b17a0b6c76aa2e50aa5ba46de63d982c6331"
+        "d627c449b31960b2e9786f062772674abc7f805fa18bd9cfb501a19202bf76c0"
     ),
     "eval --n 2 --m 1 --x 6.6825 --method closed-form --output json": (
-        "ad22fd30c1af4ba284805fc82c9e6ee6d7f594f72a424c560f789f96a3248cc8"
+        "666a32c7682973f71e096509f50d1aba94cc68b3af961ea7a2b93fff1eb48bbb"
     ),
     "eval --n 2 --m 1 --x 6.6825 --method quad-polylog --output json": (
         "85f2d5cc6e6cea081363964ce7aae326de18c27ab1c5a6b6a184ff7bcbdc12fe"
@@ -71,13 +92,13 @@ GOLDEN = {
         "194a35870f4990a296c52c38ae73aa816133744bc6a4df906146860c52b93af2"
     ),
     "eval --n 2 --m 1 --x 6.6825 --method folding --output json": (
-        "b19cc54f00e9b7ef7d3052db8f24ac7dabef240a88f228b31992c1804230741a"
+        "c08f5947c413acec1c2921e056ee4cdda847466265f0dfe32a95edc197d3af57"
     ),
     "eval --n 2 --m 1 --x 6.6825 --method pfq --output json": (
         "dc9019f2e7b1e2c3dd08d95d4da4ebaa62d9c05a6044e8721a13b57a92c64357"
     ),
     "eval --n 2 --m 1 --x 6.6825 --method auto --output json": (
-        "ad22fd30c1af4ba284805fc82c9e6ee6d7f594f72a424c560f789f96a3248cc8"
+        "666a32c7682973f71e096509f50d1aba94cc68b3af961ea7a2b93fff1eb48bbb"
     ),
     "eval --n 2 --m 1 --x 6.75 --method closed-form --output json": (
         "8b19b00eca7f7f2d40b6d5b799424fb73f73cbc068f3935a4d2dfbc987574170"
@@ -95,49 +116,49 @@ GOLDEN = {
         "8b19b00eca7f7f2d40b6d5b799424fb73f73cbc068f3935a4d2dfbc987574170"
     ),
     "eval --n 2 --m 1 --x 1+1i --method direct-sum --output json": (
-        "8d0b0fd12ae8f8cd6d65a12f8385e1cc7530a99e2e518ef71598c4222bb60cd4"
+        "3ecaa5a46d0d17232047e23eee6ee67bb51e47274296ec283516a8ade916a690"
     ),
     "eval --n 2 --m 1 --x 1+1i --method closed-form --output json": (
-        "67872e1e4de299e348ba92b5470ba37de583a6bfef73e308b4df2fec5b3d9fba"
+        "6868525796d0ab39f42c713c564ae9d10dfa3684f50270c57b576f1b7330f80b"
     ),
     "eval --n 2 --m 1 --x 1+1i --method quad-polylog --output json": (
         "13614fbc959b8ee5093bc16e77e5cd23f6004d627021c63047b229eda2b5fac7"
     ),
     "eval --n 2 --m 1 --x 1+1i --method folding --output json": (
-        "cac2cf6e38a556d862eba8031577f4450cee5d38b87fe2409a249f09186c796f"
+        "5ccba444cba47629fd74f692a73eebe42a8872416e13f1f790d6dd11168d9f16"
     ),
     "eval --n 2 --m 1 --x 1+1i --method pfq --output json": (
         "f693c06c19bf6fd7d52feb8d2588d47d80adceb49b4fe56bae3091edc690bddc"
     ),
     "eval --n 2 --m 1 --x 1+1i --method auto --output json": (
-        "67872e1e4de299e348ba92b5470ba37de583a6bfef73e308b4df2fec5b3d9fba"
+        "6868525796d0ab39f42c713c564ae9d10dfa3684f50270c57b576f1b7330f80b"
     ),
     "eval --n 2 --m 2 --x 20 --method direct-sum --output json": (
-        "62d914615c4217d1d84db501e315bfc1254729ad8147b5f8ae3aa1127e295ce4"
+        "d86959eee17fefd4b8938c9b3f9a54ac42aaa70d418c50b52c670c156407e7d9"
     ),
     "eval --n 2 --m 2 --x 20 --method closed-form --output json": (
         "1c0d287471a43a0ce8c327611c7ce52f32debe5fc551a4941ae785063afce4a5"
     ),
     "eval --n 2 --m 2 --x 20 --method folding --output json": (
-        "abba7de79314960f02c6d8cd31560f81874619807d724cc3dad0126a9269cb07"
+        "e73e2c2f35b9fd1d20b022210e02dbd5fdb38d529a964beb6aecb5ea92252a70"
     ),
     "eval --n 2 --m 2 --x 20 --method auto --output json": (
-        "abba7de79314960f02c6d8cd31560f81874619807d724cc3dad0126a9269cb07"
+        "e73e2c2f35b9fd1d20b022210e02dbd5fdb38d529a964beb6aecb5ea92252a70"
     ),
     "eval --n 2 --m 3 --x 100 --method direct-sum --output json": (
-        "dabc5dcf10525d7ac8bc9fc438a88cb68a6843afb2b6de32efbe99c5a997df8f"
+        "0720ca860e387650f20d848f2d30d0d539bf6b74a697746ece738b9dc69ca606"
     ),
     "eval --n 2 --m 3 --x 100 --method closed-form --output json": (
         "b43ad2bbdb3ac06f075cb99c75248581a304556a9165e89bfcbe4d78921059e4"
     ),
     "eval --n 2 --m 3 --x 100 --method folding --output json": (
-        "85b53ffdd6ca11956566cb5a34860f3fe461cf813a2c0eee08e82ca11b9d8ed8"
+        "6833fc5ee8e3a055616338ca34b680aa691aa940a79182af7ced24673db6e096"
     ),
     "eval --n 2 --m 3 --x 100 --method auto --output json": (
-        "85b53ffdd6ca11956566cb5a34860f3fe461cf813a2c0eee08e82ca11b9d8ed8"
+        "6833fc5ee8e3a055616338ca34b680aa691aa940a79182af7ced24673db6e096"
     ),
     "eval --n 0 --m 1 --x 0.5 --method direct-sum --output json": (
-        "eb8658bea61097d79292ed469aef8db2e66e7caaab6b4fa5ba3fc5f808b9dd05"
+        "8138be3de958db1bfb094e15ae7da0ef7f62ec41855e5b3aa9b54113185ae211"
     ),
     "eval --n 0 --m 1 --x 0.5 --method closed-form --output json": (
         "37a9a4f8b1c38e7ef6060dbeafe4527b3fe46d4cfe5ee94d9081edd12af85125"
@@ -152,7 +173,7 @@ GOLDEN = {
         "37a9a4f8b1c38e7ef6060dbeafe4527b3fe46d4cfe5ee94d9081edd12af85125"
     ),
     "eval --n 3 --m 1 --x 0.5 --method direct-sum --output json": (
-        "2f2422f077edbe9d3c06b890dc8a7c886a6affafff55f1bb1f73872419580074"
+        "b90ee7467ce6bd99c0af0e5e33cbcc79e18158f055205a5a7546b9af2260f076"
     ),
     "eval --n 3 --m 1 --x 0.5 --method quad-polylog --output json": (
         "ca83c1c2996df99cc0b42e8314df697133ac61678c7eba7eb378162af3842671"
@@ -164,23 +185,23 @@ GOLDEN = {
         "d15586b356df56dd8658ee30323e66a8432e87b9539b810decd25c753003ed50"
     ),
     "eval --n 3 --m 1 --x 0.5 --method auto --output json": (
-        "2f2422f077edbe9d3c06b890dc8a7c886a6affafff55f1bb1f73872419580074"
+        "b90ee7467ce6bd99c0af0e5e33cbcc79e18158f055205a5a7546b9af2260f076"
     ),
     "eval --n 3 --m 2 --x 20 --method direct-sum --output json": (
-        "4308aff8530e078b00b0d744ce954ce47f9b8c92677efa31af55a6c4b373aecf"
+        "20d0d31d884f160dc83eb79f4624b4085dfee7ef8d1661f913a9eb1aa5e2737b"
     ),
     "eval --n 3 --m 2 --x 20 --method folding --output json": (
         "57b7f6ee32424f80fd7d9b027096bb0e119d4a88b3cf6600f278eb18efc4816a"
     ),
     "eval --n 3 --m 2 --x 20 --method auto --output json": (
-        "4308aff8530e078b00b0d744ce954ce47f9b8c92677efa31af55a6c4b373aecf"
+        "20d0d31d884f160dc83eb79f4624b4085dfee7ef8d1661f913a9eb1aa5e2737b"
     ),
     "eval --n 3 --m 8 --x 2966501.190067826+2498649.4830240267i --method direct-sum --output json": (
-        "c8c1b262991e073c9372d5f1ebf9b52a9909cb9c2941fb11b8b979fe62a23336"
+        "1311fa95bf4fae2a004c9939ea77939567b1e9b18e906b14af37a74d01e5bd2e"
     ),
     "eval --n 3 --m 60 --x 3.9449428327662113e+49+3.3227795096300843e+49i "
     "--method direct-sum --output json": (
-        "3c8bb212a945d3bedb326fe85fd377a5fda4b931c6826fbec8ce3f9d9e239042"
+        "f5a7f7c208b3a3554d3aa75a2caa1d2fd009d9cb7ec96ea0234327a9c15920e4"
     ),
     "eval --n 3 --m 1 --x 6.75 --method quad-cardano --output json": (
         "d57c699c19e134c6c1c7ce830bd4b62b8379d52528ac6627002b76955a7c8a0c"
@@ -192,10 +213,10 @@ GOLDEN = {
         "f9ab9f08477364c0296fae0956851eb0a24ac44ead4d3994b4809f842774cded"
     ),
     "table --n 2 --m 1 --x-from -6.75 --x-to 6.75 --steps 101 --output csv": (
-        "4240e93a3cc1f34f785b5e25e18b3ba40edd79dfcbe10161dee9d6cbf9fc9792"
+        "57dafe31d0cccff5c0d648445375e3207511c1d428a96207c9ae6c59a2a065e3"
     ),
     "verify --suite all --output json": (
-        "9f214b6adbb67b7a847e92efb40ad70cb1e041dcc65f15637b2e2f959ae08b16"
+        "a38bb59a36608b74adac3ab9d6d943d8a4d4d2b13510cd821b9ae83dc83404ee"
     ),
 }
 

@@ -8,7 +8,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invbinom import (
@@ -26,7 +26,14 @@ from invbinom import (
     term_ratio,
     term_ratio_stride,
 )
-from invbinom.series import _binomial_step, terms_needed
+from invbinom.series import (
+    _block_terms,
+    _first_term,
+    _short_sum_terms,
+    _step,
+    _stride_factors,
+    terms_needed,
+)
 
 # Frozen from exact-fraction partial sums (math.comb over Fraction).
 S22_AT_1 = 0.06717778880529868
@@ -105,47 +112,70 @@ class TestTermRatio:
         assert term_ratio_stride(k, 0, m, 1.0).real == pytest.approx(float(exact), rel=1e-14)
 
 
-def _binomial_step_loop(k, m):
-    """The term-ratio binomial step as a Python loop of float multiplies, the
-    form ``_binomial_step`` had before it moved to ``math.prod``."""
-    num = 1.0
-    for i in range(1, m + 1):
-        num *= m * k + i
-    for i in range(1, 2 * m + 1):
-        num *= 2 * m * k + i
-    den = 1.0
-    for i in range(1, 3 * m + 1):
-        den *= 3 * m * k + i
-    if den == math.inf:
-        lo = math.prod((m * k + i) / (3 * m * k + i) for i in range(1, m + 1))
-        return lo * math.prod((2 * m * k + i) / (3 * m * k + m + i) for i in range(1, 2 * m + 1))
-    return num / den
+def _bits(z):
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
 
 
-def _compensated_sum(terms):
-    total = comp = 0j
-    for t in terms:
-        y = t - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-    return total
+# (n, m, x): real and complex, both sides of the short-sum threshold, the rim
+BIT_POINTS = [
+    (0, 1, 6.5),
+    (3, 4, 0.9 * 6.75**4 * cmath.exp(0.7j)),
+    (2, 8, -0.99 * 6.75**8),
+    (3, 1, 0.5),
+    (4, 2, 1e-6 * cmath.exp(2.0j)),
+    (1, 3, -0.3 * 6.75**3),
+    (0, 2, 0.97j * 6.75**2),
+    (4, 1, 6.75),
+]
 
 
 class TestBitIdentity:
-    def test_binomial_step_equals_the_python_loop(self):
-        # m = 60 crosses the pair-ratio fallback, where the products overflow
-        for m in range(1, 61):
-            for k in [*range(1, 51), 97, 500, 3000]:
-                got, want = _binomial_step(k, m), _binomial_step_loop(k, m)
-                assert got.hex() == want.hex(), (k, m)
+    def test_stride_one_factors_are_correctly_rounded(self):
+        # f_j = C(3j, j) / C(3j+3, j+1) = 2(j+1)(2j+1) / (3(3j+1)(3j+2)), rounded once
+        def factor(j):
+            return float(Fraction(2 * (j + 1) * (2 * j + 1), 3 * (3 * j + 1) * (3 * j + 2)))
 
-    @pytest.mark.parametrize(
-        "n,m,x", [(0, 1, 6.5), (3, 4, 0.9 * 6.75**4 * cmath.exp(0.7j)), (2, 8, -0.99 * 6.75**8)]
-    )
-    def test_sum_direct_is_the_compensated_sum_of_series_terms(self, n, m, x):
+        binomial_ratios = [Fraction(math.comb(3 * j, j), math.comb(3 * j + 3, j + 1)) for j in range(300)]
+        assert _stride_factors(0, 300, 1) == list(map(float, binomial_ratios))
+        assert _stride_factors(0, 5000, 1) == [factor(j) for j in range(5000)]
+        for j in (10**6 + 7, 2**40 + 3, 10**30):
+            assert _stride_factors(j, j + 1, 1) == [factor(j)], j
+
+    def test_stride_steps_are_in_order_products_of_the_factors(self):
+        # _step (the term-by-term form) and _stride_factors (the block form) agree bit for bit
+        for m in [*range(1, 13), 60, 371]:
+            f = _stride_factors(m, 60 * m + m, 1)  # j = m .. 60m + m - 1
+            block = _stride_factors(1, 61, m)
+            for k in range(1, 61):
+                want = f[(k - 1) * m]
+                for v in f[(k - 1) * m + 1 : k * m]:
+                    want *= v
+                assert block[k - 1].hex() == want.hex() == _step(k, m).hex(), (k, m)
+
+    @pytest.mark.parametrize("n,m,x", BIT_POINTS)
+    def test_sum_direct_is_the_fsum_of_series_terms(self, n, m, x):
         ev = sum_direct(SeriesParams(n, m, x))
-        assert ev.value == _compensated_sum(series_terms(n, m, x, ev.work))
+        terms = series_terms(n, m, x, ev.work)
+        want = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+        assert _bits(ev.value) == _bits(want)
+
+    @pytest.mark.parametrize("n,m,x", BIT_POINTS)
+    def test_short_and_block_paths_give_the_same_bits(self, n, m, x):
+        # sum_direct picks a path by the predicted term count alone; both must agree
+        xc = complex(x)
+        xs = xc.real if xc.imag == 0.0 else xc
+        t = _first_term(m, xc)
+        t = t.real if xc.imag == 0.0 else t
+        short, short_step = _short_sum_terms(t, n, m, xs, 1e-15, 10**6)
+        for size in (1, 2, 3, 7, 64, 4096):  # blocks that end anywhere relative to the stop
+            block, block_step = _block_terms(t, n, m, xs, 1e-15, 10**6, size)
+            assert [_bits(v) for v in block] == [_bits(v) for v in short], size
+            assert block_step.hex() == short_step.hex()
+        cap = len(short)  # the stop falls on the last term the cap allows
+        assert _block_terms(t, n, m, xs, 1e-15, cap, 5)[0] == short
+        assert _short_sum_terms(t, n, m, xs, 1e-15, cap - 1)[0] is None
+        assert _block_terms(t, n, m, xs, 1e-15, cap - 1, 5)[0] is None
 
 
 class TestBinomialExact:
@@ -358,6 +388,41 @@ class TestErrorEstimate:
             assert err + bound <= ev.abs_error_est, (n, m, x, err, ev.abs_error_est)
             estimates.append(ev.abs_error_est)
         assert statistics.median(estimates) <= 4.0 * PARENT_MEDIAN_ESTIMATE
+
+
+def _reference_error(ev, n, m, x):
+    """|value - S| against ``_fixed_point_reference``, plus that reference's own bound."""
+    re, im, bound = _fixed_point_reference(n, m, complex(x))
+    err = math.hypot(float(Fraction(ev.value.real) - re), float(Fraction(ev.value.imag) - im))
+    return err + bound
+
+
+class TestDirectSumAgainstTheReference:
+    @given(
+        n=st.integers(0, 4),
+        m=st.integers(1, 8),
+        rho=st.floats(1e-9, 0.999),
+        axis=st.sampled_from([1.0, -1.0, None]),
+        theta=st.floats(0.0, 2.0 * math.pi),
+    )
+    # a point where the estimate needs its drift floor: without it, it misses by 0.6%
+    @example(n=0, m=2, rho=0.9956188942713784, axis=1.0, theta=0.0)
+    @settings(max_examples=30, deadline=None)
+    def test_estimate_bounds_the_error(self, n, m, rho, axis, theta):
+        # axis None: at angle theta; +-1: on the real axis, where the kernel runs in floats
+        unit = complex(axis) if axis is not None else cmath.exp(1j * theta)
+        x = rho * convergence_radius(m) * unit
+        ev = evaluate(n, m, x, "direct-sum")
+        assert _reference_error(ev, n, m, x) <= ev.abs_error_est, (n, m, x)
+
+    @pytest.mark.parametrize("m", [134, 250, 371])
+    def test_large_stride_at_nine_tenths_of_the_radius(self, m):
+        # every stride-1 factor is near 4/27, so nothing overflows however long the step
+        for n, unit in ((0, 1.0), (3, cmath.exp(2.0j))):
+            x = 0.9 * convergence_radius(m) * unit
+            ev = evaluate(n, m, x, "direct-sum")
+            assert ev.work > 200  # the block kernel, not the term-by-term path
+            assert _reference_error(ev, n, m, x) <= ev.abs_error_est, (n, m)
 
 
 class TestTermsNeeded:
