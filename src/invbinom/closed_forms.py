@@ -41,6 +41,8 @@ _EPS = 2.220446049250313e-16
 # their relative accuracy degrades like eps * |x|**(-1/3), and phi itself
 # eventually overflows binary64.
 _TINY_X = 1e-8
+# Below this |x|, phi(x)**3 ~ 27 / |x| comes within a factor 10 of the binary64 range.
+PHI_MIN_X = 1e-306
 
 
 def _leading_terms(n: int, m: int, x: complex) -> Evaluation:
@@ -77,8 +79,8 @@ def phi(x: complex) -> CardanoRoot:
     xc = complex(x)
     if xc == 0:
         raise DomainError("phi(x) diverges as x -> 0; the series limit there is 0")
-    if abs(xc) < 1e-306:
-        raise DomainError("phi(x) exceeds the binary64 range for |x| < 1e-306")
+    if abs(xc) < PHI_MIN_X:
+        raise DomainError(f"phi(x) exceeds the binary64 range for |x| < {PHI_MIN_X:g}")
     # 81 - 12x as (81 - 8x) - 4x: near the branch point x = 27/4 both steps are exact
     # (8x and 4x are, and Sterbenz's lemma holds), where a rounded 12x would lose about
     # half the digits of s = sqrt(81 - 12x). For complex x this is the real part.

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .closed_forms import _pfq_terms, fold, s01, s11, s21, s2m_closed, stride_refusal
+from .closed_forms import PHI_MIN_X, _pfq_terms, fold, s01, s11, s21, s2m_closed, stride_refusal
 from .errors import ArgumentError
 from .integral_reps import quad_cardano, quad_polylog, quad_two_term
 from .quadrature import QuadratureSpec
@@ -81,6 +81,15 @@ def _pfq(n: int, m: int, x: complex, rel_tol, spec, max_terms) -> Evaluation:
     return Evaluation(value, err, "pfq", terms)
 
 
+def _two_term_limits(n: int, m: int, x: complex) -> str | None:
+    reason = _stride_one("quad-two-term", n, m, 2)
+    if reason is None and x.imag != 0.0:
+        reason = "quad-two-term is a real-argument route"
+    if reason is None and abs(x) < PHI_MIN_X:
+        reason = f"quad-two-term needs |x| >= {PHI_MIN_X:g}; below it phi(x) overflows"
+    return reason
+
+
 def _folding(n: int, m: int, x: complex, rel_tol, spec, max_terms) -> Evaluation:
     inner = "closed-form" if n <= 2 else "quad-cardano"
     return fold(n, m, x, inner, rel_tol=rel_tol, spec=spec)
@@ -107,8 +116,7 @@ ROUTES: dict[str, Route] = {
         ),
         Route(
             "quad-two-term",
-            lambda n, m, x: _stride_one("quad-two-term", n, m, 2)
-            or ("quad-two-term is a real-argument route" if x.imag != 0.0 else None),
+            _two_term_limits,
             lambda n, m, x, tol, spec, cap: quad_two_term(n, x.real, spec),
         ),
         Route("folding", lambda n, m, x: stride_refusal(m), _folding),
@@ -120,15 +128,17 @@ METHODS = tuple(ROUTES)
 
 # Direct-summation terms, per unit of stride, that cost about what quadrature does.
 # quad-cardano takes about 0.06-0.1 ms per stride-1 evaluation and folding makes m of
-# them; with the block kernel direct-sum takes about 1.3-3.2 us per term, rising with m
-# (2-core x86-64 VM, CPython 3.11, min of 5, both routes timed in one run, n 3..4,
-# m 1..6, rho 0.3..0.995 at angle 0.7). The measured break-even rose from 21-35 terms
-# per unit of stride (quartiles, median 28 in two runs) with the per-term loop to 26-46
-# (median 34.8-35.6 in three runs). It falls with m: 40-70 at m = 1, about 35 at m = 6.
-# The budget stays 40: that median sits at the foot of the 35-44 band it was set from. The
-# rim keeps quadrature while 2 * budget stays under the 4,841 terms n = 4 needs at
-# rho = 1 - 1e-3.
-DIRECT_TERM_BUDGET = 40
+# them; with the factor table direct-sum takes about 1.0-2.0 us per term (medians per m;
+# 2-core x86-64 VM, CPython 3.11, min of 15, both routes timed in one run, n 3..4,
+# m 1..6, rho 0.3..0.995 at angle 0.7). The measured break-even rose from 26-46 terms
+# per unit of stride (quartiles, median 34.8-35.6) with the block kernel on exact
+# integers to 42-68 (median 50.3-51.1 in two runs; 30-50, median 38.7, for the integer
+# kernel in the same run). It falls with m: about 55 at m = 1..3, 45 at m = 6. The
+# budget moved from 40 to 50 with it: on the interior workload (seeds 1-5) the 60 of
+# 3,600 cases that move to direct summation take 6.3 ms instead of 9.5 (min of 75
+# each). The rim keeps quadrature while 2 * budget stays under the 4,841 terms n = 4
+# needs at rho = 1 - 1e-3.
+DIRECT_TERM_BUDGET = 50
 
 
 def resolve_auto(
@@ -188,6 +198,8 @@ def evaluate(
     """
     xc = SeriesParams.require_summable(n, m, x)
     if method == "auto":
+        if max_terms is None and n > 2:  # read the cap once, for the rule and the route
+            max_terms = default_max_terms()
         route = ROUTES[resolve_auto(n, m, xc, rel_tol=rel_tol, max_terms=max_terms)]
         if route.refuses(n, m, xc) is not None:
             route = ROUTES["direct-sum"]

@@ -10,10 +10,12 @@ The series converges strictly inside |x| < (27/4)**m, and on the rim
 
 ``sum_direct`` is the reference oracle every other evaluation route in the
 package is validated against. Its terms come from the ratio recurrence, each
-stride-m ratio a product of m exact stride-1 factors, built a block of terms
-at a time in C-level passes (``map``, ``itertools.accumulate``), and their
-sum is correctly rounded (``math.fsum``), because near the rim a plain
-running sum loses digits.
+stride-m ratio the in-order product of m correctly rounded stride-1 factors.
+Those factors form one sequence f_0, f_1, ... for every m and x; its first
+_FACTOR_TABLE values are an immutable tuple built at import, so a block of
+ratios is slices of that table multiplied in C-level passes (``map``), with
+no integer arithmetic per term. The sum is correctly rounded (``math.fsum``),
+because near the rim a plain running sum loses digits.
 """
 
 from __future__ import annotations
@@ -176,43 +178,50 @@ def beta_term_identity(k: int) -> float:
     return k * math.exp(math.lgamma(k) + math.lgamma(2 * k + 1) - math.lgamma(3 * k + 1))
 
 
+def _computed_factors(j0: int, j1: int) -> Iterator[float]:
+    """The stride-1 factors f_j = C(3j, j) / C(3j+3, j+1) = (2j+2)(2j+1) / ((9j+3)(3j+2))
+    for j0 <= j < j1, each one correctly rounded division of exact integer products."""
+    num = map(mul, range(2 * j0 + 2, 2 * j1 + 2, 2), range(2 * j0 + 1, 2 * j1 + 1, 2))
+    den = map(mul, range(9 * j0 + 3, 9 * j1 + 3, 9), range(3 * j0 + 2, 3 * j1 + 2, 3))
+    return map(truediv, num, den)
+
+
+# f_j for j < _FACTOR_TABLE, built once at import (under 1 ms) and never changed. The
+# direct sums ``auto`` picks by their cost (at most DIRECT_TERM_BUDGET * m = 50m terms
+# predicted) stay below j = 3,624 up to m = 8.
+_FACTOR_TABLE = 1 << 12
+_FACTORS = tuple(_computed_factors(0, _FACTOR_TABLE))
+# ``_stride_factors`` nests one ``map`` per offset and materialises the chain every this
+# many, since a chain of about 10**5 (any m >= 1 is valid) overflows the C stack.
+_MAP_DEPTH = 512
+
+
+def _factors(j0: int, j1: int) -> tuple[float, ...]:
+    """f_j for j0 <= j < j1: slices of ``_FACTORS``, computed past its end."""
+    if j1 <= _FACTOR_TABLE:
+        return _FACTORS[j0:j1]
+    return _FACTORS[j0:j1] + tuple(_computed_factors(max(j0, _FACTOR_TABLE), j1))
+
+
 def _stride_factors(k0: int, k1: int, m: int) -> list[float]:
     """C(3mk, mk) / C(3m(k+1), m(k+1)) for k0 <= k < k1; decreasing, limit (4/27)**m.
 
-    Each is the product, in order, of the stride-1 factors
-    f_j = C(3j, j) / C(3j+3, j+1) = (2j+2)(2j+1) / ((9j+3)(3j+2)) over
-    j = mk .. mk+m-1, each one correctly rounded division of exact integers;
-    every f_j lies near 4/27, so no product overflows. One C-level pass per
-    offset j - mk: along k, j steps by m, and the numerator and denominator
-    of f_j come from ``accumulate`` over their differences, which step by
-    8m**2 and 54m**2.
+    Each is the product, in order, of the stride-1 factors f_mk .. f_{mk+m-1}.
+    Every f_j lies near 4/27, so no product overflows. One C-level pass per
+    offset o = j - mk multiplies in the slice f[o::m] of the factors of the range.
     """
-    count = k1 - k0
-    if count <= 0:
-        return []
-    steps: list[float] = []
-    for j in range(m * k0, m * k0 + m):
-        # from j to j + m, (2j+2)(2j+1) grows by 8mj + 4m^2 + 6m, (9j+3)(3j+2) by 54mj + 27m^2 + 27m
-        dn, rn = 8 * m * j + 4 * m * m + 6 * m, 8 * m * m
-        dd, rd = 54 * m * j + 27 * m * (m + 1), 54 * m * m
-        num = accumulate(range(dn, dn + rn * (count - 1), rn), initial=(2 * j + 2) * (2 * j + 1))
-        den = accumulate(range(dd, dd + rd * (count - 1), rd), initial=(9 * j + 3) * (3 * j + 2))
-        f = map(truediv, num, den)
-        steps = list(map(mul, steps, f)) if steps else list(f)
-    return steps
+    f = _factors(m * k0, m * k1)
+    steps = f[0::m]
+    for o in range(1, m):
+        steps = map(mul, steps, f[o::m])
+        if o % _MAP_DEPTH == 0:
+            steps = list(steps)
+    return list(steps)
 
 
 def _step(k: int, m: int) -> float:
-    """The k-th value of ``_stride_factors``, by the same operations in a Python loop:
-    f_j = u (u + 1) / (3 v (v + 1)) with u = 2j + 1 and v = 3j + 1."""
-    u = 2 * m * k + 1
-    v = 3 * m * k + 1
-    step = u * (u + 1) / (3 * v * (v + 1))
-    for _ in range(m - 1):
-        u += 2
-        v += 3
-        step *= u * (u + 1) / (3 * v * (v + 1))
-    return step
+    """The k-th value of ``_stride_factors``: the same factors, multiplied in the same order."""
+    return math.prod(_factors(m * k, m * k + m))
 
 
 def _ratios(k0: int, k1: int, n: int, m: int, x: complex | float) -> Iterator[complex | float]:
@@ -318,7 +327,9 @@ def series_terms(n: int, m: int, x: complex, count: int) -> list[complex]:
 
 # Sums predicted to take at most this many terms run term by term: below it a block's
 # fixed cost (a dozen C-level passes, the term-count prediction) outweighs what its
-# passes save per term (measured break-even about 60-200 terms, rising with m).
+# passes save per term. With the factor table the measured break-even is 40-60 terms at
+# m <= 2, which 64 fits, rising to 80-220 at m = 4 and 130-300 at m = 6..8, where a
+# block's m - 1 ``map`` passes per term cost about what the loop's ``math.prod`` does.
 _SHORT_SUM = 64
 _BLOCK_CAP = 1 << 15
 

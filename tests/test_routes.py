@@ -21,9 +21,10 @@ from invbinom import (
     s21,
     sum_direct,
 )
-from invbinom import routes
+from invbinom import routes, series
 from invbinom.routes import ROUTES
 from invbinom.series import convergence_radius, terms_needed
+from invbinom.verify import _applicable_routes
 
 
 R = 27 / 4
@@ -39,8 +40,8 @@ RIM_ROUTE = {
     (4, 2): "folding",
 }
 
-# (n, m) whose 92-202 terms at rho = 0.9 exceed the budget of 40 per unit of stride.
-QUADRATURE_AT_0_9 = {(3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3), (6, 1), (6, 2)}
+# (n, m) whose 92-202 terms at rho = 0.9 exceed the budget of 50 per unit of stride.
+QUADRATURE_AT_0_9 = {(3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3), (6, 1)}
 
 
 def _at(rho, m, theta=0.0):
@@ -76,22 +77,23 @@ class TestResolveAuto:
         assert resolve_auto(3, 2, 0.999 * R**2) == "folding"
 
     # (n, m, rho) -> route at angle 0.7, with the measured direct / quadrature
-    # times (ms, min of 5) that place each point on its side of the break-even.
+    # times (ms, min of 15, factor-table kernel) that place each point on its side of
+    # the break-even.
     @pytest.mark.parametrize(
         "n,m,rho,route",
         [
-            (3, 1, 0.4, "direct-sum"),  # 29 terms: 0.057 vs 0.096
-            (3, 1, 0.75, "quad-cardano"),  # 82 terms: 0.143 vs 0.085
-            (3, 1, 0.97, "quad-cardano"),  # 608 terms: 1.09 vs 0.075
-            (3, 1, 0.98, "quad-cardano"),  # 872 terms: 1.51 vs 0.078
-            (3, 3, 0.99, "folding"),  # 1,602 terms: 3.44 vs 0.234
-            (3, 6, 0.8, "direct-sum"),  # 103 terms: 0.293 vs 0.610
-            (3, 6, 0.995, "folding"),  # 2,913 terms: 6.88 vs 0.601
-            (4, 2, 0.5, "direct-sum"),  # 33 terms: 0.070 vs 0.194
-            (4, 2, 0.99, "folding"),  # 1,024 terms: 2.09 vs 0.260
-            (4, 2, 0.995, "folding"),  # 1,698 terms: 3.19 vs 0.241
-            (4, 5, 0.8, "direct-sum"),  # 86 terms: 0.223 vs 0.581
-            (4, 5, 0.995, "folding"),  # 1,698 terms: 4.09 vs 0.592
+            (3, 1, 0.4, "direct-sum"),  # 29 terms: 0.065 vs 0.070
+            (3, 1, 0.75, "quad-cardano"),  # 82 terms: 0.124 vs 0.069
+            (3, 1, 0.97, "quad-cardano"),  # 608 terms: 0.712 vs 0.066
+            (3, 1, 0.98, "quad-cardano"),  # 872 terms: 1.01 vs 0.069
+            (3, 3, 0.99, "folding"),  # 1,602 terms: 2.43 vs 0.227
+            (3, 6, 0.8, "direct-sum"),  # 103 terms: 0.167 vs 0.397
+            (3, 6, 0.995, "folding"),  # 2,913 terms: 8.04 vs 0.502
+            (4, 2, 0.5, "direct-sum"),  # 33 terms: 0.067 vs 0.205
+            (4, 2, 0.99, "folding"),  # 1,024 terms: 1.32 vs 0.369
+            (4, 2, 0.995, "folding"),  # 1,698 terms: 2.16 vs 0.370
+            (4, 5, 0.8, "direct-sum"),  # 86 terms: 0.167 vs 0.597
+            (4, 5, 0.995, "folding"),  # 1,698 terms: 4.02 vs 0.607
         ],
     )
     def test_budget_sits_at_the_measured_break_even(self, n, m, rho, route):
@@ -103,6 +105,23 @@ class TestResolveAuto:
         assert evaluate(3, 1, x, max_terms=20).method == "quad-cardano"
         monkeypatch.setenv("SERIES_MAX_TERMS", "20")
         assert evaluate(3, 1, x).method == "quad-cardano"
+
+    def test_auto_reads_the_term_cap_once(self, monkeypatch):
+        reads, read = [], series.default_max_terms
+
+        def counted():
+            reads.append(None)
+            return read()
+
+        monkeypatch.setattr(series, "default_max_terms", counted)
+        monkeypatch.setattr(routes, "default_max_terms", counted)
+        assert evaluate(3, 1, 0.3 * R).method == "direct-sum"
+        assert len(reads) == 1
+        # the cap is still read at call time, and only where a route may need it
+        monkeypatch.setenv("SERIES_MAX_TERMS", "0")
+        with pytest.raises(ArgumentError, match="SERIES_MAX_TERMS"):
+            evaluate(3, 1, 0.3 * R)
+        assert evaluate(2, 1, 0.3 * R).method == "closed-form"
 
     @pytest.mark.parametrize("n,m,rho", [(3, 1, 0.3), (5, 1, 0.3), (6, 3, 0.35), (4, 2, 0.9)])
     def test_auto_never_picks_direct_summation_that_hits_its_cap(self, n, m, rho, monkeypatch):
@@ -315,6 +334,20 @@ class TestRouteTable:
                     pytest.fail(f"auto refused S({n},{m};{x}): {exc}")
                 except ConvergenceError:
                     pass
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("x", [1e-307, -1e-307])
+    def test_two_term_route_refuses_where_phi_overflows(self, n, x):
+        # the route's limits come from phi(x), which leaves binary64 below |x| = 1e-306
+        assert ROUTES["quad-two-term"].refuses(n, 1, complex(x)) is not None
+        with pytest.raises(ArgumentError, match="quad-two-term"):
+            evaluate(n, 1, x, "quad-two-term")
+        assert "quad-two-term" not in _applicable_routes(SeriesParams(n, 1, x))
+        want = evaluate(n, 1, x).value
+        assert want == pytest.approx(x / 3, rel=1e-15)
+        edge = math.copysign(1e-306, x)
+        assert "quad-two-term" in _applicable_routes(SeriesParams(n, 1, edge))
+        assert math.isfinite(evaluate(n, 1, edge, "quad-two-term").value.real)
 
     @pytest.mark.parametrize("n,m,x", [(2, 7, 1.0), (3, 8, 10.0), (2, 60, 1.0)])
     def test_auto_falls_back_to_direct_summation_past_the_fold_stride(self, n, m, x):

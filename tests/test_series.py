@@ -26,8 +26,12 @@ from invbinom import (
     term_ratio,
     term_ratio_stride,
 )
+from invbinom import series
 from invbinom.series import (
+    _FACTOR_TABLE,
+    _FACTORS,
     _block_terms,
+    _computed_factors,
     _first_term,
     _short_sum_terms,
     _step,
@@ -104,6 +108,10 @@ class TestTermRatio:
     def test_stride_ratio_reduces_to_stride_one(self):
         assert term_ratio_stride(3, 2, 1, 0.7) == term_ratio(3, 2, 0.7)
 
+    def test_huge_stride_ratio_underflows(self):
+        # the product of 10**5 factors near 4/27 is 0; building it must not exhaust the C stack
+        assert term_ratio_stride(1, 0, 10**5, 1.0) == 0
+
     @pytest.mark.parametrize("m", [45, 60, 133])
     @pytest.mark.parametrize("k", [1, 7, 50])
     def test_large_stride_ratio_does_not_overflow(self, m, k):
@@ -152,6 +160,52 @@ class TestBitIdentity:
                 for v in f[(k - 1) * m + 1 : k * m]:
                     want *= v
                 assert block[k - 1].hex() == want.hex() == _step(k, m).hex(), (k, m)
+
+    def test_factor_table_is_correctly_rounded(self):
+        assert isinstance(_FACTORS, tuple) and len(_FACTORS) == _FACTOR_TABLE
+        for j, f in enumerate(_FACTORS):
+            assert f == float(Fraction((2 * j + 2) * (2 * j + 1), (9 * j + 3) * (3 * j + 2))), j
+
+    @given(
+        m=st.sampled_from([*range(1, 9), 134, 371, 1100]),
+        start=st.integers(-40, 40),
+        count=st.integers(0, 40),
+        edge=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    )
+    @example(m=3, start=-2, count=5, edge=1.0)  # k straddles j = _FACTOR_TABLE
+    @settings(max_examples=80, deadline=None)
+    def test_stride_factors_are_in_order_products_past_the_table(self, m, start, count, edge):
+        # slices of the table, computed factors past its end, and both in one range
+        k0 = max(0, int(edge * _FACTOR_TABLE) // m + start)
+        f = list(_computed_factors(m * k0, m * (k0 + count)))
+        want = []
+        for k in range(count):
+            p = f[k * m]
+            for v in f[k * m + 1 : (k + 1) * m]:
+                p *= v
+            want.append(p.hex())
+        assert [v.hex() for v in _stride_factors(k0, k0 + count, m)] == want
+        if count:
+            assert _step(k0 + count - 1, m).hex() == want[-1]
+
+    def test_auto_direct_sums_stay_inside_the_table(self, monkeypatch):
+        # the direct sums auto picks at strides m <= 6 never need a factor past the table
+        rng = random.Random(20261018)
+        points = [
+            (n, m, rng.uniform(0.0, 0.9) * 6.75**m * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))
+            for n in (3, 4, 5, 6)
+            for m in range(1, 7)
+            for _ in range(25)
+        ]
+        rhos = (0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95)
+        points += [(n, m, rho * 6.75**m) for n in (3, 4, 6, 8) for m in range(1, 7) for rho in rhos]
+
+        def computed(j0, j1):
+            raise AssertionError(f"factors {j0}..{j1} computed")
+
+        monkeypatch.setattr(series, "_computed_factors", computed)
+        methods = [evaluate(n, m, x).method for n, m, x in points]
+        assert methods.count("direct-sum") > len(points) // 4
 
     @pytest.mark.parametrize("n,m,x", BIT_POINTS)
     def test_sum_direct_is_the_fsum_of_series_terms(self, n, m, x):
