@@ -137,17 +137,9 @@ def _csv_rows(rows: list[tuple[complex, Evaluation]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for x, ev in rows:
-        writer.writerow(
-            (
-                fmt_complex(x),
-                fmt_float(ev.value.real),
-                fmt_float(ev.value.imag),
-                fmt_float(ev.abs_error_est),
-                ev.method,
-                ev.work,
-            )
-        )
+    for x, (value, err, method, work) in rows:
+        row = map(fmt_float, (value.real, value.imag, err))
+        writer.writerow((fmt_complex(x), *row, method, work))
     return buf.getvalue()
 
 

@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ArgumentError, BranchFailure, ConvergenceError, DomainError
 from .polylog import root_of_unity
 from .quadrature import QuadratureSpec
-from .series import RADIUS_BASE, Evaluation, SeriesParams, binomial_exact
+from .series import RADIUS_BASE, Evaluation, SeriesParams, _inside, binomial_exact
 
 SQRT3 = math.sqrt(3.0)
 REAL_BRANCH = "real-cube-root"
@@ -45,17 +44,16 @@ _TINY_X = 1e-8
 PHI_MIN_X = 1e-306
 
 
-def _leading_terms(n: int, m: int, x: complex) -> Evaluation:
-    """Three exact leading terms; for |x| < _TINY_X the remainder is ~|x|**4."""
+def _leading_terms(n: int, m: int, x: complex) -> tuple[complex, float, int]:
+    """Three exact leading terms, as a kernel triple; for |x| < _TINY_X the remainder is ~|x|**4."""
     t1 = x / binomial_exact(3 * m, m)
     t2 = x * x / (2**n * binomial_exact(6 * m, 2 * m))
     t3 = x**3 / (3**n * binomial_exact(9 * m, 3 * m))
     err = 2.0 * abs(x) ** 4 / (4**n * binomial_exact(12 * m, 4 * m))
-    return Evaluation(t1 + t2 + t3, err, "closed-form", 3)
+    return t1 + t2 + t3, err, 3
 
 
-@dataclass(frozen=True)
-class CardanoRoot:
+class CardanoRoot(NamedTuple):
     """phi(x) together with the branch that produced it."""
 
     x: complex
@@ -118,6 +116,29 @@ def _atan_log_parts(p: complex, real_branch: bool) -> tuple[complex, complex]:
     return at, lg
 
 
+def _closed(n: int, x: complex) -> Evaluation:
+    """``_closed_kernel`` behind the domain rule, as an Evaluation."""
+    xc = complex(x)
+    if abs(xc) >= RADIUS_BASE:  # pre-test: the rule can fail only here
+        SeriesParams.require_summable(n, 1, xc)
+    value, err, work = _closed_kernel(n, xc)
+    return Evaluation(value, err, "closed-form", work)
+
+
+def _closed_kernel(n: int, xc: complex) -> tuple[complex, float, int]:
+    """The unchecked (value, abs_error_est, work) of s01, s11 and s21 (n = 0, 1, 2)."""
+    if xc == 0:
+        return 0j, 0.0, 1
+    if abs(xc) < _TINY_X:
+        return _leading_terms(n, 1, xc)
+    root = phi(xc)
+    real = root.branch == REAL_BRANCH
+    at, lg = _atan_log_parts(root.phi, real)
+    p = complex(root.phi.real) if real else root.phi
+    value, err = (_s01, _s11, _s21)[n](xc, p, at, lg, real)
+    return value, err, 1
+
+
 def s21(x: complex) -> Evaluation:
     """Closed form of S(2, 1; x) on |x| <= 27/4:
 
@@ -125,43 +146,12 @@ def s21(x: complex) -> Evaluation:
 
     x = 0 short-circuits to 0 (phi is undefined there, the series is not).
     """
-    xc = complex(x)
-    if abs(xc) >= RADIUS_BASE:  # pre-test: the rule can fail only here
-        SeriesParams.require_summable(2, 1, xc)
-    if xc == 0:
-        return Evaluation(0j, 0.0, "closed-form", 1)
-    if abs(xc) < _TINY_X:
-        return _leading_terms(2, 1, xc)
-    root = phi(xc)
-    at, lg = _atan_log_parts(root.phi, root.branch == REAL_BRANCH)
-    value = 6.0 * at * at - 0.5 * lg * lg
-    err = 8.0 * _EPS * (6.0 * abs(at) ** 2 + 0.5 * abs(lg) ** 2) + _EPS
-    return Evaluation(value, err, "closed-form", 1)
+    return _closed(2, x)
 
 
 def s11(x: complex) -> Evaluation:
     """Closed form of S(1, 1; x) on |x| < 27/4 (strictly inside)."""
-    xc = complex(x)
-    if abs(xc) >= RADIUS_BASE:  # pre-test: the rule can fail only here
-        SeriesParams.require_summable(1, 1, xc)
-    if xc == 0:
-        return Evaluation(0j, 0.0, "closed-form", 1)
-    if abs(xc) < _TINY_X:
-        return _leading_terms(1, 1, xc)
-    root = phi(xc)
-    real_branch = root.branch == REAL_BRANCH
-    at, lg = _atan_log_parts(root.phi, real_branch)
-    if real_branch:
-        p: complex = complex(root.phi.real)
-        sq = complex(math.sqrt(27.0 - 4.0 * xc.real))
-    else:
-        p = root.phi
-        sq = cmath.sqrt(27.0 - 4.0 * xc)
-    t_at = at * 18.0 * p / (1.0 - p + p * p)
-    t_lg = lg * 3.0 * SQRT3 * p * (1.0 - p) / (1.0 + p**3)
-    value = (t_at - t_lg) / sq
-    err = 8.0 * _EPS * (abs(t_at) + abs(t_lg)) / abs(sq) + _EPS
-    return Evaluation(value, err, "closed-form", 1)
+    return _closed(1, x)
 
 
 def s01(x: complex) -> Evaluation:
@@ -170,22 +160,27 @@ def s01(x: complex) -> Evaluation:
     Four pieces: an arctan group, a log group, and the rational tail
     108 phi**3 / ((27 - 4x) (1 + phi**3)**2).
     """
-    xc = complex(x)
-    if abs(xc) >= RADIUS_BASE:  # pre-test: the rule can fail only here
-        SeriesParams.require_summable(0, 1, xc)
-    if xc == 0:
-        return Evaluation(0j, 0.0, "closed-form", 1)
-    if abs(xc) < _TINY_X:
-        return _leading_terms(0, 1, xc)
-    root = phi(xc)
-    real_branch = root.branch == REAL_BRANCH
-    at, lg = _atan_log_parts(root.phi, real_branch)
-    if real_branch:
-        p: complex = complex(root.phi.real)
+    return _closed(0, x)
+
+
+def _s21(xc: complex, p: complex, at: complex, lg: complex, real: bool) -> tuple[complex, float]:
+    value = 6.0 * at * at - 0.5 * lg * lg
+    return value, 8.0 * _EPS * (6.0 * abs(at) ** 2 + 0.5 * abs(lg) ** 2) + _EPS
+
+
+def _s11(xc: complex, p: complex, at: complex, lg: complex, real: bool) -> tuple[complex, float]:
+    sq = complex(math.sqrt(27.0 - 4.0 * xc.real)) if real else cmath.sqrt(27.0 - 4.0 * xc)
+    t_at = at * 18.0 * p / (1.0 - p + p * p)
+    t_lg = lg * 3.0 * SQRT3 * p * (1.0 - p) / (1.0 + p**3)
+    value = (t_at - t_lg) / sq
+    return value, 8.0 * _EPS * (abs(t_at) + abs(t_lg)) / abs(sq) + _EPS
+
+
+def _s01(xc: complex, p: complex, at: complex, lg: complex, real: bool) -> tuple[complex, float]:
+    if real:
         q = complex(27.0 - 4.0 * xc.real)
         q32 = complex(q.real * math.sqrt(q.real))
     else:
-        p = root.phi
         q = 27.0 - 4.0 * xc
         q32 = q**1.5
     p3 = p**3
@@ -197,15 +192,11 @@ def s01(x: complex) -> Evaluation:
     ) * p * xc / (q32 * one_p3)
     tail = 108.0 * p3 / (q * one_p3 * one_p3)
     value = coeff_at * at + coeff_lg * lg + tail
-    err = 8.0 * _EPS * (abs(coeff_at * at) + abs(coeff_lg * lg) + abs(tail)) + _EPS
-    return Evaluation(value, err, "closed-form", 1)
+    return value, 8.0 * _EPS * (abs(coeff_at * at) + abs(coeff_lg * lg) + abs(tail)) + _EPS
 
 
 def pfq(
-    numerator: Sequence[float],
-    denominator: Sequence[float],
-    z: complex,
-    tol: float = 1e-16,
+    numerator: Sequence[float], denominator: Sequence[float], z: complex, tol: float = 1e-16
 ) -> complex:
     """Generalized hypergeometric series, standard k = 0 convention:
 
@@ -219,10 +210,7 @@ def pfq(
 
 
 def _pfq_terms(
-    numerator: Sequence[float],
-    denominator: Sequence[float],
-    z: complex,
-    tol: float = 1e-16,
+    numerator: Sequence[float], denominator: Sequence[float], z: complex, tol: float = 1e-16
 ) -> tuple[complex, int, float]:
     a = [float(v) for v in numerator]
     b = [float(v) for v in denominator]
@@ -288,10 +276,15 @@ def _discard_imag(total: complex, err: float, x: complex) -> tuple[complex, floa
     """
     resid = abs(total.imag)
     if resid > FOLD_IMAG_TOL * (1.0 + abs(total)):
-        raise BranchFailure(
-            f"imaginary residue {resid:.3e} after folding real x = {x.real!r}"
-        )
+        raise BranchFailure(f"imaginary residue {resid:.3e} after folding real x = {x.real!r}")
     return complex(total.real, 0.0), err + resid
+
+
+def _pulled_in(n: int, arg: complex) -> complex:
+    """A rotated root of summable x, moved back where rounding left it unsummable."""
+    while abs(arg) >= RADIUS_BASE and not _inside(n, abs(arg), RADIUS_BASE):
+        arg *= 1.0 - _EPS
+    return arg
 
 
 def stride_refusal(m: int) -> str | None:
@@ -310,10 +303,10 @@ def fold(
 ) -> Evaluation:
     """S(n, m; x) as m**(n-1) * sum_{j=1..m} S(n, 1; w**j * x**(1/m)).
 
-    ``inner`` names the stride-1 route of ``routes.ROUTES`` that evaluates
-    each term; ArgumentError when it refuses one. x**(1/m) is the principal
-    root; w**j are the m-th roots of unity, exact on the axes so that real
-    rotated arguments stay on the real branch of phi.
+    ``inner`` names the stride-1 route of ``routes.ROUTES`` whose kernel evaluates
+    each term; ArgumentError when it refuses one. x**(1/m) is the principal root;
+    w**j are the m-th roots of unity, exact on the axes so that real rotated
+    arguments stay on the real branch of phi. Only the total is checked.
     """
     reason = stride_refusal(m)
     if reason is not None:
@@ -321,7 +314,9 @@ def fold(
     route = routes.ROUTES.get(inner)
     if route is None:
         raise ArgumentError(f"unknown inner route {inner!r}; choose from {routes.METHODS}")
-    xc = SeriesParams.require_summable(n, m, x)
+    xc = complex(x)
+    if n < 0 or not _inside(n, abs(xc), RADIUS_BASE**m):
+        SeriesParams.require_summable(n, m, xc)  # raises
     if xc == 0:
         return Evaluation(0j, 0.0, "folding", 0)
 
@@ -330,16 +325,14 @@ def fold(
     err = 0.0
     work = 0
     for j in range(1, m + 1):
-        arg = root_of_unity(j, m) * root
-        while abs(arg) >= RADIUS_BASE and not SeriesParams(n, 1, arg).summable():
-            arg *= 1.0 - _EPS  # x is summable, so the root is: undo rounding past the rim
-        reason = route.refuses(n, 1, arg)
+        arg = _pulled_in(n, root_of_unity(j, m) * root)
+        reason = route.limits(n, 1, arg)  # arg != 0
         if reason is not None:
             raise ArgumentError(reason)
-        ev = route.run(n, 1, arg, rel_tol, spec, None)
-        total += ev.value
-        err += ev.abs_error_est
-        work += ev.work
+        value, e, w = route.kernel(n, 1, arg, rel_tol, spec, None)
+        total += value
+        err += e
+        work += w
     scale = float(m ** (n - 1))
     total *= scale
     err *= scale
@@ -361,20 +354,19 @@ def s2m_closed(m: int, x: complex) -> Evaluation:
     reason = stride_refusal(m)
     if reason is not None:
         raise ArgumentError(reason)
-    xc = SeriesParams.require_summable(2, m, x)
+    xc = complex(x)
+    if not _inside(2, abs(xc), RADIUS_BASE**m):
+        SeriesParams.require_summable(2, m, xc)  # raises
     if xc == 0:
         return Evaluation(0j, 0.0, "closed-form", m)
     if abs(xc) < _TINY_X:
-        return _leading_terms(2, m, xc)
-
+        value, err, work = _leading_terms(2, m, xc)
+        return Evaluation(value, err, "closed-form", work)
     root = _principal_root(xc, m)
     total = 0j
     scale_err = 0.0
     for k in range(1, m + 1):
-        arg = root_of_unity(k, m) * root
-        while abs(arg) >= RADIUS_BASE and not SeriesParams(2, 1, arg).summable():
-            arg *= 1.0 - _EPS  # as in fold
-        r = phi(arg)
+        r = phi(_pulled_in(2, root_of_unity(k, m) * root))
         at, lg = _atan_log_parts(r.phi, r.branch == REAL_BRANCH)
         total += 6.0 * at * at - 0.5 * lg * lg
         scale_err += 6.0 * abs(at) ** 2 + 0.5 * abs(lg) ** 2

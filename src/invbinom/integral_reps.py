@@ -33,7 +33,7 @@ from .closed_forms import _TINY_X, REAL_BRANCH, SQRT3, phi
 from .errors import ArgumentError, DomainError
 from .polylog import li
 from .quadrature import QuadratureSpec, adaptive_quad
-from .series import RADIUS_BASE, Evaluation, SeriesParams
+from .series import RADIUS_BASE, Evaluation, SeriesParams, _inside
 
 _TWO_PI = 2.0 * math.pi
 _TINY = 1e-300
@@ -64,7 +64,8 @@ def two_term_limits(x: float) -> TwoTermLimits:
     xr = float(x)
     if xr == 0.0:
         raise DomainError("limits are unbounded as x -> 0 (phi diverges)")
-    SeriesParams.require_summable(2, 1, xr)
+    if not _inside(2, abs(xr), RADIUS_BASE):
+        SeriesParams.require_summable(2, 1, xr)  # raises
     p = phi(xr).phi.real
     # (p**3 + 1) / (p + 1)**3 = (1 + p**-3) / (1 + 1/p)**3; the log1p form
     # stays finite for the enormous roots produced by tiny x (p**3 would
@@ -85,7 +86,9 @@ def quad_polylog(n: int, x: complex, spec: QuadratureSpec | None = None) -> Eval
     """
     if n < 1:
         raise ArgumentError(f"this route needs n >= 1, got {n}")
-    xc = SeriesParams.require_summable(n, 1, x)
+    xc = complex(x)
+    if not _inside(n, abs(xc), RADIUS_BASE):
+        SeriesParams.require_summable(n, 1, xc)  # raises
     if xc == 0:
         return Evaluation(0j, 0.0, "quad-polylog", 0)
     weight = n - 1
@@ -145,7 +148,9 @@ def quad_cardano(n: int, x: complex, spec: QuadratureSpec | None = None) -> Eval
     """
     if n < 3:
         raise ArgumentError(f"this route needs n >= 3, got {n}")
-    xc = SeriesParams.require_summable(n, 1, x)
+    xc = complex(x)
+    if not _inside(n, abs(xc), RADIUS_BASE):
+        SeriesParams.require_summable(n, 1, xc)  # raises
     if xc == 0:
         return Evaluation(0j, 0.0, "quad-cardano", 0)
     p = n - 3

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, islice, repeat
@@ -67,8 +68,7 @@ class SeriesParams:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ArgumentError(f"weight n must be >= 0, got {self.n}")
-        if self.m < 1:
-            raise ArgumentError(f"stride m must be >= 1, got {self.m}")
+        convergence_radius(self.m)  # ArgumentError for m < 1
         object.__setattr__(self, "x", complex(self.x))
 
     @property
@@ -93,7 +93,7 @@ class SeriesParams:
             raise ArgumentError(f"weight n must be >= 0, got {n}")
         xc = complex(x)
         ax, radius = abs(xc), convergence_radius(m)
-        if ax < radius or (ax == radius != math.inf and n >= 2):
+        if _inside(n, ax, radius):
             return xc
         raise DomainError(
             f"|x| = {ax!r} lies outside the convergence disk |x| < (27/4)**{m} = {radius!r}; "
@@ -102,36 +102,38 @@ class SeriesParams:
 
     def summable(self) -> bool:
         """True when the series converges at these parameters (rim needs n >= 2)."""
-        try:
-            self.require_summable(self.n, self.m, self.x)
-        except DomainError:
-            return False
-        return True
+        return _inside(self.n, abs(self.x), self.radius)
 
 
-@dataclass(frozen=True)
-class Evaluation:
-    """A computed value with its method tag and error bookkeeping.
+def _inside(n: int, ax: float, radius: float) -> bool:
+    """The test of ``require_summable``, for entries that already hold |x| and the radius."""
+    return ax < radius or (ax == radius != math.inf and n >= 2)
+
+
+class Evaluation(namedtuple("_Evaluation", "value abs_error_est method work")):
+    """A computed value (complex) with its error estimate, method tag and work: an
+    immutable NamedTuple built by one checked constructor.
 
     ``work`` counts terms summed or integrand evaluations, whichever the
     route performs. A non-finite value is a construction error, never a
     result.
     """
 
-    value: complex
-    abs_error_est: float
-    method: str
-    work: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        v = complex(self.value)
+    def __new__(cls, value: complex, abs_error_est: float, method: str, work: int):
+        v = complex(value)
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             raise ArgumentError("evaluation produced a non-finite value")
-        if not (math.isfinite(self.abs_error_est) and self.abs_error_est >= 0.0):
+        if not 0.0 <= abs_error_est < math.inf:  # False for NaN too
             raise ArgumentError("abs_error_est must be finite and >= 0")
-        if self.work < 0:
+        if work < 0:
             raise ArgumentError("work must be >= 0")
-        object.__setattr__(self, "value", v)
+        return tuple.__new__(cls, (v, abs_error_est, method, work))
+
+    @classmethod
+    def _make(cls, iterable) -> Evaluation:  # ``_replace`` builds through it: keep the checks
+        return cls(*iterable)
 
 
 def default_max_terms() -> int:
@@ -221,7 +223,7 @@ def _stride_factors(k0: int, k1: int, m: int) -> list[float]:
 
 def _step(k: int, m: int) -> float:
     """The k-th value of ``_stride_factors``: the same factors, multiplied in the same order."""
-    return math.prod(_factors(m * k, m * k + m))
+    return math.prod(_factors(m * k, m * k + m), start=1.0)
 
 
 def _ratios(k0: int, k1: int, n: int, m: int, x: complex | float) -> Iterator[complex | float]:
@@ -384,9 +386,7 @@ def _block_terms(t, n: int, m: int, x, rel_tol: float, max_terms: int, size: int
 
 
 def sum_direct(
-    params: SeriesParams,
-    rel_tol: float = 1e-15,
-    max_terms: int | None = None,
+    n: int, m: int, x: complex, rel_tol: float = 1e-15, max_terms: int | None = None
 ) -> Evaluation:
     """Direct summation of S(n, m; x), correctly rounded over its terms.
 
@@ -408,10 +408,14 @@ def sum_direct(
     k**(1/2 - n) is used instead.
 
     Raises:
+        ArgumentError: n < 0, m < 1, rel_tol <= 0 or max_terms < 1.
         DomainError: outside the disk, or on the rim with n < 2.
         ConvergenceError: ``max_terms`` exhausted before the stop rule hit.
     """
-    SeriesParams.require_summable(params.n, params.m, params.x)
+    x = complex(x)
+    ax, radius = abs(x), convergence_radius(m)  # ArgumentError for m < 1
+    if n < 0 or not _inside(n, ax, radius):
+        SeriesParams.require_summable(n, m, x)  # raises
     if rel_tol <= 0.0:
         raise ArgumentError("rel_tol must be positive")
     if max_terms is None:
@@ -419,10 +423,8 @@ def sum_direct(
     if max_terms < 1:
         raise ArgumentError("max_terms must be >= 1")
 
-    n, m, x = params.n, params.m, params.x
     if x == 0:
         return Evaluation(0j, 0.0, "direct-sum", 0)
-    ax, radius = abs(x), params.radius
     rim = ax == radius  # x is summable, so |x| <= radius
     # Robbins' Stirling bounds give sqrt(3/(4 pi N)) R**N e**(-1/(8N)) <=
     # C(3N, N) <= sqrt(3/(4 pi N)) R**N, so with c = sqrt(4 pi m / 3) every rim

@@ -2,16 +2,22 @@
 
 import cmath
 import math
+import os
 import statistics
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from invbinom import (
+    METHODS,
     ArgumentError,
+    BranchFailure,
     DomainError,
+    Evaluation,
+    SeriesError,
     SeriesParams,
     evaluate,
     fold,
@@ -22,9 +28,10 @@ from invbinom import (
     s11,
     s21,
     s2m_closed,
+    root_of_unity,
     sum_direct,
 )
-from invbinom.closed_forms import PRINCIPAL_BRANCH, REAL_BRANCH
+from invbinom.closed_forms import FOLD_IMAG_TOL, PRINCIPAL_BRANCH, REAL_BRANCH, _principal_root
 from test_series import _fixed_point_reference
 
 SQRT3 = math.sqrt(3.0)
@@ -221,11 +228,11 @@ class TestOracleAgreement:
         x = lo + (hi - lo) * idx / 39
         if abs(x) < 1e-6:
             return
-        ref = sum_direct(SeriesParams(2, 1, x)).value
+        ref = sum_direct(2, 1, x).value
         assert abs(s21(x).value - ref) <= 1e-11 * (1 + abs(ref))
-        ref = sum_direct(SeriesParams(1, 1, x)).value
+        ref = sum_direct(1, 1, x).value
         assert abs(s11(x).value - ref) <= 1e-11 * (1 + abs(ref))
-        ref = sum_direct(SeriesParams(0, 1, x)).value
+        ref = sum_direct(0, 1, x).value
         assert abs(s01(x).value - ref) <= 1e-11 * (1 + abs(ref))
 
     @pytest.mark.parametrize(
@@ -233,7 +240,7 @@ class TestOracleAgreement:
     )
     def test_complex_arguments(self, z):
         for n, form in ((2, s21), (1, s11), (0, s01)):
-            ref = sum_direct(SeriesParams(n, 1, z)).value
+            ref = sum_direct(n, 1, z).value
             assert abs(form(z).value - ref) <= 1e-12 * (1 + abs(ref)), (n, z)
 
 
@@ -328,14 +335,14 @@ class TestFolding:
     def test_direct_sum_inner_matches_direct_stride_sum(self, n, m, x):
         if abs(x) >= (27 / 4) ** m:
             return
-        ref = sum_direct(SeriesParams(n, m, x)).value
+        ref = sum_direct(n, m, x).value
         got = fold(n, m, x, "direct-sum").value
         assert abs(got - ref) <= 1e-10, (n, m, x)
 
     @pytest.mark.parametrize("n,m", [(0, 2), (1, 2), (2, 2), (0, 3), (2, 3)])
     @pytest.mark.parametrize("x", [-1.0, 1.0, 6.0])
     def test_closed_form_inner(self, n, m, x):
-        ref = sum_direct(SeriesParams(n, m, x)).value
+        ref = sum_direct(n, m, x).value
         got = fold(n, m, x, "closed-form").value
         assert abs(got - ref) <= 1e-10, (n, m, x)
 
@@ -365,6 +372,82 @@ class TestFolding:
         assert ev.abs_error_est > 0.0
 
 
+def _fold_by_public_routes(n: int, m: int, x: complex, inner: str) -> Evaluation:
+    """fold written over whole Evaluations: each rotated root, pulled inside the
+    stride-1 disk, goes to the public route ``evaluate(n, 1, w, inner)``, and the
+    values, estimates and work are added in order."""
+    xc = complex(x)
+    if xc == 0:
+        return Evaluation(0j, 0.0, "folding", 0)
+    root = _principal_root(xc, m)
+    total, err, work = 0j, 0.0, 0
+    for j in range(1, m + 1):
+        w = root_of_unity(j, m) * root
+        while abs(w) >= 27 / 4 and not SeriesParams(n, 1, w).summable():
+            w *= 1.0 - 2.220446049250313e-16
+        ev = evaluate(n, 1, w, inner)
+        total += ev.value
+        err += ev.abs_error_est
+        work += ev.work
+    scale = float(m ** (n - 1))
+    total *= scale
+    err *= scale
+    if xc.imag == 0.0:
+        resid = abs(total.imag)
+        if resid > FOLD_IMAG_TOL * (1.0 + abs(total)):
+            raise BranchFailure(f"imaginary residue {resid:.3e} after folding real x = {xc.real!r}")
+        total, err = complex(total.real, 0.0), err + resid
+    return Evaluation(total, err, "folding", work)
+
+
+def _bits(call):
+    """The outcome of call() down to the bit: the fields of its Evaluation, or its error."""
+    try:
+        ev = call()
+    except SeriesError as exc:
+        return type(exc).__name__, str(exc)
+    value, err, method, work = ev
+    return value.real.hex(), value.imag.hex(), float(err).hex(), method, work
+
+
+class TestFoldSumsKernels:
+    """fold adds the routes' kernel triples, with no Evaluation per root; its result
+    must be that of adding the public stride-1 Evaluations."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(0, 4),
+        m=st.integers(1, 6),
+        inner=st.sampled_from(METHODS),
+        rho=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+        theta=st.one_of(st.sampled_from([0.0, math.pi, math.pi / 2]), st.floats(-math.pi, math.pi)),
+    )
+    def test_fold_is_the_in_order_sum_of_public_evaluations(self, n, m, inner, rho, theta):
+        radius = (27 / 4) ** m
+        if theta == 0.0:
+            x = complex(rho * radius)
+        elif theta == math.pi:
+            x = complex(-rho * radius)
+        else:
+            x = cmath.rect(rho * radius, theta)
+        assume(SeriesParams(n, m, x).summable())  # the rim only for n >= 2
+        # a low term cap keeps direct summation on the rim short: both sides raise alike
+        with mock.patch.dict(os.environ, {"SERIES_MAX_TERMS": "20000"}):
+            want = _bits(lambda: _fold_by_public_routes(n, m, x, inner))
+            got = _bits(lambda: fold(n, m, x, inner))
+        assert got == want
+
+    @pytest.mark.parametrize("inner", METHODS)
+    @pytest.mark.parametrize(
+        "n,m,x",
+        [(2, 3, 27**3 / 4**3), (3, 2, -(27**2) / 4**2), (1, 4, 0.9j * 27**4 / 4**4), (0, 6, 1e-3)],
+    )
+    def test_fold_matches_public_evaluations_at_fixed_points(self, inner, n, m, x):
+        with mock.patch.dict(os.environ, {"SERIES_MAX_TERMS": "20000"}):
+            want = _bits(lambda: _fold_by_public_routes(n, m, x, inner))
+            assert _bits(lambda: fold(n, m, x, inner)) == want
+
+
 class TestStrideTwoClosedForm:
     def test_matches_single_stride_at_m1(self):
         assert abs(s2m_closed(1, 0.5).value - s21(0.5).value) < 1e-15
@@ -380,7 +463,7 @@ class TestStrideTwoClosedForm:
 
     def test_against_direct_sums(self):
         for m, x in ((2, -1.0), (2, 6.0), (2, 20.0), (3, 6.0), (3, 100.0)):
-            ref = sum_direct(SeriesParams(2, m, x)).value
+            ref = sum_direct(2, m, x).value
             assert abs(s2m_closed(m, x).value - ref) <= 1e-10, (m, x)
 
 

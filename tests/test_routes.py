@@ -17,12 +17,20 @@ from invbinom import (
     SeriesError,
     SeriesParams,
     evaluate,
+    fold,
+    quad_cardano,
+    quad_polylog,
+    quad_two_term,
     resolve_auto,
+    s01,
+    s11,
     s21,
+    s2m_closed,
     sum_direct,
 )
 from invbinom import routes, series
-from invbinom.routes import ROUTES
+from invbinom.cli import EXIT_DOMAIN, main
+from invbinom.routes import ROUTES, TWO_TERM_MIN_X
 from invbinom.series import convergence_radius, terms_needed
 from invbinom.verify import _applicable_routes
 
@@ -129,7 +137,7 @@ class TestResolveAuto:
         # The cost budget is lifted so that only the cap decides.
         monkeypatch.setattr(routes, "DIRECT_TERM_BUDGET", 10**6)
         x = _at(rho, m, 0.5)
-        need = sum_direct(SeriesParams(n, m, x)).work
+        need = sum_direct(n, m, x).work
         caps = range(need - 3, need + need // 8 + 4)
         methods = [evaluate(n, m, x, max_terms=cap).method for cap in caps]
         assert methods[0] != "direct-sum" and methods[-1] == "direct-sum"
@@ -193,7 +201,7 @@ class TestAutoRuleEquivalence:
 class TestEvaluate:
     def test_auto_matches_direct_summation(self):
         for n, m, x in ((2, 1, 0.5), (0, 1, -1.0), (2, 2, 6.0), (3, 1, 1.0), (3, 2, 1.0)):
-            ref = sum_direct(SeriesParams(n, m, x)).value
+            ref = sum_direct(n, m, x).value
             got = evaluate(n, m, x)
             assert abs(got.value - ref) < 1e-9, (n, m, x, got.method)
 
@@ -206,7 +214,7 @@ class TestEvaluate:
         # S(2, 1; 0.5), or S(3, 1; 0.5) for quad-cardano, which serves n >= 3 only
         for method in METHODS:
             n = 3 if method == "quad-cardano" else 2
-            ref = sum_direct(SeriesParams(n, 1, 0.5)).value
+            ref = sum_direct(n, 1, 0.5).value
             got = evaluate(n, 1, 0.5, method)
             assert abs(got.value - ref) < 1e-9, method
             assert got.method == method
@@ -252,7 +260,7 @@ class TestEvaluate:
 
     def test_complex_arguments_through_auto(self):
         z = 0.4 + 1.1j
-        ref = sum_direct(SeriesParams(2, 1, z)).value
+        ref = sum_direct(2, 1, z).value
         assert abs(evaluate(2, 1, z).value - ref) < 1e-12
 
     def test_complex_hypergeometric_route(self):
@@ -267,7 +275,7 @@ class TestEvaluate:
     )
     @settings(max_examples=40, deadline=None)
     def test_auto_always_lands_in_tolerance_of_direct(self, n, m, x):
-        ref = sum_direct(SeriesParams(n, m, x)).value
+        ref = sum_direct(n, m, x).value
         got = evaluate(n, m, x).value
         assert abs(got - ref) <= 1e-9 * (1.0 + abs(ref))
 
@@ -345,14 +353,163 @@ class TestRouteTable:
         assert "quad-two-term" not in _applicable_routes(SeriesParams(n, 1, x))
         want = evaluate(n, 1, x).value
         assert want == pytest.approx(x / 3, rel=1e-15)
-        edge = math.copysign(1e-306, x)
+        edge = math.copysign(TWO_TERM_MIN_X, x)
         assert "quad-two-term" in _applicable_routes(SeriesParams(n, 1, edge))
         assert math.isfinite(evaluate(n, 1, edge, "quad-two-term").value.real)
 
     @pytest.mark.parametrize("n,m,x", [(2, 7, 1.0), (3, 8, 10.0), (2, 60, 1.0)])
     def test_auto_falls_back_to_direct_summation_past_the_fold_stride(self, n, m, x):
         got = evaluate(n, m, x)
-        ref = sum_direct(SeriesParams(n, m, x))
+        ref = sum_direct(n, m, x)
         assert got.method == "direct-sum"
         assert got.value == ref.value
         assert got.abs_error_est == ref.abs_error_est
+
+
+def _outside(ax: float, m: int, n: int) -> str:
+    radius = {1: "6.75", 2: "45.5625"}[m]
+    return (
+        f"|x| = {ax!r} lies outside the convergence disk |x| < (27/4)**{m} = {radius}; "
+        f"its rim is summable only for n >= 2, got n = {n}"
+    )
+
+
+R2 = R**2
+WEIGHT = "weight n must be >= 0, got -1"
+FOLD_STRIDE = "folding stride must be in [1, 6], got 0"
+STRIDE = "stride m must be >= 1, got 0"
+
+
+def _needs(k: int, n: int) -> str:
+    return f"this route needs n >= {k}, got {n}"
+
+
+# Each public entry outside its domain, with the error type and message it raised
+# before the entries were split into checks and kernels.
+DOMAIN_ERRORS = [
+    ("s01 past", lambda: s01(7.0), DomainError, _outside(7.0, 1, 0)),
+    ("s01 rim", lambda: s01(R), DomainError, _outside(6.75, 1, 0)),
+    ("s11 past", lambda: s11(7.0), DomainError, _outside(7.0, 1, 1)),
+    ("s11 rim", lambda: s11(R), DomainError, _outside(6.75, 1, 1)),
+    ("s21 past", lambda: s21(7.0), DomainError, _outside(7.0, 1, 2)),
+    ("s2m_closed past", lambda: s2m_closed(2, 46.0), DomainError, _outside(46.0, 2, 2)),
+    ("s2m_closed m0", lambda: s2m_closed(0, 0.5), ArgumentError, FOLD_STRIDE),
+    ("fold past", lambda: fold(2, 2, 46.0), DomainError, _outside(46.0, 2, 2)),
+    ("fold rim", lambda: fold(1, 2, R2), DomainError, _outside(45.5625, 2, 1)),
+    ("fold n<0", lambda: fold(-1, 2, 0.5), ArgumentError, WEIGHT),
+    ("fold m0", lambda: fold(2, 0, 0.5), ArgumentError, FOLD_STRIDE),
+    ("sum_direct past", lambda: sum_direct(2, 1, 7.0), DomainError, _outside(7.0, 1, 2)),
+    ("sum_direct rim", lambda: sum_direct(1, 1, R), DomainError, _outside(6.75, 1, 1)),
+    ("sum_direct n<0", lambda: sum_direct(-1, 1, 0.5), ArgumentError, WEIGHT),
+    ("sum_direct m0", lambda: sum_direct(2, 0, 0.5), ArgumentError, STRIDE),
+    ("quad_polylog past", lambda: quad_polylog(2, 7.0), DomainError, _outside(7.0, 1, 2)),
+    ("quad_polylog rim", lambda: quad_polylog(1, R), DomainError, _outside(6.75, 1, 1)),
+    ("quad_polylog n<0", lambda: quad_polylog(-1, 0.5), ArgumentError, _needs(1, -1)),
+    ("quad_cardano past", lambda: quad_cardano(3, 7.0), DomainError, _outside(7.0, 1, 3)),
+    ("quad_cardano rim", lambda: quad_cardano(1, R), ArgumentError, _needs(3, 1)),
+    ("quad_cardano n<0", lambda: quad_cardano(-1, 0.5), ArgumentError, _needs(3, -1)),
+    # the two-term limits apply the rule at n = 2 whatever n is
+    ("quad_two_term past", lambda: quad_two_term(3, 7.0), DomainError, _outside(7.0, 1, 2)),
+    ("quad_two_term rim", lambda: quad_two_term(1, R), ArgumentError, _needs(2, 1)),
+    ("quad_two_term n<0", lambda: quad_two_term(-1, 0.5), ArgumentError, _needs(2, -1)),
+    ("evaluate past", lambda: evaluate(3, 2, 46.0), DomainError, _outside(46.0, 2, 3)),
+    ("evaluate rim", lambda: evaluate(1, 1, R), DomainError, _outside(6.75, 1, 1)),
+    ("evaluate n<0", lambda: evaluate(-1, 1, 0.5), ArgumentError, WEIGHT),
+    ("evaluate m0", lambda: evaluate(2, 0, 0.5), ArgumentError, STRIDE),
+]
+DOMAIN_ERRORS += [
+    (f"evaluate {method} past", lambda method=method: evaluate(2, 1, 7.0, method), DomainError,
+     _outside(7.0, 1, 2))
+    for method in METHODS
+]
+
+
+class TestDomainErrors:
+    @pytest.mark.parametrize(
+        "call,exc,message",
+        [case[1:] for case in DOMAIN_ERRORS],
+        ids=[case[0] for case in DOMAIN_ERRORS],
+    )
+    def test_public_entries_keep_their_errors(self, call, exc, message):
+        with pytest.raises(SeriesError) as info:
+            call()
+        assert type(info.value) is exc
+        assert str(info.value) == message
+
+
+# A served point per route, the rim and the x = 0 short cut included.
+RULE_ONCE = [
+    ("direct-sum", 3, 2, 10.0),
+    ("direct-sum", 5, 1, R),
+    ("closed-form", 1, 1, 0.5),
+    ("closed-form", 0, 1, 1e-10),
+    ("closed-form", 2, 1, -R),
+    ("closed-form", 2, 3, 100.0),
+    ("quad-polylog", 2, 1, 0.5j),
+    ("quad-polylog", 3, 1, R),
+    ("quad-cardano", 3, 1, 0.5),
+    ("quad-cardano", 4, 1, -R),
+    ("quad-two-term", 2, 1, 0.5),
+    ("quad-two-term", 3, 1, R),
+    ("folding", 3, 2, R2),
+    ("folding", 0, 3, 10.0),
+    ("folding", 2, 6, 1j),
+    ("pfq", 1, 1, 0.5),
+    ("auto", 2, 1, 0.5),
+    ("auto", 4, 1, 0.5),
+    ("auto", 3, 2, R2),
+    ("auto", 2, 7, 1.0),
+    ("auto", 3, 1, 0.0),
+]
+
+
+class TestDomainRuleOnce:
+    @pytest.mark.parametrize("method,n,m,x", RULE_ONCE)
+    def test_evaluate_applies_the_rule_once(self, monkeypatch, method, n, m, x):
+        calls = []
+        rule = SeriesParams.require_summable
+
+        def counted(n, m, x):
+            calls.append((n, m, x))
+            return rule(n, m, x)
+
+        monkeypatch.setattr(SeriesParams, "require_summable", staticmethod(counted))
+        ev = evaluate(n, m, x, method)
+        assert calls == [(n, m, x)]
+        assert method in ("auto", ev.method)
+
+
+def _two_term_grid():
+    """+-|x| from the floor to the rim, 8 points per decade, n 2..6."""
+    top = math.log10(R)
+    k0 = math.ceil(8 * math.log10(TWO_TERM_MIN_X))
+    mags = [TWO_TERM_MIN_X] + [10 ** (k / 8) for k in range(k0, math.floor(8 * top) + 1)] + [R]
+    return [(n, s * a) for n in range(2, 7) for a in mags for s in (1.0, -1.0)]
+
+
+class TestTwoTermFloor:
+    def test_served_grid_meets_1e9_relative(self):
+        worst = 0.0
+        for n, x in _two_term_grid():
+            ev = evaluate(n, 1, x, "quad-two-term")
+            # direct summation inside, and the closed form or quad-cardano on the rim
+            ref = (sum_direct(n, 1, x) if abs(x) < 6 else evaluate(n, 1, x)).value
+            worst = max(worst, abs(ev.value - ref) / abs(ref))
+        assert worst <= 1e-9
+
+    @pytest.mark.parametrize("x", [math.nextafter(TWO_TERM_MIN_X, 0.0), 1.7e-3, 1e-10, 1e-300])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_refuses_below_the_floor(self, x, sign):
+        x *= sign
+        assert ROUTES["quad-two-term"].refuses(2, 1, complex(x)) is not None
+        with pytest.raises(ArgumentError, match=r"quad-two-term needs \|x\| >= 0.002"):
+            evaluate(3, 1, x, "quad-two-term")
+        assert evaluate(3, 1, x).method == "direct-sum"
+
+    def test_cli_exit_code_below_the_floor(self, capsys):
+        code = main(["eval", "--n", "2", "--m", "1", "--x", "0.001", "--method", "quad-two-term"])
+        err = capsys.readouterr().err
+        assert code == EXIT_DOMAIN
+        assert "quad-two-term needs |x| >= 0.002" in err
+        argv = ["eval", "--n", "2", "--m", "1", "--x", "0.002", "--method", "quad-two-term"]
+        assert main(argv) == 0

@@ -16,6 +16,7 @@ from invbinom import (
     ConvergenceError,
     Domain,
     DomainError,
+    Evaluation,
     SeriesParams,
     beta_term_identity,
     binomial_exact,
@@ -26,7 +27,8 @@ from invbinom import (
     term_ratio,
     term_ratio_stride,
 )
-from invbinom import series
+from invbinom import CardanoRoot, phi, series
+from invbinom.closed_forms import REAL_BRANCH
 from invbinom.series import (
     _FACTOR_TABLE,
     _FACTORS,
@@ -81,6 +83,65 @@ class TestDomainModel:
         with pytest.raises(DomainError, match="n >= 2, got n = 1"):
             SeriesParams.require_summable(1, 1, 27 / 4)
         assert SeriesParams.require_summable(2, 1, 27 / 4) == 6.75 + 0j
+
+
+class TestEvaluation:
+    """One checked constructor for the one value type, an immutable NamedTuple."""
+
+    def test_fields_are_fixed(self):
+        assert Evaluation._fields == ("value", "abs_error_est", "method", "work")
+        ev = Evaluation(0.5, 1e-16, "direct-sum", 3)
+        value, err, method, work = ev
+        assert (value, err, method, work) == (0.5 + 0j, 1e-16, "direct-sum", 3)
+        assert type(value) is complex
+        assert ev == (0.5 + 0j, 1e-16, "direct-sum", 3)
+        assert (ev.value, ev.abs_error_est, ev.method, ev.work) == tuple(ev)
+
+    @pytest.mark.parametrize(
+        "value", [math.inf, -math.inf, math.nan, complex(0.0, math.inf), complex(math.nan, 0.0)]
+    )
+    def test_rejects_a_non_finite_value(self, value):
+        with pytest.raises(ArgumentError, match="^evaluation produced a non-finite value$"):
+            Evaluation(value, 0.0, "direct-sum", 1)
+
+    @pytest.mark.parametrize("err", [math.inf, math.nan, -1e-300, -math.inf])
+    def test_rejects_a_non_finite_or_negative_estimate(self, err):
+        with pytest.raises(ArgumentError, match=r"^abs_error_est must be finite and >= 0$"):
+            Evaluation(1.0, err, "direct-sum", 1)
+
+    def test_rejects_negative_work(self):
+        with pytest.raises(ArgumentError, match="^work must be >= 0$"):
+            Evaluation(1.0, 0.0, "direct-sum", -1)
+
+    def test_checks_run_in_order(self):
+        with pytest.raises(ArgumentError, match="non-finite value"):
+            Evaluation(math.nan, math.nan, "direct-sum", -1)
+        with pytest.raises(ArgumentError, match="abs_error_est"):
+            Evaluation(1.0, math.nan, "direct-sum", -1)
+
+    def test_is_immutable(self):
+        ev = evaluate(2, 1, 0.5)
+        for name in ("value", "abs_error_est", "method", "work", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(ev, name, 0)
+        assert ev == evaluate(2, 1, 0.5)
+
+    def test_replace_goes_through_the_checks(self):
+        ev = Evaluation(1.0, 0.0, "direct-sum", 1)
+        assert ev._replace(work=2) == Evaluation(1.0, 0.0, "direct-sum", 2)
+        with pytest.raises(ArgumentError, match="work"):
+            ev._replace(work=-1)
+        with pytest.raises(ArgumentError, match="non-finite"):
+            Evaluation._make((math.inf, 0.0, "direct-sum", 1))
+
+    def test_cardano_root_is_a_named_tuple(self):
+        root = phi(0.5)
+        assert CardanoRoot._fields == ("x", "phi", "branch")
+        x, p, branch = root
+        assert (x, p, branch) == (root.x, root.phi, root.branch)
+        assert (x, branch) == (0.5 + 0j, REAL_BRANCH)
+        with pytest.raises(AttributeError):
+            root.phi = 1.0
 
 
 class TestTermRatio:
@@ -209,7 +270,7 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("n,m,x", BIT_POINTS)
     def test_sum_direct_is_the_fsum_of_series_terms(self, n, m, x):
-        ev = sum_direct(SeriesParams(n, m, x))
+        ev = sum_direct(n, m, x)
         terms = series_terms(n, m, x, ev.work)
         want = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
         assert _bits(ev.value) == _bits(want)
@@ -281,51 +342,51 @@ class TestTermRecurrence:
 
 class TestSumDirect:
     def test_weight1_at_half_matches_exact_form(self):
-        ev = sum_direct(SeriesParams(1, 1, 0.5))
+        ev = sum_direct(1, 1, 0.5)
         exact = math.pi / 10 - math.log(2) / 5
         assert abs(ev.value - exact) < 1e-14
         assert abs(ev.value - S11_AT_HALF) < 1e-14
         assert ev.method == "direct-sum"
 
     def test_weight0_at_half_matches_exact_form(self):
-        ev = sum_direct(SeriesParams(0, 1, 0.5))
+        ev = sum_direct(0, 1, 0.5)
         exact = 2 / 25 - (6 / 125) * math.log(2) + (11 / 250) * math.pi
         assert abs(ev.value - exact) < 1e-14
         assert abs(ev.value - S01_AT_HALF) < 1e-14
 
     def test_stride_two_at_one(self):
-        ev = sum_direct(SeriesParams(2, 2, 1.0))
+        ev = sum_direct(2, 2, 1.0)
         assert abs(ev.value - S22_AT_1) < 1e-14
 
     def test_zero_argument_is_exactly_zero(self):
-        ev = sum_direct(SeriesParams(5, 3, 0.0))
+        ev = sum_direct(5, 3, 0.0)
         assert ev.value == 0
         assert ev.abs_error_est == 0.0
         assert ev.work == 0
 
     def test_error_estimate_covers_truth(self):
         exact = math.pi / 10 - math.log(2) / 5
-        ev = sum_direct(SeriesParams(1, 1, 0.5), rel_tol=1e-10)
+        ev = sum_direct(1, 1, 0.5, rel_tol=1e-10)
         assert abs(ev.value - exact) <= ev.abs_error_est
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("n", [0, 3, 6])
     @pytest.mark.parametrize("x", [-6.0, -1.0, 0.5, 6.0])
     def test_interior_converges_within_400_terms(self, m, n, x):
-        ev = sum_direct(SeriesParams(n, m, x), rel_tol=1e-15)
+        ev = sum_direct(n, m, x, rel_tol=1e-15)
         assert ev.work <= 400
 
     def test_outside_raises_domain_error(self):
         with pytest.raises(DomainError):
-            sum_direct(SeriesParams(2, 1, 7.0))
+            sum_direct(2, 1, 7.0)
 
     def test_rim_needs_weight_two(self):
         with pytest.raises(DomainError):
-            sum_direct(SeriesParams(1, 1, 27 / 4))
+            sum_direct(1, 1, 27 / 4)
 
     def test_rim_hits_term_cap(self):
         with pytest.raises(ConvergenceError):
-            sum_direct(SeriesParams(2, 1, 27 / 4), max_terms=20_000)
+            sum_direct(2, 1, 27 / 4, max_terms=20_000)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_rim_weight_two_fails_fast(self, m):
@@ -335,7 +396,7 @@ class TestSumDirect:
         assert time.perf_counter() - start < 0.01
 
     def test_rim_weight_four_still_sums(self):
-        ev = sum_direct(SeriesParams(4, 1, 27 / 4))
+        ev = sum_direct(4, 1, 27 / 4)
         assert ev.work == 18193
         assert ev.value == 2.520440094566093  # the value before the fast-fail bound
 
@@ -358,15 +419,15 @@ class TestSumDirect:
     def test_env_var_caps_terms(self, monkeypatch):
         monkeypatch.setenv("SERIES_MAX_TERMS", "25")
         with pytest.raises(ConvergenceError):
-            sum_direct(SeriesParams(2, 1, 6.0))
+            sum_direct(2, 1, 6.0)
         monkeypatch.setenv("SERIES_MAX_TERMS", "not-a-number")
         with pytest.raises(ArgumentError):
-            sum_direct(SeriesParams(2, 1, 6.0))
+            sum_direct(2, 1, 6.0)
 
     @given(n=st.integers(0, 6), m=st.integers(1, 4))
     @settings(max_examples=30, deadline=None)
     def test_zero_argument_property(self, n, m):
-        assert sum_direct(SeriesParams(n, m, 0.0)).value == 0
+        assert sum_direct(n, m, 0.0).value == 0
 
     @given(
         n=st.integers(0, 4),
@@ -375,8 +436,8 @@ class TestSumDirect:
     )
     @settings(max_examples=40, deadline=None)
     def test_tail_estimate_dominates_next_partial_move(self, n, m, x):
-        loose = sum_direct(SeriesParams(n, m, x), rel_tol=1e-8)
-        tight = sum_direct(SeriesParams(n, m, x), rel_tol=1e-15)
+        loose = sum_direct(n, m, x, rel_tol=1e-8)
+        tight = sum_direct(n, m, x, rel_tol=1e-15)
         assert abs(loose.value - tight.value) <= loose.abs_error_est + 1e-15 * abs(tight.value)
 
 
@@ -436,7 +497,7 @@ class TestErrorEstimate:
         estimates = []
         for n, m, x in _estimate_grid():
             x = complex(x)
-            ev = sum_direct(SeriesParams(n, m, x))
+            ev = sum_direct(n, m, x)
             re, im, bound = _fixed_point_reference(n, m, x)
             err = math.hypot(float(Fraction(ev.value.real) - re), float(Fraction(ev.value.imag) - im))
             assert err + bound <= ev.abs_error_est, (n, m, x, err, ev.abs_error_est)
@@ -492,7 +553,7 @@ class TestTermsNeeded:
                 for (lo, hi), theta in zip(bands, angles):
                     rho = rng.uniform(lo, hi)
                     x = rho * convergence_radius(m) * cmath.exp(1j * theta)
-                    work = sum_direct(SeriesParams(n, m, x)).work
+                    work = sum_direct(n, m, x).work
                     if work >= 20:
                         need = terms_needed(n, abs(x) / convergence_radius(m), 1e-15)
                         assert abs(need - work) <= 0.1 * work, (n, m, rho, theta, need, work)
@@ -526,6 +587,6 @@ class TestSeriesTerms:
 
     def test_explicit_max_terms_threading(self):
         with pytest.raises(ConvergenceError):
-            sum_direct(SeriesParams(2, 1, 6.0), rel_tol=1e-15, max_terms=50)
-        ev = sum_direct(SeriesParams(2, 1, 6.0), rel_tol=1e-15, max_terms=400)
+            sum_direct(2, 1, 6.0, rel_tol=1e-15, max_terms=50)
+        ev = sum_direct(2, 1, 6.0, rel_tol=1e-15, max_terms=400)
         assert ev.work <= 400
