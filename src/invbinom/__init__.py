@@ -19,7 +19,6 @@ from .closed_forms import (
     s01,
     s11,
     s21,
-    s2m_closed,
 )
 from .errors import (
     ArgumentError,
@@ -116,7 +115,6 @@ __all__ = [
     "s01",
     "s11",
     "s21",
-    "s2m_closed",
     "series_terms",
     "sum_direct",
     "term_ratio",

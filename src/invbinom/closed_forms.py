@@ -13,8 +13,8 @@ policy is validated numerically, by the radical-identity residual inside
 trusted on formal grounds.
 
 Closed forms exist for weights 0, 1, 2 at stride 1 (``s01``, ``s11``,
-``s21``), and for weight 2 at any stride (``s2m_closed``). ``fold``
-reduces S(n, m; x) to m stride-1 evaluations at rotated m-th roots of x.
+``s21``). ``fold`` reduces S(n, m; x) to m stride-1 evaluations at rotated
+m-th roots of x, and answers |x| < 1e-8 from exact leading terms.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ FOLD_IMAG_TOL = 1e-9
 _RESIDUAL_TOL = 1e-9
 _EPS = 2.220446049250313e-16
 
-# Below this the closed forms switch to exact leading series terms: the
+# Below this the closed forms and ``fold`` switch to exact leading series terms: the
 # explicit expressions cancel to ~x/3 out of pieces of size x**(2/3), so
 # their relative accuracy degrades like eps * |x|**(-1/3), and phi itself
-# eventually overflows binary64.
+# eventually overflows binary64; the m rotated terms of a fold cancel likewise.
 _TINY_X = 1e-8
 # Below this |x|, phi(x)**3 ~ 27 / |x| comes within a factor 10 of the binary64 range.
 PHI_MIN_X = 1e-306
@@ -50,6 +50,8 @@ def _leading_terms(n: int, m: int, x: complex) -> tuple[complex, float, int]:
     t2 = x * x / (2**n * binomial_exact(6 * m, 2 * m))
     t3 = x**3 / (3**n * binomial_exact(9 * m, 3 * m))
     err = 2.0 * abs(x) ** 4 / (4**n * binomial_exact(12 * m, 4 * m))
+    # each term rounds a few times (the binomial, the power, the division), the sum twice
+    err += 4.0 * _EPS * (abs(t1) + abs(t2) + abs(t3))
     return t1 + t2 + t3, err, 3
 
 
@@ -288,7 +290,7 @@ def _pulled_in(n: int, arg: complex) -> complex:
 
 
 def stride_refusal(m: int) -> str | None:
-    """Why ``fold`` and ``s2m_closed`` refuse stride m, or None."""
+    """Why ``fold`` refuses stride m, or None."""
     return None if 1 <= m <= 6 else f"folding stride must be in [1, 6], got {m}"
 
 
@@ -306,7 +308,8 @@ def fold(
     ``inner`` names the stride-1 route of ``routes.ROUTES`` whose kernel evaluates
     each term; ArgumentError when it refuses one. x**(1/m) is the principal root;
     w**j are the m-th roots of unity, exact on the axes so that real rotated
-    arguments stay on the real branch of phi. Only the total is checked.
+    arguments stay on the real branch of phi. Only the total is checked. Below
+    |x| = 1e-8, once ``inner`` has accepted every root, the exact leading terms.
     """
     reason = stride_refusal(m)
     if reason is not None:
@@ -321,6 +324,7 @@ def fold(
         return Evaluation(0j, 0.0, "folding", 0)
 
     root = _principal_root(xc, m)
+    tiny = abs(xc) < _TINY_X
     total = 0j
     err = 0.0
     work = 0
@@ -329,52 +333,20 @@ def fold(
         reason = route.limits(n, 1, arg)  # arg != 0
         if reason is not None:
             raise ArgumentError(reason)
-        value, e, w = route.kernel(n, 1, arg, rel_tol, spec, None)
-        total += value
-        err += e
-        work += w
+        if not tiny:
+            value, e, w = route.kernel(n, 1, arg, rel_tol, spec, None)
+            total += value
+            err += e
+            work += w
+    if tiny:
+        value, err, work = _leading_terms(n, m, xc)
+        return Evaluation(value, err, "folding", work)
     scale = float(m ** (n - 1))
     total *= scale
     err *= scale
     if xc.imag == 0.0:
         total, err = _discard_imag(total, err, xc)
     return Evaluation(total, err, "folding", work)
-
-
-def s2m_closed(m: int, x: complex) -> Evaluation:
-    """Weight-2 closed form at stride m, written out from the rotated roots:
-
-        m * sum_{k=1..m} [ 6*arctan(sqrt3/(2 phi_k - 1))**2
-                           - log((1 + phi_k**3)/(1 + phi_k)**3)**2 / 2 ]
-
-    with phi_k = phi(w**k * x**(1/m)). Same value as fold(2, m, x) by
-    construction, but assembled directly so the two routes stay
-    independent above the shared root.
-    """
-    reason = stride_refusal(m)
-    if reason is not None:
-        raise ArgumentError(reason)
-    xc = complex(x)
-    if not _inside(2, abs(xc), RADIUS_BASE**m):
-        SeriesParams.require_summable(2, m, xc)  # raises
-    if xc == 0:
-        return Evaluation(0j, 0.0, "closed-form", m)
-    if abs(xc) < _TINY_X:
-        value, err, work = _leading_terms(2, m, xc)
-        return Evaluation(value, err, "closed-form", work)
-    root = _principal_root(xc, m)
-    total = 0j
-    scale_err = 0.0
-    for k in range(1, m + 1):
-        r = phi(_pulled_in(2, root_of_unity(k, m) * root))
-        at, lg = _atan_log_parts(r.phi, r.branch == REAL_BRANCH)
-        total += 6.0 * at * at - 0.5 * lg * lg
-        scale_err += 6.0 * abs(at) ** 2 + 0.5 * abs(lg) ** 2
-    total *= m
-    err = 8.0 * _EPS * m * scale_err + _EPS
-    if xc.imag == 0.0:
-        total, err = _discard_imag(total, err, xc)
-    return Evaluation(total, err, "closed-form", m)
 
 
 # Last, as the route table imports the functions above; fold reads it at call time.

@@ -4,10 +4,11 @@
 the cross-route verification and the CLI read it. A named method is never silently
 substituted: a route that cannot serve a request raises ArgumentError. x = 0
 short-circuits to exactly 0 on every route, even where the operation excludes it.
-``auto`` is a cost rule: closed forms where they exist (n <= 2), and for n >= 3
-direct summation when its predicted term count undercuts the Cardano-root
-quadrature (quad-cardano, folded over for m >= 2); quad-polylog is never chosen
-by ``auto`` and stays an explicit route and verify's cross-check.
+Every route but direct-sum and folding serves stride 1 only; folding reaches stride
+m through them. ``auto`` is a cost rule: the closed forms for n <= 2 (folded over for
+m >= 2), and for n >= 3 direct summation when its predicted term count undercuts the
+Cardano-root quadrature (quad-cardano, folded over for m >= 2); quad-polylog is never
+chosen by ``auto`` and stays an explicit route and verify's cross-check.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
-from .closed_forms import _closed_kernel, _pfq_terms, fold, s2m_closed, stride_refusal
+from .closed_forms import _closed_kernel, _pfq_terms, fold, stride_refusal
 from .errors import ArgumentError
 from .integral_reps import quad_cardano, quad_polylog, quad_two_term
 from .quadrature import QuadratureSpec
@@ -62,13 +63,7 @@ def _stride_one(name: str, n: int, m: int, n_min: int) -> str | None:
 def _closed_form_limits(n: int, m: int, x: complex) -> str | None:
     if m == 1:
         return "no stride-1 closed form for n >= 3; use quad-cardano" if n > 2 else None
-    if n != 2:
-        return "the stride m >= 2 closed form exists for n = 2 only; use folding"
-    return stride_refusal(m)
-
-
-def _closed_form(n: int, m: int, x: complex, rel_tol, spec, max_terms) -> Triple:
-    return _triple(s2m_closed(m, x)) if m > 1 else _closed_kernel(n, x)
+    return _stride_one("closed-form", n, m, 0)
 
 
 def _pfq_limits(n: int, m: int, x: complex) -> str | None:
@@ -111,7 +106,7 @@ ROUTES: dict[str, Route] = {
             lambda n, m, x: None,
             lambda n, m, x, tol, spec, cap: _triple(sum_direct(n, m, x, tol, cap)),
         ),
-        Route("closed-form", _closed_form_limits, _closed_form),
+        Route("closed-form", _closed_form_limits, lambda n, m, x, *_: _closed_kernel(n, x)),
         Route(
             "quad-polylog",
             lambda n, m, x: _stride_one("quad-polylog", n, m, 1),

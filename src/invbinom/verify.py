@@ -3,10 +3,10 @@ every route against every other on a parameter grid, and the polylog
 factorization identity.
 
 Tolerances are tiered by route class and reflect honest binary64 error
-budgets: 1e-12 for series / closed-form / hypergeometric pairs, 1e-10
-once folding enters (m rotated complex evaluations), 1e-9 for anything
-touching the polylog-kernel or Cardano-root quadrature, and 1e-8 for the
-two-term route (two stacked adaptive integrals).
+budgets: 1e-12 for series / closed-form / hypergeometric pairs, 1e-10 once
+folding enters (m rotated complex evaluations; every stride-m route but direct
+summation), 1e-9 for anything touching the polylog-kernel or Cardano-root
+quadrature, and 1e-8 for the two-term route (two stacked adaptive integrals).
 
 Failures are report entries, never exceptions; a report serializes to the
 documented JSON shape and parses back to an equal report (wall times are
@@ -228,7 +228,7 @@ def _applicable_routes(p: SeriesParams) -> dict[str, Callable[[], complex]]:
 
     A stride-1 fold repeats its inner route and is left out. At m >= 2 a fold
     runs per route in ``FOLD_INNERS`` (keyed "folding[<inner>]", so pair
-    tolerances can be tiered) and the closed form comes last ("s2m-closed").
+    tolerances can be tiered).
     Direct summation is left out on the rim, where terms decay like k**(1/2 - n).
     """
     n, m, x = p.n, p.m, p.x
@@ -243,10 +243,8 @@ def _applicable_routes(p: SeriesParams) -> dict[str, Callable[[], complex]]:
             for i in FOLD_INNERS:
                 if ROUTES[i].limits(n, 1, root) is None and i not in slow:
                     routes[f"folding[{i}]"] = lambda i=i: fold(n, m, x, i).value
-        elif name != "folding" and (m == 1 or name != "closed-form"):
+        elif name != "folding":
             routes[name] = lambda name=name: evaluate(n, m, x, name).value
-    if m > 1 and "closed-form" in served:
-        routes["s2m-closed"] = lambda: evaluate(n, m, x, "closed-form").value
     return routes
 
 
@@ -256,7 +254,7 @@ def pair_tolerance(route_a: str, route_b: str) -> float:
         return TOL_TWO_TERM
     if any("quad-polylog" in k or "quad-cardano" in k for k in keys):
         return TOL_QUAD
-    if any(k.startswith("folding") or k == "s2m-closed" for k in keys):
+    if any(k.startswith("folding") for k in keys):
         return TOL_FOLDING
     return TOL_SERIES
 

@@ -7,7 +7,9 @@ import io
 import json
 import math
 import os
+import shlex
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -24,6 +26,18 @@ from invbinom.cli import (
     parse_complex,
 )
 from invbinom.routes import METHODS
+
+
+# The "invbinom ..." lines of the README's command-line block, as argument lists.
+README_COMMANDS = [
+    shlex.split(line, comments=True)[1:]
+    for line in (Path(__file__).resolve().parents[1] / "README.md")
+    .read_text()
+    .split("## Command line", 1)[1]
+    .split("```")[1]
+    .splitlines()
+    if line.startswith("invbinom ")
+]
 
 
 def run(capsys, *argv):
@@ -95,6 +109,14 @@ class TestEval:
         )
         assert code == EXIT_DOMAIN
         assert "quad-cardano" in err  # message points at the serving route
+
+    def test_closed_form_past_stride_one_points_at_folding(self, capsys):
+        code, out, err = run(
+            capsys, "eval", "--n", "2", "--m", "2", "--x", "20", "--method", "closed-form"
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "folding" in err
 
     def test_complex_argument_round_trip(self, capsys):
         code, out, _ = run(
@@ -334,3 +356,14 @@ class TestToleranceThreading:
         )
         assert json.loads(loose)["work"] < json.loads(tight)["work"]
         assert abs(json.loads(loose)["value_re"] - json.loads(tight)["value_re"]) < 1e-6
+
+
+class TestReadmeCommands:
+    def test_the_block_is_found(self):
+        assert len(README_COMMANDS) >= 5
+
+    @pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+    def test_readme_command_exits_zero(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OK, err
+        assert out

@@ -27,11 +27,16 @@ from invbinom import (
     s01,
     s11,
     s21,
-    s2m_closed,
     root_of_unity,
     sum_direct,
 )
-from invbinom.closed_forms import FOLD_IMAG_TOL, PRINCIPAL_BRANCH, REAL_BRANCH, _principal_root
+from invbinom.closed_forms import (
+    _TINY_X,
+    FOLD_IMAG_TOL,
+    PRINCIPAL_BRANCH,
+    REAL_BRANCH,
+    _principal_root,
+)
 from test_series import _fixed_point_reference
 
 SQRT3 = math.sqrt(3.0)
@@ -431,6 +436,7 @@ class TestFoldSumsKernels:
         else:
             x = cmath.rect(rho * radius, theta)
         assume(SeriesParams(n, m, x).summable())  # the rim only for n >= 2
+        assume(abs(x) >= _TINY_X)  # below it fold sums no kernels (TestFoldTinyArguments)
         # a low term cap keeps direct summation on the rim short: both sides raise alike
         with mock.patch.dict(os.environ, {"SERIES_MAX_TERMS": "20000"}):
             want = _bits(lambda: _fold_by_public_routes(n, m, x, inner))
@@ -448,23 +454,78 @@ class TestFoldSumsKernels:
             assert _bits(lambda: fold(n, m, x, inner)) == want
 
 
+def _leading_sum(n, m, x, terms=5):
+    """The first ``terms`` terms of S(n, m; x), exactly, as a pair (re, im) of Fractions."""
+    xr, xi = Fraction(x.real), Fraction(x.imag)
+    pr, pi = Fraction(1), Fraction(0)
+    sr = si = Fraction(0)
+    for k in range(1, terms + 1):
+        pr, pi = pr * xr - pi * xi, pr * xi + pi * xr
+        d = k**n * math.comb(3 * m * k, m * k)
+        sr += pr / d
+        si += pi / d
+    return sr, si
+
+
+def _dist2(value, ref):
+    """|value - ref|**2, exactly, for a ref pair (re, im) of Fractions."""
+    return (Fraction(value.real) - ref[0]) ** 2 + (Fraction(value.imag) - ref[1]) ** 2
+
+
+class TestFoldTinyArguments:
+    """Below |x| = 1e-8 the m rotated terms of a fold cancel to ~x / C(3m, m), so fold,
+    like the stride-1 closed forms, answers from exact leading terms; their estimate
+    must cover their own rounding. Five exact terms leave out less than |x|**6."""
+
+    @pytest.mark.parametrize("unit", [1.0, -1.0, cmath.exp(0.7j)])
+    @pytest.mark.parametrize("m", range(1, 7))
+    @pytest.mark.parametrize("n", range(6))
+    def test_estimates_bound_the_error(self, n, m, unit):
+        for r in (1e-300, 1e-100, 1e-40, 1e-20, 1e-12, 3e-9):
+            x = complex(r * unit)
+            ref = _leading_sum(n, m, x)
+            auto = evaluate(n, m, x)
+            if n <= 2:
+                assert _dist2(auto.value, ref) <= Fraction(1e-15) ** 2 * _dist2(0j, ref), x
+            evs = [auto]
+            for inner in METHODS:
+                try:
+                    evs.append(fold(n, m, x, inner))
+                except ArgumentError:  # the inner route refuses the rotated roots
+                    pass
+            for ev in evs:
+                assert _dist2(ev.value, ref) <= Fraction(ev.abs_error_est) ** 2, (x, ev)
+
+    @pytest.mark.parametrize(
+        "inner,n,m",
+        [("closed-form", 3, 2), ("quad-polylog", 0, 3), ("quad-cardano", 2, 2),
+         ("quad-two-term", 2, 1), ("quad-two-term", 3, 4), ("pfq", 4, 1)],
+    )
+    def test_inner_refusals_come_first(self, inner, n, m):
+        with pytest.raises(ArgumentError) as tiny:
+            fold(n, m, 1e-10, inner)
+        with pytest.raises(ArgumentError) as small:
+            fold(n, m, 1e-6, inner)
+        assert str(tiny.value) == str(small.value)
+
+
 class TestStrideTwoClosedForm:
     def test_matches_single_stride_at_m1(self):
-        assert abs(s2m_closed(1, 0.5).value - s21(0.5).value) < 1e-15
+        assert abs(fold(2, 1, 0.5).value - s21(0.5).value) < 1e-15
 
     def test_stride2_at_one(self):
-        assert abs(s2m_closed(2, 1.0).value - S22_AT_1) < 1e-12
+        assert abs(fold(2, 2, 1.0).value - S22_AT_1) < 1e-12
 
     def test_stride3_at_one(self):
-        assert abs(s2m_closed(3, 1.0).value - S23_AT_1) < 1e-12
+        assert abs(fold(2, 3, 1.0).value - S23_AT_1) < 1e-12
 
     def test_zero(self):
-        assert s2m_closed(2, 0.0).value == 0
+        assert fold(2, 2, 0.0).value == 0
 
     def test_against_direct_sums(self):
         for m, x in ((2, -1.0), (2, 6.0), (2, 20.0), (3, 6.0), (3, 100.0)):
             ref = sum_direct(2, m, x).value
-            assert abs(s2m_closed(m, x).value - ref) <= 1e-10, (m, x)
+            assert abs(fold(2, m, x).value - ref) <= 1e-10, (m, x)
 
 
 class TestBranchGuards:
@@ -482,11 +543,9 @@ class TestBranchGuards:
         assert value == complex(1.0, 0.0)
         assert err >= 1e-12
 
-    def test_fold_and_stride_closed_form_agree_at_the_stride2_rim(self):
+    def test_fold_at_the_stride2_rim_sums_the_stride1_closed_forms(self):
         rim2 = 45.5625
         a = fold(2, 2, rim2, "closed-form").value
-        b = s2m_closed(2, rim2).value
-        assert abs(a - b) < 1e-12
         # the rotated arguments are exactly +-27/4; check against the
         # stride-1 closed forms directly
         direct = 2 * (s21(27 / 4).value + s21(-27 / 4).value)
@@ -500,13 +559,13 @@ class TestRimFolding:
         assert abs(x) == (27 / 4) ** 4
         ev = evaluate(2, 4, x)
         assert ev.method == "folding"
-        assert abs(ev.value - s2m_closed(4, x).value) < 1e-12
+        assert abs(ev.value - fold(2, 4, x, "quad-polylog").value) < 1e-12
 
     def test_stride5_real_rim_roots_stay_on_the_rim(self):
         # the real fifth root of (27/4)**5 rounds past 27/4 and left the real branch
         rim5 = (27 / 4) ** 5
-        a = s2m_closed(5, rim5)
-        b = fold(2, 5, rim5)
+        a = fold(2, 5, rim5)
+        b = fold(2, 5, rim5, "quad-polylog")
         assert a.value.imag == 0.0 and abs(a.value - b.value) < 1e-11
 
     @pytest.mark.parametrize("m", [2, 3, 4])
@@ -516,10 +575,10 @@ class TestRimFolding:
             x = rim * cmath.exp(2j * math.pi * (k + 0.37) / 120)
             if abs(x) == rim:
                 a = fold(2, m, x).value
-                assert abs(a - s2m_closed(m, x).value) < 1e-11, x
+                assert abs(a - fold(2, m, x, "quad-polylog").value) < 1e-11, x
 
     def test_stride2_rim_quad_inner_agrees_with_the_closed_form(self):
         rim2 = 45.5625
         a = fold(2, 2, rim2, "quad-polylog").value
-        b = s2m_closed(2, rim2).value
+        b = fold(2, 2, rim2).value
         assert abs(a - b) < 1e-9

@@ -48,7 +48,11 @@ ad22fd30 -> 666a32c7, at 1+1i 67872e1e -> 68685257; folding at 0.5 b99fa38f -> d
 at 6.6825 b19cc54f -> c08f5947, at 1+1i cac2cf6e -> 5ccba444; folding and auto at
 S(2,2;20) abba7de7 -> e73e2c2f and at S(2,3;100) 85b53ffd -> 6833fc5e), and the n = 2
 ``table`` (4240e93a -> 57dafe31) and ``verify`` (9f214b6a -> a38bb59a) moved with the exact
-discriminant.
+discriminant. The ``closed-form`` route became stride 1 only when the stride-m weight-2
+closed form, a copy of ``fold(2, m, x, "closed-form")``, was deleted: the two
+``closed-form`` hashes at S(2,2;20) and S(2,3;100) went (that request now exits 2 and
+points at folding), and ``verify`` lost its 32 ``s2m-closed`` entries, 542 -> 510
+(a38bb59a -> f49c9c42); every other entry kept its bits.
 """
 
 import hashlib
@@ -136,9 +140,6 @@ GOLDEN = {
     "eval --n 2 --m 2 --x 20 --method direct-sum --output json": (
         "d86959eee17fefd4b8938c9b3f9a54ac42aaa70d418c50b52c670c156407e7d9"
     ),
-    "eval --n 2 --m 2 --x 20 --method closed-form --output json": (
-        "1c0d287471a43a0ce8c327611c7ce52f32debe5fc551a4941ae785063afce4a5"
-    ),
     "eval --n 2 --m 2 --x 20 --method folding --output json": (
         "e73e2c2f35b9fd1d20b022210e02dbd5fdb38d529a964beb6aecb5ea92252a70"
     ),
@@ -147,9 +148,6 @@ GOLDEN = {
     ),
     "eval --n 2 --m 3 --x 100 --method direct-sum --output json": (
         "0720ca860e387650f20d848f2d30d0d539bf6b74a697746ece738b9dc69ca606"
-    ),
-    "eval --n 2 --m 3 --x 100 --method closed-form --output json": (
-        "b43ad2bbdb3ac06f075cb99c75248581a304556a9165e89bfcbe4d78921059e4"
     ),
     "eval --n 2 --m 3 --x 100 --method folding --output json": (
         "6833fc5ee8e3a055616338ca34b680aa691aa940a79182af7ced24673db6e096"
@@ -216,7 +214,7 @@ GOLDEN = {
         "57dafe31d0cccff5c0d648445375e3207511c1d428a96207c9ae6c59a2a065e3"
     ),
     "verify --suite all --output json": (
-        "a38bb59a36608b74adac3ab9d6d943d8a4d4d2b13510cd821b9ae83dc83404ee"
+        "f49c9c42adf3b59c098435798bac218ec283ca25b579769705eeb7767117a812"
     ),
 }
 

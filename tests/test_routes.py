@@ -25,7 +25,6 @@ from invbinom import (
     s01,
     s11,
     s21,
-    s2m_closed,
     sum_direct,
 )
 from invbinom import routes, series
@@ -242,7 +241,7 @@ class TestEvaluate:
         with pytest.raises(ArgumentError):
             evaluate(3, 1, 0.5, "closed-form")
         with pytest.raises(ArgumentError):
-            evaluate(1, 2, 0.5, "closed-form")  # stride closed form is weight 2 only
+            evaluate(1, 2, 0.5, "closed-form")  # closed-form serves stride 1 only
         with pytest.raises(ArgumentError):
             evaluate(2, 2, 0.5, "quad-polylog")
         with pytest.raises(ArgumentError):
@@ -392,8 +391,6 @@ DOMAIN_ERRORS = [
     ("s11 past", lambda: s11(7.0), DomainError, _outside(7.0, 1, 1)),
     ("s11 rim", lambda: s11(R), DomainError, _outside(6.75, 1, 1)),
     ("s21 past", lambda: s21(7.0), DomainError, _outside(7.0, 1, 2)),
-    ("s2m_closed past", lambda: s2m_closed(2, 46.0), DomainError, _outside(46.0, 2, 2)),
-    ("s2m_closed m0", lambda: s2m_closed(0, 0.5), ArgumentError, FOLD_STRIDE),
     ("fold past", lambda: fold(2, 2, 46.0), DomainError, _outside(46.0, 2, 2)),
     ("fold rim", lambda: fold(1, 2, R2), DomainError, _outside(45.5625, 2, 1)),
     ("fold n<0", lambda: fold(-1, 2, 0.5), ArgumentError, WEIGHT),
@@ -444,7 +441,7 @@ RULE_ONCE = [
     ("closed-form", 1, 1, 0.5),
     ("closed-form", 0, 1, 1e-10),
     ("closed-form", 2, 1, -R),
-    ("closed-form", 2, 3, 100.0),
+    ("folding", 2, 3, 100.0),
     ("quad-polylog", 2, 1, 0.5j),
     ("quad-polylog", 3, 1, R),
     ("quad-cardano", 3, 1, 0.5),

@@ -87,7 +87,7 @@ class TestCrossRoutes:
         "p,expected",
         [
             (SeriesParams(2, 1, 27 / 4), {"closed-form", "quad-polylog", "quad-two-term"}),
-            (SeriesParams(2, 2, 45.5625), {"folding[closed-form]", "folding[quad-polylog]", "s2m-closed"}),
+            (SeriesParams(2, 2, 45.5625), {"folding[closed-form]", "folding[quad-polylog]"}),
             (SeriesParams(3, 1, 27 / 4), {"quad-polylog", "quad-cardano", "quad-two-term"}),
             (SeriesParams(3, 2, -45.5625), {"folding[quad-polylog]", "folding[quad-cardano]"}),
         ],
@@ -103,11 +103,9 @@ class TestCrossRoutes:
     def test_pair_tolerance_tiers(self):
         assert pair_tolerance("direct-sum", "closed-form") == 1e-12
         assert pair_tolerance("direct-sum", "folding[closed-form]") == 1e-10
-        assert pair_tolerance("s2m-closed", "direct-sum") == 1e-10
         assert pair_tolerance("folding[quad-polylog]", "direct-sum") == 1e-9
         assert pair_tolerance("quad-two-term", "quad-polylog") == 1e-8
         assert pair_tolerance("quad-cardano", "direct-sum") == 1e-9
-        assert pair_tolerance("folding[quad-cardano]", "s2m-closed") == 1e-9
         assert pair_tolerance("quad-two-term", "quad-cardano") == 1e-8
 
 
