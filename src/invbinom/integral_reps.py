@@ -153,6 +153,12 @@ def quad_cardano(n: int, x: complex, spec: QuadratureSpec | None = None) -> Eval
         SeriesParams.require_summable(n, 1, xc)  # raises
     if xc == 0:
         return Evaluation(0j, 0.0, "quad-cardano", 0)
+    value, err, work = _cardano_kernel(n, xc, spec)
+    return Evaluation(value, err, "quad-cardano", work)
+
+
+def _cardano_kernel(n: int, xc: complex, spec: QuadratureSpec | None) -> tuple[complex, float, int]:
+    """The unchecked (value, abs_error_est, work) of ``quad_cardano`` at summable x != 0."""
     p = n - 3
     head, head_err, work = 0j, 0.0, 0
     y0, ell0 = xc, 0j
@@ -175,25 +181,29 @@ def quad_cardano(n: int, x: complex, spec: QuadratureSpec | None = None) -> Eval
         y0 = complex(27.0 * r3 / (1.0 + r3) ** 2)
         ell0 = complex(ell(tau0))
     tail, tail_err, terms = _cardano_tail(p, y0, ell0)
-    return Evaluation(head + tail, head_err + tail_err, "quad-cardano", work + terms)
+    return head + tail, head_err + tail_err, work + terms
 
 
 def _cardano_path(q: complex, p: int, lib):
     """Head integrand over tau, and l(tau); ``lib`` is math for the real branch of
     phi (q real, |q| >= 1, every value real) and cmath for principal branches."""
     c = q**3 / (1.0 + q**3)
+    log, atan, real_log = lib.log, lib.atan, math.log
 
     def ell(tau: float) -> complex:
-        return 2.0 * lib.log(1.0 + c * (tau**-3 - 1.0)) + 3.0 * math.log(tau)
+        return 2.0 * log(1.0 + c * (tau**-3 - 1.0)) + 3.0 * real_log(tau)
 
     def integrand(tau: float) -> complex:
         r = q / tau
-        r3 = r * r * r
-        at = lib.atan(SQRT3 / (2.0 * r - 1.0))
-        lg = lib.log((r * r - r + 1.0) / ((r + 1.0) * (r + 1.0)))
+        rr = r * r
+        r3 = rr * r
+        r1 = r + 1.0
+        at = atan(SQRT3 / (2.0 * r - 1.0))
+        lg = log((rr - r + 1.0) / (r1 * r1))
         kernel = 6.0 * at * at - 0.5 * lg * lg
         if p:  # weight 3 has no l(tau) factor: two logs fewer per node
-            kernel *= ell(tau) ** p
+            el = 2.0 * log(1.0 + c * (tau**-3 - 1.0)) + 3.0 * real_log(tau)
+            kernel *= el if p == 1 else el**p
         return kernel * 3.0 * (r3 - 1.0) / ((1.0 + r3) * tau)
 
     return integrand, ell

@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import Callable
 
 from .errors import ArgumentError, ConvergenceError
@@ -51,6 +52,9 @@ _WG = (
     0.3818300505051189,
     0.4179591836734694,
 )
+_X0, _X1, _X2, _X3, _X4, _X5, _X6, _ = _XGK
+_K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7 = _WGK
+_G0, _G1, _G2, _G3 = _WG
 
 
 @dataclass(frozen=True)
@@ -70,6 +74,10 @@ class QuadratureSpec:
 
 DEFAULT_SPEC = QuadratureSpec()
 
+# Fields of a heap entry, and parts of a panel value, for the final resummation.
+_VALUE, _ERR = itemgetter(4), itemgetter(5)
+_REAL, _IMAG = attrgetter("real"), attrgetter("imag")
+
 
 def _gk15(f: Callable[[float], complex], a: float, b: float):
     """One panel: (Kronrod value, error estimate, |K15|).
@@ -78,29 +86,61 @@ def _gk15(f: Callable[[float], complex], a: float, b: float):
     overstates the Kronrod error on smooth panels; it is rescaled against
     the total variation of the integrand on the panel (the classical
     (200 d / v)**1.5 deflation), then floored at the rounding level.
+
+    The 15 calls and both sums are written out, in the order of a loop over
+    the node pairs from the outermost in: each sum adds its terms left to right.
     """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     fc = f(c)
-    gk = _WGK[7] * fc
-    g = _WG[3] * fc
-    pairs = []
-    for i in range(7):
-        xi = h * _XGK[i]
-        f1 = f(c - xi)
-        f2 = f(c + xi)
-        pairs.append((f1, f2))
-        gk += _WGK[i] * (f1 + f2)
-        if i % 2 == 1:
-            g += _WG[i // 2] * (f1 + f2)
+    x = h * _X0
+    f0a = f(c - x)
+    f0b = f(c + x)
+    x = h * _X1
+    f1a = f(c - x)
+    f1b = f(c + x)
+    x = h * _X2
+    f2a = f(c - x)
+    f2b = f(c + x)
+    x = h * _X3
+    f3a = f(c - x)
+    f3b = f(c + x)
+    x = h * _X4
+    f4a = f(c - x)
+    f4b = f(c + x)
+    x = h * _X5
+    f5a = f(c - x)
+    f5b = f(c + x)
+    x = h * _X6
+    f6a = f(c - x)
+    f6b = f(c + x)
+    s1 = f1a + f1b
+    s3 = f3a + f3b
+    s5 = f5a + f5b
+    gk = (
+        _K7 * fc
+        + _K0 * (f0a + f0b)
+        + _K1 * s1
+        + _K2 * (f2a + f2b)
+        + _K3 * s3
+        + _K4 * (f4a + f4b)
+        + _K5 * s5
+        + _K6 * (f6a + f6b)
+    )
+    g = _G3 * fc + _G0 * s1 + _G1 * s3 + _G2 * s5
     value = gk * h
     resabs = abs(value)
     mean = gk * 0.5
-    resasc = _WGK[7] * abs(fc - mean)
-    for i in range(7):
-        f1, f2 = pairs[i]
-        resasc += _WGK[i] * (abs(f1 - mean) + abs(f2 - mean))
-    resasc *= abs(h)
+    resasc = (
+        _K7 * abs(fc - mean)
+        + _K0 * (abs(f0a - mean) + abs(f0b - mean))
+        + _K1 * (abs(f1a - mean) + abs(f1b - mean))
+        + _K2 * (abs(f2a - mean) + abs(f2b - mean))
+        + _K3 * (abs(f3a - mean) + abs(f3b - mean))
+        + _K4 * (abs(f4a - mean) + abs(f4b - mean))
+        + _K5 * (abs(f5a - mean) + abs(f5b - mean))
+        + _K6 * (abs(f6a - mean) + abs(f6b - mean))
+    ) * abs(h)
     err = abs((gk - g) * h)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
@@ -130,6 +170,10 @@ def adaptive_quad(
         raise ArgumentError("adaptive_quad requires a <= b; flip and negate at the call site")
 
     value, err, _ = _gk15(f, a, b)
+    if not err > max(spec.abs_tol, spec.rel_tol * abs(value)):
+        # one panel: the loop below would not run, and the math.fsum of one value is
+        # that value (with -0.0 read as 0.0, which ``+ 0.0`` reproduces)
+        return complex(value.real + 0.0, value.imag + 0.0), err, 15
     # heap entries: (-local_err, insertion_index, lo, hi, value, local_err)
     heap = [(-err, 0, a, b, value, err)]
     total_val = value
@@ -168,10 +212,10 @@ def adaptive_quad(
         heapq.heappush(heap, (-e2, counter + 1, mid, hi, v2, e2))
         counter += 2
 
-    # Deterministic resummation over the final partition, left to right.
-    panels = sorted(heap, key=lambda entry: entry[2])
-    re = math.fsum(entry[4].real if isinstance(entry[4], complex) else entry[4] for entry in panels)
-    im = math.fsum(entry[4].imag if isinstance(entry[4], complex) else 0.0 for entry in panels)
-    err_total = math.fsum(entry[5] for entry in panels)
-    return complex(re, im), err_total, neval
-
+    # Resummation over the final partition: math.fsum rounds the exact sum once, so
+    # the order of the panels does not matter. A float panel value has .real and
+    # .imag (0.0) as a complex one does.
+    values = list(map(_VALUE, heap))
+    re = math.fsum(map(_REAL, values))
+    im = math.fsum(map(_IMAG, values))
+    return complex(re, im), math.fsum(map(_ERR, heap)), neval

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 from .closed_forms import _closed_kernel, _pfq_terms, fold, stride_refusal
 from .errors import ArgumentError
-from .integral_reps import quad_cardano, quad_polylog, quad_two_term
+from .integral_reps import _cardano_kernel, quad_polylog, quad_two_term
 from .quadrature import QuadratureSpec
 from .series import (
     Evaluation,
@@ -115,7 +115,7 @@ ROUTES: dict[str, Route] = {
         Route(
             "quad-cardano",
             lambda n, m, x: _stride_one("quad-cardano", n, m, 3),
-            lambda n, m, x, tol, spec, cap: _triple(quad_cardano(n, x, spec)),
+            lambda n, m, x, tol, spec, cap: _cardano_kernel(n, x, spec),
         ),
         Route(
             "quad-two-term",

@@ -19,6 +19,7 @@ from invbinom import (
 )
 from invbinom import integral_reps
 from invbinom.integral_reps import _TAIL_COEFS, _TAIL_TERMS, _cardano_tail, _tail_terms
+from invbinom.routes import ROUTES
 from invbinom.verify import _applicable_routes, default_grid
 from test_series import _fixed_point_reference
 
@@ -242,6 +243,22 @@ class TestQuadCardano:
             quad_cardano(2, 1.0)
         with pytest.raises(DomainError):
             quad_cardano(3, 6.76)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_route_kernel_equals_the_public_entry_bit_for_bit(self, n):
+        kernel = ROUTES["quad-cardano"].kernel
+        spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)
+        for rho in (1e-12, 0.02, 0.3, 0.9, 0.999, 1.0):
+            for unit in (1.0, -1.0, cmath.exp(0.7j), cmath.exp(-2.6j)):
+                x = complex(unit * rho * RIM)
+                for s in (None, spec):
+                    ev = quad_cardano(n, x, s)
+                    value, err, work = kernel(n, 1, x, 1e-15, s, None)
+                    assert (value.real.hex(), value.imag.hex()) == (
+                        ev.value.real.hex(),
+                        ev.value.imag.hex(),
+                    ), (n, x)
+                    assert err.hex() == ev.abs_error_est.hex() and work == ev.work, (n, x)
 
     def test_custom_spec_threading(self):
         spec = QuadratureSpec(abs_tol=1e-6, rel_tol=1e-6)
