@@ -209,12 +209,28 @@ def _cardano_path(q: complex, p: int, lib):
     return integrand, ell
 
 
+# Robbins' bound C(3k, k) >= sqrt(3/(4 pi k)) R**k e**(-1/(8k)) puts each weight-3 term
+# at most sqrt(4 pi/3) e**(1/16) k**(-5/2) r**k for k >= 2, r = 4|y|/27, so the terms past K
+# sum to at most sqrt(4 pi/3) e**(1/16) K**(-5/2) r**(K+1) / (1 - r). That is below the
+# tail's truncation budget (|y|/3) eps/8 = 9 r eps/32 when K**(-5/2) r**K <= _TAIL_TOL (1 - r).
+_TAIL_TOL = 9.0 * _EPS / (32.0 * math.sqrt(4.0 * math.pi / 3.0) * math.exp(1.0 / 16.0))
+
+
 def _tail_terms(r: float) -> int:
-    """Terms K of the tail series at the ratio bound r = 4|y|/27 < 1: the least K >= 1
-    with r**K <= eps (1 - r) / 8 (see ``_cardano_tail``)."""
-    if r <= _EPS / 16:
+    """Terms K of the tail series at the ratio bound r = 4|y|/27 < 1 (see ``_cardano_tail``):
+    a K >= 1 with K ln r - (5/2) ln K <= ln tol, tol = _TAIL_TOL (1 - r), the test that
+    ``series.within_terms`` makes at n = 3. The root k* of that test is the fixed point of
+    h(k) = (ln tol + (5/2) ln k) / ln r, which decreases; from the geometric count h(1) >= k*,
+    one step gives a lower bound and a second an upper bound within a small fraction of a
+    term of k* (|h'| = 5/(2 k |ln r|) is below 0.1 for r <= 0.3). K is its ceiling: the
+    least such K, or one more for about 2% of r in (0, 0.3]. No search, no table."""
+    tol = _TAIL_TOL * (1.0 - r)
+    if r <= tol:
         return 1
-    return math.ceil(math.log(0.125 * _EPS * (1.0 - r)) / math.log(r))
+    a = math.log(r)
+    log_tol = math.log(tol)
+    k = max((log_tol + 2.5 * math.log(log_tol / a)) / a, 1.0)
+    return math.ceil((log_tol + 2.5 * math.log(k)) / a)
 
 
 # 1/(k**w C(3k, k)) for weights w = 3..8 and k = 1.._TAIL_TERMS, correctly rounded (as int
@@ -259,9 +275,10 @@ def _cardano_tail(p: int, y: complex, ell0: complex) -> tuple[complex, float, in
         e = e * ell * scale + 1.0
         amp = amp * al * scale + 1.0
     total = w / 3.0 * e + w * w * s
-    # The weight-3 terms bound the others and, as every ratio
-    # |y C(3k, k) k**3 / (C(3k+3, k+1) (k+1)**3)| is below r, are at most (|y|/3) r**(k-1):
-    # past K terms the rest is below amp (|y|/3) eps / 8. Rounding: each Horner level j
+    # The weight-3 terms, times amp, bound the others, and past K terms they sum to at
+    # most (|y|/3) eps / 8 (``_tail_terms``): the rest is below amp (|y|/3) eps / 8. As
+    # every ratio |y C(3k, k) k**3 / (C(3k+3, k+1) (k+1)**3)| is below r, each weight-3
+    # term is at most (|y|/3) r**(k-1). Rounding: each Horner level j
     # rounds about 4 times relative to its partial sum (at most the terms k >= j), and y
     # and l0 carry a few eps of relative rounding that term k takes k-fold; so below
     # 8 eps sum_k k amp (|y|/3) r**(k-1) = 8 eps amp (|y|/3) / (1 - r)**2. The factor 3
