@@ -57,8 +57,11 @@ to count its terms from the coefficients' k**(-5/2) decay (Robbins' bound), the 
 ``quad-cardano`` hashes and the two n = 3 ``folding`` hashes moved in ``work`` only (fewer
 tail terms; values and estimates kept their bits): S(3,1;0.5) folding d15586b3 -> c21ac518,
 S(3,2;20) folding 57b7f6ee -> 504ced30, S(3,1;6.75) d57c699c -> d527b7ea, S(4,1;-6.75)
-b161d4c2 -> fcce98ef, S(3,1;1+1i) f9ab9f08 -> 453de924; and ``verify`` f49c9c42 -> 37ad71c7,
-where the folding[quad-cardano] value at S(3,2;-1) moved by one ulp in three pairs.
+b161d4c2 -> fcce98ef, S(3,1;1+1i) f9ab9f08 -> 453de924. In the same change ``li(1, z)``
+began to take log|1 - z| from log1p for |z| <= 0.5: ``quad-polylog`` at S(2,1;1+1i) moved
+in the last bits of its value and estimate (13614fbc -> 6757db65). ``verify`` moved with both
+(f49c9c42 -> 097769b5): the folding[quad-cardano] value at S(3,2;-1) by one ulp, and the
+folding[quad-polylog] values at S(2,3;x), x in {-1, 1, 6, 100}, in the last bits.
 """
 
 import hashlib
@@ -132,7 +135,7 @@ GOLDEN = {
         "6868525796d0ab39f42c713c564ae9d10dfa3684f50270c57b576f1b7330f80b"
     ),
     "eval --n 2 --m 1 --x 1+1i --method quad-polylog --output json": (
-        "13614fbc959b8ee5093bc16e77e5cd23f6004d627021c63047b229eda2b5fac7"
+        "6757db65e48ca10e6d9d29cf3dcb148e6b82cc5ab705a663166a2d5d12e80202"
     ),
     "eval --n 2 --m 1 --x 1+1i --method folding --output json": (
         "5ccba444cba47629fd74f692a73eebe42a8872416e13f1f790d6dd11168d9f16"
@@ -220,7 +223,7 @@ GOLDEN = {
         "57dafe31d0cccff5c0d648445375e3207511c1d428a96207c9ae6c59a2a065e3"
     ),
     "verify --suite all --output json": (
-        "37ad71c78448bb423cbea5592d0041d7379be82f4cbd114fdc3cf9ee195891eb"
+        "097769b53c68926942fcf706690076638079586c7821f18f0a0b80ad32109140"
     ),
 }
 

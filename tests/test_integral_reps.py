@@ -11,6 +11,7 @@ from invbinom import (
     ArgumentError,
     DomainError,
     QuadratureSpec,
+    evaluate,
     quad_cardano,
     quad_polylog,
     quad_two_term,
@@ -86,6 +87,22 @@ class TestQuadPolylog:
         z = 2.0 + 1.5j
         ref = sum_direct(3, 1, z)
         assert abs(quad_polylog(3, z).value - ref.value) < 1e-10
+
+    @pytest.mark.parametrize("r", [1e-20, 1e-40, 1e-100])
+    def test_tiny_complex_weight_two_within_its_estimate(self, r):
+        x = r * cmath.exp(0.7j)
+        ev = evaluate(2, 1, x, "quad-polylog")
+        # x/3 + x**2/60 + x**3/756 in exact rationals; the next term is below |x|**4
+        xr, xi = Fraction(x.real), Fraction(x.imag)
+        re, im = Fraction(0), Fraction(0)
+        pr, pi = Fraction(1), Fraction(0)
+        for k in (1, 2, 3):
+            pr, pi = pr * xr - pi * xi, pr * xi + pi * xr
+            c = k**2 * math.comb(3 * k, k)
+            re, im = re + pr / c, im + pi / c
+        err = math.hypot(float(Fraction(ev.value.real) - re), float(Fraction(ev.value.imag) - im))
+        assert err <= ev.abs_error_est, (r, err, ev.abs_error_est)
+        assert err <= 1e-15 * abs(x) / 3
 
     def test_error_estimate_honesty(self):
         # estimate must dominate the actual deviation in at least 95% of the grid

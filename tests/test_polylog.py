@@ -46,6 +46,112 @@ def test_weight1_is_log():
     assert li(1, z) == -cmath.log(1 - z)
 
 
+# -log(1 - z) at z = r * (c + is) for the directions below, from a 700-digit evaluation of
+# the float z, correctly rounded part by part.
+LI1_DIRECTIONS = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (-0.28, -0.96))
+LI1_REFERENCES = {
+    1e-300: (
+        complex(1e-300, 0.0),
+        complex(-1e-300, 0.0),
+        complex(-0.0, 1e-300),
+        complex(6e-301, 8e-301),
+        complex(-2.8000000000000005e-301, -9.6e-301),
+    ),
+    1e-100: (
+        complex(1e-100, 0.0),
+        complex(-1e-100, 0.0),
+        complex(-5e-201, 1e-100),
+        complex(5.999999999999999e-101, 8e-101),
+        complex(-2.8000000000000002e-101, -9.6e-101),
+    ),
+    1e-40: (
+        complex(1e-40, 0.0),
+        complex(-1e-40, 0.0),
+        complex(-4.999999999999999e-81, 1e-40),
+        complex(6e-41, 8e-41),
+        complex(-2.8e-41, -9.599999999999999e-41),
+    ),
+    1e-20: (
+        complex(1e-20, 0.0),
+        complex(-1e-20, 0.0),
+        complex(-5e-41, 1e-20),
+        complex(6e-21, 8e-21),
+        complex(-2.8e-21, -9.6e-21),
+    ),
+    1e-17: (
+        complex(1e-17, 0.0),
+        complex(-1e-17, 0.0),
+        complex(-5.000000000000001e-35, 1e-17),
+        complex(6.0000000000000004e-18, 8e-18),
+        complex(-2.8000000000000005e-18, -9.6e-18),
+    ),
+    1e-16: (
+        complex(1e-16, 0.0),
+        complex(-1e-16, 0.0),
+        complex(-4.9999999999999996e-33, 1e-16),
+        complex(6e-17, 8e-17),
+        complex(-2.800000000000001e-17, -9.6e-17),
+    ),
+    1e-12: (
+        complex(1.0000000000005e-12, 0.0),
+        complex(-9.999999999995e-13, 0.0),
+        complex(-5e-25, 1e-12),
+        complex(5.9999999999986e-13, 8.000000000004801e-13),
+        complex(-2.8000000000042164e-13, -9.599999999997312e-13),
+    ),
+    1e-08: (
+        complex(1.0000000050000001e-08, 0.0),
+        complex(-9.999999950000001e-09, 0.0),
+        complex(-5e-17, 1e-08),
+        complex(5.9999999859999995e-09, 8.000000048000001e-09),
+        complex(-2.8000000421600002e-09, -9.59999997312e-09),
+    ),
+    0.0001: (
+        complex(0.00010000500033335834, 0.0),
+        complex(-9.999500033330834e-05, 0.0),
+        complex(-4.9999999750000005e-09, 9.999999966666667e-05),
+        complex(5.999859968797892e-05, 8.00048001173199e-05),
+        complex(-2.800421574925879e-05, -9.599731178037467e-05),
+    ),
+    0.01: (
+        complex(0.010050335853501442, 0.0),
+        complex(-0.009950330853168083, 0.0),
+        complex(-4.999750016665417e-05, 0.009999666686665238),
+        complex(0.005985685890609969, 0.008048115969281415),
+        complex(-0.002841908234148836, -0.00957290262138183),
+    ),
+    0.1: (
+        complex(0.10536051565782631, 0.0),
+        complex(-0.09531017980432487, 0.0),
+        complex(-0.004975165426584042, 0.09966865249116204),
+        complex(0.05826690812797576, 0.08490179344972197),
+        complex(-0.0319566628718264, -0.09311516111649316),
+    ),
+    0.3: (
+        complex(0.35667494393873234, 0.0),
+        complex(-0.26236426446749106, 0.0),
+        complex(-0.043088848120526164, 0.2914567944778671),
+        complex(0.15735537241985012, 0.2847304385227122),
+        complex(-0.1147615791391244, -0.25968348550471554),
+    ),
+    0.5: (
+        complex(0.6931471805599453, 0.0),
+        complex(-0.4054651081081644, 0.0),
+        complex(-0.11157177565710488, 0.4636476090008061),
+        complex(0.2153914580462271, 0.519146114246523),
+        complex(-0.21263386770217205, -0.3985224456664202),
+    ),
+}
+
+
+@pytest.mark.parametrize("r", list(LI1_REFERENCES))
+def test_weight1_keeps_its_relative_accuracy_near_zero(r):
+    for (c, s), ref in zip(LI1_DIRECTIONS, LI1_REFERENCES[r]):
+        z = complex(r * c, r * s)
+        got = li(1, z)
+        assert abs(got - ref) <= 4 * 2.220446049250313e-16 * abs(ref), (z, got, ref)
+
+
 def test_zero_argument():
     assert li(3, 0.0) == 0
 
