@@ -5,10 +5,12 @@ the cross-route verification and the CLI read it. A named method is never silent
 substituted: a route that cannot serve a request raises ArgumentError. x = 0
 short-circuits to exactly 0 on every route, even where the operation excludes it.
 Every route but direct-sum and folding serves stride 1 only; folding reaches stride
-m through them. ``auto`` is a cost rule: the closed forms for n <= 2 (folded over for
-m >= 2), and for n >= 3 direct summation when its predicted term count undercuts the
-Cardano-root quadrature (quad-cardano, folded over for m >= 2); quad-polylog is never
-chosen by ``auto`` and stays an explicit route and verify's cross-check.
+m through them. ``auto`` is a cost rule: direct summation when its predicted term count
+undercuts the alternative, which is the stride-1 closed forms for n <= 2 (at m = 1 they
+always win; folded over them for m >= 2) and the Cardano-root quadrature for n >= 3
+(quad-cardano, folded over for m >= 2). quad-cardano's kernel is called bare, as the
+closed forms' is; quad-polylog is never chosen by ``auto`` and stays an explicit route
+and verify's cross-check.
 """
 
 from __future__ import annotations
@@ -144,22 +146,37 @@ METHODS = tuple(ROUTES)
 DIRECT_TERM_BUDGET = 50
 
 
+# Direct-summation terms, per unit of stride past the first, that cost about what folding
+# over the stride-1 closed forms does (n <= 2, m >= 2): folding makes m closed-form calls
+# of 2-4 us each, direct summation costs about 4.5 us plus 0.2-0.8 us per term. The first
+# term count at which direct summation was the slower, over m - 1 (min of 60 x 20 calls per
+# point, 2-core x86-64 VM, CPython 3.11, m in {2, 3, 4, 6}, angles 0, 0.7, pi): n = 0 6-16
+# (median 10.7), n = 1 4-11 (median 8), n = 2 4-9 (median 7; 4-5 at angle 0.7). Near
+# |x| = 1e-8 fold's m terms cancel, and direct summation needs 2-4 terms there.
+LOW_WEIGHT_TERM_BUDGET = 8
+
+
 def resolve_auto(
     n: int, m: int, x: complex, *, rel_tol: float = 1e-15, max_terms: int | None = None
 ) -> str:
-    """The route ``auto`` takes at summable (n, m, x): the closed form for n <= 2
-    (folding for m >= 2). For n >= 3 direct summation when ``terms_needed`` at
-    rho = |x| / R**m is within DIRECT_TERM_BUDGET * m and, with room for the
-    estimate's error, within the term cap; else quad-cardano (folding for m >= 2).
+    """The route ``auto`` takes at summable (n, m, x): the closed form for n <= 2 at m = 1;
+    otherwise direct summation when ``terms_needed`` at rho = |x| / R**m is within the
+    budget and, with room for the estimate's error, within the term cap; else quad-cardano
+    at m = 1 and folding for m >= 2. The budget is DIRECT_TERM_BUDGET * m for n >= 3 and
+    LOW_WEIGHT_TERM_BUDGET * (m - 1) for n <= 2.
 
     ``within_terms`` makes that comparison with one test, with no root to find.
     """
-    if n <= 2:
-        return "closed-form" if m == 1 else "folding"
+    if n > 2:
+        budget = DIRECT_TERM_BUDGET * m
+    elif m == 1:
+        return "closed-form"
+    else:
+        budget = LOW_WEIGHT_TERM_BUDGET * (m - 1)
     cap = default_max_terms() if max_terms is None else max_terms
     # the stop rule can take up to ~10% more terms than estimated (2 more at k = 1), so
     # direct summation needs 1.125 * terms + 2 <= cap, that is terms <= 8 (cap - 2) / 9
-    budget = min(DIRECT_TERM_BUDGET * m, 8 * (cap - 2) // 9)
+    budget = min(budget, 8 * (cap - 2) // 9)
     if budget >= 1 and within_terms(n, abs(x) / convergence_radius(m), rel_tol, budget):
         return "direct-sum"
     return "quad-cardano" if m == 1 else "folding"
@@ -201,7 +218,7 @@ def evaluate(
     """
     xc = SeriesParams.require_summable(n, m, x)
     if method == "auto":
-        if max_terms is None and n > 2:  # read the cap once, for the rule and the route
+        if max_terms is None and (n > 2 or m > 1):  # read the cap once, for rule and route
             max_terms = default_max_terms()
         route = ROUTES[resolve_auto(n, m, xc, rel_tol=rel_tol, max_terms=max_terms)]
         if route.refuses(n, m, xc) is not None:

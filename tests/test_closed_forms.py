@@ -509,6 +509,22 @@ class TestFoldTinyArguments:
         assert str(tiny.value) == str(small.value)
 
 
+class TestLowWeightAutoAboveTheTinyBranch:
+    """Just above |x| = 1e-8 a fold still sums m kernels that cancel to ~x / C(3m, m);
+    ``auto`` at n <= 2 sums directly there, where a few terms suffice."""
+
+    @pytest.mark.parametrize("unit", [1.0, -1.0, cmath.exp(0.7j)])
+    @pytest.mark.parametrize("m", range(2, 7))
+    @pytest.mark.parametrize("n", range(3))
+    def test_auto_meets_1e13_relative(self, n, m, unit):
+        for r in (1e-8, 3e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3):
+            x = complex(r * unit)
+            ref = _leading_sum(n, m, x)
+            ev = evaluate(n, m, x)
+            assert _dist2(ev.value, ref) <= Fraction(1e-13) ** 2 * _dist2(0j, ref), (x, ev)
+            assert _dist2(ev.value, ref) <= Fraction(ev.abs_error_est) ** 2, (x, ev)
+
+
 class TestStrideTwoClosedForm:
     def test_matches_single_stride_at_m1(self):
         assert abs(fold(2, 1, 0.5).value - s21(0.5).value) < 1e-15

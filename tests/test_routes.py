@@ -76,8 +76,45 @@ class TestResolveAuto:
     @pytest.mark.parametrize("m", [1, 2, 3, 6])
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_low_weight_keeps_closed_form_and_folding(self, n, m):
-        for rho in (0.0, 1e-9, 0.5, 0.99, 1.0):
+        # at m = 1 always; at m >= 2 where direct summation needs more than 8 (m - 1) terms
+        for rho in (0.0, 1e-9, 0.5, 0.99, 1.0) if m == 1 else (0.5, 0.99, 1.0):
             assert resolve_auto(n, m, _at(rho, m, 1.0)) == ("closed-form" if m == 1 else "folding")
+
+    # (n, m, rho) -> route at angle 0.7: direct summation within 8 terms per unit of stride
+    # past the first (terms_needed in the comment), folding beyond.
+    @pytest.mark.parametrize(
+        "n,m,rho,route",
+        [
+            (0, 2, 1e-9, "direct-sum"),  # 2 terms
+            (0, 2, 0.01, "direct-sum"),  # 8
+            (0, 2, 0.02, "folding"),  # 10
+            (1, 2, 0.01, "direct-sum"),  # 8
+            (1, 2, 0.02, "folding"),  # 9
+            (2, 2, 0.01, "direct-sum"),  # 7
+            (2, 2, 0.02, "folding"),  # 9
+            (0, 3, 0.1, "direct-sum"),  # 16
+            (0, 3, 0.2, "folding"),  # 23
+            (2, 3, 0.1, "direct-sum"),  # 14
+            (2, 3, 0.2, "folding"),  # 19
+            (1, 6, 0.3, "direct-sum"),  # 28
+            (2, 6, 0.4, "direct-sum"),  # 33
+            (0, 6, 0.4, "direct-sum"),  # 40
+            (0, 6, 0.45, "folding"),  # 45
+        ],
+    )
+    def test_low_weight_sums_directly_within_its_stride_budget(self, n, m, rho, route):
+        assert routes.LOW_WEIGHT_TERM_BUDGET == 8
+        assert resolve_auto(n, m, _at(rho, m, 0.7)) == route
+        assert evaluate(n, m, _at(rho, m, 0.7)).method == route
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_low_weight_budget_is_the_term_count_rule(self, n):
+        for m in range(2, 7):
+            for rho in (1e-12, 1e-6, 1e-3, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5):
+                direct = terms_needed(n, rho, 1e-15) <= 8 * (m - 1)
+                for theta in (0.0, math.pi, 0.7):
+                    got = resolve_auto(n, m, _at(rho, m, theta))
+                    assert got == ("direct-sum" if direct else "folding"), (n, m, rho, theta)
 
     def test_quadrature_where_direct_summation_costs_more(self):
         assert resolve_auto(3, 1, 0.99 * R) == "quad-cardano"
@@ -124,6 +161,8 @@ class TestResolveAuto:
         monkeypatch.setattr(routes, "default_max_terms", counted)
         assert evaluate(3, 1, 0.3 * R).method == "direct-sum"
         assert len(reads) == 1
+        assert evaluate(2, 3, 1e-6).method == "direct-sum"
+        assert len(reads) == 2
         # the cap is still read at call time, and only where a route may need it
         monkeypatch.setenv("SERIES_MAX_TERMS", "0")
         with pytest.raises(ArgumentError, match="SERIES_MAX_TERMS"):
