@@ -8,9 +8,11 @@ Three independent routes at stride 1:
 * ``quad_cardano`` (n >= 3) integrates the elementary weight-2 closed form
   along the Cardano root and sums the far end of the path as a fast series:
   n - 2 Horner sums over an import-time coefficient table, with the term count
-  fixed in advance. It is about 20 times cheaper than ``quad_polylog`` and is
-  the route ``auto`` takes where direct summation, which decays like
-  k**(1/2 - n) on the rim, costs more.
+  fixed in advance from the coefficients' k**(-5/2) decay. It is about 20 times
+  cheaper than ``quad_polylog`` and is the route ``auto`` takes where direct
+  summation, which decays like k**(1/2 - n) on the rim, costs more. The public
+  entry checks the domain rule and builds the Evaluation; the route table and
+  ``fold`` call its bare kernel, ``_cardano_kernel``.
 * ``quad_two_term`` evaluates the two-term log/trig form whose limits come
   from the Cardano root, each integral in s with u = limit * s**3. Restricted
   to real x, where its trigonometric integrand is derived; complex arguments

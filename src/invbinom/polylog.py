@@ -1,11 +1,12 @@
 """Complex polylogarithm Li_n(z) on the closed unit disk.
 
 Weights 0 and 1 use their elementary closed forms, z/(1-z) and
--log(1-z); up to |z| = 0.5 the latter is -log1p(a(a - 2) + b**2)/2 - i atan2(-b, 1 - a)
-for z = a + ib, which keeps its relative accuracy as z -> 0. Higher weights sum the defining series sum_{k>=1} z**k / k**n
-up to |z| = 0.5 by Horner's rule (57 terms at most) and, beyond it, the
-expansion in powers of L = log z (R. Crandall, "Note on fast polylogarithm
-computation", 2006), which converges for |L| < 2*pi:
+-log(1-z); up to |z| = 0.5 the latter is taken as
+-log1p(a(a - 2) + b**2)/2 - i atan2(-b, 1 - a) for z = a + ib, which keeps its
+relative accuracy as z -> 0. Higher weights sum the defining series
+sum_{k>=1} z**k / k**n up to |z| = 0.5 by Horner's rule (57 terms at most) and,
+beyond it, the expansion in powers of L = log z (R. Crandall, "Note on fast
+polylogarithm computation", 2006), which converges for |L| < 2*pi:
 
     Li_n(z) = sum_{k >= 0, k != n-1} zeta(n-k) * L**k / k!
               + L**(n-1) / (n-1)! * (H_{n-1} - log(-L)),   Li_n(1) = zeta(n).
@@ -95,6 +96,7 @@ def li(n: int, z: complex) -> complex:
         if abs(zc) <= SERIES_RADIUS:
             # log|1 - z| as log1p(a (a - 2) + b**2), z = a + ib: 1 - z loses every digit
             # of z below |z| ~ eps, where Li_1(z) ~ z. Near z = 1 that argument cancels.
+            # 0.0 - b, as 1.0 - z forms it, keeps the sign of a zero imaginary part.
             a, b = zc.real, zc.imag
             return complex(-0.5 * math.log1p(a * (a - 2.0) + b * b), -math.atan2(0.0 - b, 1.0 - a))
         return -cmath.log(1.0 - zc)

@@ -173,7 +173,11 @@ def test_panel_equals_the_loop_bit_for_bit(name, f):
 @pytest.mark.parametrize("name,f", _INTEGRANDS)
 @pytest.mark.parametrize(
     "spec",
-    [None, QuadratureSpec(abs_tol=1e-6, rel_tol=1e-6), QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14)],
+    [
+        None,
+        QuadratureSpec(abs_tol=1e-6, rel_tol=1e-6),
+        QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14),
+    ],
 )
 def test_adaptive_quad_equals_the_loop_bit_for_bit(name, f, spec):
     for a, b in _INTERVALS:
