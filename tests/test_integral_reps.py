@@ -21,6 +21,7 @@ from invbinom import (
 from invbinom import integral_reps
 from invbinom.integral_reps import _TAIL_COEFS, _TAIL_TERMS, _cardano_tail, _tail_terms
 from invbinom.routes import ROUTES
+from invbinom.series import within_terms
 from invbinom.verify import _applicable_routes, default_grid
 from test_series import _fixed_point_reference
 
@@ -349,6 +350,23 @@ class TestCardanoTail:
             err = math.hypot(float(Fraction(value.real) - re), float(Fraction(value.imag) - im))
             assert err + rest <= bound, (p, y, ell0, err, bound)
             assert terms == _tail_terms(4 * abs(y) / 27)
+
+    @pytest.mark.parametrize("ay", [1e-12, 1e-7, 0.05, 0.6, 1.0, 1.3, 1.53, 1.8, 1.97, TAIL_Y_MAX])
+    def test_term_count_meets_the_truncation_budget_in_exact_rationals(self, ay):
+        # past K terms the weight-3 series adds at most (|y|/3) eps/8, and K is the least
+        # count that the Robbins test admits, or one more
+        r = 4 * ay / 27
+        terms = _tail_terms(r)
+        y = Fraction(ay)
+        rest = sum(y**k / (k**3 * math.comb(3 * k, k)) for k in range(terms + 1, terms + 80))
+        assert rest <= y / 3 * Fraction(2.0**-52) / 8, (ay, terms)
+        tol = integral_reps._TAIL_TOL * (1 - r)
+        assert within_terms(3, r, tol, terms) or terms == 1
+        assert terms <= 2 or not within_terms(3, r, tol, terms - 2)
+
+    def test_term_counts_at_the_route_s_largest_ratios(self):
+        assert [_tail_terms(4 * ay / 27) for ay in (1.53, 1.97)] == [21, 25]
+        assert _TAIL_TERMS == _tail_terms(0.3)
 
     def test_real_arguments_stay_real(self):
         value, _, _ = _cardano_tail(2, complex(1.5), complex(0.7))
