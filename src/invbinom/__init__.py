@@ -14,7 +14,6 @@ from .closed_forms import (
     PRINCIPAL_BRANCH,
     REAL_BRANCH,
     fold,
-    pfq,
     phi,
     s01,
     s11,
@@ -36,21 +35,10 @@ from .integral_reps import (
     quad_two_term,
     two_term_limits,
 )
-from .polylog import PolylogQuery, li, li_factorized, root_of_unity
+from .polylog import li, li_factorized, root_of_unity
 from .quadrature import QuadratureSpec, adaptive_quad
 from .routes import METHODS, evaluate, hypergeometric_value, resolve_auto
-from .series import (
-    Domain,
-    Evaluation,
-    SeriesParams,
-    beta_term_identity,
-    binomial_exact,
-    convergence_radius,
-    series_terms,
-    sum_direct,
-    term_ratio,
-    term_ratio_stride,
-)
+from .series import Evaluation, SeriesParams, convergence_radius, sum_direct
 from .verify import (
     CheckEntry,
     VerificationReport,
@@ -71,7 +59,6 @@ __all__ = [
     "CardanoRoot",
     "CheckEntry",
     "ConvergenceError",
-    "Domain",
     "DomainError",
     "Evaluation",
     "EXPERIMENTAL_IDS",
@@ -79,7 +66,6 @@ __all__ = [
     "METHODS",
     "PRINCIPAL_BRANCH",
     "PoleError",
-    "PolylogQuery",
     "QuadratureSpec",
     "REAL_BRANCH",
     "SeriesError",
@@ -88,8 +74,6 @@ __all__ = [
     "TwoTermLimits",
     "VerificationReport",
     "adaptive_quad",
-    "beta_term_identity",
-    "binomial_exact",
     "convergence_radius",
     "default_grid",
     "evaluate",
@@ -98,7 +82,6 @@ __all__ = [
     "li",
     "li_factorized",
     "pair_tolerance",
-    "pfq",
     "phi",
     "quad_cardano",
     "quad_polylog",
@@ -115,9 +98,6 @@ __all__ = [
     "s01",
     "s11",
     "s21",
-    "series_terms",
     "sum_direct",
-    "term_ratio",
-    "term_ratio_stride",
     "two_term_limits",
 ]

@@ -1,5 +1,5 @@
-"""Cardano auxiliary root, explicit closed forms, hypergeometric
-cross-check, and root-of-unity folding to general stride.
+"""Cardano auxiliary root, explicit closed forms, and root-of-unity folding
+to general stride.
 
 Everything here is driven by the auxiliary cubic root
 
@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
-from .errors import ArgumentError, BranchFailure, ConvergenceError, DomainError
+from .errors import ArgumentError, BranchFailure, DomainError
 from .polylog import root_of_unity
 from .quadrature import QuadratureSpec
-from .series import RADIUS_BASE, Evaluation, SeriesParams, _inside, binomial_exact
+from .series import RADIUS_BASE, Evaluation, SeriesParams, _inside
 
 SQRT3 = math.sqrt(3.0)
 REAL_BRANCH = "real-cube-root"
@@ -46,10 +46,10 @@ PHI_MIN_X = 1e-306
 
 def _leading_terms(n: int, m: int, x: complex) -> tuple[complex, float, int]:
     """Three exact leading terms, as a kernel triple; for |x| < _TINY_X the remainder is ~|x|**4."""
-    t1 = x / binomial_exact(3 * m, m)
-    t2 = x * x / (2**n * binomial_exact(6 * m, 2 * m))
-    t3 = x**3 / (3**n * binomial_exact(9 * m, 3 * m))
-    err = 2.0 * abs(x) ** 4 / (4**n * binomial_exact(12 * m, 4 * m))
+    t1 = x / math.comb(3 * m, m)
+    t2 = x * x / (2**n * math.comb(6 * m, 2 * m))
+    t3 = x**3 / (3**n * math.comb(9 * m, 3 * m))
+    err = 2.0 * abs(x) ** 4 / (4**n * math.comb(12 * m, 4 * m))
     # each term rounds a few times (the binomial, the power, the division), the sum twice
     err += 4.0 * _EPS * (abs(t1) + abs(t2) + abs(t3))
     return t1 + t2 + t3, err, 3
@@ -195,70 +195,6 @@ def _s01(xc: complex, p: complex, at: complex, lg: complex, real: bool) -> tuple
     tail = 108.0 * p3 / (q * one_p3 * one_p3)
     value = coeff_at * at + coeff_lg * lg + tail
     return value, 8.0 * _EPS * (abs(coeff_at * at) + abs(coeff_lg * lg) + abs(tail)) + _EPS
-
-
-def pfq(
-    numerator: Sequence[float], denominator: Sequence[float], z: complex, tol: float = 1e-16
-) -> complex:
-    """Generalized hypergeometric series, standard k = 0 convention:
-
-        sum_{k>=0} prod_i (a_i)_k / prod_j (b_j)_k * z**k / k!
-
-    evaluated by the term-ratio recurrence. Needs p <= q + 1, and |z| < 1
-    unless a numerator parameter is a non-positive integer (terminating).
-    """
-    value, _, _ = _pfq_terms(numerator, denominator, z, tol)
-    return value
-
-
-def _pfq_terms(
-    numerator: Sequence[float], denominator: Sequence[float], z: complex, tol: float = 1e-16
-) -> tuple[complex, int, float]:
-    a = [float(v) for v in numerator]
-    b = [float(v) for v in denominator]
-    if len(a) > len(b) + 1:
-        raise ArgumentError(f"need p <= q + 1, got p = {len(a)}, q = {len(b)}")
-    for bj in b:
-        if bj <= 0.0 and bj.is_integer():
-            raise ArgumentError(f"denominator parameter {bj} is a non-positive integer")
-    if tol <= 0.0:
-        raise ArgumentError("tol must be positive")
-    zc = complex(z)
-    if zc == 0:
-        return complex(1.0), 1, 0.0
-    terminating = any(ai <= 0.0 and ai.is_integer() for ai in a)
-    if abs(zc) >= 1.0 and not terminating:
-        raise DomainError(
-            f"the series needs |z| < 1 (or a terminating parameter), got |z| = {abs(zc)!r}"
-        )
-    term = complex(1.0)
-    total = 0j
-    comp = 0j
-    mag = 0.0
-    small = 0
-    for k in range(100_000):
-        y = term - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        # Each step of the ratio rounds about 11 times in units of eps/2 (z included), so
-        # term k is within 6k eps relative; the sum and a final product add about 2 eps.
-        mag += (8 * k + 4) * abs(term)
-        num = math.prod([ai + k for ai in a])
-        if num == 0.0:
-            return total, k + 1, _EPS * mag
-        den = math.prod([bj + k for bj in b], start=float(k + 1))
-        ratio = zc * num / den
-        if abs(term) <= tol * abs(total):
-            small += 1
-            if small >= 2:
-                # past the stop the ratios run monotonically towards |z| or 0
-                q = max(abs(ratio), abs(zc))
-                return total, k + 1, _EPS * mag + abs(term) * q / (1.0 - q)
-        else:
-            small = 0
-        term *= ratio
-    raise ConvergenceError("hypergeometric series did not converge within 100000 terms")
 
 
 def _principal_root(xc: complex, m: int) -> complex:

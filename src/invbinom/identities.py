@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .series import Domain, SeriesParams
+from .series import SeriesParams, _on_rim
 
 Expr = tuple
 
@@ -120,7 +120,7 @@ class IdentityRecord:
 
     @property
     def boundary(self) -> bool:
-        return self.params.classify() is Domain.BOUNDARY
+        return _on_rim(self.params.m, self.params.x)
 
 
 # -- shared subexpressions --------------------------------------------------

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import ArgumentError, DomainError, PoleError
 
@@ -57,39 +56,28 @@ _ZETA = (
 )
 
 
-@dataclass(frozen=True)
-class PolylogQuery:
-    """Validated (weight, argument) pair for Li_n(z)."""
-
-    n: int
-    z: complex
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "z", self.require_valid(self.n, self.z))
-
-    @staticmethod
-    def require_valid(n: int, z: complex) -> complex:
-        """``complex(z)`` where Li_n is served, else ArgumentError, DomainError or
-        PoleError: the one domain rule, static so that ``li`` builds no query."""
-        if n < 0:
-            raise ArgumentError(f"polylog weight must be >= 0, got {n}")
-        zc = complex(z)
-        r = abs(zc)
-        if r > 1.0 + RIM_TOL:
-            raise DomainError(f"|z| = {r!r} lies outside the closed unit disk")
-        if n == 1 and zc == 1:
-            raise PoleError("Li_1 has a logarithmic singularity at z = 1")
-        if n == 0:
-            if zc == 1:
-                raise PoleError("Li_0 has a pole at z = 1")
-            if r >= 1.0:
-                raise DomainError("Li_0 requires |z| < 1")
-        return zc
+def _require_valid(n: int, z: complex) -> complex:
+    """``complex(z)`` where Li_n is served, else ArgumentError, DomainError or
+    PoleError: the one domain rule of ``li``."""
+    if n < 0:
+        raise ArgumentError(f"polylog weight must be >= 0, got {n}")
+    zc = complex(z)
+    r = abs(zc)
+    if r > 1.0 + RIM_TOL:
+        raise DomainError(f"|z| = {r!r} lies outside the closed unit disk")
+    if n == 1 and zc == 1:
+        raise PoleError("Li_1 has a logarithmic singularity at z = 1")
+    if n == 0:
+        if zc == 1:
+            raise PoleError("Li_0 has a pole at z = 1")
+        if r >= 1.0:
+            raise DomainError("Li_0 requires |z| < 1")
+    return zc
 
 
 def li(n: int, z: complex) -> complex:
     """Polylogarithm Li_n(z) for |z| <= 1 (weight >= 2 required on the rim)."""
-    zc = PolylogQuery.require_valid(n, z)
+    zc = _require_valid(n, z)
     if n == 0:
         return zc / (1.0 - zc)
     if n == 1:

@@ -61,19 +61,20 @@ _K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7 = _WGK
 _G0, _G1, _G2, _G3 = _WG
 
 
+# Bisections ``adaptive_quad`` makes before it gives up with ConvergenceError.
+MAX_SUBDIVISIONS = 2000
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and subdivision budget for the integrator."""
+    """Tolerances for the integrator."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-12
-    max_subdivisions: int = 2000
 
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise ArgumentError("quadrature tolerances must be positive")
-        if not 1 <= self.max_subdivisions <= 10_000:
-            raise ArgumentError("max_subdivisions must be in [1, 10000]")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -164,7 +165,7 @@ def adaptive_quad(
     the caller's job: a > b raises, flip the interval and negate instead.
 
     Raises:
-        ConvergenceError: subdivision budget exhausted before the requested
+        ConvergenceError: MAX_SUBDIVISIONS bisections made before the requested
             tolerance (max of abs_tol and rel_tol * |value|) was met.
     """
     spec = spec or DEFAULT_SPEC
@@ -186,7 +187,7 @@ def adaptive_quad(
     counter = 1
     splits = 0
     while total_err > max(spec.abs_tol, spec.rel_tol * abs(total_val)):
-        if splits >= spec.max_subdivisions:
+        if splits >= MAX_SUBDIVISIONS:
             raise ConvergenceError(
                 f"quadrature tolerance not met after {splits} subdivisions "
                 f"(error estimate {total_err:.3e})"

@@ -15,11 +15,12 @@ and verify's cross-check.
 
 from __future__ import annotations
 
+import math
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
-from .closed_forms import _closed_kernel, _pfq_terms, fold, stride_refusal
-from .errors import ArgumentError
+from .closed_forms import _closed_kernel, fold, stride_refusal
+from .errors import ArgumentError, ConvergenceError, DomainError
 from .integral_reps import _cardano_kernel, quad_polylog, quad_two_term
 from .quadrature import QuadratureSpec
 from .series import (
@@ -33,6 +34,9 @@ from .series import (
 
 Triple = tuple[complex, float, int]  # a kernel's (value, abs_error_est, work)
 _triple = itemgetter(0, 1, 3)  # the Triple of an Evaluation
+
+_EPS = 2.220446049250313e-16
+_PFQ_TOL = 1e-16
 
 # Hypergeometric cross-check forms of S(n, 1; x): value = (x/3) * pFq(...; 4x/27).
 PFQ_RECIPES: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {
@@ -182,22 +186,52 @@ def resolve_auto(
     return "quad-cardano" if m == 1 else "folding"
 
 
-def hypergeometric_value(n: int, x: complex, tol: float = 1e-16) -> tuple[complex, int, float]:
+def hypergeometric_value(n: int, x: complex) -> tuple[complex, int, float]:
     """(x/3) * pFq form of S(n, 1; x), n <= 2. Returns (value, terms summed, error
     bound): the running rounding bound of the terms plus a geometric tail.
 
-    The weight-0 recipe carries the same x/3 prefactor as the others; its
-    term ratio matches the series term ratio exactly, which the
-    cross-route suite verifies.
+    The pFq series sum_{k>=0} prod_i (a_i)_k / prod_j (b_j)_k * z**k / k! at
+    z = 4x/27 runs by its term-ratio recurrence until two terms in a row fall
+    below 1e-16 of the sum; it needs |z| < 1. The weight-0 recipe carries the
+    same x/3 prefactor as the others; its term ratio matches the series term
+    ratio exactly, which the cross-route suite verifies.
     """
     if n not in PFQ_RECIPES:
         raise ArgumentError(f"hypergeometric recipes exist for n in (0, 1, 2), got {n}")
     xc = complex(x)
     if xc == 0:
         return 0j, 0, 0.0
-    num, den = PFQ_RECIPES[n]
-    value, terms, err = _pfq_terms(num, den, 4.0 * xc / 27.0, tol)
-    return xc / 3.0 * value, terms, abs(xc / 3.0) * err
+    a, b = PFQ_RECIPES[n]
+    z = 4.0 * xc / 27.0
+    if abs(z) >= 1.0:
+        raise DomainError(f"the series needs |z| < 1, got |z| = {abs(z)!r}")
+    term = complex(1.0)
+    total = 0j
+    comp = 0j
+    mag = 0.0
+    small = 0
+    for k in range(100_000):
+        y = term - comp
+        s = total + y
+        comp = (s - total) - y
+        total = s
+        # Each step of the ratio rounds about 11 times in units of eps/2 (z included), so
+        # term k is within 6k eps relative; the sum and a final product add about 2 eps.
+        mag += (8 * k + 4) * abs(term)
+        num = math.prod([ai + k for ai in a])
+        den = math.prod([bj + k for bj in b], start=float(k + 1))
+        ratio = z * num / den
+        if abs(term) <= _PFQ_TOL * abs(total):
+            small += 1
+            if small >= 2:
+                # past the stop the ratios run monotonically towards |z|
+                q = max(abs(ratio), abs(z))
+                err = _EPS * mag + abs(term) * q / (1.0 - q)
+                return xc / 3.0 * total, k + 1, abs(xc / 3.0) * err
+        else:
+            small = 0
+        term *= ratio
+    raise ConvergenceError("hypergeometric series did not converge within 100000 terms")
 
 
 def evaluate(

@@ -24,7 +24,6 @@ import math
 import os
 from collections import namedtuple
 from dataclasses import dataclass
-from enum import Enum
 from itertools import accumulate, islice, repeat
 from operator import attrgetter, le, mul, truediv
 from typing import Iterator
@@ -37,14 +36,6 @@ _EPS = 2.220446049250313e-16
 _LOG_UNDERFLOW = 2100 * math.log(2.0)  # C(3m, m) above 2**2100 sends every x / C(3m, m) to 0
 _REAL = attrgetter("real")
 _IMAG = attrgetter("imag")
-
-
-class Domain(Enum):
-    """Position of a parameter triple relative to the convergence disk."""
-
-    INTERIOR = "interior"
-    BOUNDARY = "boundary"
-    OUTSIDE = "outside"
 
 
 def convergence_radius(m: int) -> float:
@@ -71,19 +62,6 @@ class SeriesParams:
         convergence_radius(self.m)  # ArgumentError for m < 1
         object.__setattr__(self, "x", complex(self.x))
 
-    @property
-    def radius(self) -> float:
-        return convergence_radius(self.m)
-
-    def classify(self) -> Domain:
-        ax = abs(self.x)
-        radius = self.radius
-        if ax < radius:
-            return Domain.INTERIOR
-        if ax == radius != math.inf:
-            return Domain.BOUNDARY
-        return Domain.OUTSIDE
-
     @staticmethod
     def require_summable(n: int, m: int, x: complex) -> complex:
         """The domain rule of every entry point: ``complex(x)`` where S(n, m; x)
@@ -100,14 +78,16 @@ class SeriesParams:
             f"its rim is summable only for n >= 2, got n = {n}"
         )
 
-    def summable(self) -> bool:
-        """True when the series converges at these parameters (rim needs n >= 2)."""
-        return _inside(self.n, abs(self.x), self.radius)
-
 
 def _inside(n: int, ax: float, radius: float) -> bool:
     """The test of ``require_summable``, for entries that already hold |x| and the radius."""
     return ax < radius or (ax == radius != math.inf and n >= 2)
+
+
+def _on_rim(m: int, x: complex) -> bool:
+    """True when |x| = (27/4)**m, the rim of the convergence disk (never past binary64)."""
+    radius = convergence_radius(m)
+    return abs(x) == radius != math.inf
 
 
 class Evaluation(namedtuple("_Evaluation", "value abs_error_est method work")):
@@ -148,36 +128,6 @@ def default_max_terms() -> int:
     if cap < 1:
         raise ArgumentError(f"{ENV_MAX_TERMS} must be >= 1, got {cap}")
     return cap
-
-
-def binomial_exact(a: int, b: int) -> int:
-    """Exact C(a, b) by the multiplicative recurrence, integer arithmetic only.
-
-    Small-argument oracle for term validation; the upper index is capped at
-    400, which covers every term the test grids touch.
-    """
-    if a < 0 or b < 0:
-        raise ArgumentError("binomial arguments must be non-negative")
-    if b > a:
-        raise ArgumentError(f"binomial lower index {b} exceeds upper index {a}")
-    if a > 400:
-        raise ArgumentError(f"binomial upper index {a} exceeds the supported cap 400")
-    b = min(b, a - b)
-    out = 1
-    for i in range(1, b + 1):
-        out = out * (a - b + i) // i
-    return out
-
-
-def beta_term_identity(k: int) -> float:
-    """k * Gamma(k) * Gamma(2k + 1) / Gamma(3k + 1), via log-gamma.
-
-    Equals 1 / C(3k, k); retained purely as a cross-check of the ratio
-    recurrence, which is the path that actually does the work.
-    """
-    if not 1 <= k <= 100:
-        raise ArgumentError(f"k must be in [1, 100], got {k}")
-    return k * math.exp(math.lgamma(k) + math.lgamma(2 * k + 1) - math.lgamma(3 * k + 1))
 
 
 def _computed_factors(j0: int, j1: int) -> Iterator[float]:
@@ -290,41 +240,9 @@ def within_terms(n: int, rho: float, rel_tol: float, budget: int) -> bool:
     return budget * slope + (0.5 - n) * math.log(budget) <= math.log(rel_tol)
 
 
-def term_ratio(k: int, n: int, x: complex) -> complex:
-    """Ratio t_{k+1} / t_k of consecutive stride-1 terms.
-
-    Expands to x * (k/(k+1))**n * (k+1)(2k+1)(2k+2) / ((3k+1)(3k+2)(3k+3));
-    the modulus tends to 4|x|/27 as k grows.
-    """
-    return term_ratio_stride(k, n, 1, x)
-
-
-def term_ratio_stride(k: int, n: int, m: int, x: complex) -> complex:
-    """Stride-m term ratio t_{k+1} / t_k, as ``series_terms`` and ``sum_direct`` form it."""
-    if k < 1:
-        raise ArgumentError(f"k must be >= 1, got {k}")
-    if m < 1:
-        raise ArgumentError(f"stride m must be >= 1, got {m}")
-    return next(_ratios(k, k + 1, n, m, complex(x)))
-
-
 def _terms(t: complex | float, k: int, count: int, n: int, m: int, x: complex | float) -> list:
     """``count`` + 1 terms t_k .. t_{k+count}, from t = t_k by the ratio recurrence."""
     return list(accumulate(_ratios(k, k + count, n, m, x), mul, initial=t))
-
-
-def series_terms(n: int, m: int, x: complex, count: int) -> list[complex]:
-    """First ``count`` terms t_k = x**k / (k**n * C(3mk, mk)), built recursively
-    exactly as ``sum_direct`` builds them (in float arithmetic for real x)."""
-    if count < 0:
-        raise ArgumentError("count must be >= 0")
-    if count == 0:
-        return []
-    xc = complex(x)
-    t = _first_term(m, xc)
-    if xc.imag == 0.0:
-        return list(map(complex, _terms(t.real, 1, count - 1, n, m, xc.real)))
-    return _terms(t, 1, count - 1, n, m, xc)
 
 
 # Sums predicted to take at most this many terms run term by term: below it a block's

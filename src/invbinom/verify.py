@@ -27,7 +27,7 @@ from .errors import ArgumentError
 from .identities import EXPERIMENTAL_IDS, SPECIAL_VALUES, record_by_id
 from .polylog import li, li_factorized
 from .routes import ROUTES, evaluate
-from .series import Domain, SeriesParams
+from .series import SeriesParams, _on_rim
 
 TOL_SERIES = 1e-12
 TOL_FOLDING = 1e-10
@@ -232,7 +232,7 @@ def _applicable_routes(p: SeriesParams) -> dict[str, Callable[[], complex]]:
     Direct summation is left out on the rim, where terms decay like k**(1/2 - n).
     """
     n, m, x = p.n, p.m, p.x
-    slow = ("direct-sum",) if p.classify() is Domain.BOUNDARY else ()
+    slow = ("direct-sum",) if _on_rim(m, x) else ()
     served = [
         name for name, route in ROUTES.items() if route.limits(n, m, x) is None and name not in slow
     ]

@@ -4,13 +4,12 @@ Run with ``pytest tests/test_acceptance.py -s`` to see one pass/fail line
 per criterion; each test also asserts, so the suite fails loudly.
 """
 
+import math
 import time
 
 from invbinom import (
     SPECIAL_VALUES,
     METHODS,
-    beta_term_identity,
-    binomial_exact,
     evaluate,
     fold,
     hypergeometric_value,
@@ -22,11 +21,12 @@ from invbinom import (
     s01,
     s11,
     s21,
-    series_terms,
     sum_direct,
 )
 from invbinom.cli import main
+from invbinom.series import _first_term
 from invbinom.verify import FACTORIZATION_POINTS
+from test_series import _series_terms
 
 
 def report(number: int, description: str, failures: list) -> None:
@@ -134,18 +134,18 @@ def test_criterion_6_derivative_ladder():
 
 
 def test_criterion_7_property_suite():
-    """Beta-term identity, term recurrence vs exact binomials, radical
+    """First term vs exact binomials, term recurrence vs exact binomials, radical
     residual, and x = 0 short-circuits on every route."""
     failures = []
     for k in range(1, 51):
-        exact = 1.0 / binomial_exact(3 * k, k)
-        if abs(beta_term_identity(k) - exact) > 1e-12 * exact:
-            failures.append(("beta-term", k))
+        exact = 1.0 / math.comb(3 * k, k)
+        if abs(_first_term(k, 1.0 + 0j) - exact) > 1e-12 * exact:
+            failures.append(("first term", k))
     for m in (1, 2, 3):
         for x in (1.0, -2.5, 0.4 + 0.3j):
-            terms = series_terms(3, m, x, 30)
+            terms = _series_terms(3, m, x, 30)
             for k, t in enumerate(terms, start=1):
-                exact = x**k / (k**3 * binomial_exact(3 * m * k, m * k))
+                exact = x**k / (k**3 * math.comb(3 * m * k, m * k))
                 if abs(t - exact) > 1e-13 * (1.0 + abs(exact)):
                     failures.append(("recurrence", m, x, k))
     for x in (0.5, 6.0, -0.25, 27 / 4, 1 + 1j, -2 - 3j, 0.1j):
@@ -154,7 +154,7 @@ def test_criterion_7_property_suite():
         ev = evaluate(2, 2, 0.0, method)
         if ev.value != 0 or ev.abs_error_est != 0.0:
             failures.append(("zero", method))
-    report(7, "beta identity, term recurrence, radical residual, zero short-circuit", failures)
+    report(7, "first term, term recurrence, radical residual, zero short-circuit", failures)
 
 
 def test_criterion_8_full_verify_suite(capsys):

@@ -18,11 +18,9 @@ from invbinom import (
     DomainError,
     Evaluation,
     SeriesError,
-    SeriesParams,
     evaluate,
     fold,
     hypergeometric_value,
-    pfq,
     phi,
     s01,
     s11,
@@ -37,7 +35,7 @@ from invbinom.closed_forms import (
     REAL_BRANCH,
     _principal_root,
 )
-from test_series import _fixed_point_reference
+from test_series import _fixed_point_reference, _summable
 
 SQRT3 = math.sqrt(3.0)
 
@@ -264,29 +262,20 @@ class TestDerivativeLadder:
 
 
 class TestHypergeometric:
-    def test_value_at_zero_is_one(self):
-        assert pfq([1, 1, 1.5], [4 / 3, 5 / 3], 0.0) == 1.0
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_value_at_zero_is_zero(self, n):
+        assert hypergeometric_value(n, 0.0) == (0j, 0, 0.0)
 
-    def test_terminating_series(self):
-        # 2F1(-3, 1; 2; z) is a cubic polynomial; check against the finite sum
-        z = 5.0
-        value = pfq([-3.0, 1.0], [2.0], z)
-        exact = sum(
-            math.comb(3, k) * (-1) ** k / (k + 1) * z**k for k in range(4)
-        )
-        assert abs(value - exact) < 1e-12 * (1 + abs(exact))
+    @pytest.mark.parametrize("x", [27 / 4, -27 / 4, 6.75j, 7.0])
+    def test_unit_disk_enforced(self, x):
+        # the pFq argument 4x/27 must lie inside the unit disk
+        with pytest.raises(DomainError, match=r"needs \|z\| < 1"):
+            hypergeometric_value(2, x)
 
-    def test_unit_disk_enforced_unless_terminating(self):
-        with pytest.raises(DomainError):
-            pfq([1.0, 1.0], [2.0], 1.0)
-
-    def test_shape_and_parameter_validation(self):
-        with pytest.raises(ArgumentError):
-            pfq([1.0, 1.0, 1.0], [2.0], 0.1)  # p > q + 1
-        with pytest.raises(ArgumentError):
-            pfq([1.0], [0.0], 0.1)
-        with pytest.raises(ArgumentError):
-            pfq([1.0], [-2.0], 0.1)
+    @pytest.mark.parametrize("n", [-1, 3])
+    def test_recipes_cover_weights_up_to_two(self, n):
+        with pytest.raises(ArgumentError, match="recipes exist for n in"):
+            hypergeometric_value(n, 0.5)
 
     @pytest.mark.parametrize("x", [-1.0, 0.5, 2.0, 6.0])
     def test_weight2_recipe_matches_closed_form(self, x):
@@ -388,7 +377,7 @@ def _fold_by_public_routes(n: int, m: int, x: complex, inner: str) -> Evaluation
     total, err, work = 0j, 0.0, 0
     for j in range(1, m + 1):
         w = root_of_unity(j, m) * root
-        while abs(w) >= 27 / 4 and not SeriesParams(n, 1, w).summable():
+        while abs(w) >= 27 / 4 and not _summable(n, 1, w):
             w *= 1.0 - 2.220446049250313e-16
         ev = evaluate(n, 1, w, inner)
         total += ev.value
@@ -435,7 +424,7 @@ class TestFoldSumsKernels:
             x = complex(-rho * radius)
         else:
             x = cmath.rect(rho * radius, theta)
-        assume(SeriesParams(n, m, x).summable())  # the rim only for n >= 2
+        assume(_summable(n, m, x))  # the rim only for n >= 2
         assume(abs(x) >= _TINY_X)  # below it fold sums no kernels (TestFoldTinyArguments)
         # a low term cap keeps direct summation on the rim short: both sides raise alike
         with mock.patch.dict(os.environ, {"SERIES_MAX_TERMS": "20000"}):

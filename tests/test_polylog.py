@@ -13,7 +13,6 @@ from invbinom import (
     ArgumentError,
     DomainError,
     PoleError,
-    PolylogQuery,
     li,
     li_factorized,
     root_of_unity,
@@ -179,22 +178,30 @@ def test_poles_and_domain():
     with pytest.raises(ArgumentError):
         li(-1, 0.5)
     with pytest.raises(ArgumentError):
-        PolylogQuery(-2, 0.1)
+        li(-2, 0.1)
 
 
 def test_rim_rounding_tolerated():
     assert abs(li(2, 1.0 + 1e-13) - ZETA2) < 1e-9
 
 
-def test_li_and_polylog_query_share_one_domain_rule():
-    for n, z in [(-1, 0.5), (-2, 0.1), (2, 1.5), (3, 0.9 + 0.9j), (1, 1.0), (0, 1.0), (0, 1j)]:
-        with pytest.raises((ArgumentError, DomainError, PoleError)) as from_li:
-            li(n, z)
-        with pytest.raises((ArgumentError, DomainError, PoleError)) as from_query:
-            PolylogQuery(n, z)
-        assert type(from_li.value) is type(from_query.value), (n, z)
-        assert str(from_li.value) == str(from_query.value), (n, z)
-    assert PolylogQuery(2, 0.5).z == 0.5 + 0j
+@pytest.mark.parametrize(
+    "n,z,error,message",
+    [
+        (-1, 0.5, ArgumentError, "polylog weight must be >= 0, got -1"),
+        (-2, 0.1, ArgumentError, "polylog weight must be >= 0, got -2"),
+        (2, 1.5, DomainError, "|z| = 1.5 lies outside the closed unit disk"),
+        (3, 0.9 + 0.9j, DomainError, f"|z| = {abs(0.9 + 0.9j)!r} lies outside the closed unit disk"),
+        (1, 1.0, PoleError, "Li_1 has a logarithmic singularity at z = 1"),
+        (0, 1.0, PoleError, "Li_0 has a pole at z = 1"),
+        (0, 1j, DomainError, "Li_0 requires |z| < 1"),
+    ],
+)
+def test_li_domain_rule_messages(n, z, error, message):
+    with pytest.raises(error) as exc:
+        li(n, z)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
 
 
 def _exact_series(n, z):

@@ -1,12 +1,14 @@
 """Adaptive Gauss-Kronrod kernel."""
 
 import cmath
+import dataclasses
 import heapq
 import math
 
 import pytest
 
 from invbinom import ArgumentError, ConvergenceError, QuadratureSpec, adaptive_quad
+from invbinom import quadrature
 from invbinom.quadrature import _EPS, _WG, _WGK, _XGK, DEFAULT_SPEC, _gk15
 
 
@@ -28,8 +30,9 @@ def test_log_singularity_at_endpoint():
     assert err >= abs(value.real + 1.0)
 
 
-def test_inverse_sqrt_singularity():
-    spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=5000)
+def test_inverse_sqrt_singularity(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 5000)
+    spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)
     value, err, _ = adaptive_quad(lambda t: 1.0 / math.sqrt(t), 0.0, 1.0, spec)
     assert abs(value.real - 2.0) < 1e-8
 
@@ -49,9 +52,10 @@ def test_reversed_interval_raises():
         adaptive_quad(math.sin, 1.0, 0.0)
 
 
-def test_budget_exhaustion_raises():
-    spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=5)
-    with pytest.raises(ConvergenceError):
+def test_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 5)
+    spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14)
+    with pytest.raises(ConvergenceError, match="after 5 subdivisions"):
         adaptive_quad(lambda t: 1.0 / math.sqrt(t), 0.0, 1.0, spec)
 
 
@@ -66,7 +70,8 @@ def test_spec_validation():
     with pytest.raises(ArgumentError):
         QuadratureSpec(abs_tol=0.0)
     with pytest.raises(ArgumentError):
-        QuadratureSpec(max_subdivisions=20_000)
+        QuadratureSpec(rel_tol=math.nan)
+    assert [f.name for f in dataclasses.fields(QuadratureSpec)] == ["abs_tol", "rel_tol"]
 
 
 # -- bit identity with the plain loops ---------------------------------------------------
@@ -111,7 +116,7 @@ def _adaptive_quad_loop(f, a, b, spec=None):
     heap = [(-err, 0, a, b, value, err)]
     total_val, total_err, neval, counter, splits = value, err, 15, 1, 0
     while total_err > max(spec.abs_tol, spec.rel_tol * abs(total_val)):
-        if splits >= spec.max_subdivisions:
+        if splits >= quadrature.MAX_SUBDIVISIONS:
             raise ConvergenceError("budget")
         _, _, lo, hi, v0, e0 = heapq.heappop(heap)
         if e0 == 0.0:

@@ -14,30 +14,28 @@ from hypothesis import strategies as st
 from invbinom import (
     ArgumentError,
     ConvergenceError,
-    Domain,
     DomainError,
     Evaluation,
     SeriesParams,
-    beta_term_identity,
-    binomial_exact,
     convergence_radius,
     evaluate,
-    series_terms,
     sum_direct,
-    term_ratio,
-    term_ratio_stride,
 )
 from invbinom import CardanoRoot, phi, series
-from invbinom.closed_forms import REAL_BRANCH
+from invbinom.closed_forms import REAL_BRANCH, _leading_terms
 from invbinom.series import (
     _FACTOR_TABLE,
     _FACTORS,
     _block_terms,
     _computed_factors,
     _first_term,
+    _inside,
+    _on_rim,
+    _ratios,
     _short_sum_terms,
     _step,
     _stride_factors,
+    _terms,
     terms_needed,
 )
 
@@ -47,18 +45,38 @@ S11_AT_HALF = 0.17552982924699026
 S01_AT_HALF = 0.18495901209107352
 
 
+def _summable(n, m, x):
+    """The test of the domain rule (``SeriesParams.require_summable``)."""
+    return _inside(n, abs(complex(x)), convergence_radius(m))
+
+
+def _ratio(k, n, m, x):
+    """The stride-m term ratio t_{k+1} / t_k, as ``sum_direct`` forms it."""
+    return next(_ratios(k, k + 1, n, m, complex(x)))
+
+
+def _series_terms(n, m, x, count):
+    """t_1 .. t_count, built exactly as ``sum_direct`` builds them (in float
+    arithmetic for real x): the first term, then the ratio recurrence."""
+    xc = complex(x)
+    t = _first_term(m, xc)
+    if xc.imag == 0.0:
+        return [complex(v) for v in _terms(t.real, 1, count - 1, n, m, xc.real)]
+    return _terms(t, 1, count - 1, n, m, xc)
+
+
 class TestDomainModel:
-    def test_classify_interior_boundary_outside(self):
-        assert SeriesParams(2, 1, 3.0).classify() is Domain.INTERIOR
-        assert SeriesParams(2, 1, 27 / 4).classify() is Domain.BOUNDARY
-        assert SeriesParams(2, 1, 6.7500001).classify() is Domain.OUTSIDE
-        assert SeriesParams(2, 2, 45.5625).classify() is Domain.BOUNDARY
-        assert SeriesParams(2, 2, complex(0, 45.5625)).classify() is Domain.BOUNDARY
+    def test_interior_rim_outside(self):
+        assert _summable(2, 1, 3.0) and not _on_rim(1, 3.0)
+        assert _on_rim(1, 27 / 4)
+        assert not _summable(2, 1, 6.7500001) and not _on_rim(1, 6.7500001)
+        assert _on_rim(2, 45.5625)
+        assert _on_rim(2, complex(0, 45.5625))
 
     def test_summable_needs_weight_two_on_the_rim(self):
-        assert SeriesParams(2, 1, 27 / 4).summable()
-        assert not SeriesParams(1, 1, 27 / 4).summable()
-        assert SeriesParams(0, 1, 1.0).summable()
+        assert _summable(2, 1, 27 / 4)
+        assert not _summable(1, 1, 27 / 4)
+        assert _summable(0, 1, 1.0)
 
     def test_radius_values_are_exact(self):
         assert convergence_radius(1) == 6.75
@@ -74,8 +92,9 @@ class TestDomainModel:
     def test_radius_past_binary64_is_infinite(self):
         assert convergence_radius(371) < math.inf
         assert convergence_radius(372) == math.inf
-        assert SeriesParams(2, 400, 1e300).summable()
-        assert not SeriesParams(2, 400, math.inf).summable()
+        assert _summable(2, 400, 1e300)
+        assert not _summable(2, 400, math.inf)
+        assert not _on_rim(400, math.inf)
 
     def test_domain_rule_names_the_bound(self):
         with pytest.raises(DomainError, match=r"\(27/4\)\*\*1 = 6.75"):
@@ -147,38 +166,46 @@ class TestEvaluation:
 class TestTermRatio:
     def test_ratio_at_k1_weight0(self):
         # 2*3*4 / (4*5*6)
-        assert term_ratio(1, 0, 1.0) == pytest.approx(0.2, abs=0)
+        assert _ratio(1, 0, 1, 1.0) == pytest.approx(0.2, abs=0)
 
     def test_ratio_at_k1_weight2(self):
         # (1/2)**2 * 1/5
-        assert term_ratio(1, 2, 1.0) == pytest.approx(0.05, abs=0)
+        assert _ratio(1, 2, 1, 1.0) == pytest.approx(0.05, abs=0)
 
     def test_zero_argument_kills_the_ratio(self):
-        assert term_ratio(1, 0, 0.0) == 0
+        assert _ratio(1, 0, 1, 0.0) == 0
 
     def test_modulus_tends_to_4x_over_27(self):
         limit = 4.0 / 27.0
-        assert abs(term_ratio(4000, 3, 1.0)) == pytest.approx(limit, rel=1e-3)
+        assert abs(_ratio(4000, 3, 1, 1.0)) == pytest.approx(limit, rel=1e-3)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 4, 6])
     def test_modulus_monotone_for_large_k(self, n):
-        values = [abs(term_ratio(k, n, 1.0)) for k in range(20, 80)]
+        values = [abs(r) for r in _ratios(20, 80, n, 1, 1.0 + 0j)]
         diffs = [b - a for a, b in zip(values, values[1:])]
         assert all(d <= 0 for d in diffs) or all(d >= 0 for d in diffs)
 
-    def test_stride_ratio_reduces_to_stride_one(self):
-        assert term_ratio_stride(3, 2, 1, 0.7) == term_ratio(3, 2, 0.7)
+    def test_stride_one_ratio_against_its_exact_expansion(self):
+        # x (k/(k+1))**n (k+1)(2k+1)(2k+2) / ((3k+1)(3k+2)(3k+3)): three roundings
+        k, n, x = 3, 2, 0.7
+        exact = Fraction(x) * Fraction(k, k + 1) ** n
+        exact *= Fraction((k + 1) * (2 * k + 1) * (2 * k + 2), (3 * k + 1) * (3 * k + 2) * (3 * k + 3))
+        got = _ratio(k, n, 1, x)
+        assert got.imag == 0.0
+        assert abs(Fraction(got.real) - exact) <= 2 * exact / 2**53
 
     def test_huge_stride_ratio_underflows(self):
-        # the product of 10**5 factors near 4/27 is 0; building it must not exhaust the C stack
-        assert term_ratio_stride(1, 0, 10**5, 1.0) == 0
+        # the product of 10**5 factors near 4/27 is 0; building it must not exhaust the C
+        # stack, which the materialised chain every _MAP_DEPTH offsets prevents
+        assert 10**5 > 100 * series._MAP_DEPTH
+        assert _ratio(1, 0, 10**5, 1.0) == 0
 
     @pytest.mark.parametrize("m", [45, 60, 133])
     @pytest.mark.parametrize("k", [1, 7, 50])
     def test_large_stride_ratio_does_not_overflow(self, m, k):
         # the 3m-factor products overflow binary64 here; the ratio must not
         exact = Fraction(math.comb(3 * m * k, m * k), math.comb(3 * m * (k + 1), m * (k + 1)))
-        assert term_ratio_stride(k, 0, m, 1.0).real == pytest.approx(float(exact), rel=1e-14)
+        assert _ratio(k, 0, m, 1.0).real == pytest.approx(float(exact), rel=1e-14)
 
 
 def _bits(z):
@@ -271,7 +298,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("n,m,x", BIT_POINTS)
     def test_sum_direct_is_the_fsum_of_series_terms(self, n, m, x):
         ev = sum_direct(n, m, x)
-        terms = series_terms(n, m, x, ev.work)
+        terms = _series_terms(n, m, x, ev.work)
         want = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
         assert _bits(ev.value) == _bits(want)
 
@@ -294,39 +321,43 @@ class TestBitIdentity:
 
 
 class TestBinomialExact:
-    @pytest.mark.parametrize("a,b,expected", [(3, 1, 3), (6, 2, 15), (18, 6, 18564)])
-    def test_known_values(self, a, b, expected):
-        assert binomial_exact(a, b) == expected
+    """The exact binomials of the first term and of fold's leading terms (``math.comb``)."""
 
-    def test_matches_math_comb_on_a_block(self):
-        for a in range(0, 40):
-            for b in range(0, a + 1):
-                assert binomial_exact(a, b) == math.comb(a, b)
+    @pytest.mark.parametrize("m,expected", [(1, 3), (2, 15), (6, 18564)])
+    def test_known_values(self, m, expected):
+        assert _first_term(m, complex(expected)) == 1.0  # C(3m, m), exactly
 
-    def test_lower_index_above_upper_raises(self):
-        with pytest.raises(ArgumentError):
-            binomial_exact(5, 6)
-
-    def test_cap_enforced(self):
-        with pytest.raises(ArgumentError):
-            binomial_exact(401, 2)
+    @pytest.mark.parametrize("n", [0, 2, 5])
+    @pytest.mark.parametrize("x", [1e-9, -3e-9 + 4e-9j])
+    def test_leading_terms_against_exact_rationals(self, n, x):
+        # m up to 40: past the 400 cap on the upper index that fold's leading terms had
+        xr, xi = Fraction(x.real), Fraction(complex(x).imag)
+        for m in range(1, 41):
+            value, err, work = _leading_terms(n, m, complex(x))
+            pr, pi, re, im, mag = Fraction(1), Fraction(0), Fraction(0), Fraction(0), 0.0
+            for k in (1, 2, 3):
+                pr, pi = pr * xr - pi * xi, pr * xi + pi * xr
+                c = k**n * math.comb(3 * m * k, m * k)
+                re, im = re + pr / c, im + pi / c
+                mag += float(abs(complex(pr, pi)) / c)
+            miss = abs(complex(float(Fraction(value.real) - re), float(Fraction(value.imag) - im)))
+            assert miss <= 4 * 2.220446049250313e-16 * mag <= err, (n, m, x)
+            assert work == 3
 
 
 class TestBetaTermIdentity:
+    """t_1 at x = 1 and stride k is 1 / C(3k, k): one division, after C(3k, k) is
+    rounded to binary64 (k >= 21), so within two roundings."""
+
     @pytest.mark.parametrize("k,expected", [(1, 1 / 3), (2, 1 / 15), (5, 1 / 3003)])
     def test_small_k(self, k, expected):
-        assert beta_term_identity(k) == pytest.approx(expected, rel=1e-13)
+        assert _first_term(k, 1.0 + 0j) == expected
 
     def test_equals_inverse_binomial_up_to_50(self):
         for k in range(1, 51):
-            exact = 1.0 / binomial_exact(3 * k, k)
-            assert beta_term_identity(k) == pytest.approx(exact, rel=1e-12)
-
-    def test_out_of_range_raises(self):
-        with pytest.raises(ArgumentError):
-            beta_term_identity(0)
-        with pytest.raises(ArgumentError):
-            beta_term_identity(101)
+            exact = Fraction(1, math.comb(3 * k, k))
+            t1 = _first_term(k, 1.0 + 0j)
+            assert t1.imag == 0.0 and abs(Fraction(t1.real) - exact) <= exact / 2**52, k
 
 
 class TestTermRecurrence:
@@ -334,9 +365,9 @@ class TestTermRecurrence:
     @pytest.mark.parametrize("n", [0, 2, 5])
     @pytest.mark.parametrize("x", [1.0, -2.5, 0.5, 0.3 + 0.7j])
     def test_recursive_terms_match_exact_binomials(self, m, n, x):
-        terms = series_terms(n, m, x, 30)
+        terms = _series_terms(n, m, x, 30)
         for k, t in enumerate(terms, start=1):
-            exact = x**k / (k**n * binomial_exact(3 * m * k, m * k))
+            exact = x**k / (k**n * math.comb(3 * m * k, m * k))
             assert abs(t - exact) <= 1e-13 * (1.0 + abs(exact))
 
 
@@ -404,7 +435,7 @@ class TestSumDirect:
     def test_first_term_past_the_old_binomial_cap(self, m):
         x = 0.75 - 0.5j
         exact = Fraction(1, math.comb(3 * m, m))
-        t1 = series_terms(2, m, x, 1)[0]
+        t1 = _first_term(m, x)
         for got, want in ((t1.real, Fraction(x.real) * exact), (t1.imag, Fraction(x.imag) * exact)):
             assert abs(Fraction(got) - want) <= abs(want) * Fraction(2, 2**53)
         # the next term underflows, so the sum is the first term
@@ -414,7 +445,7 @@ class TestSumDirect:
         m = 400
         x = 1e300
         want = Fraction(x) / math.comb(3 * m, m)
-        assert series_terms(2, m, x, 1)[0] == complex(float(want))
+        assert _first_term(m, complex(x)) == complex(float(want))
 
     def test_env_var_caps_terms(self, monkeypatch):
         monkeypatch.setenv("SERIES_MAX_TERMS", "25")
@@ -578,13 +609,6 @@ class TestTermsNeeded:
 
 
 class TestSeriesTerms:
-    def test_empty_prefix(self):
-        assert series_terms(2, 1, 0.5, 0) == []
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ArgumentError):
-            series_terms(2, 1, 0.5, -1)
-
     def test_explicit_max_terms_threading(self):
         with pytest.raises(ConvergenceError):
             sum_direct(2, 1, 6.0, rel_tol=1e-15, max_terms=50)
