@@ -326,7 +326,7 @@ def sum_direct(
     k**(1/2 - n) is used instead.
 
     Raises:
-        ArgumentError: n < 0, m < 1, rel_tol <= 0 or max_terms < 1.
+        ArgumentError: n < 0, m < 1, rel_tol not > 0 (NaN included) or max_terms < 1.
         DomainError: outside the disk, or on the rim with n < 2.
         ConvergenceError: ``max_terms`` exhausted before the stop rule hit.
     """
@@ -334,7 +334,7 @@ def sum_direct(
     ax, radius = abs(x), convergence_radius(m)  # ArgumentError for m < 1
     if n < 0 or not _inside(n, ax, radius):
         SeriesParams.require_summable(n, m, x)  # raises
-    if rel_tol <= 0.0:
+    if not rel_tol > 0.0:  # NaN too
         raise ArgumentError("rel_tol must be positive")
     if max_terms is None:
         max_terms = default_max_terms()

@@ -197,7 +197,7 @@ def run_special_values(tol: float | None = None) -> VerificationReport:
     matching series route: direct summation inside the disk, the
     polylog-kernel quadrature on the rim. ``tol`` overrides the tiered
     defaults uniformly when given."""
-    if tol is not None and tol <= 0:
+    if tol is not None and not tol > 0:  # NaN too
         raise ArgumentError("tol must be positive")
     entries = _special_value_entries(SPECIAL_VALUES, tol, TOL_SERIES)
     return VerificationReport("special-values", tuple(entries))
@@ -206,7 +206,7 @@ def run_special_values(tol: float | None = None) -> VerificationReport:
 def run_borwein_girgensohn(tol: float = 1e-12) -> VerificationReport:
     """The four special values first reported from integer-relation
     experiments, re-verified independently at tightened tolerance."""
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise ArgumentError("tol must be positive")
     records = [record_by_id(i) for i in EXPERIMENTAL_IDS]
     entries = _special_value_entries(records, tol, tol)
@@ -288,7 +288,7 @@ def run_cross_routes(
     tol: float | None = None,
 ) -> VerificationReport:
     """All applicable routes at every grid point, compared pairwise."""
-    if tol is not None and tol <= 0:
+    if tol is not None and not tol > 0:  # NaN too
         raise ArgumentError("tol must be positive")
     points = tuple(grid) if grid is not None else default_grid()
     entries: list[CheckEntry] = []
@@ -330,7 +330,7 @@ FACTORIZATION_POINTS: tuple[complex, ...] = (
 
 def run_polylog_factorization(tol: float = 1e-12) -> VerificationReport:
     """li_factorized(n, z, m) against li(n, z**m) over the documented grid."""
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise ArgumentError("tol must be positive")
     entries: list[CheckEntry] = []
     for n in (2, 3, 4):

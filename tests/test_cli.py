@@ -284,6 +284,13 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--suite", "bogus")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    def test_non_positive_tolerance_exits_two(self, capsys, tol):
+        code, out, err = run(capsys, "verify", "--suite", "polylog", "--tol", tol)
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "tol must be positive" in err
+
     def test_impossible_tolerance_exits_three(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "borwein-girgensohn", "--tol", "1e-30"

@@ -411,6 +411,13 @@ class TestSumDirect:
         with pytest.raises(DomainError):
             sum_direct(2, 1, 7.0)
 
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-15, math.nan])
+    def test_non_positive_tolerance_raises(self, rel_tol):
+        with pytest.raises(ArgumentError, match="rel_tol must be positive"):
+            sum_direct(3, 1, 0.5, rel_tol=rel_tol)
+        with pytest.raises(ArgumentError, match="rel_tol must be positive"):
+            evaluate(3, 1, 0.5, "direct-sum", rel_tol=rel_tol)
+
     def test_rim_needs_weight_two(self):
         with pytest.raises(DomainError):
             sum_direct(1, 1, 27 / 4)

@@ -1,6 +1,7 @@
 """Verification suites, report shape, serialization round-trip."""
 
 import json
+import math
 
 import pytest
 
@@ -168,3 +169,11 @@ class TestRunAll:
             run_special_values(tol=0.0)
         with pytest.raises(ArgumentError):
             run_polylog_factorization(tol=-1.0)
+
+    @pytest.mark.parametrize(
+        "suite",
+        [run_special_values, run_borwein_girgensohn, run_cross_routes, run_polylog_factorization],
+    )
+    def test_nan_tolerance_is_rejected_before_any_check_runs(self, suite):
+        with pytest.raises(ArgumentError, match="tol must be positive"):
+            suite(tol=math.nan)
