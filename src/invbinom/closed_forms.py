@@ -197,10 +197,42 @@ def _s01(xc: complex, p: complex, at: complex, lg: complex, real: bool) -> tuple
     return value, 8.0 * _EPS * (abs(coeff_at * at) + abs(coeff_lg * lg) + abs(tail)) + _EPS
 
 
+def _midpoint(a: float, b: float) -> tuple[int, int]:
+    """(a + b) / 2 as an exact integer ratio (numerator, denominator)."""
+    an, ad = a.as_integer_ratio()
+    bn, bd = b.as_integer_ratio()
+    return an * bd + bn * ad, 2 * ad * bd
+
+
+def _real_root(x: float, m: int) -> float:
+    """The correctly rounded m-th root of x > 0.
+
+    x ** (1/m) is not, since 1/m is rounded (R**3 ** (1/3) is 6.749999999999999), and
+    near the branch point of phi one ulp of the root moves S(2, 1) by about sqrt(eps)
+    relative. The candidate steps by one ulp while the m-th power of the midpoint to
+    its neighbour, compared with x in exact integer arithmetic, shows the root lies
+    beyond that midpoint. No root of a float is a midpoint, so there are no ties.
+    """
+    r = x ** (1.0 / m)
+    xn, xd = x.as_integer_ratio()
+    while True:
+        below = math.nextafter(r, 0.0)
+        num, den = _midpoint(below, r)
+        if num**m * xd > xn * den**m:
+            r = below
+            continue
+        above = math.nextafter(r, math.inf)
+        num, den = _midpoint(r, above)
+        if num**m * xd < xn * den**m:
+            r = above
+            continue
+        return r
+
+
 def _principal_root(xc: complex, m: int) -> complex:
-    """Principal m-th root, kept exactly real for positive real input."""
+    """Principal m-th root, correctly rounded and exactly real for positive real input."""
     if xc.imag == 0.0 and xc.real > 0.0:
-        return complex(xc.real ** (1.0 / m))
+        return complex(_real_root(xc.real, m))
     if m == 2:
         return cmath.sqrt(xc)
     return xc ** (1.0 / m)

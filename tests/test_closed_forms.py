@@ -3,6 +3,7 @@
 import cmath
 import math
 import os
+import random
 import statistics
 from fractions import Fraction
 from unittest import mock
@@ -555,6 +556,91 @@ class TestBranchGuards:
         # stride-1 closed forms directly
         direct = 2 * (s21(27 / 4).value + s21(-27 / 4).value)
         assert abs(a - direct) < 1e-12
+
+
+# S(n, m; sign (27/4)**m), n 2..4, m 1..6, from mpmath at 24 and 32 digits (fold to stride
+# 1 over the exact m-th roots; mpmath.hyper on the real axis, quadrature of the polylog
+# kernel off it), where the two precisions agree to 1e-22 relative.
+RIM_REFERENCES = [
+    (2, 1, +1, 5.618830239556503),
+    (2, 1, -1, -1.7424348436574661),
+    (2, 2, +1, 7.752790791798073),
+    (2, 2, -1, -2.3388479078978235),
+    (2, 3, +1, 9.416439730761951),
+    (2, 3, -1, -2.8133637386210104),
+    (2, 4, +1, 10.8278857678005),
+    (2, 4, -1, -3.219202972205861),
+    (2, 5, +1, 12.075658729825472),
+    (2, 5, -1, -3.579531577854192),
+    (2, 6, +1, 13.206151984281883),
+    (2, 6, -1, -3.906869709568371),
+    (3, 1, +1, 2.974506287708767),
+    (3, 1, -1, -1.9635326305975798),
+    (3, 2, +1, 4.0438946284447495),
+    (3, 2, -1, -2.6428187798302454),
+    (3, 3, +1, 4.886464736835129),
+    (3, 3, -1, -3.1821213924478973),
+    (3, 4, +1, 5.604303394458015),
+    (3, 4, -1, -3.642978870164514),
+    (3, 5, +1, 6.240325711600225),
+    (3, 5, -1, -4.05197011636127),
+    (3, 6, +1, 6.817373377548927),
+    (3, 6, -1, -4.423410727446932),
+    (4, 1, +1, 2.5204400945844294),
+    (4, 1, -1, -2.093928828088923),
+    (4, 2, +1, 3.4120901319640526),
+    (4, 2, -1, -2.822333539877477),
+    (4, 3, +1, 4.116859407384773),
+    (4, 3, -1, -3.3999981491549742),
+    (4, 4, +1, 4.718052736692606),
+    (4, 4, -1, -3.893421202483227),
+    (4, 5, +1, 5.251082724005279),
+    (4, 5, -1, -4.33121034964469),
+    (4, 6, +1, 5.734890065838392),
+    (4, 6, -1, -4.728746970860619),
+]
+
+
+class TestRealRoot:
+    """The real m-th root under fold: x ** (1/m) is not correctly rounded (1/m is not
+    exact), and one ulp of the root moves S(2, 1) near 27/4 by about sqrt(eps)."""
+
+    def test_positive_real_roots_are_correctly_rounded(self):
+        rng = random.Random("real m-th root")
+        for _ in range(2000):
+            m = rng.randint(2, 12)
+            x = math.ldexp(rng.uniform(0.5, 1.0), rng.randint(-1070, 1020))
+            r = _principal_root(complex(x), m)
+            assert r.imag == 0.0
+            r = r.real
+            below = (Fraction(math.nextafter(r, 0.0)) + Fraction(r)) / 2
+            above = (Fraction(r) + Fraction(math.nextafter(r, math.inf))) / 2
+            assert below**m < Fraction(x) < above**m, (x, m)
+
+    @pytest.mark.parametrize("m", range(2, 12))
+    def test_exact_powers_give_exact_roots(self, m):
+        # (27/4)**m is exact in binary64 up to m = 11; the rim roots are 27/4 itself
+        assert _principal_root(complex((27 / 4) ** m), m) == 6.75
+        assert _principal_root(complex(3.0**m), m) == 3.0
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 6])
+    @pytest.mark.parametrize("x", [-100.0, -(27 / 4) ** 3, 1 + 1j, -2.5 - 7j])
+    def test_negative_and_complex_arguments_keep_the_principal_power(self, m, x):
+        want = cmath.sqrt(x) if m == 2 else complex(x) ** (1.0 / m)
+        assert _principal_root(complex(x), m) == want
+
+    @pytest.mark.parametrize("n,m,sign,ref", RIM_REFERENCES)
+    def test_rim_values_against_mpmath(self, n, m, sign, ref):
+        # auto folds over the closed forms (n = 2) or quad-cardano (n >= 3) for m >= 2.
+        # Before the correctly rounded root, S(2, m; R**m) was 2.7e-8 (m = 3), 3.4e-8
+        # (m = 5) and 3.8e-8 (m = 6) off, with estimates near 1e-13.
+        ev = evaluate(n, m, sign * (27 / 4) ** m)
+        err = abs(ev.value - ref)
+        assert ev.value.imag == 0.0
+        assert err <= ev.abs_error_est, (n, m, sign, err, ev.abs_error_est)
+        assert err <= 1e-13 * abs(ref)
+        if n == 2 and sign > 0:
+            assert err <= 2e-15 * abs(ref)
 
 
 class TestRimFolding:
