@@ -21,7 +21,13 @@ from typing import Callable, NamedTuple
 
 from .closed_forms import _closed_kernel, fold, stride_refusal
 from .errors import ArgumentError, ConvergenceError, DomainError
-from .integral_reps import _cardano_kernel, quad_polylog, quad_two_term
+from .integral_reps import (
+    TWO_TERM_FLOOR,
+    TWO_TERM_MIN_X,
+    _cardano_kernel,
+    quad_polylog,
+    quad_two_term,
+)
 from .quadrature import QuadratureSpec
 from .series import (
     Evaluation,
@@ -85,17 +91,12 @@ def _pfq(n: int, m: int, x: complex, rel_tol, spec, max_terms) -> Triple:
     return value, err, terms
 
 
-# quad-two-term's relative error against direct-sum (n 2..6, 400 points per decade) is at
-# most 2e-11 above |x| = 1.75e-3, up to 2.8e-8 just below it and 1e-6 below 4e-7.
-TWO_TERM_MIN_X = 2e-3
-
-
 def _two_term_limits(n: int, m: int, x: complex) -> str | None:
     reason = _stride_one("quad-two-term", n, m, 2)
     if reason is None and x.imag != 0.0:
         reason = "quad-two-term is a real-argument route"
     if reason is None and abs(x) < TWO_TERM_MIN_X:
-        reason = f"quad-two-term needs |x| >= {TWO_TERM_MIN_X:g}, where it holds 1e-9 relative"
+        reason = TWO_TERM_FLOOR
     return reason
 
 

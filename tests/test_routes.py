@@ -26,10 +26,12 @@ from invbinom import (
     s11,
     s21,
     sum_direct,
+    two_term_limits,
 )
 from invbinom import routes, series
 from invbinom.cli import EXIT_DOMAIN, main
-from invbinom.routes import ROUTES, TWO_TERM_MIN_X
+from invbinom.integral_reps import TWO_TERM_MIN_X
+from invbinom.routes import ROUTES
 from invbinom.series import convergence_radius, terms_needed
 from invbinom.verify import _applicable_routes
 from test_series import _summable
@@ -538,10 +540,27 @@ class TestTwoTermFloor:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_refuses_below_the_floor(self, x, sign):
         x *= sign
-        assert ROUTES["quad-two-term"].refuses(2, 1, complex(x)) is not None
-        with pytest.raises(ArgumentError, match=r"quad-two-term needs \|x\| >= 0.002"):
+        reason = ROUTES["quad-two-term"].refuses(2, 1, complex(x))
+        assert reason == "quad-two-term needs |x| >= 0.002, where it holds 1e-9 relative"
+        with pytest.raises(ArgumentError) as from_route:
             evaluate(3, 1, x, "quad-two-term")
+        assert str(from_route.value) == reason
         assert evaluate(3, 1, x).method == "direct-sum"
+        # the public function refuses with the route's message; the limits still serve
+        for n in (2, 5):
+            with pytest.raises(ArgumentError) as from_public:
+                quad_two_term(n, x)
+            assert str(from_public.value) == reason
+        if abs(x) >= 1e-306:
+            lim = two_term_limits(x)
+            assert math.isfinite(lim.alpha) and math.isfinite(lim.beta)
+
+    def test_public_function_serves_from_the_floor(self):
+        # at S(5,1;0.0017) it was 1.6e-11 off with an estimate of 1.2e-13
+        for x in (TWO_TERM_MIN_X, -TWO_TERM_MIN_X):
+            assert quad_two_term(5, x) == evaluate(5, 1, x, "quad-two-term")
+        with pytest.raises(DomainError, match="x -> 0"):
+            quad_two_term(2, 0.0)
 
     def test_cli_exit_code_below_the_floor(self, capsys):
         code = main(["eval", "--n", "2", "--m", "1", "--x", "0.001", "--method", "quad-two-term"])
