@@ -14,7 +14,8 @@ trusted on formal grounds.
 
 Closed forms exist for weights 0, 1, 2 at stride 1 (``s01``, ``s11``,
 ``s21``). ``fold`` reduces S(n, m; x) to m stride-1 evaluations at rotated
-m-th roots of x, and answers |x| < 1e-8 from exact leading terms.
+m-th roots of x (the real root of positive x correctly rounded), and answers
+|x| < 1e-8 from exact leading terms.
 """
 
 from __future__ import annotations

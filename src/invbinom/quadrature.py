@@ -9,7 +9,8 @@ an integrand singular exactly at an endpoint is never sampled there.
 
 Complex-valued integrands work unchanged: the rule is linear and the error
 metric is the complex modulus. For a fixed spec the refinement order is
-deterministic, so results are bit-reproducible run to run.
+deterministic, so results are bit-reproducible run to run. A spec holds the
+two tolerances; the subdivision budget is the constant MAX_SUBDIVISIONS.
 
 Most integrals the package takes meet their tolerance on the first panel, so
 that panel is returned at once, with no heap; the panel itself makes its 15

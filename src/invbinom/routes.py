@@ -10,7 +10,8 @@ undercuts the alternative, which is the stride-1 closed forms for n <= 2 (at m =
 always win; folded over them for m >= 2) and the Cardano-root quadrature for n >= 3
 (quad-cardano, folded over for m >= 2). quad-cardano's kernel is called bare, as the
 closed forms' is; quad-polylog is never chosen by ``auto`` and stays an explicit route
-and verify's cross-check.
+and verify's cross-check. The pfq route is ``hypergeometric_value``, which sums a fixed
+pFq recipe per weight n <= 2.
 """
 
 from __future__ import annotations
