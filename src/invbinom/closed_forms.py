@@ -198,36 +198,25 @@ def _s01(xc: complex, p: complex, at: complex, lg: complex, real: bool) -> tuple
     return value, 8.0 * _EPS * (abs(coeff_at * at) + abs(coeff_lg * lg) + abs(tail)) + _EPS
 
 
-def _midpoint(a: float, b: float) -> tuple[int, int]:
-    """(a + b) / 2 as an exact integer ratio (numerator, denominator)."""
-    an, ad = a.as_integer_ratio()
-    bn, bd = b.as_integer_ratio()
-    return an * bd + bn * ad, 2 * ad * bd
-
-
 def _real_root(x: float, m: int) -> float:
-    """The correctly rounded m-th root of x > 0.
-
-    x ** (1/m) is not, since 1/m is rounded (R**3 ** (1/3) is 6.749999999999999), and
-    near the branch point of phi one ulp of the root moves S(2, 1) by about sqrt(eps)
-    relative. The candidate steps by one ulp while the m-th power of the midpoint to
-    its neighbour, compared with x in exact integer arithmetic, shows the root lies
-    beyond that midpoint. No root of a float is a midpoint, so there are no ties.
-    """
-    r = x ** (1.0 / m)
+    """The correctly rounded m-th root of x > 0. x ** (1/m) is not, as 1/m is rounded
+    (R**3 ** (1/3) is 6.749999999999999), and one ulp of the root moves S(2, 1) near the
+    branch point of phi by about sqrt(eps) relative. No root of a float is a midpoint
+    between floats, so the exact comparisons below meet no ties."""
     xn, xd = x.as_integer_ratio()
-    while True:
-        below = math.nextafter(r, 0.0)
-        num, den = _midpoint(below, r)
-        if num**m * xd > xn * den**m:
-            r = below
-            continue
-        above = math.nextafter(r, math.inf)
-        num, den = _midpoint(r, above)
-        if num**m * xd < xn * den**m:
-            r = above
-            continue
-        return r
+
+    def beyond(a: float, b: float) -> bool:
+        """True when the m-th root of x exceeds (a + b) / 2, in exact integer arithmetic."""
+        an, ad = a.as_integer_ratio()
+        bn, bd = b.as_integer_ratio()
+        return xn * (2 * ad * bd) ** m > (an * bd + bn * ad) ** m * xd
+
+    r = x ** (1.0 / m)
+    while not beyond(below := math.nextafter(r, 0.0), r):
+        r = below
+    while beyond(r, above := math.nextafter(r, math.inf)):
+        r = above
+    return r
 
 
 def _principal_root(xc: complex, m: int) -> complex:
