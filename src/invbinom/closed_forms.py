@@ -200,7 +200,7 @@ def _s01(xc: complex, p: complex, at: complex, lg: complex, real: bool) -> tuple
 
 def _real_root(x: float, m: int) -> float:
     """The correctly rounded m-th root of x > 0. x ** (1/m) is not, as 1/m is rounded
-    (R**3 ** (1/3) is 6.749999999999999), and one ulp of the root moves S(2, 1) near the
+    ((R**3) ** (1/3) is 6.749999999999999), and one ulp of the root moves S(2, 1) near the
     branch point of phi by about sqrt(eps) relative. No root of a float is a midpoint
     between floats, so the exact comparisons below meet no ties."""
     xn, xd = x.as_integer_ratio()
