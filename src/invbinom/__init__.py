@@ -36,7 +36,7 @@ from .integral_reps import (
     two_term_limits,
 )
 from .polylog import li, li_factorized, root_of_unity
-from .quadrature import QuadratureSpec, adaptive_quad
+from .quadrature import adaptive_quad
 from .routes import METHODS, evaluate, hypergeometric_value, resolve_auto
 from .series import Evaluation, SeriesParams, convergence_radius, sum_direct
 from .verify import (
@@ -66,7 +66,6 @@ __all__ = [
     "METHODS",
     "PRINCIPAL_BRANCH",
     "PoleError",
-    "QuadratureSpec",
     "REAL_BRANCH",
     "SeriesError",
     "SeriesParams",

@@ -25,7 +25,6 @@ import sys
 
 from . import verify as verify_suites
 from .errors import DomainError, SeriesError
-from .quadrature import QuadratureSpec
 from .routes import METHODS, evaluate
 from .series import Evaluation, SeriesParams, default_max_terms
 
@@ -115,22 +114,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _spec_for(tol: float | None) -> QuadratureSpec | None:
-    if tol is None:
-        return None
-    return QuadratureSpec(abs_tol=tol, rel_tol=tol)
-
-
 def _evaluate(req: argparse.Namespace, x: complex) -> Evaluation:
-    return evaluate(
-        req.n,
-        req.m,
-        x,
-        req.method,
-        rel_tol=req.tol if req.tol is not None else 1e-15,
-        spec=_spec_for(req.tol),
-        max_terms=default_max_terms(),
-    )
+    return evaluate(req.n, req.m, x, req.method, tol=req.tol, max_terms=default_max_terms())
 
 
 def _csv_rows(rows: list[tuple[complex, Evaluation]]) -> str:
@@ -206,20 +191,8 @@ def cmd_table(req: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_report(req: argparse.Namespace):
-    if req.suite == "special-values":
-        return verify_suites.run_special_values(req.tol)
-    if req.suite == "cross-routes":
-        return verify_suites.run_cross_routes(tol=req.tol)
-    if req.suite == "borwein-girgensohn":
-        return verify_suites.run_borwein_girgensohn(req.tol if req.tol is not None else 1e-12)
-    if req.suite == "polylog":
-        return verify_suites.run_polylog_factorization(req.tol if req.tol is not None else 1e-12)
-    return verify_suites.run_all(req.tol)
-
-
 def cmd_verify(req: argparse.Namespace) -> int:
-    report = _verify_report(req)
+    report = verify_suites.SUITES[req.suite](req.tol)
     if req.output == "json":
         print(report.serialize())
     elif req.output == "csv":

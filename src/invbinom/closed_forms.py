@@ -24,9 +24,8 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .errors import ArgumentError, BranchFailure, DomainError
+from .errors import ArgumentError, BranchFailure, DomainError, checked_tol
 from .polylog import root_of_unity
-from .quadrature import QuadratureSpec
 from .series import RADIUS_BASE, Evaluation, SeriesParams, _inside
 
 SQRT3 = math.sqrt(3.0)
@@ -119,19 +118,8 @@ def _atan_log_parts(p: complex, real_branch: bool) -> tuple[complex, complex]:
     return at, lg
 
 
-def _closed(n: int, x: complex) -> Evaluation:
-    """``_closed_kernel`` behind the domain rule, as an Evaluation."""
-    xc = complex(x)
-    if abs(xc) >= RADIUS_BASE:  # pre-test: the rule can fail only here
-        SeriesParams.require_summable(n, 1, xc)
-    value, err, work = _closed_kernel(n, xc)
-    return Evaluation(value, err, "closed-form", work)
-
-
 def _closed_kernel(n: int, xc: complex) -> tuple[complex, float, int]:
-    """The unchecked (value, abs_error_est, work) of s01, s11 and s21 (n = 0, 1, 2)."""
-    if xc == 0:
-        return 0j, 0.0, 1
+    """The unchecked (value, abs_error_est, work) of s01, s11 and s21 (n = 0, 1, 2) at x != 0."""
     if abs(xc) < _TINY_X:
         return _leading_terms(n, 1, xc)
     root = phi(xc)
@@ -149,12 +137,12 @@ def s21(x: complex) -> Evaluation:
 
     x = 0 short-circuits to 0 (phi is undefined there, the series is not).
     """
-    return _closed(2, x)
+    return routes.evaluate(2, 1, x, "closed-form")
 
 
 def s11(x: complex) -> Evaluation:
     """Closed form of S(1, 1; x) on |x| < 27/4 (strictly inside)."""
-    return _closed(1, x)
+    return routes.evaluate(1, 1, x, "closed-form")
 
 
 def s01(x: complex) -> Evaluation:
@@ -163,7 +151,7 @@ def s01(x: complex) -> Evaluation:
     Four pieces: an arctan group, a log group, and the rational tail
     108 phi**3 / ((27 - 4x) (1 + phi**3)**2).
     """
-    return _closed(0, x)
+    return routes.evaluate(0, 1, x, "closed-form")
 
 
 def _s21(xc: complex, p: complex, at: complex, lg: complex, real: bool) -> tuple[complex, float]:
@@ -258,8 +246,7 @@ def fold(
     x: complex,
     inner: str = "closed-form",
     *,
-    rel_tol: float = 1e-15,
-    spec: QuadratureSpec | None = None,
+    tol: float | None = None,
 ) -> Evaluation:
     """S(n, m; x) as m**(n-1) * sum_{j=1..m} S(n, 1; w**j * x**(1/m)).
 
@@ -267,8 +254,10 @@ def fold(
     each term; ArgumentError when it refuses one. x**(1/m) is the principal root;
     w**j are the m-th roots of unity, exact on the axes so that real rotated
     arguments stay on the real branch of phi. Only the total is checked. Below
-    |x| = 1e-8, once ``inner`` has accepted every root, the exact leading terms.
+    |x| = 1e-8, once ``inner`` has accepted every root, the exact leading terms. ``tol``
+    goes to the inner route, which takes its own default for None.
     """
+    checked_tol(tol, None)
     reason = stride_refusal(m)
     if reason is not None:
         raise ArgumentError(reason)
@@ -292,7 +281,7 @@ def fold(
         if reason is not None:
             raise ArgumentError(reason)
         if not tiny:
-            value, e, w = route.kernel(n, 1, arg, rel_tol, spec, None)
+            value, e, w = route.kernel(n, 1, arg, tol, None)
             total += value
             err += e
             work += w
@@ -307,5 +296,6 @@ def fold(
     return Evaluation(total, err, "folding", work)
 
 
-# Last, as the route table imports the functions above; fold reads it at call time.
+# Last, as the route table imports the functions above; fold and the closed forms read it
+# at call time.
 from . import routes  # noqa: E402

@@ -1,4 +1,6 @@
-"""Exception taxonomy shared by every module in the package."""
+"""Exception taxonomy shared by every module in the package, and the tolerance rule."""
+
+from __future__ import annotations
 
 
 class SeriesError(Exception):
@@ -23,3 +25,13 @@ class PoleError(SeriesError):
 
 class BranchFailure(SeriesError):
     """A branch-cut consistency check failed; the result was not silently kept."""
+
+
+def checked_tol(tol: float | None, default: float | None) -> float | None:
+    """The tolerance rule of every entry that takes one: ``default`` for None, else
+    ``tol`` when it is > 0; ArgumentError for 0, negative values and NaN."""
+    if tol is None:
+        return default
+    if tol > 0.0:
+        return tol
+    raise ArgumentError(f"tol must be positive, got {tol!r}")

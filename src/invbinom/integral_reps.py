@@ -11,8 +11,8 @@ Three independent routes at stride 1:
   fixed in advance from the coefficients' k**(-5/2) decay. It is about 20 times
   cheaper than ``quad_polylog`` and is the route ``auto`` takes where direct
   summation, which decays like k**(1/2 - n) on the rim, costs more. The public
-  entry checks the domain rule and builds the Evaluation; the route table and
-  ``fold`` call its bare kernel, ``_cardano_kernel``.
+  entry is ``evaluate``'s quad-cardano route; the route table and ``fold`` call
+  its bare kernel, ``_cardano_kernel``.
 * ``quad_two_term`` evaluates the two-term log/trig form whose limits come
   from the Cardano root, each integral in s with u = limit * s**3. Restricted
   to real x, where its trigonometric integrand is derived; complex arguments
@@ -34,9 +34,9 @@ import math
 from dataclasses import dataclass
 
 from .closed_forms import _TINY_X, REAL_BRANCH, SQRT3, phi
-from .errors import ArgumentError, DomainError
+from .errors import ArgumentError, DomainError, checked_tol
 from .polylog import li
-from .quadrature import QuadratureSpec, adaptive_quad
+from .quadrature import adaptive_quad
 from .series import RADIUS_BASE, Evaluation, SeriesParams, _inside
 
 _TWO_PI = 2.0 * math.pi
@@ -85,7 +85,7 @@ def two_term_limits(x: float) -> TwoTermLimits:
     return TwoTermLimits(alpha, beta, p)
 
 
-def quad_polylog(n: int, x: complex, spec: QuadratureSpec | None = None) -> Evaluation:
+def quad_polylog(n: int, x: complex, tol: float | None = None) -> Evaluation:
     """S(n, 1; x) as the single integral of Li_{n-1}(x*t*(1-t)**2) / t.
 
     The integrand tends to x at t = 0 (supplied explicitly). On the rim
@@ -94,6 +94,7 @@ def quad_polylog(n: int, x: complex, spec: QuadratureSpec | None = None) -> Eval
     argument is clamped a hair below 1 there so the weight-1 kernel stays
     finite under rounding.
     """
+    checked_tol(tol, None)
     if n < 1:
         raise ArgumentError(f"this route needs n >= 1, got {n}")
     xc = complex(x)
@@ -132,11 +133,11 @@ def quad_polylog(n: int, x: complex, spec: QuadratureSpec | None = None) -> Eval
                 w = complex(wr)
             return li(weight, w) / t
 
-    value, err, work = adaptive_quad(integrand, 0.0, 1.0, spec)
+    value, err, work = adaptive_quad(integrand, 0.0, 1.0, tol)
     return Evaluation(value, err, "quad-polylog", work)
 
 
-def quad_cardano(n: int, x: complex, spec: QuadratureSpec | None = None) -> Evaluation:
+def quad_cardano(n: int, x: complex, tol: float | None = None) -> Evaluation:
     """S(n, 1; x), n >= 3, by quadrature along the Cardano root of the weight-2 closed form.
 
     With q = phi(x), u(r) = 27 r**3 / (1 + r**3)**2 (so u(q) = x) and
@@ -156,18 +157,10 @@ def quad_cardano(n: int, x: complex, spec: QuadratureSpec | None = None) -> Eval
     For |q| >= CARDANO_SPLIT (small |x|) the head is empty and the series is the
     direct one.
     """
-    if n < 3:
-        raise ArgumentError(f"this route needs n >= 3, got {n}")
-    xc = complex(x)
-    if not _inside(n, abs(xc), RADIUS_BASE):
-        SeriesParams.require_summable(n, 1, xc)  # raises
-    if xc == 0:
-        return Evaluation(0j, 0.0, "quad-cardano", 0)
-    value, err, work = _cardano_kernel(n, xc, spec)
-    return Evaluation(value, err, "quad-cardano", work)
+    return routes.evaluate(n, 1, x, "quad-cardano", tol=tol)
 
 
-def _cardano_kernel(n: int, xc: complex, spec: QuadratureSpec | None) -> tuple[complex, float, int]:
+def _cardano_kernel(n: int, xc: complex, tol: float | None) -> tuple[complex, float, int]:
     """The unchecked (value, abs_error_est, work) of ``quad_cardano`` at summable x != 0."""
     p = n - 3
     head, head_err, work = 0j, 0.0, 0
@@ -182,7 +175,7 @@ def _cardano_kernel(n: int, xc: complex, spec: QuadratureSpec | None) -> tuple[c
             integrand, ell = _cardano_path(q, p, cmath)
         # adaptive_quad floors each panel's estimate at 50 eps of its value, which
         # covers the integrand's rounding: the kernel cancels by at most |r| <= 2.5
-        head, head_err, work = adaptive_quad(integrand, tau0, 1.0, spec)
+        head, head_err, work = adaptive_quad(integrand, tau0, 1.0, tol)
         scale = 1.0 / math.factorial(p)
         head *= scale
         head_err *= scale
@@ -314,15 +307,15 @@ def _logpow(arg: float, p: int) -> float:
     return math.log(arg) ** p
 
 
-def _oriented(f, upper: float, spec: QuadratureSpec | None) -> tuple[float, float, int]:
+def _oriented(f, upper: float, tol: float | None) -> tuple[float, float, int]:
     """Integral of f from 0 to ``upper``, either sign, through u = upper * s**3, s in [0, 1]:
     the two-term integrands' u log(u)**p at u = 0 becomes a smooth s**5 log(s)**p."""
     scale = 3.0 * upper
-    value, err, work = adaptive_quad(lambda s: scale * s * s * f(upper * s * s * s), 0.0, 1.0, spec)
+    value, err, work = adaptive_quad(lambda s: scale * s * s * f(upper * s * s * s), 0.0, 1.0, tol)
     return value.real, err, work
 
 
-def quad_two_term(n: int, x: float, spec: QuadratureSpec | None = None) -> Evaluation:
+def quad_two_term(n: int, x: float, tol: float | None = None) -> Evaluation:
     """S(n, 1; x) as the sum of the two oriented quadratures, n >= 2, real x.
 
     First term: prefactor (-1)**(n-1) / (n-2)! over [0, alpha], integrand
@@ -332,6 +325,7 @@ def quad_two_term(n: int, x: float, spec: QuadratureSpec | None = None) -> Evalu
     (``_oriented``), which serves either sign of the limit (negative for x > 0).
     ArgumentError for 0 < |x| < TWO_TERM_MIN_X, where the two integrals cancel.
     """
+    checked_tol(tol, None)
     if n < 2:
         raise ArgumentError(f"this route needs n >= 2, got {n}")
     xr = float(x)
@@ -351,10 +345,14 @@ def quad_two_term(n: int, x: float, spec: QuadratureSpec | None = None) -> Evalu
         d = -4.0 * math.sin(v / 3.0 + _TWO_PI / 3.0) * math.sin(v / 3.0)
         return v * _logpow(d**3 / (2.0 * xr * (1.0 + c)), p)
 
-    i1, e1, w1 = _oriented(f_exp, limits.alpha, spec)
-    i2, e2, w2 = _oriented(f_trig, limits.beta, spec)
+    i1, e1, w1 = _oriented(f_exp, limits.alpha, tol)
+    i2, e2, w2 = _oriented(f_trig, limits.beta, tol)
     pref1 = (-1.0) ** (n - 1) / fac
     pref2 = 4.0 * (-1.0) ** (n - 2) / (3.0 * fac)
     value = pref1 * i1 + pref2 * i2
     err = abs(pref1) * e1 + abs(pref2) * e2
     return Evaluation(complex(value), err, "quad-two-term", w1 + w2)
+
+
+# Last, as the route table imports the kernels above; quad_cardano reads it at call time.
+from . import routes  # noqa: E402

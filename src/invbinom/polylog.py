@@ -95,9 +95,9 @@ def li(n: int, z: complex) -> complex:
     return _li_log(n, zc)
 
 
-def _series_terms(r: float, tol: float = _TOL) -> int:
-    """Terms K of the series at |z| = r: the least K >= 1 with r**K / (1 - r) <= tol / 2."""
-    return max(1, math.ceil(math.log(0.5 * tol * (1.0 - r)) / math.log(r)))
+def _series_terms(r: float) -> int:
+    """Terms K of the series at |z| = r: the least K >= 1 with r**K / (1 - r) <= _TOL / 2."""
+    return max(1, math.ceil(math.log(0.5 * _TOL * (1.0 - r)) / math.log(r)))
 
 
 # Weights 2..8: the series coefficients 1/k**n (correctly rounded, as int division is)
@@ -112,12 +112,12 @@ def _zeta(s: int) -> float:
     return _ZETA[s - 2] if s - 2 < len(_ZETA) else 1.0
 
 
-def _li_series(n: int, z: complex, tol: float = _TOL) -> complex:
+def _li_series(n: int, z: complex) -> complex:
     """Direct series by Horner's rule, n >= 2 and r = |z| <= 2/3. There |Li_n(z)| >= r/2
-    and the tail past K terms is below r**(K+1) / (1 - r), so ``_series_terms`` meets tol."""
+    and the tail past K terms is below r**(K+1) / (1 - r), so ``_series_terms`` meets _TOL."""
     if z == 0:
         return 0j
-    terms = _series_terms(abs(z), tol)
+    terms = _series_terms(abs(z))
     if n <= 8 and terms <= _SERIES_TERMS:
         coefs = _INV_POWERS[n - 2][terms - 1 :: -1]
     else:

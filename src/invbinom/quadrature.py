@@ -8,9 +8,10 @@ interior singularities without special casing. All nodes are interior, so
 an integrand singular exactly at an endpoint is never sampled there.
 
 Complex-valued integrands work unchanged: the rule is linear and the error
-metric is the complex modulus. For a fixed spec the refinement order is
-deterministic, so results are bit-reproducible run to run. A spec holds the
-two tolerances; the subdivision budget is the constant MAX_SUBDIVISIONS.
+metric is the complex modulus. For a fixed tolerance the refinement order is
+deterministic, so results are bit-reproducible run to run. One ``tol`` bounds
+the error both absolutely and relative to the value (QUAD_TOL by default); the
+subdivision budget is the constant MAX_SUBDIVISIONS.
 
 Most integrals the package takes meet their tolerance on the first panel, so
 that panel is returned at once, with no heap; the panel itself makes its 15
@@ -21,11 +22,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import Callable
 
-from .errors import ArgumentError, ConvergenceError
+from .errors import ArgumentError, ConvergenceError, checked_tol
 
 _EPS = 2.220446049250313e-16
 
@@ -65,20 +65,8 @@ _G0, _G1, _G2, _G3 = _WG
 # Bisections ``adaptive_quad`` makes before it gives up with ConvergenceError.
 MAX_SUBDIVISIONS = 2000
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances for the integrator."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ArgumentError("quadrature tolerances must be positive")
-
-
-DEFAULT_SPEC = QuadratureSpec()
+# The tolerance of every quadrature when its caller passes none.
+QUAD_TOL = 1e-12
 
 # Fields of a heap entry, and parts of a panel value, for the final resummation.
 _VALUE, _ERR = itemgetter(4), itemgetter(5)
@@ -158,7 +146,7 @@ def adaptive_quad(
     f: Callable[[float], complex],
     a: float,
     b: float,
-    spec: QuadratureSpec | None = None,
+    tol: float | None = None,
 ) -> tuple[complex, float, int]:
     """Integrate ``f`` over [a, b].
 
@@ -167,16 +155,16 @@ def adaptive_quad(
 
     Raises:
         ConvergenceError: MAX_SUBDIVISIONS bisections made before the requested
-            tolerance (max of abs_tol and rel_tol * |value|) was met.
+            tolerance (max of tol and tol * |value|) was met.
     """
-    spec = spec or DEFAULT_SPEC
+    tol = checked_tol(tol, QUAD_TOL)
     if a == b:
         return 0j, 0.0, 0
     if a > b:
         raise ArgumentError("adaptive_quad requires a <= b; flip and negate at the call site")
 
     value, err, _ = _gk15(f, a, b)
-    if not err > max(spec.abs_tol, spec.rel_tol * abs(value)):
+    if not err > max(tol, tol * abs(value)):
         # one panel: the loop below would not run, and the math.fsum of one value is
         # that value (with -0.0 read as 0.0, which ``+ 0.0`` reproduces)
         return complex(value.real + 0.0, value.imag + 0.0), err, 15
@@ -187,7 +175,7 @@ def adaptive_quad(
     neval = 15
     counter = 1
     splits = 0
-    while total_err > max(spec.abs_tol, spec.rel_tol * abs(total_val)):
+    while total_err > max(tol, tol * abs(total_val)):
         if splits >= MAX_SUBDIVISIONS:
             raise ConvergenceError(
                 f"quadrature tolerance not met after {splits} subdivisions "

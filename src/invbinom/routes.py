@@ -1,17 +1,19 @@
 """The route table, and dispatch over it with the auto rule.
 
 ``ROUTES`` states once which route serves which (n, m, x); ``evaluate``, ``fold``,
-the cross-route verification and the CLI read it. A named method is never silently
-substituted: a route that cannot serve a request raises ArgumentError. x = 0
-short-circuits to exactly 0 on every route, even where the operation excludes it.
+``resolve_auto``, the cross-route verification and the CLI read it. A named method is
+never silently substituted: a route that cannot serve a request raises ArgumentError.
+x = 0 short-circuits to exactly 0 on every route, even where the operation excludes it.
 Every route but direct-sum and folding serves stride 1 only; folding reaches stride
 m through them. ``auto`` is a cost rule: direct summation when its predicted term count
 undercuts the alternative, which is the stride-1 closed forms for n <= 2 (at m = 1 they
 always win; folded over them for m >= 2) and the Cardano-root quadrature for n >= 3
-(quad-cardano, folded over for m >= 2). quad-cardano's kernel is called bare, as the
-closed forms' is; quad-polylog is never chosen by ``auto`` and stays an explicit route
-and verify's cross-check. The pfq route is ``hypergeometric_value``, which sums a fixed
-pFq recipe per weight n <= 2.
+(quad-cardano, folded over for m >= 2); past the strides folding serves, direct
+summation. The public entries s01, s11, s21 and quad_cardano are this dispatch on their
+routes; quad-polylog is never chosen by ``auto`` and stays an explicit route and
+verify's cross-check. The pfq route is ``hypergeometric_value``, which sums a fixed
+pFq recipe per weight n <= 2 to its own fixed 1e-16. ``evaluate`` checks the one
+``tol`` and hands it to the route's kernel, which passes it to every layer it runs.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .closed_forms import _closed_kernel, fold, stride_refusal
-from .errors import ArgumentError, ConvergenceError, DomainError
+from .errors import ArgumentError, ConvergenceError, DomainError, checked_tol
 from .integral_reps import (
     TWO_TERM_FLOOR,
     TWO_TERM_MIN_X,
@@ -29,8 +31,8 @@ from .integral_reps import (
     quad_polylog,
     quad_two_term,
 )
-from .quadrature import QuadratureSpec
 from .series import (
+    SERIES_TOL,
     Evaluation,
     SeriesParams,
     convergence_radius,
@@ -55,12 +57,12 @@ PFQ_RECIPES: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {
 
 class Route(NamedTuple):
     """An evaluation route: ``limits(n, m, x)`` says why its operation cannot serve
-    summable (n, m, x), None if it can; ``kernel(n, m, x, rel_tol, spec, max_terms)``
-    gives the Triple at summable x != 0 that ``limits`` accepts, with no domain check."""
+    summable (n, m, x), None if it can; ``kernel(n, m, x, tol, max_terms)`` gives the
+    Triple at summable x != 0 that ``limits`` accepts, with no domain or tolerance check."""
 
     name: str
     limits: Callable[[int, int, complex], str | None]
-    kernel: Callable[[int, int, complex, float, QuadratureSpec | None, int | None], Triple]
+    kernel: Callable[[int, int, complex, float | None, int | None], Triple]
 
     def refuses(self, n: int, m: int, x: complex) -> str | None:
         """Why ``evaluate`` refuses (n, m, x) here, or None; every route serves x = 0."""
@@ -87,7 +89,7 @@ def _pfq_limits(n: int, m: int, x: complex) -> str | None:
     return None
 
 
-def _pfq(n: int, m: int, x: complex, rel_tol, spec, max_terms) -> Triple:
+def _pfq(n: int, m: int, x: complex, tol, max_terms) -> Triple:
     value, terms, err = hypergeometric_value(n, x)
     return value, err, terms
 
@@ -101,9 +103,9 @@ def _two_term_limits(n: int, m: int, x: complex) -> str | None:
     return reason
 
 
-def _folding(n: int, m: int, x: complex, rel_tol, spec, max_terms) -> Triple:
+def _folding(n: int, m: int, x: complex, tol, max_terms) -> Triple:
     inner = "closed-form" if n <= 2 else "quad-cardano"
-    return _triple(fold(n, m, x, inner, rel_tol=rel_tol, spec=spec))
+    return _triple(fold(n, m, x, inner, tol=tol))
 
 
 ROUTES: dict[str, Route] = {
@@ -112,23 +114,23 @@ ROUTES: dict[str, Route] = {
         Route(
             "direct-sum",
             lambda n, m, x: None,
-            lambda n, m, x, tol, spec, cap: _triple(sum_direct(n, m, x, tol, cap)),
+            lambda n, m, x, tol, cap: _triple(sum_direct(n, m, x, tol, cap)),
         ),
         Route("closed-form", _closed_form_limits, lambda n, m, x, *_: _closed_kernel(n, x)),
         Route(
             "quad-polylog",
             lambda n, m, x: _stride_one("quad-polylog", n, m, 1),
-            lambda n, m, x, tol, spec, cap: _triple(quad_polylog(n, x, spec)),
+            lambda n, m, x, tol, cap: _triple(quad_polylog(n, x, tol)),
         ),
         Route(
             "quad-cardano",
             lambda n, m, x: _stride_one("quad-cardano", n, m, 3),
-            lambda n, m, x, tol, spec, cap: _cardano_kernel(n, x, spec),
+            lambda n, m, x, tol, cap: _cardano_kernel(n, x, tol),
         ),
         Route(
             "quad-two-term",
             _two_term_limits,
-            lambda n, m, x, tol, spec, cap: _triple(quad_two_term(n, x.real, spec)),
+            lambda n, m, x, tol, cap: _triple(quad_two_term(n, x.real, tol)),
         ),
         Route("folding", lambda n, m, x: stride_refusal(m), _folding),
         Route("pfq", _pfq_limits, _pfq),
@@ -163,16 +165,18 @@ LOW_WEIGHT_TERM_BUDGET = 8
 
 
 def resolve_auto(
-    n: int, m: int, x: complex, *, rel_tol: float = 1e-15, max_terms: int | None = None
+    n: int, m: int, x: complex, *, tol: float | None = None, max_terms: int | None = None
 ) -> str:
     """The route ``auto`` takes at summable (n, m, x): the closed form for n <= 2 at m = 1;
-    otherwise direct summation when ``terms_needed`` at rho = |x| / R**m is within the
-    budget and, with room for the estimate's error, within the term cap; else quad-cardano
-    at m = 1 and folding for m >= 2. The budget is DIRECT_TERM_BUDGET * m for n >= 3 and
-    LOW_WEIGHT_TERM_BUDGET * (m - 1) for n <= 2.
+    otherwise direct summation when ``terms_needed`` at rho = |x| / R**m and ``tol``
+    (SERIES_TOL by default) is within the budget and, with room for the estimate's error,
+    within the term cap; else quad-cardano at m = 1, and folding for m >= 2 where it
+    serves the stride (direct summation past it). The budget is DIRECT_TERM_BUDGET * m
+    for n >= 3 and LOW_WEIGHT_TERM_BUDGET * (m - 1) for n <= 2.
 
     ``within_terms`` makes that comparison with one test, with no root to find.
     """
+    tol = checked_tol(tol, SERIES_TOL)
     if n > 2:
         budget = DIRECT_TERM_BUDGET * m
     elif m == 1:
@@ -183,9 +187,11 @@ def resolve_auto(
     # the stop rule can take up to ~10% more terms than estimated (2 more at k = 1), so
     # direct summation needs 1.125 * terms + 2 <= cap, that is terms <= 8 (cap - 2) / 9
     budget = min(budget, 8 * (cap - 2) // 9)
-    if budget >= 1 and within_terms(n, abs(x) / convergence_radius(m), rel_tol, budget):
+    if budget >= 1 and within_terms(n, abs(x) / convergence_radius(m), tol, budget):
         return "direct-sum"
-    return "quad-cardano" if m == 1 else "folding"
+    if m == 1:
+        return "quad-cardano"
+    return "folding" if ROUTES["folding"].limits(n, m, x) is None else "direct-sum"
 
 
 def hypergeometric_value(n: int, x: complex) -> tuple[complex, int, float]:
@@ -242,23 +248,22 @@ def evaluate(
     x: complex,
     method: str = "auto",
     *,
-    rel_tol: float = 1e-15,
-    spec: QuadratureSpec | None = None,
+    tol: float | None = None,
     max_terms: int | None = None,
 ) -> Evaluation:
-    """Evaluate S(n, m; x) by the named route.
+    """Evaluate S(n, m; x) by the named route, or by ``resolve_auto``'s for "auto".
 
-    "auto" takes ``resolve_auto``, or direct summation where that route
-    refuses. Raises DomainError where the series does not converge, and
-    ArgumentError when the named route does not serve (n, m, x).
+    ``tol`` goes to every layer the route runs; None leaves each its own default
+    (SERIES_TOL for summation, QUAD_TOL for quadrature). Raises DomainError where the
+    series does not converge, and ArgumentError when ``tol`` is not > 0 or the named
+    route does not serve (n, m, x).
     """
     xc = SeriesParams.require_summable(n, m, x)
+    checked_tol(tol, None)
     if method == "auto":
         if max_terms is None and (n > 2 or m > 1):  # read the cap once, for rule and route
             max_terms = default_max_terms()
-        route = ROUTES[resolve_auto(n, m, xc, rel_tol=rel_tol, max_terms=max_terms)]
-        if route.refuses(n, m, xc) is not None:
-            route = ROUTES["direct-sum"]
+        route = ROUTES[resolve_auto(n, m, xc, tol=tol, max_terms=max_terms)]
     elif method in ROUTES:
         route = ROUTES[method]
         reason = route.refuses(n, m, xc)
@@ -268,5 +273,5 @@ def evaluate(
         raise ArgumentError(f"unknown method {method!r}; choose from {METHODS} or 'auto'")
     if xc == 0:
         return Evaluation(0j, 0.0, route.name, 0)
-    value, err, work = route.kernel(n, m, xc, rel_tol, spec, max_terms)
+    value, err, work = route.kernel(n, m, xc, tol, max_terms)
     return Evaluation(value, err, route.name, work)

@@ -28,11 +28,14 @@ from itertools import accumulate, islice, repeat
 from operator import attrgetter, le, mul, truediv
 from typing import Iterator
 
-from .errors import ArgumentError, ConvergenceError, DomainError
+from .errors import ArgumentError, ConvergenceError, DomainError, checked_tol
 
 RADIUS_BASE = 27.0 / 4.0
 ENV_MAX_TERMS = "SERIES_MAX_TERMS"
 _EPS = 2.220446049250313e-16
+# The stop tolerance of ``sum_direct``, and of ``auto``'s term prediction, when the
+# caller passes none.
+SERIES_TOL = 1e-15
 _LOG_UNDERFLOW = 2100 * math.log(2.0)  # C(3m, m) above 2**2100 sends every x / C(3m, m) to 0
 _REAL = attrgetter("real")
 _IMAG = attrgetter("imag")
@@ -199,19 +202,19 @@ def _first_term(m: int, x: complex) -> complex:
         return complex(re_num / (re_den * c), im_num / (im_den * c))
 
 
-def terms_needed(n: int, rho: float, rel_tol: float) -> float:
+def terms_needed(n: int, rho: float, tol: float) -> float:
     """Estimate of the terms the stop rule of ``sum_direct`` takes at
     rho = |x| / R**m (within 10% where it takes 20 or more).
 
     By Stirling, C(3N, N) ~ sqrt(3/(4 pi N)) R**N, so the terms relative to
     the sum behave like rho**k k**(1/2 - n); the estimate is the smallest
-    k >= 1 with k ln(rho) + (1/2 - n) ln k <= ln(rel_tol), inf where no k
-    gets there (rel_tol <= 0, or the rim with n = 0). Newton's method finds
+    k >= 1 with k ln(rho) + (1/2 - n) ln k <= ln(tol), inf where no k
+    gets there (tol <= 0, or the rim with n = 0). Newton's method finds
     the continuous root; the estimate is its ceiling.
     """
-    if rel_tol <= 0.0:
+    if tol <= 0.0:
         return math.inf
-    log_tol = math.log(rel_tol)
+    log_tol = math.log(tol)
     a = math.log(rho) if rho > 0.0 else -math.inf
     b = 0.5 - n
     if a <= log_tol:
@@ -227,17 +230,15 @@ def terms_needed(n: int, rho: float, rel_tol: float) -> float:
     return math.ceil(k)
 
 
-def within_terms(n: int, rho: float, rel_tol: float, budget: int) -> bool:
-    """True when ``terms_needed(n, rho, rel_tol)`` is at most ``budget`` (>= 1).
+def within_terms(n: int, rho: float, tol: float, budget: int) -> bool:
+    """True when ``terms_needed(n, rho, tol)`` is at most ``budget`` (>= 1).
 
     terms_needed is the least k >= 1 with f(k) = k ln(rho) + (1/2 - n) ln(k) <=
-    ln(rel_tol), and f decreases from that k on, so it is within the budget K
-    exactly when f(K) <= ln(rel_tol): one test, with no root to find.
+    ln(tol), and f decreases from that k on, so it is within the budget K
+    exactly when f(K) <= ln(tol): one test, with no root to find.
     """
-    if rel_tol <= 0.0:
-        return False
     slope = math.log(rho) if rho > 0.0 else -math.inf
-    return budget * slope + (0.5 - n) * math.log(budget) <= math.log(rel_tol)
+    return budget * slope + (0.5 - n) * math.log(budget) <= math.log(tol)
 
 
 def _terms(t: complex | float, k: int, count: int, n: int, m: int, x: complex | float) -> list:
@@ -254,7 +255,7 @@ _SHORT_SUM = 64
 _BLOCK_CAP = 1 << 15
 
 
-def _short_sum_terms(t, n: int, m: int, x, rel_tol: float, max_terms: int):
+def _short_sum_terms(t, n: int, m: int, x, tol: float, max_terms: int):
     """``_block_terms`` one term at a time: the same factors, products, ratios,
     running sums and tests, so the same bits."""
     terms = []
@@ -264,7 +265,7 @@ def _short_sum_terms(t, n: int, m: int, x, rel_tol: float, max_terms: int):
         terms.append(t)
         total += t
         step = _step(k, m)
-        small = abs(t) <= rel_tol * abs(total)
+        small = abs(t) <= tol * abs(total)
         if small and prev:
             return terms, step
         prev = small
@@ -272,12 +273,12 @@ def _short_sum_terms(t, n: int, m: int, x, rel_tol: float, max_terms: int):
     return None, 0.0
 
 
-def _block_terms(t, n: int, m: int, x, rel_tol: float, max_terms: int, size: int):
+def _block_terms(t, n: int, m: int, x, tol: float, max_terms: int, size: int):
     """(t_1 .. t_K, C(3mK, mK) / C(3m(K+1), m(K+1))) at the stop index K of
     ``sum_direct``, or (None, 0.0) when ``max_terms`` runs out first.
 
     Blocks of ``size`` terms, doubling up to _BLOCK_CAP: ``_terms`` builds each,
-    ``accumulate`` its running sums, one C-level pass flags |t_k| <= rel_tol |S_k|,
+    ``accumulate`` its running sums, one C-level pass flags |t_k| <= tol |S_k|,
     and ``bytes.find`` looks for two flags in a row."""
     terms: list = []
     total = t * 0
@@ -290,7 +291,7 @@ def _block_terms(t, n: int, m: int, x, rel_tol: float, max_terms: int, size: int
         sums = list(accumulate(block, initial=total))
         total = sums[-1]
         flags = last + bytes(
-            map(le, map(abs, block), map(mul, repeat(rel_tol), map(abs, islice(sums, 1, None))))
+            map(le, map(abs, block), map(mul, repeat(tol), map(abs, islice(sums, 1, None))))
         )
         stop = flags.find(b"\1\1")
         if stop >= 0:
@@ -304,13 +305,13 @@ def _block_terms(t, n: int, m: int, x, rel_tol: float, max_terms: int, size: int
 
 
 def sum_direct(
-    n: int, m: int, x: complex, rel_tol: float = 1e-15, max_terms: int | None = None
+    n: int, m: int, x: complex, tol: float | None = None, max_terms: int | None = None
 ) -> Evaluation:
     """Direct summation of S(n, m; x), correctly rounded over its terms.
 
-    Stops once two consecutive terms fall below ``rel_tol`` times the
-    running sum (a single accidentally tiny term must not stop an
-    alternating series). Rim parameters (n >= 2) are accepted but decay
+    Stops once two consecutive terms fall below ``tol`` (SERIES_TOL by
+    default) times the running sum (a single accidentally tiny term must not
+    stop an alternating series). Rim parameters (n >= 2) are accepted but decay
     polynomially: where a bound on the needed term count exceeds
     ``max_terms`` (every n = 2 rim point at the default cap) the cap error
     is raised at once; prefer the quadrature route there.
@@ -326,7 +327,7 @@ def sum_direct(
     k**(1/2 - n) is used instead.
 
     Raises:
-        ArgumentError: n < 0, m < 1, rel_tol not > 0 (NaN included) or max_terms < 1.
+        ArgumentError: n < 0, m < 1, tol not > 0 (NaN included) or max_terms < 1.
         DomainError: outside the disk, or on the rim with n < 2.
         ConvergenceError: ``max_terms`` exhausted before the stop rule hit.
     """
@@ -334,8 +335,7 @@ def sum_direct(
     ax, radius = abs(x), convergence_radius(m)  # ArgumentError for m < 1
     if n < 0 or not _inside(n, ax, radius):
         SeriesParams.require_summable(n, m, x)  # raises
-    if not rel_tol > 0.0:  # NaN too
-        raise ArgumentError("rel_tol must be positive")
+    tol = checked_tol(tol, SERIES_TOL)
     if max_terms is None:
         max_terms = default_max_terms()
     if max_terms < 1:
@@ -349,8 +349,8 @@ def sum_direct(
     # term has |t_k| >= c k**(1/2 - n) while every partial sum stays below
     # e**(1/8) c zeta(n - 1/2) < 2 c (1 + 1/(n - 3/2)): the stop rule cannot
     # hold before the rho = 1 estimate at that tolerance.
-    if rim and terms_needed(n, 1.0, 2.0 * rel_tol * (1.0 + 1.0 / (n - 1.5))) > max_terms:
-        raise _term_cap_error(rel_tol, max_terms, rim)
+    if rim and terms_needed(n, 1.0, 2.0 * tol * (1.0 + 1.0 / (n - 1.5))) > max_terms:
+        raise _term_cap_error(tol, max_terms, rim)
 
     t = _first_term(m, x)
     if t == 0:  # underflow (subnormal x or huge m); every later term is smaller still
@@ -358,14 +358,14 @@ def sum_direct(
     real = x.imag == 0.0
     xs, t = (x.real, t.real) if real else (x, t)
     rho = ax / radius
-    if within_terms(n, rho, rel_tol, _SHORT_SUM):
-        terms, step = _short_sum_terms(t, n, m, xs, rel_tol, max_terms)
+    if within_terms(n, rho, tol, _SHORT_SUM):
+        terms, step = _short_sum_terms(t, n, m, xs, tol, max_terms)
     else:
         # the stop rule takes up to ~10% more terms than estimated, and two to confirm
-        size = int(min(1.125 * terms_needed(n, rho, rel_tol) + 2, _BLOCK_CAP))
-        terms, step = _block_terms(t, n, m, xs, rel_tol, max_terms, size)
+        size = int(min(1.125 * terms_needed(n, rho, tol) + 2, _BLOCK_CAP))
+        terms, step = _block_terms(t, n, m, xs, tol, max_terms, size)
     if terms is None:
-        raise _term_cap_error(rel_tol, max_terms, rim)
+        raise _term_cap_error(tol, max_terms, rim)
     work = len(terms)
     if real:
         total = complex(math.fsum(terms))
@@ -394,8 +394,8 @@ def sum_direct(
     return Evaluation(total, tail + (4.0 + drift) * _EPS * abs_sum, "direct-sum", work)
 
 
-def _term_cap_error(rel_tol: float, max_terms: int, rim: bool) -> ConvergenceError:
+def _term_cap_error(tol: float, max_terms: int, rim: bool) -> ConvergenceError:
     hint = " (rim arguments decay polynomially; use the quadrature route)" if rim else ""
     return ConvergenceError(
-        f"series did not meet rel_tol={rel_tol:g} within {max_terms} terms{hint}"
+        f"series did not meet tol={tol:g} within {max_terms} terms{hint}"
     )

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .closed_forms import fold
-from .errors import ArgumentError
+from .errors import checked_tol
 from .identities import EXPERIMENTAL_IDS, SPECIAL_VALUES, record_by_id
 from .polylog import li, li_factorized
 from .routes import ROUTES, evaluate
@@ -35,8 +35,6 @@ TOL_QUAD = 1e-9
 TOL_TWO_TERM = 1e-8
 
 ENVIRONMENT = {"precision": "binary64", "machine_epsilon": sys.float_info.epsilon}
-
-SUITE_NAMES = ("special-values", "cross-routes", "borwein-girgensohn", "polylog", "all")
 
 
 @dataclass(frozen=True)
@@ -177,16 +175,14 @@ def _entry(
     )
 
 
-def _special_value_entries(
-    records: Iterable, tol: float | None, default_interior: float
-) -> list[CheckEntry]:
+def _special_value_entries(records: Iterable, tol: float | None) -> list[CheckEntry]:
     entries = []
     for rec in records:
         start = time.perf_counter()
         exact = rec.value()
         p = rec.params
         route = evaluate(p.n, p.m, p.x, "quad-polylog" if rec.boundary else "direct-sum")
-        this_tol = tol if tol is not None else TOL_QUAD if rec.boundary else default_interior
+        this_tol = tol if tol is not None else TOL_QUAD if rec.boundary else TOL_SERIES
         wall = (time.perf_counter() - start) * 1000.0
         entries.append(_entry(rec.id, rec.params, exact, route.value, this_tol, wall))
     return entries
@@ -197,19 +193,15 @@ def run_special_values(tol: float | None = None) -> VerificationReport:
     matching series route: direct summation inside the disk, the
     polylog-kernel quadrature on the rim. ``tol`` overrides the tiered
     defaults uniformly when given."""
-    if tol is not None and not tol > 0:  # NaN too
-        raise ArgumentError("tol must be positive")
-    entries = _special_value_entries(SPECIAL_VALUES, tol, TOL_SERIES)
+    entries = _special_value_entries(SPECIAL_VALUES, checked_tol(tol, None))
     return VerificationReport("special-values", tuple(entries))
 
 
-def run_borwein_girgensohn(tol: float = 1e-12) -> VerificationReport:
+def run_borwein_girgensohn(tol: float | None = None) -> VerificationReport:
     """The four special values first reported from integer-relation
-    experiments, re-verified independently at tightened tolerance."""
-    if not tol > 0:  # NaN too
-        raise ArgumentError("tol must be positive")
+    experiments, re-verified independently at one tolerance, TOL_SERIES by default."""
     records = [record_by_id(i) for i in EXPERIMENTAL_IDS]
-    entries = _special_value_entries(records, tol, tol)
+    entries = _special_value_entries(records, checked_tol(tol, TOL_SERIES))
     return VerificationReport("borwein-girgensohn", tuple(entries))
 
 
@@ -287,9 +279,9 @@ def run_cross_routes(
     grid: Sequence[SeriesParams] | None = None,
     tol: float | None = None,
 ) -> VerificationReport:
-    """All applicable routes at every grid point, compared pairwise."""
-    if tol is not None and not tol > 0:  # NaN too
-        raise ArgumentError("tol must be positive")
+    """All applicable routes at every grid point, compared pairwise; ``tol`` overrides
+    the tiered pair tolerances uniformly when given."""
+    checked_tol(tol, None)
     points = tuple(grid) if grid is not None else default_grid()
     entries: list[CheckEntry] = []
     for p in points:
@@ -328,10 +320,10 @@ FACTORIZATION_POINTS: tuple[complex, ...] = (
 )
 
 
-def run_polylog_factorization(tol: float = 1e-12) -> VerificationReport:
-    """li_factorized(n, z, m) against li(n, z**m) over the documented grid."""
-    if not tol > 0:  # NaN too
-        raise ArgumentError("tol must be positive")
+def run_polylog_factorization(tol: float | None = None) -> VerificationReport:
+    """li_factorized(n, z, m) against li(n, z**m) over the documented grid, at
+    TOL_SERIES by default."""
+    tol = checked_tol(tol, TOL_SERIES)
     entries: list[CheckEntry] = []
     for n in (2, 3, 4):
         for m in (2, 3, 4, 6):
@@ -349,12 +341,17 @@ def run_polylog_factorization(tol: float = 1e-12) -> VerificationReport:
 def run_all(tol: float | None = None) -> VerificationReport:
     """Special values, the default cross-route grid, and the factorization
     suite, concatenated. Each registry identity appears exactly once."""
-    parts = (
-        run_special_values(tol),
-        run_cross_routes(tol=tol),
-        run_polylog_factorization(tol if tol is not None else 1e-12),
-    )
-    entries: tuple[CheckEntry, ...] = ()
-    for part in parts:
-        entries += part.entries
-    return VerificationReport("all", entries)
+    parts = (run_special_values(tol), run_cross_routes(tol=tol), run_polylog_factorization(tol))
+    return VerificationReport("all", tuple(e for part in parts for e in part.entries))
+
+
+# Each suite by its CLI name. The lambdas look the suites up in this module at call
+# time, so that a wrapper bound over one of them here (a tracer's) sees the call.
+SUITES: dict[str, Callable[[float | None], VerificationReport]] = {
+    "special-values": lambda tol: run_special_values(tol),
+    "cross-routes": lambda tol: run_cross_routes(tol=tol),
+    "borwein-girgensohn": lambda tol: run_borwein_girgensohn(tol),
+    "polylog": lambda tol: run_polylog_factorization(tol),
+    "all": lambda tol: run_all(tol),
+}
+SUITE_NAMES = tuple(SUITES)

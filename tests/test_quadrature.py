@@ -1,15 +1,15 @@
 """Adaptive Gauss-Kronrod kernel."""
 
 import cmath
-import dataclasses
 import heapq
+import inspect
 import math
 
 import pytest
 
-from invbinom import ArgumentError, ConvergenceError, QuadratureSpec, adaptive_quad
+from invbinom import ArgumentError, ConvergenceError, adaptive_quad
 from invbinom import quadrature
-from invbinom.quadrature import _EPS, _WG, _WGK, _XGK, DEFAULT_SPEC, _gk15
+from invbinom.quadrature import _EPS, _WG, _WGK, _XGK, QUAD_TOL, _gk15
 
 
 def test_polynomial_is_exact_on_one_panel():
@@ -32,8 +32,7 @@ def test_log_singularity_at_endpoint():
 
 def test_inverse_sqrt_singularity(monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 5000)
-    spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)
-    value, err, _ = adaptive_quad(lambda t: 1.0 / math.sqrt(t), 0.0, 1.0, spec)
+    value, err, _ = adaptive_quad(lambda t: 1.0 / math.sqrt(t), 0.0, 1.0, tol=1e-9)
     assert abs(value.real - 2.0) < 1e-8
 
 
@@ -54,9 +53,8 @@ def test_reversed_interval_raises():
 
 def test_budget_exhaustion_raises(monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 5)
-    spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14)
     with pytest.raises(ConvergenceError, match="after 5 subdivisions"):
-        adaptive_quad(lambda t: 1.0 / math.sqrt(t), 0.0, 1.0, spec)
+        adaptive_quad(lambda t: 1.0 / math.sqrt(t), 0.0, 1.0, tol=1e-14)
 
 
 def test_deterministic_rerun():
@@ -66,12 +64,11 @@ def test_deterministic_rerun():
     assert first == second
 
 
-def test_spec_validation():
-    with pytest.raises(ArgumentError):
-        QuadratureSpec(abs_tol=0.0)
-    with pytest.raises(ArgumentError):
-        QuadratureSpec(rel_tol=math.nan)
-    assert [f.name for f in dataclasses.fields(QuadratureSpec)] == ["abs_tol", "rel_tol"]
+def test_tolerance_validation():
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ArgumentError, match="tol must be positive"):
+            adaptive_quad(math.sin, 0.0, 1.0, tol)
+    assert list(inspect.signature(adaptive_quad).parameters) == ["f", "a", "b", "tol"]
 
 
 # -- bit identity with the plain loops ---------------------------------------------------
@@ -108,14 +105,14 @@ def _gk15_loop(f, a, b):
     return value, err, resabs
 
 
-def _adaptive_quad_loop(f, a, b, spec=None):
+def _adaptive_quad_loop(f, a, b, tol=None):
     """Bisection of the worst panel until the tolerance holds, with no early exit, and a
     left-to-right resummation over the sorted partition."""
-    spec = spec or DEFAULT_SPEC
+    tol = QUAD_TOL if tol is None else tol
     value, err, _ = _gk15_loop(f, a, b)
     heap = [(-err, 0, a, b, value, err)]
     total_val, total_err, neval, counter, splits = value, err, 15, 1, 0
-    while total_err > max(spec.abs_tol, spec.rel_tol * abs(total_val)):
+    while total_err > max(tol, tol * abs(total_val)):
         if splits >= quadrature.MAX_SUBDIVISIONS:
             raise ConvergenceError("budget")
         _, _, lo, hi, v0, e0 = heapq.heappop(heap)
@@ -176,25 +173,18 @@ def test_panel_equals_the_loop_bit_for_bit(name, f):
 
 
 @pytest.mark.parametrize("name,f", _INTEGRANDS)
-@pytest.mark.parametrize(
-    "spec",
-    [
-        None,
-        QuadratureSpec(abs_tol=1e-6, rel_tol=1e-6),
-        QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14),
-    ],
-)
-def test_adaptive_quad_equals_the_loop_bit_for_bit(name, f, spec):
+@pytest.mark.parametrize("tol", [None, 1e-6, 1e-14])
+def test_adaptive_quad_equals_the_loop_bit_for_bit(name, f, tol):
     for a, b in _INTERVALS:
         if a <= 0.0 and name in ("log", "inv-sqrt", "log2/(1+t)"):
             a = 0.0 if name == "log" else 1e-3
         try:
-            ref = _adaptive_quad_loop(f, a, b, spec)
+            ref = _adaptive_quad_loop(f, a, b, tol)
         except ConvergenceError:
             with pytest.raises(ConvergenceError):
-                adaptive_quad(f, a, b, spec)
+                adaptive_quad(f, a, b, tol)
             continue
-        got = adaptive_quad(f, a, b, spec)
+        got = adaptive_quad(f, a, b, tol)
         assert isinstance(got[0], complex)
         assert _bits(got[0]) == _bits(ref[0]), (name, a, b)
         assert got[1].hex() == ref[1].hex() and got[2] == ref[2], (name, a, b)

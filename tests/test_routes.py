@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invbinom import (
@@ -13,15 +13,20 @@ from invbinom import (
     ConvergenceError,
     DomainError,
     METHODS,
-    QuadratureSpec,
     SeriesError,
     SeriesParams,
+    adaptive_quad,
     evaluate,
     fold,
     quad_cardano,
     quad_polylog,
     quad_two_term,
     resolve_auto,
+    run_all,
+    run_borwein_girgensohn,
+    run_cross_routes,
+    run_polylog_factorization,
+    run_special_values,
     s01,
     s11,
     s21,
@@ -184,22 +189,25 @@ class TestResolveAuto:
         assert methods[0] != "direct-sum" and methods[-1] == "direct-sum"
 
     def test_tolerance_is_passed_through(self):
-        x = 0.7 * R  # about 68 terms at rel_tol 1e-15, 19 at 1e-6
+        x = 0.7 * R  # about 68 terms at tol 1e-15, 19 at 1e-6
         assert evaluate(3, 1, x).method == "quad-cardano"
-        assert evaluate(3, 1, x, rel_tol=1e-6).method == "direct-sum"
-        assert evaluate(3, 1, 0.5, rel_tol=0.0).method == "quad-cardano"
+        assert evaluate(3, 1, x, tol=1e-6).method == "direct-sum"
+        with pytest.raises(ArgumentError, match="tol must be positive"):
+            evaluate(3, 1, 0.5, tol=0.0)
 
 
-def _term_count_rule(n, m, x, rel_tol, cap):
+def _term_count_rule(n, m, x, tol, cap):
     """auto's route for n >= 3 by the predicted term count (series.terms_needed)."""
-    need = terms_needed(n, abs(x) / convergence_radius(m), rel_tol)
+    need = terms_needed(n, abs(x) / convergence_radius(m), tol)
     if need <= routes.DIRECT_TERM_BUDGET * m and 1.125 * need + 2 <= cap:
         return "direct-sum"
-    return "quad-cardano" if m == 1 else "folding"
+    if m == 1:
+        return "quad-cardano"
+    return "folding" if m <= 6 else "direct-sum"  # fold serves strides 1..6
 
 
 def _rule_grid():
-    """Seeded (n, m, rho, angle, cap, rel_tol) points, and points whose continuous term
+    """Seeded (n, m, rho, angle, cap, tol) points, and points whose continuous term
     count lies within 1e-9 of the budget, of the cap's limit or of another integer."""
     rng = random.Random(2024)
     for _ in range(3000):
@@ -215,7 +223,7 @@ def _rule_grid():
         budget = min(routes.DIRECT_TERM_BUDGET * m, 8 * (cap - 2) // 9)
         k = rng.choice([budget, budget + 1, max(2, budget - 1), rng.randint(2, 3000)])
         root = k + rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-12, -9)
-        # f(root) = ln(rel_tol) with f(k) = k ln(rho) + (1/2 - n) ln(k)
+        # f(root) = ln(tol) with f(k) = k ln(rho) + (1/2 - n) ln(k)
         rho = math.exp((math.log(tol) - (0.5 - n) * math.log(root)) / root)
         if rho < 1.0:
             yield n, m, rho, rng.uniform(-math.pi, math.pi), cap, tol
@@ -227,15 +235,18 @@ class TestAutoRuleEquivalence:
         for n, m, rho, theta, cap, tol in _rule_grid():
             x = _at(rho, m, theta)
             want = _term_count_rule(n, m, x, tol, cap)
-            assert resolve_auto(n, m, x, rel_tol=tol, max_terms=cap) == want, (n, m, rho, cap, tol)
+            assert resolve_auto(n, m, x, tol=tol, max_terms=cap) == want, (n, m, rho, cap, tol)
             need = terms_needed(n, abs(x) / convergence_radius(m), tol)
             budget = min(routes.DIRECT_TERM_BUDGET * m, 8 * (cap - 2) // 9)
             at_the_edge += need in (budget, budget + 1)
         assert at_the_edge >= 50  # both sides of the budget are sampled closely
 
-    def test_non_positive_tolerance_and_tiny_caps_keep_quadrature(self):
-        for tol, cap in [(0.0, None), (-1.0, None), (1e-15, 1), (1e-15, 2), (1e-15, 3)]:
-            assert resolve_auto(3, 1, 1e-20, rel_tol=tol, max_terms=cap) == "quad-cardano"
+    def test_non_positive_tolerance_raises_and_tiny_caps_keep_quadrature(self):
+        for tol in (0.0, -1.0):
+            with pytest.raises(ArgumentError, match="tol must be positive"):
+                resolve_auto(3, 1, 1e-20, tol=tol)
+        for cap in (1, 2, 3):
+            assert resolve_auto(3, 1, 1e-20, tol=1e-15, max_terms=cap) == "quad-cardano"
         assert resolve_auto(3, 1, 1e-20, max_terms=4) == "direct-sum"  # 1 term: 1.125 + 2 <= 4
 
 
@@ -352,7 +363,7 @@ def _contract_points():
 # Loose quadrature and a short term budget keep the rim and near-rim points
 # cheap; they can only turn a slow evaluation into a ConvergenceError, which
 # the contract does not constrain. Any other error at a summable point fails.
-_CHEAP = dict(spec=QuadratureSpec(abs_tol=1e-5, rel_tol=1e-5), max_terms=200)
+_CHEAP = dict(tol=1e-5, max_terms=200)
 
 
 class TestRouteTable:
@@ -383,6 +394,16 @@ class TestRouteTable:
                     pytest.fail(f"auto refused S({n},{m};{x}): {exc}")
                 except ConvergenceError:
                     pass
+
+    def test_auto_names_the_route_it_runs(self):
+        for n, m, x in _contract_points():
+            if not _summable(n, m, x):
+                continue
+            try:
+                ev = evaluate(n, m, x, **_CHEAP)
+            except ConvergenceError:
+                continue
+            assert ev.method == resolve_auto(n, m, x, **_CHEAP), (n, m, x)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("x", [1e-307, -1e-307])
@@ -445,8 +466,11 @@ DOMAIN_ERRORS = [
     ("quad_polylog rim", lambda: quad_polylog(1, R), DomainError, _outside(6.75, 1, 1)),
     ("quad_polylog n<0", lambda: quad_polylog(-1, 0.5), ArgumentError, _needs(1, -1)),
     ("quad_cardano past", lambda: quad_cardano(3, 7.0), DomainError, _outside(7.0, 1, 3)),
-    ("quad_cardano rim", lambda: quad_cardano(1, R), ArgumentError, _needs(3, 1)),
-    ("quad_cardano n<0", lambda: quad_cardano(-1, 0.5), ArgumentError, _needs(3, -1)),
+    # quad_cardano is evaluate's quad-cardano route: the domain rule first, then the route's
+    ("quad_cardano rim", lambda: quad_cardano(1, R), DomainError, _outside(6.75, 1, 1)),
+    ("quad_cardano n<0", lambda: quad_cardano(-1, 0.5), ArgumentError, WEIGHT),
+    ("quad_cardano n<3", lambda: quad_cardano(2, 0.5), ArgumentError,
+     "quad-cardano needs n >= 3, got 2"),
     # the two-term limits apply the rule at n = 2 whatever n is
     ("quad_two_term past", lambda: quad_two_term(3, 7.0), DomainError, _outside(7.0, 1, 2)),
     ("quad_two_term rim", lambda: quad_two_term(1, R), ArgumentError, _needs(2, 1)),
@@ -569,3 +593,59 @@ class TestTwoTermFloor:
         assert "quad-two-term needs |x| >= 0.002" in err
         argv = ["eval", "--n", "2", "--m", "1", "--x", "0.002", "--method", "quad-two-term"]
         assert main(argv) == 0
+
+
+def _evaluate_at(method):
+    """evaluate at a point the method serves: S(2, 1; 0.5), S(3, 1; 0.5) for quad-cardano
+    and S(2, 2; 1) for folding."""
+    n, m, x = {"quad-cardano": (3, 1, 0.5), "folding": (2, 2, 1.0)}.get(method, (2, 1, 0.5))
+    return lambda tol: evaluate(n, m, x, method, tol=tol)
+
+
+def _fold_over(inner):
+    """fold at S(2, 2; 1), or S(3, 2; 1) over quad-cardano."""
+    n = 3 if inner == "quad-cardano" else 2
+    return lambda tol: fold(n, 2, 1.0, inner, tol=tol)
+
+
+# Every public entry that takes a tolerance, as a function of it.
+TOL_ENTRIES = [
+    *((f"evaluate {method}", _evaluate_at(method)) for method in (*METHODS, "auto")),
+    ("resolve_auto", lambda tol: resolve_auto(3, 1, 0.5, tol=tol)),
+    *((f"fold over {inner}", _fold_over(inner)) for inner in METHODS if inner != "folding"),
+    ("sum_direct", lambda tol: sum_direct(2, 1, 0.5, tol=tol)),
+    ("adaptive_quad", lambda tol: adaptive_quad(math.sin, 0.0, 1.0, tol)),
+    ("quad_polylog", lambda tol: quad_polylog(2, 0.5, tol)),
+    ("quad_cardano", lambda tol: quad_cardano(3, 0.5, tol)),
+    ("quad_two_term", lambda tol: quad_two_term(2, 0.5, tol)),
+    ("run_special_values", lambda tol: run_special_values(tol)),
+    ("run_cross_routes", lambda tol: run_cross_routes(tol=tol)),
+    ("run_borwein_girgensohn", lambda tol: run_borwein_girgensohn(tol)),
+    ("run_polylog_factorization", lambda tol: run_polylog_factorization(tol)),
+    ("run_all", lambda tol: run_all(tol)),
+]
+
+
+class TestToleranceRule:
+    @pytest.mark.parametrize(
+        "entry", [case[1] for case in TOL_ENTRIES], ids=[case[0] for case in TOL_ENTRIES]
+    )
+    @given(tol=st.one_of(st.floats(max_value=0.0), st.just(math.nan)))
+    @example(tol=0.0)
+    @example(tol=-1.0)
+    @example(tol=math.nan)
+    @settings(max_examples=10, deadline=None)
+    def test_every_entry_refuses_a_non_positive_tolerance(self, entry, tol):
+        with pytest.raises(ArgumentError) as info:
+            entry(tol)
+        assert str(info.value) == f"tol must be positive, got {tol!r}"
+
+    @pytest.mark.parametrize(
+        "entry",
+        [case[1] for case in TOL_ENTRIES if not case[0].startswith("run_")],
+        ids=[case[0] for case in TOL_ENTRIES if not case[0].startswith("run_")],
+    )
+    def test_every_entry_serves_its_point(self, entry):
+        # the points above are served, so that a refusal comes from the tolerance alone
+        assert entry(1e-8) is not None
+        assert entry(None) is not None

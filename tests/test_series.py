@@ -397,26 +397,26 @@ class TestSumDirect:
 
     def test_error_estimate_covers_truth(self):
         exact = math.pi / 10 - math.log(2) / 5
-        ev = sum_direct(1, 1, 0.5, rel_tol=1e-10)
+        ev = sum_direct(1, 1, 0.5, tol=1e-10)
         assert abs(ev.value - exact) <= ev.abs_error_est
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("n", [0, 3, 6])
     @pytest.mark.parametrize("x", [-6.0, -1.0, 0.5, 6.0])
     def test_interior_converges_within_400_terms(self, m, n, x):
-        ev = sum_direct(n, m, x, rel_tol=1e-15)
+        ev = sum_direct(n, m, x, tol=1e-15)
         assert ev.work <= 400
 
     def test_outside_raises_domain_error(self):
         with pytest.raises(DomainError):
             sum_direct(2, 1, 7.0)
 
-    @pytest.mark.parametrize("rel_tol", [0.0, -1e-15, math.nan])
-    def test_non_positive_tolerance_raises(self, rel_tol):
-        with pytest.raises(ArgumentError, match="rel_tol must be positive"):
-            sum_direct(3, 1, 0.5, rel_tol=rel_tol)
-        with pytest.raises(ArgumentError, match="rel_tol must be positive"):
-            evaluate(3, 1, 0.5, "direct-sum", rel_tol=rel_tol)
+    @pytest.mark.parametrize("tol", [0.0, -1e-15, math.nan])
+    def test_non_positive_tolerance_raises(self, tol):
+        with pytest.raises(ArgumentError, match="tol must be positive"):
+            sum_direct(3, 1, 0.5, tol=tol)
+        with pytest.raises(ArgumentError, match="tol must be positive"):
+            evaluate(3, 1, 0.5, "direct-sum", tol=tol)
 
     def test_rim_needs_weight_two(self):
         with pytest.raises(DomainError):
@@ -474,8 +474,8 @@ class TestSumDirect:
     )
     @settings(max_examples=40, deadline=None)
     def test_tail_estimate_dominates_next_partial_move(self, n, m, x):
-        loose = sum_direct(n, m, x, rel_tol=1e-8)
-        tight = sum_direct(n, m, x, rel_tol=1e-15)
+        loose = sum_direct(n, m, x, tol=1e-8)
+        tight = sum_direct(n, m, x, tol=1e-15)
         assert abs(loose.value - tight.value) <= loose.abs_error_est + 1e-15 * abs(tight.value)
 
 
@@ -618,6 +618,6 @@ class TestTermsNeeded:
 class TestSeriesTerms:
     def test_explicit_max_terms_threading(self):
         with pytest.raises(ConvergenceError):
-            sum_direct(2, 1, 6.0, rel_tol=1e-15, max_terms=50)
-        ev = sum_direct(2, 1, 6.0, rel_tol=1e-15, max_terms=400)
+            sum_direct(2, 1, 6.0, tol=1e-15, max_terms=50)
+        ev = sum_direct(2, 1, 6.0, tol=1e-15, max_terms=400)
         assert ev.work <= 400
