@@ -9,13 +9,17 @@ The series converges strictly inside |x| < (27/4)**m, and on the rim
 |x| = (27/4)**m once n >= 2 (terms there decay like k**(1/2 - n)).
 
 ``sum_direct`` is the reference oracle every other evaluation route in the
-package is validated against. Its terms come from the ratio recurrence, each
-stride-m ratio the in-order product of m correctly rounded stride-1 factors.
-Those factors form one sequence f_0, f_1, ... for every m and x; its first
-_FACTOR_TABLE values are an immutable tuple built at import, so a block of
-ratios is slices of that table multiplied in C-level passes (``map``), with
-no integer arithmetic per term. The sum is correctly rounded (``math.fsum``),
-because near the rim a plain running sum loses digits.
+package is validated against. Its terms come from the ratio recurrence
+t_{k+1} / t_k = x (k/(k+1))**n C(3mk, mk) / C(3m(k+1), m(k+1)), each stride-m
+step the in-order product of m correctly rounded stride-1 factors. Those
+factors form one sequence f_0, f_1, ... for every m and x, and the steps and
+the weights (k/(k+1))**n depend on (n, m, k) alone, so all three are immutable
+tuples built at import: _FACTORS (the first _FACTOR_TABLE factors), _STEPS (the
+steps of m 1..8 those factors cover) and _WEIGHTS (n 1..8, k < _WEIGHT_TABLE).
+Where they cover a sum a term costs two products with table reads, and only
+steps and weights past their ends are computed, with the same operations, so
+every bit is the same. The sum is correctly rounded (``math.fsum``), because
+near the rim a plain running sum loses digits.
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ import math
 import os
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import attrgetter, le, mul, truediv
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import ArgumentError, ConvergenceError, DomainError, checked_tol
 
@@ -141,9 +145,9 @@ def _computed_factors(j0: int, j1: int) -> Iterator[float]:
     return map(truediv, num, den)
 
 
-# f_j for j < _FACTOR_TABLE, built once at import (under 1 ms) and never changed. The
-# direct sums ``auto`` picks by their cost (at most DIRECT_TERM_BUDGET * m = 50m terms
-# predicted) stay below j = 3,624 up to m = 8.
+# f_j for j < _FACTOR_TABLE, built once at import and never changed. The direct sums
+# ``auto`` picks by their cost at m <= 6 (at most DIRECT_TERM_BUDGET * m = 75m terms
+# predicted) stay below j = 3,100.
 _FACTOR_TABLE = 1 << 12
 _FACTORS = tuple(_computed_factors(0, _FACTOR_TABLE))
 # ``_stride_factors`` nests one ``map`` per offset and materialises the chain every this
@@ -158,13 +162,10 @@ def _factors(j0: int, j1: int) -> tuple[float, ...]:
     return _FACTORS[j0:j1] + tuple(_computed_factors(max(j0, _FACTOR_TABLE), j1))
 
 
-def _stride_factors(k0: int, k1: int, m: int) -> list[float]:
-    """C(3mk, mk) / C(3m(k+1), m(k+1)) for k0 <= k < k1; decreasing, limit (4/27)**m.
-
-    Each is the product, in order, of the stride-1 factors f_mk .. f_{mk+m-1}.
-    Every f_j lies near 4/27, so no product overflows. One C-level pass per
-    offset o = j - mk multiplies in the slice f[o::m] of the factors of the range.
-    """
+def _computed_steps(k0: int, k1: int, m: int) -> list[float]:
+    """C(3mk, mk) / C(3m(k+1), m(k+1)) for k0 <= k < k1, each the product, in order, of
+    f_mk .. f_{mk+m-1}: one C-level pass per offset o = j - mk multiplies in the slice
+    f[o::m] of the factors of the range. Every f_j lies near 4/27, so none overflows."""
     f = _factors(m * k0, m * k1)
     steps = f[0::m]
     for o in range(1, m):
@@ -174,18 +175,70 @@ def _stride_factors(k0: int, k1: int, m: int) -> list[float]:
     return list(steps)
 
 
+# The stride-m steps and the weights (k/(k+1))**n depend on (n, m, k) alone, never on x,
+# so both are immutable tuples built at import (about 0.6 ms together) and never changed.
+# _STEPS[m], m < _STEP_STRIDES, holds the steps of k < _FACTOR_TABLE // m: the same
+# in-order products ``_computed_steps`` forms (_STEPS[1] is _FACTORS, _STEPS[0] empty).
+# _WEIGHTS[n], n < _WEIGHT_POWERS, holds the weights of k < _WEIGHT_TABLE, each one
+# ``pow`` as the computed path forms it (_WEIGHTS[0] is empty: n = 0 has no weight).
+# The strides and powers are those of the ``li`` and Cardano-tail tables; every direct
+# sum of the benchmark's direct and interior workloads (seeds 1, 2) stays below k = 621,
+# and all but 3 of 480 (at m = 8) inside the step tables.
+_STEP_STRIDES = 9
+_STEPS = ((), _FACTORS) + tuple(
+    tuple(_computed_steps(0, _FACTOR_TABLE // m, m)) for m in range(2, _STEP_STRIDES)
+)
+_WEIGHT_POWERS = 9
+_WEIGHT_TABLE = 1 << 10
+_WEIGHT_BASES = tuple(map(truediv, range(_WEIGHT_TABLE), range(1, _WEIGHT_TABLE + 1)))
+_WEIGHTS = ((),) + tuple(
+    tuple(map(pow, _WEIGHT_BASES, repeat(n))) for n in range(1, _WEIGHT_POWERS)
+)
+del _WEIGHT_BASES
+
+
+def _step_table(m: int) -> tuple[float, ...]:
+    return _STEPS[m] if m < _STEP_STRIDES else ()
+
+
+def _weight_table(n: int) -> tuple[float, ...]:
+    return _WEIGHTS[n] if n < _WEIGHT_POWERS else ()
+
+
+def _stride_factors(k0: int, k1: int, m: int) -> Sequence[float]:
+    """C(3mk, mk) / C(3m(k+1), m(k+1)) for k0 <= k < k1; decreasing, limit (4/27)**m.
+
+    Each is the product, in order, of the stride-1 factors f_mk .. f_{mk+m-1}:
+    a slice of ``_STEPS[m]``, computed (``_computed_steps``) past its end.
+    """
+    table = _step_table(m)
+    if k1 <= len(table):
+        return table[k0:k1]
+    return [*table[k0:k1], *_computed_steps(max(k0, len(table)), k1, m)]
+
+
 def _step(k: int, m: int) -> float:
     """The k-th value of ``_stride_factors``: the same factors, multiplied in the same order."""
+    table = _step_table(m)
+    if k < len(table):
+        return table[k]
     return math.prod(_factors(m * k, m * k + m), start=1.0)
 
 
 def _ratios(k0: int, k1: int, n: int, m: int, x: complex | float) -> Iterator[complex | float]:
     """Term ratios t_{k+1} / t_k = x (k/(k+1))**n C(3mk, mk) / C(3m(k+1), m(k+1))
-    for k0 <= k < k1, multiplied left to right; float when x is."""
+    for k0 <= k < k1, multiplied left to right; float when x is. The weights are
+    slices of ``_WEIGHTS[n]``, computed by ``pow`` past its end."""
     steps = _stride_factors(k0, k1, m)
     if n == 0:
         return map(mul, repeat(x), steps)
-    weights = map(pow, map(truediv, range(k0, k1), range(k0 + 1, k1 + 1)), repeat(n))
+    table = _weight_table(n)
+    if k1 <= len(table):
+        weights = table[k0:k1]
+    else:
+        k = max(k0, len(table))
+        computed = map(pow, map(truediv, range(k, k1), range(k + 1, k1 + 1)), repeat(n))
+        weights = chain(table[k0:k1], computed)
     return map(mul, map(mul, repeat(x), weights), steps)
 
 
@@ -246,30 +299,39 @@ def _terms(t: complex | float, k: int, count: int, n: int, m: int, x: complex | 
     return list(accumulate(_ratios(k, k + count, n, m, x), mul, initial=t))
 
 
-# Sums predicted to take at most this many terms run term by term: below it a block's
-# fixed cost (a dozen C-level passes, the term-count prediction) outweighs what its
-# passes save per term. With the factor table the measured break-even is 40-60 terms at
-# m <= 2, which 64 fits, rising to 80-220 at m = 4 and 130-300 at m = 6..8, where a
-# block's m - 1 ``map`` passes per term cost about what the loop's ``math.prod`` does.
-_SHORT_SUM = 64
+# Sums predicted to take at most max(_FACTOR_TABLE // m, _SHORT_SUM) terms run term by
+# term. Where the tables hold every step and weight the loop reads each with one index,
+# and it beat the block by 1.2-2.2 times at every length measured (22 to 3,164 terms,
+# m 1..8, n 0, 1, 4, angles 0 and 0.7; min of 5 x 5 calls, 2-core x86-64 VM, CPython
+# 3.11): a block makes about a dozen C-level passes per term. Past the factor table the
+# loop computes each factor by itself, and the block, which computes them in passes, was
+# 1.1-3.7 times faster at m <= 8 (1.5-3.7 at m = 1). At m >= 9, where ``_step`` takes a
+# ``math.prod`` per term, the break-even was 250-600 terms at m = 9, 350-650 at m = 16
+# and above 900 at m = 40.
+_SHORT_SUM = 512
 _BLOCK_CAP = 1 << 15
 
 
 def _short_sum_terms(t, n: int, m: int, x, tol: float, max_terms: int):
     """``_block_terms`` one term at a time: the same factors, products, ratios,
     running sums and tests, so the same bits."""
+    steps, weights = _step_table(m), _weight_table(n)
+    step_end, weight_end = len(steps), len(weights)
     terms = []
     total = t * 0
     prev = False
     for k in range(1, max_terms + 1):
         terms.append(t)
         total += t
-        step = _step(k, m)
+        step = steps[k] if k < step_end else _step(k, m)
         small = abs(t) <= tol * abs(total)
         if small and prev:
             return terms, step
         prev = small
-        t *= (x * (k / (k + 1)) ** n if n else x) * step
+        if n:
+            t *= x * (weights[k] if k < weight_end else (k / (k + 1)) ** n) * step
+        else:
+            t *= x * step
     return None, 0.0
 
 
@@ -317,7 +379,7 @@ def sum_direct(
     is raised at once; prefer the quadrature route there.
 
     The terms come from the ratio recurrence in blocks sized by
-    ``terms_needed`` (term by term below _SHORT_SUM terms), in float
+    ``terms_needed`` (term by term where the tables cover the sum), in float
     arithmetic for real x, and the value is ``math.fsum`` of their real and
     imaginary parts. The error estimate is a geometric tail bound from the
     last term and the current term ratio, plus a rounding floor proportional
@@ -358,7 +420,7 @@ def sum_direct(
     real = x.imag == 0.0
     xs, t = (x.real, t.real) if real else (x, t)
     rho = ax / radius
-    if within_terms(n, rho, tol, _SHORT_SUM):
+    if within_terms(n, rho, tol, max(_FACTOR_TABLE // m, _SHORT_SUM)):
         terms, step = _short_sum_terms(t, n, m, xs, tol, max_terms)
     else:
         # the stop rule takes up to ~10% more terms than estimated, and two to confirm

@@ -26,6 +26,9 @@ from invbinom.closed_forms import REAL_BRANCH, _leading_terms
 from invbinom.series import (
     _FACTOR_TABLE,
     _FACTORS,
+    _STEPS,
+    _WEIGHT_TABLE,
+    _WEIGHTS,
     _block_terms,
     _computed_factors,
     _first_term,
@@ -223,6 +226,10 @@ BIT_POINTS = [
     (1, 3, -0.3 * 6.75**3),
     (0, 2, 0.97j * 6.75**2),
     (4, 1, 6.75),
+    (1, 4, 0.98 * 6.75**4 * cmath.exp(0.7j)),  # 1,515 terms: past both tables' ends (k = 1,024)
+    (2, 2, -0.99 * 6.75**2),  # 2,305 terms: past the weight table and the m = 2 steps
+    (0, 8, 0.95 * 6.75**8),  # 654 terms: past the m = 8 step table (k = 512)
+    (3, 9, 0.97 * 6.75**9 * cmath.exp(2.0j)),  # 612 terms: past the factors' reach (k = 455)
 ]
 
 
@@ -233,34 +240,79 @@ class TestBitIdentity:
             return float(Fraction(2 * (j + 1) * (2 * j + 1), 3 * (3 * j + 1) * (3 * j + 2)))
 
         binomial_ratios = [Fraction(math.comb(3 * j, j), math.comb(3 * j + 3, j + 1)) for j in range(300)]
-        assert _stride_factors(0, 300, 1) == list(map(float, binomial_ratios))
-        assert _stride_factors(0, 5000, 1) == [factor(j) for j in range(5000)]
+        assert list(_stride_factors(0, 300, 1)) == list(map(float, binomial_ratios))
+        assert list(_stride_factors(0, 5000, 1)) == [factor(j) for j in range(5000)]
         for j in (10**6 + 7, 2**40 + 3, 10**30):
-            assert _stride_factors(j, j + 1, 1) == [factor(j)], j
+            assert list(_stride_factors(j, j + 1, 1)) == [factor(j)], j
 
     def test_stride_steps_are_in_order_products_of_the_factors(self):
         # _step (the term-by-term form) and _stride_factors (the block form) agree bit for bit
+        def in_order(f, k):  # the product of f[km] .. f[km + m - 1], left to right
+            want = f[k * m]
+            for v in f[k * m + 1 : (k + 1) * m]:
+                want *= v
+            return want.hex()
+
         for m in [*range(1, 13), 60, 371]:
-            f = _stride_factors(m, 60 * m + m, 1)  # j = m .. 60m + m - 1
+            f = list(_stride_factors(m, 60 * m + m, 1))  # j = m .. 60m + m - 1
             block = _stride_factors(1, 61, m)
             for k in range(1, 61):
-                want = f[(k - 1) * m]
-                for v in f[(k - 1) * m + 1 : k * m]:
-                    want *= v
-                assert block[k - 1].hex() == want.hex() == _step(k, m).hex(), (k, m)
+                assert block[k - 1].hex() == in_order(f, k - 1) == _step(k, m).hex(), (k, m)
+        # the end of each step table (m <= 8), and of the factors it covers at m = 9
+        for m in range(1, 10):
+            end = _FACTOR_TABLE // m
+            k0 = end - 5
+            f = list(_computed_factors(m * k0, m * (end + 5)))
+            want = [in_order(f, k) for k in range(10)]
+            for k in range(k0, end + 5):
+                assert _step(k, m).hex() == want[k - k0], (k, m)
+            blocks = ((k0, end), (end - 1, end), (end, end + 1), (k0, end + 5), (end - 1, end + 3))
+            for a, b in blocks:
+                got = [v.hex() for v in _stride_factors(a, b, m)]
+                assert got == want[a - k0 : b - k0], (a, b, m)
 
     def test_factor_table_is_correctly_rounded(self):
         assert isinstance(_FACTORS, tuple) and len(_FACTORS) == _FACTOR_TABLE
         for j, f in enumerate(_FACTORS):
             assert f == float(Fraction((2 * j + 2) * (2 * j + 1), (9 * j + 3) * (3 * j + 2))), j
 
+    def test_step_and_weight_tables_are_tuples_of_their_documented_lengths(self):
+        # _STEPS[m] holds the steps of k < _FACTOR_TABLE // m for m 1..8, _WEIGHTS[n] the
+        # weights of k < _WEIGHT_TABLE for n 1..8; index 0 of each is empty
+        assert isinstance(_STEPS, tuple) and len(_STEPS) == 9 and _STEPS[0] == ()
+        assert _STEPS[1] is _FACTORS
+        for m in range(1, 9):
+            assert isinstance(_STEPS[m], tuple) and len(_STEPS[m]) == _FACTOR_TABLE // m, m
+        assert isinstance(_WEIGHTS, tuple) and len(_WEIGHTS) == 9 and _WEIGHTS[0] == ()
+        assert _WEIGHT_TABLE == 1024
+        for n in range(1, 9):
+            assert isinstance(_WEIGHTS[n], tuple) and len(_WEIGHTS[n]) == _WEIGHT_TABLE, n
+
+    def test_weights_are_pow_of_the_rounded_quotient(self):
+        # (k/(k+1))**n as one ``pow``, in the table and past it: a table built with products
+        # (x * x for x ** 2, which differs at k = 794) fails here
+        for n in range(1, 9):
+            for k, w in enumerate(_WEIGHTS[n]):
+                assert w.hex() == ((k / (k + 1)) ** n).hex(), (n, k)
+        # through the ratios at x = 1 (1 * w is w), across the table's end
+        for n in range(10):
+            for k0, k1 in ((1, 40), (_WEIGHT_TABLE - 30, _WEIGHT_TABLE + 30), (5000, 5010)):
+                steps = _stride_factors(k0, k1, 1)
+                want = [(1.0 * (k / (k + 1)) ** n * s if n else 1.0 * s).hex()
+                        for k, s in zip(range(k0, k1), steps)]
+                assert [r.hex() for r in _ratios(k0, k1, n, 1, 1.0)] == want, (n, k0)
+
     @given(
-        m=st.sampled_from([*range(1, 9), 134, 371, 1100]),
+        m=st.sampled_from([*range(1, 10), 134, 371, 1100]),
         start=st.integers(-40, 40),
         count=st.integers(0, 40),
         edge=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
     )
     @example(m=3, start=-2, count=5, edge=1.0)  # k straddles j = _FACTOR_TABLE
+    @example(m=8, start=-1, count=3, edge=1.0)  # straddles the end of _STEPS[8]
+    @example(m=9, start=-1, count=3, edge=1.0)  # m = 9 has no step table
+    @example(m=7, start=0, count=1, edge=1.0)  # one past the end of _STEPS[7]
+    @example(m=5, start=-1, count=1, edge=1.0)  # the last index of _STEPS[5]
     @settings(max_examples=80, deadline=None)
     def test_stride_factors_are_in_order_products_past_the_table(self, m, start, count, edge):
         # slices of the table, computed factors past its end, and both in one range
