@@ -34,9 +34,9 @@ import math
 from dataclasses import dataclass
 
 from .closed_forms import _TINY_X, REAL_BRANCH, SQRT3, phi
-from .errors import ArgumentError, DomainError, checked_tol
+from .errors import ArgumentError, DomainError
 from .polylog import li
-from .quadrature import adaptive_quad
+from .quadrature import adaptive_quad, quad_tol
 from .series import RADIUS_BASE, Evaluation, SeriesParams, _inside
 
 _TWO_PI = 2.0 * math.pi
@@ -94,7 +94,7 @@ def quad_polylog(n: int, x: complex, tol: float | None = None) -> Evaluation:
     argument is clamped a hair below 1 there so the weight-1 kernel stays
     finite under rounding.
     """
-    checked_tol(tol, None)
+    tol = quad_tol(tol)
     if n < 1:
         raise ArgumentError(f"this route needs n >= 1, got {n}")
     xc = complex(x)
@@ -161,7 +161,9 @@ def quad_cardano(n: int, x: complex, tol: float | None = None) -> Evaluation:
 
 
 def _cardano_kernel(n: int, xc: complex, tol: float | None) -> tuple[complex, float, int]:
-    """The unchecked (value, abs_error_est, work) of ``quad_cardano`` at summable x != 0."""
+    """The (value, abs_error_est, work) of ``quad_cardano`` at summable x != 0, checked
+    for the quadrature's tolerance floor alone."""
+    tol = quad_tol(tol)
     p = n - 3
     head, head_err, work = 0j, 0.0, 0
     y0, ell0 = xc, 0j
@@ -325,7 +327,7 @@ def quad_two_term(n: int, x: float, tol: float | None = None) -> Evaluation:
     (``_oriented``), which serves either sign of the limit (negative for x > 0).
     ArgumentError for 0 < |x| < TWO_TERM_MIN_X, where the two integrals cancel.
     """
-    checked_tol(tol, None)
+    tol = quad_tol(tol)
     if n < 2:
         raise ArgumentError(f"this route needs n >= 2, got {n}")
     xr = float(x)

@@ -10,7 +10,8 @@ an integrand singular exactly at an endpoint is never sampled there.
 Complex-valued integrands work unchanged: the rule is linear and the error
 metric is the complex modulus. For a fixed tolerance the refinement order is
 deterministic, so results are bit-reproducible run to run. One ``tol`` bounds
-the error both absolutely and relative to the value (QUAD_TOL by default); the
+the error both absolutely and relative to the value (QUAD_TOL by default, and
+never below QUAD_FLOOR, the rounding floor of the panel estimates); the
 subdivision budget is the constant MAX_SUBDIVISIONS.
 
 Most integrals the package takes meet their tolerance on the first panel, so
@@ -67,6 +68,14 @@ MAX_SUBDIVISIONS = 2000
 
 # The tolerance of every quadrature when its caller passes none.
 QUAD_TOL = 1e-12
+
+# Each panel's error estimate is at least _PANEL_FLOOR times its absolute integral (the
+# rounding level), so no tol much below it can be met: 1e-14 ran out of subdivisions at
+# S(3,1;6.0) by quad-cardano, and 1.5e-14 met every one of 409 points of the three
+# quadrature routes. QUAD_FLOOR, twice the panel floor (about 2.2e-14), is the least tol
+# a quadrature accepts.
+_PANEL_FLOOR = 50.0 * _EPS
+QUAD_FLOOR = 2.0 * _PANEL_FLOOR
 
 # Fields of a heap entry, and parts of a panel value, for the final resummation.
 _VALUE, _ERR = itemgetter(4), itemgetter(5)
@@ -138,8 +147,20 @@ def _gk15(f: Callable[[float], complex], a: float, b: float):
     err = abs((gk - g) * h)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    err = max(err, 50.0 * _EPS * resabs)
+    err = max(err, _PANEL_FLOOR * resabs)
     return value, err, resabs
+
+
+def quad_tol(tol: float | None) -> float:
+    """The tolerance rule of every quadrature: ``checked_tol`` with the default QUAD_TOL,
+    and ArgumentError for a tol below QUAD_FLOOR, which no quadrature can meet."""
+    tol = checked_tol(tol, QUAD_TOL)
+    if tol < QUAD_FLOOR:
+        raise ArgumentError(
+            f"quadrature needs tol >= QUAD_FLOOR = {QUAD_FLOOR:.3g}, its rounding floor; "
+            f"got {tol!r}"
+        )
+    return tol
 
 
 def adaptive_quad(
@@ -154,10 +175,11 @@ def adaptive_quad(
     the caller's job: a > b raises, flip the interval and negate instead.
 
     Raises:
+        ArgumentError: tol not > 0 (NaN included) or below QUAD_FLOOR.
         ConvergenceError: MAX_SUBDIVISIONS bisections made before the requested
             tolerance (max of tol and tol * |value|) was met.
     """
-    tol = checked_tol(tol, QUAD_TOL)
+    tol = quad_tol(tol)
     if a == b:
         return 0j, 0.0, 0
     if a > b:

@@ -31,6 +31,7 @@ from .integral_reps import (
     quad_polylog,
     quad_two_term,
 )
+from .quadrature import QUAD_FLOOR, quad_tol
 from .series import (
     SERIES_TOL,
     Evaluation,
@@ -58,7 +59,8 @@ PFQ_RECIPES: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {
 class Route(NamedTuple):
     """An evaluation route: ``limits(n, m, x)`` says why its operation cannot serve
     summable (n, m, x), None if it can; ``kernel(n, m, x, tol, max_terms)`` gives the
-    Triple at summable x != 0 that ``limits`` accepts, with no domain or tolerance check."""
+    Triple at summable x != 0 that ``limits`` accepts, with no domain or tolerance check
+    but the quadrature's floor (ArgumentError for a tol below QUAD_FLOOR)."""
 
     name: str
     limits: Callable[[int, int, complex], str | None]
@@ -172,10 +174,13 @@ def resolve_auto(
     (SERIES_TOL by default) is within the budget and, with room for the estimate's error,
     within the term cap; else quad-cardano at m = 1, and folding for m >= 2 where it
     serves the stride (direct summation past it). The budget is DIRECT_TERM_BUDGET * m
-    for n >= 3 and LOW_WEIGHT_TERM_BUDGET * (m - 1) for n <= 2.
+    for n >= 3 and LOW_WEIGHT_TERM_BUDGET * (m - 1) for n <= 2. For a ``tol`` below
+    QUAD_FLOOR, which no quadrature meets, n >= 3 takes direct summation wherever it fits
+    the term cap, and elsewhere raises the quadrature's ArgumentError.
 
     ``within_terms`` makes that comparison with one test, with no root to find.
     """
+    below_floor = tol is not None and tol < QUAD_FLOOR  # None: quadrature takes QUAD_TOL
     tol = checked_tol(tol, SERIES_TOL)
     if n > 2:
         budget = DIRECT_TERM_BUDGET * m
@@ -186,12 +191,18 @@ def resolve_auto(
     cap = default_max_terms() if max_terms is None else max_terms
     # the stop rule can take up to ~10% more terms than estimated (2 more at k = 1), so
     # direct summation needs 1.125 * terms + 2 <= cap, that is terms <= 8 (cap - 2) / 9
-    budget = min(budget, 8 * (cap - 2) // 9)
-    if budget >= 1 and within_terms(n, abs(x) / convergence_radius(m), tol, budget):
+    fit = 8 * (cap - 2) // 9
+    budget = min(budget, fit)
+    rho = abs(x) / convergence_radius(m)
+    if budget >= 1 and within_terms(n, rho, tol, budget):
         return "direct-sum"
-    if m == 1:
-        return "quad-cardano"
-    return "folding" if ROUTES["folding"].limits(n, m, x) is None else "direct-sum"
+    if m > 1 and ROUTES["folding"].limits(n, m, x) is not None:
+        return "direct-sum"
+    if n > 2 and below_floor:  # quad-cardano, folded or not, would refuse this tol
+        if fit >= 1 and within_terms(n, rho, tol, fit):
+            return "direct-sum"
+        quad_tol(tol)  # raises
+    return "quad-cardano" if m == 1 else "folding"
 
 
 def hypergeometric_value(n: int, x: complex) -> tuple[complex, int, float]:

@@ -9,7 +9,7 @@ import pytest
 
 from invbinom import ArgumentError, ConvergenceError, adaptive_quad
 from invbinom import quadrature
-from invbinom.quadrature import _EPS, _WG, _WGK, _XGK, QUAD_TOL, _gk15
+from invbinom.quadrature import _EPS, _WG, _WGK, _XGK, QUAD_FLOOR, QUAD_TOL, _gk15
 
 
 def test_polynomial_is_exact_on_one_panel():
@@ -54,7 +54,7 @@ def test_reversed_interval_raises():
 def test_budget_exhaustion_raises(monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 5)
     with pytest.raises(ConvergenceError, match="after 5 subdivisions"):
-        adaptive_quad(lambda t: 1.0 / math.sqrt(t), 0.0, 1.0, tol=1e-14)
+        adaptive_quad(lambda t: 1.0 / math.sqrt(t), 0.0, 1.0, tol=QUAD_FLOOR)
 
 
 def test_deterministic_rerun():
@@ -68,6 +68,12 @@ def test_tolerance_validation():
     for tol in (0.0, -1.0, math.nan):
         with pytest.raises(ArgumentError, match="tol must be positive"):
             adaptive_quad(math.sin, 0.0, 1.0, tol)
+    # the rounding floor of the panel estimates: refused at once below it, met at it
+    for tol in (1e-15, 1e-14, math.nextafter(QUAD_FLOOR, 0.0)):
+        with pytest.raises(ArgumentError, match=f"tol >= QUAD_FLOOR = {QUAD_FLOOR:.3g}"):
+            adaptive_quad(math.sin, 0.0, 1.0, tol)
+    assert 50 * _EPS < QUAD_FLOOR < 1e-13
+    assert adaptive_quad(math.sin, 0.0, 1.0, QUAD_FLOOR)[0] == pytest.approx(1 - math.cos(1))
     assert list(inspect.signature(adaptive_quad).parameters) == ["f", "a", "b", "tol"]
 
 
@@ -173,7 +179,7 @@ def test_panel_equals_the_loop_bit_for_bit(name, f):
 
 
 @pytest.mark.parametrize("name,f", _INTEGRANDS)
-@pytest.mark.parametrize("tol", [None, 1e-6, 1e-14])
+@pytest.mark.parametrize("tol", [None, 1e-6, QUAD_FLOOR])
 def test_adaptive_quad_equals_the_loop_bit_for_bit(name, f, tol):
     for a, b in _INTERVALS:
         if a <= 0.0 and name in ("log", "inv-sqrt", "log2/(1+t)"):

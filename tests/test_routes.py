@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,6 +37,7 @@ from invbinom import (
 from invbinom import routes, series
 from invbinom.cli import EXIT_DOMAIN, main
 from invbinom.integral_reps import TWO_TERM_MIN_X
+from invbinom.quadrature import QUAD_FLOOR
 from invbinom.routes import ROUTES
 from invbinom.series import convergence_radius, terms_needed
 from invbinom.verify import _applicable_routes
@@ -197,13 +199,17 @@ class TestResolveAuto:
 
 
 def _term_count_rule(n, m, x, tol, cap):
-    """auto's route for n >= 3 by the predicted term count (series.terms_needed)."""
+    """auto's route for n >= 3 by the predicted term count (series.terms_needed); None
+    where it refuses, a tol below the quadrature floor that direct summation cannot meet."""
     need = terms_needed(n, abs(x) / convergence_radius(m), tol)
-    if need <= routes.DIRECT_TERM_BUDGET * m and 1.125 * need + 2 <= cap:
+    fits = 1.125 * need + 2 <= cap
+    if need <= routes.DIRECT_TERM_BUDGET * m and fits:
         return "direct-sum"
-    if m == 1:
-        return "quad-cardano"
-    return "folding" if m <= 6 else "direct-sum"  # fold serves strides 1..6
+    if m > 6:  # fold serves strides 1..6
+        return "direct-sum"
+    if tol < QUAD_FLOOR:  # no quadrature meets this tol
+        return "direct-sum" if fits else None
+    return "quad-cardano" if m == 1 else "folding"
 
 
 def _rule_grid():
@@ -235,6 +241,10 @@ class TestAutoRuleEquivalence:
         for n, m, rho, theta, cap, tol in _rule_grid():
             x = _at(rho, m, theta)
             want = _term_count_rule(n, m, x, tol, cap)
+            if want is None:
+                with pytest.raises(ArgumentError, match="QUAD_FLOOR"):
+                    resolve_auto(n, m, x, tol=tol, max_terms=cap)
+                continue
             assert resolve_auto(n, m, x, tol=tol, max_terms=cap) == want, (n, m, rho, cap, tol)
             need = terms_needed(n, abs(x) / convergence_radius(m), tol)
             budget = min(routes.DIRECT_TERM_BUDGET * m, 8 * (cap - 2) // 9)
@@ -246,8 +256,20 @@ class TestAutoRuleEquivalence:
             with pytest.raises(ArgumentError, match="tol must be positive"):
                 resolve_auto(3, 1, 1e-20, tol=tol)
         for cap in (1, 2, 3):
-            assert resolve_auto(3, 1, 1e-20, tol=1e-15, max_terms=cap) == "quad-cardano"
+            assert resolve_auto(3, 1, 1e-20, tol=1e-12, max_terms=cap) == "quad-cardano"
+            with pytest.raises(ArgumentError, match="QUAD_FLOOR"):  # below the quadrature floor
+                resolve_auto(3, 1, 1e-20, tol=1e-15, max_terms=cap)
         assert resolve_auto(3, 1, 1e-20, max_terms=4) == "direct-sum"  # 1 term: 1.125 + 2 <= 4
+
+    def test_below_the_quadrature_floor_auto_sums_directly_or_refuses(self):
+        # these gave up after 2,000 subdivisions on quad-cardano or folding over it
+        for n, m, x in ((3, 1, 6.0), (3, 2, 45.0)):
+            ev = evaluate(n, m, x, tol=1e-15)
+            assert ev.method == "direct-sum" and ev.abs_error_est < 1e-13 * abs(ev.value)
+            assert evaluate(n, m, x, tol=QUAD_FLOOR).method != "direct-sum"
+        for method in ("auto", "quad-cardano"):  # the rim: 10**6 terms at n = 3
+            with pytest.raises(ArgumentError, match="QUAD_FLOOR"):
+                evaluate(3, 1, 6.75, method, tol=1e-15)
 
 
 class TestEvaluate:
@@ -641,11 +663,24 @@ class TestToleranceRule:
         assert str(info.value) == f"tol must be positive, got {tol!r}"
 
     @pytest.mark.parametrize(
-        "entry",
-        [case[1] for case in TOL_ENTRIES if not case[0].startswith("run_")],
+        "name,entry",
+        [case for case in TOL_ENTRIES if not case[0].startswith("run_")],
         ids=[case[0] for case in TOL_ENTRIES if not case[0].startswith("run_")],
     )
-    def test_every_entry_serves_its_point(self, entry):
+    def test_every_entry_serves_its_point(self, name, entry):
         # the points above are served, so that a refusal comes from the tolerance alone
         assert entry(1e-8) is not None
         assert entry(None) is not None
+        # 1e-15 is the series default: summation and the closed forms serve it, while a
+        # quadrature, which cannot meet it, refuses before it integrates anything (it
+        # gave up after 2,000 subdivisions, 20 ms and more, before the floor was checked)
+        if "quad" not in name:
+            assert entry(1e-15) is not None
+            return
+        start = time.perf_counter()
+        with pytest.raises(ArgumentError) as info:
+            entry(1e-15)
+        assert time.perf_counter() - start < 5e-3
+        assert str(info.value) == (
+            f"quadrature needs tol >= QUAD_FLOOR = {QUAD_FLOOR:.3g}, its rounding floor; got 1e-15"
+        )
