@@ -142,28 +142,29 @@ METHODS = tuple(ROUTES)
 
 
 # Direct-summation terms, per unit of stride, that cost about what quadrature does.
-# quad-cardano takes about 0.06-0.1 ms per stride-1 evaluation and folding makes m of
-# them; with the factor table direct-sum takes about 1.0-2.0 us per term (medians per m;
-# 2-core x86-64 VM, CPython 3.11, min of 15, both routes timed in one run, n 3..4,
-# m 1..6, rho 0.3..0.995 at angle 0.7). The measured break-even rose from 26-46 terms
-# per unit of stride (quartiles, median 34.8-35.6) with the block kernel on exact
-# integers to 42-68 (median 50.3-51.1 in two runs; 30-50, median 38.7, for the integer
-# kernel in the same run). It falls with m: about 55 at m = 1..3, 45 at m = 6. The
-# budget moved from 40 to 50 with it: on the interior workload (seeds 1-5) the 60 of
-# 3,600 cases that move to direct summation take 6.3 ms instead of 9.5 (min of 75
-# each). The rim keeps quadrature while 2 * budget stays under the 4,841 terms n = 4
-# needs at rho = 1 - 1e-3.
-DIRECT_TERM_BUDGET = 50
+# quad-cardano takes about 15-25 us per stride-1 evaluation and folding makes m of them;
+# with the step and weight tables direct-sum takes 0.23-0.25 us per term at angle 0.7
+# and 0.13-0.16 us on the real axis (medians per m over n 0, 2, 3, 4 and rho 0.3..0.995,
+# against 0.32-0.44 and 0.23-0.35 with the factor table alone). Break-even, the first
+# term count at which direct summation was the slower, over m (2-core x86-64 VM, CPython
+# 3.11, min of 15, both routes timed in one run, n 3..4, m 1..6, rho 0.3..0.995 at angle
+# 0.7): 69-140 per unit of stride (quartiles, median 76.8 and 79.6 in two runs; 38-69,
+# median 42.3, with the factor table alone in the same way). It rises with n: 51-73 at
+# n = 3, 81-156 at n = 4. The budget moved from 50 to 75 with it. The rim keeps
+# quadrature while 2 * budget stays under the 4,841 terms n = 4 needs at rho = 1 - 1e-3.
+DIRECT_TERM_BUDGET = 75
 
 
 # Direct-summation terms, per unit of stride past the first, that cost about what folding
-# over the stride-1 closed forms does (n <= 2, m >= 2): folding makes m closed-form calls
-# of 2-4 us each, direct summation costs about 4.5 us plus 0.2-0.8 us per term. The first
-# term count at which direct summation was the slower, over m - 1 (min of 60 x 20 calls per
-# point, 2-core x86-64 VM, CPython 3.11, m in {2, 3, 4, 6}, angles 0, 0.7, pi): n = 0 6-16
-# (median 10.7), n = 1 4-11 (median 8), n = 2 4-9 (median 7; 4-5 at angle 0.7). Near
-# |x| = 1e-8 fold's m terms cancel, and direct summation needs 2-4 terms there.
-LOW_WEIGHT_TERM_BUDGET = 8
+# over the stride-1 closed forms does (n <= 2, m >= 2), one per weight n = 0, 1, 2. The
+# first term count at which direct summation was the slower, over m - 1 (min of 60 x 20
+# calls per point, 2-core x86-64 VM, CPython 3.11, m in {2, 3, 4, 6}, angles 0, 0.7, pi),
+# with the step and weight tables: n = 0 20-75 (median 43.2), n = 1 13-52 (median 28.5),
+# n = 2 11-46 (median 23.2); about half that at angle 0.7 (10-24) and more on the real
+# axis at angle 0 (30-78). With the factor table alone, the same way: medians 18.8, 11.1
+# and 9.7, and the single budget was 8. Near |x| = 1e-8 fold's m terms cancel, and direct
+# summation needs 2-4 terms there.
+LOW_WEIGHT_TERM_BUDGET = (40, 28, 22)
 
 
 def resolve_auto(
@@ -174,7 +175,7 @@ def resolve_auto(
     (SERIES_TOL by default) is within the budget and, with room for the estimate's error,
     within the term cap; else quad-cardano at m = 1, and folding for m >= 2 where it
     serves the stride (direct summation past it). The budget is DIRECT_TERM_BUDGET * m
-    for n >= 3 and LOW_WEIGHT_TERM_BUDGET * (m - 1) for n <= 2. For a ``tol`` below
+    for n >= 3 and LOW_WEIGHT_TERM_BUDGET[n] * (m - 1) for n <= 2. For a ``tol`` below
     QUAD_FLOOR, which no quadrature meets, n >= 3 takes direct summation wherever it fits
     the term cap, and elsewhere raises the quadrature's ArgumentError.
 
@@ -187,7 +188,7 @@ def resolve_auto(
     elif m == 1:
         return "closed-form"
     else:
-        budget = LOW_WEIGHT_TERM_BUDGET * (m - 1)
+        budget = LOW_WEIGHT_TERM_BUDGET[n] * (m - 1)
     cap = default_max_terms() if max_terms is None else max_terms
     # the stop rule can take up to ~10% more terms than estimated (2 more at k = 1), so
     # direct summation needs 1.125 * terms + 2 <= cap, that is terms <= 8 (cap - 2) / 9

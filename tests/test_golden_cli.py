@@ -67,6 +67,10 @@ was one ulp low), the ``folding`` and ``auto`` hashes at S(2,3;100) moved in the
 value and estimate (6833fc5e -> fa76651a; the value is 2.9e-15 from the exact sum, within
 its 5.1e-14 estimate), and ``verify`` (097769b5 -> 661fb8db) with the 17 folding pairs at
 S(1,3;100), S(2,3;100) and S(3,3;100). No other root on the invocation list changed.
+When the low-weight budget of ``auto`` was re-measured with the step and weight tables
+(8 terms per unit of stride past the first became 40, 28 and 22 at n = 0, 1, 2), ``auto``
+at S(2,3;100) began to sum its 29 terms directly instead of folding: its hash became the
+``direct-sum`` hash of the same point (fa76651a -> 0720ca86).
 """
 
 import hashlib
@@ -167,7 +171,7 @@ GOLDEN = {
         "fa76651a9758348126c0d954a1635100f77f6a59b2cdc8c0146b7d2f85e7a786"
     ),
     "eval --n 2 --m 3 --x 100 --method auto --output json": (
-        "fa76651a9758348126c0d954a1635100f77f6a59b2cdc8c0146b7d2f85e7a786"
+        "0720ca860e387650f20d848f2d30d0d539bf6b74a697746ece738b9dc69ca606"
     ),
     "eval --n 0 --m 1 --x 0.5 --method direct-sum --output json": (
         "8138be3de958db1bfb094e15ae7da0ef7f62ec41855e5b3aa9b54113185ae211"

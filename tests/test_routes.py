@@ -57,8 +57,8 @@ RIM_ROUTE = {
     (4, 2): "folding",
 }
 
-# (n, m) whose 92-202 terms at rho = 0.9 exceed the budget of 50 per unit of stride.
-QUADRATURE_AT_0_9 = {(3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3), (6, 1)}
+# (n, m) whose 92-202 terms at rho = 0.9 exceed the budget of 75 per unit of stride.
+QUADRATURE_AT_0_9 = {(3, 1), (3, 2), (4, 1), (4, 2), (6, 1)}
 
 
 def _at(rho, m, theta=0.0):
@@ -86,42 +86,45 @@ class TestResolveAuto:
     @pytest.mark.parametrize("m", [1, 2, 3, 6])
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_low_weight_keeps_closed_form_and_folding(self, n, m):
-        # at m = 1 always; at m >= 2 where direct summation needs more than 8 (m - 1) terms
-        for rho in (0.0, 1e-9, 0.5, 0.99, 1.0) if m == 1 else (0.5, 0.99, 1.0):
+        # at m = 1 always; at m >= 2 where direct summation needs more than
+        # LOW_WEIGHT_TERM_BUDGET[n] (m - 1) terms: 250-356 at rho = 0.9
+        for rho in (0.0, 1e-9, 0.5, 0.99, 1.0) if m == 1 else (0.9, 0.99, 1.0):
             assert resolve_auto(n, m, _at(rho, m, 1.0)) == ("closed-form" if m == 1 else "folding")
 
-    # (n, m, rho) -> route at angle 0.7: direct summation within 8 terms per unit of stride
-    # past the first (terms_needed in the comment), folding beyond.
+    # (n, m, rho) -> route at angle 0.7: direct summation within 40, 28 and 22 terms (n = 0,
+    # 1, 2) per unit of stride past the first (terms_needed in the comment), folding beyond.
     @pytest.mark.parametrize(
         "n,m,rho,route",
         [
             (0, 2, 1e-9, "direct-sum"),  # 2 terms
-            (0, 2, 0.01, "direct-sum"),  # 8
-            (0, 2, 0.02, "folding"),  # 10
-            (1, 2, 0.01, "direct-sum"),  # 8
-            (1, 2, 0.02, "folding"),  # 9
-            (2, 2, 0.01, "direct-sum"),  # 7
-            (2, 2, 0.02, "folding"),  # 9
-            (0, 3, 0.1, "direct-sum"),  # 16
-            (0, 3, 0.2, "folding"),  # 23
-            (2, 3, 0.1, "direct-sum"),  # 14
-            (2, 3, 0.2, "folding"),  # 19
-            (1, 6, 0.3, "direct-sum"),  # 28
-            (2, 6, 0.4, "direct-sum"),  # 33
-            (0, 6, 0.4, "direct-sum"),  # 40
-            (0, 6, 0.45, "folding"),  # 45
+            (0, 2, 0.3, "direct-sum"),  # 31
+            (0, 2, 0.5, "folding"),  # 53
+            (1, 2, 0.2, "direct-sum"),  # 21
+            (1, 2, 0.4, "folding"),  # 36
+            (2, 2, 0.2, "direct-sum"),  # 19
+            (2, 2, 0.3, "folding"),  # 25
+            (0, 3, 0.6, "direct-sum"),  # 72
+            (0, 3, 0.7, "folding"),  # 104
+            (2, 3, 0.5, "direct-sum"),  # 42
+            (2, 3, 0.6, "folding"),  # 56
+            (1, 6, 0.7, "direct-sum"),  # 91
+            (1, 6, 0.8, "folding"),  # 144
+            (2, 6, 0.7, "direct-sum"),  # 79
+            (2, 6, 0.8, "folding"),  # 123
+            (0, 6, 0.8, "direct-sum"),  # 167
+            (0, 6, 0.9, "folding"),  # 356
         ],
     )
     def test_low_weight_sums_directly_within_its_stride_budget(self, n, m, rho, route):
-        assert routes.LOW_WEIGHT_TERM_BUDGET == 8
+        assert routes.LOW_WEIGHT_TERM_BUDGET == (40, 28, 22)
         assert resolve_auto(n, m, _at(rho, m, 0.7)) == route
         assert evaluate(n, m, _at(rho, m, 0.7)).method == route
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_low_weight_budget_is_the_term_count_rule(self, n):
         for m in range(2, 7):
-            for rho in (1e-12, 1e-6, 1e-3, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5):
-                direct = terms_needed(n, rho, 1e-15) <= 8 * (m - 1)
+            for rho in (1e-12, 1e-6, 1e-3, 0.01, 0.05, *(i / 10 for i in range(1, 10))):
+                direct = terms_needed(n, rho, 1e-15) <= routes.LOW_WEIGHT_TERM_BUDGET[n] * (m - 1)
                 for theta in (0.0, math.pi, 0.7):
                     got = resolve_auto(n, m, _at(rho, m, theta))
                     assert got == ("direct-sum" if direct else "folding"), (n, m, rho, theta)
@@ -131,23 +134,23 @@ class TestResolveAuto:
         assert resolve_auto(3, 2, 0.999 * R**2) == "folding"
 
     # (n, m, rho) -> route at angle 0.7, with the measured direct / quadrature
-    # times (ms, min of 15, factor-table kernel) that place each point on its side of
-    # the break-even.
+    # times (ms, min of 15, step and weight tables; 2-core x86-64 VM, CPython 3.11) that
+    # place each point on its side of the break-even.
     @pytest.mark.parametrize(
         "n,m,rho,route",
         [
-            (3, 1, 0.4, "direct-sum"),  # 29 terms: 0.065 vs 0.070
-            (3, 1, 0.75, "quad-cardano"),  # 82 terms: 0.124 vs 0.069
-            (3, 1, 0.97, "quad-cardano"),  # 608 terms: 0.712 vs 0.066
-            (3, 1, 0.98, "quad-cardano"),  # 872 terms: 1.01 vs 0.069
-            (3, 3, 0.99, "folding"),  # 1,602 terms: 2.43 vs 0.227
-            (3, 6, 0.8, "direct-sum"),  # 103 terms: 0.167 vs 0.397
-            (3, 6, 0.995, "folding"),  # 2,913 terms: 8.04 vs 0.502
-            (4, 2, 0.5, "direct-sum"),  # 33 terms: 0.067 vs 0.205
-            (4, 2, 0.99, "folding"),  # 1,024 terms: 1.32 vs 0.369
-            (4, 2, 0.995, "folding"),  # 1,698 terms: 2.16 vs 0.370
-            (4, 5, 0.8, "direct-sum"),  # 86 terms: 0.167 vs 0.597
-            (4, 5, 0.995, "folding"),  # 1,698 terms: 4.02 vs 0.607
+            (3, 1, 0.4, "direct-sum"),  # 31 terms: 0.015 vs 0.025
+            (3, 1, 0.75, "quad-cardano"),  # 84 terms: 0.034 vs 0.025
+            (3, 1, 0.97, "quad-cardano"),  # 604 terms: 0.129 vs 0.015
+            (3, 1, 0.98, "quad-cardano"),  # 865 terms: 0.181 vs 0.015
+            (3, 3, 0.99, "folding"),  # 1,591 terms: 0.560 vs 0.048
+            (3, 6, 0.8, "direct-sum"),  # 105 terms: 0.025 vs 0.092
+            (3, 6, 0.995, "folding"),  # 2,892 terms: 2.26 vs 0.115
+            (4, 2, 0.5, "direct-sum"),  # 35 terms: 0.010 vs 0.043
+            (4, 2, 0.99, "folding"),  # 1,017 terms: 0.213 vs 0.074
+            (4, 2, 0.995, "folding"),  # 1,684 terms: 0.385 vs 0.074
+            (4, 5, 0.8, "direct-sum"),  # 87 terms: 0.022 vs 0.139
+            (4, 5, 0.995, "folding"),  # 1,688 terms: 1.01 vs 0.136
         ],
     )
     def test_budget_sits_at_the_measured_break_even(self, n, m, rho, route):
@@ -191,7 +194,7 @@ class TestResolveAuto:
         assert methods[0] != "direct-sum" and methods[-1] == "direct-sum"
 
     def test_tolerance_is_passed_through(self):
-        x = 0.7 * R  # about 68 terms at tol 1e-15, 19 at 1e-6
+        x = 0.8 * R  # about 103 terms at tol 1e-15, 26 at 1e-6
         assert evaluate(3, 1, x).method == "quad-cardano"
         assert evaluate(3, 1, x, tol=1e-6).method == "direct-sum"
         with pytest.raises(ArgumentError, match="tol must be positive"):
