@@ -150,7 +150,7 @@ def _computed_factors(j0: int, j1: int) -> Iterator[float]:
 # predicted) stay below j = 3,100.
 _FACTOR_TABLE = 1 << 12
 _FACTORS = tuple(_computed_factors(0, _FACTOR_TABLE))
-# ``_stride_factors`` nests one ``map`` per offset and materialises the chain every this
+# ``_computed_steps`` nests one ``map`` per offset and materialises the chain every this
 # many, since a chain of about 10**5 (any m >= 1 is valid) overflows the C stack.
 _MAP_DEPTH = 512
 
@@ -177,32 +177,28 @@ def _computed_steps(k0: int, k1: int, m: int) -> list[float]:
 
 # The stride-m steps and the weights (k/(k+1))**n depend on (n, m, k) alone, never on x,
 # so both are immutable tuples built at import (about 0.6 ms together) and never changed.
-# _STEPS[m], m < _STEP_STRIDES, holds the steps of k < _FACTOR_TABLE // m: the same
-# in-order products ``_computed_steps`` forms (_STEPS[1] is _FACTORS, _STEPS[0] empty).
-# _WEIGHTS[n], n < _WEIGHT_POWERS, holds the weights of k < _WEIGHT_TABLE, each one
-# ``pow`` as the computed path forms it (_WEIGHTS[0] is empty: n = 0 has no weight).
-# The strides and powers are those of the ``li`` and Cardano-tail tables; every direct
-# sum of the benchmark's direct and interior workloads (seeds 1, 2) stays below k = 621,
-# and all but 3 of 480 (at m = 8) inside the step tables.
-_STEP_STRIDES = 9
+# _STEPS[m], m 1..8, holds the steps of k < _FACTOR_TABLE // m: the same in-order
+# products ``_computed_steps`` forms (_STEPS[1] is _FACTORS, _STEPS[0] is empty).
+# _WEIGHTS[n], n 1..8, holds the weights of k < _WEIGHT_TABLE, each one ``pow`` as the
+# computed path forms it (_WEIGHTS[0] is empty: n = 0 has no weight).
+# The weights stop at n = 8, as the ``li`` and Cardano-tail tables do. Every direct sum
+# of the benchmark's direct and interior workloads (seeds 1, 2) stays below k = 621, and
+# all but 3 of 480 (at m = 8) inside the step tables.
 _STEPS = ((), _FACTORS) + tuple(
-    tuple(_computed_steps(0, _FACTOR_TABLE // m, m)) for m in range(2, _STEP_STRIDES)
+    tuple(_computed_steps(0, _FACTOR_TABLE // m, m)) for m in range(2, 9)
 )
-_WEIGHT_POWERS = 9
 _WEIGHT_TABLE = 1 << 10
 _WEIGHT_BASES = tuple(map(truediv, range(_WEIGHT_TABLE), range(1, _WEIGHT_TABLE + 1)))
-_WEIGHTS = ((),) + tuple(
-    tuple(map(pow, _WEIGHT_BASES, repeat(n))) for n in range(1, _WEIGHT_POWERS)
-)
+_WEIGHTS = ((),) + tuple(tuple(map(pow, _WEIGHT_BASES, repeat(n))) for n in range(1, 9))
 del _WEIGHT_BASES
 
 
 def _step_table(m: int) -> tuple[float, ...]:
-    return _STEPS[m] if m < _STEP_STRIDES else ()
+    return _STEPS[m] if m < len(_STEPS) else ()
 
 
 def _weight_table(n: int) -> tuple[float, ...]:
-    return _WEIGHTS[n] if n < _WEIGHT_POWERS else ()
+    return _WEIGHTS[n] if n < len(_WEIGHTS) else ()
 
 
 def _stride_factors(k0: int, k1: int, m: int) -> Sequence[float]:
