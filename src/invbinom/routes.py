@@ -183,25 +183,24 @@ def resolve_auto(
     """
     below_floor = tol is not None and tol < QUAD_FLOOR  # None: quadrature takes QUAD_TOL
     tol = checked_tol(tol, SERIES_TOL)
-    if n > 2:
-        budget = DIRECT_TERM_BUDGET * m
-    elif m == 1:
+    if n <= 2 and m == 1:
         return "closed-form"
-    else:
-        budget = LOW_WEIGHT_TERM_BUDGET[n] * (m - 1)
     cap = default_max_terms() if max_terms is None else max_terms
     # the stop rule can take up to ~10% more terms than estimated (2 more at k = 1), so
     # direct summation needs 1.125 * terms + 2 <= cap, that is terms <= 8 (cap - 2) / 9
     fit = 8 * (cap - 2) // 9
+    if n <= 2:
+        budget = LOW_WEIGHT_TERM_BUDGET[n] * (m - 1)
+    elif below_floor:  # quad-cardano, folded or not, would refuse this tol
+        budget = fit
+    else:
+        budget = DIRECT_TERM_BUDGET * m
     budget = min(budget, fit)
-    rho = abs(x) / convergence_radius(m)
-    if budget >= 1 and within_terms(n, rho, tol, budget):
+    if budget >= 1 and within_terms(n, abs(x) / convergence_radius(m), tol, budget):
         return "direct-sum"
     if m > 1 and ROUTES["folding"].limits(n, m, x) is not None:
         return "direct-sum"
-    if n > 2 and below_floor:  # quad-cardano, folded or not, would refuse this tol
-        if fit >= 1 and within_terms(n, rho, tol, fit):
-            return "direct-sum"
+    if below_floor and n > 2:
         quad_tol(tol)  # raises
     return "quad-cardano" if m == 1 else "folding"
 
