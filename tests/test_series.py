@@ -247,7 +247,7 @@ class TestBitIdentity:
 
     def test_stride_steps_are_in_order_products_of_the_factors(self):
         # _step (the term-by-term form) and _stride_factors (the block form) agree bit for bit
-        def in_order(f, k):  # the product of f[km] .. f[km + m - 1], left to right
+        def in_order(f, k, m):  # the product of f[km] .. f[km + m - 1], left to right
             want = f[k * m]
             for v in f[k * m + 1 : (k + 1) * m]:
                 want *= v
@@ -257,13 +257,13 @@ class TestBitIdentity:
             f = list(_stride_factors(m, 60 * m + m, 1))  # j = m .. 60m + m - 1
             block = _stride_factors(1, 61, m)
             for k in range(1, 61):
-                assert block[k - 1].hex() == in_order(f, k - 1) == _step(k, m).hex(), (k, m)
+                assert block[k - 1].hex() == in_order(f, k - 1, m) == _step(k, m).hex(), (k, m)
         # the end of each step table (m <= 8), and of the factors it covers at m = 9
         for m in range(1, 10):
             end = _FACTOR_TABLE // m
             k0 = end - 5
             f = list(_computed_factors(m * k0, m * (end + 5)))
-            want = [in_order(f, k) for k in range(10)]
+            want = [in_order(f, k, m) for k in range(10)]
             for k in range(k0, end + 5):
                 assert _step(k, m).hex() == want[k - k0], (k, m)
             blocks = ((k0, end), (end - 1, end), (end, end + 1), (k0, end + 5), (end - 1, end + 3))
