@@ -4,9 +4,9 @@ coefficient series
     S(n, m; x) = sum_{k >= 1} x**k / (k**n * C(3mk, mk))
 
 by four independent routes: direct summation, explicit closed forms built
-on a Cardano cubic root, quadrature of two integral representations, and
+on a Cardano cubic root, quadrature of three integral representations, and
 root-of-unity folding to general stride, with a registry of explicit
-special values every route is checked against.
+special values and a cross-route grid that ``verify`` checks them against.
 """
 
 from .closed_forms import (
@@ -35,9 +35,9 @@ from .integral_reps import (
     quad_two_term,
     two_term_limits,
 )
-from .polylog import li, li_factorized, root_of_unity
+from .polylog import li, root_of_unity
 from .quadrature import adaptive_quad
-from .routes import METHODS, evaluate, hypergeometric_value, resolve_auto
+from .routes import METHODS, evaluate, resolve_auto
 from .series import Evaluation, SeriesParams, convergence_radius, sum_direct
 from .verify import (
     CheckEntry,
@@ -47,7 +47,6 @@ from .verify import (
     run_all,
     run_borwein_girgensohn,
     run_cross_routes,
-    run_polylog_factorization,
     run_special_values,
 )
 
@@ -77,9 +76,7 @@ __all__ = [
     "default_grid",
     "evaluate",
     "fold",
-    "hypergeometric_value",
     "li",
-    "li_factorized",
     "pair_tolerance",
     "phi",
     "quad_cardano",
@@ -92,7 +89,6 @@ __all__ = [
     "run_all",
     "run_borwein_girgensohn",
     "run_cross_routes",
-    "run_polylog_factorization",
     "run_special_values",
     "s01",
     "s11",

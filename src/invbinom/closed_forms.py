@@ -26,14 +26,13 @@ from typing import NamedTuple
 
 from .errors import ArgumentError, BranchFailure, DomainError, checked_tol
 from .polylog import root_of_unity
-from .series import RADIUS_BASE, Evaluation, SeriesParams, _inside
+from .series import _EPS, RADIUS_BASE, Evaluation, SeriesParams, _inside
 
 SQRT3 = math.sqrt(3.0)
 REAL_BRANCH = "real-cube-root"
 PRINCIPAL_BRANCH = "principal-complex"
 FOLD_IMAG_TOL = 1e-9
 _RESIDUAL_TOL = 1e-9
-_EPS = 2.220446049250313e-16
 
 # Below this the closed forms and ``fold`` switch to exact leading series terms: the
 # explicit expressions cancel to ~x/3 out of pieces of size x**(2/3), so

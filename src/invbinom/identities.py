@@ -275,8 +275,9 @@ SPECIAL_VALUES: tuple[IdentityRecord, ...] = (
     ),
 )
 
-# The subset first reported from integer-relation experiments and verified
-# here at tightened tolerance.
+# The subset first reported from integer-relation experiments. The
+# borwein-girgensohn suite checks them on their own, by the same direct sum and
+# at the same 1e-12 that the special-values suite applies to them.
 EXPERIMENTAL_IDS: tuple[str, ...] = (
     "S(2,1;1/2)",
     "S(1,1;1/2)",

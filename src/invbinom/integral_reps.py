@@ -37,11 +37,10 @@ from .closed_forms import _TINY_X, REAL_BRANCH, SQRT3, phi
 from .errors import ArgumentError, DomainError
 from .polylog import li
 from .quadrature import adaptive_quad, quad_tol
-from .series import RADIUS_BASE, Evaluation, SeriesParams, _inside
+from .series import _EPS, RADIUS_BASE, Evaluation, SeriesParams, _inside
 
 _TWO_PI = 2.0 * math.pi
 _TINY = 1e-300
-_EPS = 2.220446049250313e-16
 
 # quad-two-term's relative error against direct-sum (n 2..6, 400 points per decade) is at
 # most 2e-11 above |x| = 1.75e-3, up to 2.8e-8 just below it and 1e-6 below 4e-7: its two

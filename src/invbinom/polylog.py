@@ -21,6 +21,8 @@ algorithm ("An efficient algorithm for the Riemann zeta function", 2000)
 gives them in exact rational arithmetic; from zeta(54) on the rounded value
 is 1.0.
 
+``root_of_unity`` gives the rotations at which ``fold`` evaluates its inner route.
+
 Principal branches everywhere; no caches, so every function here is pure
 and safe to call from any number of threads.
 """
@@ -184,20 +186,3 @@ def root_of_unity(k: int, m: int) -> complex:
         return -1j
     return cmath.exp(2j * math.pi * k / m)
 
-
-def li_factorized(n: int, z: complex, m: int) -> complex:
-    """Fold Li_n over the m-th roots of unity: m**(n-1) * sum_k Li_n(w**k * z).
-
-    Contract: equals li(n, z**m). The two sides exercise different code
-    paths (m rotated arguments against one power), which is what makes the
-    identity a useful cross-check.
-    """
-    if not 1 <= m <= 12:
-        raise ArgumentError(f"m must be in [1, 12], got {m}")
-    zc = complex(z)
-    if abs(zc) ** m > 1.0 + RIM_TOL:
-        raise DomainError(f"|z|**m = {abs(zc) ** m!r} lies outside the closed unit disk")
-    total = 0j
-    for k in range(1, m + 1):
-        total += li(n, root_of_unity(k, m) * zc)
-    return m ** (n - 1) * total

@@ -27,8 +27,7 @@ from operator import attrgetter, itemgetter
 from typing import Callable
 
 from .errors import ArgumentError, ConvergenceError, checked_tol
-
-_EPS = 2.220446049250313e-16
+from .series import _EPS
 
 # 15-point Kronrod extension of 7-point Gauss, positive half of the nodes.
 # Odd indices (and the centre) are the embedded Gauss nodes.

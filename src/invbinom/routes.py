@@ -11,19 +11,17 @@ always win; folded over them for m >= 2) and the Cardano-root quadrature for n >
 (quad-cardano, folded over for m >= 2); past the strides folding serves, direct
 summation. The public entries s01, s11, s21 and quad_cardano are this dispatch on their
 routes; quad-polylog is never chosen by ``auto`` and stays an explicit route and
-verify's cross-check. The pfq route is ``hypergeometric_value``, which sums a fixed
-pFq recipe per weight n <= 2 to its own fixed 1e-16. ``evaluate`` checks the one
-``tol`` and hands it to the route's kernel, which passes it to every layer it runs.
+verify's cross-check. ``evaluate`` checks the one ``tol`` and hands it to the route's
+kernel, which passes it to every layer it runs.
 """
 
 from __future__ import annotations
 
-import math
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .closed_forms import _closed_kernel, fold, stride_refusal
-from .errors import ArgumentError, ConvergenceError, DomainError, checked_tol
+from .errors import ArgumentError, checked_tol
 from .integral_reps import (
     TWO_TERM_FLOOR,
     TWO_TERM_MIN_X,
@@ -36,6 +34,7 @@ from .series import (
     SERIES_TOL,
     Evaluation,
     SeriesParams,
+    _predicted_estimate,
     convergence_radius,
     default_max_terms,
     sum_direct,
@@ -44,16 +43,6 @@ from .series import (
 
 Triple = tuple[complex, float, int]  # a kernel's (value, abs_error_est, work)
 _triple = itemgetter(0, 1, 3)  # the Triple of an Evaluation
-
-_EPS = 2.220446049250313e-16
-_PFQ_TOL = 1e-16
-
-# Hypergeometric cross-check forms of S(n, 1; x): value = (x/3) * pFq(...; 4x/27).
-PFQ_RECIPES: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {
-    2: ((1.0, 1.0, 1.0, 1.5), (4.0 / 3.0, 5.0 / 3.0, 2.0)),
-    1: ((1.0, 1.0, 1.5), (4.0 / 3.0, 5.0 / 3.0)),
-    0: ((1.0, 1.5, 2.0), (4.0 / 3.0, 5.0 / 3.0)),
-}
 
 
 class Route(NamedTuple):
@@ -81,19 +70,6 @@ def _closed_form_limits(n: int, m: int, x: complex) -> str | None:
     if m == 1:
         return "no stride-1 closed form for n >= 3; use quad-cardano" if n > 2 else None
     return _stride_one("closed-form", n, m, 0)
-
-
-def _pfq_limits(n: int, m: int, x: complex) -> str | None:
-    if m != 1 or n not in PFQ_RECIPES:
-        return "the hypergeometric route covers n <= 2 at stride 1"
-    if abs(4.0 * x / 27.0) >= 1.0:
-        return "the hypergeometric series needs |4x/27| < 1, which excludes the rim"
-    return None
-
-
-def _pfq(n: int, m: int, x: complex, tol, max_terms) -> Triple:
-    value, terms, err = hypergeometric_value(n, x)
-    return value, err, terms
 
 
 def _two_term_limits(n: int, m: int, x: complex) -> str | None:
@@ -135,7 +111,6 @@ ROUTES: dict[str, Route] = {
             lambda n, m, x, tol, cap: _triple(quad_two_term(n, x.real, tol)),
         ),
         Route("folding", lambda n, m, x: stride_refusal(m), _folding),
-        Route("pfq", _pfq_limits, _pfq),
     )
 }
 METHODS = tuple(ROUTES)
@@ -177,7 +152,8 @@ def resolve_auto(
     serves the stride (direct summation past it). The budget is DIRECT_TERM_BUDGET * m
     for n >= 3 and LOW_WEIGHT_TERM_BUDGET[n] * (m - 1) for n <= 2. For a ``tol`` below
     QUAD_FLOOR, which no quadrature meets, n >= 3 takes direct summation wherever it fits
-    the term cap, and elsewhere raises the quadrature's ArgumentError.
+    the term cap and its predicted estimate stays within QUAD_FLOOR relative, and
+    elsewhere raises the quadrature's ArgumentError.
 
     ``within_terms`` makes that comparison with one test, with no root to find.
     """
@@ -186,71 +162,24 @@ def resolve_auto(
     if n <= 2 and m == 1:
         return "closed-form"
     cap = default_max_terms() if max_terms is None else max_terms
+    rho = abs(x) / convergence_radius(m)
     # the stop rule can take up to ~10% more terms than estimated (2 more at k = 1), so
     # direct summation needs 1.125 * terms + 2 <= cap, that is terms <= 8 (cap - 2) / 9
     fit = 8 * (cap - 2) // 9
     if n <= 2:
         budget = LOW_WEIGHT_TERM_BUDGET[n] * (m - 1)
     elif below_floor:  # quad-cardano, folded or not, would refuse this tol
-        budget = fit
+        budget = fit if _predicted_estimate(n, m, rho, tol) <= QUAD_FLOOR else 0
     else:
         budget = DIRECT_TERM_BUDGET * m
     budget = min(budget, fit)
-    if budget >= 1 and within_terms(n, abs(x) / convergence_radius(m), tol, budget):
+    if budget >= 1 and within_terms(n, rho, tol, budget):
         return "direct-sum"
     if m > 1 and ROUTES["folding"].limits(n, m, x) is not None:
         return "direct-sum"
     if below_floor and n > 2:
         quad_tol(tol)  # raises
     return "quad-cardano" if m == 1 else "folding"
-
-
-def hypergeometric_value(n: int, x: complex) -> tuple[complex, int, float]:
-    """(x/3) * pFq form of S(n, 1; x), n <= 2. Returns (value, terms summed, error
-    bound): the running rounding bound of the terms plus a geometric tail.
-
-    The pFq series sum_{k>=0} prod_i (a_i)_k / prod_j (b_j)_k * z**k / k! at
-    z = 4x/27 runs by its term-ratio recurrence until two terms in a row fall
-    below 1e-16 of the sum; it needs |z| < 1. The weight-0 recipe carries the
-    same x/3 prefactor as the others; its term ratio matches the series term
-    ratio exactly, which the cross-route suite verifies.
-    """
-    if n not in PFQ_RECIPES:
-        raise ArgumentError(f"hypergeometric recipes exist for n in (0, 1, 2), got {n}")
-    xc = complex(x)
-    if xc == 0:
-        return 0j, 0, 0.0
-    a, b = PFQ_RECIPES[n]
-    z = 4.0 * xc / 27.0
-    if abs(z) >= 1.0:
-        raise DomainError(f"the series needs |z| < 1, got |z| = {abs(z)!r}")
-    term = complex(1.0)
-    total = 0j
-    comp = 0j
-    mag = 0.0
-    small = 0
-    for k in range(100_000):
-        y = term - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        # Each step of the ratio rounds about 11 times in units of eps/2 (z included), so
-        # term k is within 6k eps relative; the sum and a final product add about 2 eps.
-        mag += (8 * k + 4) * abs(term)
-        num = math.prod([ai + k for ai in a])
-        den = math.prod([bj + k for bj in b], start=float(k + 1))
-        ratio = z * num / den
-        if abs(term) <= _PFQ_TOL * abs(total):
-            small += 1
-            if small >= 2:
-                # past the stop the ratios run monotonically towards |z|
-                q = max(abs(ratio), abs(z))
-                err = _EPS * mag + abs(term) * q / (1.0 - q)
-                return xc / 3.0 * total, k + 1, abs(xc / 3.0) * err
-        else:
-            small = 0
-        term *= ratio
-    raise ConvergenceError("hypergeometric series did not converge within 100000 terms")
 
 
 def evaluate(

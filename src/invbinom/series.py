@@ -433,12 +433,19 @@ def sum_direct(
 
     # the step C(3mk, mk) / C(3m(k+1), m(k+1)) decreases in k, and (k/(k+1))**n <= 1,
     # so this bounds every remaining ratio.
-    r = ax * step
+    err = _estimate(abs(terms[-1]), abs_sum, ax * step, work, n, m)
+    return Evaluation(total, err, "direct-sum", work)
+
+
+def _estimate(last: float, abs_sum: float, r: float, work: float, n: int, m: int) -> float:
+    """The error estimate of ``sum_direct`` after ``work`` terms, the last of modulus
+    ``last`` and ``abs_sum`` the sum of their moduli, with ``r`` a bound on every
+    remaining term ratio: a tail bound plus a rounding floor."""
     if r < 1.0:
-        tail = abs(terms[-1]) * r / (1.0 - r)
+        tail = last * r / (1.0 - r)
         mean_k = min(work, 2.0 / (1.0 - r))
     else:
-        tail = abs(terms[-1]) * work / max(n - 1.5, 0.5)
+        tail = last * work / max(n - 1.5, 0.5)
         mean_k = work
     # Each ratio carries about 2m + n + 4 roundings: m stride-1 factors and the
     # m - 1 products of the step, the weight (k/(k+1))**n, the two products with
@@ -449,7 +456,16 @@ def sum_direct(
     # 2 / (1 - rho) <= 2 / (1 - r); the floor takes 3.5 deviations at that index,
     # on top of 4 _EPS for the first term and the correctly rounded sum.
     drift = math.sqrt((2 * m + n + 4) * mean_k)
-    return Evaluation(total, tail + (4.0 + drift) * _EPS * abs_sum, "direct-sum", work)
+    return tail + (4.0 + drift) * _EPS * abs_sum
+
+
+def _predicted_estimate(n: int, m: int, rho: float, tol: float) -> float:
+    """``sum_direct``'s estimate relative to |S| at rho = |x| / R**m and ``tol``, as
+    predicted before summing: K = ``terms_needed`` terms, the last about tol |S|, a
+    ratio bound about rho sqrt(1 + 1/K) (Stirling) and the sum of |t_k| taken as |S|
+    (where the terms alternate or rotate it is larger, and so is the estimate)."""
+    k = terms_needed(n, rho, tol)
+    return _estimate(tol, 1.0, rho * math.sqrt(1.0 + 1.0 / k), k, n, m)
 
 
 def _term_cap_error(tol: float, max_terms: int, rim: bool) -> ConvergenceError:

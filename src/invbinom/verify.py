@@ -1,9 +1,8 @@
-"""Cross-validation engine: the value registry against the series routes,
-every route against every other on a parameter grid, and the polylog
-factorization identity.
+"""Cross-validation engine: the value registry against the series routes, and
+every route against every other on a parameter grid.
 
 Tolerances are tiered by route class and reflect honest binary64 error
-budgets: 1e-12 for series / closed-form / hypergeometric pairs, 1e-10 once
+budgets: 1e-12 for series / closed-form pairs, 1e-10 once
 folding enters (m rotated complex evaluations; every stride-m route but direct
 summation), 1e-9 for anything touching the polylog-kernel or Cardano-root
 quadrature, and 1e-8 for the two-term route (two stacked adaptive integrals).
@@ -25,7 +24,6 @@ from typing import Callable, Iterable, Sequence
 from .closed_forms import fold
 from .errors import checked_tol
 from .identities import EXPERIMENTAL_IDS, SPECIAL_VALUES, record_by_id
-from .polylog import li, li_factorized
 from .routes import ROUTES, evaluate
 from .series import SeriesParams, _on_rim
 
@@ -199,7 +197,8 @@ def run_special_values(tol: float | None = None) -> VerificationReport:
 
 def run_borwein_girgensohn(tol: float | None = None) -> VerificationReport:
     """The four special values first reported from integer-relation
-    experiments, re-verified independently at one tolerance, TOL_SERIES by default."""
+    experiments, on their own: the same direct-sum route and, by default, the same
+    TOL_SERIES that ``run_special_values`` applies to them. ``tol`` overrides it."""
     records = [record_by_id(i) for i in EXPERIMENTAL_IDS]
     entries = _special_value_entries(records, checked_tol(tol, TOL_SERIES))
     return VerificationReport("borwein-girgensohn", tuple(entries))
@@ -303,45 +302,10 @@ def run_cross_routes(
     return VerificationReport("cross-routes", tuple(entries))
 
 
-# Twelve deterministic points with |z| <= 0.9 for the factorization suite.
-FACTORIZATION_POINTS: tuple[complex, ...] = (
-    0.5 + 0j,
-    -0.5 + 0j,
-    0.9 + 0j,
-    -0.9 + 0j,
-    0.3 + 0.4j,
-    -0.2 + 0.85j,
-    0.6 - 0.35j,
-    -0.7 - 0.3j,
-    0.85j,
-    -0.45j,
-    0.25 - 0.6j,
-    -0.8 + 0.1j,
-)
-
-
-def run_polylog_factorization(tol: float | None = None) -> VerificationReport:
-    """li_factorized(n, z, m) against li(n, z**m) over the documented grid, at
-    TOL_SERIES by default."""
-    tol = checked_tol(tol, TOL_SERIES)
-    entries: list[CheckEntry] = []
-    for n in (2, 3, 4):
-        for m in (2, 3, 4, 6):
-            for z in FACTORIZATION_POINTS:
-                start = time.perf_counter()
-                lhs = li_factorized(n, z, m)
-                rhs = li(n, z**m)
-                wall = (time.perf_counter() - start) * 1000.0
-                ident = f"Li_{n} fold m={m} z={_format_x(z)}"
-                params = SeriesParams(n, m, z)
-                entries.append(_entry(ident, params, lhs, rhs, tol, wall))
-    return VerificationReport("polylog", tuple(entries))
-
-
 def run_all(tol: float | None = None) -> VerificationReport:
-    """Special values, the default cross-route grid, and the factorization
-    suite, concatenated. Each registry identity appears exactly once."""
-    parts = (run_special_values(tol), run_cross_routes(tol=tol), run_polylog_factorization(tol))
+    """Special values and the default cross-route grid, concatenated. Each
+    registry identity appears exactly once."""
+    parts = (run_special_values(tol), run_cross_routes(tol=tol))
     return VerificationReport("all", tuple(e for part in parts for e in part.entries))
 
 
@@ -351,7 +315,6 @@ SUITES: dict[str, Callable[[float | None], VerificationReport]] = {
     "special-values": lambda tol: run_special_values(tol),
     "cross-routes": lambda tol: run_cross_routes(tol=tol),
     "borwein-girgensohn": lambda tol: run_borwein_girgensohn(tol),
-    "polylog": lambda tol: run_polylog_factorization(tol),
     "all": lambda tol: run_all(tol),
 }
 SUITE_NAMES = tuple(SUITES)

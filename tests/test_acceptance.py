@@ -12,9 +12,6 @@ from invbinom import (
     METHODS,
     evaluate,
     fold,
-    hypergeometric_value,
-    li,
-    li_factorized,
     phi,
     quad_polylog,
     quad_two_term,
@@ -25,7 +22,6 @@ from invbinom import (
 )
 from invbinom.cli import main
 from invbinom.series import _first_term
-from invbinom.verify import FACTORIZATION_POINTS
 from test_series import _series_terms
 
 
@@ -90,31 +86,6 @@ def test_criterion_3_folding():
                 if ev.value.imag != 0.0:
                     failures.append((n, m, x, "imag", ev.value.imag))
     report(3, "folding vs direct sums", failures)
-
-
-def test_criterion_4_hypergeometric_cross_check():
-    """(x/3) * pFq recipes equal the weight-2 and weight-1 closed forms to 1e-12."""
-    failures = []
-    for x in (-1.0, 0.5, 2.0, 6.0):
-        v2, _, _ = hypergeometric_value(2, x)
-        if abs(v2 - s21(x).value) > 1e-12:
-            failures.append((2, x, abs(v2 - s21(x).value)))
-        v1, _, _ = hypergeometric_value(1, x)
-        if abs(v1 - s11(x).value) > 1e-12:
-            failures.append((1, x, abs(v1 - s11(x).value)))
-    report(4, "hypergeometric recipes vs closed forms", failures)
-
-
-def test_criterion_5_polylog_factorization():
-    """Factorization identity over weights {2,3,4}, orders {2,3,4,6}, 12 points."""
-    failures = []
-    for n in (2, 3, 4):
-        for m in (2, 3, 4, 6):
-            for z in FACTORIZATION_POINTS:
-                diff = abs(li_factorized(n, z, m) - li(n, z**m))
-                if diff > 1e-12:
-                    failures.append((n, m, z, diff))
-    report(5, "polylog factorization on the 144-point grid", failures)
 
 
 def test_criterion_6_derivative_ladder():

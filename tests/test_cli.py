@@ -284,9 +284,15 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--suite", "bogus")
         assert code == EXIT_USAGE
 
+    def test_deleted_suite_and_method_exit_one(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "polylog")
+        assert (code, out) == (EXIT_USAGE, "")
+        code, out, _ = run(capsys, "eval", "--n", "2", "--m", "1", "--x", "0.5", "--method", "pfq")
+        assert (code, out) == (EXIT_USAGE, "")
+
     @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
     def test_non_positive_tolerance_exits_two(self, capsys, tol):
-        code, out, err = run(capsys, "verify", "--suite", "polylog", "--tol", tol)
+        code, out, err = run(capsys, "verify", "--suite", "cross-routes", "--tol", tol)
         assert code == EXIT_DOMAIN
         assert out == ""
         assert "tol must be positive" in err
@@ -307,8 +313,8 @@ class TestVerify:
         assert len(rows) == 5
 
     def test_json_output_is_byte_identical(self, capsys):
-        _, first, _ = run(capsys, "verify", "--suite", "polylog", "--output", "json")
-        _, second, _ = run(capsys, "verify", "--suite", "polylog", "--output", "json")
+        _, first, _ = run(capsys, "verify", "--suite", "cross-routes", "--output", "json")
+        _, second, _ = run(capsys, "verify", "--suite", "cross-routes", "--output", "json")
         assert first == second
 
     def test_text_output_has_summary(self, capsys):

@@ -1,10 +1,9 @@
-"""Cardano root, explicit closed forms, hypergeometric route, folding."""
+"""Cardano root, explicit closed forms, folding."""
 
 import cmath
 import math
 import os
 import random
-import statistics
 from fractions import Fraction
 from unittest import mock
 
@@ -21,7 +20,6 @@ from invbinom import (
     SeriesError,
     evaluate,
     fold,
-    hypergeometric_value,
     phi,
     s01,
     s11,
@@ -36,7 +34,7 @@ from invbinom.closed_forms import (
     REAL_BRANCH,
     _principal_root,
 )
-from test_series import _fixed_point_reference, _summable
+from test_series import _summable
 
 SQRT3 = math.sqrt(3.0)
 
@@ -49,10 +47,6 @@ S01_AT_1 = 0.4143220443218204
 S01_AT_NEG_QUARTER = -0.07934509970656523
 S22_AT_1 = 0.06717778880529868
 S23_AT_1 = 0.011918252587160321
-# Median estimate/error of pfq over the grid of its error-estimate test, as recorded
-# when the running bound was introduced: the worst-case linear rounding model is loose
-# off the positive axis, where terms alternate or rotate.
-PFQ_MEDIAN_RATIO = 334.5
 # S(n, 1; x) near the branch point x = 27/4 (the closed forms in mpmath at 50 digits; at
 # 0.9999 * 27/4 they and the hypergeometric series agree to 1e-42).
 NEAR_RIM = {
@@ -262,55 +256,6 @@ class TestDerivativeLadder:
         assert abs(x * slope - s01(x).value) < 1e-6
 
 
-class TestHypergeometric:
-    @pytest.mark.parametrize("n", [0, 1, 2])
-    def test_value_at_zero_is_zero(self, n):
-        assert hypergeometric_value(n, 0.0) == (0j, 0, 0.0)
-
-    @pytest.mark.parametrize("x", [27 / 4, -27 / 4, 6.75j, 7.0])
-    def test_unit_disk_enforced(self, x):
-        # the pFq argument 4x/27 must lie inside the unit disk
-        with pytest.raises(DomainError, match=r"needs \|z\| < 1"):
-            hypergeometric_value(2, x)
-
-    @pytest.mark.parametrize("n", [-1, 3])
-    def test_recipes_cover_weights_up_to_two(self, n):
-        with pytest.raises(ArgumentError, match="recipes exist for n in"):
-            hypergeometric_value(n, 0.5)
-
-    @pytest.mark.parametrize("x", [-1.0, 0.5, 2.0, 6.0])
-    def test_weight2_recipe_matches_closed_form(self, x):
-        value, _, _ = hypergeometric_value(2, x)
-        assert abs(value - s21(x).value) < 1e-12
-
-    @pytest.mark.parametrize("x", [-1.0, 0.5, 2.0, 6.0])
-    def test_weight1_recipe_matches_closed_form(self, x):
-        value, _, _ = hypergeometric_value(1, x)
-        assert abs(value - s11(x).value) < 1e-12
-
-    @pytest.mark.parametrize("x", [-1.0, 0.5, 2.0, 6.0])
-    def test_weight0_recipe_matches_closed_form(self, x):
-        value, _, _ = hypergeometric_value(0, x)
-        assert abs(value - s01(x).value) < 1e-12
-
-    def test_estimate_bounds_the_error_against_a_big_integer_reference(self):
-        # The flat 8e-16 (1 + |v|) estimate this replaced missed by up to 98x at
-        # rho = 0.999 and 10-19x at rho = 0.99-0.995.
-        ratios = []
-        for n in (0, 1, 2):
-            for rho in (0.3, 0.9, 0.99, 0.995):
-                for unit in (1.0, -1.0, cmath.exp(0.7j), cmath.exp(2.4j)):
-                    x = complex(unit * rho * 27 / 4)
-                    ev = evaluate(n, 1, x, "pfq")
-                    re, im, bound = _fixed_point_reference(n, 1, x)
-                    err = math.hypot(
-                        float(Fraction(ev.value.real) - re), float(Fraction(ev.value.imag) - im)
-                    ) + bound
-                    assert err <= ev.abs_error_est, (n, x, err, ev.abs_error_est)
-                    ratios.append(ev.abs_error_est / err)
-        assert statistics.median(ratios) <= 4.0 * PFQ_MEDIAN_RATIO
-
-
 class TestFolding:
     def test_single_term_fold_is_the_closed_form(self):
         assert abs(fold(2, 1, 0.5).value - s21(0.5).value) < 1e-16
@@ -489,7 +434,7 @@ class TestFoldTinyArguments:
     @pytest.mark.parametrize(
         "inner,n,m",
         [("closed-form", 3, 2), ("quad-polylog", 0, 3), ("quad-cardano", 2, 2),
-         ("quad-two-term", 2, 1), ("quad-two-term", 3, 4), ("pfq", 4, 1)],
+         ("quad-two-term", 2, 1), ("quad-two-term", 3, 4)],
     )
     def test_inner_refusals_come_first(self, inner, n, m):
         with pytest.raises(ArgumentError) as tiny:

@@ -71,6 +71,9 @@ When the low-weight budget of ``auto`` was re-measured with the step and weight 
 (8 terms per unit of stride past the first became 40, 28 and 22 at n = 0, 1, 2), ``auto``
 at S(2,3;100) began to sum its 29 terms directly instead of folding: its hash became the
 ``direct-sum`` hash of the same point (fa76651a -> 0720ca86).
+When the ``pfq`` route and the ``polylog`` suite were deleted, the four ``pfq`` hashes went
+(``--method pfq`` now exits 1), and ``verify`` lost its 144 ``Li_`` and 65 ``pfq`` pair
+entries, 510 -> 301 (661fb8db -> 303256b2); every other entry kept its bits and its place.
 """
 
 import hashlib
@@ -95,9 +98,6 @@ GOLDEN = {
     "eval --n 2 --m 1 --x 0.5 --method folding --output json": (
         "d3adc2eaaea3f53a52b8f78d4f6b8555d99a0f4f972a377c61a85fa6e5a9289c"
     ),
-    "eval --n 2 --m 1 --x 0.5 --method pfq --output json": (
-        "4ce3ea2f08fe10f3f8383867d3062556e846f466b273e23dd18a5e51f418df92"
-    ),
     "eval --n 2 --m 1 --x 0.5 --method auto --output json": (
         "b1bfd002236bbb3a909291737ca73fa2cb78214a6093526e8a72147924c2caca"
     ),
@@ -115,9 +115,6 @@ GOLDEN = {
     ),
     "eval --n 2 --m 1 --x 6.6825 --method folding --output json": (
         "c08f5947c413acec1c2921e056ee4cdda847466265f0dfe32a95edc197d3af57"
-    ),
-    "eval --n 2 --m 1 --x 6.6825 --method pfq --output json": (
-        "dc9019f2e7b1e2c3dd08d95d4da4ebaa62d9c05a6044e8721a13b57a92c64357"
     ),
     "eval --n 2 --m 1 --x 6.6825 --method auto --output json": (
         "666a32c7682973f71e096509f50d1aba94cc68b3af961ea7a2b93fff1eb48bbb"
@@ -149,9 +146,6 @@ GOLDEN = {
     "eval --n 2 --m 1 --x 1+1i --method folding --output json": (
         "5ccba444cba47629fd74f692a73eebe42a8872416e13f1f790d6dd11168d9f16"
     ),
-    "eval --n 2 --m 1 --x 1+1i --method pfq --output json": (
-        "f693c06c19bf6fd7d52feb8d2588d47d80adceb49b4fe56bae3091edc690bddc"
-    ),
     "eval --n 2 --m 1 --x 1+1i --method auto --output json": (
         "6868525796d0ab39f42c713c564ae9d10dfa3684f50270c57b576f1b7330f80b"
     ),
@@ -181,9 +175,6 @@ GOLDEN = {
     ),
     "eval --n 0 --m 1 --x 0.5 --method folding --output json": (
         "26539147f2103966c0f5daa559e2c20ec4a7f2304f8ca8d749dc84f018129fd9"
-    ),
-    "eval --n 0 --m 1 --x 0.5 --method pfq --output json": (
-        "3f4bd438b465896982b8fa01dea0bc2497634e1a97379a56bcd4260b551d9017"
     ),
     "eval --n 0 --m 1 --x 0.5 --method auto --output json": (
         "37a9a4f8b1c38e7ef6060dbeafe4527b3fe46d4cfe5ee94d9081edd12af85125"
@@ -232,7 +223,7 @@ GOLDEN = {
         "57dafe31d0cccff5c0d648445375e3207511c1d428a96207c9ae6c59a2a065e3"
     ),
     "verify --suite all --output json": (
-        "661fb8db8c7b6162e812393c76d3260331671a6a60d35fa53bc8b1ccabbb4bf1"
+        "303256b2d7e70b738db8359dce7d460e53c6dfcacc6fa493adf31f97535a081e"
     ),
 }
 

@@ -1,4 +1,4 @@
-"""Polylogarithm on the closed unit disk and the factorization identity."""
+"""Polylogarithm on the closed unit disk and the roots of unity."""
 
 import cmath
 import math
@@ -14,7 +14,6 @@ from invbinom import (
     DomainError,
     PoleError,
     li,
-    li_factorized,
     root_of_unity,
 )
 from invbinom.polylog import (
@@ -28,7 +27,6 @@ from invbinom.polylog import (
     _zeta,
 )
 
-LI2_QUARTER = 0.2676526390827326  # exact-fraction partial sums
 ZETA2 = math.pi**2 / 6
 ZETA3 = 1.2020569031595943
 ZETA4 = 1.0823232337111382
@@ -341,32 +339,6 @@ def test_derivative_ladder(n, z):
     h = 1e-5
     derivative = (li(n, z + h) - li(n, z - h)) / (2 * h)
     assert abs(z * derivative - li(n - 1, z)) < 1e-7
-
-
-class TestFactorization:
-    def test_example_half_m2(self):
-        value = li_factorized(2, 0.5, 2)
-        assert abs(value - LI2_QUARTER) < 1e-13
-
-    def test_single_term_fold_is_identity(self):
-        z = 0.37 - 0.11j
-        assert li_factorized(3, z, 1) == li(3, z)
-
-    def test_complex_point_m3(self):
-        z = 0.3 * cmath.exp(1j * math.pi / 5)
-        assert abs(li_factorized(3, z, 3) - li(3, z**3)) < 1e-13
-
-    def test_grid(self):
-        for n in (2, 3, 4):
-            for m in (2, 3, 4, 6):
-                for z in (0.5, -0.5, 0.62 + 0.3j, 0.85j, -0.4 - 0.7j):
-                    assert abs(li_factorized(n, z, m) - li(n, z**m)) < 1e-12, (n, m, z)
-
-    def test_domain_and_argument_errors(self):
-        with pytest.raises(DomainError):
-            li_factorized(2, 1.2, 2)
-        with pytest.raises(ArgumentError):
-            li_factorized(2, 0.5, 13)
 
 
 def test_roots_of_unity_exact_on_axes():

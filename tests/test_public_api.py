@@ -31,9 +31,7 @@ PUBLIC_NAMES = [
     "default_grid",
     "evaluate",
     "fold",
-    "hypergeometric_value",
     "li",
-    "li_factorized",
     "pair_tolerance",
     "phi",
     "quad_cardano",
@@ -46,7 +44,6 @@ PUBLIC_NAMES = [
     "run_all",
     "run_borwein_girgensohn",
     "run_cross_routes",
-    "run_polylog_factorization",
     "run_special_values",
     "s01",
     "s11",
@@ -64,7 +61,7 @@ def _api_section() -> str:
 
 
 def test_all_is_the_pinned_list():
-    assert len(PUBLIC_NAMES) == 45
+    assert len(PUBLIC_NAMES) == 42
     assert sorted(invbinom.__all__) == PUBLIC_NAMES
     assert len(set(invbinom.__all__)) == len(invbinom.__all__)
 
@@ -85,7 +82,10 @@ def test_deleted_names_are_gone():
         "PolylogQuery",
         "beta_term_identity",
         "binomial_exact",
+        "hypergeometric_value",
+        "li_factorized",
         "pfq",
+        "run_polylog_factorization",
         "series_terms",
         "term_ratio",
         "term_ratio_stride",
@@ -93,5 +93,12 @@ def test_deleted_names_are_gone():
     for name in deleted:
         assert not hasattr(invbinom, name), name
     assert not hasattr(invbinom.closed_forms, "pfq")
+    assert not hasattr(invbinom.polylog, "li_factorized")
+    for name in ("hypergeometric_value", "PFQ_RECIPES", "_PFQ_TOL", "_pfq_limits", "_pfq"):
+        assert not hasattr(invbinom.routes, name), name
+    for name in ("run_polylog_factorization", "FACTORIZATION_POINTS"):
+        assert not hasattr(invbinom.verify, name), name
+    assert "pfq" not in invbinom.METHODS
+    assert "polylog" not in invbinom.verify.SUITE_NAMES
     for attr in ("classify", "radius", "summable"):
         assert not hasattr(invbinom.SeriesParams, attr), attr

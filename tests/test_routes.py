@@ -1,6 +1,7 @@
 """Route dispatch, the route table and the auto resolution rule."""
 
 import cmath
+import itertools
 import math
 import random
 import time
@@ -26,7 +27,6 @@ from invbinom import (
     run_all,
     run_borwein_girgensohn,
     run_cross_routes,
-    run_polylog_factorization,
     run_special_values,
     s01,
     s11,
@@ -200,18 +200,54 @@ class TestResolveAuto:
         with pytest.raises(ArgumentError, match="tol must be positive"):
             evaluate(3, 1, 0.5, tol=0.0)
 
+    # Below QUAD_FLOOR auto once summed these directly, to an estimate of 7,371 tol
+    # (18,193 terms), 7,371, 7,472, 629 and 135 tol relative: the rim's tail bound.
+    @pytest.mark.parametrize(
+        "n,m,x", [(4, 1, R), (4, 1, (1 - 1e-12) * R), (4, 2, R**2), (5, 1, R), (6, 1, -R)]
+    )
+    def test_below_the_floor_refuses_where_the_direct_estimate_misses(self, n, m, x):
+        ev = sum_direct(n, m, x, 1e-15)
+        assert ev.abs_error_est > 5 * QUAD_FLOOR * abs(ev.value)
+        with pytest.raises(ArgumentError, match="QUAD_FLOOR"):
+            resolve_auto(n, m, x, tol=1e-15)
+        with pytest.raises(ArgumentError, match="QUAD_FLOOR"):
+            evaluate(n, m, x, tol=1e-15)
+
+    def test_below_the_floor_direct_sums_come_near_the_floor(self):
+        # auto's prediction takes |S| for the sum of |t_k|, so where the terms alternate or
+        # rotate the estimate may pass QUAD_FLOOR a little (by 1.23 at most on this grid)
+        direct = 0
+        for tol, n, m, rho, theta in itertools.product(
+            (1e-15, 1e-16), (3, 4, 6), (1, 2, 6), (0.5, 0.9, 0.95, 0.99, 0.995, 1 - 1e-6, 1.0),
+            (0.0, 0.7, math.pi),
+        ):
+            x = _at(rho, m, theta)
+            try:
+                route = resolve_auto(n, m, x, tol=tol)
+            except ArgumentError:
+                continue
+            assert route == "direct-sum", (n, m, rho, theta, tol)
+            ev = sum_direct(n, m, x, tol)
+            assert ev.abs_error_est <= 1.25 * QUAD_FLOOR * abs(ev.value), (n, m, rho, theta, tol)
+            direct += 1
+        assert direct >= 100
+
 
 def _term_count_rule(n, m, x, tol, cap):
     """auto's route for n >= 3 by the predicted term count (series.terms_needed); None
-    where it refuses, a tol below the quadrature floor that direct summation cannot meet."""
-    need = terms_needed(n, abs(x) / convergence_radius(m), tol)
+    where it refuses, a tol below the quadrature floor that direct summation cannot come
+    within QUAD_FLOOR of."""
+    rho = abs(x) / convergence_radius(m)
+    need = terms_needed(n, rho, tol)
     fits = 1.125 * need + 2 <= cap
+    if tol < QUAD_FLOOR:  # no quadrature meets this tol
+        if fits and series._predicted_estimate(n, m, rho, tol) <= QUAD_FLOOR:
+            return "direct-sum"
+        return "direct-sum" if m > 6 else None  # fold serves strides 1..6
     if need <= routes.DIRECT_TERM_BUDGET * m and fits:
         return "direct-sum"
-    if m > 6:  # fold serves strides 1..6
+    if m > 6:
         return "direct-sum"
-    if tol < QUAD_FLOOR:  # no quadrature meets this tol
-        return "direct-sum" if fits else None
     return "quad-cardano" if m == 1 else "folding"
 
 
@@ -265,14 +301,18 @@ class TestAutoRuleEquivalence:
         assert resolve_auto(3, 1, 1e-20, max_terms=4) == "direct-sum"  # 1 term: 1.125 + 2 <= 4
 
     def test_below_the_quadrature_floor_auto_sums_directly_or_refuses(self):
-        # these gave up after 2,000 subdivisions on quad-cardano or folding over it
-        for n, m, x in ((3, 1, 6.0), (3, 2, 45.0)):
+        # at tol 1e-15 these gave up after 2,000 subdivisions on quad-cardano or folding
+        # over it; direct summation comes within QUAD_FLOOR of the value
+        for n, m, x in ((3, 1, 6.0), (3, 2, 42.0)):
             ev = evaluate(n, m, x, tol=1e-15)
-            assert ev.method == "direct-sum" and ev.abs_error_est < 1e-13 * abs(ev.value)
+            assert ev.method == "direct-sum" and ev.abs_error_est <= QUAD_FLOOR * abs(ev.value)
             assert evaluate(n, m, x, tol=QUAD_FLOOR).method != "direct-sum"
-        for method in ("auto", "quad-cardano"):  # the rim: 10**6 terms at n = 3
-            with pytest.raises(ArgumentError, match="QUAD_FLOOR"):
-                evaluate(3, 1, 6.75, method, tol=1e-15)
+        # the rim at n = 3 needs 10**6 terms; at S(3,2;45) direct summation's estimate
+        # would be 9.1e-14 relative, four times QUAD_FLOOR
+        for n, m, x in ((3, 1, 6.75), (3, 2, 45.0)):
+            for method in ("auto", "quad-cardano" if m == 1 else "folding"):
+                with pytest.raises(ArgumentError, match="QUAD_FLOOR"):
+                    evaluate(n, m, x, method, tol=1e-15)
 
 
 class TestEvaluate:
@@ -327,8 +367,6 @@ class TestEvaluate:
         with pytest.raises(ArgumentError):
             evaluate(2, 1, 0.5 + 0.1j, "quad-two-term")
         with pytest.raises(ArgumentError):
-            evaluate(3, 1, 0.5, "pfq")
-        with pytest.raises(ArgumentError):
             evaluate(2, 1, 0.5, "newton")
         with pytest.raises(ArgumentError):
             evaluate(2, 7, 1.0, "folding")  # auto falls back here; a named route does not
@@ -339,11 +377,6 @@ class TestEvaluate:
         z = 0.4 + 1.1j
         ref = sum_direct(2, 1, z).value
         assert abs(evaluate(2, 1, z).value - ref) < 1e-12
-
-    def test_complex_hypergeometric_route(self):
-        z = 1.0 + 1.0j
-        got = evaluate(2, 1, z, "pfq").value
-        assert abs(got - s21(z).value) < 1e-12
 
     @given(
         n=st.integers(0, 4),
@@ -542,7 +575,6 @@ RULE_ONCE = [
     ("folding", 3, 2, R2),
     ("folding", 0, 3, 10.0),
     ("folding", 2, 6, 1j),
-    ("pfq", 1, 1, 0.5),
     ("auto", 2, 1, 0.5),
     ("auto", 4, 1, 0.5),
     ("auto", 3, 2, R2),
@@ -646,7 +678,6 @@ TOL_ENTRIES = [
     ("run_special_values", lambda tol: run_special_values(tol)),
     ("run_cross_routes", lambda tol: run_cross_routes(tol=tol)),
     ("run_borwein_girgensohn", lambda tol: run_borwein_girgensohn(tol)),
-    ("run_polylog_factorization", lambda tol: run_polylog_factorization(tol)),
     ("run_all", lambda tol: run_all(tol)),
 ]
 

@@ -14,7 +14,6 @@ from invbinom import (
     run_all,
     run_borwein_girgensohn,
     run_cross_routes,
-    run_polylog_factorization,
     run_special_values,
 )
 from test_series import _summable
@@ -83,7 +82,7 @@ class TestCrossRoutes:
         for e in report.entries:
             a, b = e.id.rsplit(" ", 1)[1].split("|")
             routes.update((a, b))
-        assert routes == {"direct-sum", "closed-form", "quad-polylog", "quad-two-term", "pfq"}
+        assert routes == {"direct-sum", "closed-form", "quad-polylog", "quad-two-term"}
 
     @pytest.mark.parametrize(
         "p,expected",
@@ -111,13 +110,6 @@ class TestCrossRoutes:
         assert pair_tolerance("quad-two-term", "quad-cardano") == 1e-8
 
 
-class TestPolylogSuite:
-    def test_full_grid_passes(self):
-        report = run_polylog_factorization()
-        assert len(report.entries) == 3 * 4 * 12
-        assert report.all_passed
-
-
 class TestReport:
     def test_json_shape(self):
         report = run_special_values()
@@ -134,7 +126,9 @@ class TestReport:
         assert parsed == report  # wall times excluded from equality
 
     def test_round_trip_preserves_complex_values(self):
-        report = run_polylog_factorization()
+        report = run_cross_routes(grid=[SeriesParams(2, 1, 1 + 1j)])
+        assert any(e.lhs.imag != 0.0 for e in report.entries)
+        assert '"lhs_im"' in report.serialize()
         parsed = VerificationReport.parse(report.serialize())
         assert parsed == report
 
@@ -168,11 +162,11 @@ class TestRunAll:
         with pytest.raises(ArgumentError):
             run_special_values(tol=0.0)
         with pytest.raises(ArgumentError):
-            run_polylog_factorization(tol=-1.0)
+            run_cross_routes(tol=-1.0)
 
     @pytest.mark.parametrize(
         "suite",
-        [run_special_values, run_borwein_girgensohn, run_cross_routes, run_polylog_factorization],
+        [run_special_values, run_borwein_girgensohn, run_cross_routes],
     )
     def test_nan_tolerance_is_rejected_before_any_check_runs(self, suite):
         with pytest.raises(ArgumentError, match="tol must be positive"):
