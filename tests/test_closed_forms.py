@@ -34,7 +34,7 @@ from invbinom.closed_forms import (
     REAL_BRANCH,
     _principal_root,
 )
-from test_series import _summable
+from test_series import _fixed_point_reference, _summable
 
 SQRT3 = math.sqrt(3.0)
 
@@ -215,6 +215,24 @@ class TestNearTheBranchPoint:
         err = abs(float(Fraction(ev.value.real) - Fraction(NEAR_RIM[n, x])))
         assert ev.value.imag == 0.0
         assert err <= ev.abs_error_est <= 20.0 * max(err, 1e-15 * abs(ev.value))
+
+
+class TestEstimateAgainstTheReference:
+    """The closed-form route's estimate bounds its error, across the disk and off the
+    real axis, against the big-integer sum of the series itself."""
+
+    @pytest.mark.parametrize("unit", [1.0, -1.0, cmath.exp(0.7j), cmath.exp(2.4j)])
+    @pytest.mark.parametrize("rho", [0.3, 0.9, 0.99, 0.995])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_estimate_bounds_the_error(self, n, rho, unit):
+        x = complex(unit * rho * 27 / 4)
+        ev = evaluate(n, 1, x, "closed-form")
+        re, im, bound = _fixed_point_reference(n, 1, x)
+        err = math.hypot(
+            float(Fraction(ev.value.real) - re), float(Fraction(ev.value.imag) - im)
+        ) + bound
+        assert err <= ev.abs_error_est, (n, x, err, ev.abs_error_est)
+        assert err <= 1e-14 * max(1.0, abs(ev.value)), (n, x, err)
 
 
 class TestOracleAgreement:
