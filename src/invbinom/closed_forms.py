@@ -66,6 +66,20 @@ def _real_cbrt(v: float) -> float:
     return math.copysign(abs(v) ** (1.0 / 3.0), v)
 
 
+def _radical(xc: complex) -> complex:
+    """sqrt(81 - 12x), the radical of ``phi``: real for real x <= 27/4, principal otherwise.
+
+    81 - 12x is formed as (81 - 8x) - 4x: near the branch point x = 27/4 both steps are
+    exact (8x and 4x are, and Sterbenz's lemma holds), where a rounded 12x would lose about
+    half the digits of the root. For complex x this is the real part.
+    """
+    xr = xc.real
+    disc = (81.0 - 8.0 * xr) - 4.0 * xr
+    if xc.imag == 0.0 and xr <= RADIUS_BASE:
+        return complex(math.sqrt(disc))
+    return cmath.sqrt(complex(disc, 0.0 - 12.0 * xc.imag))
+
+
 def phi(x: complex) -> CardanoRoot:
     """Cardano root phi(x); real branch on the real axis, principal otherwise.
 
@@ -80,17 +94,12 @@ def phi(x: complex) -> CardanoRoot:
         raise DomainError("phi(x) diverges as x -> 0; the series limit there is 0")
     if abs(xc) < PHI_MIN_X:
         raise DomainError(f"phi(x) exceeds the binary64 range for |x| < {PHI_MIN_X:g}")
-    # 81 - 12x as (81 - 8x) - 4x: near the branch point x = 27/4 both steps are exact
-    # (8x and 4x are, and Sterbenz's lemma holds), where a rounded 12x would lose about
-    # half the digits of s = sqrt(81 - 12x). For complex x this is the real part.
+    s = _radical(xc)
     xr = xc.real
-    disc = (81.0 - 8.0 * xr) - 4.0 * xr
     if xc.imag == 0.0 and xr <= RADIUS_BASE:
-        s = complex(math.sqrt(disc))
         value = complex(_real_cbrt((27.0 - 2.0 * xr + 3.0 * s.real) / (2.0 * xr)))
         branch = REAL_BRANCH
     else:
-        s = cmath.sqrt(complex(disc, 0.0 - 12.0 * xc.imag))
         value = ((27.0 - 2.0 * xc + 3.0 * s) / (2.0 * xc)) ** (1.0 / 3.0)
         branch = PRINCIPAL_BRANCH
     residual = abs(2.0 * xc * value**3 + 2.0 * xc - 27.0 - 3.0 * s)

@@ -1,18 +1,24 @@
-"""Quadrature evaluation through the integral representations of the series.
+"""Evaluation through the integral representations of the series.
 
 Three independent routes at stride 1:
 
 * ``quad_polylog`` integrates Li_{n-1}(x*t*(1-t)**2) / t over the unit
   interval. It works for every n >= 1 (n >= 2 on the rim); it is the
   independent cross-check of the Cardano-root route.
-* ``quad_cardano`` (n >= 3) integrates the elementary weight-2 closed form
-  along the Cardano root and sums the far end of the path as a fast series:
-  n - 2 Horner sums over an import-time coefficient table, with the term count
-  fixed in advance from the coefficients' k**(-5/2) decay. It is about 20 times
-  cheaper than ``quad_polylog`` and is the route ``auto`` takes where direct
-  summation, which decays like k**(1/2 - n) on the rim, costs more. The public
-  entry is ``evaluate``'s quad-cardano route; the route table and ``fold`` call
-  its bare kernel, ``_cardano_kernel``.
+* ``quad_cardano`` (n >= 3) works through the Cardano root phi in one of two ways.
+  For n <= 8 and |s| <= S_MAX, s = phi(x)**-3, it sums the power series of
+  S(n, 1; x) in s, which converges on the closed disk but at the branch point
+  x = 27/4 (s = 1): one Horner sum over an import-time coefficient table, with no
+  cube root and no quadrature. Elsewhere, near x = 27/4, for n > 8 and for
+  |x| < 1e-8, it integrates the elementary weight-2 closed form along the
+  Cardano root and sums the far end of the path as a fast series: n - 2 Horner
+  sums over an import-time coefficient table, with the term count fixed in
+  advance from the coefficients' k**(-5/2) decay. Either way it is far cheaper
+  than ``quad_polylog`` (the series 2-10 us, the quadrature 10-90 us, against
+  about 2 ms) and is the route ``auto`` takes where direct summation, which
+  decays like k**(1/2 - n) on the rim, costs more. The public entry is
+  ``evaluate``'s quad-cardano route; the route table and ``fold`` call its bare
+  kernel, ``_cardano_kernel``.
 * ``quad_two_term`` evaluates the two-term log/trig form whose limits come
   from the Cardano root, each integral in s with u = limit * s**3. Restricted
   to real x, where its trigonometric integrand is derived; complex arguments
@@ -32,9 +38,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import accumulate, count, repeat
+from operator import add, floordiv, mul
 
-from .closed_forms import _TINY_X, REAL_BRANCH, SQRT3, phi
-from .errors import ArgumentError, DomainError
+from .closed_forms import _RESIDUAL_TOL, _TINY_X, REAL_BRANCH, SQRT3, _radical, phi
+from .errors import ArgumentError, BranchFailure, DomainError
 from .polylog import li
 from .quadrature import adaptive_quad, quad_tol
 from .series import _EPS, RADIUS_BASE, Evaluation, SeriesParams, _inside
@@ -155,14 +163,28 @@ def quad_cardano(n: int, x: complex, tol: float | None = None) -> Evaluation:
     y = u(r0), l0 = l(r0), whose ratio is at most 4|y|/27 < 0.3 (``_cardano_tail``).
     For |q| >= CARDANO_SPLIT (small |x|) the head is empty and the series is the
     direct one.
+
+    That path serves only near x = 27/4, for n > 8 and for |x| < 1e-8. Elsewhere the
+    route sums S(n, 1; x) as a power series in s = phi(x)**-3 = 1/q**3, for which
+    x = 27 s / (1 + s)**2 (``_s_series``); ``work`` then counts its terms.
     """
     return routes.evaluate(n, 1, x, "quad-cardano", tol=tol)
 
 
 def _cardano_kernel(n: int, xc: complex, tol: float | None) -> tuple[complex, float, int]:
     """The (value, abs_error_est, work) of ``quad_cardano`` at summable x != 0, checked
-    for the quadrature's tolerance floor alone."""
+    for the quadrature's tolerance floor alone: the power series in s = phi(x)**-3 for
+    n <= 8 and |s| <= S_MAX, else the quadrature along the Cardano root."""
     tol = quad_tol(tol)
+    if n <= _S_WEIGHTS and abs(xc) >= _TINY_X:
+        s = _cardano_s(xc)
+        if abs(s) <= S_MAX:
+            return _s_series(n, xc, s)
+    return _cardano_quadrature(n, xc, tol)
+
+
+def _cardano_quadrature(n: int, xc: complex, tol: float) -> tuple[complex, float, int]:
+    """``_cardano_kernel`` by the head quadrature and the tail series, at a checked tol."""
     p = n - 3
     head, head_err, work = 0j, 0.0, 0
     y0, ell0 = xc, 0j
@@ -211,6 +233,153 @@ def _cardano_path(q: complex, p: int, lib):
         return kernel * 3.0 * (r3 - 1.0) / ((1.0 + r3) * tau)
 
     return integrand, ell
+
+
+# s = phi(x)**-3 turns x = 27 q**3 / (1 + q**3)**2 into x = 27 s / (1 + s)**2, which maps
+# the unit disk one-to-one onto the plane cut along [27/4, inf), with x = 27/4 at s = 1. So
+# S(n, 1; x) = sum_j a_j s**j converges on the whole closed disk |x| <= 27/4 but at that
+# branch point, and fastest where direct summation is slowest: |s| <= 0.66 on the rim more
+# than 5 degrees off the positive axis, 0.17 at -27/4, about |x|/27 near 0. Every a_j is
+# (-1)**(j+1) c_j with c_j > 0, so the tables hold the c_j and the sum runs in -s.
+# x d/dx = s (1 + s) / (1 - s) d/ds turns x d/dx S(n) = S(n - 1) into
+# j a_j(n) = 2 P_j - a_j(n - 1), P_j = sum_{i<=j} (-1)**(j-i) a_i(n - 1); in the c_j,
+# j c_j(n) = C_j + C_(j-1) with C_j = c_1 + ... + c_j, a sum of positive terms.
+# Weight 3 is a literal table, each c_j correctly rounded from the exact
+# a_j(0) = sum_{k<=j} (-1)**(j-k) C(j+k-1, j-k) 27**k / C(3k, k) and the recurrence (too
+# slow in Fractions for the import); weights 4.._S_WEIGHTS follow from it at import.
+_S_WEIGHTS = 8
+# _S_ENVELOPE[n - 3] bounds c_j(n) for every j >= 1: the largest are 11.925, 19.09, 33.16,
+# 59.55, 109.15 and 202.79, at j = 2, 5, 14, 37, 97 and 260; past them every weight falls
+# (checked to j = 6,000 in float, from the weight-2 closed form as a series in s**(1/3);
+# asymptotically c_j ~ log(j)**(n-1) / j).
+_S_ENVELOPE = (12.0, 20.0, 34.0, 60.0, 110.0, 203.0)
+# |S(n, 1; x)| >= |x| / 5 on the disk for n >= 3 (the terms k >= 2 sum to at most 0.33 |x|/3
+# at n = 3, the largest), and |x| = 27 |s| / |1 + s|**2 >= 27 r / (1 + r)**2 at r = |s|.
+# The terms past K sum to at most envelope r**(K+1) / (1 - r), which is below eps/4 of
+# that bound on |S| once r**K <= _S_TRUNC (1 - r) / (envelope (1 + r)**2).
+_S_TRUNC = 27.0 * _EPS / 20.0
+# The largest |s| the series serves; on the disk |s| passes it only within 0.17 of 27/4
+# (from x = 6.667 on the positive axis, about 1.4 degrees off it on the rim). Against the
+# quadrature (n 3, 4, 6, 8 at arg s 0 and 0.02..0.6, min of 7 x 30 calls, 2-core x86-64
+# VM, CPython 3.11) the series took 0.12-0.34 of its time in the median at every |s| from
+# 0.5 to 0.86, and at most 0.72 up to 0.8, 0.89 at 0.82 and 1.08 at 0.86, where one
+# quadrature panel serves n = 3. Against 45-digit references at the same |s| its worst
+# error was 6.3 eps relative up to 0.8 (the quadrature's, at tol 1e-12, 4.5 eps) and
+# 7.7 eps up to 0.86.
+S_MAX = 0.8
+
+
+def _s_terms(r: float, n: int) -> int:
+    """Terms K of the series in s at r = |s| (0 < r < 1) and weight n <= _S_WEIGHTS."""
+    bound = _S_TRUNC * (1.0 - r) / (_S_ENVELOPE[n - 3] * (1.0 + r) ** 2)
+    return max(1, math.ceil(math.log(bound) / math.log(r)))
+
+
+# c_j(3) for j = 1..197 = _s_terms(S_MAX, 8), the most terms any weight takes.
+_rows = [(
+    9.0, 11.925, 11.378571428571428, 10.54614448051948, 9.773253746253745, 9.102208600223307,
+    8.525067123121397, 8.026468882303865, 7.592211144022986, 7.210674381414058, 6.872647946492342,
+    6.570865849968992, 6.299568490896778, 6.0541515847789, 5.830898689507094, 5.626780429555739,
+    5.439303923055715, 5.2663992676148155, 5.1063332792942004, 4.957643341586224,
+    4.819086194558996, 4.689597916735177, 4.568262368237332, 4.454286089211022, 4.346978167803593,
+    4.245733967561263, 4.150021877376948, 4.059372447622431, 3.973369424472983, 3.891642305170788,
+    3.8138601203139926, 3.7397262124881485, 3.6689738289042744, 3.6013623829530066,
+    3.5366742684829817, 3.474712133188168, 3.4152965352421067, 3.3582639213648746,
+    3.303464875690835, 3.2507625977573107, 3.2000315751400175, 3.1511564220913426,
+    3.1040308602783973, 3.0585568215911194, 3.0146436561697287, 2.9722074314214044,
+    2.9311703099652844, 2.8914599962477516, 2.8530092430740934, 2.815755410562158,
+    2.7796400710821083, 2.7446086546389097, 2.710610129909297, 2.677596716785815,
+    2.6455236268260736, 2.614348828471133, 2.58403283429575, 2.554538507895593, 2.525830888311313,
+    2.4978770301436835, 2.4706458577341492, 2.44410803197593, 2.4182358284867607,
+    2.393003026018853, 2.3683848041078623, 2.344357649073032, 2.3208992675774875,
+    2.297988507042661, 2.2756052822856603, 2.253730507814384, 2.232346035273457,
+    2.2114345955856494, 2.1909797453791486, 2.1709658173316666, 2.151377874098443,
+    2.1322016655233855, 2.1134235888612616, 2.0950306517644903, 2.07701043781102,
+    2.059351074370325, 2.042041202622983, 2.025069949565875, 2.008426901849934, 1.9921020813108106,
+    1.976085922064917, 1.9603692490542497, 1.9449432579332782, 1.92979949620013,
+    1.9149298454824122, 1.9003265048953664, 1.8859819753967297, 1.8718890450687564,
+    1.8580407752633703, 1.8444304875514665, 1.831051751421961, 1.817898372680389,
+    1.8049643825006754, 1.7922440270872075, 1.7797317579075471, 1.7674222224590526,
+    1.7553102555353806, 1.7433908709613086, 1.731659253766587, 1.720110752771623,
+    1.7087408735597183, 1.6975452718123467, 1.6865197469855984, 1.675660236307411,
+    1.664962809076602, 1.6544236612459973, 1.6440391102731315, 1.6338055902231017,
+    1.6237196471091562, 1.6137779344575551, 1.6039772090840967, 1.594314327070521,
+    1.5847862399297454, 1.5753899909495908, 1.566122711705291, 1.5569816187316952,
+    1.5479640103466215, 1.5390672636173444, 1.5302888314626868, 1.521626239883636,
+    1.5130770853158242, 1.5046390320976164, 1.496309810047901, 1.4880872121480386,
+    1.4799690923227313, 1.471953363314885, 1.4640379946498103, 1.456221010684378,
+    1.4485004887369832, 1.4408745572944095, 1.4333413942918978, 1.4258992254629264,
+    1.4185463227554025, 1.4112810028111396, 1.4041016255056675, 1.3970065925455757,
+    1.3899943461207402, 1.3830633676089277, 1.3762121763303907, 1.3694393283502067,
+    1.3627434153262155, 1.3561230634005286, 1.3495769321326836, 1.3431037134726127,
+    1.3367021307716922, 1.3303709378302169, 1.3241089179797354, 1.3179148831987528,
+    1.3117876732603804, 1.3057261549105859, 1.2997292210757574, 1.2937957900983603,
+    1.287924804999519, 1.282115232767418, 1.276366063670463, 1.2706763105941956, 1.265045008400999,
+    1.2594712133116805, 1.2539540023080555, 1.2484924725556996, 1.2430857408460705,
+    1.2377329430572421, 1.2324332336325223, 1.2271857850762622, 1.2219897874661911,
+    1.216844447981648, 1.2117489904470993, 1.206702654890364, 1.2017046971149956,
+    1.1967543882862832, 1.191851014530371, 1.1869938765460069, 1.1821822892284533,
+    1.177415581305117, 1.1726930949824692, 1.1680141856038477, 1.1633782213177464,
+    1.1587845827562182, 1.1542326627230313, 1.1497218658912285, 1.145251608509762,
+    1.1408213181188833, 1.1364304332739834, 1.1320784032775857, 1.1277646879192171,
+    1.1234887572228789, 1.1192500912018628, 1.1150481796206593, 1.1108825217637186,
+    1.1067526262108351, 1.1026580106189308, 1.0985982015100257, 1.0945727340651896,
+    ),
+]
+# The recurrence runs on exact integers, the weight-3 values in units of 2**-_S_FIXED (each
+# c_j >= 1, so c_j 2**_S_FIXED is an integer), floored once per weight; each float is the
+# correctly rounded value of its integer. So every weight is within 0.53 ulp of its exact
+# values, within _S_TABLE_ULPS. (A float recurrence was up to 8.8 ulps off, and as those
+# errors are alike along j, they cost up to 15 eps of the sum near the positive axis, where
+# the terms cancel.) Build time of every table here: about 0.2 ms.
+_S_FIXED = 60
+_S_TABLE_ULPS = 1
+_fixed = list(map(int, map(mul, _rows[0], repeat(2.0**_S_FIXED))))
+for _ in range(4, _S_WEIGHTS + 1):
+    _sums = list(accumulate(_fixed, initial=0))
+    _fixed = list(map(floordiv, map(add, _sums[1:], _sums[:-1]), count(1)))
+    _rows.append(tuple(map(mul, map(float, _fixed), repeat(2.0**-_S_FIXED))))
+_S_COEFS = tuple(_rows)
+del _rows, _fixed, _sums
+# The rounding of the sum, term by term. The j-th term takes j products and j sums of
+# Horner's rule, each within 1.62 eps in complex arithmetic (1 eps for floats), and j times
+# the relative error of s, within 6.5 eps (its radical, a denominator that cancels by at
+# most a factor 2 on the disk, and the quotient); with the table's error it is within
+# (_S_STEP_ROUNDING j + _S_TABLE_ULPS + 1) eps |a_j| |s|**j.
+_S_STEP_ROUNDING = 9
+
+
+def _cardano_s(xc: complex) -> complex | float:
+    """s = phi(x)**-3 = 2x / (27 - 2x + 3 sqrt(81 - 12x)) with ``phi``'s radical; a float
+    for real x. |s| <= 1, with equality only at x = 27/4."""
+    rad = _radical(xc)
+    if xc.imag == 0.0:
+        xr = xc.real
+        return 2.0 * xr / (27.0 - 2.0 * xr + 3.0 * rad.real)
+    return 2.0 * xc / (27.0 - 2.0 * xc + 3.0 * rad)
+
+
+def _s_series(n: int, xc: complex, s: complex | float) -> tuple[complex, float, int]:
+    """S(n, 1; x) = sum_{j<=K} a_j s**j, 3 <= n <= _S_WEIGHTS and |s| < 1, by Horner's rule
+    in -s over the c_j. The error bound is the truncation past K (``_s_terms``) plus the
+    rounding, sum_j (_S_STEP_ROUNDING j + _S_TABLE_ULPS + 1) eps c_j r**j at r = |s|: from
+    G(r) = sum_j c_j r**(j-1) and G'(r), by Horner's rule in the same loop. BranchFailure
+    where 27 s / (1 + s)**2 misses x by more than phi's residual rule allows."""
+    back = 27.0 * s / (1.0 + s) ** 2
+    if abs(back - xc) > _RESIDUAL_TOL * (1.0 + abs(xc)):
+        raise BranchFailure(f"s = {s} gives x = {back} for x = {xc}")
+    r = abs(s)
+    terms = _s_terms(r, n)
+    t = -s
+    h = g = dg = 0.0
+    for c in _S_COEFS[n - 3][terms - 1 :: -1]:
+        h = h * t + c
+        dg = dg * r + g
+        g = g * r + c
+    # sum_j c_j r**j = r G and sum_j j c_j r**j = r G + r**2 G'
+    rounding = (_S_STEP_ROUNDING + _S_TABLE_ULPS + 1) * r * g + _S_STEP_ROUNDING * r * r * dg
+    truncation = _S_ENVELOPE[n - 3] * r ** (terms + 1) / (1.0 - r)
+    return complex(h * s), truncation + _EPS * rounding, terms
 
 
 # Robbins' bound C(3k, k) >= sqrt(3/(4 pi k)) R**k e**(-1/(8k)) puts each weight-3 term

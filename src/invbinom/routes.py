@@ -7,7 +7,7 @@ x = 0 short-circuits to exactly 0 on every route, even where the operation exclu
 Every route but direct-sum and folding serves stride 1 only; folding reaches stride
 m through them. ``auto`` is a cost rule: direct summation when its predicted term count
 undercuts the alternative, which is the stride-1 closed forms for n <= 2 (at m = 1 they
-always win; folded over them for m >= 2) and the Cardano-root quadrature for n >= 3
+always win; folded over them for m >= 2) and the Cardano-root route for n >= 3
 (quad-cardano, folded over for m >= 2); past the strides folding serves, direct
 summation. The public entries s01, s11, s21 and quad_cardano are this dispatch on their
 routes; quad-polylog is never chosen by ``auto`` and stays an explicit route and
@@ -127,6 +127,11 @@ METHODS = tuple(ROUTES)
 # median 42.3, with the factor table alone in the same way). It rises with n: 51-73 at
 # n = 3, 81-156 at n = 4. The budget moved from 50 to 75 with it. The rim keeps
 # quadrature while 2 * budget stays under the 4,841 terms n = 4 needs at rho = 1 - 1e-3.
+# That break-even was against the quadrature. quad-cardano now sums a series in
+# s = phi(x)**-3 wherever |s| <= integral_reps.S_MAX, in 2-4 us at these points (n 3, 4,
+# rho 0.3..0.995 at angle 0.7; on the positive axis up to rho = 0.95), the cost of about
+# 10-25 direct terms. So the budget sits above the break-even; it keeps its value until
+# the break-even is measured again.
 DIRECT_TERM_BUDGET = 75
 
 

@@ -238,10 +238,25 @@ def _ratios(k0: int, k1: int, n: int, m: int, x: complex | float) -> Iterator[co
     return map(mul, map(mul, repeat(x), weights), steps)
 
 
+def _underflow_stride() -> int:
+    """The least stride m with C(3m, m) > 2**2100 by ``math.lgamma`` (765), by bisection
+    between 1 and 1024: the log of C(3m, m) grows with m."""
+    lo, hi = 1, 1024
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        log_c = math.lgamma(3 * mid + 1) - math.lgamma(mid + 1) - math.lgamma(2 * mid + 1)
+        lo, hi = (lo, mid) if log_c > _LOG_UNDERFLOW else (mid, hi)
+    return hi
+
+
+# From this stride on every x / C(3m, m) rounds to zero.
+_UNDERFLOW_STRIDE = _underflow_stride()
+
+
 def _first_term(m: int, x: complex) -> complex:
     """t_1 = x / C(3m, m); exact-integer division once C(3m, m) exceeds binary64."""
-    if math.lgamma(3 * m + 1) - math.lgamma(m + 1) - math.lgamma(2 * m + 1) > _LOG_UNDERFLOW:
-        return x * 0.0  # |x| < 2**1024, so |t_1| < 2**-1076 rounds to zero (m >= ~763)
+    if m >= _UNDERFLOW_STRIDE:
+        return x * 0.0  # |x| < 2**1024, so |t_1| < 2**-1076 rounds to zero
     c = math.comb(3 * m, m)
     try:
         return x / c
@@ -461,11 +476,14 @@ def _estimate(last: float, abs_sum: float, r: float, work: float, n: int, m: int
 
 def _predicted_estimate(n: int, m: int, rho: float, tol: float) -> float:
     """``sum_direct``'s estimate relative to |S| at rho = |x| / R**m and ``tol``, as
-    predicted before summing: K = ``terms_needed`` terms, the last about tol |S|, a
-    ratio bound about rho sqrt(1 + 1/K) (Stirling) and the sum of |t_k| taken as |S|
-    (where the terms alternate or rotate it is larger, and so is the estimate)."""
+    predicted before summing: K = ``terms_needed`` terms, a ratio bound r about
+    rho sqrt(1 + 1/K) (Stirling), the last term about min(r, 1) tol |S| (the stop rule
+    takes two terms below tol |S| in a row, and the second is about r times the first)
+    and the sum of |t_k| taken as |S| (where the terms alternate or rotate it is larger,
+    and so is the estimate)."""
     k = terms_needed(n, rho, tol)
-    return _estimate(tol, 1.0, rho * math.sqrt(1.0 + 1.0 / k), k, n, m)
+    r = rho * math.sqrt(1.0 + 1.0 / k)
+    return _estimate(min(r, 1.0) * tol, 1.0, r, k, n, m)
 
 
 def _term_cap_error(tol: float, max_terms: int, rim: bool) -> ConvergenceError:

@@ -74,6 +74,14 @@ at S(2,3;100) began to sum its 29 terms directly instead of folding: its hash be
 When the ``pfq`` route and the ``polylog`` suite were deleted, the four ``pfq`` hashes went
 (``--method pfq`` now exits 1), and ``verify`` lost its 144 ``Li_`` and 65 ``pfq`` pair
 entries, 510 -> 301 (661fb8db -> 303256b2); every other entry kept its bits and its place.
+When the Cardano-root route began to sum a power series in s = phi(x)**-3 for n <= 8 and
+|s| <= S_MAX, keeping its quadrature only near x = 27/4, the hashes of the points that
+series serves moved in the last bits of value and estimate and in ``work`` (series terms in
+place of integrand calls and tail terms): ``folding`` at S(3,1;0.5) c21ac518 -> 3962a66d
+and at S(3,2;20) 504ced30 -> d1c81469, ``quad-cardano`` at S(4,1;-6.75) fcce98ef -> b0dc23f0
+and at S(3,1;1+1i) 453de924 -> dee7bf4b, and ``verify`` 303256b2 -> 8b1d10e8 (its
+quad-cardano and folding[quad-cardano] entries). ``quad-cardano`` at S(3,1;6.75), the
+branch point, kept its hash.
 """
 
 import hashlib
@@ -189,7 +197,7 @@ GOLDEN = {
         "190e978d65385b160367af92ef23b2e40437e4bca96381a5572b818eb0e9fa3c"
     ),
     "eval --n 3 --m 1 --x 0.5 --method folding --output json": (
-        "c21ac518ca94fba5f7953f63da824081f1bf0a1b4c0726d1d1e2cac091d9feb9"
+        "3962a66d2e1ec2433f99a46b932bfc8ee56fd57597ea51fb51b0ce0d59242095"
     ),
     "eval --n 3 --m 1 --x 0.5 --method auto --output json": (
         "b90ee7467ce6bd99c0af0e5e33cbcc79e18158f055205a5a7546b9af2260f076"
@@ -198,7 +206,7 @@ GOLDEN = {
         "20d0d31d884f160dc83eb79f4624b4085dfee7ef8d1661f913a9eb1aa5e2737b"
     ),
     "eval --n 3 --m 2 --x 20 --method folding --output json": (
-        "504ced30ebbb7e3f3d8f89611c2d4e738aad71a5cbdc0a0bc5f53e8237a36923"
+        "d1c81469d6b323780f23bc7bebf2c5f9003d87225f4bff38ebd5a60c7329a4fc"
     ),
     "eval --n 3 --m 2 --x 20 --method auto --output json": (
         "20d0d31d884f160dc83eb79f4624b4085dfee7ef8d1661f913a9eb1aa5e2737b"
@@ -214,16 +222,16 @@ GOLDEN = {
         "d527b7eafaef009d6c3abb97699f645270045a1fa3113a1d800a6ae889b98447"
     ),
     "eval --n 4 --m 1 --x -6.75 --method quad-cardano --output json": (
-        "fcce98ef33ce2fa0bb12ff173687190bb000c4fcc0521e2ec954374b219f85a8"
+        "b0dc23f019b9f7ec3f01252f654b8901f7139b22cd0101c8f569c5bd8c2f3711"
     ),
     "eval --n 3 --m 1 --x 1+1i --method quad-cardano --output json": (
-        "453de924ca651a92c8ff128c451cead4f85422c383d779889d96d8d31e14202b"
+        "dee7bf4b441ca8a5cf1fb931e7b39c08a703b05d733d3a3bcc788236bdf0e0ca"
     ),
     "table --n 2 --m 1 --x-from -6.75 --x-to 6.75 --steps 101 --output csv": (
         "57dafe31d0cccff5c0d648445375e3207511c1d428a96207c9ae6c59a2a065e3"
     ),
     "verify --suite all --output json": (
-        "303256b2d7e70b738db8359dce7d460e53c6dfcacc6fa493adf31f97535a081e"
+        "8b1d10e89a05570c803dc4abfdbdb114d28e7aa069967121b82849efa0c192cd"
     ),
 }
 

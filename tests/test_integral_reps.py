@@ -1,6 +1,7 @@
 """Quadrature routes built on the integral representations."""
 
 import cmath
+import functools
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 
 from invbinom import (
     ArgumentError,
+    BranchFailure,
     DomainError,
     evaluate,
     quad_cardano,
@@ -18,7 +20,21 @@ from invbinom import (
     two_term_limits,
 )
 from invbinom import integral_reps
-from invbinom.integral_reps import _TAIL_COEFS, _TAIL_TERMS, _cardano_tail, _tail_terms
+from invbinom.integral_reps import (
+    _S_COEFS,
+    _S_ENVELOPE,
+    _S_TABLE_ULPS,
+    _TAIL_COEFS,
+    _TAIL_TERMS,
+    S_MAX,
+    _cardano_quadrature,
+    _cardano_s,
+    _cardano_tail,
+    _s_series,
+    _s_terms,
+    _tail_terms,
+)
+from invbinom.quadrature import QUAD_FLOOR
 from invbinom.routes import ROUTES
 from invbinom.series import within_terms
 from invbinom.verify import _applicable_routes, default_grid
@@ -369,6 +385,8 @@ class TestCardanoTail:
         assert value.imag == 0.0
 
     def test_the_route_stays_within_the_table(self, monkeypatch):
+        # the series in s serves weights up to 8 but near x = 27/4, so weight 9 takes the
+        # quadrature, and with it the tail, at every point
         seen = []
 
         def spy(p, y, ell0):
@@ -378,5 +396,155 @@ class TestCardanoTail:
         monkeypatch.setattr(integral_reps, "_cardano_tail", spy)
         rng = random.Random(3)
         for _ in range(200):
-            quad_cardano(3, cmath.rect(6.75 * rng.random() ** 0.25, rng.uniform(-math.pi, math.pi)))
+            x = cmath.rect(6.75 * rng.random() ** 0.25, rng.uniform(-math.pi, math.pi))
+            quad_cardano(9, x)
+        assert len(seen) == 200
         assert max(seen) <= TAIL_Y_MAX * (1 + 1e-12)
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_coefficients():
+    """a_j(n), n 0..8 and j 1..len(_S_COEFS[0]), as Fractions: the binomial sum for weight
+    0, then j a_j(n) = 2 P_j - a_j(n - 1), P_j = sum_{i<=j} (-1)**(j-i) a_i(n - 1)."""
+    terms = len(_S_COEFS[0])
+    w = [Fraction(27**k, math.comb(3 * k, k)) for k in range(terms + 1)]
+    rows = [
+        [
+            sum((-1) ** (j - k) * math.comb(j + k - 1, j - k) * w[k] for k in range(1, j + 1))
+            for j in range(1, terms + 1)
+        ]
+    ]
+    for _ in range(8):
+        p, row = Fraction(0), []
+        for j, a in enumerate(rows[-1], start=1):
+            p = a - p
+            row.append((2 * p - a) / j)
+        rows.append(row)
+    return rows
+
+
+# S(n, 1; x) at the rim points of the series grid (the rays whose rim lies within the
+# grid's |s|), as the mpmath quadrature of Li_{n-1}(x t (1-t)**2) / t at 40 digits; the
+# series in s with exact coefficients at 50 digits agreed to 1e-41.
+SERIES_RIM_REFERENCES = {
+    (3, math.pi): ("-1.963532630597579784799886", "0.0"),
+    (4, math.pi): ("-2.093928828088923021361118", "0.0"),
+    (5, math.pi): ("-2.167100653761351407288067", "0.0"),
+    (6, math.pi): ("-2.20675879562810178500208", "0.0"),
+    (7, math.pi): ("-2.227733937094846400684925", "0.0"),
+    (8, math.pi): ("-2.238638423867454572725472", "0.0"),
+    (3, 0.4): ("2.319648682377303627007879", "1.376358805556830398282918"),
+    (4, 0.4): ("2.210158021475437265236175", "1.07916233014119836455045"),
+    (5, 0.4): ("2.142162963345151757451822", "0.9641399343991647618404585"),
+    (6, 0.4): ("2.106959667876629103950495", "0.9162841808592004357545937"),
+    (7, 0.4): ("2.089470739866271351520566", "0.8950976146007643402921984"),
+    (8, 0.4): ("2.080845544844087815910557", "0.885299984501317924909855"),
+    (3, 1.3): ("0.2326371487413174576612038", "2.238816519695370900791285"),
+    (4, 1.3): ("0.4194658148999776711971951", "2.225217549273160252772673"),
+    (5, 1.3): ("0.5126975667380293149664967", "2.203863885329024774916292"),
+    (6, 1.3): ("0.5582891153066729715771877", "2.188279545966021053837343"),
+    (7, 1.3): ("0.5804952602770710814679727", "2.178891853858153632728924"),
+    (8, 1.3): ("0.591340927557959272847176", "2.173687684839547930380829"),
+    (3, 2.2): ("-1.356388635712381818199676", "1.514284854363390936505678"),
+    (4, 2.2): ("-1.351180215331098916102122", "1.656930537987105245465254"),
+    (5, 2.2): ("-1.342005337192273791481373", "1.73477241244509171639764"),
+    (6, 2.2): ("-1.334717524619121801271164", "1.775883456117894428911548"),
+    (7, 2.2): ("-1.330027724972451955270292", "1.797157547051874426270742"),
+    (8, 2.2): ("-1.327293993125020699482806", "1.80802711956614606528739"),
+    (3, 3.9): ("-1.567173056047313335245383", "-1.255624402087957073333607"),
+    (4, 3.9): ("-1.605284691629795039331836", "-1.388501805915992635817289"),
+    (5, 3.9): ("-1.621534090414794120892402", "-1.463258350957090250236484"),
+    (6, 3.9): ("-1.628344451797749935916937", "-1.50369401589286405258055"),
+    (7, 3.9): ("-1.631194933544689767452056", "-1.525003169915577770687824"),
+    (8, 3.9): ("-1.632401006164526419712373", "-1.536039306456672955694424"),
+    (3, 5.6): ("1.668514603305711992474665", "-1.893652472447580691507521"),
+    (4, 5.6): ("1.740551295161700543688913", "-1.645155498981362539381953"),
+    (5, 5.6): ("1.752059116882546152344658", "-1.526979093099582966935092"),
+    (6, 5.6): ("1.751088409432564592866993", "-1.471461574656296794212072"),
+    (7, 5.6): ("1.74877065272391342152376", "-1.44513483885838111163707"),
+    (8, 5.6): ("1.747103384508722690237515", "-1.432481981358268834837444"),
+}
+SERIES_ANGLES = (0.0, math.pi, 0.4, 1.3, 2.2, 3.9, 5.6)
+
+
+def _on_ray(rho, theta):
+    if theta in (0.0, math.pi):
+        return complex(math.copysign(rho * RIM, math.cos(theta)))
+    return cmath.rect(rho * RIM, theta)
+
+
+def _series_grid():
+    """(n, x, rim): on each ray the point whose |s| is the target, or the rim where the
+    ray's largest |s| stays below it."""
+    for target in (1e-12, 0.1, 0.3, 0.5, S_MAX):
+        for theta in SERIES_ANGLES:
+            if abs(_cardano_s(_on_ray(1.0, theta))) <= target:
+                x, rim = _on_ray(1.0, theta), True
+            else:
+                lo, hi = 0.0, 1.0  # |s| grows along the ray
+                for _ in range(60):
+                    mid = 0.5 * (lo + hi)
+                    inside = abs(_cardano_s(_on_ray(mid, theta))) <= target
+                    lo, hi = (mid, hi) if inside else (lo, mid)
+                x, rim = _on_ray(lo, theta), False
+            for n in range(3, 9):
+                yield n, x, (theta if rim else None)
+
+
+class TestCardanoSeries:
+    def test_weight_three_literals_are_correctly_rounded(self):
+        for j, (a, c) in enumerate(zip(_exact_coefficients()[3], _S_COEFS[0]), start=1):
+            assert (a > 0) == (j % 2 == 1), j  # a_j = (-1)**(j+1) c_j
+            assert float(abs(a)).hex() == c.hex(), j
+
+    def test_higher_weights_lie_within_the_assumed_ulps(self):
+        exact = _exact_coefficients()
+        for n in range(4, 9):
+            for j, (a, c) in enumerate(zip(exact[n], _S_COEFS[n - 3]), start=1):
+                assert (a > 0) == (j % 2 == 1), (n, j)
+                assert abs(Fraction(c) - abs(a)) <= _S_TABLE_ULPS * Fraction(math.ulp(c)), (n, j)
+
+    def test_the_envelope_bounds_every_coefficient_of_the_table(self):
+        exact = _exact_coefficients()
+        for n in range(3, 9):
+            assert max(map(abs, exact[n])) <= _S_ENVELOPE[n - 3], n
+
+    def test_the_table_holds_every_term_up_to_s_max(self):
+        assert [_s_terms(S_MAX, n) for n in range(3, 9)] == [184, 187, 189, 192, 194, 197]
+        assert all(len(row) == 197 for row in _S_COEFS)
+        assert _s_terms(0.17, 4) < 64 and _s_terms(1e-9, 8) == 2
+
+    def test_series_against_references_and_the_quadrature(self):
+        seen = 0
+        for n, x, rim in _series_grid():
+            s = _cardano_s(x)
+            assert abs(s) <= S_MAX
+            value, est, work = _s_series(n, x, s)
+            if abs(x) >= 1e-8:  # below, the route sums the series in x itself
+                assert integral_reps._cardano_kernel(n, x, None) == (value, est, work)
+            if rim is None:
+                re, im, bound = _fixed_point_reference(n, 1, x)
+            else:
+                re, im = map(Fraction, SERIES_RIM_REFERENCES[n, rim])
+                bound = 1e-30
+            err = math.hypot(float(Fraction(value.real) - re), float(Fraction(value.imag) - im))
+            err += bound
+            ref = abs(complex(float(re), float(im)))
+            assert err <= est, (n, x, err, est)
+            assert err <= 1e-15 * ref, (n, x, err / ref)
+            quad, _, _ = _cardano_quadrature(n, x, QUAD_FLOOR)
+            assert abs(quad - value) <= 1e-14 * ref, (n, x)
+            seen += rim is not None
+        # rims: every ray's at 0.5 and S_MAX, and at 0.3 all but those at angles 0.4 and 5.6
+        assert seen == 6 * 16
+
+    def test_real_arguments_take_real_arithmetic(self):
+        s = _cardano_s(complex(-3.0))
+        assert isinstance(s, float)
+        value, _, _ = _s_series(4, complex(-3.0), s)
+        assert value.imag == 0.0
+
+    def test_a_wrong_root_raises_branch_failure(self):
+        x = complex(1.0, 2.0)
+        with pytest.raises(BranchFailure, match="s = "):
+            _s_series(3, x, -_cardano_s(x))

@@ -213,6 +213,14 @@ class TestResolveAuto:
         with pytest.raises(ArgumentError, match="QUAD_FLOOR"):
             evaluate(n, m, x, tol=1e-15)
 
+    @pytest.mark.parametrize("x,terms,rel", [(3.375, 35, 9.1e-15), (4.0, 44, 1.8e-14)])
+    def test_just_below_the_floor_few_terms_sum_directly(self, x, terms, rel):
+        # the predicted last term is min(r, 1) tol |S|: charged at tol |S| these
+        # refused, although the direct estimate is within QUAD_FLOOR
+        ev = evaluate(3, 1, x, tol=2e-14)
+        assert ev.method == "direct-sum" and ev.work == terms
+        assert ev.abs_error_est / abs(ev.value) == pytest.approx(rel, rel=0.02)
+
     def test_below_the_floor_direct_sums_come_near_the_floor(self):
         # auto's prediction takes |S| for the sum of |t_k|, so where the terms alternate or
         # rotate the estimate may pass QUAD_FLOOR a little (by 1.23 at most on this grid)

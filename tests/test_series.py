@@ -506,6 +506,18 @@ class TestSumDirect:
         want = Fraction(x) / math.comb(3 * m, m)
         assert _first_term(m, complex(x)) == complex(float(want))
 
+    def test_the_underflow_stride_matches_the_lgamma_rule(self):
+        # _first_term once tested C(3m, m) > 2**2100 by three lgamma calls on every sum;
+        # the rule grows with m, so one stride computed at import decides it
+        limit = 2100 * math.log(2.0)
+        assert series._UNDERFLOW_STRIDE == 765
+        for m in range(1, 20_001):
+            rule = math.lgamma(3 * m + 1) - math.lgamma(m + 1) - math.lgamma(2 * m + 1) > limit
+            assert rule == (m >= series._UNDERFLOW_STRIDE), m
+        assert _first_term(765, complex(1e300)) == 0
+        assert _first_term(764, complex(1e300)) == 0  # rounds to zero without the shortcut
+        assert _first_term(700, complex(1e300)) != 0
+
     def test_env_var_caps_terms(self, monkeypatch):
         monkeypatch.setenv("SERIES_MAX_TERMS", "25")
         with pytest.raises(ConvergenceError):
