@@ -9,11 +9,11 @@ Three independent routes at stride 1:
   For n <= 8 and |s| <= S_MAX, s = phi(x)**-3, it sums the power series of
   S(n, 1; x) in s, which converges on the closed disk but at the branch point
   x = 27/4 (s = 1): one Horner sum over an import-time coefficient table, with no
-  cube root and no quadrature. Elsewhere, near x = 27/4, for n > 8 and for
-  |x| < 1e-8, it integrates the elementary weight-2 closed form along the
-  Cardano root and sums the far end of the path as a fast series: n - 2 Horner
-  sums over an import-time coefficient table, with the term count fixed in
-  advance from the coefficients' k**(-5/2) decay. Either way it is far cheaper
+  cube root and no quadrature. Elsewhere, near x = 27/4 and for n > 8, it
+  integrates the elementary weight-2 closed form along the Cardano root and sums
+  the far end of the path by the same series, at |s| = 0.064 (direct sums above
+  weight 8). Below |x| = 1e-8 it takes the leading terms of the series in x, as
+  the closed forms do. Either way it is far cheaper
   than ``quad_polylog`` (the series 2-10 us, the quadrature 10-90 us, against
   about 2 ms) and is the route ``auto`` takes where direct summation, which
   decays like k**(1/2 - n) on the rim, costs more. The public entry is
@@ -41,11 +41,11 @@ from dataclasses import dataclass
 from itertools import accumulate, count, repeat
 from operator import add, floordiv, mul
 
-from .closed_forms import _RESIDUAL_TOL, _TINY_X, REAL_BRANCH, SQRT3, _radical, phi
+from .closed_forms import _RESIDUAL_TOL, _TINY_X, REAL_BRANCH, SQRT3, _leading_terms, _radical, phi
 from .errors import ArgumentError, BranchFailure, DomainError
 from .polylog import li
 from .quadrature import adaptive_quad, quad_tol
-from .series import _EPS, RADIUS_BASE, Evaluation, SeriesParams, _inside
+from .series import _EPS, RADIUS_BASE, Evaluation, SeriesParams, _inside, sum_direct
 
 _TWO_PI = 2.0 * math.pi
 _TINY = 1e-300
@@ -56,8 +56,9 @@ _TINY = 1e-300
 TWO_TERM_MIN_X = 2e-3
 TWO_TERM_FLOOR = f"quad-two-term needs |x| >= {TWO_TERM_MIN_X:g}, where it holds 1e-9 relative"
 
-# |r| where quad_cardano hands over from quadrature to the series: beyond it the
-# weight-2 kernel cancels by a factor of about |r|, and the series ratio is below 0.3.
+# |r| where quad_cardano hands over from quadrature to the tail sum: beyond it the
+# weight-2 kernel cancels by a factor of about |r|, the tail's series in s runs at
+# |s| = 0.064 and direct terms fall by 0.3 or more.
 CARDANO_SPLIT = 2.5
 
 
@@ -116,12 +117,17 @@ def quad_polylog(n: int, x: complex, tol: float | None = None) -> Evaluation:
         # Weight 0 and 1 kernels in terms of the cancellation-free
         # complement u(t) = 1 - x*t*(1-t)**2; the direct difference loses
         # every digit near t = 1/3 as x approaches 27/4, where u has a
-        # double zero.
+        # double zero. Where w = x*t*(1-t)**2 is small, log(u) = log1p(-w)
+        # keeps the digits that u, rounded near 1, drops.
         xr = xc.real
 
         def integrand(t: float) -> complex:
             if t == 0.0:
                 return complex(xr)
+            if weight == 1:
+                w = xr * t * (1.0 - t) ** 2
+                if abs(w) <= 0.5:
+                    return complex(-math.log1p(-w) / t)
             u = max(_stable_complement(xr, t), _TINY)
             if weight == 0:
                 return complex(xr * (1.0 - t) ** 2 / u)
@@ -158,14 +164,15 @@ def quad_cardano(n: int, x: complex, tol: float | None = None) -> Evaluation:
     l = 2 log(1 + c (tau**-3 - 1)) + 3 log tau with c = q**3 / (1 + q**3): the
     argument 1 + c s, s >= 0, never crosses the principal cut. The head
     |r| <= CARDANO_SPLIT is one adaptive Gauss-Kronrod integral; beyond it,
-    where K cancels (both halves ~ 9/(2 r**2)), the rest is the series
-    sum_k y**k / (k**3 C(3k, k)) * sum_{i<=n-3} l0**i / (i! k**(n-3-i)),
-    y = u(r0), l0 = l(r0), whose ratio is at most 4|y|/27 < 0.3 (``_cardano_tail``).
-    For |q| >= CARDANO_SPLIT (small |x|) the head is empty and the series is the
-    direct one.
+    where K cancels (both halves ~ 9/(2 r**2)), expanding l(r)**(n-3) around
+    l0 = l(r0) makes the rest sum_{i<=n-3} l0**i / i! * S(n - i, 1; y0), y0 = u(r0),
+    each S summed at s0 = 1/r0**3, |s0| = CARDANO_SPLIT**-3 = 0.064 (``_cardano_rest``).
+    For |q| >= CARDANO_SPLIT (|x| <= 1.98) the head is empty and the rest is
+    S(n, 1; x) itself, by the same sum.
 
-    That path serves only near x = 27/4, for n > 8 and for |x| < 1e-8. Elsewhere the
-    route sums S(n, 1; x) as a power series in s = phi(x)**-3 = 1/q**3, for which
+    That path serves only near x = 27/4 and for n > 8. Below |x| = 1e-8 the route
+    takes the series' three leading terms in x, as the closed forms do. Elsewhere it
+    sums S(n, 1; x) as a power series in s = phi(x)**-3 = 1/q**3, for which
     x = 27 s / (1 + s)**2 (``_s_series``); ``work`` then counts its terms.
     """
     return routes.evaluate(n, 1, x, "quad-cardano", tol=tol)
@@ -173,10 +180,14 @@ def quad_cardano(n: int, x: complex, tol: float | None = None) -> Evaluation:
 
 def _cardano_kernel(n: int, xc: complex, tol: float | None) -> tuple[complex, float, int]:
     """The (value, abs_error_est, work) of ``quad_cardano`` at summable x != 0, checked
-    for the quadrature's tolerance floor alone: the power series in s = phi(x)**-3 for
-    n <= 8 and |s| <= S_MAX, else the quadrature along the Cardano root."""
+    for the quadrature's tolerance floor alone: below |x| = 1e-8 the leading terms of the
+    series in x, as the closed forms and ``fold`` take them; else the power series in
+    s = phi(x)**-3 for n <= 8 and |s| <= S_MAX, and the quadrature along the Cardano root
+    elsewhere."""
     tol = quad_tol(tol)
-    if n <= _S_WEIGHTS and abs(xc) >= _TINY_X:
+    if abs(xc) < _TINY_X:
+        return _leading_terms(n, 1, xc)
+    if n <= _S_WEIGHTS:
         s = _cardano_s(xc)
         if abs(s) <= S_MAX:
             return _s_series(n, xc, s)
@@ -184,30 +195,23 @@ def _cardano_kernel(n: int, xc: complex, tol: float | None) -> tuple[complex, fl
 
 
 def _cardano_quadrature(n: int, xc: complex, tol: float) -> tuple[complex, float, int]:
-    """``_cardano_kernel`` by the head quadrature and the tail series, at a checked tol."""
+    """``_cardano_kernel`` by the head quadrature and the tail sum at |x| >= 1e-8 and a
+    checked tol."""
+    root = phi(xc)
+    real = root.branch == REAL_BRANCH  # q real, |q| >= 1: real arithmetic, about 30% faster
+    q = root.phi.real if real else root.phi
+    if abs(q) >= CARDANO_SPLIT:  # the head is empty: the tail is S(n, 1; x) itself
+        return _cardano_rest(n, 0, xc, 1.0 / q**3, 0.0)
     p = n - 3
-    head, head_err, work = 0j, 0.0, 0
-    y0, ell0 = xc, 0j
-    root = None if abs(xc) < _TINY_X else phi(xc)  # phi overflows for tiny |x|
-    if root is not None and abs(root.phi) < CARDANO_SPLIT:
-        q = root.phi
-        tau0 = abs(q) / CARDANO_SPLIT
-        if root.branch == REAL_BRANCH:
-            integrand, ell = _cardano_path(q.real, p, math)  # real arithmetic, about 30% faster
-        else:
-            integrand, ell = _cardano_path(q, p, cmath)
-        # adaptive_quad floors each panel's estimate at 50 eps of its value, which
-        # covers the integrand's rounding: the kernel cancels by at most |r| <= 2.5
-        head, head_err, work = adaptive_quad(integrand, tau0, 1.0, tol)
-        scale = 1.0 / math.factorial(p)
-        head *= scale
-        head_err *= scale
-        r0 = q / tau0
-        r3 = r0**3
-        y0 = complex(27.0 * r3 / (1.0 + r3) ** 2)
-        ell0 = complex(ell(tau0))
-    tail, tail_err, terms = _cardano_tail(p, y0, ell0)
-    return head + tail, head_err + tail_err, work + terms
+    tau0 = abs(q) / CARDANO_SPLIT
+    integrand, ell = _cardano_path(q, p, math if real else cmath)
+    # adaptive_quad floors each panel's estimate at 50 eps of its value, which
+    # covers the integrand's rounding: the kernel cancels by at most |r| <= 2.5
+    head, head_err, work = adaptive_quad(integrand, tau0, 1.0, tol)
+    scale = 1.0 / math.factorial(p)
+    r3 = (q / tau0) ** 3
+    tail, tail_err, terms = _cardano_rest(n, p, 27.0 * r3 / (1.0 + r3) ** 2, 1.0 / r3, ell(tau0))
+    return head * scale + tail, head_err * scale + tail_err, work + terms
 
 
 def _cardano_path(q: complex, p: int, lib):
@@ -382,81 +386,31 @@ def _s_series(n: int, xc: complex, s: complex | float) -> tuple[complex, float, 
     return complex(h * s), truncation + _EPS * rounding, terms
 
 
-# Robbins' bound C(3k, k) >= sqrt(3/(4 pi k)) R**k e**(-1/(8k)) puts each weight-3 term
-# at most sqrt(4 pi/3) e**(1/16) k**(-5/2) r**k for k >= 2, r = 4|y|/27, so the terms past K
-# sum to at most sqrt(4 pi/3) e**(1/16) K**(-5/2) r**(K+1) / (1 - r). That is below the
-# tail's truncation budget (|y|/3) eps/8 = 9 r eps/32 when K**(-5/2) r**K <= _TAIL_TOL (1 - r).
-_TAIL_TOL = 9.0 * _EPS / (32.0 * math.sqrt(4.0 * math.pi / 3.0) * math.exp(1.0 / 16.0))
-
-
-def _tail_terms(r: float) -> int:
-    """Terms K of the tail series at the ratio bound r = 4|y|/27 < 1 (see ``_cardano_tail``):
-    a K >= 1 with K ln r - (5/2) ln K <= ln tol, tol = _TAIL_TOL (1 - r), the test that
-    ``series.within_terms`` makes at n = 3. The root k* of that test is the fixed point of
-    h(k) = (ln tol + (5/2) ln k) / ln r, which decreases; from the geometric count h(1) >= k*,
-    one step gives a lower bound and a second an upper bound within a small fraction of a
-    term of k* (|h'| = 5/(2 k |ln r|) is below 0.1 for r <= 0.3). K is its ceiling: the
-    least such K, or one more for about 2% of r in (0, 0.3]. No search, no table."""
-    tol = _TAIL_TOL * (1.0 - r)
-    if r <= tol:
-        return 1
-    a = math.log(r)
-    log_tol = math.log(tol)
-    k = max((log_tol + 2.5 * math.log(log_tol / a)) / a, 1.0)
-    return math.ceil((log_tol + 2.5 * math.log(k)) / a)
-
-
-# 1/(k**w C(3k, k)) for weights w = 3..8 and k = 1.._TAIL_TERMS, correctly rounded (as int
-# division is); _TAIL_TERMS is the count at the ratio bound 0.3, which the tail's |y| <= 1.98
-# stays below. Higher weights, or longer sums, compute the same expression inline.
-_TAIL_TERMS = _tail_terms(0.3)
-_TAIL_COEFS = tuple(
-    tuple([1 / (k**w * math.comb(3 * k, k)) for k in range(1, _TAIL_TERMS + 1)])
-    for w in range(3, 9)
-)
-
-
-def _cardano_tail(p: int, y: complex, ell0: complex) -> tuple[complex, float, int]:
-    """sum_k y**k / (k**3 C(3k, k)) * e_p(k l0) / k**p, e_p the degree-p exponential sum,
-    for |y| < 2 (ratio bound r = 4|y|/27 < 0.3). Returns (value, error bound, terms).
-
-    Since e_p(k l0) / k**p = sum_{i<=p} l0**i / i! * k**(i-p), the sum is
-    sum_{i<=p} l0**i / i! * T_{p+3-i}(y) with T_w(y) = sum_{k<=K} y**k / (k**w C(3k, k)) =
-    y/3 + y**2 H_w(y): each H_w by Horner's rule over the coefficient table, and the sum
-    over i by Horner's rule in l0. Real y and l0 run in float arithmetic.
-    """
-    ay = abs(y)
-    r = 4.0 * ay / 27.0
-    terms = _tail_terms(r)
-    real = y.imag == 0.0 and ell0.imag == 0.0
-    w = y.real if real else y
-    ell = ell0.real if real else ell0
-    al = abs(ell0)
-    s = e = 0.0  # sum_i l0**i / i! H_{p+3-i}, and e_p(l0)
-    amp = 0.0  # e_p(|l0|) >= |e_p(k l0)| / k**p for every k >= 1
+def _cardano_rest(
+    n: int, p: int, y: complex, s: complex | float, ell: complex
+) -> tuple[complex, float, int]:
+    """sum_{i<=p} ell**i / i! * S(n - i, 1; y) at s = phi(y)**-3, |s| <= CARDANO_SPLIT**-3,
+    with (value, error bound, terms). With p = n - 3, y = u(r0) and ell = l(r0) it is the far
+    end of ``quad_cardano``'s path, 1/p! int_{r0}^inf K(r) l(r)**p w(r) dr, as
+    l(r) = l0 + log(y / u(r)) and x d/dx S(w, 1; x) = S(w - 1, 1; x). Each S by
+    ``_s_series`` up to weight _S_WEIGHTS and by ``sum_direct`` above it (at |y| <= 1.98
+    its terms fall by 0.3 or more), the sum over i by Horner's rule in ell."""
+    value = err = amp = 0.0
+    work = 0
+    al = abs(ell)
     for i in range(p, -1, -1):
-        weight = p + 3 - i
-        if weight <= 8 and terms <= _TAIL_TERMS:
-            coefs = _TAIL_COEFS[weight - 3][terms - 1 : 0 : -1]
+        if n - i <= _S_WEIGHTS:
+            v, e, k = _s_series(n - i, y, s)
         else:
-            coefs = [1 / (k**weight * math.comb(3 * k, k)) for k in range(terms, 1, -1)]
-        h = 0.0
-        for c in coefs:
-            h = h * w + c
+            v, e, _, k = sum_direct(n - i, 1, y)
         scale = 1.0 / (i + 1)
-        s = s * ell * scale + h
-        e = e * ell * scale + 1.0
-        amp = amp * al * scale + 1.0
-    total = w / 3.0 * e + w * w * s
-    # The weight-3 terms, times amp, bound the others, and past K terms they sum to at
-    # most (|y|/3) eps / 8 (``_tail_terms``): the rest is below amp (|y|/3) eps / 8. As
-    # every ratio |y C(3k, k) k**3 / (C(3k+3, k+1) (k+1)**3)| is below r, each weight-3
-    # term is at most (|y|/3) r**(k-1). Rounding: each Horner level j
-    # rounds about 4 times relative to its partial sum (at most the terms k >= j), and y
-    # and l0 carry a few eps of relative rounding that term k takes k-fold; so below
-    # 8 eps sum_k k amp (|y|/3) r**(k-1) = 8 eps amp (|y|/3) / (1 - r)**2. The factor 3
-    # taken here covers the l0 sum, the leading y/3, the final sum and the truncation.
-    return complex(total), 8.0 * _EPS * amp * ay / (1.0 - r) ** 2, terms
+        value = value * ell * scale + v
+        err = err * al * scale + e
+        amp = amp * al * scale + abs(v)
+        work += k
+    # amp = sum_i |ell|**i / i! |S(n - i)|. Each Horner step rounds within 4 eps of it,
+    # and term i takes i steps and i times the relative rounding of ell.
+    return complex(value), err + 8.0 * p * _EPS * amp, work
 
 
 def _stable_complement(x: float, t: float) -> float:

@@ -181,7 +181,7 @@ def _computed_steps(k0: int, k1: int, m: int) -> list[float]:
 # products ``_computed_steps`` forms (_STEPS[1] is _FACTORS, _STEPS[0] is empty).
 # _WEIGHTS[n], n 1..8, holds the weights of k < _WEIGHT_TABLE, each one ``pow`` as the
 # computed path forms it (_WEIGHTS[0] is empty: n = 0 has no weight).
-# The weights stop at n = 8, as the ``li`` and Cardano-tail tables do. Every direct sum
+# The weights stop at n = 8, as the ``li`` and Cardano-series tables do. Every direct sum
 # of the benchmark's direct and interior workloads (seeds 1, 2) stays below k = 621, and
 # all but 3 of 480 (at m = 8) inside the step tables.
 _STEPS = ((), _FACTORS) + tuple(

@@ -82,6 +82,15 @@ and at S(3,2;20) 504ced30 -> d1c81469, ``quad-cardano`` at S(4,1;-6.75) fcce98ef
 and at S(3,1;1+1i) 453de924 -> dee7bf4b, and ``verify`` 303256b2 -> 8b1d10e8 (its
 quad-cardano and folding[quad-cardano] entries). ``quad-cardano`` at S(3,1;6.75), the
 branch point, kept its hash.
+When the far end of the Cardano-root quadrature began to be summed by that series in s
+(weights up to 8) and by direct sums, ``quad-cardano`` at S(3,1;6.75) moved in its estimate
+and ``work`` (66 -> 59; the value kept its bits): d527b7ea -> cf4b19bd. When the real
+weight-1 kernel of ``quad-polylog`` began to take log1p(-x t (1-t)**2) where that argument
+is at most 0.5, ``quad-polylog`` at S(2,1;0.5) (cb1ddd52 -> 2af68be0) and at S(2,1;6.6825)
+(85f2d5cc -> f52e9023) moved in the last bits of value and estimate, and ``verify``
+(8b1d10e8 -> e9f43cdc) with the 27 pairs that hold a real weight-2 quad-polylog value
+(S(2,1;x) at five x, folding[quad-polylog] at S(2,2;x) at three x and at S(2,3;6)); every
+other entry kept its bits.
 """
 
 import hashlib
@@ -98,7 +107,7 @@ GOLDEN = {
         "b1bfd002236bbb3a909291737ca73fa2cb78214a6093526e8a72147924c2caca"
     ),
     "eval --n 2 --m 1 --x 0.5 --method quad-polylog --output json": (
-        "cb1ddd52577e07ec9805074347497a413dd8a35496a8e0773b02348977563262"
+        "2af68be0cc5d80005a564e2d64fbd3057980e4e3ee3036cf2da96a13cd82fa8b"
     ),
     "eval --n 2 --m 1 --x 0.5 --method quad-two-term --output json": (
         "32ae7cb3ba4cccd91d317ed3cded3d81578d3d67d2694170feb29637576af20d"
@@ -116,7 +125,7 @@ GOLDEN = {
         "666a32c7682973f71e096509f50d1aba94cc68b3af961ea7a2b93fff1eb48bbb"
     ),
     "eval --n 2 --m 1 --x 6.6825 --method quad-polylog --output json": (
-        "85f2d5cc6e6cea081363964ce7aae326de18c27ab1c5a6b6a184ff7bcbdc12fe"
+        "f52e9023dd82e57bd9e09630c0f1d700527c0b92bf92c40b0f7dc140dac1fde2"
     ),
     "eval --n 2 --m 1 --x 6.6825 --method quad-two-term --output json": (
         "194a35870f4990a296c52c38ae73aa816133744bc6a4df906146860c52b93af2"
@@ -219,7 +228,7 @@ GOLDEN = {
         "f5a7f7c208b3a3554d3aa75a2caa1d2fd009d9cb7ec96ea0234327a9c15920e4"
     ),
     "eval --n 3 --m 1 --x 6.75 --method quad-cardano --output json": (
-        "d527b7eafaef009d6c3abb97699f645270045a1fa3113a1d800a6ae889b98447"
+        "cf4b19bd5913a5e89c092b6dbda5c79e977fb780a58db8d5aa53d55eb079dfd5"
     ),
     "eval --n 4 --m 1 --x -6.75 --method quad-cardano --output json": (
         "b0dc23f019b9f7ec3f01252f654b8901f7139b22cd0101c8f569c5bd8c2f3711"
@@ -231,7 +240,7 @@ GOLDEN = {
         "57dafe31d0cccff5c0d648445375e3207511c1d428a96207c9ae6c59a2a065e3"
     ),
     "verify --suite all --output json": (
-        "8b1d10e89a05570c803dc4abfdbdb114d28e7aa069967121b82849efa0c192cd"
+        "e9f43cdc5314537336d2dcb3bd8341f3063a2d51732ac8b7e4bca281732a06f4"
     ),
 }
 

@@ -24,19 +24,16 @@ from invbinom.integral_reps import (
     _S_COEFS,
     _S_ENVELOPE,
     _S_TABLE_ULPS,
-    _TAIL_COEFS,
-    _TAIL_TERMS,
+    CARDANO_SPLIT,
     S_MAX,
     _cardano_quadrature,
+    _cardano_rest,
     _cardano_s,
-    _cardano_tail,
     _s_series,
     _s_terms,
-    _tail_terms,
 )
 from invbinom.quadrature import QUAD_FLOOR
 from invbinom.routes import ROUTES
-from invbinom.series import within_terms
 from invbinom.verify import _applicable_routes, default_grid
 from test_series import _fixed_point_reference
 
@@ -72,6 +69,9 @@ class TestTwoTermLimits:
     def test_outside_disk(self):
         with pytest.raises(DomainError):
             two_term_limits(7.0)
+
+
+SMALL_REAL = (1e-12, 1e-9, 1e-6, 1e-5, 1e-3, 0.1, 1.0, 3.0, 6.7)
 
 
 class TestQuadPolylog:
@@ -119,6 +119,22 @@ class TestQuadPolylog:
         err = math.hypot(float(Fraction(ev.value.real) - re), float(Fraction(ev.value.imag) - im))
         assert err <= ev.abs_error_est, (r, err, ev.abs_error_est)
         assert err <= 1e-15 * abs(x) / 3
+
+    @pytest.mark.parametrize("x", [s * a for a in SMALL_REAL for s in (1.0, -1.0)])
+    def test_real_weight_two_against_a_big_integer_reference(self, x):
+        # the weight-1 kernel takes log1p(-w), w = x t (1-t)**2, where |w| <= 0.5: log(u) of
+        # the complement u, which rounds near 1, left S(2,1;1e-5) 9e-11 off with an
+        # estimate 128 times too small
+        ev = quad_polylog(2, x)
+        if abs(x) < 1e-6:  # the fixed-point sum stops at 2**-80 absolute
+            xf = Fraction(x)
+            re = sum(xf**k / (k**2 * math.comb(3 * k, k)) for k in range(1, 6))
+            bound = abs(x) ** 6
+        else:
+            re, _, bound = _fixed_point_reference(2, 1, complex(x))
+        err = abs(float(Fraction(ev.value.real) - re)) + bound
+        assert err <= ev.abs_error_est, (x, err, ev.abs_error_est)
+        assert err <= 1e-15 * abs(float(re)), (x, err / abs(float(re)))
 
     def test_error_estimate_honesty(self):
         # estimate must dominate the actual deviation in at least 95% of the grid
@@ -242,7 +258,44 @@ def _cardano_grid():
                 yield n, complex(unit * rho * RIM)
 
 
+def _rim_reference(n, x, terms=1000, prec=200):
+    """S(n, 1; x) at |x| <= 27/4 for n >= 9, where ``_fixed_point_reference`` does not stop
+    on the rim: the first ``terms`` terms in fixed-point big integers (one floor per
+    component and step), and Robbins' C(3k, k) >= sqrt(3/(4 pi k)) (27/4)**k e**(-1/(8k))
+    for the rest, which sums to at most sqrt(4 pi/3) e**(1/(8K)) K**(3/2-n) / (n - 3/2)."""
+    one = 1 << prec
+    xr, xi = Fraction(x.real), Fraction(x.imag)
+    ur, ui = math.floor(xr * one / 3), math.floor(xi * one / 3)  # x**k / C(3k, k)
+    sr = si = 0
+    for k in range(1, terms + 1):
+        sr += ur // k**n
+        si += ui // k**n
+        f = Fraction((k + 1) * (2 * k + 1) * (2 * k + 2), (3 * k + 1) * (3 * k + 2) * (3 * k + 3))
+        ur, ui = math.floor((ur * xr - ui * xi) * f), math.floor((ur * xi + ui * xr) * f)
+    rest = math.sqrt(4 * math.pi / 3) * math.exp(1 / (8 * terms)) * terms ** (1.5 - n) / (n - 1.5)
+    return Fraction(sr, one), Fraction(si, one), rest + terms**2 / 2.0**prec
+
+
 class TestQuadCardano:
+    def test_weights_above_the_series_tables(self):
+        # n > 8 takes the quadrature at every |x| >= 1e-8, and its tail sums each weight
+        # above 8 directly
+        for n in range(9, 13):
+            for rho in (1e-9, 0.3, 0.99, 0.995, 1.0):
+                for unit in (1.0, -1.0, *(cmath.exp(1j * t) for t in (0.4, 2.2, 5.6))):
+                    x = complex(unit * rho * RIM)
+                    ev = quad_cardano(n, x)
+                    if rho == 1.0:
+                        re, im, bound = _rim_reference(n, x)
+                    else:
+                        re, im, bound = _fixed_point_reference(n, 1, x)
+                    err = math.hypot(
+                        float(Fraction(ev.value.real) - re), float(Fraction(ev.value.imag) - im)
+                    ) + bound
+                    ref = abs(complex(float(re), float(im)))
+                    assert err <= ev.abs_error_est, (n, x, err, ev.abs_error_est)
+                    assert err <= 1e-15 * ref, (n, x, err / ref)
+
     def test_error_and_estimate_against_a_big_integer_reference(self):
         for n, x in _cardano_grid():
             ev = quad_cardano(n, x)
@@ -334,8 +387,8 @@ def _exact_tail(p, y, ell0, prec=256):
 
 
 def _tail_grid():
-    """p 0..5 (6 and 7 take the inline coefficients), |y| up to the route's maximum at
-    seeded angles, complex and real l0."""
+    """p 0..7 (at 6 and 7, weights 9 and 10 take ``sum_direct``), |y| up to the route's
+    maximum at seeded angles, complex and real l0."""
     rng = random.Random(8)
     for p in range(8):
         for ay in (1e-7, 0.05, 0.6, 1.3, 1.8, TAIL_Y_MAX):
@@ -348,58 +401,35 @@ def _tail_grid():
 
 
 class TestCardanoTail:
-    def test_table_entries_are_correctly_rounded(self):
-        assert len(_TAIL_COEFS) == 6 and _tail_terms(4 * TAIL_Y_MAX / 27) <= _TAIL_TERMS
-        for w, row in enumerate(_TAIL_COEFS, start=3):
-            assert len(row) == _TAIL_TERMS
-            for k, c in enumerate(row, start=1):
-                assert c == float(Fraction(1, k**w * math.comb(3 * k, k))), (w, k)
-
     def test_tail_stays_within_its_bound_against_exact_rationals(self):
         for p, y, ell0 in _tail_grid():
-            value, bound, terms = _cardano_tail(p, y, ell0)
+            value, bound, _ = _cardano_rest(p + 3, p, y, _cardano_s(y), ell0)
             re, im, rest = _exact_tail(p, y, ell0)
             err = math.hypot(float(Fraction(value.real) - re), float(Fraction(value.imag) - im))
             assert err + rest <= bound, (p, y, ell0, err, bound)
-            assert terms == _tail_terms(4 * abs(y) / 27)
-
-    @pytest.mark.parametrize("ay", [1e-12, 1e-7, 0.05, 0.6, 1.0, 1.3, 1.53, 1.8, 1.97, TAIL_Y_MAX])
-    def test_term_count_meets_the_truncation_budget_in_exact_rationals(self, ay):
-        # past K terms the weight-3 series adds at most (|y|/3) eps/8, and K is the least
-        # count that the Robbins test admits, or one more
-        r = 4 * ay / 27
-        terms = _tail_terms(r)
-        y = Fraction(ay)
-        rest = sum(y**k / (k**3 * math.comb(3 * k, k)) for k in range(terms + 1, terms + 80))
-        assert rest <= y / 3 * Fraction(2.0**-52) / 8, (ay, terms)
-        tol = integral_reps._TAIL_TOL * (1 - r)
-        assert within_terms(3, r, tol, terms) or terms == 1
-        assert terms <= 2 or not within_terms(3, r, tol, terms - 2)
-
-    def test_term_counts_at_the_route_s_largest_ratios(self):
-        assert [_tail_terms(4 * ay / 27) for ay in (1.53, 1.97)] == [21, 25]
-        assert _TAIL_TERMS == _tail_terms(0.3)
 
     def test_real_arguments_stay_real(self):
-        value, _, _ = _cardano_tail(2, complex(1.5), complex(0.7))
+        y = complex(1.5)
+        value, _, _ = _cardano_rest(5, 2, y, _cardano_s(y), complex(0.7))
         assert value.imag == 0.0
 
     def test_the_route_stays_within_the_table(self, monkeypatch):
         # the series in s serves weights up to 8 but near x = 27/4, so weight 9 takes the
-        # quadrature, and with it the tail, at every point
+        # quadrature, and with it the tail, at every point; the tail's s0 = 1/r0**3 lies
+        # on |s| = CARDANO_SPLIT**-3 (inside it where the head is empty), deep in the table
         seen = []
 
-        def spy(p, y, ell0):
-            seen.append(abs(y))
-            return _cardano_tail(p, y, ell0)
+        def spy(n, p, y, s, ell0):
+            seen.append(abs(s))
+            return _cardano_rest(n, p, y, s, ell0)
 
-        monkeypatch.setattr(integral_reps, "_cardano_tail", spy)
+        monkeypatch.setattr(integral_reps, "_cardano_rest", spy)
         rng = random.Random(3)
         for _ in range(200):
             x = cmath.rect(6.75 * rng.random() ** 0.25, rng.uniform(-math.pi, math.pi))
             quad_cardano(9, x)
         assert len(seen) == 200
-        assert max(seen) <= TAIL_Y_MAX * (1 + 1e-12)
+        assert max(seen) <= CARDANO_SPLIT**-3 * (1 + 1e-12)
 
 
 @functools.lru_cache(maxsize=None)
