@@ -5,20 +5,11 @@ Three independent routes at stride 1:
 * ``quad_polylog`` integrates Li_{n-1}(x*t*(1-t)**2) / t over the unit
   interval. It works for every n >= 1 (n >= 2 on the rim); it is the
   independent cross-check of the Cardano-root route.
-* ``quad_cardano`` (n >= 3) works through the Cardano root phi in one of two ways.
-  For n <= 8 and |s| <= S_MAX, s = phi(x)**-3, it sums the power series of
-  S(n, 1; x) in s, which converges on the closed disk but at the branch point
-  x = 27/4 (s = 1): one Horner sum over an import-time coefficient table, with no
-  cube root and no quadrature. Elsewhere, near x = 27/4 and for n > 8, it
-  integrates the elementary weight-2 closed form along the Cardano root and sums
-  the far end of the path by the same series, at |s| = 0.064 (direct sums above
-  weight 8). Below |x| = 1e-8 it takes the leading terms of the series in x, as
-  the closed forms do. Either way it is far cheaper
-  than ``quad_polylog`` (the series 2-10 us, the quadrature 10-90 us, against
-  about 2 ms) and is the route ``auto`` takes where direct summation, which
-  decays like k**(1/2 - n) on the rim, costs more. The public entry is
-  ``evaluate``'s quad-cardano route; the route table and ``fold`` call its bare
-  kernel, ``_cardano_kernel``.
+* ``quad_cardano`` (n >= 3) runs no quadrature: it sums S(n, 1; x) as a power series in
+  s = phi(x)**-3, in v = sqrt(1 - 4x/27) near the branch point x = 27/4, or in x (see its
+  docstring), up to weight 8 in 1-10 us against about 2 ms for ``quad_polylog``. It is
+  the route ``auto`` takes where direct summation, which decays like k**(1/2 - n) on the
+  rim, costs more; the route table and ``fold`` call its bare kernel, ``_cardano_kernel``.
 * ``quad_two_term`` evaluates the two-term log/trig form whose limits come
   from the Cardano root, each integral in s with u = limit * s**3. Restricted
   to real x, where its trigonometric integrand is derived; complex arguments
@@ -41,7 +32,7 @@ from dataclasses import dataclass
 from itertools import accumulate, count, repeat
 from operator import add, floordiv, mul
 
-from .closed_forms import _RESIDUAL_TOL, _TINY_X, REAL_BRANCH, SQRT3, _leading_terms, _radical, phi
+from .closed_forms import _RESIDUAL_TOL, _TINY_X, _leading_terms, _radical, phi
 from .errors import ArgumentError, BranchFailure, DomainError
 from .polylog import li
 from .quadrature import adaptive_quad, quad_tol
@@ -55,11 +46,6 @@ _TINY = 1e-300
 # integrals cancel to S ~ x/3. ``quad_two_term`` and the route refuse 0 < |x| below this.
 TWO_TERM_MIN_X = 2e-3
 TWO_TERM_FLOOR = f"quad-two-term needs |x| >= {TWO_TERM_MIN_X:g}, where it holds 1e-9 relative"
-
-# |r| where quad_cardano hands over from quadrature to the tail sum: beyond it the
-# weight-2 kernel cancels by a factor of about |r|, the tail's series in s runs at
-# |s| = 0.064 and direct terms fall by 0.3 or more.
-CARDANO_SPLIT = 2.5
 
 
 @dataclass(frozen=True)
@@ -151,92 +137,33 @@ def quad_polylog(n: int, x: complex, tol: float | None = None) -> Evaluation:
 
 
 def quad_cardano(n: int, x: complex, tol: float | None = None) -> Evaluation:
-    """S(n, 1; x), n >= 3, by quadrature along the Cardano root of the weight-2 closed form.
-
-    With q = phi(x), u(r) = 27 r**3 / (1 + r**3)**2 (so u(q) = x) and
-    w(r) = -d log u / dr = 3 (r**3 - 1) / (r (1 + r**3)), repeating
-    x d/dx S(n, 1; x) = S(n - 1, 1; x) down to weight 2 gives
-
-        S(n, 1; x) = 1/(n-3)! * int_q^inf K(r) l(r)**(n-3) w(r) dr,
-
-    K(r) = S(2, 1; u(r)) = 6 atan(sqrt3/(2r - 1))**2 - log((r**2 - r + 1)/(r + 1)**2)**2 / 2,
-    l(r) = log(x / u(r)). The path is the ray r = q/tau, tau in (0, 1], on which
-    l = 2 log(1 + c (tau**-3 - 1)) + 3 log tau with c = q**3 / (1 + q**3): the
-    argument 1 + c s, s >= 0, never crosses the principal cut. The head
-    |r| <= CARDANO_SPLIT is one adaptive Gauss-Kronrod integral; beyond it,
-    where K cancels (both halves ~ 9/(2 r**2)), expanding l(r)**(n-3) around
-    l0 = l(r0) makes the rest sum_{i<=n-3} l0**i / i! * S(n - i, 1; y0), y0 = u(r0),
-    each S summed at s0 = 1/r0**3, |s0| = CARDANO_SPLIT**-3 = 0.064 (``_cardano_rest``).
-    For |q| >= CARDANO_SPLIT (|x| <= 1.98) the head is empty and the rest is
-    S(n, 1; x) itself, by the same sum.
-
-    That path serves only near x = 27/4 and for n > 8. Below |x| = 1e-8 the route
-    takes the series' three leading terms in x, as the closed forms do. Elsewhere it
-    sums S(n, 1; x) as a power series in s = phi(x)**-3 = 1/q**3, for which
-    x = 27 s / (1 + s)**2 (``_s_series``); ``work`` then counts its terms.
+    """S(n, 1; x), n >= 3, through the Cardano root q = phi(x), by a power series: for
+    n <= 8 in s = 1/q**3 (x = 27 s / (1 + s)**2) where |s| <= S_MAX, and in
+    v = sqrt(1 - 4x/27) (s = (1 - v)/(1 + v)) within 0.17 of x = 27/4; in x above weight 8,
+    and its three leading terms below |x| = 1e-8. ``work`` counts the terms. ``tol`` is
+    checked as a quadrature's: the route refuses one below QUAD_FLOOR.
     """
     return routes.evaluate(n, 1, x, "quad-cardano", tol=tol)
 
 
-def _cardano_kernel(n: int, xc: complex, tol: float | None) -> tuple[complex, float, int]:
-    """The (value, abs_error_est, work) of ``quad_cardano`` at summable x != 0, checked
-    for the quadrature's tolerance floor alone: below |x| = 1e-8 the leading terms of the
-    series in x, as the closed forms and ``fold`` take them; else the power series in
-    s = phi(x)**-3 for n <= 8 and |s| <= S_MAX, and the quadrature along the Cardano root
-    elsewhere."""
-    tol = quad_tol(tol)
+# The direct sum's stop above weight 8: at 1e-15 it was 6e-15 off on the rim at n 9..12.
+_DIRECT_TOL = 1e-17
+
+
+def _cardano_kernel(
+    n: int, xc: complex, tol: float | None, max_terms: int | None = None
+) -> tuple[complex, float, int]:
+    """``quad_cardano``'s (value, abs_error_est, work) at summable x != 0; checks tol alone."""
+    quad_tol(tol)
     if abs(xc) < _TINY_X:
         return _leading_terms(n, 1, xc)
-    if n <= _S_WEIGHTS:
-        s = _cardano_s(xc)
-        if abs(s) <= S_MAX:
-            return _s_series(n, xc, s)
-    return _cardano_quadrature(n, xc, tol)
-
-
-def _cardano_quadrature(n: int, xc: complex, tol: float) -> tuple[complex, float, int]:
-    """``_cardano_kernel`` by the head quadrature and the tail sum at |x| >= 1e-8 and a
-    checked tol."""
-    root = phi(xc)
-    real = root.branch == REAL_BRANCH  # q real, |q| >= 1: real arithmetic, about 30% faster
-    q = root.phi.real if real else root.phi
-    if abs(q) >= CARDANO_SPLIT:  # the head is empty: the tail is S(n, 1; x) itself
-        return _cardano_rest(n, 0, xc, 1.0 / q**3, 0.0)
-    p = n - 3
-    tau0 = abs(q) / CARDANO_SPLIT
-    integrand, ell = _cardano_path(q, p, math if real else cmath)
-    # adaptive_quad floors each panel's estimate at 50 eps of its value, which
-    # covers the integrand's rounding: the kernel cancels by at most |r| <= 2.5
-    head, head_err, work = adaptive_quad(integrand, tau0, 1.0, tol)
-    scale = 1.0 / math.factorial(p)
-    r3 = (q / tau0) ** 3
-    tail, tail_err, terms = _cardano_rest(n, p, 27.0 * r3 / (1.0 + r3) ** 2, 1.0 / r3, ell(tau0))
-    return head * scale + tail, head_err * scale + tail_err, work + terms
-
-
-def _cardano_path(q: complex, p: int, lib):
-    """Head integrand over tau, and l(tau); ``lib`` is math for the real branch of
-    phi (q real, |q| >= 1, every value real) and cmath for principal branches."""
-    c = q**3 / (1.0 + q**3)
-    log, atan, real_log = lib.log, lib.atan, math.log
-
-    def ell(tau: float) -> complex:
-        return 2.0 * log(1.0 + c * (tau**-3 - 1.0)) + 3.0 * real_log(tau)
-
-    def integrand(tau: float) -> complex:
-        r = q / tau
-        rr = r * r
-        r3 = rr * r
-        r1 = r + 1.0
-        at = atan(SQRT3 / (2.0 * r - 1.0))
-        lg = log((rr - r + 1.0) / (r1 * r1))
-        kernel = 6.0 * at * at - 0.5 * lg * lg
-        if p:  # weight 3 has no l(tau) factor: two logs fewer per node
-            el = 2.0 * log(1.0 + c * (tau**-3 - 1.0)) + 3.0 * real_log(tau)
-            kernel *= el if p == 1 else el**p
-        return kernel * 3.0 * (r3 - 1.0) / ((1.0 + r3) * tau)
-
-    return integrand, ell
+    if n > _S_WEIGHTS:
+        value, err, _, terms = sum_direct(n, 1, xc, _DIRECT_TOL, max_terms)
+        return value, err, terms
+    s = _cardano_s(xc)
+    if abs(s) <= S_MAX:
+        return _s_series(n, xc, s)
+    return _v_series(n, xc)
 
 
 # s = phi(x)**-3 turns x = 27 q**3 / (1 + q**3)**2 into x = 27 s / (1 + s)**2, which maps
@@ -262,14 +189,9 @@ _S_ENVELOPE = (12.0, 20.0, 34.0, 60.0, 110.0, 203.0)
 # The terms past K sum to at most envelope r**(K+1) / (1 - r), which is below eps/4 of
 # that bound on |S| once r**K <= _S_TRUNC (1 - r) / (envelope (1 + r)**2).
 _S_TRUNC = 27.0 * _EPS / 20.0
-# The largest |s| the series serves; on the disk |s| passes it only within 0.17 of 27/4
-# (from x = 6.667 on the positive axis, about 1.4 degrees off it on the rim). Against the
-# quadrature (n 3, 4, 6, 8 at arg s 0 and 0.02..0.6, min of 7 x 30 calls, 2-core x86-64
-# VM, CPython 3.11) the series took 0.12-0.34 of its time in the median at every |s| from
-# 0.5 to 0.86, and at most 0.72 up to 0.8, 0.89 at 0.82 and 1.08 at 0.86, where one
-# quadrature panel serves n = 3. Against 45-digit references at the same |s| its worst
-# error was 6.3 eps relative up to 0.8 (the quadrature's, at tol 1e-12, 4.5 eps) and
-# 7.7 eps up to 0.86.
+# The largest |s| the series serves; on the disk |s| passes it only within 0.17 of 27/4 (from
+# x = 6.667 on the positive axis, 1.4 degrees off it on the rim), where the series in v takes
+# over. Against 45-digit references its worst error was 6.3 eps relative up to 0.8.
 S_MAX = 0.8
 
 
@@ -344,12 +266,14 @@ for _ in range(4, _S_WEIGHTS + 1):
     _fixed = list(map(floordiv, map(add, _sums[1:], _sums[:-1]), count(1)))
     _rows.append(tuple(map(mul, map(float, _fixed), repeat(2.0**-_S_FIXED))))
 _S_COEFS = tuple(_rows)
+_S_PAIRS = tuple(tuple(zip(row, row)) for row in _S_COEFS)  # (c_j, c_j), for ``_horner``
 del _rows, _fixed, _sums
 # The rounding of the sum, term by term. The j-th term takes j products and j sums of
 # Horner's rule, each within 1.62 eps in complex arithmetic (1 eps for floats), and j times
 # the relative error of s, within 6.5 eps (its radical, a denominator that cancels by at
 # most a factor 2 on the disk, and the quotient); with the table's error it is within
-# (_S_STEP_ROUNDING j + _S_TABLE_ULPS + 1) eps |a_j| |s|**j.
+# (_S_STEP_ROUNDING j + _S_TABLE_ULPS + 1) eps |a_j| |s|**j; so is the series in v's (v is
+# within 3 eps: an exact d, one quotient and the square root).
 _S_STEP_ROUNDING = 9
 
 
@@ -367,50 +291,106 @@ def _s_series(n: int, xc: complex, s: complex | float) -> tuple[complex, float, 
     """S(n, 1; x) = sum_{j<=K} a_j s**j, 3 <= n <= _S_WEIGHTS and |s| < 1, by Horner's rule
     in -s over the c_j. The error bound is the truncation past K (``_s_terms``) plus the
     rounding, sum_j (_S_STEP_ROUNDING j + _S_TABLE_ULPS + 1) eps c_j r**j at r = |s|: from
-    G(r) = sum_j c_j r**(j-1) and G'(r), by Horner's rule in the same loop. BranchFailure
-    where 27 s / (1 + s)**2 misses x by more than phi's residual rule allows."""
+    G(r) = sum_j c_j r**(j-1) and G'(r), in ``_horner``'s loop. BranchFailure where
+    27 s / (1 + s)**2 misses x by more than phi's residual rule allows."""
     back = 27.0 * s / (1.0 + s) ** 2
     if abs(back - xc) > _RESIDUAL_TOL * (1.0 + abs(xc)):
         raise BranchFailure(f"s = {s} gives x = {back} for x = {xc}")
     r = abs(s)
     terms = _s_terms(r, n)
-    t = -s
-    h = g = dg = 0.0
-    for c in _S_COEFS[n - 3][terms - 1 :: -1]:
-        h = h * t + c
-        dg = dg * r + g
-        g = g * r + c
+    h, g, dg = _horner(_S_PAIRS[n - 3][terms - 1 :: -1], -s, r)
     # sum_j c_j r**j = r G and sum_j j c_j r**j = r G + r**2 G'
     rounding = (_S_STEP_ROUNDING + _S_TABLE_ULPS + 1) * r * g + _S_STEP_ROUNDING * r * r * dg
     truncation = _S_ENVELOPE[n - 3] * r ** (terms + 1) / (1.0 - r)
     return complex(h * s), truncation + _EPS * rounding, terms
 
 
-def _cardano_rest(
-    n: int, p: int, y: complex, s: complex | float, ell: complex
-) -> tuple[complex, float, int]:
-    """sum_{i<=p} ell**i / i! * S(n - i, 1; y) at s = phi(y)**-3, |s| <= CARDANO_SPLIT**-3,
-    with (value, error bound, terms). With p = n - 3, y = u(r0) and ell = l(r0) it is the far
-    end of ``quad_cardano``'s path, 1/p! int_{r0}^inf K(r) l(r)**p w(r) dr, as
-    l(r) = l0 + log(y / u(r)) and x d/dx S(w, 1; x) = S(w - 1, 1; x). Each S by
-    ``_s_series`` up to weight _S_WEIGHTS and by ``sum_direct`` above it (at |y| <= 1.98
-    its terms fall by 0.3 or more), the sum over i by Horner's rule in ell."""
-    value = err = amp = 0.0
-    work = 0
-    al = abs(ell)
-    for i in range(p, -1, -1):
-        if n - i <= _S_WEIGHTS:
-            v, e, k = _s_series(n - i, y, s)
-        else:
-            v, e, _, k = sum_direct(n - i, 1, y)
-        scale = 1.0 / (i + 1)
-        value = value * ell * scale + v
-        err = err * al * scale + e
-        amp = amp * al * scale + abs(v)
-        work += k
-    # amp = sum_i |ell|**i / i! |S(n - i)|. Each Horner step rounds within 4 eps of it,
-    # and term i takes i steps and i times the relative rounding of ell.
-    return complex(value), err + 8.0 * p * _EPS * amp, work
+def _horner(pairs, t, r):
+    """Over ``pairs`` (c_k, a_k), k from K - 1 down to 0, a_k >= |c_k|: by Horner's rule
+    h = sum_k c_k t**k, g = sum_k a_k r**k and its derivative dg in r, in one loop."""
+    h = g = dg = 0.0
+    for c, a in pairs:
+        h = h * t + c
+        dg = dg * r + g
+        g = g * r + a
+    return h, g, dg
+
+
+# Near x = 27/4 the series runs in v = sqrt(1 - 4x/27), Re v >= 0 on the disk: S(n, 1; x)
+# = G_n(v) is analytic on |v| < 1 (s = (1 - v)/(1 + v)), and x d/dx = -(1 - v**2)/(2v) d/dv
+# turns x d/dx S(n) = S(n - 1) into G_n' = -2v/(1 - v**2) G_(n-1): b_0(n) = S(n, 1; 27/4),
+# b_1(n) = 0, b_k(n) = -(2/k) sum_{i>=0} b_(k-2-2i)(n - 1). The literals, b_k(2) for
+# k < _V_TERMS (the weight-2 closed form, phi**3 = (1 + v)/(1 - v)) and the anchors b_0(n),
+# are correctly rounded from 50 digits (tools/cardano_v_tables.py); the other rows follow at
+# import in units of 2**-_V_FIXED, each float the rounded recurrence over the literals.
+_V_TERMS = 40
+_V_FIXED = 100
+_V_BASE = (
+    5.618830239556503, -7.255197456936871, 2.462098120373297, -1.3435550846179392,
+    0.8820047549738116, -0.6389350846849755, 0.49206083471852746, -0.3950889202386203,
+    0.32697001686177124, -0.27687487345563605, 0.23871139570688962, -0.20881184646416318,
+    0.18484706924333996, -0.16527282385450304, 0.1490282086425062, -0.13536228813561987,
+    0.12372983755879843, -0.11372621376231486, 0.10504531466487022, -0.0974516596837232,
+    0.09076138005637674, -0.08482898722727444, 0.07953798044770495, -0.07479406124674785,
+    0.07052015281716559, -0.06665269125273213, 0.06313882744283497, -0.059934290577730046,
+    0.057001738785674015, -0.05430947286448757, 0.0518304237345057, -0.04954134841144575,
+    0.04742218638109084, -0.045455540483137886, 0.04362625526271237, -0.04192107222600068,
+    0.04032834622573932, -0.038837810776857426, 0.03744038279434879, -0.03612799928950674,
+)
+_V_ANCHORS = (
+    2.974506287708767, 2.5204400945844294, 2.367064837785057, 2.304013746560729,
+    2.275750781762125, 2.262503824680662,
+)
+
+
+def _v_recurrence(base: tuple, sign: int) -> tuple:
+    """Rows 3.._S_WEIGHTS from row 2: the anchor, 0, and sign (2/k) sum_i b_(k-2-2i)(n - 1)."""
+    rows, prev = [], [int(b * 2.0**_V_FIXED) for b in base]
+    for anchor in _V_ANCHORS:
+        sums, row = [0, 0], [int(anchor * 2.0**_V_FIXED), 0]
+        for k in range(2, _V_TERMS):
+            sums[k % 2] += prev[k - 2]
+            row.append(sign * 2 * sums[k % 2] // k)
+        rows.append(tuple(float(f) * 2.0**-_V_FIXED for f in row))
+        prev = row
+    return tuple(rows)
+
+
+_V_COEFS = _v_recurrence(_V_BASE, -1)
+# The recurrence over the moduli (+ for -) bounds |b_k(n)| and, times eps, the rows' error
+# (eps/2 |b_k(n)| from their rounding, eps/2 of this from the literals').
+_V_MAGS = _v_recurrence(tuple(map(abs, _V_BASE)), 1)
+_V_PAIRS = tuple(tuple(zip(b, a)) for b, a in zip(_V_COEFS, _V_MAGS))
+# |b_k(n)| <= _V_ENVELOPE for n 3.._S_WEIGHTS: the largest is |b_2(3)| = S(2, 1; 27/4) =
+# 5.6188, and past k = 100 none exceeds 1.4 (checked to k = 400 at 40 digits, 20,000 in
+# float). With |S| >= |x| / 5 >= (27/20)(1 - r**2) at r = |v|, the terms from K on, at most
+# envelope r**K / (1 - r), are below eps/8 of |S| once r**K <= _V_TRUNC (1 - r)(1 - r**2)
+# / envelope.
+_V_ENVELOPE = 5.62
+_V_TRUNC = 27.0 * _EPS / 160.0
+
+
+def _v_terms(r: float) -> int:
+    """Terms K of the series in v at r = |v| < 1."""
+    bound = _V_TRUNC * (1.0 - r) * (1.0 - r * r) / _V_ENVELOPE
+    return max(1, math.ceil(math.log(bound) / math.log(r))) if r else 1
+
+
+def _v_series(n: int, xc: complex) -> tuple[complex, float, int]:
+    """S(n, 1; x) = sum_{k<K} b_k(n) v**k near x = 27/4, v = sqrt(4d/27) with d = 27/4 - x
+    exact (Sterbenz). Its bound: the truncation past K plus, with M = _V_MAGS, the rounding
+    sum_k (_S_STEP_ROUNDING k + _S_TABLE_ULPS + 1) eps M_k(n) r**k at r = |v|."""
+    d = RADIUS_BASE - xc.real
+    if xc.imag == 0.0:
+        v = math.sqrt(4.0 * d / 27.0)
+    else:
+        v = cmath.sqrt(complex(4.0 * d / 27.0, -4.0 * xc.imag / 27.0))
+    r = abs(v)
+    terms = _v_terms(r)
+    h, g, dg = _horner(_V_PAIRS[n - 3][terms - 1 :: -1], v, r)
+    rounding = (_S_TABLE_ULPS + 1) * g + _S_STEP_ROUNDING * r * dg
+    truncation = _V_ENVELOPE * r**terms / (1.0 - r)
+    return complex(h), truncation + _EPS * rounding, terms
 
 
 def _stable_complement(x: float, t: float) -> float:

@@ -103,7 +103,7 @@ ROUTES: dict[str, Route] = {
         Route(
             "quad-cardano",
             lambda n, m, x: _stride_one("quad-cardano", n, m, 3),
-            lambda n, m, x, tol, cap: _cardano_kernel(n, x, tol),
+            lambda n, m, x, tol, cap: _cardano_kernel(n, x, tol, cap),
         ),
         Route(
             "quad-two-term",

@@ -90,7 +90,10 @@ is at most 0.5, ``quad-polylog`` at S(2,1;0.5) (cb1ddd52 -> 2af68be0) and at S(2
 (85f2d5cc -> f52e9023) moved in the last bits of value and estimate, and ``verify``
 (8b1d10e8 -> e9f43cdc) with the 27 pairs that hold a real weight-2 quad-polylog value
 (S(2,1;x) at five x, folding[quad-polylog] at S(2,2;x) at three x and at S(2,3;6)); every
-other entry kept its bits.
+other entry kept its bits. When the Cardano-root route began to sum a series in
+v = sqrt(1 - 4x/27) near x = 27/4 in place of its quadrature, ``quad-cardano`` at
+S(3,1;6.75) moved in value (one ulp, to the correctly rounded 2.974506287708767), estimate
+(2.9e-14 -> 1.3e-15) and ``work`` (59 -> 1): cf4b19bd -> e1fb9d29.
 """
 
 import hashlib
@@ -228,7 +231,7 @@ GOLDEN = {
         "f5a7f7c208b3a3554d3aa75a2caa1d2fd009d9cb7ec96ea0234327a9c15920e4"
     ),
     "eval --n 3 --m 1 --x 6.75 --method quad-cardano --output json": (
-        "cf4b19bd5913a5e89c092b6dbda5c79e977fb780a58db8d5aa53d55eb079dfd5"
+        "e1fb9d29320adaf83a35dc336763336ceeb08b1e6e8aadd343801127a34a8de1"
     ),
     "eval --n 4 --m 1 --x -6.75 --method quad-cardano --output json": (
         "b0dc23f019b9f7ec3f01252f654b8901f7139b22cd0101c8f569c5bd8c2f3711"

@@ -3,7 +3,6 @@
 import cmath
 import functools
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -24,13 +23,19 @@ from invbinom.integral_reps import (
     _S_COEFS,
     _S_ENVELOPE,
     _S_TABLE_ULPS,
-    CARDANO_SPLIT,
+    _V_ANCHORS,
+    _V_BASE,
+    _V_COEFS,
+    _V_ENVELOPE,
+    _V_FIXED,
+    _V_MAGS,
+    _V_TERMS,
     S_MAX,
-    _cardano_quadrature,
-    _cardano_rest,
     _cardano_s,
     _s_series,
     _s_terms,
+    _v_series,
+    _v_terms,
 )
 from invbinom.quadrature import QUAD_FLOOR
 from invbinom.routes import ROUTES
@@ -258,37 +263,15 @@ def _cardano_grid():
                 yield n, complex(unit * rho * RIM)
 
 
-def _rim_reference(n, x, terms=1000, prec=200):
-    """S(n, 1; x) at |x| <= 27/4 for n >= 9, where ``_fixed_point_reference`` does not stop
-    on the rim: the first ``terms`` terms in fixed-point big integers (one floor per
-    component and step), and Robbins' C(3k, k) >= sqrt(3/(4 pi k)) (27/4)**k e**(-1/(8k))
-    for the rest, which sums to at most sqrt(4 pi/3) e**(1/(8K)) K**(3/2-n) / (n - 3/2)."""
-    one = 1 << prec
-    xr, xi = Fraction(x.real), Fraction(x.imag)
-    ur, ui = math.floor(xr * one / 3), math.floor(xi * one / 3)  # x**k / C(3k, k)
-    sr = si = 0
-    for k in range(1, terms + 1):
-        sr += ur // k**n
-        si += ui // k**n
-        f = Fraction((k + 1) * (2 * k + 1) * (2 * k + 2), (3 * k + 1) * (3 * k + 2) * (3 * k + 3))
-        ur, ui = math.floor((ur * xr - ui * xi) * f), math.floor((ur * xi + ui * xr) * f)
-    rest = math.sqrt(4 * math.pi / 3) * math.exp(1 / (8 * terms)) * terms ** (1.5 - n) / (n - 1.5)
-    return Fraction(sr, one), Fraction(si, one), rest + terms**2 / 2.0**prec
-
-
 class TestQuadCardano:
     def test_weights_above_the_series_tables(self):
-        # n > 8 takes the quadrature at every |x| >= 1e-8, and its tail sums each weight
-        # above 8 directly
+        # n > 8 sums the series in x directly at every |x| >= 1e-8
         for n in range(9, 13):
             for rho in (1e-9, 0.3, 0.99, 0.995, 1.0):
                 for unit in (1.0, -1.0, *(cmath.exp(1j * t) for t in (0.4, 2.2, 5.6))):
                     x = complex(unit * rho * RIM)
                     ev = quad_cardano(n, x)
-                    if rho == 1.0:
-                        re, im, bound = _rim_reference(n, x)
-                    else:
-                        re, im, bound = _fixed_point_reference(n, 1, x)
+                    re, im, bound = _fixed_point_reference(n, 1, x)
                     err = math.hypot(
                         float(Fraction(ev.value.real) - re), float(Fraction(ev.value.imag) - im)
                     ) + bound
@@ -348,88 +331,6 @@ class TestQuadCardano:
         ev = quad_cardano(4, 6.0 + 1.0j, tol=1e-6)
         ref = sum_direct(4, 1, 6.0 + 1.0j)
         assert abs(ev.value - ref.value) <= max(ev.abs_error_est, 1e-6)
-
-
-# Largest |y| = |u(r0)| the Cardano route hands its tail, at |r0| = CARDANO_SPLIT and
-# r0**3 < 0: 27 * 2.5**3 / (2.5**3 - 1)**2.
-TAIL_Y_MAX = 27 * 2.5**3 / (2.5**3 - 1) ** 2
-
-
-def _exact_tail(p, y, ell0, prec=256):
-    """sum_k y**k / (k**3 C(3k, k)) * e_p(k l0) / k**p in fixed-point big integers (units
-    of 2**-prec, one floor per operation): (re, im, bound on the rest and the floors)."""
-    one = 1 << prec
-
-    def fixed(v):
-        return math.floor(Fraction(v) * one)
-
-    def mul(u, v):
-        return (u[0] * v[0] - u[1] * v[1]) >> prec, (u[0] * v[1] + u[1] * v[0]) >> prec
-
-    yf = (fixed(y.real), fixed(y.imag))
-    lpow = [(one, 0)]
-    for _ in range(p):
-        lpow.append(mul(lpow[-1], (fixed(ell0.real), fixed(ell0.imag))))
-    r = 4 * abs(y) / 27
-    terms = max(2, math.ceil(-60 / math.log10(r)))  # r**terms <= 1e-60
-    sr = si = 0
-    power = (one, 0)
-    for k in range(1, terms + 1):
-        power = mul(power, yf)
-        er = sum(lpow[i][0] * k**i // math.factorial(i) for i in range(p + 1))
-        ei = sum(lpow[i][1] * k**i // math.factorial(i) for i in range(p + 1))
-        tr, ti = mul(power, (er, ei))
-        c = k ** (3 + p) * math.comb(3 * k, k)
-        sr += tr // c
-        si += ti // c
-    amp = sum(abs(ell0) ** i / math.factorial(i) for i in range(p + 1))
-    return Fraction(sr, one), Fraction(si, one), 2 * amp * abs(y) * r**terms + 2.0 ** (60 - prec)
-
-
-def _tail_grid():
-    """p 0..7 (at 6 and 7, weights 9 and 10 take ``sum_direct``), |y| up to the route's
-    maximum at seeded angles, complex and real l0."""
-    rng = random.Random(8)
-    for p in range(8):
-        for ay in (1e-7, 0.05, 0.6, 1.3, 1.8, TAIL_Y_MAX):
-            for _ in range(2 if p > 5 else 4):
-                y = ay * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
-                ell0 = complex(rng.uniform(-1.0, 2.0), rng.uniform(-4.0, 4.0))
-                yield p, y, ell0
-            yield p, complex(ay), complex(rng.uniform(-1.0, 2.0))
-            yield p, complex(-ay), complex(rng.uniform(-1.0, 2.0))
-
-
-class TestCardanoTail:
-    def test_tail_stays_within_its_bound_against_exact_rationals(self):
-        for p, y, ell0 in _tail_grid():
-            value, bound, _ = _cardano_rest(p + 3, p, y, _cardano_s(y), ell0)
-            re, im, rest = _exact_tail(p, y, ell0)
-            err = math.hypot(float(Fraction(value.real) - re), float(Fraction(value.imag) - im))
-            assert err + rest <= bound, (p, y, ell0, err, bound)
-
-    def test_real_arguments_stay_real(self):
-        y = complex(1.5)
-        value, _, _ = _cardano_rest(5, 2, y, _cardano_s(y), complex(0.7))
-        assert value.imag == 0.0
-
-    def test_the_route_stays_within_the_table(self, monkeypatch):
-        # the series in s serves weights up to 8 but near x = 27/4, so weight 9 takes the
-        # quadrature, and with it the tail, at every point; the tail's s0 = 1/r0**3 lies
-        # on |s| = CARDANO_SPLIT**-3 (inside it where the head is empty), deep in the table
-        seen = []
-
-        def spy(n, p, y, s, ell0):
-            seen.append(abs(s))
-            return _cardano_rest(n, p, y, s, ell0)
-
-        monkeypatch.setattr(integral_reps, "_cardano_rest", spy)
-        rng = random.Random(3)
-        for _ in range(200):
-            x = cmath.rect(6.75 * rng.random() ** 0.25, rng.uniform(-math.pi, math.pi))
-            quad_cardano(9, x)
-        assert len(seen) == 200
-        assert max(seen) <= CARDANO_SPLIT**-3 * (1 + 1e-12)
 
 
 @functools.lru_cache(maxsize=None)
@@ -562,7 +463,7 @@ class TestCardanoSeries:
             ref = abs(complex(float(re), float(im)))
             assert err <= est, (n, x, err, est)
             assert err <= 1e-15 * ref, (n, x, err / ref)
-            quad, _, _ = _cardano_quadrature(n, x, QUAD_FLOOR)
+            quad = quad_polylog(n, x, QUAD_FLOOR).value
             assert abs(quad - value) <= 1e-14 * ref, (n, x)
             seen += rim is not None
         # rims: every ray's at 0.5 and S_MAX, and at 0.3 all but those at angles 0.4 and 5.6
@@ -578,3 +479,263 @@ class TestCardanoSeries:
         x = complex(1.0, 2.0)
         with pytest.raises(BranchFailure, match="s = "):
             _s_series(3, x, -_cardano_s(x))
+
+
+# S(n, 1; x), n = 3..8, at the points of ``_branch_grid`` beyond rho = 0.995 with a
+# non-negative angle, as tools/cardano_v_tables.py prints them: the series in v at 110
+# digits over 160 coefficients, which the mpmath quadrature of Li_{n-1}(x t (1-t)**2) / t
+# matched to 1.6e-72 at n = 3 and 8.
+BRANCH_REFERENCES = {
+    ('near', 1e-12, 0.0): (
+        ("2.9745062877079345964973", "0.0"),
+        ("2.520440094583988868854984", "0.0"),
+        ("2.367064837784683633023182", "0.0"),
+        ("2.304013746560378312465639", "0.0"),
+        ("2.275750781761783663337084", "0.0"),
+        ("2.262503824680324833213376", "0.0"),
+    ),
+    ('near', 1e-12, 0.7): (
+        ("2.974506287708130520624885", "-5.362589936527303617690436e-13"),
+        ("2.520440094584092587589489", "-2.83885860939484266069763e-13"),
+        ("2.367064837784771518820596", "-2.405499390450807695337061e-13"),
+        ("2.304013746560460850186431", "-2.259118570873390285115246e-13"),
+        ("2.275750781761864002515073", "-2.198942825441771477977664e-13"),
+        ("2.262503824680404186883634", "-2.171968748675794593919437e-13"),
+    ),
+    ('near', 1e-12, 1.4): (
+        ("2.974506287708625876040361", "-8.203071312568088107458304e-13"),
+        ("2.520440094584354819861635", "-4.342557656402245952649521e-13"),
+        ("2.367064837784993720648019", "-3.679654830607857565277755e-13"),
+        ("2.304013746560669530461639", "-3.455738378163642852045493e-13"),
+        ("2.275750781762067124210365", "-3.363688480648843438041118e-13"),
+        ("2.26250382468060481691787", "-3.322426656901500037464705e-13"),
+    ),
+    ('near', 1e-06, 0.0): (
+        ("2.974505455565188689924076", "0.0"),
+        ("2.520439653916860337263976", "0.0"),
+        ("2.367064464386529464424382", "0.0"),
+        ("2.304013395884458389573824", "0.0"),
+        ("2.275750440426755812410632", "0.0"),
+        ("2.262503487532398309720845", "0.0"),
+    ),
+    ('near', 1e-06, 0.7): (
+        ("2.974505651176590823908601", "-0.0000005360200804723856816108085"),
+        ("2.520439757543265015678521", "-0.0000002838858323591738198076733"),
+        ("2.367064552194107698771916", "-0.0000002405499341346951990144834"),
+        ("2.304013478348722327082759", "-0.0000002259118554287003755926022"),
+        ("2.275750520694434389905777", "-0.0000002198942818623267571946368"),
+        ("2.262503566815446537838086", "-0.0000002171968745619366364978861"),
+    ),
+    ('near', 1e-06, 1.4): (
+        ("2.97450614608568252039836", "-0.0000008200693214047637983170362"),
+        ("2.520440019685389757702865", "-0.0000004342557559136054747611518"),
+        ("2.367064774319570750941786", "-0.0000003679654813915762357996623"),
+        ("2.304013686957283465740833", "-0.0000003455738372525360340034979"),
+        ("2.275750723746326899504304", "-0.0000003363688478330999891637962"),
+        ("2.262503767376534666456684", "-0.0000003322426655862515132384457"),
+    ),
+    ('near', 0.001, 0.0): (
+        ("2.973682502367220865492026", "0.0"),
+        ("2.51999945549520450780235", "0.0"),
+        ("2.366691444234500292933265", "0.0"),
+        ("2.303663071971515031566055", "0.0"),
+        ("2.27540944708416798429413", "0.0"),
+        ("2.262166676726849595917765", "0.0"),
+    ),
+    ('near', 0.001, 0.7): (
+        ("2.973873942760203493574518", "-0.0005287803007620664019101649"),
+        ("2.520103058435527351377731", "-0.0002838577668956629930952868"),
+        ("2.366779247682093898110107", "-0.0002405450294521340859671423"),
+        ("2.303745534839738621795986", "-0.0002259101985158567360989534"),
+        ("2.275489714188853975980354", "-0.0002198936007058428429807302"),
+        ("2.262245959517730124164555", "-0.0002171965692274932750797732"),
+    ),
+    ('near', 0.001, 1.4): (
+        ("2.974360483351601727519718", "-0.0008128087163200508123181159"),
+        ("2.520365168710215721116689", "-0.000434245869662085594379478"),
+        ("2.367001367608790780210647", "-0.0003679638130516349259930167"),
+        ("2.303954141530805329705719", "-0.0003455732739180642273119034"),
+        ("2.275692765312604882259729", "-0.0003363686162674393592568031"),
+        ("2.262446520261267880409705", "-0.0003322425617884860530754598"),
+    ),
+    ('near', 0.05, 1.4): (
+        ("2.966069636963894613426882", "-0.03843257253558676896553048"),
+        ("2.516634890544889357258604", "-0.02168599372881633767800119"),
+        ("2.363879885901823084700925", "-0.01839401615694496960008818"),
+        ("2.301029614638838985070186", "-0.01727727372193382908672384"),
+        ("2.27284836294167598581214", "-0.01681786133688387279900627"),
+        ("2.259637887950353685185848", "-0.01661187315341477347579106"),
+    ),
+    ('near', 0.15, 1.4): (
+        ("2.946854034136351386535544", "-0.109947573000619241661058"),
+        ("2.508711091194316503341816", "-0.06488756305610853917804102"),
+        ("2.357440987664753064061137", "-0.05515526930378044387042221"),
+        ("2.295037686168748153566353", "-0.05182316254726997525242075"),
+        ("2.267033768386711308650355", "-0.05045006901759574909077045"),
+        ("2.253901636209261927846941", "-0.04983405178395069557573365"),
+    ),
+    ('rim', 1e-06): (
+        ("2.974506284289865326287337", "0.000005615410106543123162898844"),
+        ("2.520440094581621494192373", "0.000002974506286341124245047829"),
+        ("2.36706483778356978248443", "0.000002520440094583493447628421"),
+        ("2.30401374655946877251499", "0.000002367064837784561272562431"),
+        ("2.275750781760941470010561", "0.000002304013746560308907515696"),
+        ("2.262503824679509978280906", "0.00000227575078176173048006916"),
+    ),
+    ('rim', 0.001): (
+        ("2.974399368865847290185352", "0.005510672051944347974660252"),
+        ("2.520437328432121594329095", "0.002974463437620967475970246"),
+        ("2.367063350544170802525509", "0.002520439170473452468903954"),
+        ("2.304012486340913078411465", "0.002367064342036735238463622"),
+        ("2.275749598229830053937294", "0.002304013326487426170003873"),
+        ("2.262502672673893729806542", "0.002275750387251343443582412"),
+    ),
+    ('rim', 0.02): (
+        ("2.965332635911449911291638", "0.1026964171430670952256084"),
+        ("2.519393755639961039955616", "0.05941606277860225250287238"),
+        ("2.366470362143980864326085", "0.05040175251202910725450787"),
+        ("2.303509694034618636722536", "0.04733733264639581337587251"),
+        ("2.275277388617683993691717", "0.04607691448710830153262554"),
+        ("2.262043038733806454768939", "0.04551185962809093114431701"),
+    ),
+}
+# S(n, 1; 27/4), n = 5..8, to 25 digits (the quadrature of Li_{n-1} at 50 digits); n = 3
+# and 4 are RIM_REFERENCES.
+ANCHORS_25 = (
+    "2.367064837785057064751060",
+    "2.304013746560729019913229",
+    "2.275750781762125029051858",
+    "2.262503824680662011450018",
+)
+
+
+def _branch_grid():
+    """(key, x, conjugate): x = 27/4 - delta e**(i theta) and the rim 27/4 e**(i alpha), at
+    both signs of the angle; key names the point of the positive angle, whose conjugate x
+    is at the negative one."""
+    for delta in (1e-12, 1e-6, 1e-3, 0.05, 0.15):
+        for theta in (0.0, 0.7, 1.4):
+            for sign in (1, -1) if theta else (1,):
+                x = complex(RIM - delta * cmath.exp(1j * sign * theta))
+                yield ("near", delta, theta), x if theta else complex(x.real), sign < 0
+    for alpha in (1e-6, 1e-3, 0.02):
+        for sign in (1, -1):
+            yield ("rim", alpha), cmath.rect(RIM, sign * alpha), sign < 0
+
+
+def _v_of(x):
+    return cmath.sqrt(4.0 * (RIM - x) / 27.0)
+
+
+def _largest_route_v():
+    """|v| where the rim leaves |s| <= S_MAX, the largest |v| the route hands the series."""
+    lo, hi = 0.0, 0.2  # rim angles; |s| falls along them
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if abs(_cardano_s(cmath.rect(RIM, mid))) > S_MAX else (lo, mid)
+    return abs(_v_of(cmath.rect(RIM, lo)))
+
+
+def _exact_v_rows():
+    """The recurrence for weights 3..8 over the literals, in Fractions."""
+    rows, prev = [], [Fraction(b) for b in _V_BASE]
+    for anchor in _V_ANCHORS:
+        sums, row = [Fraction(0), Fraction(0)], [Fraction(anchor), Fraction(0)]
+        for k in range(2, _V_TERMS):
+            sums[k % 2] += prev[k - 2]
+            row.append(-2 * sums[k % 2] / k)
+        rows.append(row)
+        prev = row
+    return rows
+
+
+class TestCardanoVSeries:
+    def test_the_base_table_is_the_weight_two_closed_form(self):
+        # at |v| <= 0.35 the 40 terms leave under 1e-19; x inside the disk
+        for r in (0.02, 0.1, 0.2, 0.35):
+            for psi in (0.0, 0.3, -0.3, 0.6, -0.6):
+                x = complex(RIM * (1.0 - (r * cmath.exp(1j * psi)) ** 2))
+                if psi == 0.0:
+                    x = complex(x.real)
+                assert abs(x) <= RIM
+                v = _v_of(x)
+                value = sum(b * v**k for k, b in enumerate(_V_BASE))
+                ref = evaluate(2, 1, x, "closed-form")
+                err = abs(value - ref.value)
+                assert err <= ref.abs_error_est + 4e-16 * abs(ref.value), (r, psi)
+
+    def test_anchors_are_the_rim_values(self):
+        assert _V_ANCHORS[:2] == tuple(ref for n, x, ref in RIM_REFERENCES if x == RIM)
+        for anchor, digits in zip(_V_ANCHORS[2:], ANCHORS_25):
+            assert anchor == float(Fraction(digits))
+        for n, anchor in enumerate(_V_ANCHORS, start=3):
+            ev = quad_cardano(n, RIM)
+            assert (ev.value, ev.work) == (anchor, 1)
+
+    def test_weights_are_the_rounded_recurrence_over_the_literals(self):
+        for row, mags, exact in zip(_V_COEFS, _V_MAGS, _exact_v_rows()):
+            for b, mag, e in zip(row, mags, exact):
+                floors = Fraction(1, 2 ** (_V_FIXED - 8))  # one unit per step and weight
+                assert abs(Fraction(b) - e) <= Fraction(math.ulp(b)) / 2 + floors
+                assert abs(b) <= mag
+
+    def test_the_envelope_bounds_every_table_entry(self):
+        assert max(max(map(abs, row)) for row in _V_COEFS) == -_V_COEFS[0][2]  # S(2, 1; 27/4)
+        assert all(max(mags) <= _V_ENVELOPE for mags in _V_MAGS)
+
+    def test_term_counts(self):
+        v_max = _largest_route_v()
+        assert 0.158 < v_max < 0.159
+        assert _v_terms(v_max) == 22
+        assert _v_terms(0.35) <= _V_TERMS  # the tests reach |v| = 0.35
+        assert _v_terms(0.0) == 1 and _v_terms(1e-7) == 3
+
+    def test_the_two_series_agree_where_both_serve(self):
+        seen = 0
+        for r in (0.12, 0.2, 0.3, 0.35):
+            for psi in (0.0, 0.3, -0.3, 0.6, -0.6):
+                x = complex(RIM * (1.0 - (r * cmath.exp(1j * psi)) ** 2))
+                if psi == 0.0:
+                    x = complex(x.real)
+                s = _cardano_s(x)
+                if abs(x) > RIM or abs(s) > S_MAX:
+                    continue
+                assert abs(_v_of(x)) <= 0.35
+                seen += 1
+                for n in range(3, 9):
+                    a, _, _ = _v_series(n, x)
+                    b, _, _ = _s_series(n, x, s)
+                    assert abs(a - b) <= 8 * 2.220446049250313e-16 * abs(b), (n, x)
+        assert seen == 18
+
+    def test_estimates_near_the_branch_point(self):
+        worst = 0.0
+        for key, x, conjugate in _branch_grid():
+            for n in range(3, 9):
+                ev = quad_cardano(n, x)
+                if abs(x) <= 0.995 * RIM:
+                    re, im, bound = _fixed_point_reference(n, 1, x)
+                else:
+                    re, im = map(Fraction, BRANCH_REFERENCES[key][n - 3])
+                    im, bound = -im if conjugate else im, 1e-30
+                err = math.hypot(
+                    float(Fraction(ev.value.real) - re), float(Fraction(ev.value.imag) - im)
+                ) + bound
+                ref = abs(complex(float(re), float(im)))
+                assert err <= ev.abs_error_est, (n, x, err, ev.abs_error_est)
+                assert err <= 1e-15 * ref, (n, x, err / ref)
+                if abs(_cardano_s(x)) > S_MAX:
+                    worst = max(worst, err / ref)
+        # the series in v serves every point but the five at delta = 0.15, where the series
+        # in s is up to 8.4e-16 off
+        assert worst < 3e-16
+
+    def test_the_route_runs_no_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("quad-cardano ran a quadrature")
+
+        monkeypatch.setattr(integral_reps, "adaptive_quad", refuse)
+        points = [x for _, x, _ in _branch_grid()] + [x for n, x in _cardano_grid() if n == 3]
+        for n in range(3, 13):
+            for x in points:
+                quad_cardano(n, x)

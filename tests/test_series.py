@@ -543,16 +543,29 @@ class TestSumDirect:
         assert abs(loose.value - tight.value) <= loose.abs_error_est + 1e-15 * abs(tight.value)
 
 
-def _fixed_point_reference(n, m, x, prec=160):
-    """S(n, m; x) inside the disk, summed in fixed-point big integers.
+def _fixed_point_reference(n, m, x, prec=160, rim_terms=1000):
+    """S(n, m; x) on the closed disk, summed in fixed-point big integers.
 
     Every binary64 x is (a + ib) / 2**e exactly, and the term recurrence is
     exact up to one floor division per component and step, so the returned
-    pair (re, im) of Fractions is within ``bound`` of S: a geometric tail from
-    the current term, valid because |x| C(3mk, mk) / C(3m(k+1), m(k+1))
-    decreases in k, plus the floor roundings, which the recurrence amplifies
-    by at most a small power of k (k**3 units of 2**-prec is ample).
+    pair (re, im) of Fractions is within ``bound`` of S: the rest, plus the
+    floor roundings, which the recurrence amplifies by at most a small power
+    of k (k**3 units is ample). The units are 2**-prec, finer by |x| below 1
+    (down to 2**-800 more).
+    Inside the disk the rest is a geometric tail from the current term, valid
+    because |x| C(3mk, mk) / C(3m(k+1), m(k+1)) decreases in k, and the sum
+    stops once the bound is below 2**-80 of the partial sum and of 1. On the
+    rim, to rounding, that tail never falls: the sum takes ``rim_terms`` terms
+    and bounds the rest by Robbins' C(3N, N) >= sqrt(3/(4 pi N)) (27/4)**N
+    e**(-1/(8N)), N = mk, at sqrt(4 pi m/3) e**(1/(8mK)) K**(3/2-n) / (n - 3/2),
+    K = rim_terms (n >= 2). Raises rather than loops: ValueError outside the
+    disk, or at n < 2 on the rim, and RuntimeError past 2,000,000 terms.
     """
+    rho = abs(x) / convergence_radius(m)
+    rim = rho >= 1.0 - 1e-15
+    if rho > 1.0 + 1e-15 or (rim and n < 2):
+        raise ValueError(f"no reference for S({n}, {m}; {x})")
+    prec += min(800, max(0, -math.frexp(abs(x))[1]))
     xr, xi = Fraction(x.real), Fraction(x.imag)
     e = max(xr.denominator, xi.denominator).bit_length() - 1
     a = xr.numerator * (2**e // xr.denominator)
@@ -560,9 +573,7 @@ def _fixed_point_reference(n, m, x, prec=160):
     c = math.comb(3 * m, m)
     ur, ui = (a << prec) // (c << e), (b << prec) // (c << e)  # x**k / C(3mk, mk)
     sr = si = 0
-    k = 0
-    while True:
-        k += 1
+    for k in range(1, 2_000_001):
         sr += ur // k**n
         si += ui // k**n
         num = math.prod(range(m * k + 1, m * k + m + 1)) * math.prod(
@@ -571,10 +582,15 @@ def _fixed_point_reference(n, m, x, prec=160):
         den = math.prod(range(3 * m * k + 1, 3 * m * k + 3 * m + 1))
         r = abs(x) * (num / den)
         ur, ui = (ur * a - ui * b) * num // (den << e), (ur * b + ui * a) * num // (den << e)
-        if r < 1.0:
+        if rim and k == rim_terms:
+            rest = math.sqrt(4 * math.pi * m / 3) * math.exp(1 / (8 * m * k))
+            rest *= k ** (1.5 - n) / (n - 1.5)
+            return Fraction(sr, 2**prec), Fraction(si, 2**prec), rest + k**3 / 2.0**prec
+        if not rim and r < 1.0:
             tail = (math.hypot(ur, ui) + k**3) / (1.0 - r)
-            if tail < 2.0 ** (prec - 80):
+            if tail < 2.0**-80 * min(2.0**prec, math.hypot(sr, si)):
                 return Fraction(sr, 2**prec), Fraction(si, 2**prec), (tail + k**3) / 2.0**prec
+    raise RuntimeError(f"S({n}, {m}; {x}) did not meet its stop in 2,000,000 terms")
 
 
 # Two direct-workload points whose error once exceeded the estimate: the
