@@ -5,14 +5,14 @@
 never silently substituted: a route that cannot serve a request raises ArgumentError.
 x = 0 short-circuits to exactly 0 on every route, even where the operation excludes it.
 Every route but direct-sum and folding serves stride 1 only; folding reaches stride
-m through them. ``auto`` is a cost rule: direct summation when its predicted term count
-undercuts the alternative, which is the stride-1 closed forms for n <= 2 (at m = 1 they
-always win; folded over them for m >= 2) and the Cardano-root route for n >= 3
-(quad-cardano, folded over for m >= 2); past the strides folding serves, direct
-summation. The public entries s01, s11, s21 and quad_cardano are this dispatch on their
-routes; quad-polylog is never chosen by ``auto`` and stays an explicit route and
-verify's cross-check. ``evaluate`` checks the one ``tol`` and hands it to the route's
-kernel, which passes it to every layer it runs.
+m through them. At m = 1 ``auto`` takes the closed forms for n <= 2 and quad-cardano for
+3 <= n <= 8 (below QUAD_FLOOR, which quad-cardano refuses, a direct sum where it comes
+within that floor); otherwise it is a cost rule: direct summation when its predicted
+term count undercuts folding over those routes (m >= 2), or quad-cardano above weight 8;
+past the strides folding serves, direct summation. The public entries s01, s11, s21 and
+quad_cardano are this dispatch on their routes; quad-polylog is never chosen by ``auto``
+and stays an explicit route and verify's cross-check. ``evaluate`` checks the one
+``tol`` and hands it to the route's kernel, which passes it to every layer it runs.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import Callable, NamedTuple
 from .closed_forms import _closed_kernel, fold, stride_refusal
 from .errors import ArgumentError, checked_tol
 from .integral_reps import (
+    _S_WEIGHTS,
     TWO_TERM_FLOOR,
     TWO_TERM_MIN_X,
     _cardano_kernel,
@@ -116,23 +117,17 @@ ROUTES: dict[str, Route] = {
 METHODS = tuple(ROUTES)
 
 
-# Direct-summation terms, per unit of stride, that cost about what quadrature does.
-# quad-cardano takes about 15-25 us per stride-1 evaluation and folding makes m of them;
-# with the step and weight tables direct-sum takes 0.23-0.25 us per term at angle 0.7
-# and 0.13-0.16 us on the real axis (medians per m over n 0, 2, 3, 4 and rho 0.3..0.995,
-# against 0.32-0.44 and 0.23-0.35 with the factor table alone). Break-even, the first
-# term count at which direct summation was the slower, over m (2-core x86-64 VM, CPython
-# 3.11, min of 15, both routes timed in one run, n 3..4, m 1..6, rho 0.3..0.995 at angle
-# 0.7): 69-140 per unit of stride (quartiles, median 76.8 and 79.6 in two runs; 38-69,
-# median 42.3, with the factor table alone in the same way). It rises with n: 51-73 at
-# n = 3, 81-156 at n = 4. The budget moved from 50 to 75 with it. The rim keeps
-# quadrature while 2 * budget stays under the 4,841 terms n = 4 needs at rho = 1 - 1e-3.
-# That break-even was against the quadrature. quad-cardano now sums a series in
-# s = phi(x)**-3 wherever |s| <= integral_reps.S_MAX, in 2-4 us at these points (n 3, 4,
-# rho 0.3..0.995 at angle 0.7; on the positive axis up to rho = 0.95), the cost of about
-# 10-25 direct terms. So the budget sits above the break-even; it keeps its value until
-# the break-even is measured again.
-DIRECT_TERM_BUDGET = 75
+# Direct-summation terms, per unit of stride past the first, that cost about what folding
+# over quad-cardano does (m >= 2), one per weight n = 3..8: the median over m 2..6 and
+# angles 0, 0.7, pi of the first term count at which direct summation was the slower,
+# over m - 1 (tools/auto_break_even.py, rho up to 0.995; 2-core x86-64 VM, CPython 3.11).
+# Two runs gave 38.3-39.9 at every n = 3..7, and 78 at n = 8, where 7 of 15 sweeps never
+# crossed. Over m - 1 it is flat in m at each angle, but complex x, whose terms cost direct
+# summation twice as much, halves it (19-26 at angle 0.7, 37-66 on the real axes). At m = 1
+# quad-cardano was the faster at every point (117 per weight, rho 1e-6..0.995), so auto
+# takes it there. The last entry, per unit of stride, serves n >= 9, where quad-cardano is
+# itself a direct sum (at 1e-17).
+DIRECT_TERM_BUDGET = (39, 39, 39, 39, 39, 78, 75)
 
 
 # Direct-summation terms, per unit of stride past the first, that cost about what folding
@@ -150,22 +145,24 @@ LOW_WEIGHT_TERM_BUDGET = (40, 28, 22)
 def resolve_auto(
     n: int, m: int, x: complex, *, tol: float | None = None, max_terms: int | None = None
 ) -> str:
-    """The route ``auto`` takes at summable (n, m, x): the closed form for n <= 2 at m = 1;
-    otherwise direct summation when ``terms_needed`` at rho = |x| / R**m and ``tol``
-    (SERIES_TOL by default) is within the budget and, with room for the estimate's error,
-    within the term cap; else quad-cardano at m = 1, and folding for m >= 2 where it
-    serves the stride (direct summation past it). The budget is DIRECT_TERM_BUDGET * m
-    for n >= 3 and LOW_WEIGHT_TERM_BUDGET[n] * (m - 1) for n <= 2. For a ``tol`` below
-    QUAD_FLOOR, which no quadrature meets, n >= 3 takes direct summation wherever it fits
-    the term cap and its predicted estimate stays within QUAD_FLOOR relative, and
-    elsewhere raises the quadrature's ArgumentError.
-
-    ``within_terms`` makes that comparison with one test, with no root to find.
+    """The route ``auto`` takes at summable (n, m, x): at m = 1 the closed form for
+    n <= 2 and quad-cardano for 3 <= n <= 8; otherwise direct summation when
+    ``terms_needed`` at rho = |x| / R**m and ``tol`` (SERIES_TOL by default) is within the
+    budget and, with room for the estimate's error, within the term cap; else folding
+    where it serves the stride (direct summation past it), and quad-cardano at m = 1. The
+    budget is LOW_WEIGHT_TERM_BUDGET[n] * (m - 1) for n <= 2, DIRECT_TERM_BUDGET[n - 3] *
+    (m - 1) for n <= 8, DIRECT_TERM_BUDGET[-1] * m above. For 3 <= n <= 8 an explicit
+    ``tol`` admits direct summation only where ``series._predicted_estimate`` is within
+    max(tol, QUAD_FLOOR) relative; below QUAD_FLOOR, which quad-cardano refuses, that test
+    alone decides for every n >= 3, m = 1 included, and where it fails raises
+    quad-cardano's ArgumentError.
+    ``within_terms`` makes the budget comparison with one test, with no root to find.
     """
-    below_floor = tol is not None and tol < QUAD_FLOOR  # None: quadrature takes QUAD_TOL
+    explicit = tol is not None
+    below_floor = explicit and tol < QUAD_FLOOR  # None: quad-cardano's own default
     tol = checked_tol(tol, SERIES_TOL)
-    if n <= 2 and m == 1:
-        return "closed-form"
+    if m == 1 and (n <= 2 or n <= _S_WEIGHTS and not below_floor):
+        return "closed-form" if n <= 2 else "quad-cardano"
     cap = default_max_terms() if max_terms is None else max_terms
     rho = abs(x) / convergence_radius(m)
     # the stop rule can take up to ~10% more terms than estimated (2 more at k = 1), so
@@ -173,10 +170,12 @@ def resolve_auto(
     fit = 8 * (cap - 2) // 9
     if n <= 2:
         budget = LOW_WEIGHT_TERM_BUDGET[n] * (m - 1)
-    elif below_floor:  # quad-cardano, folded or not, would refuse this tol
-        budget = fit if _predicted_estimate(n, m, rho, tol) <= QUAD_FLOOR else 0
-    else:
-        budget = DIRECT_TERM_BUDGET * m
+    elif n > _S_WEIGHTS and not below_floor:  # quad-cardano is a direct sum here
+        budget = DIRECT_TERM_BUDGET[-1] * m
+    else:  # the series in s or v, or below the floor, which quad-cardano refuses
+        budget = fit if below_floor else DIRECT_TERM_BUDGET[n - 3] * (m - 1)
+        if explicit and _predicted_estimate(n, m, rho, tol) > max(tol, QUAD_FLOOR):
+            budget = 0  # the direct sum would stop above tol (or above the floor)
     budget = min(budget, fit)
     if budget >= 1 and within_terms(n, rho, tol, budget):
         return "direct-sum"
@@ -206,7 +205,7 @@ def evaluate(
     xc = SeriesParams.require_summable(n, m, x)
     checked_tol(tol, None)
     if method == "auto":
-        if max_terms is None and (n > 2 or m > 1):  # read the cap once, for rule and route
+        if max_terms is None and (m > 1 or n > _S_WEIGHTS):  # read the cap once, for rule and route
             max_terms = default_max_terms()
         route = ROUTES[resolve_auto(n, m, xc, tol=tol, max_terms=max_terms)]
     elif method in ROUTES:

@@ -146,8 +146,8 @@ def _computed_factors(j0: int, j1: int) -> Iterator[float]:
 
 
 # f_j for j < _FACTOR_TABLE, built once at import and never changed. The direct sums
-# ``auto`` picks by their cost at m <= 6 (at most DIRECT_TERM_BUDGET * m = 75m terms
-# predicted) stay below j = 3,100.
+# ``auto`` picks by their cost at m <= 6 (at most 78 (m - 1) terms predicted for n <= 8,
+# 75m above, ``routes.DIRECT_TERM_BUDGET``) stay below j = 3,100.
 _FACTOR_TABLE = 1 << 12
 _FACTORS = tuple(_computed_factors(0, _FACTOR_TABLE))
 # ``_computed_steps`` nests one ``map`` per offset and materialises the chain every this

@@ -8,9 +8,9 @@ and ``verify`` hashes were re-recorded when the near-rim polylog moved from
 nested quadrature to the log-series expansion (last-bit changes only). The
 n = 3 ``auto`` hashes at S(3,1;0.5) and S(3,2;20) were re-recorded when
 ``auto`` began to pick direct summation by its predicted term count; they
-now equal the ``direct-sum`` hashes of the same points. The two direct-sum
-hashes at 0.9 R**m e**(0.7i), m = 8 and m = 60 (where the term ratio pairs
-its factors because the 3m-factor products overflow), were recorded before
+now equal the ``direct-sum`` hashes of the same points (S(3,1;0.5) no longer; see
+below). The two direct-sum hashes at 0.9 R**m e**(0.7i), m = 8 and m = 60 (where the
+term ratio pairs its factors because the 3m-factor products overflow), were recorded before
 the term recurrence moved to ``math.prod``. Every ``direct-sum`` hash, and the
 two n = 3 ``auto`` hashes that sum directly, were re-recorded when the
 direct-sum rounding floor grew to cover the recurrence's drift along k (only
@@ -94,6 +94,10 @@ other entry kept its bits. When the Cardano-root route began to sum a series in
 v = sqrt(1 - 4x/27) near x = 27/4 in place of its quadrature, ``quad-cardano`` at
 S(3,1;6.75) moved in value (one ulp, to the correctly rounded 2.974506287708767), estimate
 (2.9e-14 -> 1.3e-15) and ``work`` (59 -> 1): cf4b19bd -> e1fb9d29.
+When ``auto`` began to take quad-cardano at every stride-1 point of weights 3..8, ``auto``
+at S(3,1;0.5) stopped summing 13 terms directly: it returns the series in s (10 terms, the
+same value, an estimate of 4.4e-16 in place of 3.2e-16), and its hash is no longer the
+``direct-sum`` hash of the point (b90ee746 -> 98e2a14c).
 """
 
 import hashlib
@@ -212,7 +216,7 @@ GOLDEN = {
         "3962a66d2e1ec2433f99a46b932bfc8ee56fd57597ea51fb51b0ce0d59242095"
     ),
     "eval --n 3 --m 1 --x 0.5 --method auto --output json": (
-        "b90ee7467ce6bd99c0af0e5e33cbcc79e18158f055205a5a7546b9af2260f076"
+        "98e2a14c00d60f25a1a18f5c1a897f9f63bc310e17283bb7f0d3157e6138b917"
     ),
     "eval --n 3 --m 2 --x 20 --method direct-sum --output json": (
         "20d0d31d884f160dc83eb79f4624b4085dfee7ef8d1661f913a9eb1aa5e2737b"

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -41,7 +42,7 @@ from invbinom.quadrature import QUAD_FLOOR
 from invbinom.routes import ROUTES
 from invbinom.series import convergence_radius, terms_needed
 from invbinom.verify import _applicable_routes
-from test_series import _summable
+from test_series import _fixed_point_reference, _summable
 
 
 R = 27 / 4
@@ -57,8 +58,9 @@ RIM_ROUTE = {
     (4, 2): "folding",
 }
 
-# (n, m) whose 92-202 terms at rho = 0.9 exceed the budget of 75 per unit of stride.
-QUADRATURE_AT_0_9 = {(3, 1), (3, 2), (4, 1), (4, 2), (6, 1)}
+# (n, m) whose 92-202 terms at rho = 0.9 exceed the budget of 39 per unit of stride past
+# the first (160 at n = 4 and 92 at n = 6 fit the 195 of m = 6).
+FOLDING_AT_0_9 = {(3, 2), (3, 3), (3, 6), (4, 2), (4, 3), (6, 2), (6, 3)}
 
 
 def _at(rho, m, theta=0.0):
@@ -66,13 +68,11 @@ def _at(rho, m, theta=0.0):
 
 
 class TestResolveAuto:
-    @pytest.mark.parametrize("m", [1, 2, 3, 6])
+    @pytest.mark.parametrize("m", [2, 3, 6])
     @pytest.mark.parametrize("rho", [1e-9, 0.3, 0.9])
     @pytest.mark.parametrize("n", [3, 4, 6])
     def test_high_weight_sums_directly_where_few_terms_suffice(self, n, rho, m):
-        route = "direct-sum"
-        if rho == 0.9 and (n, m) in QUADRATURE_AT_0_9:
-            route = "quad-cardano" if m == 1 else "folding"
+        route = "folding" if rho == 0.9 and (n, m) in FOLDING_AT_0_9 else "direct-sum"
         for theta in (0.0, math.pi, 2.0):
             assert resolve_auto(n, m, _at(rho, m, theta)) == route
             assert evaluate(n, m, _at(rho, m, theta)).method == route
@@ -133,35 +133,38 @@ class TestResolveAuto:
         assert resolve_auto(3, 1, 0.99 * R) == "quad-cardano"
         assert resolve_auto(3, 2, 0.999 * R**2) == "folding"
 
-    # (n, m, rho) -> route at angle 0.7, with the measured direct / quadrature
-    # times (ms, min of 15, step and weight tables; 2-core x86-64 VM, CPython 3.11) that
-    # place each point on its side of the break-even.
+    # (n, m, rho, x / |x|) -> route, with the predicted terms and the direct-sum / folding
+    # times (us, min of 7 batches of 1 ms, tools/auto_break_even._times; 2-core x86-64 VM,
+    # CPython 3.11) that place each point on its side of the break-even. The budget,
+    # 39 (m - 1) up to n = 7 and 78 (m - 1) at n = 8, is the median break-even over both
+    # real axes and angle 0.7; at complex x it lies about twice as high as the break-even.
     @pytest.mark.parametrize(
-        "n,m,rho,route",
+        "n,m,rho,unit,route",
         [
-            (3, 1, 0.4, "direct-sum"),  # 31 terms: 0.015 vs 0.025
-            (3, 1, 0.75, "quad-cardano"),  # 84 terms: 0.034 vs 0.025
-            (3, 1, 0.97, "quad-cardano"),  # 604 terms: 0.129 vs 0.015
-            (3, 1, 0.98, "quad-cardano"),  # 865 terms: 0.181 vs 0.015
-            (3, 3, 0.99, "folding"),  # 1,591 terms: 0.560 vs 0.048
-            (3, 6, 0.8, "direct-sum"),  # 105 terms: 0.025 vs 0.092
-            (3, 6, 0.995, "folding"),  # 2,892 terms: 2.26 vs 0.115
-            (4, 2, 0.5, "direct-sum"),  # 35 terms: 0.010 vs 0.043
-            (4, 2, 0.99, "folding"),  # 1,017 terms: 0.213 vs 0.074
-            (4, 2, 0.995, "folding"),  # 1,684 terms: 0.385 vs 0.074
-            (4, 5, 0.8, "direct-sum"),  # 87 terms: 0.022 vs 0.139
-            (4, 5, 0.995, "folding"),  # 1,688 terms: 1.01 vs 0.136
+            (3, 2, 0.385, -1, "direct-sum"),  # 28 terms: 6.4 vs 7.9
+            (3, 2, 0.643, -1, "folding"),  # 56 terms: 9.0 vs 7.7
+            (3, 6, 0.853, -1, "direct-sum"),  # 140 terms: 18.0 vs 22.7
+            (3, 6, 0.929, -1, "folding"),  # 278 terms: 32.0 vs 22.6
+            (5, 3, 0.738, -1, "direct-sum"),  # 55 terms: 9.0 vs 11.7
+            (5, 3, 0.885, -1, "folding"),  # 110 terms: 15.0 vs 11.9
+            (4, 4, 0.785, 1, "direct-sum"),  # 80 terms: 11.8 vs 17.4
+            (4, 4, 0.9, 1, "folding"),  # 160 terms: 20.0 vs 19.4
+            (8, 2, 0.937, 1, "direct-sum"),  # 60 terms: 9.4 vs 12.0
+            (8, 2, 0.995, 1, "folding"),  # 94 terms: 13.1 vs 7.9
+            (3, 3, 0.526, cmath.exp(0.7j), "direct-sum"),  # 40 terms: 11.8 vs 11.9
+            (3, 3, 0.771, cmath.exp(0.7j), "folding"),  # 90 terms: 22.0 vs 12.5
         ],
     )
-    def test_budget_sits_at_the_measured_break_even(self, n, m, rho, route):
-        assert resolve_auto(n, m, _at(rho, m, 0.7)) == route
+    def test_budget_sits_at_the_measured_break_even(self, n, m, rho, unit, route):
+        assert routes.DIRECT_TERM_BUDGET == (39, 39, 39, 39, 39, 78, 75)
+        assert resolve_auto(n, m, rho * R**m * unit) == route
 
-    def test_a_short_term_cap_keeps_quadrature(self, monkeypatch):
-        x = 0.3 * R  # 25 terms
-        assert evaluate(3, 1, x).method == "direct-sum"
-        assert evaluate(3, 1, x, max_terms=20).method == "quad-cardano"
+    def test_a_short_term_cap_keeps_folding(self, monkeypatch):
+        x = 0.3 * R**2  # 23 terms
+        assert evaluate(3, 2, x).method == "direct-sum"
+        assert evaluate(3, 2, x, max_terms=20).method == "folding"
         monkeypatch.setenv("SERIES_MAX_TERMS", "20")
-        assert evaluate(3, 1, x).method == "quad-cardano"
+        assert evaluate(3, 2, x).method == "folding"
 
     def test_auto_reads_the_term_cap_once(self, monkeypatch):
         reads, read = [], series.default_max_terms
@@ -172,21 +175,28 @@ class TestResolveAuto:
 
         monkeypatch.setattr(series, "default_max_terms", counted)
         monkeypatch.setattr(routes, "default_max_terms", counted)
-        assert evaluate(3, 1, 0.3 * R).method == "direct-sum"
+        assert evaluate(3, 2, 0.3 * R**2).method == "direct-sum"
         assert len(reads) == 1
         assert evaluate(2, 3, 1e-6).method == "direct-sum"
         assert len(reads) == 2
+        assert evaluate(9, 1, 0.3 * R).method == "direct-sum"
+        assert len(reads) == 3
+        # stride 1 up to weight 8 needs no cap: its route is fixed and sums no series in x
+        assert evaluate(3, 1, 0.3 * R).method == "quad-cardano"
+        assert evaluate(8, 1, -R).method == "quad-cardano"
+        assert len(reads) == 3
         # the cap is still read at call time, and only where a route may need it
         monkeypatch.setenv("SERIES_MAX_TERMS", "0")
         with pytest.raises(ArgumentError, match="SERIES_MAX_TERMS"):
-            evaluate(3, 1, 0.3 * R)
+            evaluate(3, 2, 0.3 * R**2)
+        assert evaluate(3, 1, 0.3 * R).method == "quad-cardano"
         assert evaluate(2, 1, 0.3 * R).method == "closed-form"
 
-    @pytest.mark.parametrize("n,m,rho", [(3, 1, 0.3), (5, 1, 0.3), (6, 3, 0.35), (4, 2, 0.9)])
+    @pytest.mark.parametrize("n,m,rho", [(3, 2, 0.3), (5, 2, 0.3), (6, 3, 0.35), (4, 2, 0.9)])
     def test_auto_never_picks_direct_summation_that_hits_its_cap(self, n, m, rho, monkeypatch):
         # the estimate falls up to 2 terms short here; a ConvergenceError fails the test.
         # The cost budget is lifted so that only the cap decides.
-        monkeypatch.setattr(routes, "DIRECT_TERM_BUDGET", 10**6)
+        monkeypatch.setattr(routes, "DIRECT_TERM_BUDGET", (10**6,) * 7)
         x = _at(rho, m, 0.5)
         need = sum_direct(n, m, x).work
         caps = range(need - 3, need + need // 8 + 4)
@@ -194,11 +204,24 @@ class TestResolveAuto:
         assert methods[0] != "direct-sum" and methods[-1] == "direct-sum"
 
     def test_tolerance_is_passed_through(self):
-        x = 0.8 * R  # about 103 terms at tol 1e-15, 26 at 1e-6
-        assert evaluate(3, 1, x).method == "quad-cardano"
-        assert evaluate(3, 1, x, tol=1e-6).method == "direct-sum"
+        x = 0.55 * R**2  # 43 terms at tol 1e-15, 13 at 1e-6
+        assert evaluate(3, 2, x).method == "folding"
+        assert evaluate(3, 2, x, tol=1e-6).method == "direct-sum"
         with pytest.raises(ArgumentError, match="tol must be positive"):
             evaluate(3, 1, 0.5, tol=0.0)
+
+    def test_an_explicit_tol_keeps_auto_off_direct_sums_that_stop_above_it(self):
+        # 26 terms at tol 1e-6, within the budget of 39, but the tail past the stop is
+        # predicted at 3.6e-6 relative: the old rule summed 27 terms, 1.8e-6 off relative
+        # with an estimate of 2.8e-6. Folding over quad-cardano is within 1e-15.
+        x = 0.8 * R**2
+        ref = _fixed_point_reference(3, 2, complex(x))[0]
+        direct = sum_direct(3, 2, x, 1e-6)
+        assert direct.work == 27 and abs(direct.value.real - float(ref)) > 1e-6 * float(ref)
+        assert series._predicted_estimate(3, 2, 0.8, 1e-6) > 1e-6
+        ev = evaluate(3, 2, x, tol=1e-6)
+        assert ev.method == "folding"
+        assert abs(ev.value.real - float(ref)) <= 1e-15 * float(ref)
 
     # Below QUAD_FLOOR auto once summed these directly, to an estimate of 7,371 tol
     # (18,193 terms), 7,371, 7,472, 629 and 135 tol relative: the rim's tail bound.
@@ -241,18 +264,37 @@ class TestResolveAuto:
         assert direct >= 100
 
 
+def _budget(n, m):
+    """The direct-summation budget for n >= 3 above the quadrature floor, per
+    routes.DIRECT_TERM_BUDGET: per unit of stride past the first up to weight 8."""
+    if n <= 8:
+        return routes.DIRECT_TERM_BUDGET[n - 3] * (m - 1)
+    return routes.DIRECT_TERM_BUDGET[-1] * m
+
+
 def _term_count_rule(n, m, x, tol, cap):
     """auto's route for n >= 3 by the predicted term count (series.terms_needed); None
     where it refuses, a tol below the quadrature floor that direct summation cannot come
-    within QUAD_FLOOR of."""
+    within QUAD_FLOOR of. An explicit tol admits direct summation at n <= 8 only where its
+    predicted estimate is within max(tol, QUAD_FLOOR); None takes SERIES_TOL and no such
+    test."""
+    below_floor = tol is not None and tol < QUAD_FLOOR  # quad-cardano refuses this tol
+    if m == 1 and n <= 8 and not below_floor:
+        return "quad-cardano"
     rho = abs(x) / convergence_radius(m)
+    meets = (
+        tol is None
+        or (n > 8 and not below_floor)  # quad-cardano is a direct sum there
+        or series._predicted_estimate(n, m, rho, tol) <= max(tol, QUAD_FLOOR)
+    )
+    tol = 1e-15 if tol is None else tol
     need = terms_needed(n, rho, tol)
     fits = 1.125 * need + 2 <= cap
-    if tol < QUAD_FLOOR:  # no quadrature meets this tol
-        if fits and series._predicted_estimate(n, m, rho, tol) <= QUAD_FLOOR:
+    if below_floor:
+        if fits and meets:
             return "direct-sum"
         return "direct-sum" if m > 6 else None  # fold serves strides 1..6
-    if need <= routes.DIRECT_TERM_BUDGET * m and fits:
+    if need <= _budget(n, m) and fits and meets:
         return "direct-sum"
     if m > 6:
         return "direct-sum"
@@ -264,20 +306,20 @@ def _rule_grid():
     count lies within 1e-9 of the budget, of the cap's limit or of another integer."""
     rng = random.Random(2024)
     for _ in range(3000):
-        n, m = rng.randint(3, 8), rng.randint(1, 60)
+        n, m = rng.randint(3, 12), rng.randint(1, 60)
         rho = rng.choice([1.0, 1.0 - 10 ** rng.uniform(-8, 0), 10 ** rng.uniform(-12, 0)])
         cap = rng.choice([1_000_000, rng.randint(1, 3000)])
-        tol = rng.choice([1e-15, 1e-12, 10 ** rng.uniform(-16, -1)])
+        tol = rng.choice([None, 1e-15, 1e-12, 10 ** rng.uniform(-16, -1)])
         yield n, m, rho, rng.uniform(-math.pi, math.pi), cap, tol
     for _ in range(600):
-        n, m = rng.randint(3, 8), rng.randint(1, 60)
+        n, m = rng.randint(3, 12), rng.randint(1, 60)
         cap = rng.choice([1_000_000, rng.randint(30, 3000)])
-        tol = rng.choice([1e-15, 1e-12, 1e-9])
-        budget = min(routes.DIRECT_TERM_BUDGET * m, 8 * (cap - 2) // 9)
-        k = rng.choice([budget, budget + 1, max(2, budget - 1), rng.randint(2, 3000)])
+        tol = rng.choice([None, 1e-15, 1e-12, 1e-9])
+        budget = min(_budget(n, m), 8 * (cap - 2) // 9)
+        k = max(2, rng.choice([budget, budget + 1, budget - 1, rng.randint(2, 3000)]))
         root = k + rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-12, -9)
         # f(root) = ln(tol) with f(k) = k ln(rho) + (1/2 - n) ln(k)
-        rho = math.exp((math.log(tol) - (0.5 - n) * math.log(root)) / root)
+        rho = math.exp((math.log(tol or 1e-15) - (0.5 - n) * math.log(root)) / root)
         if rho < 1.0:
             yield n, m, rho, rng.uniform(-math.pi, math.pi), cap, tol
 
@@ -293,9 +335,9 @@ class TestAutoRuleEquivalence:
                     resolve_auto(n, m, x, tol=tol, max_terms=cap)
                 continue
             assert resolve_auto(n, m, x, tol=tol, max_terms=cap) == want, (n, m, rho, cap, tol)
-            need = terms_needed(n, abs(x) / convergence_radius(m), tol)
-            budget = min(routes.DIRECT_TERM_BUDGET * m, 8 * (cap - 2) // 9)
-            at_the_edge += need in (budget, budget + 1)
+            need = terms_needed(n, abs(x) / convergence_radius(m), tol or 1e-15)
+            budget = min(_budget(n, m), 8 * (cap - 2) // 9)
+            at_the_edge += need in (budget, budget + 1) and want != "quad-cardano"
         assert at_the_edge >= 50  # both sides of the budget are sampled closely
 
     def test_non_positive_tolerance_raises_and_tiny_caps_keep_quadrature(self):
@@ -304,9 +346,11 @@ class TestAutoRuleEquivalence:
                 resolve_auto(3, 1, 1e-20, tol=tol)
         for cap in (1, 2, 3):
             assert resolve_auto(3, 1, 1e-20, tol=1e-12, max_terms=cap) == "quad-cardano"
+            assert resolve_auto(3, 2, 1e-20, tol=1e-12, max_terms=cap) == "folding"
             with pytest.raises(ArgumentError, match="QUAD_FLOOR"):  # below the quadrature floor
                 resolve_auto(3, 1, 1e-20, tol=1e-15, max_terms=cap)
-        assert resolve_auto(3, 1, 1e-20, max_terms=4) == "direct-sum"  # 1 term: 1.125 + 2 <= 4
+        assert resolve_auto(3, 2, 1e-20, max_terms=4) == "direct-sum"  # 1 term: 1.125 + 2 <= 4
+        assert resolve_auto(3, 1, 1e-20, max_terms=4) == "quad-cardano"  # at m = 1 always
 
     def test_below_the_quadrature_floor_auto_sums_directly_or_refuses(self):
         # at tol 1e-15 these gave up after 2,000 subdivisions on quad-cardano or folding
@@ -321,6 +365,40 @@ class TestAutoRuleEquivalence:
             for method in ("auto", "quad-cardano" if m == 1 else "folding"):
                 with pytest.raises(ArgumentError, match="QUAD_FLOOR"):
                     evaluate(n, m, x, method, tol=1e-15)
+
+
+# The stride-1 grid of auto's route table at n >= 3: rho from 1e-12 to the rim, on both
+# real axes and at three angles.
+STRIDE_ONE_RHOS = (1e-12, 1e-9, 1e-6, 1e-3, 0.3, 0.9, 0.995, 1.0)
+STRIDE_ONE_UNITS = (1.0, -1.0, cmath.exp(0.1j), cmath.exp(1.2j), cmath.exp(2.5j))
+
+
+class TestStrideOneRow:
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_weights_with_a_series_take_quad_cardano(self, n):
+        for rho, unit in itertools.product(STRIDE_ONE_RHOS, STRIDE_ONE_UNITS):
+            x = rho * R * unit
+            assert resolve_auto(n, 1, x) == "quad-cardano", (n, rho, unit)
+            assert resolve_auto(n, 1, x, tol=1e-10, max_terms=1) == "quad-cardano"
+
+    @pytest.mark.parametrize("n", range(9, 13))
+    def test_higher_weights_sum_directly_within_their_budget(self, n):
+        # quad-cardano is itself a direct sum there, at 1e-17
+        for rho, unit in itertools.product(STRIDE_ONE_RHOS, STRIDE_ONE_UNITS):
+            direct = terms_needed(n, rho, 1e-15) <= routes.DIRECT_TERM_BUDGET[-1]
+            want = "direct-sum" if direct else "quad-cardano"
+            assert resolve_auto(n, 1, rho * R * unit) == want, (n, rho, unit)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_values_meet_the_exact_sum(self, n):
+        for rho, unit in itertools.product(STRIDE_ONE_RHOS[:-1], STRIDE_ONE_UNITS):
+            x = rho * R * unit
+            ev = evaluate(n, 1, x)
+            re, im, bound = _fixed_point_reference(n, 1, complex(x))
+            dre, dim = Fraction(ev.value.real) - re, Fraction(ev.value.imag) - im
+            err = abs(complex(float(dre), float(dim))) + float(bound)
+            assert err <= ev.abs_error_est, (n, rho, unit, err, ev.abs_error_est)
+            assert err <= 1e-15 * abs(ev.value), (n, rho, unit, err / abs(ev.value))
 
 
 class TestEvaluate:
@@ -634,7 +712,7 @@ class TestTwoTermFloor:
         with pytest.raises(ArgumentError) as from_route:
             evaluate(3, 1, x, "quad-two-term")
         assert str(from_route.value) == reason
-        assert evaluate(3, 1, x).method == "direct-sum"
+        assert evaluate(3, 1, x).method == "quad-cardano"  # auto never takes quad-two-term
         # the public function refuses with the route's message; the limits still serve
         for n in (2, 5):
             with pytest.raises(ArgumentError) as from_public:
