@@ -273,7 +273,7 @@ def fold(
     if route is None:
         raise ArgumentError(f"unknown inner route {inner!r}; choose from {routes.METHODS}")
     xc = complex(x)
-    if n < 0 or not _inside(n, abs(xc), RADIUS_BASE**m):
+    if n < 0 or cmath.isnan(xc) or not _inside(n, abs(xc), RADIUS_BASE**m):  # NaN before abs
         SeriesParams.require_summable(n, m, xc)  # raises
     if xc == 0:
         return Evaluation(0j, 0.0, "folding", 0)

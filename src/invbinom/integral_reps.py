@@ -7,7 +7,7 @@ Three independent routes at stride 1:
   independent cross-check of the Cardano-root route.
 * ``quad_cardano`` (n >= 3) runs no quadrature: it sums S(n, 1; x) as a power series in
   s = phi(x)**-3, in v = sqrt(1 - 4x/27) near the branch point x = 27/4, or in x (see its
-  docstring), up to weight 8 in 1-10 us against about 2 ms for ``quad_polylog``. It is
+  docstring), up to weight 8 in 2-9 us against about 2 ms for ``quad_polylog``. It is
   the route ``auto`` takes where direct summation, which decays like k**(1/2 - n) on the
   rim, costs more; the route table and ``fold`` call its bare kernel, ``_cardano_kernel``.
 * ``quad_two_term`` evaluates the two-term log/trig form whose limits come
@@ -92,7 +92,7 @@ def quad_polylog(n: int, x: complex, tol: float | None = None) -> Evaluation:
     if n < 1:
         raise ArgumentError(f"this route needs n >= 1, got {n}")
     xc = complex(x)
-    if not _inside(n, abs(xc), RADIUS_BASE):
+    if cmath.isnan(xc) or not _inside(n, abs(xc), RADIUS_BASE):  # NaN before abs
         SeriesParams.require_summable(n, 1, xc)  # raises
     if xc == 0:
         return Evaluation(0j, 0.0, "quad-polylog", 0)
@@ -138,10 +138,11 @@ def quad_polylog(n: int, x: complex, tol: float | None = None) -> Evaluation:
 
 def quad_cardano(n: int, x: complex, tol: float | None = None) -> Evaluation:
     """S(n, 1; x), n >= 3, through the Cardano root q = phi(x), by a power series: for
-    n <= 8 in s = 1/q**3 (x = 27 s / (1 + s)**2) where |s| <= S_MAX, and in
-    v = sqrt(1 - 4x/27) (s = (1 - v)/(1 + v)) within 0.17 of x = 27/4; in x above weight 8,
-    and its three leading terms below |x| = 1e-8. ``work`` counts the terms. ``tol`` is
-    checked as a quadrature's: the route refuses one below QUAD_FLOOR.
+    n <= 8 in s = 1/q**3 (x = 27 s / (1 + s)**2) where |s| <= S_MAX = 0.6, and in
+    v = sqrt(1 - 4x/27) (s = (1 - v)/(1 + v)) past it, within 0.9 of x = 27/4 (|v| <= 0.3652,
+    at most _V_TERMS = 40 terms); in x above weight 8, and its three leading terms below
+    |x| = 1e-8. ``work`` counts the terms. ``tol`` is checked as a quadrature's: the route
+    refuses one below QUAD_FLOOR.
     """
     return routes.evaluate(n, 1, x, "quad-cardano", tol=tol)
 
@@ -189,10 +190,10 @@ _S_ENVELOPE = (12.0, 20.0, 34.0, 60.0, 110.0, 203.0)
 # The terms past K sum to at most envelope r**(K+1) / (1 - r), which is below eps/4 of
 # that bound on |S| once r**K <= _S_TRUNC (1 - r) / (envelope (1 + r)**2).
 _S_TRUNC = 27.0 * _EPS / 20.0
-# The largest |s| the series serves; on the disk |s| passes it only within 0.17 of 27/4 (from
-# x = 6.667 on the positive axis, 1.4 degrees off it on the rim), where the series in v takes
-# over. Against 45-digit references its worst error was 6.3 eps relative up to 0.8.
-S_MAX = 0.8
+# The largest |s| the series serves; on the disk |s| passes it only within 0.9 of 27/4 (from
+# x = 6.328 on the positive axis, 7.6 degrees off it on the rim), where the series in v takes
+# over. Its largest |v| there, 0.3651 on the rim, takes 40 terms, all of _V_TERMS.
+S_MAX = 0.6
 
 
 def _s_terms(r: float, n: int) -> int:
@@ -201,7 +202,7 @@ def _s_terms(r: float, n: int) -> int:
     return max(1, math.ceil(math.log(bound) / math.log(r)))
 
 
-# c_j(3) for j = 1..197 = _s_terms(S_MAX, 8), the most terms any weight takes.
+# c_j(3) for j = 1..85 = _s_terms(S_MAX, 8), the most terms any weight takes.
 _rows = [(
     9.0, 11.925, 11.378571428571428, 10.54614448051948, 9.773253746253745, 9.102208600223307,
     8.525067123121397, 8.026468882303865, 7.592211144022986, 7.210674381414058, 6.872647946492342,
@@ -222,34 +223,7 @@ _rows = [(
     2.2114345955856494, 2.1909797453791486, 2.1709658173316666, 2.151377874098443,
     2.1322016655233855, 2.1134235888612616, 2.0950306517644903, 2.07701043781102,
     2.059351074370325, 2.042041202622983, 2.025069949565875, 2.008426901849934, 1.9921020813108106,
-    1.976085922064917, 1.9603692490542497, 1.9449432579332782, 1.92979949620013,
-    1.9149298454824122, 1.9003265048953664, 1.8859819753967297, 1.8718890450687564,
-    1.8580407752633703, 1.8444304875514665, 1.831051751421961, 1.817898372680389,
-    1.8049643825006754, 1.7922440270872075, 1.7797317579075471, 1.7674222224590526,
-    1.7553102555353806, 1.7433908709613086, 1.731659253766587, 1.720110752771623,
-    1.7087408735597183, 1.6975452718123467, 1.6865197469855984, 1.675660236307411,
-    1.664962809076602, 1.6544236612459973, 1.6440391102731315, 1.6338055902231017,
-    1.6237196471091562, 1.6137779344575551, 1.6039772090840967, 1.594314327070521,
-    1.5847862399297454, 1.5753899909495908, 1.566122711705291, 1.5569816187316952,
-    1.5479640103466215, 1.5390672636173444, 1.5302888314626868, 1.521626239883636,
-    1.5130770853158242, 1.5046390320976164, 1.496309810047901, 1.4880872121480386,
-    1.4799690923227313, 1.471953363314885, 1.4640379946498103, 1.456221010684378,
-    1.4485004887369832, 1.4408745572944095, 1.4333413942918978, 1.4258992254629264,
-    1.4185463227554025, 1.4112810028111396, 1.4041016255056675, 1.3970065925455757,
-    1.3899943461207402, 1.3830633676089277, 1.3762121763303907, 1.3694393283502067,
-    1.3627434153262155, 1.3561230634005286, 1.3495769321326836, 1.3431037134726127,
-    1.3367021307716922, 1.3303709378302169, 1.3241089179797354, 1.3179148831987528,
-    1.3117876732603804, 1.3057261549105859, 1.2997292210757574, 1.2937957900983603,
-    1.287924804999519, 1.282115232767418, 1.276366063670463, 1.2706763105941956, 1.265045008400999,
-    1.2594712133116805, 1.2539540023080555, 1.2484924725556996, 1.2430857408460705,
-    1.2377329430572421, 1.2324332336325223, 1.2271857850762622, 1.2219897874661911,
-    1.216844447981648, 1.2117489904470993, 1.206702654890364, 1.2017046971149956,
-    1.1967543882862832, 1.191851014530371, 1.1869938765460069, 1.1821822892284533,
-    1.177415581305117, 1.1726930949824692, 1.1680141856038477, 1.1633782213177464,
-    1.1587845827562182, 1.1542326627230313, 1.1497218658912285, 1.145251608509762,
-    1.1408213181188833, 1.1364304332739834, 1.1320784032775857, 1.1277646879192171,
-    1.1234887572228789, 1.1192500912018628, 1.1150481796206593, 1.1108825217637186,
-    1.1067526262108351, 1.1026580106189308, 1.0985982015100257, 1.0945727340651896,
+    1.976085922064917,
     ),
 ]
 # The recurrence runs on exact integers, the weight-3 values in units of 2**-_S_FIXED (each
@@ -257,7 +231,7 @@ _rows = [(
 # correctly rounded value of its integer. So every weight is within 0.53 ulp of its exact
 # values, within _S_TABLE_ULPS. (A float recurrence was up to 8.8 ulps off, and as those
 # errors are alike along j, they cost up to 15 eps of the sum near the positive axis, where
-# the terms cancel.) Build time of every table here: about 0.2 ms.
+# the terms cancel.) Build time of every table here: about 0.16 ms.
 _S_FIXED = 60
 _S_TABLE_ULPS = 1
 _fixed = list(map(int, map(mul, _rows[0], repeat(2.0**_S_FIXED))))

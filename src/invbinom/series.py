@@ -24,6 +24,7 @@ near the rim a plain running sum loses digits.
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from collections import namedtuple
@@ -77,7 +78,12 @@ class SeriesParams:
         if n < 0:
             raise ArgumentError(f"weight n must be >= 0, got {n}")
         xc = complex(x)
-        ax, radius = abs(xc), convergence_radius(m)
+        radius = convergence_radius(m)
+        # NaN before abs: CPython's abs(complex) returns a NaN without clearing a stale
+        # errno, so after any earlier float overflow it raises OverflowError instead
+        if cmath.isnan(xc):
+            raise DomainError(f"x = {xc!r} is not a number")
+        ax = abs(xc)
         if _inside(n, ax, radius):
             return xc
         raise DomainError(
@@ -387,7 +393,8 @@ def sum_direct(
     stop an alternating series). Rim parameters (n >= 2) are accepted but decay
     polynomially: where a bound on the needed term count exceeds
     ``max_terms`` (every n = 2 rim point at the default cap) the cap error
-    is raised at once; prefer the quadrature route there.
+    is raised at once; method auto serves the rim by the closed forms, quad-cardano or
+    folding (strides up to 6).
 
     The terms come from the ratio recurrence in blocks sized by
     ``terms_needed`` (term by term where the tables cover the sum), in float
@@ -405,9 +412,10 @@ def sum_direct(
         ConvergenceError: ``max_terms`` exhausted before the stop rule hit.
     """
     x = complex(x)
-    ax, radius = abs(x), convergence_radius(m)  # ArgumentError for m < 1
-    if n < 0 or not _inside(n, ax, radius):
+    radius = convergence_radius(m)  # ArgumentError for m < 1
+    if n < 0 or cmath.isnan(x) or not _inside(n, abs(x), radius):  # NaN before abs
         SeriesParams.require_summable(n, m, x)  # raises
+    ax = abs(x)
     tol = checked_tol(tol, SERIES_TOL)
     if max_terms is None:
         max_terms = default_max_terms()
@@ -487,7 +495,12 @@ def _predicted_estimate(n: int, m: int, rho: float, tol: float) -> float:
 
 
 def _term_cap_error(tol: float, max_terms: int, rim: bool) -> ConvergenceError:
-    hint = " (rim arguments decay polynomially; use the quadrature route)" if rim else ""
+    hint = (
+        " (rim arguments decay polynomially; method auto serves the rim by the closed forms,"
+        " quad-cardano or folding, at strides up to 6)"
+        if rim
+        else ""
+    )
     return ConvergenceError(
         f"series did not meet tol={tol:g} within {max_terms} terms{hint}"
     )

@@ -441,8 +441,9 @@ class TestCardanoSeries:
             assert max(map(abs, exact[n])) <= _S_ENVELOPE[n - 3], n
 
     def test_the_table_holds_every_term_up_to_s_max(self):
-        assert [_s_terms(S_MAX, n) for n in range(3, 9)] == [184, 187, 189, 192, 194, 197]
-        assert all(len(row) == 197 for row in _S_COEFS)
+        most = _s_terms(S_MAX, 8)
+        assert max(_s_terms(S_MAX, n) for n in range(3, 9)) == most
+        assert all(len(row) == most for row in _S_COEFS)
         assert _s_terms(0.17, 4) < 64 and _s_terms(1e-9, 8) == 2
 
     def test_series_against_references_and_the_quadrature(self):
@@ -482,9 +483,10 @@ class TestCardanoSeries:
 
 
 # S(n, 1; x), n = 3..8, at the points of ``_branch_grid`` beyond rho = 0.995 with a
-# non-negative angle, as tools/cardano_v_tables.py prints them: the series in v at 110
-# digits over 160 coefficients, which the mpmath quadrature of Li_{n-1}(x t (1-t)**2) / t
-# matched to 1.6e-72 at n = 3 and 8.
+# non-negative angle, up to the rim angle 0.02 (the rest are HANDOVER_BAND_RIM_REFERENCES),
+# as tools/cardano_v_tables.py prints them: the series in v at 110 digits over 160
+# coefficients, which the mpmath quadrature of Li_{n-1}(x t (1-t)**2) / t matched to
+# 1.6e-72 at n = 3 and 8.
 BRANCH_REFERENCES = {
     ('near', 1e-12, 0.0): (
         ("2.9745062877079345964973", "0.0"),
@@ -599,6 +601,52 @@ BRANCH_REFERENCES = {
         ("2.262043038733806454768939", "0.04551185962809093114431701"),
     ),
 }
+# S(n, 1; 27/4 e**(i alpha)), n = 3..8, at the rim angles alpha of ``_branch_grid`` where
+# 0.6 < |s| <= 0.8, past the handover, by tools/cardano_v_tables.py's functions as its
+# BRANCH_REFERENCES: the series in v at 110 digits over 160 coefficients, which the mpmath
+# quadrature of Li_{n-1}(x t (1-t)**2) / t matched to 2.6e-71 at n = 3 and 8.
+HANDOVER_BAND_RIM_REFERENCES = {
+    ('rim', 0.031): (
+        ("2.957044363036378605061757", "0.155497236017743865176973"),
+        ("2.517971895711585155217568", "0.09199064235221734941401912"),
+        ("2.365637541620644227823368", "0.07810779593156430887178669"),
+        ("2.302802877177475235423469", "0.0733642545804788709751583"),
+        ("2.274613521490160396336512", "0.07141191299911944665798526"),
+        ("2.261396843055533206767782", "0.07053652207247597782015822"),
+    ),
+    ('rim', 0.06): (
+        ("2.928789900408419115167415", "0.2867722740518960729611121"),
+        ("2.511534204087863181370348", "0.1773546523536115121005585"),
+        ("2.3617300507752163379334", "0.1510448307125770006547643"),
+        ("2.29947971256964443492068", "0.1419170675359077043296472"),
+        ("2.271491668441656120457217", "0.1381501223498524994626391"),
+        ("2.258357960638189410979842", "0.1364598518199900697626851"),
+    ),
+    ('rim', 0.091): (
+        ("2.891146020739972978452013", "0.4171824739237502531746728"),
+        ("2.500599447253944331941703", "0.2675804569544163411532873"),
+        ("2.354830539410954229865212", "0.2287433435134884153266974"),
+        ("2.293592119801981384005817", "0.2150309825356796481177402"),
+        ("2.265958421081335435544031", "0.2093489582747291886391627"),
+        ("2.252971253376419623282055", "0.2067961835293585913254571"),
+    ),
+    ('rim', 0.12): (
+        ("2.850724676496469212747667", "0.5316260456006483583416502"),
+        ("2.486825471950912333826766", "0.3508483226410441397964043"),
+        ("2.345860488150841868824474", "0.3010690243590554163381527"),
+        ("2.285908874914022844479645", "0.2831968382753670918971283"),
+        ("2.258733488988753790257202", "0.2757567916353109844256311"),
+        ("2.245936681521776450009097", "0.2724089935975645653882086"),
+    ),
+    ('rim', 0.1333): (
+        ("2.830791857517003036564688", "0.5819526726450592036703094"),
+        ("2.479418742750265856933371", "0.3886313035386778256520794"),
+        ("2.340942654793523486233965", "0.3340952902267771247422679"),
+        ("2.281684923036448549018063", "0.3143646361312124930918553"),
+        ("2.254759632690121787822787", "0.3061317772285494177591408"),
+        ("2.242067060273939194134106", "0.302424182297684621804514"),
+    ),
+}
 # S(n, 1; 27/4), n = 5..8, to 25 digits (the quadrature of Li_{n-1} at 50 digits); n = 3
 # and 4 are RIM_REFERENCES.
 ANCHORS_25 = (
@@ -613,12 +661,12 @@ def _branch_grid():
     """(key, x, conjugate): x = 27/4 - delta e**(i theta) and the rim 27/4 e**(i alpha), at
     both signs of the angle; key names the point of the positive angle, whose conjugate x
     is at the negative one."""
-    for delta in (1e-12, 1e-6, 1e-3, 0.05, 0.15):
+    for delta in (1e-12, 1e-6, 1e-3, 0.05, 0.15, 0.3, 0.4):
         for theta in (0.0, 0.7, 1.4):
             for sign in (1, -1) if theta else (1,):
                 x = complex(RIM - delta * cmath.exp(1j * sign * theta))
                 yield ("near", delta, theta), x if theta else complex(x.real), sign < 0
-    for alpha in (1e-6, 1e-3, 0.02):
+    for alpha in (1e-6, 1e-3, 0.02, 0.031, 0.06, 0.091, 0.12, 0.1333):
         for sign in (1, -1):
             yield ("rim", alpha), cmath.rect(RIM, sign * alpha), sign < 0
 
@@ -630,6 +678,7 @@ def _v_of(x):
 def _largest_route_v():
     """|v| where the rim leaves |s| <= S_MAX, the largest |v| the route hands the series."""
     lo, hi = 0.0, 0.2  # rim angles; |s| falls along them
+    assert abs(_cardano_s(cmath.rect(RIM, hi))) <= S_MAX
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if abs(_cardano_s(cmath.rect(RIM, mid))) > S_MAX else (lo, mid)
@@ -683,16 +732,21 @@ class TestCardanoVSeries:
         assert max(max(map(abs, row)) for row in _V_COEFS) == -_V_COEFS[0][2]  # S(2, 1; 27/4)
         assert all(max(mags) <= _V_ENVELOPE for mags in _V_MAGS)
 
-    def test_term_counts(self):
+    def test_the_table_holds_every_term_past_s_max(self):
+        # The series in v serves |s| > S_MAX. |v| is analytic in s, so its largest value there
+        # lies on the boundary: on the rim, where |v| grows with the angle up to the rim's
+        # exit from |s| <= S_MAX, or on the arc |s| = S_MAX inside the disk.
         v_max = _largest_route_v()
-        assert 0.158 < v_max < 0.159
-        assert _v_terms(v_max) == 22
-        assert _v_terms(0.35) <= _V_TERMS  # the tests reach |v| = 0.35
+        assert _v_terms(v_max) <= _V_TERMS
+        for k in range(2001):
+            s = cmath.rect(S_MAX, math.pi * k / 2000)
+            if abs(27.0 * s / (1.0 + s) ** 2) <= RIM:
+                assert abs((1.0 - s) / (1.0 + s)) <= v_max, k
         assert _v_terms(0.0) == 1 and _v_terms(1e-7) == 3
 
     def test_the_two_series_agree_where_both_serve(self):
-        seen = 0
-        for r in (0.12, 0.2, 0.3, 0.35):
+        reach = 0.0
+        for r in (0.26, 0.3, 0.33, 0.365):
             for psi in (0.0, 0.3, -0.3, 0.6, -0.6):
                 x = complex(RIM * (1.0 - (r * cmath.exp(1j * psi)) ** 2))
                 if psi == 0.0:
@@ -700,13 +754,12 @@ class TestCardanoVSeries:
                 s = _cardano_s(x)
                 if abs(x) > RIM or abs(s) > S_MAX:
                     continue
-                assert abs(_v_of(x)) <= 0.35
-                seen += 1
+                reach = max(reach, abs(_v_of(x)))
                 for n in range(3, 9):
                     a, _, _ = _v_series(n, x)
                     b, _, _ = _s_series(n, x, s)
                     assert abs(a - b) <= 8 * 2.220446049250313e-16 * abs(b), (n, x)
-        assert seen == 18
+        assert 0.36 < reach and _v_terms(reach) <= _V_TERMS
 
     def test_estimates_near_the_branch_point(self):
         worst = 0.0
@@ -716,7 +769,8 @@ class TestCardanoVSeries:
                 if abs(x) <= 0.995 * RIM:
                     re, im, bound = _fixed_point_reference(n, 1, x)
                 else:
-                    re, im = map(Fraction, BRANCH_REFERENCES[key][n - 3])
+                    refs = BRANCH_REFERENCES.get(key) or HANDOVER_BAND_RIM_REFERENCES[key]
+                    re, im = map(Fraction, refs[n - 3])
                     im, bound = -im if conjugate else im, 1e-30
                 err = math.hypot(
                     float(Fraction(ev.value.real) - re), float(Fraction(ev.value.imag) - im)
@@ -726,8 +780,8 @@ class TestCardanoVSeries:
                 assert err <= 1e-15 * ref, (n, x, err / ref)
                 if abs(_cardano_s(x)) > S_MAX:
                     worst = max(worst, err / ref)
-        # the series in v serves every point but the five at delta = 0.15, where the series
-        # in s is up to 8.4e-16 off
+        # the series in v serves every point from delta = 0.05 on and the rim up to 0.1333,
+        # 0.6 < |s| <= 0.8 included, where the series in s is up to 1.1e-15 off
         assert worst < 3e-16
 
     def test_the_route_runs_no_quadrature(self, monkeypatch):

@@ -19,6 +19,8 @@ from invbinom import (
     SeriesParams,
     convergence_radius,
     evaluate,
+    fold,
+    quad_polylog,
     sum_direct,
 )
 from invbinom import CardanoRoot, phi, series
@@ -105,6 +107,23 @@ class TestDomainModel:
         with pytest.raises(DomainError, match="n >= 2, got n = 1"):
             SeriesParams.require_summable(1, 1, 27 / 4)
         assert SeriesParams.require_summable(2, 1, 27 / 4) == 6.75 + 0j
+
+    @pytest.mark.parametrize("x", [math.nan, complex(math.nan, 0.0), complex(0.0, math.nan)])
+    def test_nan_is_refused_after_a_float_overflow(self, x):
+        # CPython's abs(complex) of a NaN leaves a stale errno standing, which raises
+        # OverflowError after an overflow (here the radius (27/4)**400) unless the entry
+        # refuses the NaN first
+        entries = (
+            lambda: SeriesParams.require_summable(0, 1, x),
+            lambda: evaluate(0, 1, x),
+            lambda: sum_direct(0, 1, x),
+            lambda: fold(0, 2, x),
+            lambda: quad_polylog(3, x),
+        )
+        for entry in entries:
+            evaluate(0, 400, 1.0)
+            with pytest.raises(DomainError, match="not a number"):
+                entry()
 
 
 class TestEvaluation:
