@@ -9,6 +9,8 @@ root-of-unity folding to general stride, with a registry of explicit
 special values and a cross-route grid that ``verify`` checks them against.
 """
 
+# First: it imports the kernels of the modules whose public entries import it last.
+from .routes import METHODS, evaluate, resolve_auto  # isort: skip
 from .closed_forms import (
     CardanoRoot,
     PRINCIPAL_BRANCH,
@@ -37,7 +39,6 @@ from .integral_reps import (
 )
 from .polylog import li, root_of_unity
 from .quadrature import adaptive_quad
-from .routes import METHODS, evaluate, resolve_auto
 from .series import Evaluation, SeriesParams, convergence_radius, sum_direct
 from .verify import (
     CheckEntry,

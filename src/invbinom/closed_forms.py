@@ -24,9 +24,9 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .errors import ArgumentError, BranchFailure, DomainError, checked_tol
+from .errors import ArgumentError, BranchFailure, DomainError
 from .polylog import root_of_unity
-from .series import _EPS, RADIUS_BASE, Evaluation, SeriesParams, _inside
+from .series import _EPS, RADIUS_BASE, Evaluation, _inside
 
 SQRT3 = math.sqrt(3.0)
 REAL_BRANCH = "real-cube-root"
@@ -86,12 +86,14 @@ def phi(x: complex) -> CardanoRoot:
     On (0, 27/4] the value is real with phi >= 1 and phi(27/4) = 1; for
     real x < 0 it is real and negative. Raises DomainError at x = 0 (phi
     diverges there; callers own the x -> 0 limit of whatever they build
-    from it) and BranchFailure when the radical identity
+    from it) and for x not finite, and BranchFailure when the radical identity
     2x*phi**3 + 2x - 27 - 3*sqrt(81 - 12x) = 0 fails on the branch taken.
     """
     xc = complex(x)
     if xc == 0:
         raise DomainError("phi(x) diverges as x -> 0; the series limit there is 0")
+    if not cmath.isfinite(xc):  # before abs, as in ``require_summable``
+        raise DomainError(f"phi(x) needs a finite x, got {xc!r}")
     if abs(xc) < PHI_MIN_X:
         raise DomainError(f"phi(x) exceeds the binary64 range for |x| < {PHI_MIN_X:g}")
     s = _radical(xc)
@@ -243,11 +245,6 @@ def _pulled_in(n: int, arg: complex) -> complex:
     return arg
 
 
-def stride_refusal(m: int) -> str | None:
-    """Why ``fold`` refuses stride m, or None."""
-    return None if 1 <= m <= 6 else f"folding stride must be in [1, 6], got {m}"
-
-
 def fold(
     n: int,
     m: int,
@@ -258,26 +255,24 @@ def fold(
 ) -> Evaluation:
     """S(n, m; x) as m**(n-1) * sum_{j=1..m} S(n, 1; w**j * x**(1/m)).
 
-    ``inner`` names the stride-1 route of ``routes.ROUTES`` whose kernel evaluates
-    each term; ArgumentError when it refuses one. x**(1/m) is the principal root;
-    w**j are the m-th roots of unity, exact on the axes so that real rotated
-    arguments stay on the real branch of phi. Only the total is checked. Below
-    |x| = 1e-8, once ``inner`` has accepted every root, the exact leading terms. ``tol``
-    goes to the inner route, which takes its own default for None.
+    ``evaluate`` on the folding route, over ``inner``: the stride-1 route of
+    ``routes.ROUTES`` whose kernel evaluates each term (ArgumentError where it refuses
+    one). x**(1/m) is the principal root; w**j are the m-th roots of unity, exact on the
+    axes so that real rotated arguments stay on the real branch of phi. Only the total is
+    checked. Below |x| = 1e-8, once ``inner`` has accepted every root, the exact leading
+    terms. ``tol`` goes to the inner route, which takes its own default for None.
     """
-    checked_tol(tol, None)
-    reason = stride_refusal(m)
-    if reason is not None:
-        raise ArgumentError(reason)
-    route = routes.ROUTES.get(inner)
-    if route is None:
+    if inner not in routes.ROUTES:
         raise ArgumentError(f"unknown inner route {inner!r}; choose from {routes.METHODS}")
-    xc = complex(x)
-    if n < 0 or cmath.isnan(xc) or not _inside(n, abs(xc), RADIUS_BASE**m):  # NaN before abs
-        SeriesParams.require_summable(n, m, xc)  # raises
-    if xc == 0:
-        return Evaluation(0j, 0.0, "folding", 0)
+    folding = routes.ROUTES["folding"]._replace(
+        kernel=lambda n, m, x, tol, cap: _fold_kernel(n, m, x, inner, tol)
+    )
+    return routes._served(n, m, x, "folding", folding, tol, None)
 
+
+def _fold_kernel(n: int, m: int, xc: complex, inner: str, tol) -> tuple[complex, float, int]:
+    """``fold``'s (value, abs_error_est, work) at summable x != 0 and 1 <= m <= 6."""
+    route = routes.ROUTES[inner]
     root = _principal_root(xc, m)
     tiny = abs(xc) < _TINY_X
     total = 0j
@@ -294,16 +289,15 @@ def fold(
             err += e
             work += w
     if tiny:
-        value, err, work = _leading_terms(n, m, xc)
-        return Evaluation(value, err, "folding", work)
+        return _leading_terms(n, m, xc)
     scale = float(m ** (n - 1))
     total *= scale
     err *= scale
     if xc.imag == 0.0:
         total, err = _discard_imag(total, err, xc)
-    return Evaluation(total, err, "folding", work)
+    return total, err, work
 
 
-# Last, as the route table imports the functions above; fold and the closed forms read it
-# at call time.
+# Last, as the route table imports the kernels above; fold and the closed forms read it at
+# call time.
 from . import routes  # noqa: E402

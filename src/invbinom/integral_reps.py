@@ -33,10 +33,10 @@ from itertools import accumulate, count, repeat
 from operator import add, floordiv, mul
 
 from .closed_forms import _RESIDUAL_TOL, _TINY_X, _leading_terms, _radical, phi
-from .errors import ArgumentError, BranchFailure, DomainError
+from .errors import BranchFailure, DomainError
 from .polylog import li
 from .quadrature import adaptive_quad, quad_tol
-from .series import _EPS, RADIUS_BASE, Evaluation, SeriesParams, _inside, sum_direct
+from .series import _EPS, RADIUS_BASE, Evaluation, SeriesParams, _inside, _sum_kernel
 
 _TWO_PI = 2.0 * math.pi
 _TINY = 1e-300
@@ -86,16 +86,14 @@ def quad_polylog(n: int, x: complex, tol: float | None = None) -> Evaluation:
     |x| = 27/4 the polylog argument touches 1 at t = 1/3, an integrable
     logarithmic singularity the adaptive rule subdivides through; the
     argument is clamped a hair below 1 there so the weight-1 kernel stays
-    finite under rounding.
+    finite under rounding. ``tol`` is checked as ``quad_cardano``'s.
     """
+    return routes.evaluate(n, 1, x, "quad-polylog", tol=tol)
+
+
+def _polylog_kernel(n: int, xc: complex, tol) -> tuple[complex, float, int]:
+    """``quad_polylog``'s (value, abs_error_est, work) at summable x != 0; checks tol alone."""
     tol = quad_tol(tol)
-    if n < 1:
-        raise ArgumentError(f"this route needs n >= 1, got {n}")
-    xc = complex(x)
-    if cmath.isnan(xc) or not _inside(n, abs(xc), RADIUS_BASE):  # NaN before abs
-        SeriesParams.require_summable(n, 1, xc)  # raises
-    if xc == 0:
-        return Evaluation(0j, 0.0, "quad-polylog", 0)
     weight = n - 1
     real_arg = xc.imag == 0.0
 
@@ -132,8 +130,7 @@ def quad_polylog(n: int, x: complex, tol: float | None = None) -> Evaluation:
                 w = complex(wr)
             return li(weight, w) / t
 
-    value, err, work = adaptive_quad(integrand, 0.0, 1.0, tol)
-    return Evaluation(value, err, "quad-polylog", work)
+    return adaptive_quad(integrand, 0.0, 1.0, tol)
 
 
 def quad_cardano(n: int, x: complex, tol: float | None = None) -> Evaluation:
@@ -151,16 +148,13 @@ def quad_cardano(n: int, x: complex, tol: float | None = None) -> Evaluation:
 _DIRECT_TOL = 1e-17
 
 
-def _cardano_kernel(
-    n: int, xc: complex, tol: float | None, max_terms: int | None = None
-) -> tuple[complex, float, int]:
+def _cardano_kernel(n: int, xc: complex, tol, max_terms=None) -> tuple[complex, float, int]:
     """``quad_cardano``'s (value, abs_error_est, work) at summable x != 0; checks tol alone."""
     quad_tol(tol)
     if abs(xc) < _TINY_X:
         return _leading_terms(n, 1, xc)
     if n > _S_WEIGHTS:
-        value, err, _, terms = sum_direct(n, 1, xc, _DIRECT_TOL, max_terms)
-        return value, err, terms
+        return _sum_kernel(n, 1, xc, _DIRECT_TOL, max_terms)
     s = _cardano_s(xc)
     if abs(s) <= S_MAX:
         return _s_series(n, xc, s)
@@ -401,15 +395,16 @@ def quad_two_term(n: int, x: float, tol: float | None = None) -> Evaluation:
     prefactor 4*(-1)**(n-2) / (3*(n-2)!) over [0, beta], trigonometric
     inner argument. Both integrals run through u = limit * s**3, s in [0, 1]
     (``_oriented``), which serves either sign of the limit (negative for x > 0).
-    ArgumentError for 0 < |x| < TWO_TERM_MIN_X, where the two integrals cancel.
+    ArgumentError for complex x and for 0 < |x| < TWO_TERM_MIN_X, where the two
+    integrals cancel. ``tol`` is checked as ``quad_cardano``'s.
     """
+    return routes.evaluate(n, 1, x, "quad-two-term", tol=tol)
+
+
+def _two_term_kernel(n: int, xr: float, tol) -> tuple[complex, float, int]:
+    """``quad_two_term``'s (value, abs_error_est, work) at the x it serves; checks tol alone."""
     tol = quad_tol(tol)
-    if n < 2:
-        raise ArgumentError(f"this route needs n >= 2, got {n}")
-    xr = float(x)
-    if 0.0 < abs(xr) < TWO_TERM_MIN_X:
-        raise ArgumentError(TWO_TERM_FLOOR)
-    limits = two_term_limits(xr)  # applies the domain rule
+    limits = two_term_limits(xr)
     p = n - 2
     fac = math.factorial(p)
 
@@ -429,7 +424,7 @@ def quad_two_term(n: int, x: float, tol: float | None = None) -> Evaluation:
     pref2 = 4.0 * (-1.0) ** (n - 2) / (3.0 * fac)
     value = pref1 * i1 + pref2 * i2
     err = abs(pref1) * e1 + abs(pref2) * e2
-    return Evaluation(complex(value), err, "quad-two-term", w1 + w2)
+    return complex(value), err, w1 + w2
 
 
 # Last, as the route table imports the kernels above; quad_cardano reads it at call time.

@@ -9,26 +9,25 @@ m through them. At m = 1 ``auto`` takes the closed forms for n <= 2 and quad-car
 3 <= n <= 8 (below QUAD_FLOOR, which quad-cardano refuses, a direct sum where it comes
 within that floor); otherwise it is a cost rule: direct summation when its predicted
 term count undercuts folding over those routes (m >= 2), or quad-cardano above weight 8;
-past the strides folding serves, direct summation. The public entries s01, s11, s21 and
-quad_cardano are this dispatch on their routes; quad-polylog is never chosen by ``auto``
-and stays an explicit route and verify's cross-check. ``evaluate`` checks the one
-``tol`` and hands it to the route's kernel, which passes it to every layer it runs.
+past the strides folding serves, direct summation. Every other public evaluator is
+``evaluate`` on its route, whose one check and one Evaluation it shares; quad-polylog is
+never chosen by ``auto`` and stays an explicit route and verify's cross-check. The one
+``tol`` goes to the route's kernel, which passes it to every layer it runs.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Callable, NamedTuple
 
-from .closed_forms import _closed_kernel, fold, stride_refusal
+from .closed_forms import _closed_kernel, _fold_kernel
 from .errors import ArgumentError, checked_tol
 from .integral_reps import (
     _S_WEIGHTS,
     TWO_TERM_FLOOR,
     TWO_TERM_MIN_X,
     _cardano_kernel,
-    quad_polylog,
-    quad_two_term,
+    _polylog_kernel,
+    _two_term_kernel,
 )
 from .quadrature import QUAD_FLOOR, quad_tol
 from .series import (
@@ -36,14 +35,13 @@ from .series import (
     Evaluation,
     SeriesParams,
     _predicted_estimate,
+    _sum_kernel,
     convergence_radius,
     default_max_terms,
-    sum_direct,
     within_terms,
 )
 
 Triple = tuple[complex, float, int]  # a kernel's (value, abs_error_est, work)
-_triple = itemgetter(0, 1, 3)  # the Triple of an Evaluation
 
 
 class Route(NamedTuple):
@@ -82,24 +80,20 @@ def _two_term_limits(n: int, m: int, x: complex) -> str | None:
     return reason
 
 
-def _folding(n: int, m: int, x: complex, tol, max_terms) -> Triple:
-    inner = "closed-form" if n <= 2 else "quad-cardano"
-    return _triple(fold(n, m, x, inner, tol=tol))
-
-
+# Each row looks its kernel up by name at call time, so that a tracer can wrap it.
 ROUTES: dict[str, Route] = {
     route.name: route
     for route in (
         Route(
             "direct-sum",
             lambda n, m, x: None,
-            lambda n, m, x, tol, cap: _triple(sum_direct(n, m, x, tol, cap)),
+            lambda n, m, x, tol, cap: _sum_kernel(n, m, x, tol, cap),
         ),
         Route("closed-form", _closed_form_limits, lambda n, m, x, *_: _closed_kernel(n, x)),
         Route(
             "quad-polylog",
             lambda n, m, x: _stride_one("quad-polylog", n, m, 1),
-            lambda n, m, x, tol, cap: _triple(quad_polylog(n, x, tol)),
+            lambda n, m, x, tol, cap: _polylog_kernel(n, x, tol),
         ),
         Route(
             "quad-cardano",
@@ -109,9 +103,15 @@ ROUTES: dict[str, Route] = {
         Route(
             "quad-two-term",
             _two_term_limits,
-            lambda n, m, x, tol, cap: _triple(quad_two_term(n, x.real, tol)),
+            lambda n, m, x, tol, cap: _two_term_kernel(n, x.real, tol),
         ),
-        Route("folding", lambda n, m, x: stride_refusal(m), _folding),
+        Route(
+            "folding",
+            lambda n, m, x: None if 1 <= m <= 6 else f"folding stride must be in [1, 6], got {m}",
+            lambda n, m, x, tol, cap: _fold_kernel(
+                n, m, x, "closed-form" if n <= 2 else "quad-cardano", tol
+            ),
+        ),
     )
 }
 METHODS = tuple(ROUTES)
@@ -199,22 +199,30 @@ def evaluate(
 
     ``tol`` goes to every layer the route runs; None leaves each its own default
     (SERIES_TOL for summation, QUAD_TOL for quadrature). Raises DomainError where the
-    series does not converge, and ArgumentError when ``tol`` is not > 0 or the named
-    route does not serve (n, m, x).
+    series does not converge, and ArgumentError when ``tol`` is not > 0, ``max_terms``
+    is below 1 or the named route does not serve (n, m, x).
     """
+    return _served(n, m, x, method, ROUTES.get(method), tol, max_terms)
+
+
+def _served(n, m, x, method: str, route: Route | None, tol, max_terms) -> Evaluation:
+    """``evaluate`` on ``route`` (None for auto or an unknown method): the one check of
+    every public entry (the domain rule, ``tol`` and ``max_terms`` None or > 0, the route's
+    limits), then the one Evaluation: 0 at x = 0, else the route kernel's Triple."""
     xc = SeriesParams.require_summable(n, m, x)
     checked_tol(tol, None)
-    if method == "auto":
-        if max_terms is None and (m > 1 or n > _S_WEIGHTS):  # read the cap once, for rule and route
-            max_terms = default_max_terms()
-        route = ROUTES[resolve_auto(n, m, xc, tol=tol, max_terms=max_terms)]
-    elif method in ROUTES:
-        route = ROUTES[method]
+    if max_terms is not None and max_terms < 1:
+        raise ArgumentError("max_terms must be >= 1")
+    if route is not None:
         reason = route.refuses(n, m, xc)
         if reason is not None:
             raise ArgumentError(reason)
-    else:
+    elif method != "auto":
         raise ArgumentError(f"unknown method {method!r}; choose from {METHODS} or 'auto'")
+    else:
+        if max_terms is None and (m > 1 or n > _S_WEIGHTS):  # read the cap once, for rule and route
+            max_terms = default_max_terms()
+        route = ROUTES[resolve_auto(n, m, xc, tol=tol, max_terms=max_terms)]
     if xc == 0:
         return Evaluation(0j, 0.0, route.name, 0)
     value, err, work = route.kernel(n, m, xc, tol, max_terms)

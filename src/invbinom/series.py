@@ -33,7 +33,7 @@ from itertools import accumulate, chain, islice, repeat
 from operator import attrgetter, le, mul, truediv
 from typing import Iterator, Sequence
 
-from .errors import ArgumentError, ConvergenceError, DomainError, checked_tol
+from .errors import ArgumentError, ConvergenceError, DomainError
 
 RADIUS_BASE = 27.0 / 4.0
 ENV_MAX_TERMS = "SERIES_MAX_TERMS"
@@ -411,19 +411,15 @@ def sum_direct(
         DomainError: outside the disk, or on the rim with n < 2.
         ConvergenceError: ``max_terms`` exhausted before the stop rule hit.
     """
-    x = complex(x)
-    radius = convergence_radius(m)  # ArgumentError for m < 1
-    if n < 0 or cmath.isnan(x) or not _inside(n, abs(x), radius):  # NaN before abs
-        SeriesParams.require_summable(n, m, x)  # raises
-    ax = abs(x)
-    tol = checked_tol(tol, SERIES_TOL)
-    if max_terms is None:
-        max_terms = default_max_terms()
-    if max_terms < 1:
-        raise ArgumentError("max_terms must be >= 1")
+    return routes.evaluate(n, m, x, "direct-sum", tol=tol, max_terms=max_terms)
 
-    if x == 0:
-        return Evaluation(0j, 0.0, "direct-sum", 0)
+
+def _sum_kernel(n: int, m: int, x: complex, tol, max_terms) -> tuple[complex, float, int]:
+    """``sum_direct``'s (value, abs_error_est, work) at summable x != 0; checks nothing."""
+    tol = SERIES_TOL if tol is None else tol
+    max_terms = default_max_terms() if max_terms is None else max_terms
+    radius = convergence_radius(m)
+    ax = abs(x)
     rim = ax == radius  # x is summable, so |x| <= radius
     # Robbins' Stirling bounds give sqrt(3/(4 pi N)) R**N e**(-1/(8N)) <=
     # C(3N, N) <= sqrt(3/(4 pi N)) R**N, so with c = sqrt(4 pi m / 3) every rim
@@ -435,7 +431,7 @@ def sum_direct(
 
     t = _first_term(m, x)
     if t == 0:  # underflow (subnormal x or huge m); every later term is smaller still
-        return Evaluation(t, 0.0, "direct-sum", 1)
+        return t, 0.0, 1
     real = x.imag == 0.0
     xs, t = (x.real, t.real) if real else (x, t)
     rho = ax / radius
@@ -457,7 +453,7 @@ def sum_direct(
     # the step C(3mk, mk) / C(3m(k+1), m(k+1)) decreases in k, and (k/(k+1))**n <= 1,
     # so this bounds every remaining ratio.
     err = _estimate(abs(terms[-1]), abs_sum, ax * step, work, n, m)
-    return Evaluation(total, err, "direct-sum", work)
+    return total, err, work
 
 
 def _estimate(last: float, abs_sum: float, r: float, work: float, n: int, m: int) -> float:
@@ -504,3 +500,7 @@ def _term_cap_error(tol: float, max_terms: int, rim: bool) -> ConvergenceError:
     return ConvergenceError(
         f"series did not meet tol={tol:g} within {max_terms} terms{hint}"
     )
+
+
+# Last, as the route table imports the kernel above; sum_direct reads it at call time.
+from . import routes  # noqa: E402

@@ -80,6 +80,15 @@ class TestPhi:
         with pytest.raises(DomainError):
             phi(0.0)
 
+    @pytest.mark.parametrize(
+        "x",
+        [math.nan, complex(math.nan, 0.0), complex(0.0, math.nan), math.inf, complex(1.0, -math.inf)],
+    )
+    def test_non_finite_raises(self, x):
+        # the residual test is False for NaN, so a NaN root passed it
+        with pytest.raises(DomainError, match="phi\\(x\\) needs a finite x"):
+            phi(x)
+
     def test_complex_branch_flag(self):
         root = phi(1.0 + 1.0j)
         assert root.branch == PRINCIPAL_BRANCH

@@ -200,9 +200,9 @@ class TestQuadTwoTerm:
         with pytest.raises(ArgumentError):
             quad_two_term(1, 0.5)
         with pytest.raises(DomainError):
-            quad_two_term(2, 0.0)
-        with pytest.raises(DomainError):
             quad_two_term(2, -6.76)
+        # x = 0 is exactly 0, as on every route
+        assert quad_two_term(2, 0.0) == (0j, 0.0, "quad-two-term", 0)
 
     def test_error_and_estimate_against_a_big_integer_reference(self):
         points = [(p.n, p.x.real) for p in TWO_TERM_GRID]

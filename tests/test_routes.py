@@ -582,16 +582,11 @@ def _outside(ax: float, m: int, n: int) -> str:
 
 R2 = R**2
 WEIGHT = "weight n must be >= 0, got -1"
-FOLD_STRIDE = "folding stride must be in [1, 6], got 0"
 STRIDE = "stride m must be >= 1, got 0"
 
 
-def _needs(k: int, n: int) -> str:
-    return f"this route needs n >= {k}, got {n}"
-
-
-# Each public entry outside its domain, with the error type and message it raised
-# before the entries were split into checks and kernels.
+# Each public entry outside its domain, with the error type and message it raises: the
+# check of ``evaluate`` on its route.
 DOMAIN_ERRORS = [
     ("s01 past", lambda: s01(7.0), DomainError, _outside(7.0, 1, 0)),
     ("s01 rim", lambda: s01(R), DomainError, _outside(6.75, 1, 0)),
@@ -601,24 +596,23 @@ DOMAIN_ERRORS = [
     ("fold past", lambda: fold(2, 2, 46.0), DomainError, _outside(46.0, 2, 2)),
     ("fold rim", lambda: fold(1, 2, R2), DomainError, _outside(45.5625, 2, 1)),
     ("fold n<0", lambda: fold(-1, 2, 0.5), ArgumentError, WEIGHT),
-    ("fold m0", lambda: fold(2, 0, 0.5), ArgumentError, FOLD_STRIDE),
+    ("fold m0", lambda: fold(2, 0, 0.5), ArgumentError, STRIDE),
     ("sum_direct past", lambda: sum_direct(2, 1, 7.0), DomainError, _outside(7.0, 1, 2)),
     ("sum_direct rim", lambda: sum_direct(1, 1, R), DomainError, _outside(6.75, 1, 1)),
     ("sum_direct n<0", lambda: sum_direct(-1, 1, 0.5), ArgumentError, WEIGHT),
     ("sum_direct m0", lambda: sum_direct(2, 0, 0.5), ArgumentError, STRIDE),
     ("quad_polylog past", lambda: quad_polylog(2, 7.0), DomainError, _outside(7.0, 1, 2)),
     ("quad_polylog rim", lambda: quad_polylog(1, R), DomainError, _outside(6.75, 1, 1)),
-    ("quad_polylog n<0", lambda: quad_polylog(-1, 0.5), ArgumentError, _needs(1, -1)),
+    ("quad_polylog n<0", lambda: quad_polylog(-1, 0.5), ArgumentError, WEIGHT),
     ("quad_cardano past", lambda: quad_cardano(3, 7.0), DomainError, _outside(7.0, 1, 3)),
     # quad_cardano is evaluate's quad-cardano route: the domain rule first, then the route's
     ("quad_cardano rim", lambda: quad_cardano(1, R), DomainError, _outside(6.75, 1, 1)),
     ("quad_cardano n<0", lambda: quad_cardano(-1, 0.5), ArgumentError, WEIGHT),
     ("quad_cardano n<3", lambda: quad_cardano(2, 0.5), ArgumentError,
      "quad-cardano needs n >= 3, got 2"),
-    # the two-term limits apply the rule at n = 2 whatever n is
-    ("quad_two_term past", lambda: quad_two_term(3, 7.0), DomainError, _outside(7.0, 1, 2)),
-    ("quad_two_term rim", lambda: quad_two_term(1, R), ArgumentError, _needs(2, 1)),
-    ("quad_two_term n<0", lambda: quad_two_term(-1, 0.5), ArgumentError, _needs(2, -1)),
+    ("quad_two_term past", lambda: quad_two_term(3, 7.0), DomainError, _outside(7.0, 1, 3)),
+    ("quad_two_term rim", lambda: quad_two_term(1, R), DomainError, _outside(6.75, 1, 1)),
+    ("quad_two_term n<0", lambda: quad_two_term(-1, 0.5), ArgumentError, WEIGHT),
     ("evaluate past", lambda: evaluate(3, 2, 46.0), DomainError, _outside(46.0, 2, 3)),
     ("evaluate rim", lambda: evaluate(1, 1, R), DomainError, _outside(6.75, 1, 1)),
     ("evaluate n<0", lambda: evaluate(-1, 1, 0.5), ArgumentError, WEIGHT),
@@ -642,6 +636,60 @@ class TestDomainErrors:
             call()
         assert type(info.value) is exc
         assert str(info.value) == message
+
+
+def _fold_over(inner):
+    return lambda n, m, x, **options: fold(n, m, x, inner, **options)
+
+
+def _stride_one(entry):
+    return lambda n, m, x, **options: entry(n, x, **options)
+
+
+def _closed(entry):
+    return lambda n, m, x: entry(x)
+
+
+NAN = math.nan
+# (n, m, x, options) that no route serves: the weight, the disk and its rim, NaN, and,
+# for the entries that take them, the stride and the options.
+ANY_ROUTE = [(-1, 1, 0.5, {}), (3, 1, 7.0, {}), (1, 1, R, {}), (3, 1, NAN, {}),
+             (3, 1, complex(0.5, NAN), {})]
+STRIDED = [(2, 0, 0.5, {}), (3, 2, 46.0, {}), (1, 2, R2, {})]
+TOLS = [(3, 1, 0.5, {"tol": 0.0}), (3, 1, 0.5, {"tol": NAN})]
+# (name, entry(n, m, x, **options), route, refused (n, m, x, options))
+PUBLIC_ENTRIES = [
+    ("sum_direct", sum_direct, "direct-sum",
+     ANY_ROUTE + STRIDED + TOLS + [(3, 1, 0.5, {"max_terms": 0})]),
+    *((f"fold over {inner}", _fold_over(inner), "folding", ANY_ROUTE + STRIDED + TOLS)
+      for inner in METHODS),
+    ("quad_polylog", _stride_one(quad_polylog), "quad-polylog", ANY_ROUTE + TOLS),
+    ("quad_cardano", _stride_one(quad_cardano), "quad-cardano", ANY_ROUTE + TOLS),
+    ("quad_two_term", _stride_one(quad_two_term), "quad-two-term",
+     ANY_ROUTE + TOLS + [(3, 1, 0.5 + 0.1j, {}), (3, 1, 1e-3, {}), (3, 1, -1e-3, {})]),
+    *((entry.__name__, _closed(entry), "closed-form",
+       [(n, 1, x, {}) for x in (7.0, NAN, complex(0.5, NAN), *[R] * (n < 2))])
+      for n, entry in enumerate((s01, s11, s21))),
+]
+PUBLIC_REFUSALS = [
+    (name, entry, route, case) for name, entry, route, cases in PUBLIC_ENTRIES for case in cases
+]
+
+
+class TestPublicEntriesAreEvaluate:
+    @pytest.mark.parametrize(
+        "entry,route,case",
+        [case[1:] for case in PUBLIC_REFUSALS],
+        ids=[f"{case[0]} {case[3]}" for case in PUBLIC_REFUSALS],
+    )
+    def test_each_entry_raises_what_evaluate_raises_on_its_route(self, entry, route, case):
+        n, m, x, options = case
+        with pytest.raises(SeriesError) as want:
+            evaluate(n, m, x, route, **options)
+        with pytest.raises(Exception) as got:  # a TypeError, say, is compared too
+            entry(n, m, x, **options)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
 
 
 # A served point per route, the rim and the x = 0 short cut included.
@@ -669,20 +717,54 @@ RULE_ONCE = [
 ]
 
 
+# A served point per public entry, fold over every inner route, the rim and the x = 0
+# short cut included: (name, entry(n, m, x), n, m, x).
+PUBLIC_RULE_ONCE = [
+    ("sum_direct", sum_direct, 3, 2, 10.0),
+    ("sum_direct", sum_direct, 5, 1, R),
+    ("sum_direct", sum_direct, 2, 3, 0.0),
+    *((f"fold over {inner}", _fold_over(inner), 3 if inner == "quad-cardano" else 2, 2, x)
+      for inner in METHODS for x in (1.0, 0.0)),
+    ("fold over closed-form", _fold_over("closed-form"), 2, 3, -R**3),
+    ("fold over quad-cardano", _fold_over("quad-cardano"), 4, 2, 1j),
+    ("quad_polylog", _stride_one(quad_polylog), 2, 1, 0.5j),
+    ("quad_polylog", _stride_one(quad_polylog), 3, 1, R),
+    ("quad_polylog", _stride_one(quad_polylog), 2, 1, 0.0),
+    ("quad_two_term", _stride_one(quad_two_term), 2, 1, 0.5),
+    ("quad_two_term", _stride_one(quad_two_term), 3, 1, R),
+    ("quad_two_term", _stride_one(quad_two_term), 2, 1, 0.0),
+]
+
+
+@pytest.fixture
+def rule_calls(monkeypatch):
+    """The (n, m, x) of every call of the domain rule."""
+    calls = []
+    rule = SeriesParams.require_summable
+
+    def counted(n, m, x):
+        calls.append((n, m, x))
+        return rule(n, m, x)
+
+    monkeypatch.setattr(SeriesParams, "require_summable", staticmethod(counted))
+    return calls
+
+
 class TestDomainRuleOnce:
     @pytest.mark.parametrize("method,n,m,x", RULE_ONCE)
-    def test_evaluate_applies_the_rule_once(self, monkeypatch, method, n, m, x):
-        calls = []
-        rule = SeriesParams.require_summable
-
-        def counted(n, m, x):
-            calls.append((n, m, x))
-            return rule(n, m, x)
-
-        monkeypatch.setattr(SeriesParams, "require_summable", staticmethod(counted))
+    def test_evaluate_applies_the_rule_once(self, rule_calls, method, n, m, x):
         ev = evaluate(n, m, x, method)
-        assert calls == [(n, m, x)]
+        assert rule_calls == [(n, m, x)]
         assert method in ("auto", ev.method)
+
+    @pytest.mark.parametrize(
+        "entry,n,m,x",
+        [case[1:] for case in PUBLIC_RULE_ONCE],
+        ids=[f"{case[0]} {case[2:]}" for case in PUBLIC_RULE_ONCE],
+    )
+    def test_public_entries_apply_the_rule_once(self, rule_calls, entry, n, m, x):
+        entry(n, m, x)
+        assert rule_calls == [(n, m, x)]
 
 
 def _two_term_grid():
@@ -726,8 +808,7 @@ class TestTwoTermFloor:
         # at S(5,1;0.0017) it was 1.6e-11 off with an estimate of 1.2e-13
         for x in (TWO_TERM_MIN_X, -TWO_TERM_MIN_X):
             assert quad_two_term(5, x) == evaluate(5, 1, x, "quad-two-term")
-        with pytest.raises(DomainError, match="x -> 0"):
-            quad_two_term(2, 0.0)
+        assert quad_two_term(2, 0.0) == (0j, 0.0, "quad-two-term", 0)  # as on every route
 
     def test_cli_exit_code_below_the_floor(self, capsys):
         code = main(["eval", "--n", "2", "--m", "1", "--x", "0.001", "--method", "quad-two-term"])
