@@ -1,11 +1,12 @@
 """Adaptive quadrature with a nested embedded rule.
 
-A 7-point Gauss rule is embedded in its 15-point Kronrod extension. Every
-subinterval carries its Kronrod value and |K15 - G7| as a (deliberately
-conservative) local error estimate; refinement always bisects the interval
-with the largest local error, which resolves integrable endpoint and
-interior singularities without special casing. All nodes are interior, so
-an integrand singular exactly at an endpoint is never sampled there.
+The panel is QUADPACK's qk21 (Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner,
+1983), the default rule of its qags: a 10-point Gauss rule embedded in its 21-point
+Kronrod extension. Every subinterval carries its Kronrod value and |K21 - G10| as a
+(deliberately conservative) local error estimate; refinement always bisects the interval
+with the largest local error, which resolves integrable endpoint and interior
+singularities without special casing. All nodes are interior, so an integrand singular
+exactly at an endpoint is never sampled there.
 
 Complex-valued integrands work unchanged: the rule is linear and the error
 metric is the complex modulus. For a fixed tolerance the refinement order is
@@ -15,7 +16,7 @@ never below QUAD_FLOOR, the rounding floor of the panel estimates); the
 subdivision budget is the constant MAX_SUBDIVISIONS.
 
 Most integrals the package takes meet their tolerance on the first panel, so
-that panel is returned at once, with no heap; the panel itself makes its 15
+that panel is returned at once, with no heap; the panel itself makes its 21
 calls and both sums written out, in a fixed left-to-right order.
 """
 
@@ -29,38 +30,49 @@ from typing import Callable
 from .errors import ArgumentError, ConvergenceError, checked_tol
 from .series import _EPS
 
-# 15-point Kronrod extension of 7-point Gauss, positive half of the nodes.
-# Odd indices (and the centre) are the embedded Gauss nodes.
+# QUADPACK qk21: the 21-point Kronrod extension of 10-point Gauss, positive half of the
+# nodes (the centre last). Odd indices are the embedded Gauss nodes; the centre is not one.
 _XGK = (
-    0.9914553711208126,
-    0.9491079123427585,
-    0.8648644233597691,
-    0.7415311855993944,
-    0.5860872354676911,
-    0.4058451513773972,
-    0.2077849550078985,
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
     0.0,
 )
 _WGK = (
-    0.022935322010529225,
-    0.06309209262997855,
-    0.10479001032225018,
-    0.14065325971552592,
-    0.1690047266392679,
-    0.19035057806478542,
-    0.20443294007529889,
-    0.20948214108472782,
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
 )
 _WG = (
-    0.12948496616886969,
-    0.2797053914892767,
-    0.3818300505051189,
-    0.4179591836734694,
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
 )
-_X0, _X1, _X2, _X3, _X4, _X5, _X6 = _XGK[:7]
-_K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7 = _WGK
-_G0, _G1, _G2, _G3 = _WG
+_X0, _X1, _X2, _X3, _X4, _X5, _X6, _X7, _X8, _X9 = _XGK[:10]
+_K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7, _K8, _K9, _K10 = _WGK
+_G0, _G1, _G2, _G3, _G4 = _WG
 
+# Integrand calls of one panel (a pair per node off the centre, and the centre), and of a
+# bisection, which replaces one panel by two.
+_PANEL_CALLS = 2 * len(_XGK) - 1
+_SPLIT_CALLS = 2 * _PANEL_CALLS
 
 # Bisections ``adaptive_quad`` makes before it gives up with ConvergenceError.
 MAX_SUBDIVISIONS = 2000
@@ -70,9 +82,10 @@ QUAD_TOL = 1e-12
 
 # Each panel's error estimate is at least _PANEL_FLOOR times its absolute integral (the
 # rounding level), so no tol much below it can be met: 1e-14 ran out of subdivisions at
-# S(3,1;6.0) by quad-cardano, and 1.5e-14 met every one of 409 points of the three
-# quadrature routes. QUAD_FLOOR, twice the panel floor (about 2.2e-14), is the least tol
-# a quadrature accepts.
+# S(3,1;6.0) by the old Cardano-root quadrature, and 1.5e-14 met every one of 315 points
+# of the two quadrature routes (quad-polylog at n 1..6, quad-two-term at n 2..6 on the real
+# axis; |x|/(27/4) from 0.01 to the rim, five angles). QUAD_FLOOR, twice the panel floor
+# (about 2.2e-14), is the least tol a quadrature accepts.
 _PANEL_FLOOR = 50.0 * _EPS
 QUAD_FLOOR = 2.0 * _PANEL_FLOOR
 
@@ -81,15 +94,15 @@ _VALUE, _ERR = itemgetter(4), itemgetter(5)
 _REAL, _IMAG = attrgetter("real"), attrgetter("imag")
 
 
-def _gk15(f: Callable[[float], complex], a: float, b: float):
-    """One panel: (Kronrod value, error estimate, |K15|).
+def _gk21(f: Callable[[float], complex], a: float, b: float):
+    """One panel: (Kronrod value, error estimate, |K21|).
 
-    The raw |K15 - G7| difference estimates the Gauss error, which badly
+    The raw |K21 - G10| difference estimates the Gauss error, which badly
     overstates the Kronrod error on smooth panels; it is rescaled against
     the total variation of the integrand on the panel (the classical
     (200 d / v)**1.5 deflation), then floored at the rounding level.
 
-    The 15 calls and both sums are written out, in the order of a loop over
+    The 21 calls and both sums are written out, in the order of a loop over
     the node pairs from the outermost in: each sum adds its terms left to right.
     """
     c = 0.5 * (a + b)
@@ -116,11 +129,22 @@ def _gk15(f: Callable[[float], complex], a: float, b: float):
     x = h * _X6
     f6a = f(c - x)
     f6b = f(c + x)
+    x = h * _X7
+    f7a = f(c - x)
+    f7b = f(c + x)
+    x = h * _X8
+    f8a = f(c - x)
+    f8b = f(c + x)
+    x = h * _X9
+    f9a = f(c - x)
+    f9b = f(c + x)
     s1 = f1a + f1b
     s3 = f3a + f3b
     s5 = f5a + f5b
+    s7 = f7a + f7b
+    s9 = f9a + f9b
     gk = (
-        _K7 * fc
+        _K10 * fc
         + _K0 * (f0a + f0b)
         + _K1 * s1
         + _K2 * (f2a + f2b)
@@ -128,13 +152,16 @@ def _gk15(f: Callable[[float], complex], a: float, b: float):
         + _K4 * (f4a + f4b)
         + _K5 * s5
         + _K6 * (f6a + f6b)
+        + _K7 * s7
+        + _K8 * (f8a + f8b)
+        + _K9 * s9
     )
-    g = _G3 * fc + _G0 * s1 + _G1 * s3 + _G2 * s5
+    g = _G0 * s1 + _G1 * s3 + _G2 * s5 + _G3 * s7 + _G4 * s9
     value = gk * h
     resabs = abs(value)
     mean = gk * 0.5
     resasc = (
-        _K7 * abs(fc - mean)
+        _K10 * abs(fc - mean)
         + _K0 * (abs(f0a - mean) + abs(f0b - mean))
         + _K1 * (abs(f1a - mean) + abs(f1b - mean))
         + _K2 * (abs(f2a - mean) + abs(f2b - mean))
@@ -142,6 +169,9 @@ def _gk15(f: Callable[[float], complex], a: float, b: float):
         + _K4 * (abs(f4a - mean) + abs(f4b - mean))
         + _K5 * (abs(f5a - mean) + abs(f5b - mean))
         + _K6 * (abs(f6a - mean) + abs(f6b - mean))
+        + _K7 * (abs(f7a - mean) + abs(f7b - mean))
+        + _K8 * (abs(f8a - mean) + abs(f8b - mean))
+        + _K9 * (abs(f9a - mean) + abs(f9b - mean))
     ) * abs(h)
     err = abs((gk - g) * h)
     if resasc != 0.0 and err != 0.0:
@@ -184,16 +214,16 @@ def adaptive_quad(
     if a > b:
         raise ArgumentError("adaptive_quad requires a <= b; flip and negate at the call site")
 
-    value, err, _ = _gk15(f, a, b)
+    value, err, _ = _gk21(f, a, b)
     if not err > max(tol, tol * abs(value)):
         # one panel: the loop below would not run, and the math.fsum of one value is
         # that value (with -0.0 read as 0.0, which ``+ 0.0`` reproduces)
-        return complex(value.real + 0.0, value.imag + 0.0), err, 15
+        return complex(value.real + 0.0, value.imag + 0.0), err, _PANEL_CALLS
     # heap entries: (-local_err, insertion_index, lo, hi, value, local_err)
     heap = [(-err, 0, a, b, value, err)]
     total_val = value
     total_err = err
-    neval = 15
+    neval = _PANEL_CALLS
     counter = 1
     splits = 0
     while total_err > max(tol, tol * abs(total_val)):
@@ -217,9 +247,9 @@ def adaptive_quad(
             counter += 1
             total_err -= e0
             continue
-        v1, e1, _ = _gk15(f, lo, mid)
-        v2, e2, _ = _gk15(f, mid, hi)
-        neval += 30
+        v1, e1, _ = _gk21(f, lo, mid)
+        v2, e2, _ = _gk21(f, mid, hi)
+        neval += _SPLIT_CALLS
         splits += 1
         total_val += v1 + v2 - v0
         total_err += e1 + e2 - e0

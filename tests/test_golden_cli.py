@@ -98,6 +98,17 @@ When ``auto`` began to take quad-cardano at every stride-1 point of weights 3..8
 at S(3,1;0.5) stopped summing 13 terms directly: it returns the series in s (10 terms, the
 same value, an estimate of 4.4e-16 in place of 3.2e-16), and its hash is no longer the
 ``direct-sum`` hash of the point (b90ee746 -> 98e2a14c).
+When the quadrature panel moved from the 15-point Gauss-Kronrod rule to QUADPACK's 21-point
+qk21, the nine ``quad-polylog`` and ``quad-two-term`` hashes moved in ``work`` (21 calls per
+panel in place of 15), in their estimates and in the last bits of most values, and ``verify``
+with its quadrature entries; old -> new, by leading hex digits:
+
+    quad-polylog  S(2,1;0.5) 2af68be0 -> 0452e100    S(2,1;6.6825) f52e9023 -> 25b3d231
+                  S(2,1;6.75) 64831404 -> d9733ea0   S(2,1;1+1i)   6757db65 -> 85176fdb
+                  S(3,1;0.5) ca83c1c2 -> 621815e8
+    quad-two-term S(2,1;0.5) 32ae7cb3 -> dba7ef3b    S(2,1;6.6825) 194a3587 -> 123d9a00
+                  S(2,1;6.75) c4a0dbad -> b6e923b5   S(3,1;0.5)    190e978d -> 65e5d89c
+    verify        e9f43cdc -> 2a90fa28
 """
 
 import hashlib
@@ -114,10 +125,10 @@ GOLDEN = {
         "b1bfd002236bbb3a909291737ca73fa2cb78214a6093526e8a72147924c2caca"
     ),
     "eval --n 2 --m 1 --x 0.5 --method quad-polylog --output json": (
-        "2af68be0cc5d80005a564e2d64fbd3057980e4e3ee3036cf2da96a13cd82fa8b"
+        "0452e100dceb282a493ee8ff915a47717625c6b2971b5bb0a5b4e7675d5a76a5"
     ),
     "eval --n 2 --m 1 --x 0.5 --method quad-two-term --output json": (
-        "32ae7cb3ba4cccd91d317ed3cded3d81578d3d67d2694170feb29637576af20d"
+        "dba7ef3b643f62406e212df2a2e8202773066d9c3aada29ba6cfa17a60643f7d"
     ),
     "eval --n 2 --m 1 --x 0.5 --method folding --output json": (
         "d3adc2eaaea3f53a52b8f78d4f6b8555d99a0f4f972a377c61a85fa6e5a9289c"
@@ -132,10 +143,10 @@ GOLDEN = {
         "666a32c7682973f71e096509f50d1aba94cc68b3af961ea7a2b93fff1eb48bbb"
     ),
     "eval --n 2 --m 1 --x 6.6825 --method quad-polylog --output json": (
-        "f52e9023dd82e57bd9e09630c0f1d700527c0b92bf92c40b0f7dc140dac1fde2"
+        "25b3d2318ae5568a6e1660e1b21ae0ddce3f6faa96cb978b8983a1cff72ae7d9"
     ),
     "eval --n 2 --m 1 --x 6.6825 --method quad-two-term --output json": (
-        "194a35870f4990a296c52c38ae73aa816133744bc6a4df906146860c52b93af2"
+        "123d9a0037ade6d9cc5fc5fdc6541d7799237e2f180acd8dca669689d7c81cc4"
     ),
     "eval --n 2 --m 1 --x 6.6825 --method folding --output json": (
         "c08f5947c413acec1c2921e056ee4cdda847466265f0dfe32a95edc197d3af57"
@@ -147,10 +158,10 @@ GOLDEN = {
         "8b19b00eca7f7f2d40b6d5b799424fb73f73cbc068f3935a4d2dfbc987574170"
     ),
     "eval --n 2 --m 1 --x 6.75 --method quad-polylog --output json": (
-        "6483140425dab77a76abfb033ee4a476e00962fe0822d4ff92f923453db55c00"
+        "d9733ea0bed2fe50e7d96a7c6da799d178455efee08ac22d70f7143282db09aa"
     ),
     "eval --n 2 --m 1 --x 6.75 --method quad-two-term --output json": (
-        "c4a0dbad2c31e8782bbdffd1be7dea2b4cd26d52b2affad552a7d55daa04e503"
+        "b6e923b52a5fe2057555e6d408fdd520b243c0d119129fbc2c317d7db225527b"
     ),
     "eval --n 2 --m 1 --x 6.75 --method folding --output json": (
         "e29e38b87a6e4e988faf79ede2006c6f8f650b8e3fa809d67b53fd8b5c78ee44"
@@ -165,7 +176,7 @@ GOLDEN = {
         "6868525796d0ab39f42c713c564ae9d10dfa3684f50270c57b576f1b7330f80b"
     ),
     "eval --n 2 --m 1 --x 1+1i --method quad-polylog --output json": (
-        "6757db65e48ca10e6d9d29cf3dcb148e6b82cc5ab705a663166a2d5d12e80202"
+        "85176fdbb3c3f993999e540ebf836097035ddb58fa322ecdaa936deac5fc7cc7"
     ),
     "eval --n 2 --m 1 --x 1+1i --method folding --output json": (
         "5ccba444cba47629fd74f692a73eebe42a8872416e13f1f790d6dd11168d9f16"
@@ -207,10 +218,10 @@ GOLDEN = {
         "b90ee7467ce6bd99c0af0e5e33cbcc79e18158f055205a5a7546b9af2260f076"
     ),
     "eval --n 3 --m 1 --x 0.5 --method quad-polylog --output json": (
-        "ca83c1c2996df99cc0b42e8314df697133ac61678c7eba7eb378162af3842671"
+        "621815e802ef220c3e8a556fa8ac8bf8d1744fcdc059569d850cbe832b9784b6"
     ),
     "eval --n 3 --m 1 --x 0.5 --method quad-two-term --output json": (
-        "190e978d65385b160367af92ef23b2e40437e4bca96381a5572b818eb0e9fa3c"
+        "65e5d89c9c522e49be472ef55ab6b9de331411efce499e6faf073579ed7228cc"
     ),
     "eval --n 3 --m 1 --x 0.5 --method folding --output json": (
         "3962a66d2e1ec2433f99a46b932bfc8ee56fd57597ea51fb51b0ce0d59242095"
@@ -247,7 +258,7 @@ GOLDEN = {
         "57dafe31d0cccff5c0d648445375e3207511c1d428a96207c9ae6c59a2a065e3"
     ),
     "verify --suite all --output json": (
-        "e9f43cdc5314537336d2dcb3bd8341f3063a2d51732ac8b7e4bca281732a06f4"
+        "2a90fa2828cc20648d399969cad07d467efb322adfb7e9eafaa24208eccfbd38"
     ),
 }
 

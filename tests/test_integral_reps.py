@@ -141,18 +141,26 @@ class TestQuadPolylog:
         assert err <= ev.abs_error_est, (x, err, ev.abs_error_est)
         assert err <= 1e-15 * abs(float(re)), (x, err / abs(float(re)))
 
-    def test_error_estimate_honesty(self):
-        # estimate must dominate the actual deviation in at least 95% of the grid
-        hits = 0
-        total = 0
-        for n in (1, 2, 3, 4, 5):
-            for x in (-0.25, 0.25, -1.0, 1.0, -3.0, 3.0, 6.0, -6.0):
-                ref = sum_direct(n, 1, x)
-                ev = quad_polylog(n, x)
-                total += 1
-                if ev.abs_error_est >= abs(ev.value - ref.value):
-                    hits += 1
-        assert hits >= math.ceil(0.95 * total)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_error_estimate_honesty(self, n):
+        # the estimate bounds the error at every point, real and complex, against the
+        # big-integer reference
+        xs = [-0.25, 0.25, -1.0, 1.0, -3.0, 3.0, 6.0, -6.0]
+        xs += [rho * RIM * cmath.exp(1j * a) for rho in (0.3, 0.9, 0.99) for a in (0.3, 1.2, 2.5)]
+        for x in xs:
+            ev = quad_polylog(n, x)
+            re, im, bound = _fixed_point_reference(n, 1, complex(x))
+            dr, di = Fraction(ev.value.real) - re, Fraction(ev.value.imag) - im
+            err = math.hypot(float(dr), float(di)) + bound
+            assert err <= ev.abs_error_est, (n, x, err, ev.abs_error_est)
+
+    def test_estimate_bounds_the_error_near_the_branch_point(self):
+        # S(4,1;0.9999*27/4): the 15-point panel stopped 3.6e-12 off with an estimate of
+        # 1.6e-12; the reference is 40-digit mpmath, 2.7e-24 off
+        x = float.fromhex("0x1.aff4f0d844d01p+2")
+        assert x == 0.9999 * RIM
+        ev = quad_polylog(4, x)
+        assert abs(ev.value - 2.5201426569860113) <= ev.abs_error_est
 
     def test_domain_errors(self):
         with pytest.raises(ArgumentError):
@@ -221,7 +229,7 @@ class TestQuadTwoTerm:
     def test_work_on_the_verify_grid(self):
         # u = limit * s**3 smooths the u log(u)**p endpoint; bisecting towards it took 14,430
         assert len(TWO_TERM_GRID) == 19
-        assert sum(quad_two_term(p.n, p.x.real).work for p in TWO_TERM_GRID) <= 3600
+        assert sum(quad_two_term(p.n, p.x.real).work for p in TWO_TERM_GRID) <= 3000
 
     def test_tolerance_threading(self):
         ev = quad_two_term(3, 3.0, tol=1e-8)

@@ -4,18 +4,19 @@ import cmath
 import heapq
 import inspect
 import math
+from fractions import Fraction
 
 import pytest
 
 from invbinom import ArgumentError, ConvergenceError, adaptive_quad
 from invbinom import quadrature
-from invbinom.quadrature import _EPS, _WG, _WGK, _XGK, QUAD_FLOOR, QUAD_TOL, _gk15
+from invbinom.quadrature import _EPS, _WG, _WGK, _XGK, QUAD_FLOOR, QUAD_TOL, _gk21
 
 
 def test_polynomial_is_exact_on_one_panel():
     value, err, neval = adaptive_quad(lambda t: 5 * t**4, 0.0, 1.0)
     assert value.real == pytest.approx(1.0, abs=1e-15)
-    assert neval == 15
+    assert neval == 21
 
 
 def test_smooth_oscillatory():
@@ -77,18 +78,46 @@ def test_tolerance_validation():
     assert list(inspect.signature(adaptive_quad).parameters) == ["f", "a", "b", "tol"]
 
 
+# -- the literals: exact on polynomials up to the rule's degree, and no further ---------
+
+
+def _moment_errors(k):
+    """|K21(t**k) - 2/(k+1)| and |G10(t**k) - 2/(k+1)| on [-1, 1], exactly, over the
+    float literals."""
+    xs = [Fraction(x) for x in _XGK]
+    exact = Fraction(2, k + 1)
+    kronrod = Fraction(_WGK[10]) * (k == 0) + sum(
+        2 * Fraction(w) * x**k for w, x in zip(_WGK[:10], xs[:10])
+    )
+    gauss = sum(2 * Fraction(w) * x**k for w, x in zip(_WG, xs[1:10:2]))
+    return abs(kronrod - exact), abs(gauss - exact)
+
+
+def test_literals_integrate_monomials_to_the_rule_degree():
+    assert len(_XGK) == len(_WGK) == 11 and len(_WG) == 5 and _XGK[10] == 0.0
+    assert list(_XGK) == sorted(_XGK, reverse=True)
+    for k in range(0, 31, 2):
+        kronrod, gauss = _moment_errors(k)
+        assert kronrod <= 4 * Fraction(_EPS), k
+        if k <= 18:
+            assert gauss <= 4 * Fraction(_EPS), k
+    # odd powers vanish by symmetry; the first even power past each rule's degree misses
+    assert _moment_errors(32)[0] > 1e-12
+    assert _moment_errors(20)[1] > 1e-6
+
+
 # -- bit identity with the plain loops ---------------------------------------------------
 
 
-def _gk15_loop(f, a, b):
+def _gk21_loop(f, a, b):
     """The panel as a loop over the node pairs, with a second loop for the variation."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     fc = f(c)
-    gk = _WGK[7] * fc
-    g = _WG[3] * fc
+    gk = _WGK[10] * fc
+    g = 0.0
     pairs = []
-    for i in range(7):
+    for i in range(10):
         xi = h * _XGK[i]
         f1 = f(c - xi)
         f2 = f(c + xi)
@@ -99,8 +128,8 @@ def _gk15_loop(f, a, b):
     value = gk * h
     resabs = abs(value)
     mean = gk * 0.5
-    resasc = _WGK[7] * abs(fc - mean)
-    for i in range(7):
+    resasc = _WGK[10] * abs(fc - mean)
+    for i in range(10):
         f1, f2 = pairs[i]
         resasc += _WGK[i] * (abs(f1 - mean) + abs(f2 - mean))
     resasc *= abs(h)
@@ -115,9 +144,9 @@ def _adaptive_quad_loop(f, a, b, tol=None):
     """Bisection of the worst panel until the tolerance holds, with no early exit, and a
     left-to-right resummation over the sorted partition."""
     tol = QUAD_TOL if tol is None else tol
-    value, err, _ = _gk15_loop(f, a, b)
+    value, err, _ = _gk21_loop(f, a, b)
     heap = [(-err, 0, a, b, value, err)]
-    total_val, total_err, neval, counter, splits = value, err, 15, 1, 0
+    total_val, total_err, neval, counter, splits = value, err, 21, 1, 0
     while total_err > max(tol, tol * abs(total_val)):
         if splits >= quadrature.MAX_SUBDIVISIONS:
             raise ConvergenceError("budget")
@@ -130,9 +159,9 @@ def _adaptive_quad_loop(f, a, b, tol=None):
             counter += 1
             total_err -= e0
             continue
-        v1, e1, _ = _gk15_loop(f, lo, mid)
-        v2, e2, _ = _gk15_loop(f, mid, hi)
-        neval += 30
+        v1, e1, _ = _gk21_loop(f, lo, mid)
+        v2, e2, _ = _gk21_loop(f, mid, hi)
+        neval += 42
         splits += 1
         total_val += v1 + v2 - v0
         total_err += e1 + e2 - e0
@@ -172,8 +201,8 @@ def test_panel_equals_the_loop_bit_for_bit(name, f):
     for a, b in _INTERVALS:
         if a <= 0.0 and name in ("log", "inv-sqrt", "log2/(1+t)"):
             a = 1e-3
-        got = _gk15(f, a, b)
-        ref = _gk15_loop(f, a, b)
+        got = _gk21(f, a, b)
+        ref = _gk21_loop(f, a, b)
         assert _bits(got[0]) == _bits(ref[0]), (name, a, b)
         assert got[1:] == ref[1:] and got[1].hex() == ref[1].hex(), (name, a, b)
 
@@ -199,5 +228,5 @@ def test_adaptive_quad_equals_the_loop_bit_for_bit(name, f, tol):
 def test_one_and_many_panels_are_both_covered():
     one = adaptive_quad(lambda t: 5 * t**4, 0.0, 1.0)
     many = adaptive_quad(math.log, 0.0, 1.0)
-    assert one[2] == 15 and many[2] > 15
-    assert _adaptive_quad_loop(lambda t: 5 * t**4, 0.0, 1.0)[2] == 15
+    assert one[2] == 21 and many[2] > 21
+    assert _adaptive_quad_loop(lambda t: 5 * t**4, 0.0, 1.0)[2] == 21
