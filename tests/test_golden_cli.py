@@ -109,6 +109,11 @@ with its quadrature entries; old -> new, by leading hex digits:
     quad-two-term S(2,1;0.5) 32ae7cb3 -> dba7ef3b    S(2,1;6.6825) 194a3587 -> 123d9a00
                   S(2,1;6.75) c4a0dbad -> b6e923b5   S(3,1;0.5)    190e978d -> 65e5d89c
     verify        e9f43cdc -> 2a90fa28
+
+The three ``direct-sum`` hashes at S(0,9;0.99 R**9) (3,164 terms, no step table),
+S(0,2;0.999 R**2) (29,430 terms) and S(4,8;0.99 R**8 e**(0.7i)) (1,020 terms, past the
+512-step table) were recorded while sums predicted to run past the tables went through a
+separate block kernel, so that its replacement by the one term loop keeps their bytes.
 """
 
 import hashlib
@@ -244,6 +249,15 @@ GOLDEN = {
     "eval --n 3 --m 60 --x 3.9449428327662113e+49+3.3227795096300843e+49i "
     "--method direct-sum --output json": (
         "f5a7f7c208b3a3554d3aa75a2caa1d2fd009d9cb7ec96ea0234327a9c15920e4"
+    ),
+    "eval --n 0 --m 9 --x 28798452.415989418 --method direct-sum --output json": (
+        "0c62631c1b9b5cd63b14b930ad0751abc012803e7cc6303da0fc90f9ded04d94"
+    ),
+    "eval --n 0 --m 2 --x 45.5169375 --method direct-sum --output json": (
+        "adec5934779a03cc7fcf58143fb1c295731160f53bf39f707442a7521d8f4941"
+    ),
+    "eval --n 4 --m 8 --x 3263151.3090746086+2748514.4313264294i --method direct-sum --output json": (
+        "b58b889f2c006feb67031137e36393346397aacfea540929efdf7e97aeacaae0"
     ),
     "eval --n 3 --m 1 --x 6.75 --method quad-cardano --output json": (
         "e1fb9d29320adaf83a35dc336763336ceeb08b1e6e8aadd343801127a34a8de1"
