@@ -16,10 +16,11 @@ factors form one sequence f_0, f_1, ... for every m and x, and the steps and
 the weights (k/(k+1))**n depend on (n, m, k) alone, so all three are immutable
 tuples built at import: _FACTORS (the first _FACTOR_TABLE factors), _STEPS (the
 steps of m 1..8 those factors cover) and _WEIGHTS (n 1..8, k < _WEIGHT_TABLE).
-Where they cover a sum a term costs two products with table reads, and only
-steps and weights past their ends are computed, with the same operations, so
-every bit is the same. The sum is correctly rounded (``math.fsum``), because
-near the rim a plain running sum loses digits.
+One loop forms the terms one at a time. Where the tables cover a sum a term
+costs two products with table reads; past their ends the steps come from
+chunks of ``_computed_steps`` and each weight from one ``pow``, the same
+operations, so every bit is the same. The sum is correctly rounded
+(``math.fsum``), because near the rim a plain running sum loses digits.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ import math
 import os
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, repeat
-from operator import attrgetter, le, mul, truediv
-from typing import Iterator, Sequence
+from itertools import islice, repeat
+from operator import attrgetter, mul, truediv
+from typing import Iterator
 
 from .errors import ArgumentError, ConvergenceError, DomainError
 
@@ -156,9 +157,6 @@ def _computed_factors(j0: int, j1: int) -> Iterator[float]:
 # 75m above, ``routes.DIRECT_TERM_BUDGET``) stay below j = 3,100.
 _FACTOR_TABLE = 1 << 12
 _FACTORS = tuple(_computed_factors(0, _FACTOR_TABLE))
-# ``_computed_steps`` nests one ``map`` per offset and materialises the chain every this
-# many, since a chain of about 10**5 (any m >= 1 is valid) overflows the C stack.
-_MAP_DEPTH = 512
 
 
 def _factors(j0: int, j1: int) -> tuple[float, ...]:
@@ -169,16 +167,11 @@ def _factors(j0: int, j1: int) -> tuple[float, ...]:
 
 
 def _computed_steps(k0: int, k1: int, m: int) -> list[float]:
-    """C(3mk, mk) / C(3m(k+1), m(k+1)) for k0 <= k < k1, each the product, in order, of
-    f_mk .. f_{mk+m-1}: one C-level pass per offset o = j - mk multiplies in the slice
-    f[o::m] of the factors of the range. Every f_j lies near 4/27, so none overflows."""
+    """C(3mk, mk) / C(3m(k+1), m(k+1)) for k0 <= k < k1; decreasing, limit (4/27)**m.
+    Each is the product, in order, of f_mk .. f_{mk+m-1} (``math.prod`` from 1.0, which
+    multiplies the first factor exactly). Every f_j lies near 4/27, so none overflows."""
     f = _factors(m * k0, m * k1)
-    steps = f[0::m]
-    for o in range(1, m):
-        steps = map(mul, steps, f[o::m])
-        if o % _MAP_DEPTH == 0:
-            steps = list(steps)
-    return list(steps)
+    return [math.prod(f[i : i + m], start=1.0) for i in range(0, len(f), m)]
 
 
 # The stride-m steps and the weights (k/(k+1))**n depend on (n, m, k) alone, never on x,
@@ -186,7 +179,7 @@ def _computed_steps(k0: int, k1: int, m: int) -> list[float]:
 # _STEPS[m], m 1..8, holds the steps of k < _FACTOR_TABLE // m: the same in-order
 # products ``_computed_steps`` forms (_STEPS[1] is _FACTORS, _STEPS[0] is empty).
 # _WEIGHTS[n], n 1..8, holds the weights of k < _WEIGHT_TABLE, each one ``pow`` as the
-# computed path forms it (_WEIGHTS[0] is empty: n = 0 has no weight).
+# term loop forms those past it (_WEIGHTS[0] is empty: n = 0 has no weight).
 # The weights stop at n = 8, as the ``li`` and Cardano-series tables do. Every direct sum
 # of the benchmark's direct and interior workloads (seeds 1, 2) stays below k = 621, and
 # all but 3 of 480 (at m = 8) inside the step tables.
@@ -197,51 +190,6 @@ _WEIGHT_TABLE = 1 << 10
 _WEIGHT_BASES = tuple(map(truediv, range(_WEIGHT_TABLE), range(1, _WEIGHT_TABLE + 1)))
 _WEIGHTS = ((),) + tuple(tuple(map(pow, _WEIGHT_BASES, repeat(n))) for n in range(1, 9))
 del _WEIGHT_BASES
-
-
-def _step_table(m: int) -> tuple[float, ...]:
-    return _STEPS[m] if m < len(_STEPS) else ()
-
-
-def _weight_table(n: int) -> tuple[float, ...]:
-    return _WEIGHTS[n] if n < len(_WEIGHTS) else ()
-
-
-def _stride_factors(k0: int, k1: int, m: int) -> Sequence[float]:
-    """C(3mk, mk) / C(3m(k+1), m(k+1)) for k0 <= k < k1; decreasing, limit (4/27)**m.
-
-    Each is the product, in order, of the stride-1 factors f_mk .. f_{mk+m-1}:
-    a slice of ``_STEPS[m]``, computed (``_computed_steps``) past its end.
-    """
-    table = _step_table(m)
-    if k1 <= len(table):
-        return table[k0:k1]
-    return [*table[k0:k1], *_computed_steps(max(k0, len(table)), k1, m)]
-
-
-def _step(k: int, m: int) -> float:
-    """The k-th value of ``_stride_factors``: the same factors, multiplied in the same order."""
-    table = _step_table(m)
-    if k < len(table):
-        return table[k]
-    return math.prod(_factors(m * k, m * k + m), start=1.0)
-
-
-def _ratios(k0: int, k1: int, n: int, m: int, x: complex | float) -> Iterator[complex | float]:
-    """Term ratios t_{k+1} / t_k = x (k/(k+1))**n C(3mk, mk) / C(3m(k+1), m(k+1))
-    for k0 <= k < k1, multiplied left to right; float when x is. The weights are
-    slices of ``_WEIGHTS[n]``, computed by ``pow`` past its end."""
-    steps = _stride_factors(k0, k1, m)
-    if n == 0:
-        return map(mul, repeat(x), steps)
-    table = _weight_table(n)
-    if k1 <= len(table):
-        weights = table[k0:k1]
-    else:
-        k = max(k0, len(table))
-        computed = map(pow, map(truediv, range(k, k1), range(k + 1, k1 + 1)), repeat(n))
-        weights = chain(table[k0:k1], computed)
-    return map(mul, map(mul, repeat(x), weights), steps)
 
 
 def _underflow_stride() -> int:
@@ -311,76 +259,50 @@ def within_terms(n: int, rho: float, tol: float, budget: int) -> bool:
     return budget * slope + (0.5 - n) * math.log(budget) <= math.log(tol)
 
 
-def _terms(t: complex | float, k: int, count: int, n: int, m: int, x: complex | float) -> list:
-    """``count`` + 1 terms t_k .. t_{k+count}, from t = t_k by the ratio recurrence."""
-    return list(accumulate(_ratios(k, k + count, n, m, x), mul, initial=t))
+# The most steps ``_sum_terms`` computes at once past the step table.
+_CHUNK_CAP = 1 << 15
 
 
-# Sums predicted to take at most max(_FACTOR_TABLE // m, _SHORT_SUM) terms run term by
-# term. Where the tables hold every step and weight the loop reads each with one index,
-# and it beat the block by 1.2-2.2 times at every length measured (22 to 3,164 terms,
-# m 1..8, n 0, 1, 4, angles 0 and 0.7; min of 5 x 5 calls, 2-core x86-64 VM, CPython
-# 3.11): a block makes about a dozen C-level passes per term. Past the factor table the
-# loop computes each factor by itself, and the block, which computes them in passes, was
-# 1.1-3.7 times faster at m <= 8 (1.5-3.7 at m = 1). At m >= 9, where ``_step`` takes a
-# ``math.prod`` per term, the break-even was 250-600 terms at m = 9, 350-650 at m = 16
-# and above 900 at m = 40.
-_SHORT_SUM = 512
-_BLOCK_CAP = 1 << 15
+def _sum_terms(t, n: int, m: int, x, tol: float, max_terms: int, rho: float):
+    """(t_1 .. t_K, C(3mK, mK) / C(3m(K+1), m(K+1))) at the stop index K of
+    ``sum_direct``, or (None, 0.0) when ``max_terms`` runs out first; float when x is.
 
-
-def _short_sum_terms(t, n: int, m: int, x, tol: float, max_terms: int):
-    """``_block_terms`` one term at a time: the same factors, products, ratios,
-    running sums and tests, so the same bits."""
-    steps, weights = _step_table(m), _weight_table(n)
-    step_end, weight_end = len(steps), len(weights)
+    One term at a time, by the ratio t_{k+1} / t_k = x (k/(k+1))**n step_k multiplied
+    left to right. The steps come from ``_STEPS[m]`` and, past its end (from k = 1 at
+    m >= 9), from chunks of ``_computed_steps``: the first runs to the predicted stop,
+    k = 1.125 ``terms_needed`` + 2 (the stop rule takes up to ~10% more terms than
+    estimated, and two to confirm), each later one is twice the last, and none holds
+    more than _CHUNK_CAP steps. The weights come from ``_WEIGHTS[n]``, one ``pow`` each
+    past its end."""
+    weights = _WEIGHTS[n] if n < len(_WEIGHTS) else ()
+    weight_end = len(weights)
+    table = _STEPS[m] if m < len(_STEPS) else ()
+    k0, k1, steps = 1, max(len(table), 1), islice(table, 1, None)
+    size = 0
     terms = []
     total = t * 0
     prev = False
-    for k in range(1, max_terms + 1):
-        terms.append(t)
-        total += t
-        step = steps[k] if k < step_end else _step(k, m)
-        small = abs(t) <= tol * abs(total)
-        if small and prev:
-            return terms, step
-        prev = small
-        if n:
-            t *= x * (weights[k] if k < weight_end else (k / (k + 1)) ** n) * step
+    while True:
+        for k, step in zip(range(k0, min(k1, max_terms + 1)), steps):
+            terms.append(t)
+            total += t
+            small = abs(t) <= tol * abs(total)
+            if small and prev:
+                return terms, step
+            prev = small
+            if n:
+                t *= x * (weights[k] if k < weight_end else (k / (k + 1)) ** n) * step
+            else:
+                t *= x * step
+        if k1 > max_terms:
+            return None, 0.0
+        if size:
+            size = min(2 * size, _CHUNK_CAP)
         else:
-            t *= x * step
-    return None, 0.0
-
-
-def _block_terms(t, n: int, m: int, x, tol: float, max_terms: int, size: int):
-    """(t_1 .. t_K, C(3mK, mK) / C(3m(K+1), m(K+1))) at the stop index K of
-    ``sum_direct``, or (None, 0.0) when ``max_terms`` runs out first.
-
-    Blocks of ``size`` terms, doubling up to _BLOCK_CAP: ``_terms`` builds each,
-    ``accumulate`` its running sums, one C-level pass flags |t_k| <= tol |S_k|,
-    and ``bytes.find`` looks for two flags in a row."""
-    terms: list = []
-    total = t * 0
-    last = b"\0"  # the flag of the term before the block
-    k = 1
-    while k <= max_terms:
-        size = min(size, max_terms + 1 - k)
-        block = _terms(t, k, size, n, m, x)
-        t = block.pop()  # t_{k+size}, the first term of the next block
-        sums = list(accumulate(block, initial=total))
-        total = sums[-1]
-        flags = last + bytes(
-            map(le, map(abs, block), map(mul, repeat(tol), map(abs, islice(sums, 1, None))))
-        )
-        stop = flags.find(b"\1\1")
-        if stop >= 0:
-            terms += block[: stop + 1]
-            return terms, _step(len(terms), m)
-        terms += block
-        last = flags[-1:]
-        k += size
-        size = min(2 * size, _BLOCK_CAP)
-    return None, 0.0
+            end = min(1.125 * terms_needed(n, rho, tol) + 3, k1 + _CHUNK_CAP)
+            size = max(int(end) - k1, 1)
+        k0, k1 = k1, min(k1 + size, max_terms + 1)
+        steps = _computed_steps(k0, k1, m)
 
 
 def sum_direct(
@@ -396,8 +318,8 @@ def sum_direct(
     is raised at once; method auto serves the rim by the closed forms, quad-cardano or
     folding (strides up to 6).
 
-    The terms come from the ratio recurrence in blocks sized by
-    ``terms_needed`` (term by term where the tables cover the sum), in float
+    The terms come from the ratio recurrence, one at a time, with the steps
+    past the step table computed in chunks sized by ``terms_needed``, in float
     arithmetic for real x, and the value is ``math.fsum`` of their real and
     imaginary parts. The error estimate is a geometric tail bound from the
     last term and the current term ratio, plus a rounding floor proportional
@@ -434,13 +356,7 @@ def _sum_kernel(n: int, m: int, x: complex, tol, max_terms) -> tuple[complex, fl
         return t, 0.0, 1
     real = x.imag == 0.0
     xs, t = (x.real, t.real) if real else (x, t)
-    rho = ax / radius
-    if within_terms(n, rho, tol, max(_FACTOR_TABLE // m, _SHORT_SUM)):
-        terms, step = _short_sum_terms(t, n, m, xs, tol, max_terms)
-    else:
-        # the stop rule takes up to ~10% more terms than estimated, and two to confirm
-        size = int(min(1.125 * terms_needed(n, rho, tol) + 2, _BLOCK_CAP))
-        terms, step = _block_terms(t, n, m, xs, tol, max_terms, size)
+    terms, step = _sum_terms(t, n, m, xs, tol, max_terms, ax / radius)
     if terms is None:
         raise _term_cap_error(tol, max_terms, rim)
     work = len(terms)

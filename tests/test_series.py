@@ -31,16 +31,13 @@ from invbinom.series import (
     _STEPS,
     _WEIGHT_TABLE,
     _WEIGHTS,
-    _block_terms,
     _computed_factors,
+    _computed_steps,
+    _factors,
     _first_term,
     _inside,
     _on_rim,
-    _ratios,
-    _short_sum_terms,
-    _step,
-    _stride_factors,
-    _terms,
+    _sum_terms,
     terms_needed,
 )
 
@@ -55,19 +52,34 @@ def _summable(n, m, x):
     return _inside(n, abs(complex(x)), convergence_radius(m))
 
 
+def _step(k, m):
+    """The stride-m step C(3mk, mk) / C(3m(k+1), m(k+1)): the correctly rounded
+    factors f_mk .. f_{mk+m-1}, multiplied left to right."""
+    factors = _computed_factors(m * k, m * k + m)
+    step = next(factors)
+    for f in factors:
+        step *= f
+    return step
+
+
 def _ratio(k, n, m, x):
-    """The stride-m term ratio t_{k+1} / t_k, as ``sum_direct`` forms it."""
-    return next(_ratios(k, k + 1, n, m, complex(x)))
+    """The stride-m term ratio t_{k+1} / t_k = x (k/(k+1))**n step_k, multiplied left to
+    right, the weight one ``pow``: the operations ``sum_direct`` rounds."""
+    return x * _step(k, m) if n == 0 else x * (k / (k + 1)) ** n * _step(k, m)
 
 
 def _series_terms(n, m, x, count):
-    """t_1 .. t_count, built exactly as ``sum_direct`` builds them (in float
-    arithmetic for real x): the first term, then the ratio recurrence."""
+    """t_1 .. t_count, built by the operations ``sum_direct`` rounds (in float arithmetic
+    for real x): the first term, then the ratio recurrence."""
     xc = complex(x)
+    xs = xc.real if xc.imag == 0.0 else xc
     t = _first_term(m, xc)
-    if xc.imag == 0.0:
-        return [complex(v) for v in _terms(t.real, 1, count - 1, n, m, xc.real)]
-    return _terms(t, 1, count - 1, n, m, xc)
+    t = t.real if xc.imag == 0.0 else t
+    terms = [complex(t)]
+    for k in range(1, count):
+        t *= _ratio(k, n, m, xs)
+        terms.append(complex(t))
+    return terms
 
 
 class TestDomainModel:
@@ -203,7 +215,7 @@ class TestTermRatio:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 4, 6])
     def test_modulus_monotone_for_large_k(self, n):
-        values = [abs(r) for r in _ratios(20, 80, n, 1, 1.0 + 0j)]
+        values = [abs(_ratio(k, n, 1, 1.0 + 0j)) for k in range(20, 80)]
         diffs = [b - a for a, b in zip(values, values[1:])]
         assert all(d <= 0 for d in diffs) or all(d >= 0 for d in diffs)
 
@@ -217,9 +229,8 @@ class TestTermRatio:
         assert abs(Fraction(got.real) - exact) <= 2 * exact / 2**53
 
     def test_huge_stride_ratio_underflows(self):
-        # the product of 10**5 factors near 4/27 is 0; building it must not exhaust the C
-        # stack, which the materialised chain every _MAP_DEPTH offsets prevents
-        assert 10**5 > 100 * series._MAP_DEPTH
+        # the product of 10**5 factors near 4/27 is 0
+        assert _computed_steps(1, 2, 10**5) == [0.0]
         assert _ratio(1, 0, 10**5, 1.0) == 0
 
     @pytest.mark.parametrize("m", [45, 60, 133])
@@ -227,6 +238,7 @@ class TestTermRatio:
     def test_large_stride_ratio_does_not_overflow(self, m, k):
         # the 3m-factor products overflow binary64 here; the ratio must not
         exact = Fraction(math.comb(3 * m * k, m * k), math.comb(3 * m * (k + 1), m * (k + 1)))
+        assert _computed_steps(k, k + 1, m)[0] == pytest.approx(float(exact), rel=1e-14)
         assert _ratio(k, 0, m, 1.0).real == pytest.approx(float(exact), rel=1e-14)
 
 
@@ -235,7 +247,14 @@ def _bits(z):
     return z.real.hex(), z.imag.hex()
 
 
-# (n, m, x): real and complex, both sides of the short-sum threshold, the rim
+# Sums at m >= 9 (no step table) that run past their first chunk of computed steps, which
+# _CHUNK_CAP cuts short: 38,082 and 37,792 terms
+LONG_POINTS = [
+    (0, 9, 0.999 * 6.75**9 * cmath.exp(0.3j)),
+    (2, 10, 0.9995 * 6.75**10 * cmath.exp(2.0j)),
+]
+
+# (n, m, x): real and complex, inside the step and weight tables and past them, the rim
 BIT_POINTS = [
     (0, 1, 6.5),
     (3, 4, 0.9 * 6.75**4 * cmath.exp(0.7j)),
@@ -245,11 +264,16 @@ BIT_POINTS = [
     (1, 3, -0.3 * 6.75**3),
     (0, 2, 0.97j * 6.75**2),
     (4, 1, 6.75),
+    (9, 1, 6.75),  # n = 9 has no weight table
     (1, 4, 0.98 * 6.75**4 * cmath.exp(0.7j)),  # 1,515 terms: past both tables' ends (k = 1,024)
     (2, 2, -0.99 * 6.75**2),  # 2,305 terms: past the weight table and the m = 2 steps
     (0, 8, 0.95 * 6.75**8),  # 654 terms: past the m = 8 step table (k = 512)
     (3, 9, 0.97 * 6.75**9 * cmath.exp(2.0j)),  # 612 terms: past the factors' reach (k = 455)
+    *LONG_POINTS,
 ]
+
+
+
 
 
 class TestBitIdentity:
@@ -259,35 +283,39 @@ class TestBitIdentity:
             return float(Fraction(2 * (j + 1) * (2 * j + 1), 3 * (3 * j + 1) * (3 * j + 2)))
 
         binomial_ratios = [Fraction(math.comb(3 * j, j), math.comb(3 * j + 3, j + 1)) for j in range(300)]
-        assert list(_stride_factors(0, 300, 1)) == list(map(float, binomial_ratios))
-        assert list(_stride_factors(0, 5000, 1)) == [factor(j) for j in range(5000)]
+        assert list(_factors(0, 300)) == list(map(float, binomial_ratios))
+        assert list(_factors(0, 5000)) == [factor(j) for j in range(5000)]
+        assert _computed_steps(0, 5000, 1) == [factor(j) for j in range(5000)]
         for j in (10**6 + 7, 2**40 + 3, 10**30):
-            assert list(_stride_factors(j, j + 1, 1)) == [factor(j)], j
+            assert list(_factors(j, j + 1)) == [factor(j)] == _computed_steps(j, j + 1, 1), j
 
     def test_stride_steps_are_in_order_products_of_the_factors(self):
-        # _step (the term-by-term form) and _stride_factors (the block form) agree bit for bit
+        # the step tables and _computed_steps agree bit for bit with the product of the
+        # factors taken left to right, at each table's end and past it
         def in_order(f, k, m):  # the product of f[km] .. f[km + m - 1], left to right
             want = f[k * m]
             for v in f[k * m + 1 : (k + 1) * m]:
                 want *= v
             return want.hex()
 
-        for m in [*range(1, 13), 60, 371]:
-            f = list(_stride_factors(m, 60 * m + m, 1))  # j = m .. 60m + m - 1
-            block = _stride_factors(1, 61, m)
-            for k in range(1, 61):
-                assert block[k - 1].hex() == in_order(f, k - 1, m) == _step(k, m).hex(), (k, m)
-        # the end of each step table (m <= 8), and of the factors it covers at m = 9
-        for m in range(1, 10):
+        strides = [*range(1, 13), 60, 371, 1100]
+        for m in strides:
+            f = list(_factors(m, 60 * m + m))  # j = m .. 60m + m - 1
+            want = [in_order(f, k, m) for k in range(60)]  # k = 1 .. 60
+            assert [v.hex() for v in _computed_steps(1, 61, m)] == want, m
+            if m < len(_STEPS):
+                assert [v.hex() for v in _STEPS[m][1:61]] == want, m
+        # the end of each step table (m <= 8), and of the factor table's reach (every m)
+        for m in strides:
             end = _FACTOR_TABLE // m
-            k0 = end - 5
+            k0 = max(end - 5, 0)
             f = list(_computed_factors(m * k0, m * (end + 5)))
-            want = [in_order(f, k, m) for k in range(10)]
-            for k in range(k0, end + 5):
-                assert _step(k, m).hex() == want[k - k0], (k, m)
-            blocks = ((k0, end), (end - 1, end), (end, end + 1), (k0, end + 5), (end - 1, end + 3))
-            for a, b in blocks:
-                got = [v.hex() for v in _stride_factors(a, b, m)]
+            want = [in_order(f, k, m) for k in range(end + 5 - k0)]
+            if m < len(_STEPS):
+                assert [v.hex() for v in _STEPS[m][k0:]] == want[: end - k0], m
+            chunks = ((k0, end), (end - 1, end), (end, end + 1), (k0, end + 5), (end - 1, end + 3))
+            for a, b in chunks:
+                got = [v.hex() for v in _computed_steps(a, b, m)]
                 assert got == want[a - k0 : b - k0], (a, b, m)
 
     def test_factor_table_is_correctly_rounded(self):
@@ -313,13 +341,15 @@ class TestBitIdentity:
         for n in range(1, 9):
             for k, w in enumerate(_WEIGHTS[n]):
                 assert w.hex() == ((k / (k + 1)) ** n).hex(), (n, k)
-        # through the ratios at x = 1 (1 * w is w), across the table's end
+        # through the term loop, across the table's end (n <= 8) and with no table (n = 9):
+        # sums that run past k = _WEIGHT_TABLE give the terms of the reference recurrence
         for n in range(10):
-            for k0, k1 in ((1, 40), (_WEIGHT_TABLE - 30, _WEIGHT_TABLE + 30), (5000, 5010)):
-                steps = _stride_factors(k0, k1, 1)
-                want = [(1.0 * (k / (k + 1)) ** n * s if n else 1.0 * s).hex()
-                        for k, s in zip(range(k0, k1), steps)]
-                assert [r.hex() for r in _ratios(k0, k1, n, 1, 1.0)] == want, (n, k0)
+            x, tol = (0.999 * 6.75, 1e-15) if n < 2 else (6.75, (2.0 * _WEIGHT_TABLE) ** (0.5 - n))
+            t = _first_term(1, complex(x)).real
+            terms, _ = _sum_terms(t, n, 1, x, tol, 10**6, x / 6.75)
+            assert len(terms) > _WEIGHT_TABLE + 30, n
+            want = [_bits(v) for v in _series_terms(n, 1, x, len(terms))]
+            assert [_bits(v) for v in terms] == want, n
 
     @given(
         m=st.sampled_from([*range(1, 10), 134, 371, 1100]),
@@ -333,8 +363,9 @@ class TestBitIdentity:
     @example(m=7, start=0, count=1, edge=1.0)  # one past the end of _STEPS[7]
     @example(m=5, start=-1, count=1, edge=1.0)  # the last index of _STEPS[5]
     @settings(max_examples=80, deadline=None)
-    def test_stride_factors_are_in_order_products_past_the_table(self, m, start, count, edge):
-        # slices of the table, computed factors past its end, and both in one range
+    def test_computed_steps_are_in_order_products_past_the_table(self, m, start, count, edge):
+        # computed factors past the factor table's end, and both in one range; the step
+        # table holds the same bits where it reaches
         k0 = max(0, int(edge * _FACTOR_TABLE) // m + start)
         f = list(_computed_factors(m * k0, m * (k0 + count)))
         want = []
@@ -343,9 +374,9 @@ class TestBitIdentity:
             for v in f[k * m + 1 : (k + 1) * m]:
                 p *= v
             want.append(p.hex())
-        assert [v.hex() for v in _stride_factors(k0, k0 + count, m)] == want
-        if count:
-            assert _step(k0 + count - 1, m).hex() == want[-1]
+        assert [v.hex() for v in _computed_steps(k0, k0 + count, m)] == want
+        table = _STEPS[m] if m < len(_STEPS) else ()
+        assert [v.hex() for v in table[k0 : k0 + count]] == want[: max(0, len(table) - k0)]
 
     def test_auto_direct_sums_stay_inside_the_table(self, monkeypatch):
         # the direct sums auto picks at strides m <= 6 never need a factor past the table
@@ -374,21 +405,55 @@ class TestBitIdentity:
         assert _bits(ev.value) == _bits(want)
 
     @pytest.mark.parametrize("n,m,x", BIT_POINTS)
-    def test_short_and_block_paths_give_the_same_bits(self, n, m, x):
-        # sum_direct picks a path by the predicted term count alone; both must agree
+    def test_the_term_loop_gives_the_same_bits_wherever_its_chunks_end(self, n, m, x):
+        # the terms and the last step are those of the reference recurrence, wherever the
+        # chunks of computed steps end relative to the stop: rho sizes the first chunk,
+        # from one step (rho = 0, past a table) up to _CHUNK_CAP
         xc = complex(x)
         xs = xc.real if xc.imag == 0.0 else xc
         t = _first_term(m, xc)
         t = t.real if xc.imag == 0.0 else t
-        short, short_step = _short_sum_terms(t, n, m, xs, 1e-15, 10**6)
-        for size in (1, 2, 3, 7, 64, 4096):  # blocks that end anywhere relative to the stop
-            block, block_step = _block_terms(t, n, m, xs, 1e-15, 10**6, size)
-            assert [_bits(v) for v in block] == [_bits(v) for v in short], size
-            assert block_step.hex() == short_step.hex()
-        cap = len(short)  # the stop falls on the last term the cap allows
-        assert _block_terms(t, n, m, xs, 1e-15, cap, 5)[0] == short
-        assert _short_sum_terms(t, n, m, xs, 1e-15, cap - 1)[0] is None
-        assert _block_terms(t, n, m, xs, 1e-15, cap - 1, 5)[0] is None
+        rho = abs(xc) / convergence_radius(m)
+        terms, step = _sum_terms(t, n, m, xs, 1e-15, 10**6, rho)
+        want = [_bits(v) for v in _series_terms(n, m, x, len(terms))]
+        assert [_bits(v) for v in terms] == want
+        assert step.hex() == _step(len(terms), m).hex()
+        for r in (0.0, 0.5, 0.9, 0.99, 0.999):
+            got, got_step = _sum_terms(t, n, m, xs, 1e-15, 10**6, r)
+            assert [_bits(v) for v in got] == want and got_step.hex() == step.hex(), r
+        cap = len(terms)  # the stop falls on the last term the cap allows
+        got, got_step = _sum_terms(t, n, m, xs, 1e-15, cap, rho)
+        assert [_bits(v) for v in got] == want and got_step.hex() == step.hex()
+        assert _sum_terms(t, n, m, xs, 1e-15, cap - 1, rho) == (None, 0.0)
+
+    @pytest.mark.parametrize(
+        "n,m,x,count",
+        [
+            (*LONG_POINTS[0], 2),
+            (*LONG_POINTS[1], 2),
+            (0, 2, 0.99 * 6.75**2, 1),  # 3,164 terms, 2,047 from the step table
+            (4, 8, 0.99 * 6.75**8 * cmath.exp(0.7j), 1),  # 1,020 terms, 511 from the table
+        ],
+    )
+    def test_steps_past_the_table_come_in_doubling_chunks(self, n, m, x, count, monkeypatch):
+        # the first chunk runs from the table's end to the predicted stop, 1.125
+        # terms_needed + 2, each later one is twice the last, and none holds more than
+        # _CHUNK_CAP steps; at LONG_POINTS the first, cut there, falls short of the stop
+        chunks = []
+
+        def counted(k0, k1, m):
+            chunks.append((k0, k1))
+            return _computed_steps(k0, k1, m)
+
+        monkeypatch.setattr(series, "_computed_steps", counted)
+        work = sum_direct(n, m, x).work
+        start = max(len(_STEPS[m]) if m < len(_STEPS) else 0, 1)
+        rho = abs(x) / convergence_radius(m)
+        end = min(1.125 * terms_needed(n, rho, 1e-15) + 3, start + series._CHUNK_CAP)
+        assert len(chunks) == count and chunks[0] == (start, max(int(end), start + 1))
+        for (a, b), (c, d) in zip(chunks, chunks[1:]):
+            assert c == b and d - c == min(2 * (b - a), series._CHUNK_CAP)
+        assert chunks[-1][0] <= work < chunks[-1][1]
 
 
 class TestBinomialExact:
