@@ -34,7 +34,7 @@ from itertools import accumulate, count, repeat
 from operator import add, floordiv, mul
 
 from .closed_forms import _RESIDUAL_TOL, _TINY_X, _leading_terms, _radical, phi
-from .errors import BranchFailure, DomainError
+from .errors import ArgumentError, BranchFailure, DomainError
 from .polylog import li
 from .quadrature import adaptive_quad, quad_tol
 from .series import _EPS, RADIUS_BASE, Evaluation, SeriesParams, _inside, _sum_kernel
@@ -47,6 +47,7 @@ _TINY = 1e-300
 # integrals cancel to S ~ x/3. ``quad_two_term`` and the route refuse 0 < |x| below this.
 TWO_TERM_MIN_X = 2e-3
 TWO_TERM_FLOOR = f"quad-two-term needs |x| >= {TWO_TERM_MIN_X:g}, where it holds 1e-9 relative"
+TWO_TERM_REAL = "quad-two-term is a real-argument route"
 
 
 @dataclass(frozen=True)
@@ -64,9 +65,13 @@ class TwoTermLimits:
 
 def two_term_limits(x: float) -> TwoTermLimits:
     """Limits (alpha, beta) for real x with 0 < |x| <= 27/4, the closed disk of
-    the n >= 2 series they serve; DomainError elsewhere (phi diverges at x = 0).
+    the n >= 2 series they serve; DomainError elsewhere (phi diverges at x = 0),
+    ArgumentError for complex x.
     """
-    xr = float(x)
+    xc = complex(x)
+    if xc.imag != 0.0:
+        raise ArgumentError(TWO_TERM_REAL)
+    xr = xc.real
     if xr == 0.0:
         raise DomainError("limits are unbounded as x -> 0 (phi diverges)")
     if not _inside(2, abs(xr), RADIUS_BASE):

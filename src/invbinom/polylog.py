@@ -64,6 +64,8 @@ def _require_valid(n: int, z: complex) -> complex:
     if n < 0:
         raise ArgumentError(f"polylog weight must be >= 0, got {n}")
     zc = complex(z)
+    if not cmath.isfinite(zc):  # before abs, as in ``require_summable``
+        raise DomainError(f"Li_n needs a finite z, got {zc!r}")
     r = abs(zc)
     if r > 1.0 + RIM_TOL:
         raise DomainError(f"|z| = {r!r} lies outside the closed unit disk")

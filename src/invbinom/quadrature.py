@@ -204,11 +204,14 @@ def adaptive_quad(
     the caller's job: a > b raises, flip the interval and negate instead.
 
     Raises:
-        ArgumentError: tol not > 0 (NaN included) or below QUAD_FLOOR.
+        ArgumentError: tol not > 0 (NaN included) or below QUAD_FLOOR, or a bound not
+            finite.
         ConvergenceError: MAX_SUBDIVISIONS bisections made before the requested
             tolerance (max of tol and tol * |value|) was met.
     """
     tol = quad_tol(tol)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ArgumentError(f"adaptive_quad needs finite bounds, got [{a!r}, {b!r}]")
     if a == b:
         return 0j, 0.0, 0
     if a > b:

@@ -25,6 +25,7 @@ from .integral_reps import (
     _S_WEIGHTS,
     TWO_TERM_FLOOR,
     TWO_TERM_MIN_X,
+    TWO_TERM_REAL,
     _cardano_kernel,
     _polylog_kernel,
     _two_term_kernel,
@@ -74,7 +75,7 @@ def _closed_form_limits(n: int, m: int, x: complex) -> str | None:
 def _two_term_limits(n: int, m: int, x: complex) -> str | None:
     reason = _stride_one("quad-two-term", n, m, 2)
     if reason is None and x.imag != 0.0:
-        reason = "quad-two-term is a real-argument route"
+        reason = TWO_TERM_REAL
     if reason is None and abs(x) < TWO_TERM_MIN_X:
         reason = TWO_TERM_FLOOR
     return reason

@@ -75,6 +75,12 @@ class TestTwoTermLimits:
         with pytest.raises(DomainError):
             two_term_limits(7.0)
 
+    def test_complex_argument_is_refused_with_the_route_message(self):
+        # float(1+1j) raised TypeError; the route's own refusal says why
+        with pytest.raises(ArgumentError, match="quad-two-term is a real-argument route"):
+            two_term_limits(1 + 1j)
+        assert two_term_limits(0.5 + 0j) == two_term_limits(0.5)
+
 
 SMALL_REAL = (1e-12, 1e-9, 1e-6, 1e-5, 1e-3, 0.1, 1.0, 3.0, 6.7)
 

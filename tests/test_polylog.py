@@ -179,6 +179,16 @@ def test_poles_and_domain():
         li(-2, 0.1)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize(
+    "z", [math.nan, complex(math.nan, 0.0), complex(0.0, math.nan), complex(1.0, -math.inf)]
+)
+def test_non_finite_argument_raises(n, z):
+    # abs of a NaN is NaN, which passed every disk test and returned nan+nanj
+    with pytest.raises(DomainError, match="Li_n needs a finite z"):
+        li(n, z)
+
+
 def test_rim_rounding_tolerated():
     assert abs(li(2, 1.0 + 1e-13) - ZETA2) < 1e-9
 

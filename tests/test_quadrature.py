@@ -65,6 +65,13 @@ def test_deterministic_rerun():
     assert first == second
 
 
+@pytest.mark.parametrize("a,b", [(0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)])
+def test_non_finite_bounds_raise(a, b):
+    # a NaN bound gave ((nan+0j), nan, 21)
+    with pytest.raises(ArgumentError, match="finite bounds"):
+        adaptive_quad(math.sin, a, b)
+
+
 def test_tolerance_validation():
     for tol in (0.0, -1.0, math.nan):
         with pytest.raises(ArgumentError, match="tol must be positive"):
