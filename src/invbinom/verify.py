@@ -4,8 +4,9 @@ every route against every other on a parameter grid.
 Tolerances are tiered by route class and reflect honest binary64 error
 budgets: 1e-12 for series / closed-form pairs, 1e-10 once
 folding enters (m rotated complex evaluations; every stride-m route but direct
-summation), 1e-9 for anything touching the polylog-kernel or Cardano-root
-quadrature, and 1e-8 for the two-term route (two stacked adaptive integrals).
+summation), 1e-9 for anything touching the polylog-kernel quadrature
+(quad-polylog) or the Cardano-root series (quad-cardano), and 1e-8 for the
+two-term route (two stacked adaptive integrals).
 
 Failures are report entries, never exceptions; a report serializes to the
 documented JSON shape and parses back to an equal report (wall times are
