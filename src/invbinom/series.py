@@ -168,10 +168,10 @@ def _factors(j0: int, j1: int) -> tuple[float, ...]:
 
 def _computed_steps(k0: int, k1: int, m: int) -> list[float]:
     """C(3mk, mk) / C(3m(k+1), m(k+1)) for k0 <= k < k1; decreasing, limit (4/27)**m.
-    Each is the product, in order, of f_mk .. f_{mk+m-1} (``math.prod`` from 1.0, which
-    multiplies the first factor exactly). Every f_j lies near 4/27, so none overflows."""
-    f = _factors(m * k0, m * k1)
-    return [math.prod(f[i : i + m], start=1.0) for i in range(0, len(f), m)]
+    Each is the product, in order, of f_mk .. f_{mk+m-1}: ``math.prod`` (from 1, which
+    multiplies the first factor exactly) of the m-tuples ``zip`` groups from one iterator
+    over the factors. Every f_j lies near 4/27, so none overflows."""
+    return list(map(math.prod, zip(*[iter(_factors(m * k0, m * k1))] * m)))
 
 
 # The stride-m steps and the weights (k/(k+1))**n depend on (n, m, k) alone, never on x,
