@@ -273,9 +273,6 @@ BIT_POINTS = [
 ]
 
 
-
-
-
 class TestBitIdentity:
     def test_stride_one_factors_are_correctly_rounded(self):
         # f_j = C(3j, j) / C(3j+3, j+1) = 2(j+1)(2j+1) / (3(3j+1)(3j+2)), rounded once
