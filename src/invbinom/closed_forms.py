@@ -226,14 +226,16 @@ def _principal_root(xc: complex, m: int) -> complex:
     return xc ** (1.0 / m)
 
 
-def _discard_imag(total: complex, err: float, x: complex) -> tuple[complex, float]:
+def _discard_imag(total: complex, err: float, size: float, x: complex) -> tuple[complex, float]:
     """For real x the rotated terms pair up conjugate; enforce cancellation.
 
-    The imaginary residue is checked against FOLD_IMAG_TOL, folded into the
-    error estimate, and discarded.
+    The imaginary residue is checked against FOLD_IMAG_TOL relative to ``size``, the sum of
+    the moduli of the scaled terms (the terms with m not dividing k cancel across them, so
+    |total| can be many orders below it and says nothing of their rounding), folded into
+    the error estimate, and discarded.
     """
     resid = abs(total.imag)
-    if resid > FOLD_IMAG_TOL * (1.0 + abs(total)):
+    if resid > FOLD_IMAG_TOL * (1.0 + size):
         raise BranchFailure(f"imaginary residue {resid:.3e} after folding real x = {x.real!r}")
     return complex(total.real, 0.0), err + resid
 
@@ -276,7 +278,7 @@ def _fold_kernel(n: int, m: int, xc: complex, inner: str, tol) -> tuple[complex,
     root = _principal_root(xc, m)
     tiny = abs(xc) < _TINY_X
     total = 0j
-    err = 0.0
+    err = size = 0.0
     work = 0
     for j in range(1, m + 1):
         arg = _pulled_in(n, root_of_unity(j, m) * root)
@@ -287,6 +289,7 @@ def _fold_kernel(n: int, m: int, xc: complex, inner: str, tol) -> tuple[complex,
             value, e, w = route.kernel(n, 1, arg, tol, None)
             total += value
             err += e
+            size += abs(value)
             work += w
     if tiny:
         return _leading_terms(n, m, xc)
@@ -294,7 +297,7 @@ def _fold_kernel(n: int, m: int, xc: complex, inner: str, tol) -> tuple[complex,
     total *= scale
     err *= scale
     if xc.imag == 0.0:
-        total, err = _discard_imag(total, err, xc)
+        total, err = _discard_imag(total, err, scale * size, xc)
     return total, err, work
 
 

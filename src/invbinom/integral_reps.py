@@ -1,10 +1,13 @@
 """Evaluation through the integral representations of the series.
 
-Three independent routes at stride 1:
+Three independent routes, at stride 1 but the first:
 
 * ``quad_polylog`` integrates Li_{n-1}(x*t*(1-t)**2) / t over the unit
   interval. It works for every n >= 1 (n >= 2 on the rim); it is the
-  independent cross-check of the Cardano-root route.
+  independent cross-check of the Cardano-root route. Its kernel,
+  ``_polylog_kernel``, takes the stride: m * Li_{n-1}(x*(t*(1-t)**2)**m) / t, from the
+  Beta integral 1/C(3mk, mk) = mk B(mk, 2mk + 1), serves 1 <= m <= POLYLOG_MAX_STRIDE
+  in one quadrature, with no fold.
 * ``quad_cardano`` (n >= 3) runs no quadrature: it sums S(n, 1; x) as a power series in
   s = phi(x)**-3, in v = sqrt(1 - 4x/27) near the branch point x = 27/4, or in x (see its
   docstring), up to weight 8 in 2-9 us, where ``quad_polylog`` takes 0.03 ms at
@@ -92,49 +95,70 @@ def quad_polylog(n: int, x: complex, tol: float | None = None) -> Evaluation:
     |x| = 27/4 the polylog argument touches 1 at t = 1/3, an integrable
     logarithmic singularity the adaptive rule subdivides through; the
     argument is clamped a hair below 1 there so the weight-1 kernel stays
-    finite under rounding. ``tol`` is checked as ``quad_cardano``'s.
+    finite under rounding. ``tol`` is checked as ``quad_cardano``'s. Strides
+    1 <= m <= POLYLOG_MAX_STRIDE go through ``evaluate(n, m, x, "quad-polylog")``.
     """
     return routes.evaluate(n, 1, x, "quad-polylog", tol=tol)
 
 
-def _polylog_kernel(n: int, xc: complex, tol) -> tuple[complex, float, int]:
-    """``quad_polylog``'s (value, abs_error_est, work) at summable x != 0; checks tol alone."""
+# The largest stride quad-polylog serves: R**m = 27**m / 4**m is exact in binary64 while
+# 27**m < 2**53, that is up to m = 11, so that the rim test and the distance R**m - x
+# that ``_stable_complement`` takes are exact there.
+POLYLOG_MAX_STRIDE = 11
+
+
+def _polylog_kernel(n: int, m: int, xc: complex, tol) -> tuple[complex, float, int]:
+    """``evaluate``'s quad-polylog (value, abs_error_est, work) at summable x != 0 and
+    1 <= m <= POLYLOG_MAX_STRIDE; checks tol alone. It integrates the Beta integral
+    1/C(3mk, mk) = mk B(mk, 2mk + 1) summed against x**k / k**n:
+
+        S(n, m; x) = m * integral_0^1 Li_{n-1}(x * (t*(1-t)**2)**m) / t dt,  n >= 1,
+
+    whose integrand tends to x at t = 0 for m = 1 and to 0 above. The factor m enters as
+    the divisor t / m, exact at m = 1.
+    """
     tol = quad_tol(tol)
     weight = n - 1
     real_arg = xc.imag == 0.0
 
     if real_arg and weight <= 1:
         # Weight 0 and 1 kernels in terms of the cancellation-free
-        # complement u(t) = 1 - x*t*(1-t)**2; the direct difference loses
-        # every digit near t = 1/3 as x approaches 27/4, where u has a
-        # double zero. Where w = x*t*(1-t)**2 is small, log(u) = log1p(-w)
+        # complement u(t) = 1 - x*(t*(1-t)**2)**m; the direct difference loses
+        # every digit near t = 1/3 as x approaches R**m, where u has a
+        # double zero. Where w = x*(t*(1-t)**2)**m is small, log(u) = log1p(-w)
         # keeps the digits that u, rounded near 1, drops.
         xr = xc.real
+        edge = complex(xr) if m == 1 else 0j
+        d = RADIUS_BASE**m - xr  # exact near the rim (Sterbenz)
+        two_m = 2 * m
 
         def integrand(t: float) -> complex:
             if t == 0.0:
-                return complex(xr)
+                return edge
+            tm = t**m
+            sm = (1.0 - t) ** two_m
             if weight == 1:
-                w = xr * t * (1.0 - t) ** 2
+                w = xr * tm * sm
                 if abs(w) <= 0.5:
-                    return complex(-math.log1p(-w) / t)
-            u = max(_stable_complement(xr, t), _TINY)
+                    return complex(-math.log1p(-w) / (t / m))
+            u = max(_stable_complement(t, m) + d * tm * sm, _TINY)
             if weight == 0:
-                return complex(xr * (1.0 - t) ** 2 / u)
-            return complex(-math.log(u) / t)
+                return complex(m * xr * t ** (m - 1) * sm / u)
+            return complex(-math.log(u) / (t / m))
 
     else:
+        edge = xc if m == 1 else 0j
 
         def integrand(t: float) -> complex:
             if t == 0.0:
-                return xc  # limit of Li_{n-1}(x*t*(1-t)**2) / t
-            w = xc * (t * (1.0 - t) ** 2)
+                return edge  # limit of m Li_{n-1}(x*(t*(1-t)**2)**m) / t
+            w = xc * (t * (1.0 - t) ** 2) ** m
             if real_arg:
                 wr = w.real
                 if wr > 1.0:  # rounding past the rim; mathematically w <= 1
                     wr = 1.0
                 w = complex(wr)
-            return li(weight, w) / t
+            return li(weight, w) / (t / m)
 
     return adaptive_quad(integrand, 0.0, 1.0, tol)
 
@@ -367,14 +391,21 @@ def _v_series(n: int, xc: complex) -> tuple[complex, float, int]:
     return complex(h), truncation + _EPS * rounding, terms
 
 
-def _stable_complement(x: float, t: float) -> float:
-    """1 - x*t*(1-t)**2 for real x <= 27/4, written to avoid cancellation.
+def _stable_complement(t: float, m: int) -> float:
+    """1 - (R*t*(1-t)**2)**m, the complement of the polylog argument at x = R**m, written
+    to avoid cancellation; adding d*(t*(1-t)**2)**m, d = R**m - x, gives it at real x.
 
-    Uses the exact factorization 1 - (27/4)*t*(1-t)**2 = (1-3t)**2 * (4-3t) / 4;
-    both summands below are non-negative on [0, 1].
+    With c = (1-3t)**2 * (4-3t) / 4 and a = R*t*(1-t)**2, the exact factorization
+    1 - a = c gives 1 - a**m = c * (1 + a + ... + a**(m-1)): non-negative factors on
+    [0, 1], and c itself at m = 1. The added term is non-negative too for x <= R**m.
     """
     one_3t = 1.0 - 3.0 * t
-    return one_3t * one_3t * (4.0 - 3.0 * t) * 0.25 + (RADIUS_BASE - x) * t * (1.0 - t) ** 2
+    head = 1.0
+    if m > 1:
+        a = RADIUS_BASE * t * (1.0 - t) ** 2
+        for _ in range(m - 1):
+            head = head * a + 1.0
+    return one_3t * one_3t * (4.0 - 3.0 * t) * 0.25 * head
 
 
 def _logpow(arg: float, p: int) -> float:

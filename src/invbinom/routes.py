@@ -4,12 +4,14 @@
 ``resolve_auto``, the cross-route verification and the CLI read it. A named method is
 never silently substituted: a route that cannot serve a request raises ArgumentError.
 x = 0 short-circuits to exactly 0 on every route, even where the operation excludes it.
-Every route but direct-sum and folding serves stride 1 only; folding reaches stride
-m through them. At m = 1 ``auto`` takes the closed forms for n <= 2 and quad-cardano for
-3 <= n <= 8 (below QUAD_FLOOR, which quad-cardano refuses, a direct sum where it comes
-within that floor); otherwise it is a cost rule: direct summation when its predicted
-term count undercuts folding over those routes (m >= 2), or quad-cardano above weight 8;
-past the strides folding serves, direct summation. Every other public evaluator is
+Direct-sum serves every stride, quad-polylog strides up to POLYLOG_MAX_STRIDE = 11 (one
+Beta integral, no fold) and folding up to 6; every other route serves stride 1 only,
+and folding reaches stride m through them. At m = 1 ``auto`` takes the closed forms
+for n <= 2 and quad-cardano for 3 <= n <= 8 (below QUAD_FLOOR, which quad-cardano
+refuses, a direct sum where it comes within that floor); otherwise it is a cost rule:
+direct summation when its predicted term count undercuts folding over those routes
+(m >= 2), or quad-cardano above weight 8; past the strides folding serves, direct
+summation. Every other public evaluator is
 ``evaluate`` on its route, whose one check and one Evaluation it shares; quad-polylog is
 never chosen by ``auto`` and stays an explicit route and verify's cross-check. The one
 ``tol`` goes to the route's kernel, which passes it to every layer it runs.
@@ -23,6 +25,7 @@ from .closed_forms import _closed_kernel, _fold_kernel
 from .errors import ArgumentError, checked_tol
 from .integral_reps import (
     _S_WEIGHTS,
+    POLYLOG_MAX_STRIDE,
     TWO_TERM_FLOOR,
     TWO_TERM_MIN_X,
     TWO_TERM_REAL,
@@ -72,6 +75,12 @@ def _closed_form_limits(n: int, m: int, x: complex) -> str | None:
     return _stride_one("closed-form", n, m, 0)
 
 
+def _polylog_limits(n: int, m: int, x: complex) -> str | None:
+    if m > POLYLOG_MAX_STRIDE:
+        return f"quad-polylog stride must be in [1, {POLYLOG_MAX_STRIDE}], got {m}"
+    return f"quad-polylog needs n >= 1, got {n}" if n < 1 else None
+
+
 def _two_term_limits(n: int, m: int, x: complex) -> str | None:
     reason = _stride_one("quad-two-term", n, m, 2)
     if reason is None and x.imag != 0.0:
@@ -93,8 +102,8 @@ ROUTES: dict[str, Route] = {
         Route("closed-form", _closed_form_limits, lambda n, m, x, *_: _closed_kernel(n, x)),
         Route(
             "quad-polylog",
-            lambda n, m, x: _stride_one("quad-polylog", n, m, 1),
-            lambda n, m, x, tol, cap: _polylog_kernel(n, x, tol),
+            _polylog_limits,
+            lambda n, m, x, tol, cap: _polylog_kernel(n, m, x, tol),
         ),
         Route(
             "quad-cardano",

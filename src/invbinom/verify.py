@@ -3,10 +3,10 @@ every route against every other on a parameter grid.
 
 Tolerances are tiered by route class and reflect honest binary64 error
 budgets: 1e-12 for series / closed-form pairs, 1e-10 once
-folding enters (m rotated complex evaluations; every stride-m route but direct
-summation), 1e-9 for anything touching the polylog-kernel quadrature
-(quad-polylog) or the Cardano-root series (quad-cardano), and 1e-8 for the
-two-term route (two stacked adaptive integrals).
+folding enters (m rotated complex evaluations), 1e-9 for anything touching the
+polylog-kernel quadrature (quad-polylog, at stride m its one Beta integral, a pair
+that shares no code with fold) or the Cardano-root series (quad-cardano), and 1e-8
+for the two-term route (two stacked adaptive integrals).
 
 Failures are report entries, never exceptions; a report serializes to the
 documented JSON shape and parses back to an equal report (wall times are
@@ -211,8 +211,9 @@ def _format_x(x: complex) -> str:
     return f"{x.real:g}{'+' if x.imag >= 0 else '-'}{abs(x.imag):g}i"
 
 
-# Stride-1 routes the cross-route check folds over at stride m >= 2.
-FOLD_INNERS = ("closed-form", "quad-polylog", "quad-cardano", "direct-sum")
+# Stride-1 routes the cross-route check folds over at stride m >= 2. quad-polylog is not
+# one: it serves the stride itself, in one quadrature where its fold ran m.
+FOLD_INNERS = ("closed-form", "quad-cardano", "direct-sum")
 
 
 def _applicable_routes(p: SeriesParams) -> dict[str, Callable[[], complex]]:
@@ -220,7 +221,7 @@ def _applicable_routes(p: SeriesParams) -> dict[str, Callable[[], complex]]:
 
     A stride-1 fold repeats its inner route and is left out. At m >= 2 a fold
     runs per route in ``FOLD_INNERS`` (keyed "folding[<inner>]", so pair
-    tolerances can be tiered).
+    tolerances can be tiered); quad-polylog runs at the stride itself.
     Direct summation is left out on the rim, where terms decay like k**(1/2 - n).
     """
     n, m, x = p.n, p.m, p.x

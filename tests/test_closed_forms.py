@@ -347,7 +347,7 @@ def _fold_by_public_routes(n: int, m: int, x: complex, inner: str) -> Evaluation
     if xc == 0:
         return Evaluation(0j, 0.0, "folding", 0)
     root = _principal_root(xc, m)
-    total, err, work = 0j, 0.0, 0
+    total, err, size, work = 0j, 0.0, 0.0, 0
     for j in range(1, m + 1):
         w = root_of_unity(j, m) * root
         while abs(w) >= 27 / 4 and not _summable(n, 1, w):
@@ -355,13 +355,14 @@ def _fold_by_public_routes(n: int, m: int, x: complex, inner: str) -> Evaluation
         ev = evaluate(n, 1, w, inner)
         total += ev.value
         err += ev.abs_error_est
+        size += abs(ev.value)
         work += ev.work
     scale = float(m ** (n - 1))
     total *= scale
     err *= scale
     if xc.imag == 0.0:
         resid = abs(total.imag)
-        if resid > FOLD_IMAG_TOL * (1.0 + abs(total)):
+        if resid > FOLD_IMAG_TOL * (1.0 + scale * size):
             raise BranchFailure(f"imaginary residue {resid:.3e} after folding real x = {xc.real!r}")
         total, err = complex(total.real, 0.0), err + resid
     return Evaluation(total, err, "folding", work)
@@ -512,14 +513,30 @@ class TestBranchGuards:
         from invbinom.closed_forms import _discard_imag
 
         with pytest.raises(BranchFailure):
-            _discard_imag(complex(1.0, 1e-3), 0.0, complex(1.0))
+            _discard_imag(complex(1.0, 1e-3), 0.0, 1.0, complex(1.0))
 
     def test_residue_guard_folds_small_residue_into_the_estimate(self):
         from invbinom.closed_forms import _discard_imag
 
-        value, err = _discard_imag(complex(1.0, 1e-12), 1e-15, complex(1.0))
+        value, err = _discard_imag(complex(1.0, 1e-12), 1e-15, 1.0, complex(1.0))
         assert value == complex(1.0, 0.0)
         assert err >= 1e-12
+
+    def test_residue_guard_scales_by_the_terms_not_the_cancelled_total(self):
+        from invbinom.closed_forms import _discard_imag
+
+        # terms of modulus 1e3 that cancel to 1e-3: a residue of 1e-7 is their rounding
+        value, err = _discard_imag(complex(1e-3, 1e-7), 0.0, 1e3, complex(1.0))
+        assert value == complex(1e-3, 0.0)
+        assert err == 1e-7
+
+    def test_cancelling_fold_at_weight_11_returns_a_bounding_estimate(self):
+        # the six inner values sum to about 1.6e8 times the total; the reference is an
+        # mpmath fold at 24 and 32 digits
+        ref = 5.098367553058584
+        ev = evaluate(11, 6, 94580.34940237338, "folding")
+        assert ev.value.imag == 0.0
+        assert abs(ev.value - ref) <= ev.abs_error_est
 
     def test_fold_at_the_stride2_rim_sums_the_stride1_closed_forms(self):
         rim2 = 45.5625

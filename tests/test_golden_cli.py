@@ -114,6 +114,11 @@ The three ``direct-sum`` hashes at S(0,9;0.99 R**9) (3,164 terms, no step table)
 S(0,2;0.999 R**2) (29,430 terms) and S(4,8;0.99 R**8 e**(0.7i)) (1,020 terms, past the
 512-step table) were recorded while sums predicted to run past the tables went through a
 separate block kernel, so that its replacement by the one term loop keeps their bytes.
+When ``quad-polylog`` began to serve strides up to 11 through the stride-m Beta integral,
+``verify`` dropped its folds over quad-polylog: each ``folding[quad-polylog]`` entry became
+a ``quad-polylog`` entry with the stride-m value, and the entries of each stride-m point
+moved places with the route table's order (the same 301 pairs; every other value kept its
+bits): 2a90fa28 -> dab6b63e. The stride-1 ``quad-polylog`` hashes kept their bytes.
 """
 
 import hashlib
@@ -272,7 +277,7 @@ GOLDEN = {
         "57dafe31d0cccff5c0d648445375e3207511c1d428a96207c9ae6c59a2a065e3"
     ),
     "verify --suite all --output json": (
-        "2a90fa2828cc20648d399969cad07d467efb322adfb7e9eafaa24208eccfbd38"
+        "dab6b63ef3c06006937cb2079d0ab1cc93f8882fa58d1b16087d1d088a1ec4ee"
     ),
 }
 

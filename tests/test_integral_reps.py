@@ -2,7 +2,9 @@
 
 import cmath
 import functools
+import json
 import math
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -30,10 +32,12 @@ from invbinom.integral_reps import (
     _V_FIXED,
     _V_MAGS,
     _V_TERMS,
+    POLYLOG_MAX_STRIDE,
     S_MAX,
     _cardano_s,
     _s_series,
     _s_terms,
+    _stable_complement,
     _v_series,
     _v_terms,
 )
@@ -175,6 +179,48 @@ class TestQuadPolylog:
             quad_polylog(2, 6.76)
         with pytest.raises(DomainError):
             quad_polylog(1, RIM)  # rim needs n >= 2
+
+
+# The stride-m accuracy grid: n 1..6, m 1..11, |x| = rho R**m with rho in {0.5, 0.99,
+# 1 - 1e-6} and the rim (n >= 2), at the angles k pi/4. Rows [n, m, x_re, x_im, ref_re,
+# ref_im]: the references of perfbench's oracle (fixed-point sums inside 0.995 of the
+# radius, an mpmath fold at 24 and 32 digits beyond), rounded to binary64, written by
+# tools/quad_polylog_refs.py.
+STRIDE_REFS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "quad_polylog_stride_refs.json").read_text()
+)
+STRIDE_CELLS = sorted({(row[0], row[1]) for row in STRIDE_REFS})
+
+
+class TestQuadPolylogAtStrideM:
+    @pytest.mark.parametrize("n,m", STRIDE_CELLS)
+    def test_within_its_estimate_and_1e12_relative(self, n, m):
+        # worst relative error on the grid: 2.0e-14, at n = 2 on the rim, where Li_1 is
+        # log-singular at t = 1/3
+        rows = [row for row in STRIDE_REFS if row[:2] == [n, m]]
+        assert len(rows) == 8 * (4 if n >= 2 else 3)
+        for _, _, xr, xi, rr, ri in rows:
+            ev = evaluate(n, m, complex(xr, xi), "quad-polylog")
+            err = abs(ev.value - complex(rr, ri))
+            assert err <= ev.abs_error_est, (n, m, xr, xi, err, ev.abs_error_est)
+            assert err <= 1e-12 * abs(complex(rr, ri)), (n, m, xr, xi, err)
+
+    def test_the_largest_stride_is_the_last_exact_radius(self):
+        assert 27**POLYLOG_MAX_STRIDE < 2**53 < 27 ** (POLYLOG_MAX_STRIDE + 1)
+        rim = (27 / 4) ** POLYLOG_MAX_STRIDE
+        assert Fraction(rim) == Fraction(27, 4) ** POLYLOG_MAX_STRIDE
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 6, 11])
+    @pytest.mark.parametrize("t", [1e-9, 0.01, 0.3, 1 / 3, 0.3333334, 0.5, 0.9, 1 - 1e-9])
+    def test_complement_against_exact_rationals(self, m, t):
+        # 1 - (R t (1-t)**2)**m, which has a double zero at t = 1/3, within a few ulps of
+        # itself but for the rounding of 1 - 3t, of order eps |1 - 3t|: what an ulp of t,
+        # not a cancellation, moves it by
+        ft = Fraction(t)
+        exact = 1 - (Fraction(27, 4) * ft * (1 - ft) ** 2) ** m
+        got = _stable_complement(t, m)
+        bound = 8 * (m + 1) * Fraction(2.0**-53) * (abs(exact) + abs(1 - 3 * ft))
+        assert abs(Fraction(got) - exact) <= bound, (m, t)
 
 
 class TestQuadTwoTerm:

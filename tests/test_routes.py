@@ -446,8 +446,8 @@ class TestEvaluate:
             evaluate(3, 1, 0.5, "closed-form")
         with pytest.raises(ArgumentError):
             evaluate(1, 2, 0.5, "closed-form")  # closed-form serves stride 1 only
-        with pytest.raises(ArgumentError):
-            evaluate(2, 2, 0.5, "quad-polylog")
+        with pytest.raises(ArgumentError, match=r"stride must be in \[1, 11\], got 12"):
+            evaluate(2, 12, 0.5, "quad-polylog")
         with pytest.raises(ArgumentError):
             evaluate(2, 2, 0.5, "quad-two-term")
         with pytest.raises(ArgumentError):
