@@ -10,8 +10,8 @@ Three independent routes, at stride 1 but the first:
   in one quadrature, with no fold.
 * ``quad_cardano`` (n >= 3) runs no quadrature: it sums S(n, 1; x) as a power series in
   s = phi(x)**-3, in v = sqrt(1 - 4x/27) near the branch point x = 27/4, or in x (see its
-  docstring), up to weight 8 in 2-9 us, where ``quad_polylog`` takes 0.03 ms at
-  S(3, 1; 0.5) to 0.7 ms at S(3, 1; 27/4) (one AMD EPYC core). It is the route ``auto``
+  docstring), up to weight 8 in 2-9 us, where ``quad_polylog`` takes 0.05 ms at
+  S(3, 1; 0.5) to 0.5 ms at S(3, 1; 27/4) (one Intel Xeon core). It is the route ``auto``
   takes where direct summation, which decays like k**(1/2 - n) on the rim, costs more;
   the route table and ``fold`` call its bare kernel, ``_cardano_kernel``.
 * ``quad_two_term`` evaluates the two-term log/trig form whose limits come
@@ -38,7 +38,7 @@ from operator import add, floordiv, mul
 
 from .closed_forms import _RESIDUAL_TOL, _TINY_X, _leading_terms, _radical, phi
 from .errors import ArgumentError, BranchFailure, DomainError
-from .polylog import li
+from .polylog import _li, li
 from .quadrature import adaptive_quad, quad_tol
 from .series import _EPS, RADIUS_BASE, Evaluation, SeriesParams, _inside, _sum_kernel
 
@@ -93,7 +93,8 @@ def quad_polylog(n: int, x: complex, tol: float | None = None) -> Evaluation:
 
     The integrand tends to x at t = 0 (supplied explicitly). On the rim
     |x| = 27/4 the polylog argument touches 1 at t = 1/3, an integrable
-    logarithmic singularity the adaptive rule subdivides through; the
+    logarithmic singularity: at x = 27/4 and n <= 3 it is moved to an endpoint (see
+    ``_polylog_kernel``), elsewhere the adaptive rule subdivides through it. The
     argument is clamped a hair below 1 there so the weight-1 kernel stays
     finite under rounding. ``tol`` is checked as ``quad_cardano``'s. Strides
     1 <= m <= POLYLOG_MAX_STRIDE go through ``evaluate(n, m, x, "quad-polylog")``.
@@ -116,51 +117,61 @@ def _polylog_kernel(n: int, m: int, xc: complex, tol) -> tuple[complex, float, i
 
     whose integrand tends to x at t = 0 for m = 1 and to 0 above. The factor m enters as
     the divisor t / m, exact at m = 1.
+
+    At real x the integrand is a float: weights 0 and 1 through ``_stable_complement``,
+    weight 2 and above through ``li``'s unchecked kernel at w clamped into [-1, 1], as
+    ``li`` clamps it. At x = R**m exactly, u = 1 - x*(t*(1-t)**2)**m has a double zero at
+    t = 1/3, a log singularity that bisection never lands on: at weights 1 and 2 the kernel
+    integrates in s on either side, t = (1 - s**6)/3 and t = (1 + 2 s**6)/3, which moves it
+    to s = 0 as s**5 log(s) (S(2, 1; 27/4): 210 integrand calls, 1,785 by bisection). At
+    weight 3 and above the map costs calls; away from the rim a split doubles every
+    one-panel integral.
     """
     tol = quad_tol(tol)
     weight = n - 1
-    real_arg = xc.imag == 0.0
-
-    if real_arg and weight <= 1:
-        # Weight 0 and 1 kernels in terms of the cancellation-free
-        # complement u(t) = 1 - x*(t*(1-t)**2)**m; the direct difference loses
-        # every digit near t = 1/3 as x approaches R**m, where u has a
-        # double zero. Where w = x*(t*(1-t)**2)**m is small, log(u) = log1p(-w)
-        # keeps the digits that u, rounded near 1, drops.
-        xr = xc.real
-        edge = complex(xr) if m == 1 else 0j
-        d = RADIUS_BASE**m - xr  # exact near the rim (Sterbenz)
-        two_m = 2 * m
-
-        def integrand(t: float) -> complex:
-            if t == 0.0:
-                return edge
-            tm = t**m
-            sm = (1.0 - t) ** two_m
-            if weight == 1:
-                w = xr * tm * sm
-                if abs(w) <= 0.5:
-                    return complex(-math.log1p(-w) / (t / m))
-            u = max(_stable_complement(t, m) + d * tm * sm, _TINY)
-            if weight == 0:
-                return complex(m * xr * t ** (m - 1) * sm / u)
-            return complex(-math.log(u) / (t / m))
-
-    else:
+    if xc.imag != 0.0:
         edge = xc if m == 1 else 0j
 
         def integrand(t: float) -> complex:
             if t == 0.0:
                 return edge  # limit of m Li_{n-1}(x*(t*(1-t)**2)**m) / t
-            w = xc * (t * (1.0 - t) ** 2) ** m
-            if real_arg:
-                wr = w.real
-                if wr > 1.0:  # rounding past the rim; mathematically w <= 1
-                    wr = 1.0
-                w = complex(wr)
-            return li(weight, w) / (t / m)
+            return li(weight, xc * (t * (1.0 - t) ** 2) ** m) / (t / m)
 
-    return adaptive_quad(integrand, 0.0, 1.0, tol)
+        return adaptive_quad(integrand, 0.0, 1.0, tol)
+
+    xr = xc.real
+    edge = xr if m == 1 else 0.0
+    d = RADIUS_BASE**m - xr  # exact near the rim (Sterbenz)
+    two_m = 2 * m
+
+    def integrand(t: float) -> float:
+        if t == 0.0:
+            return edge
+        if weight >= 2:
+            w = xr * (t * (1.0 - t) ** 2) ** m
+            if abs(w) > 1.0:  # rounded past the rim, where Crandall's log(-L) would get L > 0
+                w = math.copysign(1.0, w)
+            return _li(weight, w) / (t / m)
+        # Weight 0 and 1 in terms of the cancellation-free complement u = 1 - w; the direct
+        # difference loses every digit near t = 1/3 as x approaches R**m, where u has a
+        # double zero. Where w is small, log(u) = log1p(-w) keeps the digits that u,
+        # rounded near 1, drops.
+        tm = t**m
+        sm = (1.0 - t) ** two_m
+        if weight == 1:
+            w = xr * tm * sm
+            if abs(w) <= 0.5:
+                return -math.log1p(-w) / (t / m)
+        u = max(_stable_complement(t, m) + d * tm * sm, _TINY)
+        if weight == 0:
+            return m * xr * t ** (m - 1) * sm / u
+        return -math.log(u) / (t / m)
+
+    if d != 0.0 or weight > 2:
+        return adaptive_quad(integrand, 0.0, 1.0, tol)
+    left = adaptive_quad(lambda s: 2.0 * s**5 * integrand((1.0 - s**6) / 3.0), 0.0, 1.0, tol)
+    right = adaptive_quad(lambda s: 4.0 * s**5 * integrand((1.0 + 2.0 * s**6) / 3.0), 0.0, 1.0, tol)
+    return left[0] + right[0], left[1] + right[1], left[2] + right[2]
 
 
 def quad_cardano(n: int, x: complex, tol: float | None = None) -> Evaluation:

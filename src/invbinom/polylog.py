@@ -92,11 +92,15 @@ def li(n: int, z: complex) -> complex:
             a, b = zc.real, zc.imag
             return complex(-0.5 * math.log1p(a * (a - 2.0) + b * b), -math.atan2(0.0 - b, 1.0 - a))
         return -cmath.log(1.0 - zc)
-    if abs(zc) <= SERIES_RADIUS:
-        return _li_series(n, zc)
     if zc.imag == 0.0 and abs(zc.real) > 1.0:  # rounding past the rim on the real axis
         zc = complex(math.copysign(1.0, zc.real))
-    return _li_log(n, zc)
+    return complex(_li(n, zc))
+
+
+def _li(n: int, z: complex | float) -> complex | float:
+    """Li_n(z) for n >= 2 and |z| <= 1, unchecked: ``li``'s kernel. Generic over float
+    and complex z; a float z gives a float, so a real caller stays in float arithmetic."""
+    return _li_series(n, z) if abs(z) <= SERIES_RADIUS else _li_log(n, z)
 
 
 def _series_terms(r: float) -> int:
@@ -116,11 +120,12 @@ def _zeta(s: int) -> float:
     return _ZETA[s - 2] if s - 2 < len(_ZETA) else 1.0
 
 
-def _li_series(n: int, z: complex) -> complex:
+def _li_series(n: int, z: complex | float) -> complex | float:
     """Direct series by Horner's rule, n >= 2 and r = |z| <= 2/3. There |Li_n(z)| >= r/2
-    and the tail past K terms is below r**(K+1) / (1 - r), so ``_series_terms`` meets _TOL."""
+    and the tail past K terms is below r**(K+1) / (1 - r), so ``_series_terms`` meets _TOL.
+    A float for real z, complex or not."""
     if z == 0:
-        return 0j
+        return 0.0
     terms = _series_terms(abs(z))
     if n <= 8 and terms <= _SERIES_TERMS:
         coefs = _INV_POWERS[n - 2][terms - 1 :: -1]
@@ -130,10 +135,10 @@ def _li_series(n: int, z: complex) -> complex:
     total = 0.0
     for c in coefs:
         total = total * w + c
-    return complex(total * w)
+    return total * w
 
 
-def _li_log(n: int, z: complex) -> complex:
+def _li_log(n: int, z: complex | float) -> complex | float:
     """Li_n(z) for n >= 2 beyond the series radius: Crandall's expansion,
     through the duplication formula in the left half-plane."""
     if z.real >= 0.0:
@@ -143,18 +148,20 @@ def _li_log(n: int, z: complex) -> complex:
     return 2.0 ** (1 - n) * even - _crandall(n, -z)
 
 
-def _crandall(n: int, z: complex) -> complex:
-    """Crandall's expansion of Li_n(z) in powers of L = log z, n >= 2, |L| < 2*pi."""
+def _crandall(n: int, z: complex | float) -> complex | float:
+    """Crandall's expansion of Li_n(z) in powers of L = log z, n >= 2, |L| < 2*pi; in
+    float arithmetic for a float z, which must then lie in (0, 1]."""
     if z == 1:
-        return complex(_zeta(n))
-    big_l = cmath.log(z)
-    total = 0j
-    power = complex(1.0)  # L**k / k!
+        return _zeta(n)
+    log = math.log if isinstance(z, float) else cmath.log
+    big_l = log(z)
+    total = 0.0
+    power = 1.0  # L**k / k!
     for k in range(n - 1):
         total += _zeta(n - k) * power
         power *= big_l / (k + 1)
     harmonic = _HARMONIC[n - 2] if n <= 8 else math.fsum(1.0 / j for j in range(1, n))
-    total += power * (harmonic - cmath.log(-big_l))
+    total += power * (harmonic - log(-big_l))
     power *= big_l / n
     total -= 0.5 * power  # zeta(0) = -1/2
     # Odd negative arguments, k = n-1+2i: coef = zeta(1-2i) / zeta(2i) * L**k / k!.

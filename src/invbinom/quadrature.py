@@ -5,8 +5,9 @@ The panel is QUADPACK's qk21 (Piessens, de Doncker-Kapenga, Ueberhuber and Kahan
 Kronrod extension. Every subinterval carries its Kronrod value and |K21 - G10| as a
 (deliberately conservative) local error estimate; refinement always bisects the interval
 with the largest local error, which resolves integrable endpoint and interior
-singularities without special casing. All nodes are interior, so an integrand singular
-exactly at an endpoint is never sampled there.
+singularities without special casing, an interior one slowly, as bisection never lands
+on it (quad-polylog maps the one on its rim to an endpoint). All nodes are interior, so
+an integrand singular exactly at an endpoint is never sampled there.
 
 Complex-valued integrands work unchanged: the rule is linear and the error
 metric is the complex modulus. For a fixed tolerance the refinement order is

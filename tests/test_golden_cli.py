@@ -119,6 +119,12 @@ When ``quad-polylog`` began to serve strides up to 11 through the stride-m Beta 
 a ``quad-polylog`` entry with the stride-m value, and the entries of each stride-m point
 moved places with the route table's order (the same 301 pairs; every other value kept its
 bits): 2a90fa28 -> dab6b63e. The stride-1 ``quad-polylog`` hashes kept their bytes.
+When ``quad-polylog`` began to integrate the positive rim at weights 1 and 2 in s, with
+t = 1/3 -+ k s**6 on either side of the double zero of 1 - u (and real x in float arithmetic),
+``quad-polylog`` at S(2,1;6.75) moved: value 5.6188302395564245 -> 5.618830239556543 (7.7e-14
+-> 4.1e-14 from the exact 2 pi**2/3 - 2 log(2)**2), estimate 3.5e-12 -> 2.3e-12, work
+1,785 -> 210 (d9733ea0 -> 41652d03); and ``verify`` with its one entry on that route at the
+point, S(2,1;27/4) (dab6b63e -> 1a549eef). Every other entry kept its bits.
 """
 
 import hashlib
@@ -168,7 +174,7 @@ GOLDEN = {
         "8b19b00eca7f7f2d40b6d5b799424fb73f73cbc068f3935a4d2dfbc987574170"
     ),
     "eval --n 2 --m 1 --x 6.75 --method quad-polylog --output json": (
-        "d9733ea0bed2fe50e7d96a7c6da799d178455efee08ac22d70f7143282db09aa"
+        "41652d0324f7757098d904171fdfc3521527cfedc83201500bb52cecc0bf3afa"
     ),
     "eval --n 2 --m 1 --x 6.75 --method quad-two-term --output json": (
         "b6e923b52a5fe2057555e6d408fdd520b243c0d119129fbc2c317d7db225527b"
@@ -277,7 +283,7 @@ GOLDEN = {
         "57dafe31d0cccff5c0d648445375e3207511c1d428a96207c9ae6c59a2a065e3"
     ),
     "verify --suite all --output json": (
-        "dab6b63ef3c06006937cb2079d0ab1cc93f8882fa58d1b16087d1d088a1ec4ee"
+        "1a549eeff0ef5819eff632eee5f6e664bdbf8b1a8eb052f1a1fb22d13420c93c"
     ),
 }
 

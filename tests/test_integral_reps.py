@@ -21,6 +21,7 @@ from invbinom import (
     two_term_limits,
 )
 from invbinom import integral_reps
+from invbinom.identities import record_by_id
 from invbinom.integral_reps import (
     _S_COEFS,
     _S_ENVELOPE,
@@ -221,6 +222,33 @@ class TestQuadPolylogAtStrideM:
         got = _stable_complement(t, m)
         bound = 8 * (m + 1) * Fraction(2.0**-53) * (abs(exact) + abs(1 - 3 * ft))
         assert abs(Fraction(got) - exact) <= bound, (m, t)
+
+
+class TestQuadPolylogOnThePositiveRim:
+    # Integrand calls at x = R**m, where u = 1 - x (t (1-t)**2)**m has its double zero at
+    # t = 1/3 and the kernel integrates in s, t = 1/3 -+ k s**6, on either side; bisecting
+    # towards t = 1/3 takes 1,785-1,911 calls at n = 2 and 483-651 at n = 3.
+    WORK = {
+        (2, 1): 210, (2, 2): 336, (2, 6): 378, (2, 10): 378, (2, 11): 378,
+        (3, 1): 210, (3, 2): 294, (3, 6): 294, (3, 10): 336, (3, 11): 336,
+    }
+
+    @pytest.mark.parametrize("n,m", sorted(WORK))
+    def test_work_and_error_at_the_stride_references(self, n, m):
+        x = RIM**m
+        [ref] = [complex(rr, ri) for nn, mm, xr, xi, rr, ri in STRIDE_REFS
+                 if (nn, mm, xr, xi) == (n, m, x, 0.0)]
+        ev = evaluate(n, m, x, "quad-polylog")
+        assert ev.work <= self.WORK[n, m], ev.work
+        assert abs(ev.value - ref) <= ev.abs_error_est, (ev.value, ref, ev.abs_error_est)
+
+    @pytest.mark.parametrize("tol,work", [(None, 210), (QUAD_FLOOR, 294)])
+    def test_weight_two_against_the_exact_value(self, tol, work):
+        # bisecting towards t = 1/3 takes 1,785 and 2,289 calls
+        exact = record_by_id("S(2,1;27/4)").value()
+        ev = evaluate(2, 1, RIM, "quad-polylog", tol=tol)
+        assert ev.work <= work, ev.work
+        assert abs(ev.value - exact) <= ev.abs_error_est, (ev.value, exact, ev.abs_error_est)
 
 
 class TestQuadTwoTerm:
