@@ -29,7 +29,7 @@ from .errors import (
     PoleError,
     SeriesError,
 )
-from .identities import EXPERIMENTAL_IDS, SPECIAL_VALUES, IdentityRecord, record_by_id, render
+from .identities import EXPERIMENTAL_IDS, SPECIAL_VALUES, IdentityRecord, record_by_id
 from .integral_reps import (
     TwoTermLimits,
     quad_cardano,
@@ -84,7 +84,6 @@ __all__ = [
     "quad_polylog",
     "quad_two_term",
     "record_by_id",
-    "render",
     "resolve_auto",
     "root_of_unity",
     "run_all",

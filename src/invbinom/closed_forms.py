@@ -105,7 +105,7 @@ def phi(x: complex) -> CardanoRoot:
         value = ((27.0 - 2.0 * xc + 3.0 * s) / (2.0 * xc)) ** (1.0 / 3.0)
         branch = PRINCIPAL_BRANCH
     residual = abs(2.0 * xc * value**3 + 2.0 * xc - 27.0 - 3.0 * s)
-    if residual > _RESIDUAL_TOL * (1.0 + abs(xc)):
+    if not residual <= _RESIDUAL_TOL * (1.0 + abs(xc)):  # NaN fails too
         raise BranchFailure(f"radical identity residual {residual:.3e} at x = {xc}")
     return CardanoRoot(xc, value, branch)
 

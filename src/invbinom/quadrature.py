@@ -23,6 +23,7 @@ calls and both sums written out, in a fixed left-to-right order.
 
 from __future__ import annotations
 
+import cmath
 import heapq
 import math
 from operator import attrgetter, itemgetter
@@ -208,7 +209,8 @@ def adaptive_quad(
         ArgumentError: tol not > 0 (NaN included) or below QUAD_FLOOR, or a bound not
             finite.
         ConvergenceError: MAX_SUBDIVISIONS bisections made before the requested
-            tolerance (max of tol and tol * |value|) was met.
+            tolerance (max of tol and tol * |value|) was met, or an estimate that is
+            not finite (the integrand returned NaN or an infinity).
     """
     tol = quad_tol(tol)
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -219,9 +221,10 @@ def adaptive_quad(
         raise ArgumentError("adaptive_quad requires a <= b; flip and negate at the call site")
 
     value, err, _ = _gk21(f, a, b)
-    if not err > max(tol, tol * abs(value)):
+    if err <= max(tol, tol * abs(value)):
         # one panel: the loop below would not run, and the math.fsum of one value is
-        # that value (with -0.0 read as 0.0, which ``+ 0.0`` reproduces)
+        # that value (with -0.0 read as 0.0, which ``+ 0.0`` reproduces). A panel value
+        # that is not finite has a NaN or infinite err, so it goes on to the check below.
         return complex(value.real + 0.0, value.imag + 0.0), err, _PANEL_CALLS
     # heap entries: (-local_err, insertion_index, lo, hi, value, local_err)
     heap = [(-err, 0, a, b, value, err)]
@@ -261,6 +264,12 @@ def adaptive_quad(
         heapq.heappush(heap, (-e2, counter + 1, mid, hi, v2, e2))
         counter += 2
 
+    # A panel that is not finite makes the running sums NaN or infinite for good, and
+    # panels of +inf and -inf would stop math.fsum below with a ValueError.
+    if not (cmath.isfinite(total_val) and math.isfinite(total_err)):
+        raise ConvergenceError(
+            f"quadrature estimate {total_val!r} not finite (error estimate {total_err!r})"
+        )
     # Resummation over the final partition: math.fsum rounds the exact sum once, so
     # the order of the panels does not matter. A float panel value has .real and
     # .imag (0.0) as a complex one does.

@@ -89,6 +89,12 @@ class TestPhi:
         with pytest.raises(DomainError, match="phi\\(x\\) needs a finite x"):
             phi(x)
 
+    @pytest.mark.parametrize("x", [4e307, -1e308, complex(1e308, 1.0), complex(1.0, 1e308)])
+    def test_huge_x_raises(self, x):
+        # the residual overflows to NaN here, which the test ``residual > tol`` let through
+        with pytest.raises(BranchFailure, match="residual nan"):
+            phi(x)
+
     def test_complex_branch_flag(self):
         root = phi(1.0 + 1.0j)
         assert root.branch == PRINCIPAL_BRANCH

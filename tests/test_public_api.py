@@ -38,7 +38,6 @@ PUBLIC_NAMES = [
     "quad_polylog",
     "quad_two_term",
     "record_by_id",
-    "render",
     "resolve_auto",
     "root_of_unity",
     "run_all",
@@ -61,7 +60,7 @@ def _api_section() -> str:
 
 
 def test_all_is_the_pinned_list():
-    assert len(PUBLIC_NAMES) == 42
+    assert len(PUBLIC_NAMES) == 41
     assert sorted(invbinom.__all__) == PUBLIC_NAMES
     assert len(set(invbinom.__all__)) == len(invbinom.__all__)
 
@@ -85,6 +84,7 @@ def test_deleted_names_are_gone():
         "hypergeometric_value",
         "li_factorized",
         "pfq",
+        "render",
         "run_polylog_factorization",
         "series_terms",
         "term_ratio",
@@ -94,6 +94,11 @@ def test_deleted_names_are_gone():
         assert not hasattr(invbinom, name), name
     assert not hasattr(invbinom.closed_forms, "pfq")
     assert not hasattr(invbinom.polylog, "li_factorized")
+    for name in (
+        "Expr", "render", "rat", "pi", "add", "mul", "neg", "powi",
+        "log", "atan", "acot", "sqrt", "cbrt", "sub", "div",
+    ):  # the registry's expression-tree interpreter
+        assert not hasattr(invbinom.identities, name), name
     for name in ("hypergeometric_value", "PFQ_RECIPES", "_PFQ_TOL", "_pfq_limits", "_pfq"):
         assert not hasattr(invbinom.routes, name), name
     for name in ("run_polylog_factorization", "FACTORIZATION_POINTS"):

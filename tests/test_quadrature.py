@@ -72,6 +72,20 @@ def test_non_finite_bounds_raise(a, b):
         adaptive_quad(math.sin, a, b)
 
 
+def _opposite_infinities(t):
+    # +inf and -inf at the centres of the two halves, which the first panel does not sample
+    return math.inf if t == 0.25 else -math.inf if t == 0.75 else abs(t - 0.3) ** 0.5
+
+
+@pytest.mark.parametrize(
+    "f", [lambda t: math.nan, lambda t: math.inf, _opposite_infinities], ids=["nan", "inf", "+-inf"]
+)
+def test_non_finite_integrand_raises(f):
+    # gave ((nan+0j), nan, 21), ((inf+0j), nan, 21) and a ValueError from math.fsum
+    with pytest.raises(ConvergenceError, match="not finite"):
+        adaptive_quad(f, 0.0, 1.0)
+
+
 def test_tolerance_validation():
     for tol in (0.0, -1.0, math.nan):
         with pytest.raises(ArgumentError, match="tol must be positive"):
