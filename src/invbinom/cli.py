@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 
 from . import verify as verify_suites
@@ -38,7 +39,12 @@ CSV_HEADER = ("x", "value_re", "value_im", "abs_error_est", "method", "work")
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on bad usage; the contract here is 1."""
+    """argparse exits with status 2 on bad usage; the contract here is 1. A token that starts
+    -<digit> or -.<digit> is a value (argparse's pattern reads -1e-3 and -1+2i as options)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):  # noqa: A003 - argparse API
         self.print_usage(sys.stderr)
@@ -203,23 +209,9 @@ def cmd_verify(req: argparse.Namespace) -> int:
              "abs_diff", "tol", "pass")
         )
         for e in report.entries:
-            writer.writerow(
-                (
-                    report.suite,
-                    e.id,
-                    e.n,
-                    e.m,
-                    fmt_float(e.x.real),
-                    fmt_float(e.x.imag),
-                    fmt_float(e.lhs.real),
-                    fmt_float(e.lhs.imag),
-                    fmt_float(e.rhs.real),
-                    fmt_float(e.rhs.imag),
-                    fmt_float(e.abs_diff),
-                    fmt_float(e.tol),
-                    "true" if e.passed else "false",
-                )
-            )
+            numbers = (e.x.real, e.x.imag, e.lhs.real, e.lhs.imag, e.rhs.real, e.rhs.imag)
+            row = map(fmt_float, (*numbers, e.abs_diff, e.tol))
+            writer.writerow((report.suite, e.id, e.n, e.m, *row, "true" if e.passed else "false"))
         sys.stdout.write(buf.getvalue())
     else:
         print(report.to_text())

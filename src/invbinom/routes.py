@@ -47,6 +47,10 @@ from .series import (
 
 Triple = tuple[complex, float, int]  # a kernel's (value, abs_error_est, work)
 
+# Added to every estimate, which scales with the value and underflows with it: 128 units of
+# 2**-1074 bound a subnormal value's error, and estimates >= 2**-1013 keep their bits.
+_EST_FLOOR = 2.0**-1067
+
 
 class Route(NamedTuple):
     """An evaluation route: ``limits(n, m, x)`` says why its operation cannot serve
@@ -236,4 +240,4 @@ def _served(n, m, x, method: str, route: Route | None, tol, max_terms) -> Evalua
     if xc == 0:
         return Evaluation(0j, 0.0, route.name, 0)
     value, err, work = route.kernel(n, m, xc, tol, max_terms)
-    return Evaluation(value, err, route.name, work)
+    return Evaluation(value, err + _EST_FLOOR, route.name, work)

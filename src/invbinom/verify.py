@@ -8,15 +8,17 @@ polylog-kernel quadrature (quad-polylog, at stride m its one Beta integral, a pa
 that shares no code with fold) or the Cardano-root series (quad-cardano), and 1e-8
 for the two-term route (two stacked adaptive integrals).
 
-Failures are report entries, never exceptions; a report serializes to the
-documented JSON shape and parses back to an equal report (wall times are
-carried in memory and in the plain-text rendering only, and are excluded
-from equality).
+Failures are report entries, never exceptions. ``serialize`` writes exactly
+``json.dumps(to_json_dict(), indent=2)``, the documented JSON shape, and ``parse``
+reads it back to an equal report (wall times are carried in memory and in the
+plain-text rendering only, and are excluded from equality). With ``indent`` json
+runs its pure-Python encoder, so it lays out the frame alone; each entry fills a template.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -34,6 +36,11 @@ TOL_QUAD = 1e-9
 TOL_TWO_TERM = 1e-8
 
 ENVIRONMENT = {"precision": "binary64", "machine_epsilon": sys.float_info.epsilon}
+
+
+def _json_number(v: float) -> str:
+    """``json.dumps(v)``: for finite floats (and ints) json prints the repr too."""
+    return repr(v) if math.isfinite(v) else json.dumps(v)
 
 
 @dataclass(frozen=True)
@@ -66,6 +73,20 @@ class CheckEntry:
         out["tol"] = self.tol
         out["pass"] = self.passed
         return out
+
+    def _json_block(self) -> str:
+        """``to_json_dict()`` as it stands in ``json.dumps(report, indent=2)``'s entries."""
+        num, lhs, rhs = _json_number, self.lhs, self.rhs
+        return (
+            f'    {{\n      "id": {json.dumps(self.id)},\n'
+            f'      "params": {{\n        "n": {self.n:d},\n        "m": {self.m:d},\n'
+            f'        "x_re": {num(self.x.real)},\n        "x_im": {num(self.x.imag)}\n      }},\n'
+            f'      "lhs": {num(lhs.real)},\n      "rhs": {num(rhs.real)},\n'
+            + (f'      "lhs_im": {num(lhs.imag)},\n' if lhs.imag != 0.0 else "")
+            + (f'      "rhs_im": {num(rhs.imag)},\n' if rhs.imag != 0.0 else "")
+            + f'      "abs_diff": {num(self.abs_diff)},\n      "tol": {num(self.tol)},\n'
+            f'      "pass": {"true" if self.passed else "false"}\n    }}'
+        )
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CheckEntry":
@@ -106,15 +127,21 @@ class VerificationReport:
         return sum(e.wall_ms for e in self.entries) / 1000.0
 
     def to_json_dict(self) -> dict:
+        return self._json_frame([e.to_json_dict() for e in self.entries])
+
+    def _json_frame(self, entries: list) -> dict:
         return {
             "suite": self.suite,
-            "entries": [e.to_json_dict() for e in self.entries],
+            "entries": entries,
             "summary": {"pass": self.n_pass, "fail": self.n_fail},
             "environment": dict(self.environment),
         }
 
     def serialize(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        """``json.dumps(self.to_json_dict(), indent=2)``, byte for byte (see the module)."""
+        frame = json.dumps(self._json_frame([]), indent=2)
+        block = ",\n".join([e._json_block() for e in self.entries])
+        return frame.replace('"entries": []', f'"entries": [\n{block}\n  ]', 1) if block else frame
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "VerificationReport":
@@ -188,8 +215,8 @@ def _special_value_entries(records: Iterable, tol: float | None) -> list[CheckEn
 
 
 def run_special_values(tol: float | None = None) -> VerificationReport:
-    """Every registry value, rendered from its exact form, against the
-    matching series route: direct summation inside the disk, the
+    """Every registry value, a binary64 expression evaluated at import, against
+    the matching series route: direct summation inside the disk, the
     polylog-kernel quadrature on the rim. ``tol`` overrides the tiered
     defaults uniformly when given."""
     entries = _special_value_entries(SPECIAL_VALUES, checked_tol(tol, None))

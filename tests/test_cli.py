@@ -270,6 +270,26 @@ class TestTable:
         assert payload["rows"][1]["value_re"] == 0.0
 
 
+class TestNegativeLiterals:
+    """argparse's own pattern for negative numbers (-12, -1.5) reads these as options;
+    every one must be taken as the value it is, as with --x=<literal>."""
+
+    @pytest.mark.parametrize("literal", ["-1e-3", "-1E+0", "-1+2i", "-2i", "-.5", "-6.75"])
+    def test_eval_x(self, capsys, literal):
+        code, out, err = run(capsys, "eval", "--n", "2", "--x", literal, "--output", "json")
+        assert code == EXIT_OK, err
+        payload = json.loads(out)
+        assert complex(payload["x_re"], payload["x_im"]) == parse_complex(literal)
+        assert run(capsys, "eval", "--n", "2", f"--x={literal}", "--output", "json")[1] == out
+
+    def test_table_x_from(self, capsys):
+        argv = ["table", "--n", "1", "--x-to", "1e-3", "--steps", "3", "--output", "csv"]
+        code, out, err = run(capsys, *argv, "--x-from", "-1e-3")
+        assert code == EXIT_OK, err
+        assert [row[0] for row in csv.reader(io.StringIO(out))][1:] == ["-0.001", "0", "0.001"]
+        assert run(capsys, *argv, "--x-from=-1e-3")[1] == out
+
+
 class TestVerify:
     def test_special_values_json(self, capsys):
         code, out, _ = run(
@@ -290,7 +310,7 @@ class TestVerify:
         code, out, _ = run(capsys, "eval", "--n", "2", "--m", "1", "--x", "0.5", "--method", "pfq")
         assert (code, out) == (EXIT_USAGE, "")
 
-    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "-1e-3"])
     def test_non_positive_tolerance_exits_two(self, capsys, tol):
         code, out, err = run(capsys, "verify", "--suite", "cross-routes", "--tol", tol)
         assert code == EXIT_DOMAIN

@@ -476,6 +476,46 @@ class TestEvaluate:
         assert abs(got - ref) <= 1e-9 * (1.0 + abs(ref))
 
 
+# |x| from 1e-306 down to 1e-323, where S(n, m; x) is about x / C(3m, m) and subnormal.
+TINY_MODULI = (*(10.0**-e for e in range(306, 324)), 3.7e-310)
+
+
+def _tiny_reference(n: int, m: int, x: complex) -> tuple[Fraction, Fraction]:
+    """The first two terms of S(n, m; x), exactly, as (re, im); the rest is below |x|**3."""
+    re, im = Fraction(x.real), Fraction(x.imag)
+    c1, c2 = math.comb(3 * m, m), 2**n * math.comb(6 * m, 2 * m)
+    return re / c1 + (re * re - im * im) / c2, im / c1 + 2 * re * im / c2
+
+
+class TestSubnormalEstimates:
+    """Every kernel's estimate scales with the value and underflows with it; the floor that
+    ``evaluate`` adds covers the few units of 2**-1074 a subnormal value is off."""
+
+    def test_every_route_bounds_its_error(self):
+        for r, theta, n, m in itertools.product(
+            TINY_MODULI, (0.0, 0.7, math.pi / 2, math.pi), range(7), (1, 2, 3, 6)
+        ):
+            x = complex(-r) if theta == math.pi else cmath.rect(r, theta)
+            ref_re, ref_im = _tiny_reference(n, m, x)
+            for method in (*METHODS, "auto"):
+                if method != "auto" and ROUTES[method].refuses(n, m, x) is not None:
+                    continue
+                ev = evaluate(n, m, x, method)
+                d_re, d_im = Fraction(ev.value.real) - ref_re, Fraction(ev.value.imag) - ref_im
+                assert d_re**2 + d_im**2 <= Fraction(ev.abs_error_est) ** 2, (n, m, x, method, ev)
+
+    def test_huge_stride_underflow_has_an_estimate(self):
+        # past the underflow stride the direct sum returns 0 for a value below 2**-1076
+        ev = evaluate(0, 800, 1e300, "direct-sum")
+        assert ev.value == 0
+        assert Fraction(1e300) / math.comb(2400, 800) * 2 < ev.abs_error_est
+
+    @given(st.floats(2.0**-1013, 1e308))
+    @example(2.0**-1013)
+    def test_estimates_from_2_pow_minus_1013_keep_their_bits(self, est):
+        assert est + routes._EST_FLOOR == est
+
+
 class TestAutoFuzz:
     @given(
         n=st.integers(0, 6),

@@ -2,11 +2,15 @@
 
 import json
 import math
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from invbinom import (
     ArgumentError,
+    CheckEntry,
     SeriesParams,
     VerificationReport,
     default_grid,
@@ -16,6 +20,7 @@ from invbinom import (
     run_cross_routes,
     run_special_values,
 )
+from invbinom.verify import ENVIRONMENT, SUITES
 from test_series import _summable
 
 
@@ -145,6 +150,56 @@ class TestReport:
 
     def test_json_is_valid_json(self):
         json.loads(run_special_values().serialize())
+
+
+# Text json must escape: quotes, backslashes, control characters, non-ASCII (a lone
+# surrogate too) and the key the report's frame splices its entries into.
+_TEXT = st.text(st.sampled_from('"\\\x00\x1f\n\x7fa :[]\xe9\u20ac\U0001f600\ud800')) | st.text()
+_FLOAT = st.floats() | st.sampled_from(
+    (0.0, -0.0, 5e-324, -2.2e-310, sys.float_info.max, math.inf, -math.inf, math.nan)
+)
+_IMAG = st.sampled_from((0.0, -0.0)) | _FLOAT
+_ENTRY = st.builds(
+    CheckEntry,
+    id=_TEXT,
+    n=st.integers(0, 10**6),
+    m=st.integers(1, 10**6),
+    x=st.builds(complex, _FLOAT, _FLOAT),
+    lhs=st.builds(complex, _FLOAT, _IMAG),
+    rhs=st.builds(complex, _FLOAT, _IMAG),
+    abs_diff=_FLOAT,
+    tol=_FLOAT,
+    passed=st.booleans(),
+)
+
+
+class TestSerialize:
+    """``serialize`` writes each entry from a template; ``to_json_dict`` is the schema."""
+
+    @given(
+        suite=_TEXT,
+        entries=st.lists(_ENTRY, max_size=4),
+        environment=st.just(ENVIRONMENT) | st.dictionaries(_TEXT, _FLOAT, max_size=3),
+    )
+    @example(
+        suite='"entries": []',
+        entries=[CheckEntry("[]", 0, 1, 1j, 0.5, 0.5, 0.0, 1e-12, True)],
+        environment={'"entries": []': 0.0},
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_is_json_dumps_of_to_json_dict(self, suite, entries, environment):
+        report = VerificationReport(suite, tuple(entries), environment)
+        assert report.serialize() == json.dumps(report.to_json_dict(), indent=2)
+
+    @pytest.mark.parametrize("name", SUITES)
+    def test_every_suite(self, name):
+        report = SUITES[name](None)
+        assert report.serialize() == json.dumps(report.to_json_dict(), indent=2)
+
+    def test_an_infinite_tol(self):
+        report = run_borwein_girgensohn(tol=math.inf)
+        assert '"tol": Infinity' in report.serialize()
+        assert report.serialize() == json.dumps(report.to_json_dict(), indent=2)
 
 
 class TestRunAll:
