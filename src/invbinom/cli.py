@@ -40,11 +40,12 @@ CSV_HEADER = ("x", "value_re", "value_im", "abs_error_est", "method", "work")
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad usage; the contract here is 1. A token that starts
-    -<digit> or -.<digit> is a value (argparse's pattern reads -1e-3 and -1+2i as options)."""
+    -<digit> or -.<digit>, or is -i, -j, -inf or -nan in any case, is a value (argparse's
+    pattern reads -1e-3, -1+2i and -inf as options)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|(i|j|inf|nan)$)", re.IGNORECASE)
 
     def error(self, message):  # noqa: A003 - argparse API
         self.print_usage(sys.stderr)

@@ -9,13 +9,12 @@ Real arguments take the real, sign-preserving cube root (the known values
 phi(1/2) = 2 + sqrt(3) and phi(-1/4) = -(5 + sqrt(21))/2 force that
 choice); complex arguments take principal branches throughout. The branch
 policy is validated numerically, by the radical-identity residual inside
-``phi`` and by the imaginary-residue check after folding, rather than
-trusted on formal grounds.
+``phi``, rather than trusted on formal grounds.
 
 Closed forms exist for weights 0, 1, 2 at stride 1 (``s01``, ``s11``,
 ``s21``). ``fold`` reduces S(n, m; x) to m stride-1 evaluations at rotated
-m-th roots of x (the real root of positive x correctly rounded), and answers
-|x| < 1e-8 from exact leading terms.
+m-th roots of x, at real x to one per conjugate pair (the real root of |x|
+correctly rounded), and answers |x| < 1e-8 from exact leading terms.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .series import _EPS, RADIUS_BASE, Evaluation, _inside
 SQRT3 = math.sqrt(3.0)
 REAL_BRANCH = "real-cube-root"
 PRINCIPAL_BRANCH = "principal-complex"
-FOLD_IMAG_TOL = 1e-9
 _RESIDUAL_TOL = 1e-9
 
 # Below this the closed forms and ``fold`` switch to exact leading series terms: the
@@ -218,26 +216,10 @@ def _real_root(x: float, m: int) -> float:
 
 
 def _principal_root(xc: complex, m: int) -> complex:
-    """Principal m-th root, correctly rounded and exactly real for positive real input."""
-    if xc.imag == 0.0 and xc.real > 0.0:
-        return complex(_real_root(xc.real, m))
+    """Principal m-th root of x, which ``fold`` takes at complex x only."""
     if m == 2:
         return cmath.sqrt(xc)
     return xc ** (1.0 / m)
-
-
-def _discard_imag(total: complex, err: float, size: float, x: complex) -> tuple[complex, float]:
-    """For real x the rotated terms pair up conjugate; enforce cancellation.
-
-    The imaginary residue is checked against FOLD_IMAG_TOL relative to ``size``, the sum of
-    the moduli of the scaled terms (the terms with m not dividing k cancel across them, so
-    |total| can be many orders below it and says nothing of their rounding), folded into
-    the error estimate, and discarded.
-    """
-    resid = abs(total.imag)
-    if resid > FOLD_IMAG_TOL * (1.0 + size):
-        raise BranchFailure(f"imaginary residue {resid:.3e} after folding real x = {x.real!r}")
-    return complex(total.real, 0.0), err + resid
 
 
 def _pulled_in(n: int, arg: complex) -> complex:
@@ -259,10 +241,15 @@ def fold(
 
     ``evaluate`` on the folding route, over ``inner``: the stride-1 route of
     ``routes.ROUTES`` whose kernel evaluates each term (ArgumentError where it refuses
-    one). x**(1/m) is the principal root; w**j are the m-th roots of unity, exact on the
-    axes so that real rotated arguments stay on the real branch of phi. Only the total is
-    checked. Below |x| = 1e-8, once ``inner`` has accepted every root, the exact leading
-    terms. ``tol`` goes to the inner route, which takes its own default for None.
+    one). At complex x, x**(1/m) is the principal root and w**j are the m-th roots of
+    unity. At real x the roots pair up conjugate, and every stride-1 route gives
+    S(n, 1; conj y) = conj S(n, 1; y) bit for bit: only the roots with Im >= 0 are
+    evaluated, the real root of |x| correctly rounded and turned by exp(i pi k / m),
+    exact on the axes so that real arguments stay on the real branch of phi. Each one off
+    the axis counts twice its real part and twice its estimate, and the value is real.
+    Only the total is checked. Below |x| = 1e-8, once ``inner`` has accepted every root,
+    the exact leading terms. ``tol`` goes to the inner route, which takes its own default
+    for None.
     """
     if inner not in routes.ROUTES:
         raise ArgumentError(f"unknown inner route {inner!r}; choose from {routes.METHODS}")
@@ -275,30 +262,31 @@ def fold(
 def _fold_kernel(n: int, m: int, xc: complex, inner: str, tol) -> tuple[complex, float, int]:
     """``fold``'s (value, abs_error_est, work) at summable x != 0 and 1 <= m <= 6."""
     route = routes.ROUTES[inner]
-    root = _principal_root(xc, m)
+    paired = xc.imag == 0.0
+    if paired:  # the roots with Im >= 0, w**k * |x|**(1/m) for w = exp(i pi / m)
+        root, turn, ks = _real_root(abs(xc.real), m), 2 * m, range(xc.real < 0.0, m + 1, 2)
+    else:
+        root, turn, ks = _principal_root(xc, m), m, range(1, m + 1)
     tiny = abs(xc) < _TINY_X
     total = 0j
-    err = size = 0.0
+    err = 0.0
     work = 0
-    for j in range(1, m + 1):
-        arg = _pulled_in(n, root_of_unity(j, m) * root)
+    for k in ks:
+        arg = _pulled_in(n, root_of_unity(k, turn) * root)
         reason = route.limits(n, 1, arg)  # arg != 0
         if reason is not None:
             raise ArgumentError(reason)
         if not tiny:
             value, e, w = route.kernel(n, 1, arg, tol, None)
+            if paired:  # a root off the axis stands for its conjugate too
+                value, e = (2.0 * value.real, 2.0 * e) if k % m else (value.real, e)
             total += value
             err += e
-            size += abs(value)
             work += w
     if tiny:
         return _leading_terms(n, m, xc)
     scale = float(m ** (n - 1))
-    total *= scale
-    err *= scale
-    if xc.imag == 0.0:
-        total, err = _discard_imag(total, err, scale * size, xc)
-    return total, err, work
+    return total * scale, err * scale, work
 
 
 # Last, as the route table imports the kernels above; fold and the closed forms read it at

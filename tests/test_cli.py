@@ -274,13 +274,35 @@ class TestNegativeLiterals:
     """argparse's own pattern for negative numbers (-12, -1.5) reads these as options;
     every one must be taken as the value it is, as with --x=<literal>."""
 
-    @pytest.mark.parametrize("literal", ["-1e-3", "-1E+0", "-1+2i", "-2i", "-.5", "-6.75"])
+    @pytest.mark.parametrize(
+        "literal", ["-1e-3", "-1E+0", "-1+2i", "-2i", "-.5", "-6.75", "-i", "-j", "-I", "-J"]
+    )
     def test_eval_x(self, capsys, literal):
         code, out, err = run(capsys, "eval", "--n", "2", "--x", literal, "--output", "json")
         assert code == EXIT_OK, err
         payload = json.loads(out)
         assert complex(payload["x_re"], payload["x_im"]) == parse_complex(literal)
         assert run(capsys, "eval", "--n", "2", f"--x={literal}", "--output", "json")[1] == out
+
+    def test_eval_x_minus_i_is_minus_one_j(self, capsys):
+        code, out, err = run(capsys, "eval", "--n", "2", "--x", "-i", "--output", "json")
+        assert code == EXIT_OK, err
+        payload = json.loads(out)
+        assert (payload["x_re"], payload["x_im"]) == (0.0, -1.0)
+
+    @pytest.mark.parametrize("tol", ["-inf", "-nan", "-INF", "-NaN"])
+    def test_tol_non_finite(self, capsys, tol):
+        code, out, err = run(capsys, "eval", "--n", "2", "--x", "0.5", "--tol", tol)
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert "tol must be positive" in err
+        assert run(capsys, "eval", "--n", "2", "--x", "0.5", f"--tol={tol}")[:2] == (code, out)
+
+    def test_table_x_from_minus_inf(self, capsys):
+        argv = ["table", "--n", "2", "--x-to", "1", "--steps", "3"]
+        code, out, err = run(capsys, *argv, "--x-from", "-inf")
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert "expected one argument" not in err
+        assert run(capsys, *argv, "--x-from=-inf")[:2] == (code, out)
 
     def test_table_x_from(self, capsys):
         argv = ["table", "--n", "1", "--x-to", "1e-3", "--steps", "3", "--output", "csv"]

@@ -25,15 +25,17 @@ from invbinom import (
     s11,
     s21,
     root_of_unity,
+    routes,
     sum_direct,
 )
 from invbinom.closed_forms import (
     _TINY_X,
-    FOLD_IMAG_TOL,
     PRINCIPAL_BRANCH,
     REAL_BRANCH,
     _principal_root,
+    _real_root,
 )
+from invbinom.routes import ROUTES
 from test_series import _fixed_point_reference, _summable
 
 SQRT3 = math.sqrt(3.0)
@@ -348,30 +350,32 @@ class TestFolding:
 def _fold_by_public_routes(n: int, m: int, x: complex, inner: str) -> Evaluation:
     """fold written over whole Evaluations: each rotated root, pulled inside the
     stride-1 disk, goes to the public route ``evaluate(n, 1, w, inner)``, and the
-    values, estimates and work are added in order."""
+    values, estimates and work are added in order. At real x only the roots with
+    Im >= 0 are taken, the real m-th root of |x| turned by exp(i pi k / m); each one off
+    the axis counts twice its real part and twice its estimate."""
     xc = complex(x)
     if xc == 0:
         return Evaluation(0j, 0.0, "folding", 0)
-    root = _principal_root(xc, m)
-    total, err, size, work = 0j, 0.0, 0.0, 0
-    for j in range(1, m + 1):
-        w = root_of_unity(j, m) * root
+    paired = xc.imag == 0.0
+    if paired:
+        root, turn, ks = _real_root(abs(xc.real), m), 2 * m, range(xc.real < 0.0, m + 1, 2)
+    else:
+        root, turn, ks = _principal_root(xc, m), m, range(1, m + 1)
+    total, err, work = 0j, 0.0, 0
+    for k in ks:
+        w = root_of_unity(k, turn) * root
         while abs(w) >= 27 / 4 and not _summable(n, 1, w):
             w *= 1.0 - 2.220446049250313e-16
         ev = evaluate(n, 1, w, inner)
-        total += ev.value
-        err += ev.abs_error_est
-        size += abs(ev.value)
+        value, e = ev.value, ev.abs_error_est
+        if paired:
+            weight = 2.0 if k % m else 1.0
+            value, e = weight * value.real, weight * e
+        total += value
+        err += e
         work += ev.work
     scale = float(m ** (n - 1))
-    total *= scale
-    err *= scale
-    if xc.imag == 0.0:
-        resid = abs(total.imag)
-        if resid > FOLD_IMAG_TOL * (1.0 + scale * size):
-            raise BranchFailure(f"imaginary residue {resid:.3e} after folding real x = {xc.real!r}")
-        total, err = complex(total.real, 0.0), err + resid
-    return Evaluation(total, err, "folding", work)
+    return Evaluation(total * scale, err * scale, "folding", work)
 
 
 def _bits(call):
@@ -421,6 +425,74 @@ class TestFoldSumsKernels:
         with mock.patch.dict(os.environ, {"SERIES_MAX_TERMS": "20000"}):
             want = _bits(lambda: _fold_by_public_routes(n, m, x, inner))
             assert _bits(lambda: fold(n, m, x, inner)) == want
+
+
+class TestConjugateSymmetry:
+    """At real x fold evaluates one root of each conjugate pair and doubles its real part.
+    That rests on S(n, 1; conj y) == conj S(n, 1; y) in every bit, with the same estimate
+    and work, on every stride-1 route fold runs."""
+
+    @pytest.mark.parametrize("route", ["closed-form", "quad-cardano", "direct-sum", "quad-polylog"])
+    def test_stride1_routes_are_conjugate_symmetric_bit_for_bit(self, route):
+        rng = random.Random(f"conjugate symmetry {route}")
+        values = 0
+        for n in range(7):
+            for rho in (rng.random(), 1e-9, 1 - 1e-9, 1.0):
+                for _ in range(6):
+                    y = cmath.rect(rho * 27 / 4, rng.uniform(0.0, math.pi))
+                    if not _summable(n, 1, y) or ROUTES[route].refuses(n, 1, y):
+                        continue
+                    # a low term cap keeps direct summation near the rim short
+                    with mock.patch.dict(os.environ, {"SERIES_MAX_TERMS": "20000"}):
+                        upper = _bits(lambda: evaluate(n, 1, y, route))
+                        lower = _bits(lambda: evaluate(n, 1, y.conjugate(), route))
+                    if len(upper) == 2:  # an error: the same one on both sides
+                        assert lower[0] == upper[0], (n, y)
+                        continue
+                    re, im, err, method, work = upper
+                    mirrored = (re, (-float.fromhex(im)).hex(), err, method, work)
+                    assert lower == mirrored, (n, y)
+                    values += 1
+        assert values >= 40
+
+
+class TestFoldPairsConjugateRoots:
+    """At real x fold evaluates the roots with Im >= 0 only: floor(m/2) + 1 of them, or m/2
+    at even m and x < 0, where no root lies on the real axis."""
+
+    @staticmethod
+    def _spy(name, calls):
+        kernel = getattr(routes, name)
+
+        def spy(n, y, *rest):
+            out = kernel(n, y, *rest)
+            calls.append((y, out[2]))
+            return out
+
+        return mock.patch.object(routes, name, spy)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_one_evaluation_per_conjugate_pair(self, m, sign):
+        calls = []
+        with self._spy("_closed_kernel", calls):
+            ev = fold(2, m, sign * 0.5 * (27 / 4) ** m)
+        assert len(calls) == (m // 2 if sign < 0 and m % 2 == 0 else m // 2 + 1)
+        assert all(y.imag >= 0.0 for y, _ in calls)
+        assert ev.value.imag == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("m", [3, 5])
+    @pytest.mark.parametrize("rho", [0.5, 1.0])
+    def test_odd_stride_negative_x_takes_the_exact_negative_root(self, n, m, rho):
+        x = -rho * (27 / 4) ** m
+        calls = []
+        with self._spy("_closed_kernel" if n <= 2 else "_cardano_kernel", calls):
+            ev = evaluate(n, m, x, "folding")
+        assert len(calls) == m // 2 + 1
+        assert ev.work == sum(work for _, work in calls)
+        assert ev.value.imag == 0.0
+        assert [y for y, _ in calls if y.imag == 0.0] == [complex(-_real_root(-x, m))]
 
 
 def _leading_sum(n, m, x, terms=5):
@@ -514,28 +586,6 @@ class TestStrideTwoClosedForm:
 
 
 class TestBranchGuards:
-    def test_residue_guard_raises_past_tolerance(self):
-        from invbinom import BranchFailure
-        from invbinom.closed_forms import _discard_imag
-
-        with pytest.raises(BranchFailure):
-            _discard_imag(complex(1.0, 1e-3), 0.0, 1.0, complex(1.0))
-
-    def test_residue_guard_folds_small_residue_into_the_estimate(self):
-        from invbinom.closed_forms import _discard_imag
-
-        value, err = _discard_imag(complex(1.0, 1e-12), 1e-15, 1.0, complex(1.0))
-        assert value == complex(1.0, 0.0)
-        assert err >= 1e-12
-
-    def test_residue_guard_scales_by_the_terms_not_the_cancelled_total(self):
-        from invbinom.closed_forms import _discard_imag
-
-        # terms of modulus 1e3 that cancel to 1e-3: a residue of 1e-7 is their rounding
-        value, err = _discard_imag(complex(1e-3, 1e-7), 0.0, 1e3, complex(1.0))
-        assert value == complex(1e-3, 0.0)
-        assert err == 1e-7
-
     def test_cancelling_fold_at_weight_11_returns_a_bounding_estimate(self):
         # the six inner values sum to about 1.6e8 times the total; the reference is an
         # mpmath fold at 24 and 32 digits
@@ -605,9 +655,7 @@ class TestRealRoot:
         for _ in range(2000):
             m = rng.randint(2, 12)
             x = math.ldexp(rng.uniform(0.5, 1.0), rng.randint(-1070, 1020))
-            r = _principal_root(complex(x), m)
-            assert r.imag == 0.0
-            r = r.real
+            r = _real_root(x, m)
             below = (Fraction(math.nextafter(r, 0.0)) + Fraction(r)) / 2
             above = (Fraction(r) + Fraction(math.nextafter(r, math.inf))) / 2
             assert below**m < Fraction(x) < above**m, (x, m)
@@ -615,8 +663,8 @@ class TestRealRoot:
     @pytest.mark.parametrize("m", range(2, 12))
     def test_exact_powers_give_exact_roots(self, m):
         # (27/4)**m is exact in binary64 up to m = 11; the rim roots are 27/4 itself
-        assert _principal_root(complex((27 / 4) ** m), m) == 6.75
-        assert _principal_root(complex(3.0**m), m) == 3.0
+        assert _real_root((27 / 4) ** m, m) == 6.75
+        assert _real_root(3.0**m, m) == 3.0
 
     @pytest.mark.parametrize("m", [2, 3, 5, 6])
     @pytest.mark.parametrize("x", [-100.0, -(27 / 4) ** 3, 1 + 1j, -2.5 - 7j])

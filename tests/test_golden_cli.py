@@ -125,6 +125,14 @@ t = 1/3 -+ k s**6 on either side of the double zero of 1 - u (and real x in floa
 -> 4.1e-14 from the exact 2 pi**2/3 - 2 log(2)**2), estimate 3.5e-12 -> 2.3e-12, work
 1,785 -> 210 (d9733ea0 -> 41652d03); and ``verify`` with its one entry on that route at the
 point, S(2,1;27/4) (dab6b63e -> 1a549eef). Every other entry kept its bits.
+When ``fold`` at real x began to evaluate one root of each conjugate pair (the roots with
+Im >= 0, the real root of |x| turned by exp(i pi k / m); each one off the axis counts twice
+its real part), ``folding`` at S(2,3;100) moved: value 1.3553932802536885 ->
+1.3553932802536905, estimate 5.134594387098999e-14 -> 5.134594387098998e-14, work 3 -> 2
+(fa76651a -> 3e3cabec); and ``verify`` (1a549eef -> 82c9c7f0) with the 53 entries that hold
+a real fold at m = 3 (S(n,3;x) at n 1..3, x in {-1, 1, 100}, and S(0,3;1), S(2,3;6));
+every entry still passes and every other entry kept its bits. Folds at complex x and at
+m = 2, x > 0 kept theirs.
 """
 
 import hashlib
@@ -213,7 +221,7 @@ GOLDEN = {
         "0720ca860e387650f20d848f2d30d0d539bf6b74a697746ece738b9dc69ca606"
     ),
     "eval --n 2 --m 3 --x 100 --method folding --output json": (
-        "fa76651a9758348126c0d954a1635100f77f6a59b2cdc8c0146b7d2f85e7a786"
+        "3e3cabec7f3ab0433577d1eb8d10ad7728317657c9038872191b940f9464fcf1"
     ),
     "eval --n 2 --m 3 --x 100 --method auto --output json": (
         "0720ca860e387650f20d848f2d30d0d539bf6b74a697746ece738b9dc69ca606"
@@ -283,7 +291,7 @@ GOLDEN = {
         "57dafe31d0cccff5c0d648445375e3207511c1d428a96207c9ae6c59a2a065e3"
     ),
     "verify --suite all --output json": (
-        "1a549eeff0ef5819eff632eee5f6e664bdbf8b1a8eb052f1a1fb22d13420c93c"
+        "82c9c7f06bc462e43e4c3870d3013cc796530b5f0d8106c7c4e488c753915524"
     ),
 }
 
