@@ -23,7 +23,6 @@ from .closed_forms import (
 )
 from .errors import (
     ArgumentError,
-    BranchFailure,
     ConvergenceError,
     DomainError,
     PoleError,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArgumentError",
-    "BranchFailure",
     "CardanoRoot",
     "CheckEntry",
     "ConvergenceError",

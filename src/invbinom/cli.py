@@ -173,6 +173,9 @@ def _grid(x_from: float, x_to: float, steps: int) -> list[float]:
 
 
 def cmd_table(req: argparse.Namespace) -> int:
+    # the bounds first: an infinite one would make the grid's points NaN
+    SeriesParams.require_summable(req.n, req.m, req.x_from)
+    SeriesParams.require_summable(req.n, req.m, req.x_to)
     xs = _grid(req.x_from, req.x_to, req.steps)
     # reject the whole grid before evaluating anything
     for x in xs:

@@ -7,9 +7,10 @@ Everything here is driven by the auxiliary cubic root
 
 Real arguments take the real, sign-preserving cube root (the known values
 phi(1/2) = 2 + sqrt(3) and phi(-1/4) = -(5 + sqrt(21))/2 force that
-choice); complex arguments take principal branches throughout. The branch
-policy is validated numerically, by the radical-identity residual inside
-``phi``, rather than trusted on formal grounds.
+choice); complex arguments take principal branches throughout. On the closed
+disk |x| <= 27/4 that choice gives |phi| >= 1, the branch the closed forms
+need, with equality only at x = 27/4; a tier-1 test pins the invariant on a
+grid of the disk, its rim and both axes.
 
 Closed forms exist for weights 0, 1, 2 at stride 1 (``s01``, ``s11``,
 ``s21``). ``fold`` reduces S(n, m; x) to m stride-1 evaluations at rotated
@@ -23,14 +24,13 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .errors import ArgumentError, BranchFailure, DomainError
+from .errors import ArgumentError, DomainError
 from .polylog import root_of_unity
 from .series import _EPS, RADIUS_BASE, Evaluation, _inside
 
 SQRT3 = math.sqrt(3.0)
 REAL_BRANCH = "real-cube-root"
 PRINCIPAL_BRANCH = "principal-complex"
-_RESIDUAL_TOL = 1e-9
 
 # Below this the closed forms and ``fold`` switch to exact leading series terms: the
 # explicit expressions cancel to ~x/3 out of pieces of size x**(2/3), so
@@ -82,10 +82,11 @@ def phi(x: complex) -> CardanoRoot:
     """Cardano root phi(x); real branch on the real axis, principal otherwise.
 
     On (0, 27/4] the value is real with phi >= 1 and phi(27/4) = 1; for
-    real x < 0 it is real and negative. Raises DomainError at x = 0 (phi
-    diverges there; callers own the x -> 0 limit of whatever they build
-    from it) and for x not finite, and BranchFailure when the radical identity
-    2x*phi**3 + 2x - 27 - 3*sqrt(81 - 12x) = 0 fails on the branch taken.
+    real x < 0 it is real and negative; elsewhere on |x| <= 27/4, |phi| > 1.
+    Raises DomainError at x = 0 (phi diverges there; callers own the x -> 0
+    limit of whatever they build from it), for x not finite, and where the
+    value leaves the binary64 range (|x| < PHI_MIN_X, or |x| >~ 1.5e307,
+    where 12x overflows in the radical).
     """
     xc = complex(x)
     if xc == 0:
@@ -102,26 +103,23 @@ def phi(x: complex) -> CardanoRoot:
     else:
         value = ((27.0 - 2.0 * xc + 3.0 * s) / (2.0 * xc)) ** (1.0 / 3.0)
         branch = PRINCIPAL_BRANCH
-    residual = abs(2.0 * xc * value**3 + 2.0 * xc - 27.0 - 3.0 * s)
-    if not residual <= _RESIDUAL_TOL * (1.0 + abs(xc)):  # NaN fails too
-        raise BranchFailure(f"radical identity residual {residual:.3e} at x = {xc}")
+    if not cmath.isfinite(value):
+        raise DomainError(f"phi(x) exceeds the binary64 range at x = {xc!r}")
     return CardanoRoot(xc, value, branch)
 
 
 def _atan_log_parts(p: complex, real_branch: bool) -> tuple[complex, complex]:
     """arctan(sqrt3 / (2 phi - 1)) and log((phi**3 + 1) / (phi + 1)**3).
 
-    The arctan argument has a removable point at phi = 1/2; the one-sided
-    limit pi/2 is substituted there.
+    |2 phi - 1| >= 1 on the closed disk (phi >= 1 or phi < 0 on the real branch,
+    |phi| >= 1 elsewhere), so the arctan argument stays finite.
     """
     if real_branch:
         pr = p.real
-        den = 2.0 * pr - 1.0
-        at = complex(math.pi / 2 if den == 0.0 else math.atan(SQRT3 / den))
+        at = complex(math.atan(SQRT3 / (2.0 * pr - 1.0)))
         lg = complex(math.log((pr**3 + 1.0) / (pr + 1.0) ** 3))
     else:
-        den = 2.0 * p - 1.0
-        at = complex(math.pi / 2) if den == 0 else cmath.atan(SQRT3 / den)
+        at = cmath.atan(SQRT3 / (2.0 * p - 1.0))
         lg = cmath.log((p**3 + 1.0) / (p + 1.0) ** 3)
     return at, lg
 

@@ -23,10 +23,6 @@ class PoleError(SeriesError):
     """Evaluation requested exactly at a pole."""
 
 
-class BranchFailure(SeriesError):
-    """A branch-cut consistency check failed; the result was not silently kept."""
-
-
 def checked_tol(tol: float | None, default: float | None) -> float | None:
     """The tolerance rule of every entry that takes one: ``default`` for None, else
     ``tol`` when it is > 0; ArgumentError for 0, negative values and NaN."""

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 from itertools import accumulate, count, repeat
 from operator import add, floordiv, mul
 
-from .closed_forms import _RESIDUAL_TOL, _TINY_X, _leading_terms, _radical, phi
-from .errors import ArgumentError, BranchFailure, DomainError
+from .closed_forms import _TINY_X, _leading_terms, _radical, phi
+from .errors import ArgumentError, DomainError
 from .polylog import _li, li
 from .quadrature import adaptive_quad, quad_tol
 from .series import _EPS, RADIUS_BASE, Evaluation, SeriesParams, _inside, _sum_kernel
@@ -198,7 +198,7 @@ def _cardano_kernel(n: int, xc: complex, tol, max_terms=None) -> tuple[complex, 
         return _sum_kernel(n, 1, xc, _DIRECT_TOL, max_terms)
     s = _cardano_s(xc)
     if abs(s) <= S_MAX:
-        return _s_series(n, xc, s)
+        return _s_series(n, s)
     return _v_series(n, xc)
 
 
@@ -296,15 +296,12 @@ def _cardano_s(xc: complex) -> complex | float:
     return 2.0 * xc / (27.0 - 2.0 * xc + 3.0 * rad)
 
 
-def _s_series(n: int, xc: complex, s: complex | float) -> tuple[complex, float, int]:
+def _s_series(n: int, s: complex | float) -> tuple[complex, float, int]:
     """S(n, 1; x) = sum_{j<=K} a_j s**j, 3 <= n <= _S_WEIGHTS and |s| < 1, by Horner's rule
     in -s over the c_j. The error bound is the truncation past K (``_s_terms``) plus the
     rounding, sum_j (_S_STEP_ROUNDING j + _S_TABLE_ULPS + 1) eps c_j r**j at r = |s|: from
-    G(r) = sum_j c_j r**(j-1) and G'(r), in ``_horner``'s loop. BranchFailure where
-    27 s / (1 + s)**2 misses x by more than phi's residual rule allows."""
-    back = 27.0 * s / (1.0 + s) ** 2
-    if abs(back - xc) > _RESIDUAL_TOL * (1.0 + abs(xc)):
-        raise BranchFailure(f"s = {s} gives x = {back} for x = {xc}")
+    G(r) = sum_j c_j r**(j-1) and G'(r), in ``_horner``'s loop. s is ``_cardano_s(x)``, the
+    root of 27 s / (1 + s)**2 = x with |s| <= 1 (the other root is 1/s)."""
     r = abs(s)
     terms = _s_terms(r, n)
     h, g, dg = _horner(_S_PAIRS[n - 3][terms - 1 :: -1], -s, r)

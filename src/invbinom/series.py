@@ -117,7 +117,7 @@ class Evaluation(namedtuple("_Evaluation", "value abs_error_est method work")):
 
     def __new__(cls, value: complex, abs_error_est: float, method: str, work: int):
         v = complex(value)
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+        if not cmath.isfinite(v):
             raise ArgumentError("evaluation produced a non-finite value")
         if not 0.0 <= abs_error_est < math.inf:  # False for NaN too
             raise ArgumentError("abs_error_est must be finite and >= 0")

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see one pass/fail line
 per criterion; each test also asserts, so the suite fails loudly.
 """
 
+import cmath
 import math
 import time
 
@@ -120,7 +121,11 @@ def test_criterion_7_property_suite():
                 if abs(t - exact) > 1e-13 * (1.0 + abs(exact)):
                     failures.append(("recurrence", m, x, k))
     for x in (0.5, 6.0, -0.25, 27 / 4, 1 + 1j, -2 - 3j, 0.1j):
-        phi(x)  # raises BranchFailure if the 1e-9 residual check fails
+        x = complex(x)
+        rad = cmath.sqrt(81.0 - 12.0 * x)
+        resid = abs(2 * x * phi(x).phi ** 3 + 2 * x - 27 - 3 * rad)
+        if not resid <= 1e-9 * (1.0 + abs(x)):
+            failures.append(("radical residual", x, resid))
     for method in METHODS:
         ev = evaluate(2, 2, 0.0, method)
         if ev.value != 0 or ev.abs_error_est != 0.0:

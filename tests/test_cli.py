@@ -302,6 +302,8 @@ class TestNegativeLiterals:
         code, out, err = run(capsys, *argv, "--x-from", "-inf")
         assert (code, out) == (EXIT_DOMAIN, "")
         assert "expected one argument" not in err
+        # the bound itself is named, not a NaN that the grid would make of it
+        assert "inf" in err and "nan" not in err
         assert run(capsys, *argv, "--x-from=-inf")[:2] == (code, out)
 
     def test_table_x_from(self, capsys):

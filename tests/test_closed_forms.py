@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from invbinom import (
     METHODS,
     ArgumentError,
-    BranchFailure,
     DomainError,
     Evaluation,
     SeriesError,
@@ -35,6 +34,7 @@ from invbinom.closed_forms import (
     _principal_root,
     _real_root,
 )
+from invbinom.integral_reps import _cardano_s
 from invbinom.routes import ROUTES
 from test_series import _fixed_point_reference, _summable
 
@@ -87,14 +87,14 @@ class TestPhi:
         [math.nan, complex(math.nan, 0.0), complex(0.0, math.nan), math.inf, complex(1.0, -math.inf)],
     )
     def test_non_finite_raises(self, x):
-        # the residual test is False for NaN, so a NaN root passed it
+        # refused before the radical: a NaN or infinite x would give a NaN root
         with pytest.raises(DomainError, match="phi\\(x\\) needs a finite x"):
             phi(x)
 
     @pytest.mark.parametrize("x", [4e307, -1e308, complex(1e308, 1.0), complex(1.0, 1e308)])
     def test_huge_x_raises(self, x):
-        # the residual overflows to NaN here, which the test ``residual > tol`` let through
-        with pytest.raises(BranchFailure, match="residual nan"):
+        # 12x overflows in the radical, and the root reads NaN
+        with pytest.raises(DomainError, match="binary64 range"):
             phi(x)
 
     def test_complex_branch_flag(self):
@@ -115,13 +115,64 @@ class TestPhi:
         x = complex(re, im)
         if abs(x) < 1e-3 or abs(x) > 27 / 4:
             return
-        root = phi(x)  # raises BranchFailure on violation
+        root = phi(x)
         if x.imag == 0.0:
             s = math.sqrt(81.0 - 12.0 * x.real)
         else:
             s = cmath.sqrt(81.0 - 12.0 * x)
         resid = abs(2 * x * root.phi**3 + 2 * x - 27 - 3 * s)
         assert resid <= 1e-9 * (1.0 + abs(x))
+
+
+def _on_disk(rho: float, angle: float) -> complex:
+    """rho * 27/4 * e**(i angle), moved back inside where rounding left it past the rim."""
+    x = cmath.rect(6.75 * rho, angle)
+    while abs(x) > 6.75:
+        x *= 1.0 - 2.0**-53
+    return x
+
+
+def _closed_disk_grid():
+    """Seeded points of |x| <= 27/4: the interior, the rim, rho = 1 - 2**-52, and angles
+    within 1e-12 of both axes, with both axes themselves out to the rim."""
+    rng = random.Random(31)
+    rims = (1.0, 1.0 - 2.0**-52)
+    near_axes = [a + d for a in (0.0, math.pi / 2, math.pi, -math.pi / 2) for d in (1e-12, -1e-12)]
+    for _ in range(3000):
+        yield _on_disk(rng.random() ** 0.5, rng.uniform(-math.pi, math.pi))
+    for rho in rims:
+        for k in range(1000):
+            yield _on_disk(rho, math.pi * (2 * k / 1000 - 1))
+    for rho in rims + tuple(k / 64 for k in range(1, 64)) + (1e-3, 1e-300):
+        for angle in near_axes:
+            yield _on_disk(rho, angle)
+        for axis in (1.0, -1.0, 1j, -1j):
+            yield 6.75 * rho * axis
+
+
+class TestBranchInvariant:
+    """The closed forms rest on |phi| >= 1, i.e. |s| = |phi|**-3 <= 1, on the closed disk;
+    equality holds only at x = 27/4, where phi = s = 1. On the real axis phi is real:
+    phi >= 1 on (0, 27/4] and phi < 0 for x < 0."""
+
+    def test_phi_and_s_on_the_closed_disk(self):
+        seen = 0
+        for x in _closed_disk_grid():
+            assert abs(x) <= 6.75, x
+            root = phi(x)
+            p = root.phi
+            s = _cardano_s(x)
+            if x == 6.75:
+                assert (p, abs(2.0 * p - 1.0), s) == (1.0, 1.0, 1.0)
+                seen += 1
+            else:
+                assert abs(p) > 1.0, x
+                assert abs(2.0 * p - 1.0) > 1.0, x
+                assert abs(s) < 1.0, x
+            if x.imag == 0.0:
+                assert root.branch == REAL_BRANCH and p.imag == 0.0, x
+                assert p.real >= 1.0 if x.real > 0.0 else p.real < 0.0, x
+        assert seen == 2  # the rim sweep at angle 0 and the end of the positive half-axis
 
 
 class TestWeightTwoClosedForm:

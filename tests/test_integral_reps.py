@@ -11,7 +11,6 @@ import pytest
 
 from invbinom import (
     ArgumentError,
-    BranchFailure,
     DomainError,
     evaluate,
     quad_cardano,
@@ -540,7 +539,7 @@ class TestCardanoSeries:
         for n, x, rim in _series_grid():
             s = _cardano_s(x)
             assert abs(s) <= S_MAX
-            value, est, work = _s_series(n, x, s)
+            value, est, work = _s_series(n, s)
             if abs(x) >= 1e-8:  # below, the route sums the series in x itself
                 assert integral_reps._cardano_kernel(n, x, None) == (value, est, work)
             if rim is None:
@@ -562,13 +561,8 @@ class TestCardanoSeries:
     def test_real_arguments_take_real_arithmetic(self):
         s = _cardano_s(complex(-3.0))
         assert isinstance(s, float)
-        value, _, _ = _s_series(4, complex(-3.0), s)
+        value, _, _ = _s_series(4, s)
         assert value.imag == 0.0
-
-    def test_a_wrong_root_raises_branch_failure(self):
-        x = complex(1.0, 2.0)
-        with pytest.raises(BranchFailure, match="s = "):
-            _s_series(3, x, -_cardano_s(x))
 
 
 # S(n, 1; x), n = 3..8, at the points of ``_branch_grid`` beyond rho = 0.995 with a
@@ -846,7 +840,7 @@ class TestCardanoVSeries:
                 reach = max(reach, abs(_v_of(x)))
                 for n in range(3, 9):
                     a, _, _ = _v_series(n, x)
-                    b, _, _ = _s_series(n, x, s)
+                    b, _, _ = _s_series(n, s)
                     assert abs(a - b) <= 8 * 2.220446049250313e-16 * abs(b), (n, x)
         assert 0.36 < reach and _v_terms(reach) <= _V_TERMS
 
