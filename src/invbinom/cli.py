@@ -121,10 +121,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _evaluate(req: argparse.Namespace, x: complex) -> Evaluation:
-    return evaluate(req.n, req.m, x, req.method, tol=req.tol, max_terms=default_max_terms())
-
-
 def _csv_rows(rows: list[tuple[complex, Evaluation]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -148,7 +144,7 @@ def _row_json(x: complex, ev: Evaluation) -> dict:
 
 
 def cmd_eval(req: argparse.Namespace) -> int:
-    ev = _evaluate(req, req.x)
+    ev = evaluate(req.n, req.m, req.x, req.method, tol=req.tol, max_terms=default_max_terms())
     if req.output == "json":
         payload = {"n": req.n, "m": req.m}
         payload.update(_row_json(req.x, ev))
@@ -180,7 +176,9 @@ def cmd_table(req: argparse.Namespace) -> int:
     # reject the whole grid before evaluating anything
     for x in xs:
         SeriesParams.require_summable(req.n, req.m, x)
-    rows = [(complex(x), _evaluate(req, complex(x))) for x in xs]
+    cap = default_max_terms()  # once for the whole table
+    xs = list(map(complex, xs))
+    rows = [(x, evaluate(req.n, req.m, x, req.method, tol=req.tol, max_terms=cap)) for x in xs]
     if req.output == "json":
         payload = {
             "n": req.n,

@@ -193,23 +193,24 @@ def _s01(xc: complex, p: complex, at: complex, lg: complex, real: bool) -> tuple
 
 
 def _real_root(x: float, m: int) -> float:
-    """The correctly rounded m-th root of x > 0. x ** (1/m) is not, as 1/m is rounded
-    ((R**3) ** (1/3) is 6.749999999999999), and one ulp of the root moves S(2, 1) near the
-    branch point of phi by about sqrt(eps) relative. No root of a float is a midpoint
-    between floats, so the exact comparisons below meet no ties."""
+    """The correctly rounded m-th root of x > 0: x ** (1/m) is not, as 1/m is rounded
+    ((R**3) ** (1/3) is 6.749999999999999), and one ulp moves S(2, 1) near phi's branch point
+    by about sqrt(eps). ``math.sqrt`` is (IEEE 754); above, r steps the way an exact test of
+    r**m against x says it rounded, while the root lies past a midpoint (never on one)."""
+    if m == 2:
+        return math.sqrt(x)
     xn, xd = x.as_integer_ratio()
 
-    def beyond(a: float, b: float) -> bool:
-        """True when the m-th root of x exceeds (a + b) / 2, in exact integer arithmetic."""
-        an, ad = a.as_integer_ratio()
-        bn, bd = b.as_integer_ratio()
-        return xn * (2 * ad * bd) ** m > (an * bd + bn * ad) ** m * xd
+    def beyond(v: float, half: int) -> bool:
+        """True when the m-th root of x exceeds v, or with half = 1 the midpoint above v."""
+        f, e = math.frexp(v)  # v = j * 2**(e - 54) with j = f * 2**54 even
+        c, s = (int(f * 2.0**54) + half) ** m * xd, m * (e - 54)
+        return xn > c << s if s >= 0 else xn << -s > c
 
     r = x ** (1.0 / m)
-    while not beyond(below := math.nextafter(r, 0.0), r):
-        r = below
-    while beyond(r, above := math.nextafter(r, math.inf)):
-        r = above
+    up = beyond(r, 0)  # r rounded down; else up, or it is the root
+    while beyond(r if up else math.nextafter(r, 0.0), 1) == up:  # past the midpoint
+        r = math.nextafter(r, math.inf if up else 0.0)
     return r
 
 

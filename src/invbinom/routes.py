@@ -19,6 +19,7 @@ never chosen by ``auto`` and stays an explicit route and verify's cross-check. T
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
 from .closed_forms import _closed_kernel, _fold_kernel
@@ -38,6 +39,7 @@ from .series import (
     SERIES_TOL,
     Evaluation,
     SeriesParams,
+    _checked,
     _predicted_estimate,
     _sum_kernel,
     convergence_radius,
@@ -172,32 +174,39 @@ def resolve_auto(
     quad-cardano's ArgumentError.
     ``within_terms`` makes the budget comparison with one test, with no root to find.
     """
+    return _auto(n, m, x, checked_tol(tol, None), max_terms)[0].name
+
+
+def _auto(n: int, m: int, x: complex, tol, max_terms: int | None) -> tuple[Route, int | None]:
+    """``resolve_auto``'s route at a checked ``tol``, and the term cap for its kernel: read
+    only below QUAD_FLOOR or once the budget admits a direct sum, which the cap only narrows."""
     explicit = tol is not None
     below_floor = explicit and tol < QUAD_FLOOR  # None: quad-cardano's own default
-    tol = checked_tol(tol, SERIES_TOL)
     if m == 1 and (n <= 2 or n <= _S_WEIGHTS and not below_floor):
-        return "closed-form" if n <= 2 else "quad-cardano"
-    cap = default_max_terms() if max_terms is None else max_terms
+        return ROUTES["closed-form" if n <= 2 else "quad-cardano"], max_terms
+    tol = SERIES_TOL if tol is None else tol
     rho = abs(x) / convergence_radius(m)
-    # the stop rule can take up to ~10% more terms than estimated (2 more at k = 1), so
-    # direct summation needs 1.125 * terms + 2 <= cap, that is terms <= 8 (cap - 2) / 9
-    fit = 8 * (cap - 2) // 9
     if n <= 2:
         budget = LOW_WEIGHT_TERM_BUDGET[n] * (m - 1)
     elif n > _S_WEIGHTS and not below_floor:  # quad-cardano is a direct sum here
         budget = DIRECT_TERM_BUDGET[-1] * m
     else:  # the series in s or v, or below the floor, which quad-cardano refuses
-        budget = fit if below_floor else DIRECT_TERM_BUDGET[n - 3] * (m - 1)
+        budget = math.inf if below_floor else DIRECT_TERM_BUDGET[n - 3] * (m - 1)
         if explicit and _predicted_estimate(n, m, rho, tol) > max(tol, QUAD_FLOOR):
             budget = 0  # the direct sum would stop above tol (or above the floor)
-    budget = min(budget, fit)
-    if budget >= 1 and within_terms(n, rho, tol, budget):
-        return "direct-sum"
+    admits = budget >= 1 and within_terms(n, rho, tol, budget)
+    if admits or below_floor:
+        max_terms = default_max_terms() if max_terms is None else max_terms
+        # the stop rule can take up to ~10% more terms than estimated (2 more at k = 1), so
+        # direct summation needs 1.125 * terms + 2 <= cap, that is terms <= 8 (cap - 2) / 9
+        fit = 8 * (max_terms - 2) // 9
+        if admits and budget <= fit or 1 <= fit < budget and within_terms(n, rho, tol, fit):
+            return ROUTES["direct-sum"], max_terms
     if m > 1 and ROUTES["folding"].limits(n, m, x) is not None:
-        return "direct-sum"
+        return ROUTES["direct-sum"], max_terms
     if below_floor and n > 2:
         quad_tol(tol)  # raises
-    return "quad-cardano" if m == 1 else "folding"
+    return ROUTES["quad-cardano" if m == 1 else "folding"], max_terms
 
 
 def evaluate(
@@ -234,10 +243,8 @@ def _served(n, m, x, method: str, route: Route | None, tol, max_terms) -> Evalua
     elif method != "auto":
         raise ArgumentError(f"unknown method {method!r}; choose from {METHODS} or 'auto'")
     else:
-        if max_terms is None and (m > 1 or n > _S_WEIGHTS):  # read the cap once, for rule and route
-            max_terms = default_max_terms()
-        route = ROUTES[resolve_auto(n, m, xc, tol=tol, max_terms=max_terms)]
+        route, max_terms = _auto(n, m, xc, tol, max_terms)
     if xc == 0:
-        return Evaluation(0j, 0.0, route.name, 0)
+        return _checked(Evaluation, 0j, 0.0, route.name, 0)
     value, err, work = route.kernel(n, m, xc, tol, max_terms)
-    return Evaluation(value, err + _EST_FLOOR, route.name, work)
+    return _checked(Evaluation, value, err + _EST_FLOOR, route.name, work)

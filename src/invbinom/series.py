@@ -31,7 +31,7 @@ import os
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import islice, repeat
-from operator import attrgetter, mul, truediv
+from operator import attrgetter, index, mul, truediv
 from typing import Iterator
 
 from .errors import ArgumentError, ConvergenceError, DomainError
@@ -66,20 +66,14 @@ class SeriesParams:
     x: complex
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ArgumentError(f"weight n must be >= 0, got {self.n}")
-        convergence_radius(self.m)  # ArgumentError for m < 1
-        object.__setattr__(self, "x", complex(self.x))
+        object.__setattr__(self, "x", _arguments(self.n, self.m, self.x)[0])
 
     @staticmethod
     def require_summable(n: int, m: int, x: complex) -> complex:
         """The domain rule of every entry point: ``complex(x)`` where S(n, m; x)
-        converges, else DomainError naming the bound (ArgumentError for n < 0 or
-        m < 1). Static, so that entry points need not build a SeriesParams."""
-        if n < 0:
-            raise ArgumentError(f"weight n must be >= 0, got {n}")
-        xc = complex(x)
-        radius = convergence_radius(m)
+        converges, else DomainError naming the bound (ArgumentError for n < 0, m < 1 or a
+        wrong type). Static, so that entry points need not build a SeriesParams."""
+        xc, radius = _arguments(n, m, x)
         # NaN before abs: CPython's abs(complex) returns a NaN without clearing a stale
         # errno, so after any earlier float overflow it raises OverflowError instead
         if cmath.isnan(xc):
@@ -91,6 +85,17 @@ class SeriesParams:
             f"|x| = {ax!r} lies outside the convergence disk |x| < (27/4)**{m} = {radius!r}; "
             f"its rim is summable only for n >= 2, got n = {n}"
         )
+
+
+def _arguments(n: int, m: int, x: complex) -> tuple[complex, float]:
+    """(complex(x), (27/4)**m) for integers n >= 0, m >= 1 (``operator.index``), number x."""
+    try:
+        n, m, xc = index(n), index(m), complex(x)
+    except (TypeError, ValueError) as exc:
+        raise ArgumentError(f"n, m must be integers and x a number: {n!r}, {m!r}, {x!r}") from exc
+    if n < 0:
+        raise ArgumentError(f"weight n must be >= 0, got {n}")
+    return xc, convergence_radius(m)
 
 
 def _inside(n: int, ax: float, radius: float) -> bool:
@@ -116,22 +121,26 @@ class Evaluation(namedtuple("_Evaluation", "value abs_error_est method work")):
     __slots__ = ()
 
     def __new__(cls, value: complex, abs_error_est: float, method: str, work: int):
-        v = complex(value)
-        if not cmath.isfinite(v):
-            raise ArgumentError("evaluation produced a non-finite value")
-        if not 0.0 <= abs_error_est < math.inf:  # False for NaN too
-            raise ArgumentError("abs_error_est must be finite and >= 0")
-        if work < 0:
-            raise ArgumentError("work must be >= 0")
-        return tuple.__new__(cls, (v, abs_error_est, method, work))
+        return _checked(cls, complex(value), abs_error_est, method, work)
 
     @classmethod
     def _make(cls, iterable) -> Evaluation:  # ``_replace`` builds through it: keep the checks
         return cls(*iterable)
 
 
+def _checked(cls, value: complex, abs_error_est: float, method: str, work: int) -> Evaluation:
+    """Evaluation's checks and constructor, on a value already complex (a route kernel's)."""
+    if not cmath.isfinite(value):
+        raise ArgumentError("evaluation produced a non-finite value")
+    if not 0.0 <= abs_error_est < math.inf:  # False for NaN too
+        raise ArgumentError("abs_error_est must be finite and >= 0")
+    if work < 0:
+        raise ArgumentError("work must be >= 0")
+    return tuple.__new__(cls, (value, abs_error_est, method, work))
+
+
 def default_max_terms() -> int:
-    """Term cap for ``sum_direct``; overridable via SERIES_MAX_TERMS."""
+    """The term cap of direct sums: SERIES_MAX_TERMS if set, else 1,000,000; read per call."""
     raw = os.environ.get(ENV_MAX_TERMS)
     if raw is None:
         return 1_000_000

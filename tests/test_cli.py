@@ -3,6 +3,7 @@
 import cmath
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -25,7 +26,11 @@ from invbinom.cli import (
     main,
     parse_complex,
 )
+from invbinom import cli, routes, series
 from invbinom.routes import METHODS
+from test_golden_cli import GOLDEN
+
+GOLDEN_TABLE = "table --n 2 --m 1 --x-from -6.75 --x-to 6.75 --steps 101 --output csv"
 
 
 # The "invbinom ..." lines of the README's command-line block, as argument lists.
@@ -256,6 +261,28 @@ class TestTable:
             "--x-from", "0", "--x-to", "1", "--steps", "0",
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            GOLDEN_TABLE,
+            "table --n 3 --m 2 --x-from -40 --x-to 40 --steps 101 --method direct-sum --output csv",
+        ],
+    )
+    def test_a_table_reads_the_term_cap_once(self, argv, capsys, monkeypatch):
+        reads, read = [], series.default_max_terms
+
+        def counted():
+            reads.append(None)
+            return read()
+
+        for module in (cli, routes, series):
+            monkeypatch.setattr(module, "default_max_terms", counted)
+        code, out, _ = run(capsys, *argv.split())
+        assert code == EXIT_OK and len(out.splitlines()) == 102
+        assert len(reads) == 1
+        if argv == GOLDEN_TABLE:
+            assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
 
     def test_json_rows(self, capsys):
         code, out, _ = run(

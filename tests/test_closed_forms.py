@@ -4,6 +4,7 @@ import cmath
 import math
 import os
 import random
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -735,6 +736,42 @@ class TestRealRoot:
         assert err <= 1e-13 * abs(ref)
         if n == 2 and sign > 0:
             assert err <= 2e-15 * abs(ref)
+
+
+def _two_sided_root(x, m):
+    """The reference for ``_real_root``: from x ** (1/m), step down while the root does not
+    exceed the midpoint below, then up while it exceeds the midpoint above, each test in
+    exact integer arithmetic (``fold``'s root before it learned the direction first)."""
+    xn, xd = x.as_integer_ratio()
+
+    def beyond(a, b):
+        an, ad = a.as_integer_ratio()
+        bn, bd = b.as_integer_ratio()
+        return xn * (2 * ad * bd) ** m > (an * bd + bn * ad) ** m * xd
+
+    r = x ** (1.0 / m)
+    while not beyond(below := math.nextafter(r, 0.0), r):
+        r = below
+    while beyond(r, above := math.nextafter(r, math.inf)):
+        r = above
+    return r
+
+
+class TestRealRootAgainstTwoSidedSearch:
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_bit_for_bit(self, m):
+        rng = random.Random(f"real root, m = {m}")
+        xs = [(27 / 4) ** m, 5e-324, sys.float_info.max, math.nextafter(0.0, 1.0) * 3]
+        # x = y**m exact in binary64 (y with at most 53 // m significant bits), and one ulp
+        # either side of it, where x ** (1/m) is most likely to round the wrong way
+        for _ in range(300):
+            y = math.ldexp(rng.getrandbits(53 // m) | 1, rng.randint(-(1074 // m), 970 // m))
+            power = y**m
+            assert power == Fraction(y) ** m
+            xs += [power, math.nextafter(power, 0.0), math.nextafter(power, math.inf)]
+        xs += [math.ldexp(rng.uniform(0.5, 1.0), rng.randint(-1074, 1023)) for _ in range(2000)]
+        for x in xs:
+            assert _real_root(x, m) == _two_sided_root(x, m), (x, m)
 
 
 class TestRimFolding:

@@ -1,10 +1,12 @@
 """Route dispatch, the route table and the auto resolution rule."""
 
 import cmath
+import enum
 import itertools
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -185,12 +187,36 @@ class TestResolveAuto:
         assert evaluate(3, 1, 0.3 * R).method == "quad-cardano"
         assert evaluate(8, 1, -R).method == "quad-cardano"
         assert len(reads) == 3
-        # the cap is still read at call time, and only where a route may need it
+        # nor does a fold over the closed forms or quad-cardano's series: the budget alone
+        # refuses a direct sum at every rim point of stride 2, before the cap could narrow it
+        for n, x in itertools.product((2, 3, 4), (R**2, -(R**2), R**2 * cmath.exp(0.9j))):
+            assert evaluate(n, 2, x).method == "folding"
+        assert len(reads) == 3
+        # the cap is still read at call time, and wherever a direct sum runs
         monkeypatch.setenv("SERIES_MAX_TERMS", "0")
-        with pytest.raises(ArgumentError, match="SERIES_MAX_TERMS"):
-            evaluate(3, 2, 0.3 * R**2)
+        direct_sums = [
+            lambda: evaluate(3, 2, 0.3 * R**2),  # within the budget
+            lambda: evaluate(9, 1, 0.3 * R),  # within the budget above weight 8
+            lambda: evaluate(2, 7, 1.0),  # past the strides folding serves
+            lambda: evaluate(9, 1, 0.99 * R),  # quad-cardano's direct sum above weight 8
+            lambda: evaluate(9, 2, 0.99 * R**2),  # folding over it
+            lambda: evaluate(3, 1, 6.0, tol=1e-15),  # below QUAD_FLOOR
+            lambda: evaluate(3, 2, 0.3 * R**2, "direct-sum"),
+            lambda: sum_direct(2, 1, 0.5),
+            lambda: quad_cardano(9, 0.5),
+            lambda: fold(9, 2, 1.0, "quad-cardano"),
+        ]
+        for call in direct_sums:
+            with pytest.raises(ArgumentError, match="SERIES_MAX_TERMS must be >= 1, got 0"):
+                call()
         assert evaluate(3, 1, 0.3 * R).method == "quad-cardano"
         assert evaluate(2, 1, 0.3 * R).method == "closed-form"
+        # an auto call that folds reads no cap, so an invalid one goes unreported there
+        assert evaluate(2, 2, R**2).method == "folding"
+        monkeypatch.setenv("SERIES_MAX_TERMS", "abc")
+        assert evaluate(3, 2, -(R**2)).method == "folding"
+        with pytest.raises(ArgumentError, match="SERIES_MAX_TERMS must be an integer"):
+            evaluate(3, 2, 0.3 * R**2)
 
     @pytest.mark.parametrize("n,m,rho", [(3, 2, 0.3), (5, 2, 0.3), (6, 3, 0.35), (4, 2, 0.9)])
     def test_auto_never_picks_direct_summation_that_hits_its_cap(self, n, m, rho, monkeypatch):
@@ -365,6 +391,48 @@ class TestAutoRuleEquivalence:
             for method in ("auto", "quad-cardano" if m == 1 else "folding"):
                 with pytest.raises(ArgumentError, match="QUAD_FLOOR"):
                     evaluate(n, m, x, method, tol=1e-15)
+
+
+class TestOneAutoRule:
+    """``evaluate`` and ``resolve_auto`` apply one auto rule: the same route, or the same
+    error, at every point of a seeded grid, with SERIES_MAX_TERMS unset, valid or invalid."""
+
+    def test_evaluate_takes_the_route_resolve_auto_names(self, monkeypatch):
+        # the kernels are stubbed, so that ``method`` is the route chosen even where its
+        # kernel would raise (the cap error, or a direct sum past the strides fold serves)
+        for name, route in list(ROUTES.items()):
+            monkeypatch.setitem(ROUTES, name, route._replace(kernel=lambda *_: (1j, 0.0, 0)))
+        rng = random.Random("one auto rule")
+        checked = Counter()
+        rhos = (0.0, 1e-9, 0.3, 0.9, 0.99, 1.0)
+        for env in (None, "20", "abc"):
+            if env is None:
+                monkeypatch.delenv("SERIES_MAX_TERMS", raising=False)
+            else:
+                monkeypatch.setenv("SERIES_MAX_TERMS", env)
+            for n, m, rho in itertools.product(range(13), range(1, 9), rhos):
+                if rho == 1.0 and n < 2:
+                    continue  # outside the domain
+                thetas = (0.0, math.pi, rng.uniform(-math.pi, math.pi))
+                options = itertools.product(thetas, (None, 1e-10, 1e-15), (None, 1, 20))
+                for theta, tol, cap in options:
+                    x = _at(rho, m, theta)
+                    while abs(x) > R**m:  # rounded past the rim
+                        x *= 1.0 - 2.0**-53
+                    try:
+                        got = evaluate(n, m, x, tol=tol, max_terms=cap).method
+                    except SeriesError as exc:
+                        got = (type(exc), str(exc))
+                    try:
+                        want = resolve_auto(n, m, complex(x), tol=tol, max_terms=cap)
+                    except SeriesError as exc:
+                        want = (type(exc), str(exc))
+                    assert got == want, (n, m, rho, theta, tol, cap, env)
+                    checked[got if isinstance(got, str) else got[0].__name__] += 1
+        # every route auto takes, and both errors its rule raises, are on the grid
+        assert set(checked) == {
+            "closed-form", "quad-cardano", "direct-sum", "folding", "ArgumentError"
+        }, checked
 
 
 # The stride-1 grid of auto's route table at n >= 3: rho from 1e-12 to the rim, on both
@@ -730,6 +798,51 @@ class TestPublicEntriesAreEvaluate:
             entry(n, m, x, **options)
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
+
+
+# Every public evaluator, with the arguments it takes of n, m and x.
+EVALUATORS = [
+    *((f"evaluate {method}", lambda n, m, x, method=method: evaluate(n, m, x, method), "nmx")
+      for method in (*METHODS, "auto")),
+    ("sum_direct", sum_direct, "nmx"),
+    *((f"fold over {inner}", _fold_over(inner), "nmx") for inner in METHODS),
+    ("quad_polylog", _stride_one(quad_polylog), "nx"),
+    ("quad_cardano", _stride_one(quad_cardano), "nx"),
+    ("quad_two_term", _stride_one(quad_two_term), "nx"),
+    *((entry.__name__, _closed(entry), "x") for entry in (s01, s11, s21)),
+]
+# (the argument of the wrong type, (n, m, x)): n and m must be integers, x a number
+WRONG_TYPES = [
+    ("m", (2, 2.0, 1.0)), ("m", (2, "2", 1.0)), ("m", (2, None, 1.0)),
+    ("n", (2.0, 1, 1.0)), ("n", ("2", 1, 1.0)), ("n", (Fraction(2), 1, 1.0)),
+    ("x", (2, 1, None)), ("x", (2, 1, "one")), ("x", (2, 1, [1.0])),
+]
+
+
+class TestArgumentTypes:
+    @pytest.mark.parametrize(
+        "entry,args",
+        [(entry, args) for _, entry, takes in EVALUATORS for bad, args in WRONG_TYPES
+         if bad in takes],
+        ids=[f"{name} {args}" for name, _, takes in EVALUATORS for bad, args in WRONG_TYPES
+             if bad in takes],
+    )
+    def test_wrong_types_raise_argument_error(self, entry, args):
+        with pytest.raises(ArgumentError, match="n, m must be integers and x a number"):
+            entry(*args)
+
+    def test_integer_types_and_numeric_strings_still_serve(self):
+        class Stride(enum.IntEnum):
+            TWO = 2
+
+        want = evaluate(2, 2, 1.0)
+        assert evaluate(2, Stride.TWO, 1.0) == want
+        assert evaluate(True, 1, 0.5) == evaluate(1, 1, 0.5)
+        assert evaluate(2, 2, "1.0") == want
+        assert evaluate(2, 1, "0.5+0.25j") == evaluate(2, 1, 0.5 + 0.25j)
+        assert SeriesParams(Stride.TWO, Stride.TWO, "1").x == 1 + 0j
+        with pytest.raises(ArgumentError, match="n, m must be integers"):
+            SeriesParams(2, 2.0, 1.0)
 
 
 # A served point per route, the rim and the x = 0 short cut included.
