@@ -25,9 +25,9 @@ import re
 import sys
 
 from . import verify as verify_suites
-from .errors import DomainError, SeriesError
+from .errors import ArgumentError, DomainError, SeriesError
 from .routes import METHODS, evaluate
-from .series import Evaluation, SeriesParams, default_max_terms
+from .series import Evaluation, SeriesParams
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -143,8 +143,20 @@ def _row_json(x: complex, ev: Evaluation) -> dict:
     }
 
 
+def _max_terms() -> int | None:
+    """The term cap SERIES_MAX_TERMS sets for one eval or table, None when it is unset."""
+    raw = os.environ.get("SERIES_MAX_TERMS")
+    try:
+        cap = None if raw is None else int(raw)
+    except ValueError as exc:
+        raise ArgumentError(f"SERIES_MAX_TERMS must be an integer, got {raw!r}") from exc
+    if cap is not None and cap < 1:
+        raise ArgumentError(f"SERIES_MAX_TERMS must be >= 1, got {cap}")
+    return cap
+
+
 def cmd_eval(req: argparse.Namespace) -> int:
-    ev = evaluate(req.n, req.m, req.x, req.method, tol=req.tol, max_terms=default_max_terms())
+    ev = evaluate(req.n, req.m, req.x, req.method, tol=req.tol, max_terms=_max_terms())
     if req.output == "json":
         payload = {"n": req.n, "m": req.m}
         payload.update(_row_json(req.x, ev))
@@ -176,7 +188,7 @@ def cmd_table(req: argparse.Namespace) -> int:
     # reject the whole grid before evaluating anything
     for x in xs:
         SeriesParams.require_summable(req.n, req.m, x)
-    cap = default_max_terms()  # once for the whole table
+    cap = _max_terms()  # once for the whole table
     xs = list(map(complex, xs))
     rows = [(x, evaluate(req.n, req.m, x, req.method, tol=req.tol, max_terms=cap)) for x in xs]
     if req.output == "json":

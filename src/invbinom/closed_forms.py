@@ -24,7 +24,7 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .errors import ArgumentError, DomainError
+from .errors import ArgumentError, DomainError, checked_number
 from .polylog import root_of_unity
 from .series import _EPS, RADIUS_BASE, Evaluation, _inside
 
@@ -86,9 +86,9 @@ def phi(x: complex) -> CardanoRoot:
     Raises DomainError at x = 0 (phi diverges there; callers own the x -> 0
     limit of whatever they build from it), for x not finite, and where the
     value leaves the binary64 range (|x| < PHI_MIN_X, or |x| >~ 1.5e307,
-    where 12x overflows in the radical).
+    where 12x overflows in the radical); ArgumentError for a non-number.
     """
-    xc = complex(x)
+    xc = checked_number(x)
     if xc == 0:
         raise DomainError("phi(x) diverges as x -> 0; the series limit there is 0")
     if not cmath.isfinite(xc):  # before abs, as in ``require_summable``
@@ -247,18 +247,17 @@ def fold(
     exact on the axes so that real arguments stay on the real branch of phi. Each one off
     the axis counts twice its real part and twice its estimate, and the value is real.
     Only the total is checked. Below |x| = 1e-8, once ``inner`` has accepted every root,
-    the exact leading terms. ``tol`` goes to the inner route, which takes its own default
-    for None.
+    the exact leading terms. ``tol`` and the default term cap go to the inner route's kernel.
     """
     if inner not in routes.ROUTES:
         raise ArgumentError(f"unknown inner route {inner!r}; choose from {routes.METHODS}")
     folding = routes.ROUTES["folding"]._replace(
-        kernel=lambda n, m, x, tol, cap: _fold_kernel(n, m, x, inner, tol)
+        kernel=lambda n, m, x, tol, cap: _fold_kernel(n, m, x, inner, tol, cap)
     )
     return routes._served(n, m, x, "folding", folding, tol, None)
 
 
-def _fold_kernel(n: int, m: int, xc: complex, inner: str, tol) -> tuple[complex, float, int]:
+def _fold_kernel(n: int, m: int, xc: complex, inner: str, tol, cap) -> tuple[complex, float, int]:
     """``fold``'s (value, abs_error_est, work) at summable x != 0 and 1 <= m <= 6."""
     route = routes.ROUTES[inner]
     paired = xc.imag == 0.0
@@ -276,7 +275,7 @@ def _fold_kernel(n: int, m: int, xc: complex, inner: str, tol) -> tuple[complex,
         if reason is not None:
             raise ArgumentError(reason)
         if not tiny:
-            value, e, w = route.kernel(n, 1, arg, tol, None)
+            value, e, w = route.kernel(n, 1, arg, tol, cap)
             if paired:  # a root off the axis stands for its conjugate too
                 value, e = (2.0 * value.real, 2.0 * e) if k % m else (value.real, e)
             total += value

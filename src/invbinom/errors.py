@@ -25,9 +25,22 @@ class PoleError(SeriesError):
 
 def checked_tol(tol: float | None, default: float | None) -> float | None:
     """The tolerance rule of every entry that takes one: ``default`` for None, else
-    ``tol`` when it is > 0; ArgumentError for 0, negative values and NaN."""
+    ``tol`` when it is > 0; ArgumentError for 0, negative values, NaN and non-reals."""
     if tol is None:
         return default
-    if tol > 0.0:
-        return tol
+    try:
+        if tol > 0.0:
+            return tol
+    except TypeError as exc:
+        raise ArgumentError(f"tol must be a real number, got {tol!r}") from exc
     raise ArgumentError(f"tol must be positive, got {tol!r}")
+
+
+def checked_number(x, name: str = "x") -> complex:
+    """``complex(x)``: ArgumentError for a non-number, DomainError past binary64 (|x| = inf)."""
+    try:
+        return complex(x)
+    except (TypeError, ValueError) as exc:
+        raise ArgumentError(f"{name} must be a number, got {x!r}") from exc
+    except OverflowError as exc:
+        raise DomainError(f"|{name}| = inf: {name} lies past the binary64 range") from exc

@@ -37,7 +37,7 @@ from itertools import accumulate, count, repeat
 from operator import add, floordiv, mul
 
 from .closed_forms import _TINY_X, _leading_terms, _radical, phi
-from .errors import ArgumentError, DomainError
+from .errors import ArgumentError, DomainError, checked_number
 from .polylog import _li, li
 from .quadrature import adaptive_quad, quad_tol
 from .series import _EPS, RADIUS_BASE, Evaluation, SeriesParams, _inside, _sum_kernel
@@ -69,9 +69,9 @@ class TwoTermLimits:
 def two_term_limits(x: float) -> TwoTermLimits:
     """Limits (alpha, beta) for real x with 0 < |x| <= 27/4, the closed disk of
     the n >= 2 series they serve; DomainError elsewhere (phi diverges at x = 0),
-    ArgumentError for complex x.
+    ArgumentError for complex x or a non-number.
     """
-    xc = complex(x)
+    xc = checked_number(x)
     if xc.imag != 0.0:
         raise ArgumentError(TWO_TERM_REAL)
     xr = xc.real
@@ -189,7 +189,7 @@ def quad_cardano(n: int, x: complex, tol: float | None = None) -> Evaluation:
 _DIRECT_TOL = 1e-17
 
 
-def _cardano_kernel(n: int, xc: complex, tol, max_terms=None) -> tuple[complex, float, int]:
+def _cardano_kernel(n: int, xc: complex, tol, max_terms: int) -> tuple[complex, float, int]:
     """``quad_cardano``'s (value, abs_error_est, work) at summable x != 0; checks tol alone."""
     quad_tol(tol)
     if abs(xc) < _TINY_X:

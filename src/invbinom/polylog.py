@@ -32,7 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import ArgumentError, DomainError, PoleError
+from .errors import ArgumentError, DomainError, PoleError, checked_number
 
 SERIES_RADIUS = 0.5
 RIM_TOL = 1e-12
@@ -63,7 +63,7 @@ def _require_valid(n: int, z: complex) -> complex:
     PoleError: the one domain rule of ``li``."""
     if n < 0:
         raise ArgumentError(f"polylog weight must be >= 0, got {n}")
-    zc = complex(z)
+    zc = checked_number(z, "z")
     if not cmath.isfinite(zc):  # before abs, as in ``require_summable``
         raise DomainError(f"Li_n needs a finite z, got {zc!r}")
     r = abs(zc)

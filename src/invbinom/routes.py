@@ -14,12 +14,13 @@ direct summation when its predicted term count undercuts folding over those rout
 summation. Every other public evaluator is
 ``evaluate`` on its route, whose one check and one Evaluation it shares; quad-polylog is
 never chosen by ``auto`` and stays an explicit route and verify's cross-check. The one
-``tol`` goes to the route's kernel, which passes it to every layer it runs.
+``tol`` and the one term cap go to the route's kernel, which passes them to every layer.
 """
 
 from __future__ import annotations
 
 import math
+from operator import index
 from typing import Callable, NamedTuple
 
 from .closed_forms import _closed_kernel, _fold_kernel
@@ -43,7 +44,6 @@ from .series import (
     _predicted_estimate,
     _sum_kernel,
     convergence_radius,
-    default_max_terms,
     within_terms,
 )
 
@@ -52,6 +52,7 @@ Triple = tuple[complex, float, int]  # a kernel's (value, abs_error_est, work)
 # Added to every estimate, which scales with the value and underflows with it: 128 units of
 # 2**-1074 bound a subnormal value's error, and estimates >= 2**-1013 keep their bits.
 _EST_FLOOR = 2.0**-1067
+DEFAULT_MAX_TERMS = 1_000_000  # the term cap of direct sums for ``max_terms`` None
 
 
 class Route(NamedTuple):
@@ -62,7 +63,7 @@ class Route(NamedTuple):
 
     name: str
     limits: Callable[[int, int, complex], str | None]
-    kernel: Callable[[int, int, complex, float | None, int | None], Triple]
+    kernel: Callable[[int, int, complex, float | None, int], Triple]
 
     def refuses(self, n: int, m: int, x: complex) -> str | None:
         """Why ``evaluate`` refuses (n, m, x) here, or None; every route serves x = 0."""
@@ -125,7 +126,7 @@ ROUTES: dict[str, Route] = {
             "folding",
             lambda n, m, x: None if 1 <= m <= 6 else f"folding stride must be in [1, 6], got {m}",
             lambda n, m, x, tol, cap: _fold_kernel(
-                n, m, x, "closed-form" if n <= 2 else "quad-cardano", tol
+                n, m, x, "closed-form" if n <= 2 else "quad-cardano", tol, cap
             ),
         ),
     )
@@ -161,29 +162,29 @@ LOW_WEIGHT_TERM_BUDGET = (40, 28, 22)
 def resolve_auto(
     n: int, m: int, x: complex, *, tol: float | None = None, max_terms: int | None = None
 ) -> str:
-    """The route ``auto`` takes at summable (n, m, x): at m = 1 the closed form for
-    n <= 2 and quad-cardano for 3 <= n <= 8; otherwise direct summation when
-    ``terms_needed`` at rho = |x| / R**m and ``tol`` (SERIES_TOL by default) is within the
-    budget and, with room for the estimate's error, within the term cap; else folding
-    where it serves the stride (direct summation past it), and quad-cardano at m = 1. The
-    budget is LOW_WEIGHT_TERM_BUDGET[n] * (m - 1) for n <= 2, DIRECT_TERM_BUDGET[n - 3] *
-    (m - 1) for n <= 8, DIRECT_TERM_BUDGET[-1] * m above. For 3 <= n <= 8 an explicit
-    ``tol`` admits direct summation only where ``series._predicted_estimate`` is within
+    """The route ``auto`` takes at (n, m, x), after the domain rule and the ``tol`` rule:
+    at m = 1 the closed form for n <= 2 and quad-cardano for 3 <= n <= 8; otherwise
+    direct summation when ``terms_needed`` at rho = |x| / R**m and ``tol`` (SERIES_TOL by
+    default) is within the budget and, with room for the estimate's error, within the
+    term cap ``max_terms`` (DEFAULT_MAX_TERMS for None); else folding where it serves
+    the stride (direct summation past it), and quad-cardano at m = 1. The budget is
+    LOW_WEIGHT_TERM_BUDGET[n] * (m - 1) for n <= 2, DIRECT_TERM_BUDGET[n - 3] * (m - 1)
+    for n <= 8, DIRECT_TERM_BUDGET[-1] * m above. For 3 <= n <= 8 an explicit ``tol``
+    admits direct summation only where ``series._predicted_estimate`` is within
     max(tol, QUAD_FLOOR) relative; below QUAD_FLOOR, which quad-cardano refuses, that test
     alone decides for every n >= 3, m = 1 included, and where it fails raises
-    quad-cardano's ArgumentError.
-    ``within_terms`` makes the budget comparison with one test, with no root to find.
+    quad-cardano's ArgumentError. ``within_terms`` compares with the budget in one test.
     """
-    return _auto(n, m, x, checked_tol(tol, None), max_terms)[0].name
+    cap = DEFAULT_MAX_TERMS if max_terms is None else max_terms
+    return _auto(n, m, SeriesParams.require_summable(n, m, x), checked_tol(tol, None), cap).name
 
 
-def _auto(n: int, m: int, x: complex, tol, max_terms: int | None) -> tuple[Route, int | None]:
-    """``resolve_auto``'s route at a checked ``tol``, and the term cap for its kernel: read
-    only below QUAD_FLOOR or once the budget admits a direct sum, which the cap only narrows."""
+def _auto(n: int, m: int, x: complex, tol, max_terms: int) -> Route:
+    """``resolve_auto``'s route at summable x, a checked ``tol`` and the term cap."""
     explicit = tol is not None
     below_floor = explicit and tol < QUAD_FLOOR  # None: quad-cardano's own default
     if m == 1 and (n <= 2 or n <= _S_WEIGHTS and not below_floor):
-        return ROUTES["closed-form" if n <= 2 else "quad-cardano"], max_terms
+        return ROUTES["closed-form" if n <= 2 else "quad-cardano"]
     tol = SERIES_TOL if tol is None else tol
     rho = abs(x) / convergence_radius(m)
     if n <= 2:
@@ -196,17 +197,16 @@ def _auto(n: int, m: int, x: complex, tol, max_terms: int | None) -> tuple[Route
             budget = 0  # the direct sum would stop above tol (or above the floor)
     admits = budget >= 1 and within_terms(n, rho, tol, budget)
     if admits or below_floor:
-        max_terms = default_max_terms() if max_terms is None else max_terms
         # the stop rule can take up to ~10% more terms than estimated (2 more at k = 1), so
         # direct summation needs 1.125 * terms + 2 <= cap, that is terms <= 8 (cap - 2) / 9
         fit = 8 * (max_terms - 2) // 9
         if admits and budget <= fit or 1 <= fit < budget and within_terms(n, rho, tol, fit):
-            return ROUTES["direct-sum"], max_terms
+            return ROUTES["direct-sum"]
     if m > 1 and ROUTES["folding"].limits(n, m, x) is not None:
-        return ROUTES["direct-sum"], max_terms
+        return ROUTES["direct-sum"]
     if below_floor and n > 2:
         quad_tol(tol)  # raises
-    return ROUTES["quad-cardano" if m == 1 else "folding"], max_terms
+    return ROUTES["quad-cardano" if m == 1 else "folding"]
 
 
 def evaluate(
@@ -220,21 +220,24 @@ def evaluate(
 ) -> Evaluation:
     """Evaluate S(n, m; x) by the named route, or by ``resolve_auto``'s for "auto".
 
-    ``tol`` goes to every layer the route runs; None leaves each its own default
-    (SERIES_TOL for summation, QUAD_TOL for quadrature). Raises DomainError where the
-    series does not converge, and ArgumentError when ``tol`` is not > 0, ``max_terms``
-    is below 1 or the named route does not serve (n, m, x).
-    """
+    ``tol`` goes to every layer the route runs, None leaving each its default (SERIES_TOL
+    for summation, QUAD_TOL for quadrature); ``max_terms`` caps every direct sum it runs
+    (DEFAULT_MAX_TERMS for None). DomainError where the series diverges; ArgumentError for
+    ``tol`` not > 0, ``max_terms`` not an integer >= 1 or a route that cannot serve."""
     return _served(n, m, x, method, ROUTES.get(method), tol, max_terms)
 
 
 def _served(n, m, x, method: str, route: Route | None, tol, max_terms) -> Evaluation:
-    """``evaluate`` on ``route`` (None for auto or an unknown method): the one check of
-    every public entry (the domain rule, ``tol`` and ``max_terms`` None or > 0, the route's
-    limits), then the one Evaluation: 0 at x = 0, else the route kernel's Triple."""
+    """``evaluate`` on ``route`` (None for auto or an unknown method): the one check of every
+    entry (the domain rule, ``tol``, ``max_terms`` an integer >= 1 or None for DEFAULT_MAX_TERMS,
+    the route's limits), then the one Evaluation: 0 at x = 0, else the kernel's Triple."""
     xc = SeriesParams.require_summable(n, m, x)
     checked_tol(tol, None)
-    if max_terms is not None and max_terms < 1:
+    try:
+        max_terms = DEFAULT_MAX_TERMS if max_terms is None else index(max_terms)
+    except TypeError as exc:
+        raise ArgumentError(f"max_terms must be an integer, got {max_terms!r}") from exc
+    if max_terms < 1:
         raise ArgumentError("max_terms must be >= 1")
     if route is not None:
         reason = route.refuses(n, m, xc)
@@ -243,7 +246,7 @@ def _served(n, m, x, method: str, route: Route | None, tol, max_terms) -> Evalua
     elif method != "auto":
         raise ArgumentError(f"unknown method {method!r}; choose from {METHODS} or 'auto'")
     else:
-        route, max_terms = _auto(n, m, xc, tol, max_terms)
+        route = _auto(n, m, xc, tol, max_terms)
     if xc == 0:
         return _checked(Evaluation, 0j, 0.0, route.name, 0)
     value, err, work = route.kernel(n, m, xc, tol, max_terms)

@@ -27,22 +27,19 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import attrgetter, index, mul, truediv
 from typing import Iterator
 
-from .errors import ArgumentError, ConvergenceError, DomainError
+from .errors import ArgumentError, ConvergenceError, DomainError, checked_number
 
 RADIUS_BASE = 27.0 / 4.0
-ENV_MAX_TERMS = "SERIES_MAX_TERMS"
 _EPS = 2.220446049250313e-16
 # The stop tolerance of ``sum_direct``, and of ``auto``'s term prediction, when the
 # caller passes none.
 SERIES_TOL = 1e-15
-_LOG_UNDERFLOW = 2100 * math.log(2.0)  # C(3m, m) above 2**2100 sends every x / C(3m, m) to 0
 _REAL = attrgetter("real")
 _IMAG = attrgetter("imag")
 
@@ -88,14 +85,14 @@ class SeriesParams:
 
 
 def _arguments(n: int, m: int, x: complex) -> tuple[complex, float]:
-    """(complex(x), (27/4)**m) for integers n >= 0, m >= 1 (``operator.index``), number x."""
+    """(complex(x), (27/4)**m) for integers n >= 0, m >= 1 and a number x (``checked_number``)."""
     try:
-        n, m, xc = index(n), index(m), complex(x)
-    except (TypeError, ValueError) as exc:
-        raise ArgumentError(f"n, m must be integers and x a number: {n!r}, {m!r}, {x!r}") from exc
+        n, m = index(n), index(m)
+    except TypeError as exc:
+        raise ArgumentError(f"n, m must be integers, got {n!r}, {m!r}") from exc
     if n < 0:
         raise ArgumentError(f"weight n must be >= 0, got {n}")
-    return xc, convergence_radius(m)
+    return checked_number(x), convergence_radius(m)
 
 
 def _inside(n: int, ax: float, radius: float) -> bool:
@@ -137,20 +134,6 @@ def _checked(cls, value: complex, abs_error_est: float, method: str, work: int) 
     if work < 0:
         raise ArgumentError("work must be >= 0")
     return tuple.__new__(cls, (value, abs_error_est, method, work))
-
-
-def default_max_terms() -> int:
-    """The term cap of direct sums: SERIES_MAX_TERMS if set, else 1,000,000; read per call."""
-    raw = os.environ.get(ENV_MAX_TERMS)
-    if raw is None:
-        return 1_000_000
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ArgumentError(f"{ENV_MAX_TERMS} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ArgumentError(f"{ENV_MAX_TERMS} must be >= 1, got {cap}")
-    return cap
 
 
 def _computed_factors(j0: int, j1: int) -> Iterator[float]:
@@ -201,19 +184,9 @@ _WEIGHTS = ((),) + tuple(tuple(map(pow, _WEIGHT_BASES, repeat(n))) for n in rang
 del _WEIGHT_BASES
 
 
-def _underflow_stride() -> int:
-    """The least stride m with C(3m, m) > 2**2100 by ``math.lgamma`` (765), by bisection
-    between 1 and 1024: the log of C(3m, m) grows with m."""
-    lo, hi = 1, 1024
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        log_c = math.lgamma(3 * mid + 1) - math.lgamma(mid + 1) - math.lgamma(2 * mid + 1)
-        lo, hi = (lo, mid) if log_c > _LOG_UNDERFLOW else (mid, hi)
-    return hi
-
-
-# From this stride on every x / C(3m, m) rounds to zero.
-_UNDERFLOW_STRIDE = _underflow_stride()
+# The least stride m with C(3m, m) > 2**2100 (by ``math.lgamma``, which grows with m): from
+# it on every x / C(3m, m) rounds to zero.
+_UNDERFLOW_STRIDE = 765
 
 
 def _first_term(m: int, x: complex) -> complex:
@@ -322,8 +295,8 @@ def sum_direct(
     Stops once two consecutive terms fall below ``tol`` (SERIES_TOL by
     default) times the running sum (a single accidentally tiny term must not
     stop an alternating series). Rim parameters (n >= 2) are accepted but decay
-    polynomially: where a bound on the needed term count exceeds
-    ``max_terms`` (every n = 2 rim point at the default cap) the cap error
+    polynomially: where a bound on the needed term count exceeds ``max_terms``
+    (every n = 2 rim point at ``routes.DEFAULT_MAX_TERMS``, the cap for None) the cap error
     is raised at once; method auto serves the rim by the closed forms, quad-cardano or
     folding (strides up to 6).
 
@@ -338,7 +311,7 @@ def sum_direct(
     k**(1/2 - n) is used instead.
 
     Raises:
-        ArgumentError: n < 0, m < 1, tol not > 0 (NaN included) or max_terms < 1.
+        ArgumentError: n < 0, m < 1, tol not > 0 (NaN included) or max_terms not an int >= 1.
         DomainError: outside the disk, or on the rim with n < 2.
         ConvergenceError: ``max_terms`` exhausted before the stop rule hit.
     """
@@ -348,7 +321,6 @@ def sum_direct(
 def _sum_kernel(n: int, m: int, x: complex, tol, max_terms) -> tuple[complex, float, int]:
     """``sum_direct``'s (value, abs_error_est, work) at summable x != 0; checks nothing."""
     tol = SERIES_TOL if tol is None else tol
-    max_terms = default_max_terms() if max_terms is None else max_terms
     radius = convergence_radius(m)
     ax = abs(x)
     rim = ax == radius  # x is summable, so |x| <= radius

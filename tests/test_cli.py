@@ -26,7 +26,7 @@ from invbinom.cli import (
     main,
     parse_complex,
 )
-from invbinom import cli, routes, series
+from invbinom import ConvergenceError, cli, evaluate
 from invbinom.routes import METHODS
 from test_golden_cli import GOLDEN
 
@@ -164,6 +164,22 @@ class TestEval:
         assert code == EXIT_DOMAIN
         assert "10 terms" in err
 
+    @pytest.mark.parametrize("method", ["folding", "auto"])
+    def test_env_cap_reaches_the_direct_sums_of_a_fold(self, capsys, monkeypatch, method):
+        # the CLI passes the cap as max_terms, and fold passes it to quad-cardano's direct
+        # sums above weight 8: the library, given the same cap, raises the same error
+        monkeypatch.setenv("SERIES_MAX_TERMS", "5")
+        argv = ("eval", "--n", "9", "--m", "2", "--x", "45", "--method", method)
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_DOMAIN and out == ""
+        with pytest.raises(ConvergenceError) as info:
+            evaluate(9, 2, 45.0, method, max_terms=5)
+        assert err == f"error: {info.value}\n"
+        monkeypatch.delenv("SERIES_MAX_TERMS")
+        code, out, _ = run(capsys, *argv, "--output", "json")
+        ev = evaluate(9, 2, 45.0, method)
+        assert code == EXIT_OK and json.loads(out)["work"] == ev.work
+
 
 class TestEvalFuzz:
     @given(
@@ -270,14 +286,13 @@ class TestTable:
         ],
     )
     def test_a_table_reads_the_term_cap_once(self, argv, capsys, monkeypatch):
-        reads, read = [], series.default_max_terms
+        reads, read = [], cli._max_terms
 
         def counted():
             reads.append(None)
             return read()
 
-        for module in (cli, routes, series):
-            monkeypatch.setattr(module, "default_max_terms", counted)
+        monkeypatch.setattr(cli, "_max_terms", counted)
         code, out, _ = run(capsys, *argv.split())
         assert code == EXIT_OK and len(out.splitlines()) == 102
         assert len(reads) == 1

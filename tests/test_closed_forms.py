@@ -2,7 +2,6 @@
 
 import cmath
 import math
-import os
 import random
 import sys
 from fractions import Fraction
@@ -463,7 +462,7 @@ class TestFoldSumsKernels:
         assume(_summable(n, m, x))  # the rim only for n >= 2
         assume(abs(x) >= _TINY_X)  # below it fold sums no kernels (TestFoldTinyArguments)
         # a low term cap keeps direct summation on the rim short: both sides raise alike
-        with mock.patch.dict(os.environ, {"SERIES_MAX_TERMS": "20000"}):
+        with mock.patch.object(routes, "DEFAULT_MAX_TERMS", 20_000):
             want = _bits(lambda: _fold_by_public_routes(n, m, x, inner))
             got = _bits(lambda: fold(n, m, x, inner))
         assert got == want
@@ -474,7 +473,7 @@ class TestFoldSumsKernels:
         [(2, 3, 27**3 / 4**3), (3, 2, -(27**2) / 4**2), (1, 4, 0.9j * 27**4 / 4**4), (0, 6, 1e-3)],
     )
     def test_fold_matches_public_evaluations_at_fixed_points(self, inner, n, m, x):
-        with mock.patch.dict(os.environ, {"SERIES_MAX_TERMS": "20000"}):
+        with mock.patch.object(routes, "DEFAULT_MAX_TERMS", 20_000):
             want = _bits(lambda: _fold_by_public_routes(n, m, x, inner))
             assert _bits(lambda: fold(n, m, x, inner)) == want
 
@@ -495,7 +494,7 @@ class TestConjugateSymmetry:
                     if not _summable(n, 1, y) or ROUTES[route].refuses(n, 1, y):
                         continue
                     # a low term cap keeps direct summation near the rim short
-                    with mock.patch.dict(os.environ, {"SERIES_MAX_TERMS": "20000"}):
+                    with mock.patch.object(routes, "DEFAULT_MAX_TERMS", 20_000):
                         upper = _bits(lambda: evaluate(n, 1, y, route))
                         lower = _bits(lambda: evaluate(n, 1, y.conjugate(), route))
                     if len(upper) == 2:  # an error: the same one on both sides

@@ -541,7 +541,8 @@ class TestCardanoSeries:
             assert abs(s) <= S_MAX
             value, est, work = _s_series(n, s)
             if abs(x) >= 1e-8:  # below, the route sums the series in x itself
-                assert integral_reps._cardano_kernel(n, x, None) == (value, est, work)
+                # the kernel runs no direct sum here, so a term cap of 1 changes nothing
+                assert integral_reps._cardano_kernel(n, x, None, 1) == (value, est, work)
             if rim is None:
                 re, im, bound = _fixed_point_reference(n, 1, x)
             else:

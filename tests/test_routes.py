@@ -23,6 +23,8 @@ from invbinom import (
     adaptive_quad,
     evaluate,
     fold,
+    li,
+    phi,
     quad_cardano,
     quad_polylog,
     quad_two_term,
@@ -65,8 +67,15 @@ RIM_ROUTE = {
 FOLDING_AT_0_9 = {(3, 2), (3, 3), (3, 6), (4, 2), (4, 3), (6, 2), (6, 3)}
 
 
+def _inside(x, m=1):
+    """x, moved back onto the closed disk |x| <= R**m where rounding left it outside."""
+    while abs(x) > R**m:
+        x *= 1.0 - 2.0**-53
+    return x
+
+
 def _at(rho, m, theta=0.0):
-    return rho * R**m * cmath.exp(1j * theta)
+    return _inside(rho * R**m * cmath.exp(1j * theta), m)
 
 
 class TestResolveAuto:
@@ -91,6 +100,10 @@ class TestResolveAuto:
         # at m = 1 always; at m >= 2 where direct summation needs more than
         # LOW_WEIGHT_TERM_BUDGET[n] (m - 1) terms: 250-356 at rho = 0.9
         for rho in (0.0, 1e-9, 0.5, 0.99, 1.0) if m == 1 else (0.9, 0.99, 1.0):
+            if rho == 1.0 and n < 2:  # the rim is summable from n = 2 on
+                with pytest.raises(DomainError, match="summable only for n >= 2"):
+                    resolve_auto(n, m, _at(rho, m, 1.0))
+                continue
             assert resolve_auto(n, m, _at(rho, m, 1.0)) == ("closed-form" if m == 1 else "folding")
 
     # (n, m, rho) -> route at angle 0.7: direct summation within 40, 28 and 22 terms (n = 0,
@@ -165,58 +178,42 @@ class TestResolveAuto:
         x = 0.3 * R**2  # 23 terms
         assert evaluate(3, 2, x).method == "direct-sum"
         assert evaluate(3, 2, x, max_terms=20).method == "folding"
-        monkeypatch.setenv("SERIES_MAX_TERMS", "20")
+        assert resolve_auto(3, 2, x, max_terms=20) == "folding"
+        monkeypatch.setattr(routes, "DEFAULT_MAX_TERMS", 20)  # the cap for max_terms None
         assert evaluate(3, 2, x).method == "folding"
+        assert resolve_auto(3, 2, x) == "folding"
 
-    def test_auto_reads_the_term_cap_once(self, monkeypatch):
-        reads, read = [], series.default_max_terms
-
-        def counted():
-            reads.append(None)
-            return read()
-
-        monkeypatch.setattr(series, "default_max_terms", counted)
-        monkeypatch.setattr(routes, "default_max_terms", counted)
-        assert evaluate(3, 2, 0.3 * R**2).method == "direct-sum"
-        assert len(reads) == 1
-        assert evaluate(2, 3, 1e-6).method == "direct-sum"
-        assert len(reads) == 2
-        assert evaluate(9, 1, 0.3 * R).method == "direct-sum"
-        assert len(reads) == 3
-        # stride 1 up to weight 8 needs no cap: its route is fixed and sums no series in x
-        assert evaluate(3, 1, 0.3 * R).method == "quad-cardano"
-        assert evaluate(8, 1, -R).method == "quad-cardano"
-        assert len(reads) == 3
-        # nor does a fold over the closed forms or quad-cardano's series: the budget alone
-        # refuses a direct sum at every rim point of stride 2, before the cap could narrow it
-        for n, x in itertools.product((2, 3, 4), (R**2, -(R**2), R**2 * cmath.exp(0.9j))):
-            assert evaluate(n, 2, x).method == "folding"
-        assert len(reads) == 3
-        # the cap is still read at call time, and wherever a direct sum runs
-        monkeypatch.setenv("SERIES_MAX_TERMS", "0")
+    def test_the_term_cap_reaches_every_direct_sum(self, monkeypatch):
+        # each call runs a direct sum that needs more than 5 terms, so both an explicit cap
+        # of 5 and the default patched to 5 end it in the cap error; the library reads no
+        # environment variable, so an invalid SERIES_MAX_TERMS changes nothing
+        monkeypatch.setenv("SERIES_MAX_TERMS", "abc")
         direct_sums = [
-            lambda: evaluate(3, 2, 0.3 * R**2),  # within the budget
-            lambda: evaluate(9, 1, 0.3 * R),  # within the budget above weight 8
-            lambda: evaluate(2, 7, 1.0),  # past the strides folding serves
-            lambda: evaluate(9, 1, 0.99 * R),  # quad-cardano's direct sum above weight 8
-            lambda: evaluate(9, 2, 0.99 * R**2),  # folding over it
-            lambda: evaluate(3, 1, 6.0, tol=1e-15),  # below QUAD_FLOOR
-            lambda: evaluate(3, 2, 0.3 * R**2, "direct-sum"),
-            lambda: sum_direct(2, 1, 0.5),
+            lambda **cap: evaluate(2, 7, 1e5, **cap),  # past the strides folding serves
+            lambda **cap: evaluate(9, 1, 0.99 * R, **cap),  # quad-cardano's direct sum
+            lambda **cap: evaluate(9, 2, 0.99 * R**2, **cap),  # folding over it
+            lambda **cap: evaluate(9, 2, 45.0, **cap),
+            lambda **cap: evaluate(9, 2, 45.0, "folding", **cap),
+            lambda **cap: evaluate(9, 1, 6.7, "quad-cardano", **cap),
+            lambda **cap: evaluate(3, 2, 0.3 * R**2, "direct-sum", **cap),
+            lambda **cap: sum_direct(2, 1, 0.5, **cap),
+        ]
+        takes_no_cap = [
             lambda: quad_cardano(9, 0.5),
             lambda: fold(9, 2, 1.0, "quad-cardano"),
+            lambda: fold(9, 3, 1.0, "direct-sum"),
         ]
         for call in direct_sums:
-            with pytest.raises(ArgumentError, match="SERIES_MAX_TERMS must be >= 1, got 0"):
+            with pytest.raises(ConvergenceError, match="within 5 terms"):
+                call(max_terms=5)
+        monkeypatch.setattr(routes, "DEFAULT_MAX_TERMS", 5)
+        for call in direct_sums + takes_no_cap:
+            with pytest.raises(ConvergenceError, match="within 5 terms"):
                 call()
+        # routes that sum no series in x take no cap
         assert evaluate(3, 1, 0.3 * R).method == "quad-cardano"
         assert evaluate(2, 1, 0.3 * R).method == "closed-form"
-        # an auto call that folds reads no cap, so an invalid one goes unreported there
         assert evaluate(2, 2, R**2).method == "folding"
-        monkeypatch.setenv("SERIES_MAX_TERMS", "abc")
-        assert evaluate(3, 2, -(R**2)).method == "folding"
-        with pytest.raises(ArgumentError, match="SERIES_MAX_TERMS must be an integer"):
-            evaluate(3, 2, 0.3 * R**2)
 
     @pytest.mark.parametrize("n,m,rho", [(3, 2, 0.3), (5, 2, 0.3), (6, 3, 0.35), (4, 2, 0.9)])
     def test_auto_never_picks_direct_summation_that_hits_its_cap(self, n, m, rho, monkeypatch):
@@ -395,7 +392,7 @@ class TestAutoRuleEquivalence:
 
 class TestOneAutoRule:
     """``evaluate`` and ``resolve_auto`` apply one auto rule: the same route, or the same
-    error, at every point of a seeded grid, with SERIES_MAX_TERMS unset, valid or invalid."""
+    error, at every point of a seeded grid, at the default term cap and a short one."""
 
     def test_evaluate_takes_the_route_resolve_auto_names(self, monkeypatch):
         # the kernels are stubbed, so that ``method`` is the route chosen even where its
@@ -405,20 +402,13 @@ class TestOneAutoRule:
         rng = random.Random("one auto rule")
         checked = Counter()
         rhos = (0.0, 1e-9, 0.3, 0.9, 0.99, 1.0)
-        for env in (None, "20", "abc"):
-            if env is None:
-                monkeypatch.delenv("SERIES_MAX_TERMS", raising=False)
-            else:
-                monkeypatch.setenv("SERIES_MAX_TERMS", env)
+        for default in (routes.DEFAULT_MAX_TERMS, 20):
+            monkeypatch.setattr(routes, "DEFAULT_MAX_TERMS", default)
             for n, m, rho in itertools.product(range(13), range(1, 9), rhos):
-                if rho == 1.0 and n < 2:
-                    continue  # outside the domain
                 thetas = (0.0, math.pi, rng.uniform(-math.pi, math.pi))
                 options = itertools.product(thetas, (None, 1e-10, 1e-15), (None, 1, 20))
                 for theta, tol, cap in options:
                     x = _at(rho, m, theta)
-                    while abs(x) > R**m:  # rounded past the rim
-                        x *= 1.0 - 2.0**-53
                     try:
                         got = evaluate(n, m, x, tol=tol, max_terms=cap).method
                     except SeriesError as exc:
@@ -427,11 +417,12 @@ class TestOneAutoRule:
                         want = resolve_auto(n, m, complex(x), tol=tol, max_terms=cap)
                     except SeriesError as exc:
                         want = (type(exc), str(exc))
-                    assert got == want, (n, m, rho, theta, tol, cap, env)
+                    assert got == want, (n, m, rho, theta, tol, cap, default)
                     checked[got if isinstance(got, str) else got[0].__name__] += 1
-        # every route auto takes, and both errors its rule raises, are on the grid
+        # every route auto takes, the error its rule raises below QUAD_FLOOR and the domain
+        # rule's error on the rim at n < 2 are on the grid
         assert set(checked) == {
-            "closed-form", "quad-cardano", "direct-sum", "folding", "ArgumentError"
+            "closed-form", "quad-cardano", "direct-sum", "folding", "ArgumentError", "DomainError"
         }, checked
 
 
@@ -445,7 +436,7 @@ class TestStrideOneRow:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_weights_with_a_series_take_quad_cardano(self, n):
         for rho, unit in itertools.product(STRIDE_ONE_RHOS, STRIDE_ONE_UNITS):
-            x = rho * R * unit
+            x = _inside(rho * R * unit)
             assert resolve_auto(n, 1, x) == "quad-cardano", (n, rho, unit)
             assert resolve_auto(n, 1, x, tol=1e-10, max_terms=1) == "quad-cardano"
 
@@ -455,7 +446,7 @@ class TestStrideOneRow:
         for rho, unit in itertools.product(STRIDE_ONE_RHOS, STRIDE_ONE_UNITS):
             direct = terms_needed(n, rho, 1e-15) <= routes.DIRECT_TERM_BUDGET[-1]
             want = "direct-sum" if direct else "quad-cardano"
-            assert resolve_auto(n, 1, rho * R * unit) == want, (n, rho, unit)
+            assert resolve_auto(n, 1, _inside(rho * R * unit)) == want, (n, rho, unit)
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_values_meet_the_exact_sum(self, n):
@@ -804,6 +795,7 @@ class TestPublicEntriesAreEvaluate:
 EVALUATORS = [
     *((f"evaluate {method}", lambda n, m, x, method=method: evaluate(n, m, x, method), "nmx")
       for method in (*METHODS, "auto")),
+    ("resolve_auto", resolve_auto, "nmx"),
     ("sum_direct", sum_direct, "nmx"),
     *((f"fold over {inner}", _fold_over(inner), "nmx") for inner in METHODS),
     ("quad_polylog", _stride_one(quad_polylog), "nx"),
@@ -817,19 +809,59 @@ WRONG_TYPES = [
     ("n", (2.0, 1, 1.0)), ("n", ("2", 1, 1.0)), ("n", (Fraction(2), 1, 1.0)),
     ("x", (2, 1, None)), ("x", (2, 1, "one")), ("x", (2, 1, [1.0])),
 ]
+TYPE_MESSAGES = dict(n="n, m must be integers", m="n, m must be integers", x="x must be a number")
+# The other public functions of a number x, each as a function of x alone.
+X_FUNCTIONS = [
+    ("li", lambda x: li(2, x), "z"),
+    ("phi", phi, "x"),
+    ("two_term_limits", two_term_limits, "x"),
+]
+# An integer past the binary64 range: complex() raises OverflowError on it.
+HUGE = 10**400
 
 
 class TestArgumentTypes:
     @pytest.mark.parametrize(
-        "entry,args",
-        [(entry, args) for _, entry, takes in EVALUATORS for bad, args in WRONG_TYPES
+        "entry,bad,args",
+        [(entry, bad, args) for _, entry, takes in EVALUATORS for bad, args in WRONG_TYPES
          if bad in takes],
         ids=[f"{name} {args}" for name, _, takes in EVALUATORS for bad, args in WRONG_TYPES
              if bad in takes],
     )
-    def test_wrong_types_raise_argument_error(self, entry, args):
-        with pytest.raises(ArgumentError, match="n, m must be integers and x a number"):
+    def test_wrong_types_raise_argument_error(self, entry, bad, args):
+        with pytest.raises(ArgumentError, match=TYPE_MESSAGES[bad]):
             entry(*args)
+
+    @pytest.mark.parametrize(
+        "entry", [case[1] for case in EVALUATORS], ids=[case[0] for case in EVALUATORS]
+    )
+    def test_an_integer_past_binary64_raises_domain_error(self, entry):
+        with pytest.raises(DomainError, match=r"\|x\| = inf"):
+            entry(2, 1, HUGE)
+        with pytest.raises(DomainError, match=r"\|x\| = inf"):
+            entry(2, 1, -HUGE)
+
+    @pytest.mark.parametrize(
+        "entry,name,x",
+        [(entry, name, args[2]) for _, entry, name in X_FUNCTIONS for bad, args in WRONG_TYPES
+         if bad == "x"],
+        ids=[f"{label} {args[2]!r}" for label, _, _ in X_FUNCTIONS for bad, args in WRONG_TYPES
+             if bad == "x"],
+    )
+    def test_the_other_functions_of_x_take_the_same_rule(self, entry, name, x):
+        with pytest.raises(ArgumentError, match=f"{name} must be a number"):
+            entry(x)
+        with pytest.raises(DomainError, match=rf"\|{name}\| = inf"):
+            entry(HUGE)
+
+    def test_the_domain_rule_comes_before_the_auto_rule(self):
+        with pytest.raises(DomainError, match="outside the convergence disk"):
+            resolve_auto(2, 1, 100.0)
+        with pytest.raises(ArgumentError, match="weight n must be >= 0"):
+            resolve_auto(-1, 2, 1.0)
+        assert resolve_auto(2, 1, 0.5) == evaluate(2, 1, 0.5).method
+        with pytest.raises(DomainError, match=r"\|x\| = inf"):
+            SeriesParams(2, 1, HUGE)
 
     def test_integer_types_and_numeric_strings_still_serve(self):
         class Stride(enum.IntEnum):
@@ -843,6 +875,57 @@ class TestArgumentTypes:
         assert SeriesParams(Stride.TWO, Stride.TWO, "1").x == 1 + 0j
         with pytest.raises(ArgumentError, match="n, m must be integers"):
             SeriesParams(2, 2.0, 1.0)
+        # the term cap takes what ``operator.index`` takes too
+        assert evaluate(2, 2, 1.0, max_terms=Stride.TWO * 50) == want
+
+
+# The term cap must be an integer >= 1, or None for the default.
+WRONG_CAPS = [2.5, "a", 1.0, [5], 0, -3]
+
+
+class TestTermCapRule:
+    @pytest.mark.parametrize("cap", WRONG_CAPS)
+    @pytest.mark.parametrize("method", (*METHODS, "auto"))
+    def test_every_route_refuses_a_wrong_cap(self, method, cap):
+        n, m, x = {"quad-cardano": (3, 1, 0.5), "folding": (2, 2, 1.0)}.get(method, (2, 1, 0.5))
+        message = "must be >= 1" if isinstance(cap, int) else "must be an integer"
+        with pytest.raises(ArgumentError, match=f"max_terms {message}"):
+            evaluate(n, m, x, method, max_terms=cap)
+        if method == "direct-sum":
+            with pytest.raises(ArgumentError, match=f"max_terms {message}"):
+                sum_direct(n, m, x, max_terms=cap)
+
+    def test_the_library_reads_no_environment_variable(self, monkeypatch):
+        # only the CLI reads SERIES_MAX_TERMS; every direct sum here runs at the default cap
+        calls = [
+            lambda: evaluate(3, 2, 0.3 * R**2),  # auto's direct sum
+            lambda: evaluate(9, 2, 45.0),  # a fold over quad-cardano's direct sums
+            lambda: evaluate(2, 7, 1.0),  # past the strides folding serves
+            lambda: evaluate(3, 1, 6.0, tol=1e-15),  # below QUAD_FLOOR
+            lambda: evaluate(2, 1, R, "direct-sum"),  # the rim's cap error
+            lambda: sum_direct(2, 1, 6.0),
+            lambda: sum_direct(3, 2, 40.0 + 5j, max_terms=500),
+            lambda: fold(9, 2, 1.0, "quad-cardano"),
+            lambda: fold(3, 2, 40.0, "direct-sum"),
+            lambda: quad_cardano(9, 6.7),
+            lambda: quad_cardano(3, 0.5),
+        ]
+
+        def outcomes():
+            out = []
+            for call in calls:
+                try:
+                    out.append(repr(tuple(call())))
+                except SeriesError as exc:
+                    out.append((type(exc), str(exc)))
+            return out
+
+        monkeypatch.delenv("SERIES_MAX_TERMS", raising=False)
+        want = outcomes()
+        assert sum(isinstance(outcome, str) for outcome in want) == len(calls) - 1
+        for env in ("abc", "0", "5"):
+            monkeypatch.setenv("SERIES_MAX_TERMS", env)
+            assert outcomes() == want, env
 
 
 # A served point per route, the rim and the x = 0 short cut included.
@@ -1015,6 +1098,15 @@ class TestToleranceRule:
         with pytest.raises(ArgumentError) as info:
             entry(tol)
         assert str(info.value) == f"tol must be positive, got {tol!r}"
+
+    @pytest.mark.parametrize(
+        "entry", [case[1] for case in TOL_ENTRIES], ids=[case[0] for case in TOL_ENTRIES]
+    )
+    @pytest.mark.parametrize("tol", ["a", 1 + 0j, [1e-8]])
+    def test_every_entry_refuses_a_tolerance_that_is_not_real(self, entry, tol):
+        with pytest.raises(ArgumentError) as info:
+            entry(tol)
+        assert str(info.value) == f"tol must be a real number, got {tol!r}"
 
     @pytest.mark.parametrize(
         "name,entry",

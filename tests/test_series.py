@@ -23,7 +23,7 @@ from invbinom import (
     quad_polylog,
     sum_direct,
 )
-from invbinom import CardanoRoot, phi, series
+from invbinom import CardanoRoot, phi, routes, series
 from invbinom.closed_forms import REAL_BRANCH, _leading_terms
 from invbinom.series import (
     _FACTOR_TABLE,
@@ -589,7 +589,7 @@ class TestSumDirect:
 
     def test_the_underflow_stride_matches_the_lgamma_rule(self):
         # _first_term once tested C(3m, m) > 2**2100 by three lgamma calls on every sum;
-        # the rule grows with m, so one stride computed at import decides it
+        # the rule grows with m, so one stride, a literal, decides it
         limit = 2100 * math.log(2.0)
         assert series._UNDERFLOW_STRIDE == 765
         for m in range(1, 20_001):
@@ -599,12 +599,14 @@ class TestSumDirect:
         assert _first_term(764, complex(1e300)) == 0  # rounds to zero without the shortcut
         assert _first_term(700, complex(1e300)) != 0
 
-    def test_env_var_caps_terms(self, monkeypatch):
-        monkeypatch.setenv("SERIES_MAX_TERMS", "25")
-        with pytest.raises(ConvergenceError):
-            sum_direct(2, 1, 6.0)
-        monkeypatch.setenv("SERIES_MAX_TERMS", "not-a-number")
-        with pytest.raises(ArgumentError):
+    def test_the_term_cap_caps_terms(self, monkeypatch):
+        with pytest.raises(ConvergenceError, match="within 25 terms"):
+            sum_direct(2, 1, 6.0, max_terms=25)
+        with pytest.raises(ArgumentError, match="max_terms must be an integer"):
+            sum_direct(2, 1, 6.0, max_terms="not-a-number")
+        # the cap for max_terms None, the same for every route
+        monkeypatch.setattr(routes, "DEFAULT_MAX_TERMS", 25)
+        with pytest.raises(ConvergenceError, match="within 25 terms"):
             sum_direct(2, 1, 6.0)
 
     @given(n=st.integers(0, 6), m=st.integers(1, 4))
