@@ -9,9 +9,10 @@ Subcommands:
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
 1 malformed input, 2 domain violation (the message names the violated
 bound), 3 verification failures. Identical invocations produce
-byte-identical stdout, except the wall-time line in plain-text verify
-summaries. Complex x is accepted as an ``a+bi`` literal and printed with
-17 significant digits, which round-trips binary64 exactly.
+byte-identical stdout, except the wall-time line after plain-text verify
+summaries (the suite's time, measured here). Complex x is accepted as an
+``a+bi`` literal and printed with 17 significant digits, which round-trips
+binary64 exactly.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import json
 import os
 import re
 import sys
+import time
 
 from . import verify as verify_suites
 from .errors import ArgumentError, DomainError, SeriesError
@@ -212,7 +214,9 @@ def cmd_table(req: argparse.Namespace) -> int:
 
 
 def cmd_verify(req: argparse.Namespace) -> int:
+    start = time.perf_counter()
     report = verify_suites.SUITES[req.suite](req.tol)
+    wall = time.perf_counter() - start  # the whole suite's time, for the text output only
     if req.output == "json":
         print(report.serialize())
     elif req.output == "csv":
@@ -229,6 +233,7 @@ def cmd_verify(req: argparse.Namespace) -> int:
         sys.stdout.write(buf.getvalue())
     else:
         print(report.to_text())
+        print(f"wall time: {wall:.2f} s (run-dependent; not part of JSON/CSV output)")
     return EXIT_OK if report.all_passed else EXIT_VERIFY
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import ArgumentError, DomainError, checked_number
 from .polylog import root_of_unity
@@ -52,12 +52,10 @@ def _leading_terms(n: int, m: int, x: complex) -> tuple[complex, float, int]:
     return t1 + t2 + t3, err, 3
 
 
-class CardanoRoot(NamedTuple):
-    """phi(x) together with the branch that produced it."""
+class CardanoRoot(namedtuple("CardanoRoot", "x phi branch")):
+    """phi(x) together with the branch that produced it: (x, phi, branch)."""
 
-    x: complex
-    phi: complex
-    branch: str
+    __slots__ = ()
 
 
 def _real_cbrt(v: float) -> float:

@@ -10,7 +10,7 @@ and must not drift from the code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .series import SeriesParams, _on_rim
 
@@ -19,14 +19,10 @@ def _cbrt(v: float) -> float:
     return math.copysign(abs(v) ** (1 / 3), v)
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
-    """One verifiable special value: parameters, exact value, short label."""
+class IdentityRecord(namedtuple("IdentityRecord", "id params exact label")):
+    """One verifiable special value: id, parameters (a SeriesParams), exact value, short label."""
 
-    id: str
-    params: SeriesParams
-    exact: float
-    label: str
+    __slots__ = ()
 
     def value(self) -> float:
         return self.exact

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, count, repeat
 from operator import add, floordiv, mul
 
@@ -53,17 +53,14 @@ TWO_TERM_FLOOR = f"quad-two-term needs |x| >= {TWO_TERM_MIN_X:g}, where it holds
 TWO_TERM_REAL = "quad-two-term is a real-argument route"
 
 
-@dataclass(frozen=True)
-class TwoTermLimits:
-    """Integration limits of the two-term route, plus the root behind them.
+class TwoTermLimits(namedtuple("TwoTermLimits", "alpha beta phi")):
+    """Integration limits of the two-term route, plus the root behind them: (alpha, beta, phi).
 
     alpha = log((phi**3 + 1) / (phi + 1)**3); negative on (0, 27/4), with
     alpha(27/4) = -log(4). beta as documented in the module docstring.
     """
 
-    alpha: float
-    beta: float
-    phi: float
+    __slots__ = ()
 
 
 def two_term_limits(x: float) -> TwoTermLimits:

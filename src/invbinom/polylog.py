@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from operator import index
 
 from .errors import ArgumentError, DomainError, PoleError, checked_number
 
@@ -58,9 +59,13 @@ _ZETA = (
 )
 
 
-def _require_valid(n: int, z: complex) -> complex:
-    """``complex(z)`` where Li_n is served, else ArgumentError, DomainError or
-    PoleError: the one domain rule of ``li``."""
+def _require_valid(n: int, z: complex) -> tuple[int, complex]:
+    """(``index(n)``, ``complex(z)``) where Li_n is served, else ArgumentError, DomainError
+    or PoleError: the one domain rule of ``li``."""
+    try:
+        n = index(n)
+    except TypeError as exc:
+        raise ArgumentError(f"polylog weight must be an integer, got {n!r}") from exc
     if n < 0:
         raise ArgumentError(f"polylog weight must be >= 0, got {n}")
     zc = checked_number(z, "z")
@@ -76,12 +81,12 @@ def _require_valid(n: int, z: complex) -> complex:
             raise PoleError("Li_0 has a pole at z = 1")
         if r >= 1.0:
             raise DomainError("Li_0 requires |z| < 1")
-    return zc
+    return n, zc
 
 
 def li(n: int, z: complex) -> complex:
     """Polylogarithm Li_n(z) for |z| <= 1 (weight >= 2 required on the rim)."""
-    zc = _require_valid(n, z)
+    n, zc = _require_valid(n, z)
     if n == 0:
         return zc / (1.0 - zc)
     if n == 1:

@@ -26,8 +26,8 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
+from collections.abc import Callable
 from operator import attrgetter, itemgetter
-from typing import Callable
 
 from .errors import ArgumentError, ConvergenceError, checked_tol
 from .series import _EPS

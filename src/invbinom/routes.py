@@ -20,8 +20,8 @@ never chosen by ``auto`` and stays an explicit route and verify's cross-check. T
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from operator import index
-from typing import Callable, NamedTuple
 
 from .closed_forms import _closed_kernel, _fold_kernel
 from .errors import ArgumentError, checked_tol
@@ -42,8 +42,8 @@ from .series import (
     SeriesParams,
     _checked,
     _predicted_estimate,
+    _radius,
     _sum_kernel,
-    convergence_radius,
     within_terms,
 )
 
@@ -55,15 +55,14 @@ _EST_FLOOR = 2.0**-1067
 DEFAULT_MAX_TERMS = 1_000_000  # the term cap of direct sums for ``max_terms`` None
 
 
-class Route(NamedTuple):
-    """An evaluation route: ``limits(n, m, x)`` says why its operation cannot serve
-    summable (n, m, x), None if it can; ``kernel(n, m, x, tol, max_terms)`` gives the
-    Triple at summable x != 0 that ``limits`` accepts, with no domain or tolerance check
-    but the quadrature's floor (ArgumentError for a tol below QUAD_FLOOR)."""
+class Route(namedtuple("Route", "name limits kernel")):
+    """An evaluation route (name, limits, kernel): ``limits(n, m, x)`` says why its
+    operation cannot serve summable (n, m, x), None if it can; ``kernel(n, m, x, tol,
+    max_terms)`` gives the Triple at summable x != 0 that ``limits`` accepts, with no domain
+    or tolerance check but the quadrature's floor (ArgumentError for a tol below QUAD_FLOOR).
+    """
 
-    name: str
-    limits: Callable[[int, int, complex], str | None]
-    kernel: Callable[[int, int, complex, float | None, int], Triple]
+    __slots__ = ()
 
     def refuses(self, n: int, m: int, x: complex) -> str | None:
         """Why ``evaluate`` refuses (n, m, x) here, or None; every route serves x = 0."""
@@ -162,12 +161,12 @@ LOW_WEIGHT_TERM_BUDGET = (40, 28, 22)
 def resolve_auto(
     n: int, m: int, x: complex, *, tol: float | None = None, max_terms: int | None = None
 ) -> str:
-    """The route ``auto`` takes at (n, m, x), after the domain rule and the ``tol`` rule:
-    at m = 1 the closed form for n <= 2 and quad-cardano for 3 <= n <= 8; otherwise
-    direct summation when ``terms_needed`` at rho = |x| / R**m and ``tol`` (SERIES_TOL by
-    default) is within the budget and, with room for the estimate's error, within the
-    term cap ``max_terms`` (DEFAULT_MAX_TERMS for None); else folding where it serves
-    the stride (direct summation past it), and quad-cardano at m = 1. The budget is
+    """The route ``auto`` takes at (n, m, x), after ``evaluate``'s domain, ``tol`` and
+    ``max_terms`` rules: at m = 1 the closed form for n <= 2 and quad-cardano for
+    3 <= n <= 8; otherwise direct summation when ``terms_needed`` at rho = |x| / R**m and
+    ``tol`` (SERIES_TOL by default) is within the budget and, with room for the estimate's
+    error, within the term cap ``max_terms`` (DEFAULT_MAX_TERMS for None); else folding
+    where it serves the stride (direct summation past it), and quad-cardano at m = 1. The budget is
     LOW_WEIGHT_TERM_BUDGET[n] * (m - 1) for n <= 2, DIRECT_TERM_BUDGET[n - 3] * (m - 1)
     for n <= 8, DIRECT_TERM_BUDGET[-1] * m above. For 3 <= n <= 8 an explicit ``tol``
     admits direct summation only where ``series._predicted_estimate`` is within
@@ -175,8 +174,22 @@ def resolve_auto(
     alone decides for every n >= 3, m = 1 included, and where it fails raises
     quad-cardano's ArgumentError. ``within_terms`` compares with the budget in one test.
     """
-    cap = DEFAULT_MAX_TERMS if max_terms is None else max_terms
-    return _auto(n, m, SeriesParams.require_summable(n, m, x), checked_tol(tol, None), cap).name
+    xc = SeriesParams.require_summable(n, m, x)
+    return _auto(n, m, xc, checked_tol(tol, None), _term_cap(max_terms)).name
+
+
+def _term_cap(max_terms) -> int:
+    """The term cap ``max_terms``: DEFAULT_MAX_TERMS for None, else an integer >= 1
+    (ArgumentError otherwise)."""
+    if max_terms is None:
+        return DEFAULT_MAX_TERMS
+    try:
+        cap = index(max_terms)
+    except TypeError as exc:
+        raise ArgumentError(f"max_terms must be an integer, got {max_terms!r}") from exc
+    if cap < 1:
+        raise ArgumentError("max_terms must be >= 1")
+    return cap
 
 
 def _auto(n: int, m: int, x: complex, tol, max_terms: int) -> Route:
@@ -186,7 +199,7 @@ def _auto(n: int, m: int, x: complex, tol, max_terms: int) -> Route:
     if m == 1 and (n <= 2 or n <= _S_WEIGHTS and not below_floor):
         return ROUTES["closed-form" if n <= 2 else "quad-cardano"]
     tol = SERIES_TOL if tol is None else tol
-    rho = abs(x) / convergence_radius(m)
+    rho = abs(x) / _radius(m)
     if n <= 2:
         budget = LOW_WEIGHT_TERM_BUDGET[n] * (m - 1)
     elif n > _S_WEIGHTS and not below_floor:  # quad-cardano is a direct sum here
@@ -229,16 +242,11 @@ def evaluate(
 
 def _served(n, m, x, method: str, route: Route | None, tol, max_terms) -> Evaluation:
     """``evaluate`` on ``route`` (None for auto or an unknown method): the one check of every
-    entry (the domain rule, ``tol``, ``max_terms`` an integer >= 1 or None for DEFAULT_MAX_TERMS,
-    the route's limits), then the one Evaluation: 0 at x = 0, else the kernel's Triple."""
+    entry (the domain rule, ``tol``, ``_term_cap``, the route's limits), then the one
+    Evaluation: 0 at x = 0, else the kernel's Triple."""
     xc = SeriesParams.require_summable(n, m, x)
     checked_tol(tol, None)
-    try:
-        max_terms = DEFAULT_MAX_TERMS if max_terms is None else index(max_terms)
-    except TypeError as exc:
-        raise ArgumentError(f"max_terms must be an integer, got {max_terms!r}") from exc
-    if max_terms < 1:
-        raise ArgumentError("max_terms must be >= 1")
+    max_terms = _term_cap(max_terms)
     if route is not None:
         reason = route.refuses(n, m, xc)
         if reason is not None:

@@ -28,10 +28,9 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import islice, repeat
 from operator import attrgetter, index, mul, truediv
-from typing import Iterator
 
 from .errors import ArgumentError, ConvergenceError, DomainError, checked_number
 
@@ -45,7 +44,17 @@ _IMAG = attrgetter("imag")
 
 
 def convergence_radius(m: int) -> float:
-    """Radius (27/4)**m of the convergence disk at stride m; inf past binary64 (m >= 372)."""
+    """Radius (27/4)**m of the convergence disk at stride m; inf past binary64 (m >= 372).
+    ArgumentError for m < 1 or m not an integer."""
+    try:
+        m = index(m)
+    except TypeError as exc:
+        raise ArgumentError(f"stride m must be an integer, got {m!r}") from exc
+    return _radius(m)
+
+
+def _radius(m: int) -> float:
+    """``convergence_radius`` of a stride already checked as an integer."""
     if m < 1:
         raise ArgumentError(f"stride m must be >= 1, got {m}")
     try:
@@ -54,16 +63,18 @@ def convergence_radius(m: int) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
-class SeriesParams:
-    """Parameter triple (n, m, x) of S(n, m; x)."""
+class SeriesParams(namedtuple("SeriesParams", "n m x")):
+    """Parameter triple (n, m, x) of S(n, m; x): an immutable named tuple that keeps n and
+    m as given and x as ``complex(x)``, with the type checks of ``require_summable``."""
 
-    n: int
-    m: int
-    x: complex
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", _arguments(self.n, self.m, self.x)[0])
+    def __new__(cls, n: int, m: int, x: complex):
+        return tuple.__new__(cls, (n, m, _arguments(n, m, x)[0]))
+
+    @classmethod
+    def _make(cls, iterable) -> SeriesParams:  # ``_replace`` builds through it: keep the checks
+        return cls(*iterable)
 
     @staticmethod
     def require_summable(n: int, m: int, x: complex) -> complex:
@@ -92,7 +103,7 @@ def _arguments(n: int, m: int, x: complex) -> tuple[complex, float]:
         raise ArgumentError(f"n, m must be integers, got {n!r}, {m!r}") from exc
     if n < 0:
         raise ArgumentError(f"weight n must be >= 0, got {n}")
-    return checked_number(x), convergence_radius(m)
+    return checked_number(x), _radius(m)
 
 
 def _inside(n: int, ax: float, radius: float) -> bool:
@@ -102,13 +113,13 @@ def _inside(n: int, ax: float, radius: float) -> bool:
 
 def _on_rim(m: int, x: complex) -> bool:
     """True when |x| = (27/4)**m, the rim of the convergence disk (never past binary64)."""
-    radius = convergence_radius(m)
+    radius = _radius(m)
     return abs(x) == radius != math.inf
 
 
 class Evaluation(namedtuple("_Evaluation", "value abs_error_est method work")):
     """A computed value (complex) with its error estimate, method tag and work: an
-    immutable NamedTuple built by one checked constructor.
+    immutable named tuple built by one checked constructor.
 
     ``work`` counts terms summed or integrand evaluations, whichever the
     route performs. A non-finite value is a construction error, never a
@@ -167,7 +178,8 @@ def _computed_steps(k0: int, k1: int, m: int) -> list[float]:
 
 
 # The stride-m steps and the weights (k/(k+1))**n depend on (n, m, k) alone, never on x,
-# so both are immutable tuples built at import (about 0.6 ms together) and never changed.
+# so both are immutable tuples built at import and never changed (about 1.5 ms together,
+# and 0.6 ms for _FACTORS: the least of 200 builds, CPython 3.11.7, 2-core x86-64 VM).
 # _STEPS[m], m 1..8, holds the steps of k < _FACTOR_TABLE // m: the same in-order
 # products ``_computed_steps`` forms (_STEPS[1] is _FACTORS, _STEPS[0] is empty).
 # _WEIGHTS[n], n 1..8, holds the weights of k < _WEIGHT_TABLE, each one ``pow`` as the
@@ -321,7 +333,7 @@ def sum_direct(
 def _sum_kernel(n: int, m: int, x: complex, tol, max_terms) -> tuple[complex, float, int]:
     """``sum_direct``'s (value, abs_error_est, work) at summable x != 0; checks nothing."""
     tol = SERIES_TOL if tol is None else tol
-    radius = convergence_radius(m)
+    radius = _radius(m)
     ax = abs(x)
     rim = ax == radius  # x is summable, so |x| <= radius
     # Robbins' Stirling bounds give sqrt(3/(4 pi N)) R**N e**(-1/(8N)) <=

@@ -8,11 +8,11 @@ polylog-kernel quadrature (quad-polylog, at stride m its one Beta integral, a pa
 that shares no code with fold) or the Cardano-root series (quad-cardano), and 1e-8
 for the two-term route (two stacked adaptive integrals).
 
-Failures are report entries, never exceptions. ``serialize`` writes exactly
+Failures are report entries, never exceptions. Entries and reports are named tuples
+of plain values, with no timings: ``serialize`` writes exactly
 ``json.dumps(to_json_dict(), indent=2)``, the documented JSON shape, and ``parse``
-reads it back to an equal report (wall times are carried in memory and in the
-plain-text rendering only, and are excluded from equality). With ``indent`` json
-runs its pure-Python encoder, so it lays out the frame alone; each entry fills a template.
+reads it back to an equal report. With ``indent`` json runs its pure-Python encoder,
+so it lays out the frame alone; each entry fills a template.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Sequence
 
 from .closed_forms import fold
 from .errors import checked_tol
@@ -43,20 +42,10 @@ def _json_number(v: float) -> str:
     return repr(v) if math.isfinite(v) else json.dumps(v)
 
 
-@dataclass(frozen=True)
-class CheckEntry:
+class CheckEntry(namedtuple("CheckEntry", "id n m x lhs rhs abs_diff tol passed")):
     """One comparison: an identity, or a route pair, at one parameter point."""
 
-    id: str
-    n: int
-    m: int
-    x: complex
-    lhs: complex
-    rhs: complex
-    abs_diff: float
-    tol: float
-    passed: bool
-    wall_ms: float = field(default=0.0, compare=False)
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         out: dict = {
@@ -104,11 +93,15 @@ class CheckEntry:
         )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    suite: str
-    entries: tuple[CheckEntry, ...]
-    environment: dict = field(default_factory=lambda: dict(ENVIRONMENT))
+class VerificationReport(namedtuple("VerificationReport", "suite entries environment")):
+    """A suite's name, its CheckEntry tuple and the environment (a fresh copy of
+    ENVIRONMENT by default)."""
+
+    __slots__ = ()
+
+    def __new__(cls, suite: str, entries: tuple[CheckEntry, ...], environment=None):
+        env = dict(ENVIRONMENT) if environment is None else environment
+        return tuple.__new__(cls, (suite, entries, env))
 
     @property
     def n_pass(self) -> int:
@@ -121,10 +114,6 @@ class VerificationReport:
     @property
     def all_passed(self) -> bool:
         return self.n_fail == 0
-
-    @property
-    def wall_s(self) -> float:
-        return sum(e.wall_ms for e in self.entries) / 1000.0
 
     def to_json_dict(self) -> dict:
         return self._json_frame([e.to_json_dict() for e in self.entries])
@@ -156,11 +145,7 @@ class VerificationReport:
         return cls.from_json_dict(json.loads(text))
 
     def to_text(self) -> str:
-        """Fixed-width table plus a summary footer.
-
-        The wall-time line at the bottom is the one run-dependent piece of
-        output; data rows are deterministic.
-        """
+        """Fixed-width table plus a summary footer; deterministic, as the JSON is."""
         lines = [f"suite: {self.suite}"]
         header = f"{'id':<44} {'lhs':>24} {'rhs':>24} {'abs_diff':>10} {'tol':>8} status"
         lines.append(header)
@@ -172,7 +157,6 @@ class VerificationReport:
             )
         lines.append("-" * len(header))
         lines.append(f"summary: {self.n_pass} pass, {self.n_fail} fail ({len(self.entries)} entries)")
-        lines.append(f"wall time: {self.wall_s:.2f} s (run-dependent; not part of JSON/CSV output)")
         return "\n".join(lines)
 
 
@@ -182,35 +166,20 @@ def _entry(
     lhs: complex,
     rhs: complex,
     tol: float,
-    wall_ms: float,
 ) -> CheckEntry:
     lhs = complex(lhs)
     rhs = complex(rhs)
     diff = abs(lhs - rhs)
-    return CheckEntry(
-        id=identity_id,
-        n=params.n,
-        m=params.m,
-        x=params.x,
-        lhs=lhs,
-        rhs=rhs,
-        abs_diff=diff,
-        tol=tol,
-        passed=diff <= tol,
-        wall_ms=wall_ms,
-    )
+    return CheckEntry(identity_id, params.n, params.m, params.x, lhs, rhs, diff, tol, diff <= tol)
 
 
 def _special_value_entries(records: Iterable, tol: float | None) -> list[CheckEntry]:
     entries = []
     for rec in records:
-        start = time.perf_counter()
-        exact = rec.value()
         p = rec.params
         route = evaluate(p.n, p.m, p.x, "quad-polylog" if rec.boundary else "direct-sum")
         this_tol = tol if tol is not None else TOL_QUAD if rec.boundary else TOL_SERIES
-        wall = (time.perf_counter() - start) * 1000.0
-        entries.append(_entry(rec.id, rec.params, exact, route.value, this_tol, wall))
+        entries.append(_entry(rec.id, p, rec.value(), route.value, this_tol))
     return entries
 
 
@@ -313,21 +282,13 @@ def run_cross_routes(
     points = tuple(grid) if grid is not None else default_grid()
     entries: list[CheckEntry] = []
     for p in points:
-        values: dict[str, complex] = {}
-        costs: dict[str, float] = {}
-        for name, fn in _applicable_routes(p).items():
-            start = time.perf_counter()
-            values[name] = complex(fn())
-            costs[name] = (time.perf_counter() - start) * 1000.0
+        values = {name: complex(fn()) for name, fn in _applicable_routes(p).items()}
         names = list(values)
         for i, a in enumerate(names):
             for b in names[i + 1 :]:
                 this_tol = pair_tolerance(a, b) if tol is None else tol
                 ident = f"S({p.n},{p.m};{_format_x(p.x)}) {a}|{b}"
-                entries.append(
-                    _entry(ident, p, values[a], values[b], this_tol, costs[a] + costs[b])
-                )
-                costs[a] = costs[b] = 0.0  # charge each evaluation once
+                entries.append(_entry(ident, p, values[a], values[b], this_tol))
     return VerificationReport("cross-routes", tuple(entries))
 
 

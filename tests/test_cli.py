@@ -408,6 +408,14 @@ class TestVerify:
         assert code == EXIT_OK
         assert "11 pass, 0 fail" in out
 
+    def test_text_output_ends_with_the_suite_wall_time(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "borwein-girgensohn")
+        assert code == EXIT_OK
+        summary, wall = out.splitlines()[-2:]
+        assert summary == "summary: 4 pass, 0 fail (4 entries)"
+        assert wall.startswith("wall time: ")
+        assert wall.endswith(" s (run-dependent; not part of JSON/CSV output)")
+
 
 class TestHelp:
     def test_help_exits_zero(self, capsys):

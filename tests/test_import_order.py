@@ -30,3 +30,25 @@ def test_module_imports_first(module):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# Without ``site`` (which may preload typing through a .pth file) the package and its CLI
+# load none of these standard-library modules: the value types are plain named tuples.
+HEAVY_MODULES = ("dataclasses", "typing", "inspect")
+FOOTPRINT = (
+    "import sys, invbinom, invbinom.cli; invbinom.evaluate(2, 1, 0.5); "
+    f"print(*[name for name in {HEAVY_MODULES!r} if name in sys.modules])"
+)
+
+
+def test_import_footprint_without_site():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", FOOTPRINT],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

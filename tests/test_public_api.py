@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+import pytest
+
 import invbinom
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -107,3 +109,52 @@ def test_deleted_names_are_gone():
     assert "polylog" not in invbinom.verify.SUITE_NAMES
     for attr in ("classify", "radius", "summable"):
         assert not hasattr(invbinom.SeriesParams, attr), attr
+
+
+# The value types: named tuples, each an immutable tuple of its fields.
+VALUE_TYPES = {
+    "SeriesParams": lambda: invbinom.SeriesParams(2, 1, 0.5),
+    "TwoTermLimits": lambda: invbinom.two_term_limits(1.0),
+    "IdentityRecord": lambda: invbinom.SPECIAL_VALUES[0],
+    "CheckEntry": lambda: invbinom.run_borwein_girgensohn().entries[0],
+    "VerificationReport": lambda: invbinom.run_borwein_girgensohn(),
+    "Route": lambda: invbinom.routes.ROUTES["direct-sum"],
+    "CardanoRoot": lambda: invbinom.phi(0.5),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_value_types_are_immutable_named_tuples(name):
+    value = VALUE_TYPES[name]()
+    assert type(value).__name__ == name
+    assert value == tuple(value) and tuple(value) == tuple(getattr(value, f) for f in value._fields)
+    for attr in (*value._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, attr, 0)
+
+
+def test_series_params_replace_goes_through_the_checks():
+    p = invbinom.SeriesParams(2, 1, 0.5)
+    assert p._replace(x=1) == (2, 1, 1 + 0j)
+    assert p._replace(x=1).x.__class__ is complex
+    with pytest.raises(invbinom.ArgumentError, match="stride m must be >= 1"):
+        p._replace(m=0)
+    with pytest.raises(invbinom.ArgumentError, match="n, m must be integers"):
+        invbinom.SeriesParams._make((2.0, 1, 0.5))
+
+
+def test_value_type_reprs():
+    assert repr(invbinom.SeriesParams(2, 1, 0.5)) == "SeriesParams(n=2, m=1, x=(0.5+0j))"
+    assert repr(invbinom.two_term_limits(27 / 4)) == (
+        "TwoTermLimits(alpha=-1.3862943611198904, beta=-3.141592653589793, phi=1.0)"
+    )
+
+
+def test_verification_report_environment_defaults_to_a_fresh_copy():
+    a = invbinom.VerificationReport("s", ())
+    b = invbinom.VerificationReport("s", ())
+    assert a.environment == invbinom.verify.ENVIRONMENT
+    assert a.environment is not b.environment
+    assert a.environment is not invbinom.verify.ENVIRONMENT
+    assert not hasattr(a, "wall_s")
+    assert "wall_ms" not in invbinom.CheckEntry._fields

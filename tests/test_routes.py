@@ -21,6 +21,7 @@ from invbinom import (
     SeriesError,
     SeriesParams,
     adaptive_quad,
+    convergence_radius,
     evaluate,
     fold,
     li,
@@ -810,6 +811,8 @@ WRONG_TYPES = [
     ("x", (2, 1, None)), ("x", (2, 1, "one")), ("x", (2, 1, [1.0])),
 ]
 TYPE_MESSAGES = dict(n="n, m must be integers", m="n, m must be integers", x="x must be a number")
+# The wrong integers of WRONG_TYPES, and one that is not integral.
+WRONG_INTEGERS = [args["nmx".index(bad)] for bad, args in WRONG_TYPES if bad != "x"] + [2.5]
 # The other public functions of a number x, each as a function of x alone.
 X_FUNCTIONS = [
     ("li", lambda x: li(2, x), "z"),
@@ -854,6 +857,13 @@ class TestArgumentTypes:
         with pytest.raises(DomainError, match=rf"\|{name}\| = inf"):
             entry(HUGE)
 
+    @pytest.mark.parametrize("bad", WRONG_INTEGERS, ids=repr)
+    def test_the_li_weight_and_the_radius_stride_take_the_same_rule(self, bad):
+        with pytest.raises(ArgumentError, match="polylog weight must be an integer"):
+            li(bad, 0.5)
+        with pytest.raises(ArgumentError, match="stride m must be an integer"):
+            convergence_radius(bad)
+
     def test_the_domain_rule_comes_before_the_auto_rule(self):
         with pytest.raises(DomainError, match="outside the convergence disk"):
             resolve_auto(2, 1, 100.0)
@@ -894,6 +904,15 @@ class TestTermCapRule:
         if method == "direct-sum":
             with pytest.raises(ArgumentError, match=f"max_terms {message}"):
                 sum_direct(n, m, x, max_terms=cap)
+
+    @pytest.mark.parametrize("cap", WRONG_CAPS)
+    def test_resolve_auto_refuses_what_evaluate_refuses(self, cap):
+        # at (3, 2, 10) auto folds whatever the cap, and the cap is checked all the same
+        message = "must be >= 1" if isinstance(cap, int) else "must be an integer"
+        for entry in (evaluate, resolve_auto):
+            with pytest.raises(ArgumentError, match=f"max_terms {message}"):
+                entry(3, 2, 10.0, max_terms=cap)
+        assert resolve_auto(3, 2, 10.0, max_terms=None) == evaluate(3, 2, 10.0).method
 
     def test_the_library_reads_no_environment_variable(self, monkeypatch):
         # only the CLI reads SERIES_MAX_TERMS; every direct sum here runs at the default cap
