@@ -25,6 +25,8 @@ class IdentityRecord(namedtuple("IdentityRecord", "id params exact label")):
     __slots__ = ()
 
     def value(self) -> float:
+        """``exact``: the package reads the field; the benchmark harness's oracle test
+        reads this name."""
         return self.exact
 
     @property

@@ -39,11 +39,10 @@ from .quadrature import QUAD_FLOOR, quad_tol
 from .series import (
     SERIES_TOL,
     Evaluation,
-    SeriesParams,
     _checked,
     _predicted_estimate,
-    _radius,
     _sum_kernel,
+    _summable,
     within_terms,
 )
 
@@ -174,8 +173,8 @@ def resolve_auto(
     alone decides for every n >= 3, m = 1 included, and where it fails raises
     quad-cardano's ArgumentError. ``within_terms`` compares with the budget in one test.
     """
-    xc = SeriesParams.require_summable(n, m, x)
-    return _auto(n, m, xc, checked_tol(tol, None), _term_cap(max_terms)).name
+    xc, ax, radius = _summable(n, m, x)
+    return _auto(n, m, xc, checked_tol(tol, None), _term_cap(max_terms), ax / radius).name
 
 
 def _term_cap(max_terms) -> int:
@@ -192,14 +191,14 @@ def _term_cap(max_terms) -> int:
     return cap
 
 
-def _auto(n: int, m: int, x: complex, tol, max_terms: int) -> Route:
-    """``resolve_auto``'s route at summable x, a checked ``tol`` and the term cap."""
+def _auto(n: int, m: int, x: complex, tol, max_terms: int, rho: float) -> Route:
+    """``resolve_auto``'s route at summable x, a checked ``tol``, the term cap and
+    rho = |x| / R**m."""
     explicit = tol is not None
     below_floor = explicit and tol < QUAD_FLOOR  # None: quad-cardano's own default
     if m == 1 and (n <= 2 or n <= _S_WEIGHTS and not below_floor):
         return ROUTES["closed-form" if n <= 2 else "quad-cardano"]
     tol = SERIES_TOL if tol is None else tol
-    rho = abs(x) / _radius(m)
     if n <= 2:
         budget = LOW_WEIGHT_TERM_BUDGET[n] * (m - 1)
     elif n > _S_WEIGHTS and not below_floor:  # quad-cardano is a direct sum here
@@ -244,7 +243,7 @@ def _served(n, m, x, method: str, route: Route | None, tol, max_terms) -> Evalua
     """``evaluate`` on ``route`` (None for auto or an unknown method): the one check of every
     entry (the domain rule, ``tol``, ``_term_cap``, the route's limits), then the one
     Evaluation: 0 at x = 0, else the kernel's Triple."""
-    xc = SeriesParams.require_summable(n, m, x)
+    xc, ax, radius = _summable(n, m, x)
     checked_tol(tol, None)
     max_terms = _term_cap(max_terms)
     if route is not None:
@@ -254,7 +253,7 @@ def _served(n, m, x, method: str, route: Route | None, tol, max_terms) -> Evalua
     elif method != "auto":
         raise ArgumentError(f"unknown method {method!r}; choose from {METHODS} or 'auto'")
     else:
-        route = _auto(n, m, xc, tol, max_terms)
+        route = _auto(n, m, xc, tol, max_terms, ax / radius)
     if xc == 0:
         return _checked(Evaluation, 0j, 0.0, route.name, 0)
     value, err, work = route.kernel(n, m, xc, tol, max_terms)

@@ -14,8 +14,10 @@ t_{k+1} / t_k = x (k/(k+1))**n C(3mk, mk) / C(3m(k+1), m(k+1)), each stride-m
 step the in-order product of m correctly rounded stride-1 factors. Those
 factors form one sequence f_0, f_1, ... for every m and x, and the steps and
 the weights (k/(k+1))**n depend on (n, m, k) alone, so all three are immutable
-tuples built at import: _FACTORS (the first _FACTOR_TABLE factors), _STEPS (the
-steps of m 1..8 those factors cover) and _WEIGHTS (n 1..8, k < _WEIGHT_TABLE).
+tuples, each built on its first use and never changed: the factor table (the first
+_FACTOR_TABLE factors, ``_step_table(1)``), the step tables of m 2..8 those factors
+cover (``_step_table(m)``) and the weight tables of n 1..8, k < _WEIGHT_TABLE
+(``_weight_table(n)``). An evaluation that runs no direct sum builds none of them.
 One loop forms the terms one at a time. Where the tables cover a sum a term
 costs two products with table reads; past their ends the steps come from
 chunks of ``_computed_steps`` and each weight from one ``pow``, the same
@@ -81,18 +83,24 @@ class SeriesParams(namedtuple("SeriesParams", "n m x")):
         """The domain rule of every entry point: ``complex(x)`` where S(n, m; x)
         converges, else DomainError naming the bound (ArgumentError for n < 0, m < 1 or a
         wrong type). Static, so that entry points need not build a SeriesParams."""
-        xc, radius = _arguments(n, m, x)
-        # NaN before abs: CPython's abs(complex) returns a NaN without clearing a stale
-        # errno, so after any earlier float overflow it raises OverflowError instead
-        if cmath.isnan(xc):
-            raise DomainError(f"x = {xc!r} is not a number")
-        ax = abs(xc)
-        if _inside(n, ax, radius):
-            return xc
-        raise DomainError(
-            f"|x| = {ax!r} lies outside the convergence disk |x| < (27/4)**{m} = {radius!r}; "
-            f"its rim is summable only for n >= 2, got n = {n}"
-        )
+        return _summable(n, m, x)[0]
+
+
+def _summable(n: int, m: int, x: complex) -> tuple[complex, float, float]:
+    """``require_summable``'s rule, giving (complex(x), |x|, (27/4)**m) for the callers
+    that go on to use |x| and the radius."""
+    xc, radius = _arguments(n, m, x)
+    # NaN before abs: CPython's abs(complex) returns a NaN without clearing a stale
+    # errno, so after any earlier float overflow it raises OverflowError instead
+    if cmath.isnan(xc):
+        raise DomainError(f"x = {xc!r} is not a number")
+    ax = abs(xc)
+    if _inside(n, ax, radius):
+        return xc, ax, radius
+    raise DomainError(
+        f"|x| = {ax!r} lies outside the convergence disk |x| < (27/4)**{m} = {radius!r}; "
+        f"its rim is summable only for n >= 2, got n = {n}"
+    )
 
 
 def _arguments(n: int, m: int, x: complex) -> tuple[complex, float]:
@@ -155,18 +163,18 @@ def _computed_factors(j0: int, j1: int) -> Iterator[float]:
     return map(truediv, num, den)
 
 
-# f_j for j < _FACTOR_TABLE, built once at import and never changed. The direct sums
-# ``auto`` picks by their cost at m <= 6 (at most 78 (m - 1) terms predicted for n <= 8,
-# 75m above, ``routes.DIRECT_TERM_BUDGET``) stay below j = 3,100.
+# f_j for j < _FACTOR_TABLE make the factor table. The direct sums ``auto`` picks by their
+# cost at m <= 6 (at most 78 (m - 1) terms predicted for n <= 8, 75m above,
+# ``routes.DIRECT_TERM_BUDGET``) stay below j = 3,100.
 _FACTOR_TABLE = 1 << 12
-_FACTORS = tuple(_computed_factors(0, _FACTOR_TABLE))
 
 
 def _factors(j0: int, j1: int) -> tuple[float, ...]:
-    """f_j for j0 <= j < j1: slices of ``_FACTORS``, computed past its end."""
+    """f_j for j0 <= j < j1: slices of the factor table, computed past its end."""
+    factors = _step_table(1)
     if j1 <= _FACTOR_TABLE:
-        return _FACTORS[j0:j1]
-    return _FACTORS[j0:j1] + tuple(_computed_factors(max(j0, _FACTOR_TABLE), j1))
+        return factors[j0:j1]
+    return factors[j0:j1] + tuple(_computed_factors(max(j0, _FACTOR_TABLE), j1))
 
 
 def _computed_steps(k0: int, k1: int, m: int) -> list[float]:
@@ -178,22 +186,45 @@ def _computed_steps(k0: int, k1: int, m: int) -> list[float]:
 
 
 # The stride-m steps and the weights (k/(k+1))**n depend on (n, m, k) alone, never on x,
-# so both are immutable tuples built at import and never changed (about 1.5 ms together,
-# and 0.6 ms for _FACTORS: the least of 200 builds, CPython 3.11.7, 2-core x86-64 VM).
-# _STEPS[m], m 1..8, holds the steps of k < _FACTOR_TABLE // m: the same in-order
-# products ``_computed_steps`` forms (_STEPS[1] is _FACTORS, _STEPS[0] is empty).
-# _WEIGHTS[n], n 1..8, holds the weights of k < _WEIGHT_TABLE, each one ``pow`` as the
-# term loop forms those past it (_WEIGHTS[0] is empty: n = 0 has no weight).
-# The weights stop at n = 8, as the ``li`` and Cardano-series tables do. Every direct sum
-# of the benchmark's direct and interior workloads (seeds 1, 2) stays below k = 621, and
-# all but 3 of 480 (at m = 8) inside the step tables.
-_STEPS = ((), _FACTORS) + tuple(
-    tuple(_computed_steps(0, _FACTOR_TABLE // m, m)) for m in range(2, 9)
-)
+# so both come in tables: immutable tuples, each built on its first use and never changed
+# (about 1.5 ms for the step and weight tables of every stride and weight together, and
+# 0.6 ms for the factor table: the least of 200 builds, CPython 3.11.7, 2-core x86-64 VM).
+# ``setdefault`` stores the first build, so threads that race on a first use all read one
+# object. The weights stop at n = 8, as the ``li`` and Cardano-series tables do. Every
+# direct sum of the benchmark's direct and interior workloads (seeds 1, 2) stays below
+# k = 621, and all but 3 of 480 (at m = 8) inside the step tables.
+_TABLE_KEYS = range(1, 9)
 _WEIGHT_TABLE = 1 << 10
-_WEIGHT_BASES = tuple(map(truediv, range(_WEIGHT_TABLE), range(1, _WEIGHT_TABLE + 1)))
-_WEIGHTS = ((),) + tuple(tuple(map(pow, _WEIGHT_BASES, repeat(n))) for n in range(1, 9))
-del _WEIGHT_BASES
+_STEP_TABLES: dict[int, tuple[float, ...]] = {}
+_WEIGHT_TABLES: dict[int, tuple[float, ...]] = {}
+
+
+def _step_table(m: int) -> tuple[float, ...]:
+    """The step table of stride m, built on first use: the factor table at m = 1, at m 2..8
+    the steps of k < _FACTOR_TABLE // m (the in-order products ``_computed_steps`` forms),
+    () at every other m."""
+    table = _STEP_TABLES.get(m)
+    if table is None:
+        if m not in _TABLE_KEYS:
+            return ()
+        if m == 1:
+            built = tuple(_computed_factors(0, _FACTOR_TABLE))
+        else:
+            built = tuple(_computed_steps(0, _FACTOR_TABLE // m, m))
+        table = _STEP_TABLES.setdefault(m, built)
+    return table
+
+
+def _weight_table(n: int) -> tuple[float, ...]:
+    """The weights (k/(k+1))**n of k < _WEIGHT_TABLE at n 1..8, each one ``pow`` as the term
+    loop forms those past it, built on first use; () at every other n (n = 0 has none)."""
+    table = _WEIGHT_TABLES.get(n)
+    if table is None:
+        if n not in _TABLE_KEYS:
+            return ()
+        bases = map(truediv, range(_WEIGHT_TABLE), range(1, _WEIGHT_TABLE + 1))
+        table = _WEIGHT_TABLES.setdefault(n, tuple(map(pow, bases, repeat(n))))
+    return table
 
 
 # The least stride m with C(3m, m) > 2**2100 (by ``math.lgamma``, which grows with m): from
@@ -262,15 +293,15 @@ def _sum_terms(t, n: int, m: int, x, tol: float, max_terms: int, rho: float):
     ``sum_direct``, or (None, 0.0) when ``max_terms`` runs out first; float when x is.
 
     One term at a time, by the ratio t_{k+1} / t_k = x (k/(k+1))**n step_k multiplied
-    left to right. The steps come from ``_STEPS[m]`` and, past its end (from k = 1 at
+    left to right. The steps come from ``_step_table(m)`` and, past its end (from k = 1 at
     m >= 9), from chunks of ``_computed_steps``: the first runs to the predicted stop,
     k = 1.125 ``terms_needed`` + 2 (the stop rule takes up to ~10% more terms than
     estimated, and two to confirm), each later one is twice the last, and none holds
-    more than _CHUNK_CAP steps. The weights come from ``_WEIGHTS[n]``, one ``pow`` each
-    past its end."""
-    weights = _WEIGHTS[n] if n < len(_WEIGHTS) else ()
+    more than _CHUNK_CAP steps. The weights come from ``_weight_table(n)``, one ``pow``
+    each past its end."""
+    weights = _weight_table(n)
     weight_end = len(weights)
-    table = _STEPS[m] if m < len(_STEPS) else ()
+    table = _step_table(m)
     k0, k1, steps = 1, max(len(table), 1), islice(table, 1, None)
     size = 0
     terms = []

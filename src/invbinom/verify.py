@@ -12,12 +12,12 @@ Failures are report entries, never exceptions. Entries and reports are named tup
 of plain values, with no timings: ``serialize`` writes exactly
 ``json.dumps(to_json_dict(), indent=2)``, the documented JSON shape, and ``parse``
 reads it back to an equal report. With ``indent`` json runs its pure-Python encoder,
-so it lays out the frame alone; each entry fills a template.
+so it lays out the frame alone; each entry fills a template. ``json`` is imported where a
+report is written or read, so that the package imports without it.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from collections import namedtuple
@@ -39,7 +39,11 @@ ENVIRONMENT = {"precision": "binary64", "machine_epsilon": sys.float_info.epsilo
 
 def _json_number(v: float) -> str:
     """``json.dumps(v)``: for finite floats (and ints) json prints the repr too."""
-    return repr(v) if math.isfinite(v) else json.dumps(v)
+    if math.isfinite(v):
+        return repr(v)
+    import json
+
+    return json.dumps(v)
 
 
 class CheckEntry(namedtuple("CheckEntry", "id n m x lhs rhs abs_diff tol passed")):
@@ -65,6 +69,8 @@ class CheckEntry(namedtuple("CheckEntry", "id n m x lhs rhs abs_diff tol passed"
 
     def _json_block(self) -> str:
         """``to_json_dict()`` as it stands in ``json.dumps(report, indent=2)``'s entries."""
+        import json
+
         num, lhs, rhs = _json_number, self.lhs, self.rhs
         return (
             f'    {{\n      "id": {json.dumps(self.id)},\n'
@@ -128,6 +134,8 @@ class VerificationReport(namedtuple("VerificationReport", "suite entries environ
 
     def serialize(self) -> str:
         """``json.dumps(self.to_json_dict(), indent=2)``, byte for byte (see the module)."""
+        import json
+
         frame = json.dumps(self._json_frame([]), indent=2)
         block = ",\n".join([e._json_block() for e in self.entries])
         return frame.replace('"entries": []', f'"entries": [\n{block}\n  ]', 1) if block else frame
@@ -142,6 +150,8 @@ class VerificationReport(namedtuple("VerificationReport", "suite entries environ
 
     @classmethod
     def parse(cls, text: str) -> "VerificationReport":
+        import json
+
         return cls.from_json_dict(json.loads(text))
 
     def to_text(self) -> str:
@@ -179,7 +189,7 @@ def _special_value_entries(records: Iterable, tol: float | None) -> list[CheckEn
         p = rec.params
         route = evaluate(p.n, p.m, p.x, "quad-polylog" if rec.boundary else "direct-sum")
         this_tol = tol if tol is not None else TOL_QUAD if rec.boundary else TOL_SERIES
-        entries.append(_entry(rec.id, p, rec.value(), route.value, this_tol))
+        entries.append(_entry(rec.id, p, rec.exact, route.value, this_tol))
     return entries
 
 

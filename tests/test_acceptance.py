@@ -37,7 +37,7 @@ def test_criterion_1_special_values():
     failures = []
     start = time.perf_counter()
     for rec in SPECIAL_VALUES:
-        exact = rec.value()
+        exact = rec.exact
         if rec.boundary:
             got = quad_polylog(rec.params.n, rec.params.x).value
             tol = 1e-9

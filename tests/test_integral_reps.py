@@ -244,7 +244,7 @@ class TestQuadPolylogOnThePositiveRim:
     @pytest.mark.parametrize("tol,work", [(None, 210), (QUAD_FLOOR, 294)])
     def test_weight_two_against_the_exact_value(self, tol, work):
         # bisecting towards t = 1/3 takes 1,785 and 2,289 calls
-        exact = record_by_id("S(2,1;27/4)").value()
+        exact = record_by_id("S(2,1;27/4)").exact
         ev = evaluate(2, 1, RIM, "quad-polylog", tol=tol)
         assert ev.work <= work, ev.work
         assert abs(ev.value - exact) <= ev.abs_error_est, (ev.value, exact, ev.abs_error_est)

@@ -993,15 +993,17 @@ PUBLIC_RULE_ONCE = [
 
 @pytest.fixture
 def rule_calls(monkeypatch):
-    """The (n, m, x) of every call of the domain rule."""
+    """The (n, m, x) of every call of the domain rule: ``series._summable``, which
+    ``SeriesParams.require_summable`` calls and ``routes`` imports."""
     calls = []
-    rule = SeriesParams.require_summable
+    rule = series._summable
 
     def counted(n, m, x):
         calls.append((n, m, x))
         return rule(n, m, x)
 
-    monkeypatch.setattr(SeriesParams, "require_summable", staticmethod(counted))
+    monkeypatch.setattr(series, "_summable", counted)
+    monkeypatch.setattr(routes, "_summable", counted)
     return calls
 
 

@@ -2,8 +2,11 @@
 
 import cmath
 import math
+import operator
 import random
 import statistics
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -27,17 +30,16 @@ from invbinom import CardanoRoot, phi, routes, series
 from invbinom.closed_forms import REAL_BRANCH, _leading_terms
 from invbinom.series import (
     _FACTOR_TABLE,
-    _FACTORS,
-    _STEPS,
     _WEIGHT_TABLE,
-    _WEIGHTS,
     _computed_factors,
     _computed_steps,
     _factors,
     _first_term,
     _inside,
     _on_rim,
+    _step_table,
     _sum_terms,
+    _weight_table,
     terms_needed,
 )
 
@@ -300,43 +302,81 @@ class TestBitIdentity:
             f = list(_factors(m, 60 * m + m))  # j = m .. 60m + m - 1
             want = [in_order(f, k, m) for k in range(60)]  # k = 1 .. 60
             assert [v.hex() for v in _computed_steps(1, 61, m)] == want, m
-            if m < len(_STEPS):
-                assert [v.hex() for v in _STEPS[m][1:61]] == want, m
+            if m <= 8:
+                assert [v.hex() for v in _step_table(m)[1:61]] == want, m
         # the end of each step table (m <= 8), and of the factor table's reach (every m)
         for m in strides:
             end = _FACTOR_TABLE // m
             k0 = max(end - 5, 0)
             f = list(_computed_factors(m * k0, m * (end + 5)))
             want = [in_order(f, k, m) for k in range(end + 5 - k0)]
-            if m < len(_STEPS):
-                assert [v.hex() for v in _STEPS[m][k0:]] == want[: end - k0], m
+            if m <= 8:
+                assert [v.hex() for v in _step_table(m)[k0:]] == want[: end - k0], m
             chunks = ((k0, end), (end - 1, end), (end, end + 1), (k0, end + 5), (end - 1, end + 3))
             for a, b in chunks:
                 got = [v.hex() for v in _computed_steps(a, b, m)]
                 assert got == want[a - k0 : b - k0], (a, b, m)
 
     def test_factor_table_is_correctly_rounded(self):
-        assert isinstance(_FACTORS, tuple) and len(_FACTORS) == _FACTOR_TABLE
-        for j, f in enumerate(_FACTORS):
+        factors = _step_table(1)
+        assert isinstance(factors, tuple) and len(factors) == _FACTOR_TABLE
+        for j, f in enumerate(factors):
             assert f == float(Fraction((2 * j + 2) * (2 * j + 1), (9 * j + 3) * (3 * j + 2))), j
 
     def test_step_and_weight_tables_are_tuples_of_their_documented_lengths(self):
-        # _STEPS[m] holds the steps of k < _FACTOR_TABLE // m for m 1..8, _WEIGHTS[n] the
-        # weights of k < _WEIGHT_TABLE for n 1..8; index 0 of each is empty
-        assert isinstance(_STEPS, tuple) and len(_STEPS) == 9 and _STEPS[0] == ()
-        assert _STEPS[1] is _FACTORS
+        # _step_table(m) holds the steps of k < _FACTOR_TABLE // m for m 1..8 (the factor
+        # table at m = 1), _weight_table(n) the weights of k < _WEIGHT_TABLE for n 1..8;
+        # every other stride and weight has the empty table, and none is stored
+        for m in (-1, 0, 9, 10, 371):
+            assert _step_table(m) == () and m not in series._STEP_TABLES, m
         for m in range(1, 9):
-            assert isinstance(_STEPS[m], tuple) and len(_STEPS[m]) == _FACTOR_TABLE // m, m
-        assert isinstance(_WEIGHTS, tuple) and len(_WEIGHTS) == 9 and _WEIGHTS[0] == ()
+            table = _step_table(m)
+            assert isinstance(table, tuple) and len(table) == _FACTOR_TABLE // m, m
+            assert series._STEP_TABLES[m] is table is _step_table(m), m
         assert _WEIGHT_TABLE == 1024
+        for n in (0, 9, 10):
+            assert _weight_table(n) == () and n not in series._WEIGHT_TABLES, n
         for n in range(1, 9):
-            assert isinstance(_WEIGHTS[n], tuple) and len(_WEIGHTS[n]) == _WEIGHT_TABLE, n
+            table = _weight_table(n)
+            assert isinstance(table, tuple) and len(table) == _WEIGHT_TABLE, n
+            assert series._WEIGHT_TABLES[n] is table is _weight_table(n), n
+
+    def test_a_table_is_built_once_and_every_caller_reads_the_same_object(self, monkeypatch):
+        # from empty dicts, threads (more than the cores, switching often) that race on a
+        # first use all read the one stored table, and a rebuild holds the bits of the first
+        before = [_step_table(m) for m in range(1, 9)] + [_weight_table(n) for n in range(1, 9)]
+        monkeypatch.setattr(series, "_STEP_TABLES", {})
+        monkeypatch.setattr(series, "_WEIGHT_TABLES", {})
+        start = threading.Barrier(6)
+        got = []
+
+        def first_use():
+            start.wait(timeout=30)
+            got.append([_step_table(m) for m in range(1, 9)] + [_weight_table(n) for n in range(1, 9)])
+
+        threads = [threading.Thread(target=first_use) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and len(got) == 6
+        stored = [series._STEP_TABLES[m] for m in range(1, 9)]
+        stored += [series._WEIGHT_TABLES[n] for n in range(1, 9)]
+        for tables in got:
+            assert all(map(operator.is_, tables, stored))
+        for old, new in zip(before, stored):
+            assert old is not new and [v.hex() for v in old] == [v.hex() for v in new]
 
     def test_weights_are_pow_of_the_rounded_quotient(self):
         # (k/(k+1))**n as one ``pow``, in the table and past it: a table built with products
         # (x * x for x ** 2, which differs at k = 794) fails here
         for n in range(1, 9):
-            for k, w in enumerate(_WEIGHTS[n]):
+            for k, w in enumerate(_weight_table(n)):
                 assert w.hex() == ((k / (k + 1)) ** n).hex(), (n, k)
         # through the term loop, across the table's end (n <= 8) and with no table (n = 9):
         # sums that run past k = _WEIGHT_TABLE give the terms of the reference recurrence
@@ -355,10 +395,10 @@ class TestBitIdentity:
         edge=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
     )
     @example(m=3, start=-2, count=5, edge=1.0)  # k straddles j = _FACTOR_TABLE
-    @example(m=8, start=-1, count=3, edge=1.0)  # straddles the end of _STEPS[8]
+    @example(m=8, start=-1, count=3, edge=1.0)  # straddles the end of _step_table(8)
     @example(m=9, start=-1, count=3, edge=1.0)  # m = 9 has no step table
-    @example(m=7, start=0, count=1, edge=1.0)  # one past the end of _STEPS[7]
-    @example(m=5, start=-1, count=1, edge=1.0)  # the last index of _STEPS[5]
+    @example(m=7, start=0, count=1, edge=1.0)  # one past the end of _step_table(7)
+    @example(m=5, start=-1, count=1, edge=1.0)  # the last index of _step_table(5)
     @settings(max_examples=80, deadline=None)
     def test_computed_steps_are_in_order_products_past_the_table(self, m, start, count, edge):
         # computed factors past the factor table's end, and both in one range; the step
@@ -372,7 +412,7 @@ class TestBitIdentity:
                 p *= v
             want.append(p.hex())
         assert [v.hex() for v in _computed_steps(k0, k0 + count, m)] == want
-        table = _STEPS[m] if m < len(_STEPS) else ()
+        table = _step_table(m)
         assert [v.hex() for v in table[k0 : k0 + count]] == want[: max(0, len(table) - k0)]
 
     def test_auto_direct_sums_stay_inside_the_table(self, monkeypatch):
@@ -390,6 +430,8 @@ class TestBitIdentity:
         def computed(j0, j1):
             raise AssertionError(f"factors {j0}..{j1} computed")
 
+        for m in range(1, 7):  # built from computed factors on first use: build them first
+            _step_table(m)
         monkeypatch.setattr(series, "_computed_factors", computed)
         methods = [evaluate(n, m, x).method for n, m, x in points]
         assert methods.count("direct-sum") > len(points) // 4
@@ -437,6 +479,7 @@ class TestBitIdentity:
         # terms_needed + 2, each later one is twice the last, and none holds more than
         # _CHUNK_CAP steps; at LONG_POINTS the first, cut there, falls short of the stop
         chunks = []
+        start = max(len(_step_table(m)), 1)  # built on first use: before the count starts
 
         def counted(k0, k1, m):
             chunks.append((k0, k1))
@@ -444,7 +487,6 @@ class TestBitIdentity:
 
         monkeypatch.setattr(series, "_computed_steps", counted)
         work = sum_direct(n, m, x).work
-        start = max(len(_STEPS[m]) if m < len(_STEPS) else 0, 1)
         rho = abs(x) / convergence_radius(m)
         end = min(1.125 * terms_needed(n, rho, 1e-15) + 3, start + series._CHUNK_CAP)
         assert len(chunks) == count and chunks[0] == (start, max(int(end), start + 1))
