@@ -12,10 +12,10 @@ disk |x| <= 27/4 that choice gives |phi| >= 1, the branch the closed forms
 need, with equality only at x = 27/4; a tier-1 test pins the invariant on a
 grid of the disk, its rim and both axes.
 
-Closed forms exist for weights 0, 1, 2 at stride 1 (``s01``, ``s11``,
-``s21``). ``fold`` reduces S(n, m; x) to m stride-1 evaluations at rotated
-m-th roots of x, at real x to one per conjugate pair (the real root of |x|
-correctly rounded), and answers |x| < 1e-8 from exact leading terms.
+Closed forms exist for weights 0, 1, 2 at stride 1 (``_s01``, ``_s11``, ``_s21``,
+the closed-form route of ``evaluate``). ``fold`` reduces S(n, m; x) to m stride-1
+evaluations at rotated m-th roots of x, at real x to one per conjugate pair (the real
+root of |x| correctly rounded), and answers |x| < 1e-8 from exact leading terms.
 """
 
 from __future__ import annotations
@@ -123,7 +123,8 @@ def _atan_log_parts(p: complex, real_branch: bool) -> tuple[complex, complex]:
 
 
 def _closed_kernel(n: int, xc: complex) -> tuple[complex, float, int]:
-    """The unchecked (value, abs_error_est, work) of s01, s11 and s21 (n = 0, 1, 2) at x != 0."""
+    """The closed-form route's unchecked (value, abs_error_est, work) of S(n, 1; x),
+    n = 0, 1, 2, at x != 0: S(2, 1) on |x| <= 27/4, S(1, 1) and S(0, 1) strictly inside."""
     if abs(xc) < _TINY_X:
         return _leading_terms(n, 1, xc)
     root = phi(xc)
@@ -134,36 +135,14 @@ def _closed_kernel(n: int, xc: complex) -> tuple[complex, float, int]:
     return value, err, 1
 
 
-def s21(x: complex) -> Evaluation:
-    """Closed form of S(2, 1; x) on |x| <= 27/4:
-
-        6*arctan(sqrt3/(2 phi - 1))**2 - log((phi**3+1)/(phi+1)**3)**2 / 2.
-
-    x = 0 short-circuits to 0 (phi is undefined there, the series is not).
-    """
-    return routes.evaluate(2, 1, x, "closed-form")
-
-
-def s11(x: complex) -> Evaluation:
-    """Closed form of S(1, 1; x) on |x| < 27/4 (strictly inside)."""
-    return routes.evaluate(1, 1, x, "closed-form")
-
-
-def s01(x: complex) -> Evaluation:
-    """Closed form of S(0, 1; x) on |x| < 27/4 (strictly inside).
-
-    Four pieces: an arctan group, a log group, and the rational tail
-    108 phi**3 / ((27 - 4x) (1 + phi**3)**2).
-    """
-    return routes.evaluate(0, 1, x, "closed-form")
-
-
 def _s21(xc: complex, p: complex, at: complex, lg: complex, real: bool) -> tuple[complex, float]:
+    """S(2, 1; x) = 6*arctan(sqrt3/(2 phi - 1))**2 - log((phi**3+1)/(phi+1)**3)**2 / 2."""
     value = 6.0 * at * at - 0.5 * lg * lg
     return value, 8.0 * _EPS * (6.0 * abs(at) ** 2 + 0.5 * abs(lg) ** 2) + _EPS
 
 
 def _s11(xc: complex, p: complex, at: complex, lg: complex, real: bool) -> tuple[complex, float]:
+    """S(1, 1; x): an arctan term and a log term over sqrt(27 - 4x)."""
     sq = complex(math.sqrt(27.0 - 4.0 * xc.real)) if real else cmath.sqrt(27.0 - 4.0 * xc)
     t_at = at * 18.0 * p / (1.0 - p + p * p)
     t_lg = lg * 3.0 * SQRT3 * p * (1.0 - p) / (1.0 + p**3)
@@ -172,6 +151,8 @@ def _s11(xc: complex, p: complex, at: complex, lg: complex, real: bool) -> tuple
 
 
 def _s01(xc: complex, p: complex, at: complex, lg: complex, real: bool) -> tuple[complex, float]:
+    """S(0, 1; x) in four pieces: an arctan group, a log group, and the rational tail
+    108 phi**3 / ((27 - 4x) (1 + phi**3)**2)."""
     if real:
         q = complex(27.0 - 4.0 * xc.real)
         q32 = complex(q.real * math.sqrt(q.real))
@@ -285,6 +266,5 @@ def _fold_kernel(n: int, m: int, xc: complex, inner: str, tol, cap) -> tuple[com
     return total * scale, err * scale, work
 
 
-# Last, as the route table imports the kernels above; fold and the closed forms read it at
-# call time.
+# Last, as the route table imports the kernels above; fold reads it at call time.
 from . import routes  # noqa: E402

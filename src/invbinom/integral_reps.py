@@ -1,25 +1,29 @@
 """Evaluation through the integral representations of the series.
 
-Three independent routes, at stride 1 but the first:
+The kernels of three independent routes of ``evaluate``, at stride 1 but the first:
 
-* ``quad_polylog`` integrates Li_{n-1}(x*t*(1-t)**2) / t over the unit
+* quad-polylog (``_polylog_kernel``) integrates Li_{n-1}(x*t*(1-t)**2) / t over the unit
   interval. It works for every n >= 1 (n >= 2 on the rim); it is the
-  independent cross-check of the Cardano-root route. Its kernel,
-  ``_polylog_kernel``, takes the stride: m * Li_{n-1}(x*(t*(1-t)**2)**m) / t, from the
-  Beta integral 1/C(3mk, mk) = mk B(mk, 2mk + 1), serves 1 <= m <= POLYLOG_MAX_STRIDE
-  in one quadrature, with no fold.
-* ``quad_cardano`` (n >= 3) runs no quadrature: it sums S(n, 1; x) as a power series in
-  s = phi(x)**-3, in v = sqrt(1 - 4x/27) near the branch point x = 27/4, or in x (see its
-  docstring), up to weight 8 in 2-9 us, where ``quad_polylog`` takes 0.05 ms at
-  S(3, 1; 0.5) to 0.5 ms at S(3, 1; 27/4) (one Intel Xeon core). It is the route ``auto``
-  takes where direct summation, which decays like k**(1/2 - n) on the rim, costs more;
-  the route table and ``fold`` call its bare kernel, ``_cardano_kernel``.
-* ``quad_two_term`` evaluates the two-term log/trig form whose limits come
-  from the Cardano root, each integral in s with u = limit * s**3. Restricted
+  independent cross-check of the Cardano-root route. It takes the stride:
+  m * Li_{n-1}(x*(t*(1-t)**2)**m) / t, from the Beta integral
+  1/C(3mk, mk) = mk B(mk, 2mk + 1), serves 1 <= m <= POLYLOG_MAX_STRIDE in one
+  quadrature, with no fold.
+* quad-cardano (``_cardano_kernel``, n >= 3) runs no quadrature: it sums S(n, 1; x) as a
+  power series in s = phi(x)**-3, in v = sqrt(1 - 4x/27) near the branch point x = 27/4,
+  or in x (see its docstring), up to weight 8 in 2-9 us, where quad-polylog takes 0.05 ms
+  at S(3, 1; 0.5) to 0.5 ms at S(3, 1; 27/4) (one Intel Xeon core). It is the route
+  ``auto`` takes where direct summation, which decays like k**(1/2 - n) on the rim, costs
+  more; ``fold`` calls its kernel too.
+* quad-two-term (``_two_term_kernel``) evaluates the two-term log/trig form whose limits
+  come from the Cardano root, each integral in s with u = limit * s**3. Restricted
   to real x, where its trigonometric integrand is derived; complex arguments
-  are served by ``quad_polylog`` and by folding. Its two integrals cancel to
+  are served by quad-polylog and by folding. Its two integrals cancel to
   S ~ x/3, so it refuses 0 < |x| < TWO_TERM_MIN_X = 0.002 (``two_term_limits``
   still serves down to 1e-306).
+
+Each kernel takes ``tol`` as ``evaluate`` checked it, None for the default: the
+quadratures pass it to ``adaptive_quad``, whose tolerance rule (``quad_tol``) refuses a
+tol below QUAD_FLOOR, and quad-cardano applies that rule itself.
 
 Sign convention of the angular limit: ``two_term_limits`` returns
 beta = 3*arctan(sqrt(3)/(1 - 2*phi)), which is negative on (0, 27/4] with
@@ -40,14 +44,14 @@ from .closed_forms import _TINY_X, _leading_terms, _radical, phi
 from .errors import ArgumentError, DomainError, checked_number
 from .polylog import _li, li
 from .quadrature import adaptive_quad, quad_tol
-from .series import _EPS, RADIUS_BASE, Evaluation, SeriesParams, _inside, _sum_kernel
+from .series import _EPS, RADIUS_BASE, SeriesParams, _inside, _sum_kernel
 
 _TWO_PI = 2.0 * math.pi
 _TINY = 1e-300
 
 # quad-two-term's relative error against direct-sum (n 2..6, 400 points per decade) is at
 # most 2e-11 above |x| = 1.75e-3, up to 2.8e-8 just below it and 1e-6 below 4e-7: its two
-# integrals cancel to S ~ x/3. ``quad_two_term`` and the route refuse 0 < |x| below this.
+# integrals cancel to S ~ x/3. The route refuses 0 < |x| below this.
 TWO_TERM_MIN_X = 2e-3
 TWO_TERM_FLOOR = f"quad-two-term needs |x| >= {TWO_TERM_MIN_X:g}, where it holds 1e-9 relative"
 TWO_TERM_REAL = "quad-two-term is a real-argument route"
@@ -85,20 +89,6 @@ def two_term_limits(x: float) -> TwoTermLimits:
     return TwoTermLimits(alpha, beta, p)
 
 
-def quad_polylog(n: int, x: complex, tol: float | None = None) -> Evaluation:
-    """S(n, 1; x) as the single integral of Li_{n-1}(x*t*(1-t)**2) / t.
-
-    The integrand tends to x at t = 0 (supplied explicitly). On the rim
-    |x| = 27/4 the polylog argument touches 1 at t = 1/3, an integrable
-    logarithmic singularity: at x = 27/4 and n <= 3 it is moved to an endpoint (see
-    ``_polylog_kernel``), elsewhere the adaptive rule subdivides through it. The
-    argument is clamped a hair below 1 there so the weight-1 kernel stays
-    finite under rounding. ``tol`` is checked as ``quad_cardano``'s. Strides
-    1 <= m <= POLYLOG_MAX_STRIDE go through ``evaluate(n, m, x, "quad-polylog")``.
-    """
-    return routes.evaluate(n, 1, x, "quad-polylog", tol=tol)
-
-
 # The largest stride quad-polylog serves: R**m = 27**m / 4**m is exact in binary64 while
 # 27**m < 2**53, that is up to m = 11, so that the rim test and the distance R**m - x
 # that ``_stable_complement`` takes are exact there.
@@ -107,24 +97,25 @@ POLYLOG_MAX_STRIDE = 11
 
 def _polylog_kernel(n: int, m: int, xc: complex, tol) -> tuple[complex, float, int]:
     """``evaluate``'s quad-polylog (value, abs_error_est, work) at summable x != 0 and
-    1 <= m <= POLYLOG_MAX_STRIDE; checks tol alone. It integrates the Beta integral
-    1/C(3mk, mk) = mk B(mk, 2mk + 1) summed against x**k / k**n:
+    1 <= m <= POLYLOG_MAX_STRIDE; checks nothing but ``adaptive_quad``'s tol. It integrates
+    the Beta integral 1/C(3mk, mk) = mk B(mk, 2mk + 1) summed against x**k / k**n:
 
         S(n, m; x) = m * integral_0^1 Li_{n-1}(x * (t*(1-t)**2)**m) / t dt,  n >= 1,
 
-    whose integrand tends to x at t = 0 for m = 1 and to 0 above. The factor m enters as
-    the divisor t / m, exact at m = 1.
+    whose integrand tends to x at t = 0 for m = 1 and to 0 above (supplied explicitly). The
+    factor m enters as the divisor t / m, exact at m = 1.
 
     At real x the integrand is a float: weights 0 and 1 through ``_stable_complement``,
-    weight 2 and above through ``li``'s unchecked kernel at w clamped into [-1, 1], as
-    ``li`` clamps it. At x = R**m exactly, u = 1 - x*(t*(1-t)**2)**m has a double zero at
-    t = 1/3, a log singularity that bisection never lands on: at weights 1 and 2 the kernel
-    integrates in s on either side, t = (1 - s**6)/3 and t = (1 + 2 s**6)/3, which moves it
-    to s = 0 as s**5 log(s) (S(2, 1; 27/4): 210 integrand calls, 1,785 by bisection). At
-    weight 3 and above the map costs calls; away from the rim a split doubles every
-    one-panel integral.
+    kept above _TINY so that the weight-1 log stays finite under rounding, weight 2 and
+    above through ``li``'s unchecked kernel at w clamped into [-1, 1], as ``li`` clamps it.
+    At x = R**m exactly, u = 1 - x*(t*(1-t)**2)**m has a double zero at t = 1/3, a log
+    singularity that bisection never lands on: at weights 1 and 2 the kernel integrates in
+    s on either side, t = (1 - s**6)/3 and t = (1 + 2 s**6)/3, which moves it to s = 0 as
+    s**5 log(s) (S(2, 1; 27/4): 210 integrand calls, 1,785 by bisection). At weight 3 and
+    above the map costs calls, so there, and at complex x on the rim, the adaptive rule
+    subdivides through the singularity; away from the rim a split doubles every one-panel
+    integral.
     """
-    tol = quad_tol(tol)
     weight = n - 1
     if xc.imag != 0.0:
         edge = xc if m == 1 else 0j
@@ -171,23 +162,18 @@ def _polylog_kernel(n: int, m: int, xc: complex, tol) -> tuple[complex, float, i
     return left[0] + right[0], left[1] + right[1], left[2] + right[2]
 
 
-def quad_cardano(n: int, x: complex, tol: float | None = None) -> Evaluation:
-    """S(n, 1; x), n >= 3, through the Cardano root q = phi(x), by a power series: for
-    n <= 8 in s = 1/q**3 (x = 27 s / (1 + s)**2) where |s| <= S_MAX = 0.6, and in
-    v = sqrt(1 - 4x/27) (s = (1 - v)/(1 + v)) past it, within 0.9 of x = 27/4 (|v| <= 0.3652,
-    at most _V_TERMS = 40 terms); in x above weight 8, and its three leading terms below
-    |x| = 1e-8. ``work`` counts the terms. ``tol`` is checked as a quadrature's: the route
-    refuses one below QUAD_FLOOR.
-    """
-    return routes.evaluate(n, 1, x, "quad-cardano", tol=tol)
-
-
 # The direct sum's stop above weight 8: at 1e-15 it was 6e-15 off on the rim at n 9..12.
 _DIRECT_TOL = 1e-17
 
 
 def _cardano_kernel(n: int, xc: complex, tol, max_terms: int) -> tuple[complex, float, int]:
-    """``quad_cardano``'s (value, abs_error_est, work) at summable x != 0; checks tol alone."""
+    """``evaluate``'s quad-cardano (value, abs_error_est, work) of S(n, 1; x), n >= 3, at
+    summable x != 0, through the Cardano root q = phi(x), by a power series: for n <= 8 in
+    s = 1/q**3 (x = 27 s / (1 + s)**2) where |s| <= S_MAX = 0.6, and in v = sqrt(1 - 4x/27)
+    (s = (1 - v)/(1 + v)) past it, within 0.9 of x = 27/4 (|v| <= 0.3652, at most
+    _V_TERMS = 40 terms); in x above weight 8 (a direct sum under the term cap
+    ``max_terms``), and its three leading terms below |x| = 1e-8. ``work`` counts the terms.
+    It checks tol alone, as a quadrature's: the route refuses one below QUAD_FLOOR."""
     quad_tol(tol)
     if abs(xc) < _TINY_X:
         return _leading_terms(n, 1, xc)
@@ -429,23 +415,17 @@ def _oriented(f, upper: float, tol: float | None) -> tuple[float, float, int]:
     return value.real, err, work
 
 
-def quad_two_term(n: int, x: float, tol: float | None = None) -> Evaluation:
-    """S(n, 1; x) as the sum of the two oriented quadratures, n >= 2, real x.
+def _two_term_kernel(n: int, xr: float, tol) -> tuple[complex, float, int]:
+    """``evaluate``'s quad-two-term (value, abs_error_est, work) of S(n, 1; x), n >= 2, at
+    the real x it serves, as the sum of two oriented quadratures; checks nothing but
+    ``adaptive_quad``'s tol.
 
     First term: prefactor (-1)**(n-1) / (n-2)! over [0, alpha], integrand
     u * log(...)**(n-2) with an exponential inner argument. Second term:
     prefactor 4*(-1)**(n-2) / (3*(n-2)!) over [0, beta], trigonometric
     inner argument. Both integrals run through u = limit * s**3, s in [0, 1]
     (``_oriented``), which serves either sign of the limit (negative for x > 0).
-    ArgumentError for complex x and for 0 < |x| < TWO_TERM_MIN_X, where the two
-    integrals cancel. ``tol`` is checked as ``quad_cardano``'s.
     """
-    return routes.evaluate(n, 1, x, "quad-two-term", tol=tol)
-
-
-def _two_term_kernel(n: int, xr: float, tol) -> tuple[complex, float, int]:
-    """``quad_two_term``'s (value, abs_error_est, work) at the x it serves; checks tol alone."""
-    tol = quad_tol(tol)
     limits = two_term_limits(xr)
     p = n - 2
     fac = math.factorial(p)
@@ -467,7 +447,3 @@ def _two_term_kernel(n: int, xr: float, tol) -> tuple[complex, float, int]:
     value = pref1 * i1 + pref2 * i2
     err = abs(pref1) * e1 + abs(pref2) * e2
     return complex(value), err, w1 + w2
-
-
-# Last, as the route table imports the kernels above; quad_cardano reads it at call time.
-from . import routes  # noqa: E402

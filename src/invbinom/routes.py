@@ -11,8 +11,8 @@ for n <= 2 and quad-cardano for 3 <= n <= 8 (below QUAD_FLOOR, which quad-cardan
 refuses, a direct sum where it comes within that floor); otherwise it is a cost rule:
 direct summation when its predicted term count undercuts folding over those routes
 (m >= 2), or quad-cardano above weight 8; past the strides folding serves, direct
-summation. Every other public evaluator is
-``evaluate`` on its route, whose one check and one Evaluation it shares; quad-polylog is
+summation. ``evaluate`` is the one evaluator of every route: ``fold``, the folding route
+over a chosen inner route, shares its one check and one Evaluation. quad-polylog is
 never chosen by ``auto`` and stays an explicit route and verify's cross-check. The one
 ``tol`` and the one term cap go to the route's kernel, which passes them to every layer.
 """
@@ -46,8 +46,6 @@ from .series import (
     within_terms,
 )
 
-Triple = tuple[complex, float, int]  # a kernel's (value, abs_error_est, work)
-
 # Added to every estimate, which scales with the value and underflows with it: 128 units of
 # 2**-1074 bound a subnormal value's error, and estimates >= 2**-1013 keep their bits.
 _EST_FLOOR = 2.0**-1067
@@ -57,8 +55,9 @@ DEFAULT_MAX_TERMS = 1_000_000  # the term cap of direct sums for ``max_terms`` N
 class Route(namedtuple("Route", "name limits kernel")):
     """An evaluation route (name, limits, kernel): ``limits(n, m, x)`` says why its
     operation cannot serve summable (n, m, x), None if it can; ``kernel(n, m, x, tol,
-    max_terms)`` gives the Triple at summable x != 0 that ``limits`` accepts, with no domain
-    or tolerance check but the quadrature's floor (ArgumentError for a tol below QUAD_FLOOR).
+    max_terms)`` gives (value, abs_error_est, work) at summable x != 0 that ``limits``
+    accepts, with no domain or tolerance check but the quadrature's floor (ArgumentError
+    for a tol below QUAD_FLOOR).
     """
 
     __slots__ = ()
@@ -242,7 +241,7 @@ def evaluate(
 def _served(n, m, x, method: str, route: Route | None, tol, max_terms) -> Evaluation:
     """``evaluate`` on ``route`` (None for auto or an unknown method): the one check of every
     entry (the domain rule, ``tol``, ``_term_cap``, the route's limits), then the one
-    Evaluation: 0 at x = 0, else the kernel's Triple."""
+    Evaluation: 0 at x = 0, else the kernel's (value, abs_error_est, work)."""
     xc, ax, radius = _summable(n, m, x)
     checked_tol(tol, None)
     max_terms = _term_cap(max_terms)

@@ -8,10 +8,10 @@ with integer weight n >= 0, integer stride m >= 1 and complex argument x.
 The series converges strictly inside |x| < (27/4)**m, and on the rim
 |x| = (27/4)**m once n >= 2 (terms there decay like k**(1/2 - n)).
 
-``sum_direct`` is the reference oracle every other evaluation route in the
-package is validated against. Its terms come from the ratio recurrence
-t_{k+1} / t_k = x (k/(k+1))**n C(3mk, mk) / C(3m(k+1), m(k+1)), each stride-m
-step the in-order product of m correctly rounded stride-1 factors. Those
+The direct-sum route, ``evaluate(n, m, x, "direct-sum")``, is the reference oracle
+every other evaluation route in the package is validated against. Its terms come from
+the ratio recurrence t_{k+1} / t_k = x (k/(k+1))**n C(3mk, mk) / C(3m(k+1), m(k+1)),
+each stride-m step the in-order product of m correctly rounded stride-1 factors. Those
 factors form one sequence f_0, f_1, ... for every m and x, and the steps and
 the weights (k/(k+1))**n depend on (n, m, k) alone, so all three are immutable
 tuples, each built on its first use and never changed: the factor table (the first
@@ -38,7 +38,7 @@ from .errors import ArgumentError, ConvergenceError, DomainError, checked_number
 
 RADIUS_BASE = 27.0 / 4.0
 _EPS = 2.220446049250313e-16
-# The stop tolerance of ``sum_direct``, and of ``auto``'s term prediction, when the
+# The stop tolerance of the direct sum, and of ``auto``'s term prediction, when the
 # caller passes none.
 SERIES_TOL = 1e-15
 _REAL = attrgetter("real")
@@ -246,7 +246,7 @@ def _first_term(m: int, x: complex) -> complex:
 
 
 def terms_needed(n: int, rho: float, tol: float) -> float:
-    """Estimate of the terms the stop rule of ``sum_direct`` takes at
+    """Estimate of the terms the stop rule of the direct sum takes at
     rho = |x| / R**m (within 10% where it takes 20 or more).
 
     By Stirling, C(3N, N) ~ sqrt(3/(4 pi N)) R**N, so the terms relative to
@@ -290,7 +290,7 @@ _CHUNK_CAP = 1 << 15
 
 def _sum_terms(t, n: int, m: int, x, tol: float, max_terms: int, rho: float):
     """(t_1 .. t_K, C(3mK, mK) / C(3m(K+1), m(K+1))) at the stop index K of
-    ``sum_direct``, or (None, 0.0) when ``max_terms`` runs out first; float when x is.
+    ``_sum_kernel``, or (None, 0.0) when ``max_terms`` runs out first; float when x is.
 
     One term at a time, by the ratio t_{k+1} / t_k = x (k/(k+1))**n step_k multiplied
     left to right. The steps come from ``_step_table(m)`` and, past its end (from k = 1 at
@@ -330,39 +330,27 @@ def _sum_terms(t, n: int, m: int, x, tol: float, max_terms: int, rho: float):
         steps = _computed_steps(k0, k1, m)
 
 
-def sum_direct(
-    n: int, m: int, x: complex, tol: float | None = None, max_terms: int | None = None
-) -> Evaluation:
-    """Direct summation of S(n, m; x), correctly rounded over its terms.
-
-    Stops once two consecutive terms fall below ``tol`` (SERIES_TOL by
-    default) times the running sum (a single accidentally tiny term must not
-    stop an alternating series). Rim parameters (n >= 2) are accepted but decay
-    polynomially: where a bound on the needed term count exceeds ``max_terms``
-    (every n = 2 rim point at ``routes.DEFAULT_MAX_TERMS``, the cap for None) the cap error
-    is raised at once; method auto serves the rim by the closed forms, quad-cardano or
-    folding (strides up to 6).
-
-    The terms come from the ratio recurrence, one at a time, with the steps
-    past the step table computed in chunks sized by ``terms_needed``, in float
-    arithmetic for real x, and the value is ``math.fsum`` of their real and
-    imaginary parts. The error estimate is a geometric tail bound from the
-    last term and the current term ratio, plus a rounding floor proportional
-    to the absolute sum, which grows with the stride and with the mean term
-    index because the recurrence's roundings compound along k. On the rim,
-    where the ratio bound reaches 1, an integral tail bound on
-    k**(1/2 - n) is used instead.
-
-    Raises:
-        ArgumentError: n < 0, m < 1, tol not > 0 (NaN included) or max_terms not an int >= 1.
-        DomainError: outside the disk, or on the rim with n < 2.
-        ConvergenceError: ``max_terms`` exhausted before the stop rule hit.
-    """
-    return routes.evaluate(n, m, x, "direct-sum", tol=tol, max_terms=max_terms)
-
-
 def _sum_kernel(n: int, m: int, x: complex, tol, max_terms) -> tuple[complex, float, int]:
-    """``sum_direct``'s (value, abs_error_est, work) at summable x != 0; checks nothing."""
+    """The direct-sum route's (value, abs_error_est, work) at summable x != 0, correctly
+    rounded over its terms; checks nothing (``evaluate`` checks the domain, ``tol`` and
+    ``max_terms``).
+
+    Stops once two consecutive terms fall below ``tol`` (SERIES_TOL for None) times the
+    running sum (a single accidentally tiny term must not stop an alternating series). Rim
+    parameters (n >= 2) are served but decay polynomially: where a bound on the needed term
+    count exceeds ``max_terms`` (every n = 2 rim point at ``routes.DEFAULT_MAX_TERMS``, the
+    cap for None) the cap error is raised at once; method auto serves the rim by the closed
+    forms, quad-cardano or folding (strides up to 6).
+
+    The terms come from the ratio recurrence, one at a time, with the steps past the step
+    table computed in chunks sized by ``terms_needed``, in float arithmetic for real x, and
+    the value is ``math.fsum`` of their real and imaginary parts. The error estimate is a
+    geometric tail bound from the last term and the current term ratio, plus a rounding
+    floor proportional to the absolute sum, which grows with the stride and with the mean
+    term index because the recurrence's roundings compound along k. On the rim, where the
+    ratio bound reaches 1, an integral tail bound on k**(1/2 - n) is used instead.
+    ConvergenceError where ``max_terms`` runs out before the stop rule holds.
+    """
     tol = SERIES_TOL if tol is None else tol
     radius = _radius(m)
     ax = abs(x)
@@ -397,7 +385,7 @@ def _sum_kernel(n: int, m: int, x: complex, tol, max_terms) -> tuple[complex, fl
 
 
 def _estimate(last: float, abs_sum: float, r: float, work: float, n: int, m: int) -> float:
-    """The error estimate of ``sum_direct`` after ``work`` terms, the last of modulus
+    """The error estimate of the direct sum after ``work`` terms, the last of modulus
     ``last`` and ``abs_sum`` the sum of their moduli, with ``r`` a bound on every
     remaining term ratio: a tail bound plus a rounding floor."""
     if r < 1.0:
@@ -419,7 +407,7 @@ def _estimate(last: float, abs_sum: float, r: float, work: float, n: int, m: int
 
 
 def _predicted_estimate(n: int, m: int, rho: float, tol: float) -> float:
-    """``sum_direct``'s estimate relative to |S| at rho = |x| / R**m and ``tol``, as
+    """The direct sum's estimate relative to |S| at rho = |x| / R**m and ``tol``, as
     predicted before summing: K = ``terms_needed`` terms, a ratio bound r about
     rho sqrt(1 + 1/K) (Stirling), the last term about min(r, 1) tol |S| (the stop rule
     takes two terms below tol |S| in a row, and the second is about r times the first)
@@ -440,7 +428,3 @@ def _term_cap_error(tol: float, max_terms: int, rim: bool) -> ConvergenceError:
     return ConvergenceError(
         f"series did not meet tol={tol:g} within {max_terms} terms{hint}"
     )
-
-
-# Last, as the route table imports the kernel above; sum_direct reads it at call time.
-from . import routes  # noqa: E402

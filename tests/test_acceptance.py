@@ -14,12 +14,6 @@ from invbinom import (
     evaluate,
     fold,
     phi,
-    quad_polylog,
-    quad_two_term,
-    s01,
-    s11,
-    s21,
-    sum_direct,
 )
 from invbinom.cli import main
 from invbinom.series import _first_term
@@ -39,10 +33,10 @@ def test_criterion_1_special_values():
     for rec in SPECIAL_VALUES:
         exact = rec.exact
         if rec.boundary:
-            got = quad_polylog(rec.params.n, rec.params.x).value
+            got = evaluate(rec.params.n, 1, rec.params.x, "quad-polylog").value
             tol = 1e-9
         else:
-            got = sum_direct(rec.params.n, rec.params.m, rec.params.x).value
+            got = evaluate(rec.params.n, rec.params.m, rec.params.x, "direct-sum").value
             tol = 1e-12
         diff = abs(exact - got)
         if diff > tol:
@@ -59,12 +53,12 @@ def test_criterion_2_two_term_route_equivalence():
     failures = []
     for n in (2, 3, 4):
         for x in (0.5, 1.0, 3.0, 6.0):
-            ref = sum_direct(n, 1, x).value
-            got = quad_two_term(n, x).value
+            ref = evaluate(n, 1, x, "direct-sum").value
+            got = evaluate(n, 1, x, "quad-two-term").value
             if abs(got - ref) > 1e-8:
                 failures.append((n, x, abs(got - ref)))
-    rim_a = quad_two_term(2, 27 / 4).value
-    rim_b = quad_polylog(2, 27 / 4).value
+    rim_a = evaluate(2, 1, 27 / 4, "quad-two-term").value
+    rim_b = evaluate(2, 1, 27 / 4, "quad-polylog").value
     if abs(rim_a - rim_b) > 1e-8:
         failures.append(("rim", abs(rim_a - rim_b)))
     report(2, "two-term route equivalence, orientation fixed at n = 3", failures)
@@ -79,7 +73,7 @@ def test_criterion_3_folding():
         for x in (-1.0, 1.0, 6.0, 100.0):
             if abs(x) > (27 / 4) ** m:
                 continue
-            ref = sum_direct(n, m, x).value
+            ref = evaluate(n, m, x, "direct-sum").value
             inner = "closed-form" if n <= 2 else "quad-polylog"
             for ev in (fold(n, m, x, inner), fold(n, m, x, "direct-sum")):
                 if abs(ev.value - ref) > 1e-10:
@@ -93,13 +87,17 @@ def test_criterion_6_derivative_ladder():
     """Central differences reproduce the next closed form down at 1e-6."""
     failures = []
     h = 1e-5
+
+    def closed(n, x):
+        return evaluate(n, 1, x, "closed-form").value
+
     for x in (-1.0, 0.5, 2.0, 5.0):
-        slope = (s21(x + h).value - s21(x - h).value) / (2 * h)
-        diff = abs(x * slope - s11(x).value)
+        slope = (closed(2, x + h) - closed(2, x - h)) / (2 * h)
+        diff = abs(x * slope - closed(1, x))
         if diff > 1e-6:
             failures.append(("weight 2 -> 1", x, diff))
-        slope = (s11(x + h).value - s11(x - h).value) / (2 * h)
-        diff = abs(x * slope - s01(x).value)
+        slope = (closed(1, x + h) - closed(1, x - h)) / (2 * h)
+        diff = abs(x * slope - closed(0, x))
         if diff > 1e-6:
             failures.append(("weight 1 -> 0", x, diff))
     report(6, "derivative ladder by finite differences", failures)

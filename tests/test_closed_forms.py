@@ -20,12 +20,7 @@ from invbinom import (
     evaluate,
     fold,
     phi,
-    s01,
-    s11,
-    s21,
-    root_of_unity,
     routes,
-    sum_direct,
 )
 from invbinom.closed_forms import (
     _TINY_X,
@@ -35,6 +30,7 @@ from invbinom.closed_forms import (
     _real_root,
 )
 from invbinom.integral_reps import _cardano_s
+from invbinom.polylog import root_of_unity
 from invbinom.routes import ROUTES
 from test_series import _fixed_point_reference, _summable
 
@@ -178,11 +174,11 @@ class TestBranchInvariant:
 class TestWeightTwoClosedForm:
     def test_rim(self):
         exact = 2 * math.pi**2 / 3 - 2 * math.log(2) ** 2
-        assert abs(s21(27 / 4).value - exact) < 1e-13
+        assert abs(evaluate(2, 1, 27 / 4, "closed-form").value - exact) < 1e-13
 
     def test_half(self):
         exact = math.pi**2 / 24 - 0.5 * math.log(2) ** 2
-        assert abs(s21(0.5).value - exact) < 1e-14
+        assert abs(evaluate(2, 1, 0.5, "closed-form").value - exact) < 1e-14
 
     def test_one_against_radical_form(self):
         r = (100 + 12 * math.sqrt(69)) ** (1 / 3)
@@ -190,29 +186,29 @@ class TestWeightTwoClosedForm:
             6 * math.atan(SQRT3 / (1 - r)) ** 2
             - 0.5 * math.log(12 * (9 + math.sqrt(69)) / (2 + r) ** 3) ** 2
         )
-        assert abs(s21(1.0).value - exact) < 1e-13
-        assert abs(s21(1.0).value - S21_AT_1) < 1e-13
+        assert abs(evaluate(2, 1, 1.0, "closed-form").value - exact) < 1e-13
+        assert abs(evaluate(2, 1, 1.0, "closed-form").value - S21_AT_1) < 1e-13
 
     def test_negative_quarter_against_arccot_form(self):
         acot = math.atan2(1.0, 2 * SQRT3 + math.sqrt(7))
         exact = 6 * acot**2 - 0.5 * math.log(2) ** 2
-        assert abs(s21(-0.25).value - exact) < 1e-14
+        assert abs(evaluate(2, 1, -0.25, "closed-form").value - exact) < 1e-14
 
     def test_six(self):
-        assert abs(s21(6.0).value - S21_AT_6) < 1e-13
+        assert abs(evaluate(2, 1, 6.0, "closed-form").value - S21_AT_6) < 1e-13
 
     def test_zero_short_circuits(self):
-        assert s21(0.0).value == 0
+        assert evaluate(2, 1, 0.0, "closed-form").value == 0
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            s21(6.7501)
+            evaluate(2, 1, 6.7501, "closed-form")
 
 
 class TestWeightOneClosedForm:
     def test_half(self):
         exact = math.pi / 10 - math.log(2) / 5
-        assert abs(s11(0.5).value - exact) < 1e-14
+        assert abs(evaluate(1, 1, 0.5, "closed-form").value - exact) < 1e-14
 
     def test_six_against_radical_form(self):
         c13 = 2 ** (1 / 3)
@@ -220,27 +216,27 @@ class TestWeightOneClosedForm:
         exact = SQRT3 * c43 * (1 + c13) * math.atan(SQRT3 / (c43 - 1)) - c13 * (
             1 - c13
         ) * math.log(c13 - 1)
-        assert abs(s11(6.0).value - exact) < 1e-12
-        assert abs(s11(6.0).value - S11_AT_6) < 1e-12
+        assert abs(evaluate(1, 1, 6.0, "closed-form").value - exact) < 1e-12
+        assert abs(evaluate(1, 1, 6.0, "closed-form").value - S11_AT_6) < 1e-12
 
     def test_zero_short_circuits(self):
-        assert s11(0.0).value == 0
+        assert evaluate(1, 1, 0.0, "closed-form").value == 0
 
     def test_rim_excluded(self):
         with pytest.raises(DomainError):
-            s11(27 / 4)
+            evaluate(1, 1, 27 / 4, "closed-form")
 
 
 class TestWeightZeroClosedForm:
     def test_half(self):
         exact = 2 / 25 - (6 / 125) * math.log(2) + (11 / 250) * math.pi
-        assert abs(s01(0.5).value - exact) < 1e-14
+        assert abs(evaluate(0, 1, 0.5, "closed-form").value - exact) < 1e-14
 
     def test_negative_quarter(self):
         acot = math.atan2(1.0, 2 * SQRT3 + math.sqrt(7))
         exact = -1 / 28 - (3 / 32) * math.log(2) + 39 / (112 * math.sqrt(7)) * acot
-        assert abs(s01(-0.25).value - exact) < 1e-14
-        assert abs(s01(-0.25).value - S01_AT_NEG_QUARTER) < 1e-14
+        assert abs(evaluate(0, 1, -0.25, "closed-form").value - exact) < 1e-14
+        assert abs(evaluate(0, 1, -0.25, "closed-form").value - S01_AT_NEG_QUARTER) < 1e-14
 
     def test_six(self):
         c13 = 2 ** (1 / 3)
@@ -249,8 +245,8 @@ class TestWeightZeroClosedForm:
             + c13 * (4 * c13 - 5) * math.log(c13 - 1)
             + 8
         )
-        assert abs(s01(6.0).value - exact) < 5e-12
-        assert abs(s01(6.0).value - S01_AT_6) < 5e-12
+        assert abs(evaluate(0, 1, 6.0, "closed-form").value - exact) < 5e-12
+        assert abs(evaluate(0, 1, 6.0, "closed-form").value - S01_AT_6) < 5e-12
 
     def test_one_against_tau_form(self):
         tau = ((25 + 3 * math.sqrt(69)) / 2) ** (1 / 3)
@@ -266,12 +262,12 @@ class TestWeightZeroClosedForm:
             * math.log(cube1 / (1 + tau) ** 3)
             + 108 * tau**3 / (23 * cube1**2)
         )
-        assert abs(s01(1.0).value - exact) < 1e-13
-        assert abs(s01(1.0).value - S01_AT_1) < 1e-13
+        assert abs(evaluate(0, 1, 1.0, "closed-form").value - exact) < 1e-13
+        assert abs(evaluate(0, 1, 1.0, "closed-form").value - S01_AT_1) < 1e-13
 
     def test_rim_excluded(self):
         with pytest.raises(DomainError):
-            s01(-27 / 4)
+            evaluate(0, 1, -27 / 4, "closed-form")
 
 
 class TestNearTheBranchPoint:
@@ -279,7 +275,7 @@ class TestNearTheBranchPoint:
     def test_error_inside_the_estimate(self, n, x):
         # phi forms 81 - 12x exactly here; a rounded 12x put S(2, 1) one ulp below 27/4
         # off by 1.3e-8, outside the flat 8 eps model
-        ev = {2: s21, 1: s11, 0: s01}[n](x)
+        ev = evaluate(n, 1, x, "closed-form")
         err = abs(float(Fraction(ev.value.real) - Fraction(NEAR_RIM[n, x])))
         assert ev.value.imag == 0.0
         assert err <= ev.abs_error_est <= 20.0 * max(err, 1e-15 * abs(ev.value))
@@ -312,20 +308,25 @@ class TestOracleAgreement:
         x = lo + (hi - lo) * idx / 39
         if abs(x) < 1e-6:
             return
-        ref = sum_direct(2, 1, x).value
-        assert abs(s21(x).value - ref) <= 1e-11 * (1 + abs(ref))
-        ref = sum_direct(1, 1, x).value
-        assert abs(s11(x).value - ref) <= 1e-11 * (1 + abs(ref))
-        ref = sum_direct(0, 1, x).value
-        assert abs(s01(x).value - ref) <= 1e-11 * (1 + abs(ref))
+        ref = evaluate(2, 1, x, "direct-sum").value
+        assert abs(evaluate(2, 1, x, "closed-form").value - ref) <= 1e-11 * (1 + abs(ref))
+        ref = evaluate(1, 1, x, "direct-sum").value
+        assert abs(evaluate(1, 1, x, "closed-form").value - ref) <= 1e-11 * (1 + abs(ref))
+        ref = evaluate(0, 1, x, "direct-sum").value
+        assert abs(evaluate(0, 1, x, "closed-form").value - ref) <= 1e-11 * (1 + abs(ref))
 
     @pytest.mark.parametrize(
         "z", [0.3 + 0.4j, -1 + 2j, 1j, 2.2 - 1.1j, -3 - 0.5j]
     )
     def test_complex_arguments(self, z):
-        for n, form in ((2, s21), (1, s11), (0, s01)):
-            ref = sum_direct(n, 1, z).value
-            assert abs(form(z).value - ref) <= 1e-12 * (1 + abs(ref)), (n, z)
+        for n in (2, 1, 0):
+            ref = evaluate(n, 1, z, "direct-sum").value
+            got = evaluate(n, 1, z, "closed-form").value
+            assert abs(got - ref) <= 1e-12 * (1 + abs(ref)), (n, z)
+
+
+def _closed(n: int, x: float) -> complex:
+    return evaluate(n, 1, x, "closed-form").value
 
 
 class TestDerivativeLadder:
@@ -333,18 +334,18 @@ class TestDerivativeLadder:
 
     @pytest.mark.parametrize("x", [-1.0, 0.5, 2.0, 5.0])
     def test_weight2_to_weight1(self, x):
-        slope = (s21(x + self.H).value - s21(x - self.H).value) / (2 * self.H)
-        assert abs(x * slope - s11(x).value) < 1e-6
+        slope = (_closed(2, x + self.H) - _closed(2, x - self.H)) / (2 * self.H)
+        assert abs(x * slope - _closed(1, x)) < 1e-6
 
     @pytest.mark.parametrize("x", [-1.0, 0.5, 2.0, 5.0])
     def test_weight1_to_weight0(self, x):
-        slope = (s11(x + self.H).value - s11(x - self.H).value) / (2 * self.H)
-        assert abs(x * slope - s01(x).value) < 1e-6
+        slope = (_closed(1, x + self.H) - _closed(1, x - self.H)) / (2 * self.H)
+        assert abs(x * slope - _closed(0, x)) < 1e-6
 
 
 class TestFolding:
     def test_single_term_fold_is_the_closed_form(self):
-        assert abs(fold(2, 1, 0.5).value - s21(0.5).value) < 1e-16
+        assert abs(fold(2, 1, 0.5).value - evaluate(2, 1, 0.5, "closed-form").value) < 1e-16
 
     def test_stride2_at_one(self):
         assert abs(fold(2, 2, 1.0).value - S22_AT_1) < 1e-12
@@ -361,14 +362,14 @@ class TestFolding:
     def test_direct_sum_inner_matches_direct_stride_sum(self, n, m, x):
         if abs(x) >= (27 / 4) ** m:
             return
-        ref = sum_direct(n, m, x).value
+        ref = evaluate(n, m, x, "direct-sum").value
         got = fold(n, m, x, "direct-sum").value
         assert abs(got - ref) <= 1e-10, (n, m, x)
 
     @pytest.mark.parametrize("n,m", [(0, 2), (1, 2), (2, 2), (0, 3), (2, 3)])
     @pytest.mark.parametrize("x", [-1.0, 1.0, 6.0])
     def test_closed_form_inner(self, n, m, x):
-        ref = sum_direct(n, m, x).value
+        ref = evaluate(n, m, x, "direct-sum").value
         got = fold(n, m, x, "closed-form").value
         assert abs(got - ref) <= 1e-10, (n, m, x)
 
@@ -619,7 +620,7 @@ class TestLowWeightAutoAboveTheTinyBranch:
 
 class TestStrideTwoClosedForm:
     def test_matches_single_stride_at_m1(self):
-        assert abs(fold(2, 1, 0.5).value - s21(0.5).value) < 1e-15
+        assert abs(fold(2, 1, 0.5).value - evaluate(2, 1, 0.5, "closed-form").value) < 1e-15
 
     def test_stride2_at_one(self):
         assert abs(fold(2, 2, 1.0).value - S22_AT_1) < 1e-12
@@ -632,7 +633,7 @@ class TestStrideTwoClosedForm:
 
     def test_against_direct_sums(self):
         for m, x in ((2, -1.0), (2, 6.0), (2, 20.0), (3, 6.0), (3, 100.0)):
-            ref = sum_direct(2, m, x).value
+            ref = evaluate(2, m, x, "direct-sum").value
             assert abs(fold(2, m, x).value - ref) <= 1e-10, (m, x)
 
 
@@ -650,7 +651,7 @@ class TestBranchGuards:
         a = fold(2, 2, rim2, "closed-form").value
         # the rotated arguments are exactly +-27/4; check against the
         # stride-1 closed forms directly
-        direct = 2 * (s21(27 / 4).value + s21(-27 / 4).value)
+        direct = 2 * (_closed(2, 27 / 4) + _closed(2, -27 / 4))
         assert abs(a - direct) < 1e-12
 
 

@@ -1,7 +1,8 @@
 """Every module of the package imports first in a fresh interpreter.
 
-The route table imports the kernels of series, closed_forms and integral_reps, and their
-public entries call the route table: each import below runs that cycle from the start.
+The route table imports the kernels of series, closed_forms and integral_reps, and
+closed_forms imports the route table back, last, for ``fold``: the one import cycle of the
+package, which each import below runs from the start.
 """
 
 import os
@@ -15,8 +16,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = ["invbinom"] + sorted(
     f"invbinom.{path.stem}" for path in (SRC / "invbinom").glob("*.py") if path.stem != "__init__"
 )
-# one call through the cycle, so that a half-bound name fails here too
-PROBE = "import invbinom; assert invbinom.sum_direct(2, 1, 0.5).work == 14"
+# calls through the cycle, so that a half-bound name fails here too
+PROBE = (
+    "import invbinom; assert invbinom.evaluate(2, 1, 0.5, 'direct-sum').work == 14; "
+    "assert invbinom.fold(2, 2, 1.0).method == 'folding'"
+)
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -68,7 +72,7 @@ TABLES = (
     "invbinom.evaluate(3, 1, 0.5)\n"
     "print([name for name in ('json', 'functools') if name in sys.modules])\n"
     "print(sorted(series._STEP_TABLES), sorted(series._WEIGHT_TABLES))\n"
-    "invbinom.sum_direct({n}, {m}, 0.9 * series.convergence_radius({m}))\n"
+    "invbinom.evaluate({n}, {m}, 0.9 * series.convergence_radius({m}), 'direct-sum')\n"
     "print(sorted(series._STEP_TABLES), sorted(series._WEIGHT_TABLES))\n"
     "print([name for name in ('json', 'functools') if name in sys.modules])\n"
 )

@@ -9,16 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from invbinom import (
-    ArgumentError,
-    DomainError,
-    evaluate,
-    quad_cardano,
-    quad_polylog,
-    quad_two_term,
-    sum_direct,
-    two_term_limits,
-)
+from invbinom import ArgumentError, DomainError, evaluate
 from invbinom import integral_reps
 from invbinom.identities import record_by_id
 from invbinom.integral_reps import (
@@ -40,6 +31,7 @@ from invbinom.integral_reps import (
     _stable_complement,
     _v_series,
     _v_terms,
+    two_term_limits,
 )
 from invbinom.quadrature import QUAD_FLOOR
 from invbinom.routes import _EST_FLOOR, ROUTES
@@ -91,33 +83,33 @@ SMALL_REAL = (1e-12, 1e-9, 1e-6, 1e-5, 1e-3, 0.1, 1.0, 3.0, 6.7)
 
 class TestQuadPolylog:
     def test_rim_weight_two(self):
-        ev = quad_polylog(2, RIM)
+        ev = evaluate(2, 1, RIM, "quad-polylog")
         assert abs(ev.value - RIM_VALUE) < 1e-9
         assert ev.abs_error_est >= abs(ev.value - RIM_VALUE)
 
     def test_half_weight_two(self):
         exact = math.pi**2 / 24 - 0.5 * math.log(2) ** 2
-        assert abs(quad_polylog(2, 0.5).value - exact) < 1e-10
+        assert abs(evaluate(2, 1, 0.5, "quad-polylog").value - exact) < 1e-10
 
     def test_zero_is_zero(self):
-        ev = quad_polylog(1, 0.0)
+        ev = evaluate(1, 1, 0.0, "quad-polylog")
         assert ev.value == 0 and ev.work == 0
 
     def test_weight_four_matches_direct(self):
-        ref = sum_direct(4, 1, 1.0)
-        assert abs(quad_polylog(4, 1.0).value - ref.value) < 1e-10
+        ref = evaluate(4, 1, 1.0, "direct-sum")
+        assert abs(evaluate(4, 1, 1.0, "quad-polylog").value - ref.value) < 1e-10
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("x", [-0.25, 0.25, -1.0, 1.0, -3.0, 3.0, 6.0, -6.0])
     def test_agreement_with_direct_summation(self, n, x):
-        ref = sum_direct(n, 1, x)
-        ev = quad_polylog(n, x)
+        ref = evaluate(n, 1, x, "direct-sum")
+        ev = evaluate(n, 1, x, "quad-polylog")
         assert abs(ev.value - ref.value) <= 1e-10, (n, x)
 
     def test_complex_argument(self):
         z = 2.0 + 1.5j
-        ref = sum_direct(3, 1, z)
-        assert abs(quad_polylog(3, z).value - ref.value) < 1e-10
+        ref = evaluate(3, 1, z, "direct-sum")
+        assert abs(evaluate(3, 1, z, "quad-polylog").value - ref.value) < 1e-10
 
     @pytest.mark.parametrize("r", [1e-20, 1e-40, 1e-100])
     def test_tiny_complex_weight_two_within_its_estimate(self, r):
@@ -140,7 +132,7 @@ class TestQuadPolylog:
         # the weight-1 kernel takes log1p(-w), w = x t (1-t)**2, where |w| <= 0.5: log(u) of
         # the complement u, which rounds near 1, left S(2,1;1e-5) 9e-11 off with an
         # estimate 128 times too small
-        ev = quad_polylog(2, x)
+        ev = evaluate(2, 1, x, "quad-polylog")
         if abs(x) < 1e-6:  # the fixed-point sum stops at 2**-80 absolute
             xf = Fraction(x)
             re = sum(xf**k / (k**2 * math.comb(3 * k, k)) for k in range(1, 6))
@@ -158,7 +150,7 @@ class TestQuadPolylog:
         xs = [-0.25, 0.25, -1.0, 1.0, -3.0, 3.0, 6.0, -6.0]
         xs += [rho * RIM * cmath.exp(1j * a) for rho in (0.3, 0.9, 0.99) for a in (0.3, 1.2, 2.5)]
         for x in xs:
-            ev = quad_polylog(n, x)
+            ev = evaluate(n, 1, x, "quad-polylog")
             re, im, bound = _fixed_point_reference(n, 1, complex(x))
             dr, di = Fraction(ev.value.real) - re, Fraction(ev.value.imag) - im
             err = math.hypot(float(dr), float(di)) + bound
@@ -169,16 +161,16 @@ class TestQuadPolylog:
         # 1.6e-12; the reference is 40-digit mpmath, 2.7e-24 off
         x = float.fromhex("0x1.aff4f0d844d01p+2")
         assert x == 0.9999 * RIM
-        ev = quad_polylog(4, x)
+        ev = evaluate(4, 1, x, "quad-polylog")
         assert abs(ev.value - 2.5201426569860113) <= ev.abs_error_est
 
     def test_domain_errors(self):
         with pytest.raises(ArgumentError):
-            quad_polylog(0, 1.0)
+            evaluate(0, 1, 1.0, "quad-polylog")
         with pytest.raises(DomainError):
-            quad_polylog(2, 6.76)
+            evaluate(2, 1, 6.76, "quad-polylog")
         with pytest.raises(DomainError):
-            quad_polylog(1, RIM)  # rim needs n >= 2
+            evaluate(1, 1, RIM, "quad-polylog")  # rim needs n >= 2
 
 
 # The stride-m accuracy grid: n 1..6, m 1..11, |x| = rho R**m with rho in {0.5, 0.99,
@@ -252,76 +244,74 @@ class TestQuadPolylogOnThePositiveRim:
 
 class TestQuadTwoTerm:
     def test_rim_weight_two(self):
-        ev = quad_two_term(2, RIM)
+        ev = evaluate(2, 1, RIM, "quad-two-term")
         assert abs(ev.value - RIM_VALUE) < 1e-8
 
     def test_half_weight_two(self):
         exact = math.pi**2 / 24 - 0.5 * math.log(2) ** 2
-        assert abs(quad_two_term(2, 0.5).value - exact) < 1e-9
+        assert abs(evaluate(2, 1, 0.5, "quad-two-term").value - exact) < 1e-9
 
     def test_weight_three_fixes_the_angular_orientation(self):
         # only the 1 - 2*phi orientation reproduces the series at odd log powers
-        ref = sum_direct(3, 1, 1.0)
-        assert abs(quad_two_term(3, 1.0).value - ref.value) < 1e-9
+        ref = evaluate(3, 1, 1.0, "direct-sum")
+        assert abs(evaluate(3, 1, 1.0, "quad-two-term").value - ref.value) < 1e-9
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("x", [0.5, 1.0, 3.0, 6.0])
     def test_route_equivalence_interior(self, n, x):
-        ref = sum_direct(n, 1, x)
-        assert abs(quad_two_term(n, x).value - ref.value) <= 1e-8
+        ref = evaluate(n, 1, x, "direct-sum")
+        assert abs(evaluate(n, 1, x, "quad-two-term").value - ref.value) <= 1e-8
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("x", [0.5, 1.0, 3.0, 6.0, RIM])
     def test_agrees_with_polylog_route(self, n, x):
-        a = quad_two_term(n, x)
-        b = quad_polylog(n, x)
+        a = evaluate(n, 1, x, "quad-two-term")
+        b = evaluate(n, 1, x, "quad-polylog")
         assert abs(a.value - b.value) <= 1e-8
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("x", [-1.0, -6.0, -0.25])
     def test_negative_arguments(self, n, x):
-        ref = sum_direct(n, 1, x)
-        assert abs(quad_two_term(n, x).value - ref.value) <= 1e-8
+        ref = evaluate(n, 1, x, "direct-sum")
+        assert abs(evaluate(n, 1, x, "quad-two-term").value - ref.value) <= 1e-8
 
     def test_errors(self):
         with pytest.raises(ArgumentError):
-            quad_two_term(1, 0.5)
+            evaluate(1, 1, 0.5, "quad-two-term")
         with pytest.raises(DomainError):
-            quad_two_term(2, -6.76)
+            evaluate(2, 1, -6.76, "quad-two-term")
         # x = 0 is exactly 0, as on every route
-        assert quad_two_term(2, 0.0) == (0j, 0.0, "quad-two-term", 0)
+        assert evaluate(2, 1, 0.0, "quad-two-term") == (0j, 0.0, "quad-two-term", 0)
 
     def test_error_and_estimate_against_a_big_integer_reference(self):
         points = [(p.n, p.x.real) for p in TWO_TERM_GRID]
         points += [(n, s * 0.999 * RIM) for n in (2, 3, 4) for s in (1.0, -1.0)]
         for n, x in points:
-            ev = quad_two_term(n, x)
+            ev = evaluate(n, 1, x, "quad-two-term")
             re, _, bound = _fixed_point_reference(n, 1, complex(x))
             err = abs(float(Fraction(ev.value.real) - re)) + bound
             assert err <= ev.abs_error_est, (n, x, err, ev.abs_error_est)
         # on the rim, against references within 2 ulp (rounded, or a float expression)
         for n, ref in ((2, RIM_VALUE), *((n, r) for n, x, r in RIM_REFERENCES if x == RIM)):
-            ev = quad_two_term(n, RIM)
+            ev = evaluate(n, 1, RIM, "quad-two-term")
             err = abs(ev.value.real - ref) + 2.0 * math.ulp(ref)
             assert err <= ev.abs_error_est, (n, err, ev.abs_error_est)
 
     def test_work_on_the_verify_grid(self):
         # u = limit * s**3 smooths the u log(u)**p endpoint; bisecting towards it took 14,430
         assert len(TWO_TERM_GRID) == 19
-        assert sum(quad_two_term(p.n, p.x.real).work for p in TWO_TERM_GRID) <= 3000
+        assert sum(evaluate(p.n, 1, p.x.real, "quad-two-term").work for p in TWO_TERM_GRID) <= 3000
 
     def test_tolerance_threading(self):
-        ev = quad_two_term(3, 3.0, tol=1e-8)
-        ref = sum_direct(3, 1, 3.0)
+        ev = evaluate(3, 1, 3.0, "quad-two-term", tol=1e-8)
+        ref = evaluate(3, 1, 3.0, "direct-sum")
         assert abs(ev.value - ref.value) < 1e-6
 
 
 class TestNegativeRim:
     def test_polylog_route_matches_the_closed_form_at_minus_rim(self):
-        from invbinom import s21
-
-        ev = quad_polylog(2, -RIM)
-        assert abs(ev.value - s21(-RIM).value) < 1e-9
+        ev = evaluate(2, 1, -RIM, "quad-polylog")
+        assert abs(ev.value - evaluate(2, 1, -RIM, "closed-form").value) < 1e-9
 
     def test_alpha_negative_beta_negative_inside_the_positive_interval(self):
         for x in (0.5, 1.0, 3.0, 6.0, RIM):
@@ -357,7 +347,7 @@ class TestQuadCardano:
             for rho in (1e-9, 0.3, 0.99, 0.995, 1.0):
                 for unit in (1.0, -1.0, *(cmath.exp(1j * t) for t in (0.4, 2.2, 5.6))):
                     x = complex(unit * rho * RIM)
-                    ev = quad_cardano(n, x)
+                    ev = evaluate(n, 1, x, "quad-cardano")
                     re, im, bound = _fixed_point_reference(n, 1, x)
                     err = math.hypot(
                         float(Fraction(ev.value.real) - re), float(Fraction(ev.value.imag) - im)
@@ -368,7 +358,7 @@ class TestQuadCardano:
 
     def test_error_and_estimate_against_a_big_integer_reference(self):
         for n, x in _cardano_grid():
-            ev = quad_cardano(n, x)
+            ev = evaluate(n, 1, x, "quad-cardano")
             re, im, bound = _fixed_point_reference(n, 1, x)
             err = math.hypot(
                 float(Fraction(ev.value.real) - re), float(Fraction(ev.value.imag) - im)
@@ -379,26 +369,26 @@ class TestQuadCardano:
 
     @pytest.mark.parametrize("n,x,ref", RIM_REFERENCES)
     def test_rim_references(self, n, x, ref):
-        ev = quad_cardano(n, x)
+        ev = evaluate(n, 1, x, "quad-cardano")
         assert ev.method == "quad-cardano"
         assert abs(ev.value - ref) <= 1e-14 * abs(ref)
         assert abs(ev.value - ref) <= ev.abs_error_est
-        assert abs(ev.value - quad_polylog(n, x).value) <= 1e-9
+        assert abs(ev.value - evaluate(n, 1, x, "quad-polylog").value) <= 1e-9
 
     @pytest.mark.parametrize("x", [1e-300, -1e-300, 1e-300j, 1e-320])
     def test_tiny_arguments_answer_by_the_series(self, x):
-        ev = quad_cardano(3, x)
+        ev = evaluate(3, 1, x, "quad-cardano")
         assert ev.value == x / 3.0
         # relative, plus the absolute floor that evaluate adds for subnormal values like 1e-320 / 3
         assert ev.abs_error_est <= 1e-14 * abs(x) + _EST_FLOOR
 
     def test_zero_and_refusals(self):
-        ev = quad_cardano(3, 0.0)
+        ev = evaluate(3, 1, 0.0, "quad-cardano")
         assert ev.value == 0 and ev.work == 0
         with pytest.raises(ArgumentError, match="quad-cardano needs n >= 3, got 2"):
-            quad_cardano(2, 1.0)
+            evaluate(2, 1, 1.0, "quad-cardano")
         with pytest.raises(DomainError):
-            quad_cardano(3, 6.76)
+            evaluate(3, 1, 6.76, "quad-cardano")
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_route_kernel_equals_the_public_entry_bit_for_bit(self, n):
@@ -407,7 +397,7 @@ class TestQuadCardano:
             for unit in (1.0, -1.0, cmath.exp(0.7j), cmath.exp(-2.6j)):
                 x = complex(unit * rho * RIM)
                 for tol in (None, 1e-9):
-                    ev = quad_cardano(n, x, tol)
+                    ev = evaluate(n, 1, x, "quad-cardano", tol=tol)
                     value, err, work = kernel(n, 1, x, tol, None)
                     assert (value.real.hex(), value.imag.hex()) == (
                         ev.value.real.hex(),
@@ -416,8 +406,8 @@ class TestQuadCardano:
                     assert err.hex() == ev.abs_error_est.hex() and work == ev.work, (n, x)
 
     def test_tolerance_threading(self):
-        ev = quad_cardano(4, 6.0 + 1.0j, tol=1e-6)
-        ref = sum_direct(4, 1, 6.0 + 1.0j)
+        ev = evaluate(4, 1, 6.0 + 1.0j, "quad-cardano", tol=1e-6)
+        ref = evaluate(4, 1, 6.0 + 1.0j, "direct-sum")
         assert abs(ev.value - ref.value) <= max(ev.abs_error_est, 1e-6)
 
 
@@ -553,7 +543,7 @@ class TestCardanoSeries:
             ref = abs(complex(float(re), float(im)))
             assert err <= est, (n, x, err, est)
             assert err <= 1e-15 * ref, (n, x, err / ref)
-            quad = quad_polylog(n, x, QUAD_FLOOR).value
+            quad = evaluate(n, 1, x, "quad-polylog", tol=QUAD_FLOOR).value
             assert abs(quad - value) <= 1e-14 * ref, (n, x)
             seen += rim is not None
         # rims: every ray's at 0.5 and S_MAX, and at 0.3 all but those at angles 0.4 and 5.6
@@ -802,7 +792,7 @@ class TestCardanoVSeries:
         for anchor, digits in zip(_V_ANCHORS[2:], ANCHORS_25):
             assert anchor == float(Fraction(digits))
         for n, anchor in enumerate(_V_ANCHORS, start=3):
-            ev = quad_cardano(n, RIM)
+            ev = evaluate(n, 1, RIM, "quad-cardano")
             assert (ev.value, ev.work) == (anchor, 1)
 
     def test_weights_are_the_rounded_recurrence_over_the_literals(self):
@@ -849,7 +839,7 @@ class TestCardanoVSeries:
         worst = 0.0
         for key, x, conjugate in _branch_grid():
             for n in range(3, 9):
-                ev = quad_cardano(n, x)
+                ev = evaluate(n, 1, x, "quad-cardano")
                 if abs(x) <= 0.995 * RIM:
                     re, im, bound = _fixed_point_reference(n, 1, x)
                 else:
@@ -876,4 +866,26 @@ class TestCardanoVSeries:
         points = [x for _, x, _ in _branch_grid()] + [x for n, x in _cardano_grid() if n == 3]
         for n in range(3, 13):
             for x in points:
-                quad_cardano(n, x)
+                evaluate(n, 1, x, "quad-cardano")
+
+
+# A point per branch of the two quadrature routes, with the integrand calls each takes at
+# the default tol: quad-polylog's one integral, its two integrals on the stride-2 rim and
+# its complex integrand; quad-two-term at both signs and at -27/4.
+QUADRATURE_POINTS = [
+    ("quad-polylog", 2, 1, 0.5, 21),
+    ("quad-polylog", 2, 2, 45.5625, 336),
+    ("quad-polylog", 2, 1, 0.5 + 0.3j, 21),
+    ("quad-two-term", 3, 1, 0.5, 126),
+    ("quad-two-term", 3, 1, -0.5, 126),
+    ("quad-two-term", 3, 1, -6.75, 168),
+]
+
+
+@pytest.mark.parametrize("route,n,m,x,work", QUADRATURE_POINTS)
+def test_quadrature_routes_take_the_tolerance_rule_of_adaptive_quad(route, n, m, x, work):
+    # the kernels pass tol on as evaluate checked it: adaptive_quad refuses a tol below
+    # QUAD_FLOOR, and None is its default QUAD_TOL
+    with pytest.raises(ArgumentError, match="QUAD_FLOOR"):
+        evaluate(n, m, x, route, tol=1e-15)
+    assert evaluate(n, m, x, route, tol=None).work == work

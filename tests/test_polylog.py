@@ -9,13 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invbinom import (
-    ArgumentError,
-    DomainError,
-    PoleError,
-    li,
-    root_of_unity,
-)
+from invbinom import ArgumentError, DomainError, PoleError, li
 from invbinom.polylog import (
     RIM_TOL,
     SERIES_RADIUS,
@@ -26,6 +20,7 @@ from invbinom.polylog import (
     _series_terms,
     _li,
     _zeta,
+    root_of_unity,
 )
 
 ZETA2 = math.pi**2 / 6

@@ -1,5 +1,6 @@
 """The public surface: the names ``invbinom`` exports, each documented in the README."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -25,31 +26,18 @@ PUBLIC_NAMES = [
     "SPECIAL_VALUES",
     "SeriesError",
     "SeriesParams",
-    "TwoTermLimits",
     "VerificationReport",
-    "adaptive_quad",
     "convergence_radius",
-    "default_grid",
     "evaluate",
     "fold",
     "li",
-    "pair_tolerance",
     "phi",
-    "quad_cardano",
-    "quad_polylog",
-    "quad_two_term",
     "record_by_id",
     "resolve_auto",
-    "root_of_unity",
     "run_all",
     "run_borwein_girgensohn",
     "run_cross_routes",
     "run_special_values",
-    "s01",
-    "s11",
-    "s21",
-    "sum_direct",
-    "two_term_limits",
 ]
 
 
@@ -61,7 +49,7 @@ def _api_section() -> str:
 
 
 def test_all_is_the_pinned_list():
-    assert len(PUBLIC_NAMES) == 40
+    assert len(PUBLIC_NAMES) == 27
     assert sorted(invbinom.__all__) == PUBLIC_NAMES
     assert len(set(invbinom.__all__)) == len(invbinom.__all__)
 
@@ -91,9 +79,23 @@ def test_deleted_names_are_gone():
         "series_terms",
         "term_ratio",
         "term_ratio_stride",
+        # the route wrappers: each was ``evaluate`` on its route
+        "sum_direct",
+        "s01",
+        "s11",
+        "s21",
+        "quad_polylog",
+        "quad_cardano",
+        "quad_two_term",
     )
     for name in deleted:
         assert not hasattr(invbinom, name), name
+    assert not hasattr(invbinom.series, "sum_direct")
+    for name in ("s01", "s11", "s21"):
+        assert not hasattr(invbinom.closed_forms, name), name
+    for name in ("quad_polylog", "quad_cardano", "quad_two_term"):
+        assert not hasattr(invbinom.integral_reps, name), name
+    assert not hasattr(invbinom.routes, "Triple")
     assert not hasattr(invbinom.closed_forms, "pfq")
     assert not hasattr(invbinom.polylog, "li_factorized")
     for name in (
@@ -111,10 +113,28 @@ def test_deleted_names_are_gone():
         assert not hasattr(invbinom.SeriesParams, attr), attr
 
 
+# Internals that left the package's namespace, each still importable from its own module.
+DEMOTED = {
+    "adaptive_quad": "quadrature",
+    "root_of_unity": "polylog",
+    "two_term_limits": "integral_reps",
+    "TwoTermLimits": "integral_reps",
+    "pair_tolerance": "verify",
+    "default_grid": "verify",
+}
+
+
+@pytest.mark.parametrize("name", DEMOTED)
+def test_demoted_names_import_from_their_modules(name):
+    assert not hasattr(invbinom, name)
+    module = importlib.import_module(f"invbinom.{DEMOTED[name]}")
+    assert getattr(module, name).__module__ == module.__name__
+
+
 # The value types: named tuples, each an immutable tuple of its fields.
 VALUE_TYPES = {
     "SeriesParams": lambda: invbinom.SeriesParams(2, 1, 0.5),
-    "TwoTermLimits": lambda: invbinom.two_term_limits(1.0),
+    "TwoTermLimits": lambda: invbinom.integral_reps.two_term_limits(1.0),
     "IdentityRecord": lambda: invbinom.SPECIAL_VALUES[0],
     "CheckEntry": lambda: invbinom.run_borwein_girgensohn().entries[0],
     "VerificationReport": lambda: invbinom.run_borwein_girgensohn(),
@@ -145,7 +165,7 @@ def test_series_params_replace_goes_through_the_checks():
 
 def test_value_type_reprs():
     assert repr(invbinom.SeriesParams(2, 1, 0.5)) == "SeriesParams(n=2, m=1, x=(0.5+0j))"
-    assert repr(invbinom.two_term_limits(27 / 4)) == (
+    assert repr(invbinom.integral_reps.two_term_limits(27 / 4)) == (
         "TwoTermLimits(alpha=-1.3862943611198904, beta=-3.141592653589793, phi=1.0)"
     )
 

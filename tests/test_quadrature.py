@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from invbinom import ArgumentError, ConvergenceError, adaptive_quad
+from invbinom import ArgumentError, ConvergenceError
 from invbinom import quadrature
-from invbinom.quadrature import _EPS, _WG, _WGK, _XGK, QUAD_FLOOR, QUAD_TOL, _gk21
+from invbinom.quadrature import _EPS, _WG, _WGK, _XGK, QUAD_FLOOR, QUAD_TOL, _gk21, adaptive_quad
 
 
 def test_polynomial_is_exact_on_one_panel():

@@ -20,30 +20,21 @@ from invbinom import (
     METHODS,
     SeriesError,
     SeriesParams,
-    adaptive_quad,
     convergence_radius,
     evaluate,
     fold,
     li,
     phi,
-    quad_cardano,
-    quad_polylog,
-    quad_two_term,
     resolve_auto,
     run_all,
     run_borwein_girgensohn,
     run_cross_routes,
     run_special_values,
-    s01,
-    s11,
-    s21,
-    sum_direct,
-    two_term_limits,
 )
 from invbinom import routes, series
 from invbinom.cli import EXIT_DOMAIN, main
-from invbinom.integral_reps import TWO_TERM_MIN_X
-from invbinom.quadrature import QUAD_FLOOR
+from invbinom.integral_reps import TWO_TERM_MIN_X, two_term_limits
+from invbinom.quadrature import QUAD_FLOOR, adaptive_quad
 from invbinom.routes import ROUTES
 from invbinom.series import convergence_radius, terms_needed
 from invbinom.verify import _applicable_routes
@@ -197,10 +188,10 @@ class TestResolveAuto:
             lambda **cap: evaluate(9, 2, 45.0, "folding", **cap),
             lambda **cap: evaluate(9, 1, 6.7, "quad-cardano", **cap),
             lambda **cap: evaluate(3, 2, 0.3 * R**2, "direct-sum", **cap),
-            lambda **cap: sum_direct(2, 1, 0.5, **cap),
+            lambda **cap: evaluate(2, 1, 0.5, "direct-sum", **cap),
         ]
         takes_no_cap = [
-            lambda: quad_cardano(9, 0.5),
+            lambda: evaluate(9, 1, 0.5, "quad-cardano"),
             lambda: fold(9, 2, 1.0, "quad-cardano"),
             lambda: fold(9, 3, 1.0, "direct-sum"),
         ]
@@ -222,7 +213,7 @@ class TestResolveAuto:
         # The cost budget is lifted so that only the cap decides.
         monkeypatch.setattr(routes, "DIRECT_TERM_BUDGET", (10**6,) * 7)
         x = _at(rho, m, 0.5)
-        need = sum_direct(n, m, x).work
+        need = evaluate(n, m, x, "direct-sum").work
         caps = range(need - 3, need + need // 8 + 4)
         methods = [evaluate(n, m, x, max_terms=cap).method for cap in caps]
         assert methods[0] != "direct-sum" and methods[-1] == "direct-sum"
@@ -240,7 +231,7 @@ class TestResolveAuto:
         # with an estimate of 2.8e-6. Folding over quad-cardano is within 1e-15.
         x = 0.8 * R**2
         ref = _fixed_point_reference(3, 2, complex(x))[0]
-        direct = sum_direct(3, 2, x, 1e-6)
+        direct = evaluate(3, 2, x, "direct-sum", tol=1e-6)
         assert direct.work == 27 and abs(direct.value.real - float(ref)) > 1e-6 * float(ref)
         assert series._predicted_estimate(3, 2, 0.8, 1e-6) > 1e-6
         ev = evaluate(3, 2, x, tol=1e-6)
@@ -253,7 +244,7 @@ class TestResolveAuto:
         "n,m,x", [(4, 1, R), (4, 1, (1 - 1e-12) * R), (4, 2, R**2), (5, 1, R), (6, 1, -R)]
     )
     def test_below_the_floor_refuses_where_the_direct_estimate_misses(self, n, m, x):
-        ev = sum_direct(n, m, x, 1e-15)
+        ev = evaluate(n, m, x, "direct-sum", tol=1e-15)
         assert ev.abs_error_est > 5 * QUAD_FLOOR * abs(ev.value)
         with pytest.raises(ArgumentError, match="QUAD_FLOOR"):
             resolve_auto(n, m, x, tol=1e-15)
@@ -282,7 +273,7 @@ class TestResolveAuto:
             except ArgumentError:
                 continue
             assert route == "direct-sum", (n, m, rho, theta, tol)
-            ev = sum_direct(n, m, x, tol)
+            ev = evaluate(n, m, x, "direct-sum", tol=tol)
             assert ev.abs_error_est <= 1.25 * QUAD_FLOOR * abs(ev.value), (n, m, rho, theta, tol)
             direct += 1
         assert direct >= 100
@@ -464,7 +455,7 @@ class TestStrideOneRow:
 class TestEvaluate:
     def test_auto_matches_direct_summation(self):
         for n, m, x in ((2, 1, 0.5), (0, 1, -1.0), (2, 2, 6.0), (3, 1, 1.0), (3, 2, 1.0)):
-            ref = sum_direct(n, m, x).value
+            ref = evaluate(n, m, x, "direct-sum").value
             got = evaluate(n, m, x)
             assert abs(got.value - ref) < 1e-9, (n, m, x, got.method)
 
@@ -477,7 +468,7 @@ class TestEvaluate:
         # S(2, 1; 0.5), or S(3, 1; 0.5) for quad-cardano, which serves n >= 3 only
         for method in METHODS:
             n = 3 if method == "quad-cardano" else 2
-            ref = sum_direct(n, 1, 0.5).value
+            ref = evaluate(n, 1, 0.5, "direct-sum").value
             got = evaluate(n, 1, 0.5, method)
             assert abs(got.value - ref) < 1e-9, method
             assert got.method == method
@@ -521,7 +512,7 @@ class TestEvaluate:
 
     def test_complex_arguments_through_auto(self):
         z = 0.4 + 1.1j
-        ref = sum_direct(2, 1, z).value
+        ref = evaluate(2, 1, z, "direct-sum").value
         assert abs(evaluate(2, 1, z).value - ref) < 1e-12
 
     @given(
@@ -531,7 +522,7 @@ class TestEvaluate:
     )
     @settings(max_examples=40, deadline=None)
     def test_auto_always_lands_in_tolerance_of_direct(self, n, m, x):
-        ref = sum_direct(n, m, x).value
+        ref = evaluate(n, m, x, "direct-sum").value
         got = evaluate(n, m, x).value
         assert abs(got - ref) <= 1e-9 * (1.0 + abs(ref))
 
@@ -666,7 +657,7 @@ class TestRouteTable:
     @pytest.mark.parametrize("n,m,x", [(2, 7, 1.0), (3, 8, 10.0), (2, 60, 1.0)])
     def test_auto_falls_back_to_direct_summation_past_the_fold_stride(self, n, m, x):
         got = evaluate(n, m, x)
-        ref = sum_direct(n, m, x)
+        ref = evaluate(n, m, x, "direct-sum")
         assert got.method == "direct-sum"
         assert got.value == ref.value
         assert got.abs_error_est == ref.abs_error_est
@@ -688,35 +679,39 @@ STRIDE = "stride m must be >= 1, got 0"
 # Each public entry outside its domain, with the error type and message it raises: the
 # check of ``evaluate`` on its route.
 DOMAIN_ERRORS = [
-    ("s01 past", lambda: s01(7.0), DomainError, _outside(7.0, 1, 0)),
-    ("s01 rim", lambda: s01(R), DomainError, _outside(6.75, 1, 0)),
-    ("s11 past", lambda: s11(7.0), DomainError, _outside(7.0, 1, 1)),
-    ("s11 rim", lambda: s11(R), DomainError, _outside(6.75, 1, 1)),
-    ("s21 past", lambda: s21(7.0), DomainError, _outside(7.0, 1, 2)),
     ("fold past", lambda: fold(2, 2, 46.0), DomainError, _outside(46.0, 2, 2)),
     ("fold rim", lambda: fold(1, 2, R2), DomainError, _outside(45.5625, 2, 1)),
     ("fold n<0", lambda: fold(-1, 2, 0.5), ArgumentError, WEIGHT),
     ("fold m0", lambda: fold(2, 0, 0.5), ArgumentError, STRIDE),
-    ("sum_direct past", lambda: sum_direct(2, 1, 7.0), DomainError, _outside(7.0, 1, 2)),
-    ("sum_direct rim", lambda: sum_direct(1, 1, R), DomainError, _outside(6.75, 1, 1)),
-    ("sum_direct n<0", lambda: sum_direct(-1, 1, 0.5), ArgumentError, WEIGHT),
-    ("sum_direct m0", lambda: sum_direct(2, 0, 0.5), ArgumentError, STRIDE),
-    ("quad_polylog past", lambda: quad_polylog(2, 7.0), DomainError, _outside(7.0, 1, 2)),
-    ("quad_polylog rim", lambda: quad_polylog(1, R), DomainError, _outside(6.75, 1, 1)),
-    ("quad_polylog n<0", lambda: quad_polylog(-1, 0.5), ArgumentError, WEIGHT),
-    ("quad_cardano past", lambda: quad_cardano(3, 7.0), DomainError, _outside(7.0, 1, 3)),
-    # quad_cardano is evaluate's quad-cardano route: the domain rule first, then the route's
-    ("quad_cardano rim", lambda: quad_cardano(1, R), DomainError, _outside(6.75, 1, 1)),
-    ("quad_cardano n<0", lambda: quad_cardano(-1, 0.5), ArgumentError, WEIGHT),
-    ("quad_cardano n<3", lambda: quad_cardano(2, 0.5), ArgumentError,
-     "quad-cardano needs n >= 3, got 2"),
-    ("quad_two_term past", lambda: quad_two_term(3, 7.0), DomainError, _outside(7.0, 1, 3)),
-    ("quad_two_term rim", lambda: quad_two_term(1, R), DomainError, _outside(6.75, 1, 1)),
-    ("quad_two_term n<0", lambda: quad_two_term(-1, 0.5), ArgumentError, WEIGHT),
     ("evaluate past", lambda: evaluate(3, 2, 46.0), DomainError, _outside(46.0, 2, 3)),
     ("evaluate rim", lambda: evaluate(1, 1, R), DomainError, _outside(6.75, 1, 1)),
     ("evaluate n<0", lambda: evaluate(-1, 1, 0.5), ArgumentError, WEIGHT),
     ("evaluate m0", lambda: evaluate(2, 0, 0.5), ArgumentError, STRIDE),
+]
+# (label, route, (n, m, x), error type, message) of ``evaluate`` on a named route: the
+# domain rule first, then the route's limits.
+ROUTE_DOMAIN_ERRORS = [
+    ("n=0 past", "closed-form", (0, 1, 7.0), DomainError, _outside(7.0, 1, 0)),
+    ("n=0 rim", "closed-form", (0, 1, R), DomainError, _outside(6.75, 1, 0)),
+    ("n=1 past", "closed-form", (1, 1, 7.0), DomainError, _outside(7.0, 1, 1)),
+    ("n=1 rim", "closed-form", (1, 1, R), DomainError, _outside(6.75, 1, 1)),
+    ("rim", "direct-sum", (1, 1, R), DomainError, _outside(6.75, 1, 1)),
+    ("n<0", "direct-sum", (-1, 1, 0.5), ArgumentError, WEIGHT),
+    ("m0", "direct-sum", (2, 0, 0.5), ArgumentError, STRIDE),
+    ("rim", "quad-polylog", (1, 1, R), DomainError, _outside(6.75, 1, 1)),
+    ("n<0", "quad-polylog", (-1, 1, 0.5), ArgumentError, WEIGHT),
+    ("n=3 past", "quad-cardano", (3, 1, 7.0), DomainError, _outside(7.0, 1, 3)),
+    ("rim", "quad-cardano", (1, 1, R), DomainError, _outside(6.75, 1, 1)),
+    ("n<0", "quad-cardano", (-1, 1, 0.5), ArgumentError, WEIGHT),
+    ("n<3", "quad-cardano", (2, 1, 0.5), ArgumentError, "quad-cardano needs n >= 3, got 2"),
+    ("n=3 past", "quad-two-term", (3, 1, 7.0), DomainError, _outside(7.0, 1, 3)),
+    ("rim", "quad-two-term", (1, 1, R), DomainError, _outside(6.75, 1, 1)),
+    ("n<0", "quad-two-term", (-1, 1, 0.5), ArgumentError, WEIGHT),
+]
+DOMAIN_ERRORS += [
+    (f"evaluate {route} {label}", lambda route=route, args=args: evaluate(*args, route), exc,
+     message)
+    for label, route, args, exc, message in ROUTE_DOMAIN_ERRORS
 ]
 DOMAIN_ERRORS += [
     (f"evaluate {method} past", lambda method=method: evaluate(2, 1, 7.0, method), DomainError,
@@ -742,14 +737,6 @@ def _fold_over(inner):
     return lambda n, m, x, **options: fold(n, m, x, inner, **options)
 
 
-def _stride_one(entry):
-    return lambda n, m, x, **options: entry(n, x, **options)
-
-
-def _closed(entry):
-    return lambda n, m, x: entry(x)
-
-
 NAN = math.nan
 # (n, m, x, options) that no route serves: the weight, the disk and its rim, NaN, and,
 # for the entries that take them, the stride and the options.
@@ -759,17 +746,8 @@ STRIDED = [(2, 0, 0.5, {}), (3, 2, 46.0, {}), (1, 2, R2, {})]
 TOLS = [(3, 1, 0.5, {"tol": 0.0}), (3, 1, 0.5, {"tol": NAN})]
 # (name, entry(n, m, x, **options), route, refused (n, m, x, options))
 PUBLIC_ENTRIES = [
-    ("sum_direct", sum_direct, "direct-sum",
-     ANY_ROUTE + STRIDED + TOLS + [(3, 1, 0.5, {"max_terms": 0})]),
-    *((f"fold over {inner}", _fold_over(inner), "folding", ANY_ROUTE + STRIDED + TOLS)
-      for inner in METHODS),
-    ("quad_polylog", _stride_one(quad_polylog), "quad-polylog", ANY_ROUTE + TOLS),
-    ("quad_cardano", _stride_one(quad_cardano), "quad-cardano", ANY_ROUTE + TOLS),
-    ("quad_two_term", _stride_one(quad_two_term), "quad-two-term",
-     ANY_ROUTE + TOLS + [(3, 1, 0.5 + 0.1j, {}), (3, 1, 1e-3, {}), (3, 1, -1e-3, {})]),
-    *((entry.__name__, _closed(entry), "closed-form",
-       [(n, 1, x, {}) for x in (7.0, NAN, complex(0.5, NAN), *[R] * (n < 2))])
-      for n, entry in enumerate((s01, s11, s21))),
+    (f"fold over {inner}", _fold_over(inner), "folding", ANY_ROUTE + STRIDED + TOLS)
+    for inner in METHODS
 ]
 PUBLIC_REFUSALS = [
     (name, entry, route, case) for name, entry, route, cases in PUBLIC_ENTRIES for case in cases
@@ -792,17 +770,71 @@ class TestPublicEntriesAreEvaluate:
         assert str(got.value) == str(want.value)
 
 
+# (n, m, x, options) that the argument rules refuse where a route's own limits would refuse
+# too: the weight below quad-polylog's, quad-cardano's and quad-two-term's, a stride past
+# folding's and quad-polylog's, x below quad-two-term's floor or off the real axis.
+REFUSED_BEFORE_LIMITS = [
+    (0, 1, 0.5, {"tol": 0.0}),
+    (2, 12, 0.5, {"tol": 0.0}),
+    (2, 12, 1e300, {}),
+    (2, 1, 1e-3, {"tol": NAN}),
+    (2, 1, 0.5j, {"tol": -1.0}),
+    (0, 7, 0.5, {"max_terms": 0}),
+    (-1, 1, 0.5j, {"tol": 0.0}),
+]
+# (route, n, m, x) that the route's own limits refuse, past every argument rule.
+ROUTE_LIMITS = [
+    ("closed-form", 3, 1, 0.5),
+    ("closed-form", 2, 2, 1.0),
+    ("quad-polylog", 0, 1, 0.5),
+    ("quad-polylog", 2, 12, 1.0),
+    ("quad-cardano", 2, 1, 0.5),
+    ("quad-cardano", 3, 2, 1.0),
+    ("quad-two-term", 1, 1, 0.5),
+    ("quad-two-term", 2, 1, 0.5j),
+    ("quad-two-term", 2, 1, 1e-3),
+    ("folding", 2, 7, 1.0),
+]
+
+
+class TestRuleOrder:
+    """The domain, tolerance and term cap rules come first, the same on every route; a
+    route's own limits come after them."""
+
+    @pytest.mark.parametrize("case", ANY_ROUTE + STRIDED + TOLS + REFUSED_BEFORE_LIMITS,
+                             ids=repr)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_route_refuses_what_auto_refuses(self, method, case):
+        n, m, x, options = case
+        with pytest.raises(SeriesError) as want:
+            evaluate(n, m, x, **options)
+        with pytest.raises(SeriesError) as got:
+            evaluate(n, m, x, method, **options)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("method,n,m,x", ROUTE_LIMITS)
+    def test_each_route_refuses_with_the_reason_of_its_limits(self, method, n, m, x):
+        reason = ROUTES[method].refuses(n, m, complex(x))
+        assert reason is not None
+        with pytest.raises(ArgumentError) as info:
+            evaluate(n, m, x, method)
+        assert str(info.value) == reason
+        assert evaluate(n, m, x).method != method
+
+    @pytest.mark.parametrize("n,m", [(0, 1), (3, 12)])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_route_serves_x_zero_whatever_its_limits(self, method, n, m):
+        assert evaluate(n, m, 0.0, method) == (0j, 0.0, method, 0)
+        assert evaluate(n, m, 0j, method, tol=1e-15) == (0j, 0.0, method, 0)
+
+
 # Every public evaluator, with the arguments it takes of n, m and x.
 EVALUATORS = [
     *((f"evaluate {method}", lambda n, m, x, method=method: evaluate(n, m, x, method), "nmx")
       for method in (*METHODS, "auto")),
     ("resolve_auto", resolve_auto, "nmx"),
-    ("sum_direct", sum_direct, "nmx"),
     *((f"fold over {inner}", _fold_over(inner), "nmx") for inner in METHODS),
-    ("quad_polylog", _stride_one(quad_polylog), "nx"),
-    ("quad_cardano", _stride_one(quad_cardano), "nx"),
-    ("quad_two_term", _stride_one(quad_two_term), "nx"),
-    *((entry.__name__, _closed(entry), "x") for entry in (s01, s11, s21)),
 ]
 # (the argument of the wrong type, (n, m, x)): n and m must be integers, x a number
 WRONG_TYPES = [
@@ -901,9 +933,6 @@ class TestTermCapRule:
         message = "must be >= 1" if isinstance(cap, int) else "must be an integer"
         with pytest.raises(ArgumentError, match=f"max_terms {message}"):
             evaluate(n, m, x, method, max_terms=cap)
-        if method == "direct-sum":
-            with pytest.raises(ArgumentError, match=f"max_terms {message}"):
-                sum_direct(n, m, x, max_terms=cap)
 
     @pytest.mark.parametrize("cap", WRONG_CAPS)
     def test_resolve_auto_refuses_what_evaluate_refuses(self, cap):
@@ -922,12 +951,12 @@ class TestTermCapRule:
             lambda: evaluate(2, 7, 1.0),  # past the strides folding serves
             lambda: evaluate(3, 1, 6.0, tol=1e-15),  # below QUAD_FLOOR
             lambda: evaluate(2, 1, R, "direct-sum"),  # the rim's cap error
-            lambda: sum_direct(2, 1, 6.0),
-            lambda: sum_direct(3, 2, 40.0 + 5j, max_terms=500),
+            lambda: evaluate(2, 1, 6.0, "direct-sum"),
+            lambda: evaluate(3, 2, 40.0 + 5j, "direct-sum", max_terms=500),
             lambda: fold(9, 2, 1.0, "quad-cardano"),
             lambda: fold(3, 2, 40.0, "direct-sum"),
-            lambda: quad_cardano(9, 6.7),
-            lambda: quad_cardano(3, 0.5),
+            lambda: evaluate(9, 1, 6.7, "quad-cardano"),
+            lambda: evaluate(3, 1, 0.5, "quad-cardano"),
         ]
 
         def outcomes():
@@ -969,25 +998,19 @@ RULE_ONCE = [
     ("auto", 3, 2, R2),
     ("auto", 2, 7, 1.0),
     ("auto", 3, 1, 0.0),
+    ("direct-sum", 2, 3, 0.0),
+    ("quad-polylog", 2, 1, 0.0),
+    ("quad-two-term", 2, 1, 0.0),
 ]
 
 
-# A served point per public entry, fold over every inner route, the rim and the x = 0
-# short cut included: (name, entry(n, m, x), n, m, x).
+# A served point of fold over every inner route, the rim and the x = 0 short cut
+# included: (name, entry(n, m, x), n, m, x).
 PUBLIC_RULE_ONCE = [
-    ("sum_direct", sum_direct, 3, 2, 10.0),
-    ("sum_direct", sum_direct, 5, 1, R),
-    ("sum_direct", sum_direct, 2, 3, 0.0),
     *((f"fold over {inner}", _fold_over(inner), 3 if inner == "quad-cardano" else 2, 2, x)
       for inner in METHODS for x in (1.0, 0.0)),
     ("fold over closed-form", _fold_over("closed-form"), 2, 3, -R**3),
     ("fold over quad-cardano", _fold_over("quad-cardano"), 4, 2, 1j),
-    ("quad_polylog", _stride_one(quad_polylog), 2, 1, 0.5j),
-    ("quad_polylog", _stride_one(quad_polylog), 3, 1, R),
-    ("quad_polylog", _stride_one(quad_polylog), 2, 1, 0.0),
-    ("quad_two_term", _stride_one(quad_two_term), 2, 1, 0.5),
-    ("quad_two_term", _stride_one(quad_two_term), 3, 1, R),
-    ("quad_two_term", _stride_one(quad_two_term), 2, 1, 0.0),
 ]
 
 
@@ -1038,7 +1061,7 @@ class TestTwoTermFloor:
         for n, x in _two_term_grid():
             ev = evaluate(n, 1, x, "quad-two-term")
             # direct summation inside, and the closed form or quad-cardano on the rim
-            ref = (sum_direct(n, 1, x) if abs(x) < 6 else evaluate(n, 1, x)).value
+            ref = (evaluate(n, 1, x, "direct-sum") if abs(x) < 6 else evaluate(n, 1, x)).value
             worst = max(worst, abs(ev.value - ref) / abs(ref))
         assert worst <= 1e-9
 
@@ -1052,20 +1075,21 @@ class TestTwoTermFloor:
             evaluate(3, 1, x, "quad-two-term")
         assert str(from_route.value) == reason
         assert evaluate(3, 1, x).method == "quad-cardano"  # auto never takes quad-two-term
-        # the public function refuses with the route's message; the limits still serve
+        # every weight refuses with the route's message; the limits still serve
         for n in (2, 5):
             with pytest.raises(ArgumentError) as from_public:
-                quad_two_term(n, x)
+                evaluate(n, 1, x, "quad-two-term")
             assert str(from_public.value) == reason
         if abs(x) >= 1e-306:
             lim = two_term_limits(x)
             assert math.isfinite(lim.alpha) and math.isfinite(lim.beta)
 
-    def test_public_function_serves_from_the_floor(self):
+    def test_serves_from_the_floor(self):
         # at S(5,1;0.0017) it was 1.6e-11 off with an estimate of 1.2e-13
         for x in (TWO_TERM_MIN_X, -TWO_TERM_MIN_X):
-            assert quad_two_term(5, x) == evaluate(5, 1, x, "quad-two-term")
-        assert quad_two_term(2, 0.0) == (0j, 0.0, "quad-two-term", 0)  # as on every route
+            assert evaluate(5, 1, x, "quad-two-term").method == "quad-two-term"
+        # as on every route
+        assert evaluate(2, 1, 0.0, "quad-two-term") == (0j, 0.0, "quad-two-term", 0)
 
     def test_cli_exit_code_below_the_floor(self, capsys):
         code = main(["eval", "--n", "2", "--m", "1", "--x", "0.001", "--method", "quad-two-term"])
@@ -1094,11 +1118,7 @@ TOL_ENTRIES = [
     *((f"evaluate {method}", _evaluate_at(method)) for method in (*METHODS, "auto")),
     ("resolve_auto", lambda tol: resolve_auto(3, 1, 0.5, tol=tol)),
     *((f"fold over {inner}", _fold_over(inner)) for inner in METHODS if inner != "folding"),
-    ("sum_direct", lambda tol: sum_direct(2, 1, 0.5, tol=tol)),
     ("adaptive_quad", lambda tol: adaptive_quad(math.sin, 0.0, 1.0, tol)),
-    ("quad_polylog", lambda tol: quad_polylog(2, 0.5, tol)),
-    ("quad_cardano", lambda tol: quad_cardano(3, 0.5, tol)),
-    ("quad_two_term", lambda tol: quad_two_term(2, 0.5, tol)),
     ("run_special_values", lambda tol: run_special_values(tol)),
     ("run_cross_routes", lambda tol: run_cross_routes(tol=tol)),
     ("run_borwein_girgensohn", lambda tol: run_borwein_girgensohn(tol)),

@@ -23,8 +23,6 @@ from invbinom import (
     convergence_radius,
     evaluate,
     fold,
-    quad_polylog,
-    sum_direct,
 )
 from invbinom import CardanoRoot, phi, routes, series
 from invbinom.closed_forms import REAL_BRANCH, _leading_terms
@@ -66,12 +64,12 @@ def _step(k, m):
 
 def _ratio(k, n, m, x):
     """The stride-m term ratio t_{k+1} / t_k = x (k/(k+1))**n step_k, multiplied left to
-    right, the weight one ``pow``: the operations ``sum_direct`` rounds."""
+    right, the weight one ``pow``: the operations the direct sum rounds."""
     return x * _step(k, m) if n == 0 else x * (k / (k + 1)) ** n * _step(k, m)
 
 
 def _series_terms(n, m, x, count):
-    """t_1 .. t_count, built by the operations ``sum_direct`` rounds (in float arithmetic
+    """t_1 .. t_count, built by the operations the direct sum rounds (in float arithmetic
     for real x): the first term, then the ratio recurrence."""
     xc = complex(x)
     xs = xc.real if xc.imag == 0.0 else xc
@@ -130,9 +128,9 @@ class TestDomainModel:
         entries = (
             lambda: SeriesParams.require_summable(0, 1, x),
             lambda: evaluate(0, 1, x),
-            lambda: sum_direct(0, 1, x),
+            lambda: evaluate(0, 1, x, "direct-sum"),
             lambda: fold(0, 2, x),
-            lambda: quad_polylog(3, x),
+            lambda: evaluate(3, 1, x, "quad-polylog"),
         )
         for entry in entries:
             evaluate(0, 400, 1.0)
@@ -437,8 +435,8 @@ class TestBitIdentity:
         assert methods.count("direct-sum") > len(points) // 4
 
     @pytest.mark.parametrize("n,m,x", BIT_POINTS)
-    def test_sum_direct_is_the_fsum_of_series_terms(self, n, m, x):
-        ev = sum_direct(n, m, x)
+    def test_the_direct_sum_is_the_fsum_of_series_terms(self, n, m, x):
+        ev = evaluate(n, m, x, "direct-sum")
         terms = _series_terms(n, m, x, ev.work)
         want = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
         assert _bits(ev.value) == _bits(want)
@@ -486,7 +484,7 @@ class TestBitIdentity:
             return _computed_steps(k0, k1, m)
 
         monkeypatch.setattr(series, "_computed_steps", counted)
-        work = sum_direct(n, m, x).work
+        work = evaluate(n, m, x, "direct-sum").work
         rho = abs(x) / convergence_radius(m)
         end = min(1.125 * terms_needed(n, rho, 1e-15) + 3, start + series._CHUNK_CAP)
         assert len(chunks) == count and chunks[0] == (start, max(int(end), start + 1))
@@ -548,58 +546,58 @@ class TestTermRecurrence:
 
 class TestSumDirect:
     def test_weight1_at_half_matches_exact_form(self):
-        ev = sum_direct(1, 1, 0.5)
+        ev = evaluate(1, 1, 0.5, "direct-sum")
         exact = math.pi / 10 - math.log(2) / 5
         assert abs(ev.value - exact) < 1e-14
         assert abs(ev.value - S11_AT_HALF) < 1e-14
         assert ev.method == "direct-sum"
 
     def test_weight0_at_half_matches_exact_form(self):
-        ev = sum_direct(0, 1, 0.5)
+        ev = evaluate(0, 1, 0.5, "direct-sum")
         exact = 2 / 25 - (6 / 125) * math.log(2) + (11 / 250) * math.pi
         assert abs(ev.value - exact) < 1e-14
         assert abs(ev.value - S01_AT_HALF) < 1e-14
 
     def test_stride_two_at_one(self):
-        ev = sum_direct(2, 2, 1.0)
+        ev = evaluate(2, 2, 1.0, "direct-sum")
         assert abs(ev.value - S22_AT_1) < 1e-14
 
     def test_zero_argument_is_exactly_zero(self):
-        ev = sum_direct(5, 3, 0.0)
+        ev = evaluate(5, 3, 0.0, "direct-sum")
         assert ev.value == 0
         assert ev.abs_error_est == 0.0
         assert ev.work == 0
 
     def test_error_estimate_covers_truth(self):
         exact = math.pi / 10 - math.log(2) / 5
-        ev = sum_direct(1, 1, 0.5, tol=1e-10)
+        ev = evaluate(1, 1, 0.5, "direct-sum", tol=1e-10)
         assert abs(ev.value - exact) <= ev.abs_error_est
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("n", [0, 3, 6])
     @pytest.mark.parametrize("x", [-6.0, -1.0, 0.5, 6.0])
     def test_interior_converges_within_400_terms(self, m, n, x):
-        ev = sum_direct(n, m, x, tol=1e-15)
+        ev = evaluate(n, m, x, "direct-sum", tol=1e-15)
         assert ev.work <= 400
 
     def test_outside_raises_domain_error(self):
         with pytest.raises(DomainError):
-            sum_direct(2, 1, 7.0)
+            evaluate(2, 1, 7.0, "direct-sum")
 
     @pytest.mark.parametrize("tol", [0.0, -1e-15, math.nan])
     def test_non_positive_tolerance_raises(self, tol):
         with pytest.raises(ArgumentError, match="tol must be positive"):
-            sum_direct(3, 1, 0.5, tol=tol)
+            evaluate(3, 1, 0.5, "direct-sum", tol=tol)
         with pytest.raises(ArgumentError, match="tol must be positive"):
             evaluate(3, 1, 0.5, "direct-sum", tol=tol)
 
     def test_rim_needs_weight_two(self):
         with pytest.raises(DomainError):
-            sum_direct(1, 1, 27 / 4)
+            evaluate(1, 1, 27 / 4, "direct-sum")
 
     def test_rim_hits_term_cap(self):
         with pytest.raises(ConvergenceError):
-            sum_direct(2, 1, 27 / 4, max_terms=20_000)
+            evaluate(2, 1, 27 / 4, "direct-sum", max_terms=20_000)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_rim_weight_two_fails_fast(self, m):
@@ -609,7 +607,7 @@ class TestSumDirect:
         assert time.perf_counter() - start < 0.01
 
     def test_rim_weight_four_still_sums(self):
-        ev = sum_direct(4, 1, 27 / 4)
+        ev = evaluate(4, 1, 27 / 4, "direct-sum")
         assert ev.work == 18193
         assert ev.value == 2.520440094566093  # the value before the fast-fail bound
 
@@ -643,18 +641,18 @@ class TestSumDirect:
 
     def test_the_term_cap_caps_terms(self, monkeypatch):
         with pytest.raises(ConvergenceError, match="within 25 terms"):
-            sum_direct(2, 1, 6.0, max_terms=25)
+            evaluate(2, 1, 6.0, "direct-sum", max_terms=25)
         with pytest.raises(ArgumentError, match="max_terms must be an integer"):
-            sum_direct(2, 1, 6.0, max_terms="not-a-number")
+            evaluate(2, 1, 6.0, "direct-sum", max_terms="not-a-number")
         # the cap for max_terms None, the same for every route
         monkeypatch.setattr(routes, "DEFAULT_MAX_TERMS", 25)
         with pytest.raises(ConvergenceError, match="within 25 terms"):
-            sum_direct(2, 1, 6.0)
+            evaluate(2, 1, 6.0, "direct-sum")
 
     @given(n=st.integers(0, 6), m=st.integers(1, 4))
     @settings(max_examples=30, deadline=None)
     def test_zero_argument_property(self, n, m):
-        assert sum_direct(n, m, 0.0).value == 0
+        assert evaluate(n, m, 0.0, "direct-sum").value == 0
 
     @given(
         n=st.integers(0, 4),
@@ -663,8 +661,8 @@ class TestSumDirect:
     )
     @settings(max_examples=40, deadline=None)
     def test_tail_estimate_dominates_next_partial_move(self, n, m, x):
-        loose = sum_direct(n, m, x, tol=1e-8)
-        tight = sum_direct(n, m, x, tol=1e-15)
+        loose = evaluate(n, m, x, "direct-sum", tol=1e-8)
+        tight = evaluate(n, m, x, "direct-sum", tol=1e-15)
         assert abs(loose.value - tight.value) <= loose.abs_error_est + 1e-15 * abs(tight.value)
 
 
@@ -740,7 +738,7 @@ class TestErrorEstimate:
         estimates = []
         for n, m, x in _estimate_grid():
             x = complex(x)
-            ev = sum_direct(n, m, x)
+            ev = evaluate(n, m, x, "direct-sum")
             re, im, bound = _fixed_point_reference(n, m, x)
             err = math.hypot(float(Fraction(ev.value.real) - re), float(Fraction(ev.value.imag) - im))
             assert err + bound <= ev.abs_error_est, (n, m, x, err, ev.abs_error_est)
@@ -796,7 +794,7 @@ class TestTermsNeeded:
                 for (lo, hi), theta in zip(bands, angles):
                     rho = rng.uniform(lo, hi)
                     x = rho * convergence_radius(m) * cmath.exp(1j * theta)
-                    work = sum_direct(n, m, x).work
+                    work = evaluate(n, m, x, "direct-sum").work
                     if work >= 20:
                         need = terms_needed(n, abs(x) / convergence_radius(m), 1e-15)
                         assert abs(need - work) <= 0.1 * work, (n, m, rho, theta, need, work)
@@ -823,6 +821,6 @@ class TestTermsNeeded:
 class TestSeriesTerms:
     def test_explicit_max_terms_threading(self):
         with pytest.raises(ConvergenceError):
-            sum_direct(2, 1, 6.0, tol=1e-15, max_terms=50)
-        ev = sum_direct(2, 1, 6.0, tol=1e-15, max_terms=400)
+            evaluate(2, 1, 6.0, "direct-sum", tol=1e-15, max_terms=50)
+        ev = evaluate(2, 1, 6.0, "direct-sum", tol=1e-15, max_terms=400)
         assert ev.work <= 400

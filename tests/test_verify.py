@@ -13,14 +13,12 @@ from invbinom import (
     CheckEntry,
     SeriesParams,
     VerificationReport,
-    default_grid,
-    pair_tolerance,
     run_all,
     run_borwein_girgensohn,
     run_cross_routes,
     run_special_values,
 )
-from invbinom.verify import ENVIRONMENT, SUITES
+from invbinom.verify import ENVIRONMENT, SUITES, default_grid, pair_tolerance
 from test_series import _summable
 
 
