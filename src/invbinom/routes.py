@@ -5,16 +5,20 @@
 never silently substituted: a route that cannot serve a request raises ArgumentError.
 x = 0 short-circuits to exactly 0 on every route, even where the operation excludes it.
 Direct-sum serves every stride, quad-polylog strides up to POLYLOG_MAX_STRIDE = 11 (one
-Beta integral, no fold) and folding up to 6; every other route serves stride 1 only,
-and folding reaches stride m through them. At m = 1 ``auto`` takes the closed forms
-for n <= 2 and quad-cardano for 3 <= n <= 8 (below QUAD_FLOOR, which quad-cardano
-refuses, a direct sum where it comes within that floor); otherwise it is a cost rule:
-direct summation when its predicted term count undercuts folding over those routes
-(m >= 2), or quad-cardano above weight 8; past the strides folding serves, direct
-summation. ``evaluate`` is the one evaluator of every route: ``fold``, the folding route
-over a chosen inner route, shares its one check and one Evaluation. quad-polylog is
-never chosen by ``auto`` and stays an explicit route and verify's cross-check. The one
-``tol`` and the one term cap go to the route's kernel, which passes them to every layer.
+Beta integral, no fold), folding up to 6, and quad-cardano up to CARDANO_MAX_STRIDE = 6:
+at m >= 2 weights 3..8 where its series variable sigma = s(x / R**(m - 1)) has
+|sigma| <= S_MAX, all of the disk but within 0.9 R**(m - 1) of x = R**m. The closed forms
+and quad-two-term serve stride 1 only, and folding reaches stride m through them. At
+m = 1 ``auto`` takes the closed forms for n <= 2 and quad-cardano for 3 <= n <= 8 (below
+QUAD_FLOOR, which quad-cardano refuses, a direct sum where it comes within that floor);
+otherwise it is a cost rule: direct summation when its predicted term count undercuts
+the budget (m >= 2), else quad-cardano where it serves (one series in sigma, or at m = 1
+above weight 8 its direct sum) and folding where it does not; past the strides folding
+serves, direct summation. ``evaluate`` is the one evaluator of every route: ``fold``, the
+folding route over a chosen inner route, shares its one check and one Evaluation.
+quad-polylog is never chosen by ``auto`` and stays an explicit route and verify's
+cross-check. The one ``tol`` and the one term cap go to the route's kernel, which passes
+them to every layer.
 """
 
 from __future__ import annotations
@@ -27,11 +31,14 @@ from .closed_forms import _closed_kernel, _fold_kernel
 from .errors import ArgumentError, checked_tol
 from .integral_reps import (
     _S_WEIGHTS,
+    CARDANO_MAX_STRIDE,
     POLYLOG_MAX_STRIDE,
+    S_MAX,
     TWO_TERM_FLOOR,
     TWO_TERM_MIN_X,
     TWO_TERM_REAL,
     _cardano_kernel,
+    _cardano_sigma,
     _polylog_kernel,
     _two_term_kernel,
 )
@@ -79,6 +86,23 @@ def _closed_form_limits(n: int, m: int, x: complex) -> str | None:
     return _stride_one("closed-form", n, m, 0)
 
 
+def _cardano_limits(n: int, m: int, x: complex) -> str | None:
+    if m > CARDANO_MAX_STRIDE:
+        return f"quad-cardano stride must be in [1, {CARDANO_MAX_STRIDE}], got {m}"
+    if n < 3:
+        return f"quad-cardano needs n >= 3, got {n}"
+    if m == 1:
+        return None
+    if n > _S_WEIGHTS:
+        return f"quad-cardano serves n <= {_S_WEIGHTS} at stride m >= 2, got {n}; use folding"
+    if abs(_cardano_sigma(x, m)) > S_MAX:
+        return (
+            f"quad-cardano needs |s(x / R**(m - 1))| <= S_MAX = {S_MAX} at stride m >= 2;"
+            " use folding near x = R**m"
+        )
+    return None
+
+
 def _polylog_limits(n: int, m: int, x: complex) -> str | None:
     if m > POLYLOG_MAX_STRIDE:
         return f"quad-polylog stride must be in [1, {POLYLOG_MAX_STRIDE}], got {m}"
@@ -111,8 +135,8 @@ ROUTES: dict[str, Route] = {
         ),
         Route(
             "quad-cardano",
-            lambda n, m, x: _stride_one("quad-cardano", n, m, 3),
-            lambda n, m, x, tol, cap: _cardano_kernel(n, x, tol, cap),
+            _cardano_limits,
+            lambda n, m, x, tol, cap: _cardano_kernel(n, m, x, tol, cap),
         ),
         Route(
             "quad-two-term",
@@ -140,7 +164,9 @@ METHODS = tuple(ROUTES)
 # summation twice as much, halves it (19-26 at angle 0.7, 37-66 on the real axes). At m = 1
 # quad-cardano was the faster at every point (117 per weight, rho 1e-6..0.995), so auto
 # takes it there. The last entry, per unit of stride, serves n >= 9, where quad-cardano is
-# itself a direct sum (at 1e-17).
+# itself a direct sum (at 1e-17). At n = 3..8 and m 2..6 auto takes quad-cardano's series in
+# sigma past the budget where it serves, which costs less than folding: the budget was
+# measured against folding and stays so until it is re-measured against that series.
 DIRECT_TERM_BUDGET = (39, 39, 39, 39, 39, 78, 75)
 
 
@@ -163,14 +189,16 @@ def resolve_auto(
     ``max_terms`` rules: at m = 1 the closed form for n <= 2 and quad-cardano for
     3 <= n <= 8; otherwise direct summation when ``terms_needed`` at rho = |x| / R**m and
     ``tol`` (SERIES_TOL by default) is within the budget and, with room for the estimate's
-    error, within the term cap ``max_terms`` (DEFAULT_MAX_TERMS for None); else folding
-    where it serves the stride (direct summation past it), and quad-cardano at m = 1. The budget is
-    LOW_WEIGHT_TERM_BUDGET[n] * (m - 1) for n <= 2, DIRECT_TERM_BUDGET[n - 3] * (m - 1)
-    for n <= 8, DIRECT_TERM_BUDGET[-1] * m above. For 3 <= n <= 8 an explicit ``tol``
-    admits direct summation only where ``series._predicted_estimate`` is within
-    max(tol, QUAD_FLOOR) relative; below QUAD_FLOOR, which quad-cardano refuses, that test
-    alone decides for every n >= 3, m = 1 included, and where it fails raises
-    quad-cardano's ArgumentError. ``within_terms`` compares with the budget in one test.
+    error, within the term cap ``max_terms`` (DEFAULT_MAX_TERMS for None); else, where
+    folding serves the stride (direct summation past it), quad-cardano where it serves
+    (at m = 1, and at m 2..6 for 3 <= n <= 8 where |sigma| <= S_MAX) and folding elsewhere.
+    The budget is LOW_WEIGHT_TERM_BUDGET[n] * (m - 1) for n <= 2,
+    DIRECT_TERM_BUDGET[n - 3] * (m - 1) for n <= 8, DIRECT_TERM_BUDGET[-1] * m above. For
+    3 <= n <= 8 an explicit ``tol`` admits direct summation only where
+    ``series._predicted_estimate`` is within max(tol, QUAD_FLOOR) relative; below
+    QUAD_FLOOR, which quad-cardano refuses, that test alone decides for every n >= 3, m = 1
+    included, and where it fails raises quad-cardano's ArgumentError. ``within_terms``
+    compares with the budget in one test.
     """
     xc, ax, radius = _summable(n, m, x)
     return _auto(n, m, xc, checked_tol(tol, None), _term_cap(max_terms), ax / radius).name
@@ -217,7 +245,8 @@ def _auto(n: int, m: int, x: complex, tol, max_terms: int, rho: float) -> Route:
         return ROUTES["direct-sum"]
     if below_floor and n > 2:
         quad_tol(tol)  # raises
-    return ROUTES["quad-cardano" if m == 1 else "folding"]
+    cardano = ROUTES["quad-cardano"]
+    return cardano if n > 2 and cardano.limits(n, m, x) is None else ROUTES["folding"]
 
 
 def evaluate(

@@ -516,9 +516,9 @@ class TestFoldPairsConjugateRoots:
     def _spy(name, calls):
         kernel = getattr(routes, name)
 
-        def spy(n, y, *rest):
-            out = kernel(n, y, *rest)
-            calls.append((y, out[2]))
+        def spy(*args):  # (n, x, ...) of the closed forms, (n, m, x, ...) of quad-cardano
+            out = kernel(*args)
+            calls.append((args[1 if name == "_closed_kernel" else 2], out[2]))
             return out
 
         return mock.patch.object(routes, name, spy)
@@ -726,7 +726,9 @@ class TestRealRoot:
 
     @pytest.mark.parametrize("n,m,sign,ref", RIM_REFERENCES)
     def test_rim_values_against_mpmath(self, n, m, sign, ref):
-        # auto folds over the closed forms (n = 2) or quad-cardano (n >= 3) for m >= 2.
+        # auto folds over the closed forms (n = 2) for m >= 2, and over quad-cardano at
+        # n >= 3 on the positive axis, where |sigma| = 1; on the negative axis it takes
+        # quad-cardano's series in sigma (pinned at 1e-15 by TestNegativeRimSeries).
         # Before the correctly rounded root, S(2, m; R**m) was 2.7e-8 (m = 3), 3.4e-8
         # (m = 5) and 3.8e-8 (m = 6) off, with estimates near 1e-13.
         ev = evaluate(n, m, sign * (27 / 4) ** m)
@@ -736,6 +738,30 @@ class TestRealRoot:
         assert err <= 1e-13 * abs(ref)
         if n == 2 and sign > 0:
             assert err <= 2e-15 * abs(ref)
+
+
+# S(n, m; -R**m) at the four negative rim points where fold over quad-cardano is up to
+# 3.5e-14 off, as 40-digit literals: perfbench's oracle fold in mpmath (the quadrature of
+# Li_{n-1}(y t (1-t)**2) / t at each complex root, the hypergeometric sum at the real one)
+# at 46 and 56 digits, which agreed to 1e-46. auto takes quad-cardano's series in sigma
+# there (|sigma| = 0.17). The positive-axis points S(4,6;R**6), S(3,6;R**6) and S(4,5;R**5),
+# where |sigma| = 1, still fold; RIM_REFERENCES keeps their pins.
+NEGATIVE_RIM_REFERENCES = [
+    (3, 2, "-2.642818779830245352028855905080315963077"),
+    (4, 4, "-3.893421202483227179155849856662288092439"),
+    (4, 5, "-4.331210349644689927136712033232335295635"),
+    (3, 6, "-4.423410727446931484329428353328841638759"),
+]
+
+
+class TestNegativeRimSeries:
+    @pytest.mark.parametrize("n,m,ref", NEGATIVE_RIM_REFERENCES)
+    def test_auto_takes_the_stride_series_within_1e_15(self, n, m, ref):
+        ev = evaluate(n, m, -((27 / 4) ** m))
+        assert ev.method == "quad-cardano" and ev.value.imag == 0.0
+        err = abs(float(Fraction(ev.value.real) - Fraction(ref)))
+        assert err <= 1e-15 * abs(float(ref)), (n, m, err)
+        assert err <= ev.abs_error_est, (n, m, err, ev.abs_error_est)
 
 
 def _two_sided_root(x, m):

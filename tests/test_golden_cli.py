@@ -133,6 +133,14 @@ its real part), ``folding`` at S(2,3;100) moved: value 1.3553932802536885 ->
 a real fold at m = 3 (S(n,3;x) at n 1..3, x in {-1, 1, 100}, and S(0,3;1), S(2,3;6));
 every entry still passes and every other entry kept its bits. Folds at complex x and at
 m = 2, x > 0 kept theirs.
+When ``quad-cardano`` began to serve strides 2..6 at weights 3..8 by one series in
+sigma = s(x / R**(m - 1)) where |sigma| <= S_MAX, ``verify`` gained its 32 ``quad-cardano``
+pair entries, four at each of S(3,2;x), x in {-1, 1, 6, 20}, S(4,2;6) and S(3,3;x), x in
+{-1, 1, 100}: 301 -> 333 (82c9c7f0 -> d59345ce); every other entry kept its bits and its
+place. The
+three stride-m ``quad-cardano`` hashes, S(3,2;20), S(4,2;-45.5625) and S(5,3;100+200i), were
+recorded with that series. Every other hash kept its bytes: ``auto`` at S(3,2;20) sums
+directly, and explicit folding is unchanged.
 """
 
 import hashlib
@@ -290,8 +298,17 @@ GOLDEN = {
     "table --n 2 --m 1 --x-from -6.75 --x-to 6.75 --steps 101 --output csv": (
         "57dafe31d0cccff5c0d648445375e3207511c1d428a96207c9ae6c59a2a065e3"
     ),
+    "eval --n 3 --m 2 --x 20 --method quad-cardano --output json": (
+        "1f7c2b49f78cb67819c1ed3641a4dc1407be1f70c267b2bbc9ae3246242cea9c"
+    ),
+    "eval --n 4 --m 2 --x -45.5625 --method quad-cardano --output json": (
+        "3f2a6687020a8ca88622098862479ca02a8bdf0d2def2308ef1e216a4fcdbe29"
+    ),
+    "eval --n 5 --m 3 --x 100+200i --method quad-cardano --output json": (
+        "7e837206cc0a68af9658df75ad37aee9d2468ee93d201595fdb91ea6bec8aa42"
+    ),
     "verify --suite all --output json": (
-        "82c9c7f06bc462e43e4c3870d3013cc796530b5f0d8106c7c4e488c753915524"
+        "d59345ced890be15b34d7ebaed07bf156d19fc55edac2eec65d7f128d783bafb"
     ),
 }
 

@@ -85,3 +85,22 @@ TABLES = (
 def test_the_package_loads_no_json_and_builds_series_tables_on_first_use(n, m, steps, weights):
     lines = _run_without_site(TABLES.format(n=n, m=m)).splitlines()
     assert lines == ["[]", "[] []", f"{steps} {weights}", "[]"]
+
+
+# quad-cardano's series tables, one per stride, are built on first use too: the import builds
+# none, a stride-2 evaluation that auto serves by the series in sigma builds that stride's
+# alone, and the verify suite, whose grid holds n >= 3 at strides 1..3, builds those three.
+CARDANO_TABLES = (
+    "import invbinom\n"
+    "from invbinom import integral_reps\n"
+    "print(sorted(integral_reps._S_TABLES))\n"
+    "x = 0.9 * 6.75**2\n"
+    "assert invbinom.evaluate(3, 2, x).method == 'quad-cardano'\n"
+    "print(sorted(integral_reps._S_TABLES))\n"
+    "invbinom.run_all()\n"
+    "print(sorted(integral_reps._S_TABLES))\n"
+)
+
+
+def test_each_stride_builds_its_series_table_on_first_use():
+    assert _run_without_site(CARDANO_TABLES).splitlines() == ["[]", "[2]", "[1, 2, 3]"]

@@ -13,8 +13,8 @@ from invbinom import ArgumentError, DomainError, evaluate
 from invbinom import integral_reps
 from invbinom.identities import record_by_id
 from invbinom.integral_reps import (
-    _S_COEFS,
-    _S_ENVELOPE,
+    _S_ENVELOPES,
+    _S_ROWS,
     _S_TABLE_ULPS,
     _V_ANCHORS,
     _V_BASE,
@@ -23,10 +23,13 @@ from invbinom.integral_reps import (
     _V_FIXED,
     _V_MAGS,
     _V_TERMS,
+    CARDANO_MAX_STRIDE,
     POLYLOG_MAX_STRIDE,
     S_MAX,
     _cardano_s,
+    _cardano_sigma,
     _s_series,
+    _s_table,
     _s_terms,
     _stable_complement,
     _v_series,
@@ -412,11 +415,15 @@ class TestQuadCardano:
 
 
 @functools.lru_cache(maxsize=None)
-def _exact_coefficients():
-    """a_j(n), n 0..8 and j 1..len(_S_COEFS[0]), as Fractions: the binomial sum for weight
-    0, then j a_j(n) = 2 P_j - a_j(n - 1), P_j = sum_{i<=j} (-1)**(j-i) a_i(n - 1)."""
-    terms = len(_S_COEFS[0])
-    w = [Fraction(27**k, math.comb(3 * k, k)) for k in range(terms + 1)]
+def _exact_coefficients(m=1):
+    """a_j(n) at stride m, n 0..8 and j 1..len(_S_ROWS[m - 1]), as Fractions: the binomial
+    sum a_j(0) = sum_{k<=j} (-1)**(j-k) C(j+k-1, j-k) (4 R**m)**k / C(3mk, mk) for weight 0,
+    then j a_j(n) = 2 P_j - a_j(n - 1), P_j = sum_{i<=j} (-1)**(j-i) a_i(n - 1)."""
+    terms = len(_S_ROWS[m - 1])
+    w = [
+        Fraction(27 ** (m * k), 4 ** ((m - 1) * k) * math.comb(3 * m * k, m * k))
+        for k in range(terms + 1)
+    ]
     rows = [
         [
             sum((-1) ** (j - k) * math.comb(j + k - 1, j - k) * w[k] for k in range(1, j + 1))
@@ -500,39 +507,63 @@ def _series_grid():
                 yield n, x, (theta if rim else None)
 
 
+STRIDES = range(1, CARDANO_MAX_STRIDE + 1)
+
+
 class TestCardanoSeries:
-    def test_weight_three_literals_are_correctly_rounded(self):
-        for j, (a, c) in enumerate(zip(_exact_coefficients()[3], _S_COEFS[0]), start=1):
+    @pytest.mark.parametrize("m", STRIDES)
+    def test_weight_three_literals_are_correctly_rounded(self, m):
+        # the 60-bit floor of c_j at strides 2..6, its correctly rounded float at stride 1
+        pairs = zip(_exact_coefficients(m)[3], _S_ROWS[m - 1], _s_table(m)[0])
+        for j, (a, fixed, (c, _)) in enumerate(pairs, start=1):
             assert (a > 0) == (j % 2 == 1), j  # a_j = (-1)**(j+1) c_j
             assert float(abs(a)).hex() == c.hex(), j
+            if m == 1:
+                assert fixed == Fraction(c) * 2**60, j
+            else:
+                assert fixed == math.floor(abs(a) * 2**60), j
 
-    def test_higher_weights_lie_within_the_assumed_ulps(self):
-        exact = _exact_coefficients()
-        for n in range(4, 9):
-            for j, (a, c) in enumerate(zip(exact[n], _S_COEFS[n - 3]), start=1):
-                assert (a > 0) == (j % 2 == 1), (n, j)
-                assert abs(Fraction(c) - abs(a)) <= _S_TABLE_ULPS * Fraction(math.ulp(c)), (n, j)
-
-    def test_the_envelope_bounds_every_coefficient_of_the_table(self):
-        exact = _exact_coefficients()
+    @pytest.mark.parametrize("m", STRIDES)
+    def test_higher_weights_lie_within_the_assumed_ulps(self, m):
+        exact = _exact_coefficients(m)
         for n in range(3, 9):
-            assert max(map(abs, exact[n])) <= _S_ENVELOPE[n - 3], n
+            row = [c for c, _ in _s_table(m)[n - 3]]
+            assert len(row) == len(exact[n]), n
+            for j, (a, c) in enumerate(zip(exact[n], row), start=1):
+                assert (a > 0) == (j % 2 == 1), (n, j)
+                # within 0.53 ulp, inside the _S_TABLE_ULPS the bound charges: the floored
+                # fixed point, then one rounding to binary64
+                ulps = abs(Fraction(c) - abs(a)) / Fraction(math.ulp(c))
+                assert ulps <= min(Fraction(53, 100), _S_TABLE_ULPS), (n, j)
 
-    def test_the_table_holds_every_term_up_to_s_max(self):
-        most = _s_terms(S_MAX, 8)
-        assert max(_s_terms(S_MAX, n) for n in range(3, 9)) == most
-        assert all(len(row) == most for row in _S_COEFS)
-        assert _s_terms(0.17, 4) < 64 and _s_terms(1e-9, 8) == 2
+    @pytest.mark.parametrize("m", STRIDES)
+    def test_the_envelope_bounds_every_coefficient_of_the_table(self, m):
+        exact = _exact_coefficients(m)
+        for n in range(3, 9):
+            assert max(map(abs, exact[n])) <= _S_ENVELOPES[m - 1][n - 3], n
+            assert min(map(abs, exact[n])) >= 1, n
+
+    @pytest.mark.parametrize("m", STRIDES)
+    def test_the_table_holds_every_term_up_to_s_max(self, m):
+        most = _s_terms(S_MAX, 8, m)
+        assert max(_s_terms(S_MAX, n, m) for n in range(3, 9)) == most
+        assert len(_S_ROWS[m - 1]) == most
+        assert all(len(row) == most for row in _s_table(m))
+        assert _s_terms(0.17, 4, m) < 64 and _s_terms(1e-9, 8, m) == 2
+
+    def test_each_stride_builds_one_table_once(self):
+        assert all(_s_table(m) is _s_table(m) for m in STRIDES)
+        assert len({id(_s_table(m)) for m in STRIDES}) == len(STRIDES)
 
     def test_series_against_references_and_the_quadrature(self):
         seen = 0
         for n, x, rim in _series_grid():
             s = _cardano_s(x)
             assert abs(s) <= S_MAX
-            value, est, work = _s_series(n, s)
+            value, est, work = _s_series(n, 1, s)
             if abs(x) >= 1e-8:  # below, the route sums the series in x itself
                 # the kernel runs no direct sum here, so a term cap of 1 changes nothing
-                assert integral_reps._cardano_kernel(n, x, None, 1) == (value, est, work)
+                assert integral_reps._cardano_kernel(n, 1, x, None, 1) == (value, est, work)
             if rim is None:
                 re, im, bound = _fixed_point_reference(n, 1, x)
             else:
@@ -552,8 +583,286 @@ class TestCardanoSeries:
     def test_real_arguments_take_real_arithmetic(self):
         s = _cardano_s(complex(-3.0))
         assert isinstance(s, float)
-        value, _, _ = _s_series(4, s)
+        value, _, _ = _s_series(4, 1, s)
         assert value.imag == 0.0
+
+
+def _on_stride_ray(rho, theta, m):
+    """rho R**m e**(i theta), real on the axes, moved back onto the closed disk where rounding
+    left it outside."""
+    radius = RIM**m
+    if theta in (0.0, math.pi):
+        return complex(math.copysign(rho * radius, math.cos(theta)))
+    x = cmath.rect(rho * radius, theta)
+    while abs(x) > radius:
+        x *= 1.0 - 2.0**-53
+    return x
+
+
+def _stride_grid():
+    """(n, m, x, rim) at strides 2..6, as ``_series_grid`` at stride 1: on each ray the point
+    whose |sigma| is the target, or the rim where the ray's largest |sigma| stays below it."""
+    for m in range(2, CARDANO_MAX_STRIDE + 1):
+        for target in (1e-12, 0.1, 0.3, 0.5, S_MAX):
+            for theta in SERIES_ANGLES:
+                if abs(_cardano_sigma(_on_stride_ray(1.0, theta, m), m)) <= target:
+                    x, rim = _on_stride_ray(1.0, theta, m), True
+                else:
+                    lo, hi = 0.0, 1.0  # |sigma| grows along the ray
+                    for _ in range(60):
+                        mid = 0.5 * (lo + hi)
+                        inside = abs(_cardano_sigma(_on_stride_ray(mid, theta, m), m)) <= target
+                        lo, hi = (mid, hi) if inside else (lo, mid)
+                    x, rim = _on_stride_ray(lo, theta, m), False
+                for n in range(3, 9):
+                    yield n, m, x, (theta if rim else None)
+
+
+# S(n, m; x) at the rim points of the stride grid (the rays whose rim lies within the grid's
+# |sigma|), folded to stride 1 in mpmath as perfbench's oracle folds (the hypergeometric sum
+# at real roots, the quadrature of Li_{n-1}(y t (1-t)**2) / t at complex ones) at 46 and
+# 56 digits, which agreed to 5e-40 relative; rounded to 25 digits.
+STRIDE_RIM_REFERENCES = {
+    (3, 2, math.pi): ("-2.642818779830245352028856", "0.0"),
+    (4, 2, math.pi): ("-2.822333539877476706320578", "0.0"),
+    (5, 2, math.pi): ("-2.923159650967846584972043", "0.0"),
+    (6, 2, math.pi): ("-2.97783992714978536337932", "0.0"),
+    (7, 2, math.pi): ("-3.006772625077997871128133", "0.0"),
+    (8, 2, math.pi): ("-3.02181850993599783285931", "0.0"),
+    (3, 2, 0.4): ("3.138165989753820332035014", "1.876532255558744403896583"),
+    (4, 2, 0.4): ("2.987879005820700808024328", "1.463987869972902724352971"),
+    (5, 2, 0.4): ("2.894081063065728481841612", "1.304542727085123625143097"),
+    (6, 2, 0.4): ("2.845469516654364862182974", "1.238288736251415855353201"),
+    (7, 2, 0.4): ("2.821315112403664385877272", "1.208984497739825530120179"),
+    (8, 2, 0.4): ("2.809402999054924626193629", "1.19544145698065920890856"),
+    (3, 2, 1.3): ("0.3025929105243746211166723", "3.02314418525657832119674"),
+    (4, 2, 1.3): ("0.5605508904420696958152734", "3.005322913372070388009808"),
+    (5, 2, 1.3): ("0.6893402047370371732740761", "2.976162456024829203274453"),
+    (6, 2, 1.3): ("0.7523259965469988111522536", "2.954750220855064744085969"),
+    (7, 2, 1.3): ("0.7830024289700849025131627", "2.941822321389565570060007"),
+    (8, 2, 1.3): ("0.7979834071632719732628948", "2.934647688965987597748081"),
+    (3, 2, 2.2): ("-1.831401704451952121207473", "2.035572748317793977234024"),
+    (4, 2, 2.2): ("-1.824638904894073093579993", "2.232093462125730793040316"),
+    (5, 2, 2.2): ("-1.812147702836232314632156", "2.33942458724611847624604"),
+    (6, 2, 2.2): ("-1.802153953911015739143411", "2.396138682763429629155257"),
+    (7, 2, 2.2): ("-1.795704283914541101901801", "2.425496165264211602236033"),
+    (8, 2, 2.2): ("-1.79193906610142553989138", "2.440498678602350366546564"),
+    (3, 2, 3.9): ("-2.1133265272120077403654", "-1.686992405952554060032858"),
+    (4, 2, 3.9): ("-2.166128675430432729613025", "-1.869909644138015362157094"),
+    (5, 2, 3.9): ("-2.188649534664616510971267", "-1.972924455713556510074093"),
+    (6, 2, 3.9): ("-2.198088686056665105883344", "-2.028681744970687977863145"),
+    (7, 2, 3.9): ("-2.202038621061233098026629", "-2.058077898700285303274772"),
+    (8, 2, 3.9): ("-2.2037092402629114260154", "-2.073306672408644433399251"),
+    (3, 2, 5.6): ("2.247920950072287156053681", "-2.571720825911016456190764"),
+    (4, 2, 5.6): ("2.348996055431790782586735", "-2.228234771273645835933199"),
+    (5, 2, 5.6): ("2.365327907131235228425388", "-2.064837688832141538381576"),
+    (6, 2, 5.6): ("2.364108390682876340265273", "-1.988091879379797356415177"),
+    (7, 2, 5.6): ("2.36094177896687591181606", "-1.951709561393037866169928"),
+    (8, 2, 5.6): ("2.358649357579175140757973", "-1.934228596502845248000752"),
+    (3, 3, math.pi): ("-3.182121392447897271778893", "0.0"),
+    (4, 3, math.pi): ("-3.39999814915497411219152", "0.0"),
+    (5, 3, math.pi): ("-3.522408655644362477599015", "0.0"),
+    (6, 3, math.pi): ("-3.588808719765023184940362", "0.0"),
+    (7, 3, math.pi): ("-3.623947786671337094474417", "0.0"),
+    (8, 3, math.pi): ("-3.642223019890047679324826", "0.0"),
+    (3, 3, 0.4): ("3.785468058315708535436406", "2.269798294390628318756167"),
+    (4, 3, 0.4): ("3.603250857678100462950875", "1.767680995576386441502479"),
+    (5, 3, 0.4): ("3.489329378000645983864792", "1.573707216314007527783125"),
+    (6, 3, 0.4): ("3.430268216720640237759661", "1.493140322097620014372331"),
+    (7, 3, 0.4): ("3.40091976883008536861834", "1.457516852647455361279075"),
+    (8, 3, 0.4): ("3.386446284350539989279568", "1.441056906935298342097128"),
+    (3, 3, 1.3): ("0.359807803356589849982657", "3.644294746669512108487915"),
+    (4, 3, 1.3): ("0.6732044613356845983799347", "3.623039430816232876170693"),
+    (5, 3, 1.3): ("0.8296982003338373044363437", "3.587745906999173591376159"),
+    (6, 3, 1.3): ("0.9062356703412983270243623", "3.561775585591437295855169"),
+    (7, 3, 1.3): ("0.943511496641668352059982", "3.546083353226574805506827"),
+    (8, 3, 1.3): ("0.9617146359260361677319542", "3.537371302802300893827417"),
+    (3, 3, 2.2): ("-2.207615808864936645034416", "2.449846913390633590412777"),
+    (4, 3, 2.2): ("-2.199577369294984886329274", "2.688422998294138380323478"),
+    (5, 3, 2.2): ("-2.184474943182139367743469", "2.818760182791370400909684"),
+    (6, 3, 2.2): ("-2.172361887250160759603859", "2.8876426815064642212132"),
+    (7, 3, 2.2): ("-2.164536726058941133121311", "2.923302810224795726517836"),
+    (8, 3, 2.2): ("-2.159966169551817672183304", "2.941527356207949673113152"),
+    (3, 3, 3.9): ("-2.546302477358972016148009", "-2.029944583874979458998919"),
+    (4, 3, 3.9): ("-2.610527474896802859237263", "-2.251945393504694181530857"),
+    (5, 3, 3.9): ("-2.637923623536997229419721", "-2.377015258855790945544853"),
+    (6, 3, 3.9): ("-2.649406284853776882540618", "-2.444725242765871389350103"),
+    (7, 3, 3.9): ("-2.654211009992302607853126", "-2.480428313683064127018471"),
+    (8, 3, 3.9): ("-2.656242894685819592757237", "-2.498926204550980703085711"),
+    (3, 3, 5.6): ("2.707595201127865015002592", "-3.10640526870115052391652"),
+    (4, 3, 5.6): ("2.831061127870662227505694", "-2.688941322451585739793176"),
+    (5, 3, 5.6): ("2.851086453555684369302653", "-2.490333260818908068686753"),
+    (6, 3, 5.6): ("2.849654906958778679783545", "-2.397055750388277080691346"),
+    (7, 3, 5.6): ("2.845821661558859437080405", "-2.352840926680733792093018"),
+    (8, 3, 5.6): ("2.843040552085349326440142", "-2.331598545846688395030401"),
+    (3, 4, math.pi): ("-3.642978870164513979695502", "0.0"),
+    (4, 4, math.pi): ("-3.89342120248322717915585", "0.0"),
+    (5, 4, math.pi): ("-4.034150169425619976036352", "0.0"),
+    (6, 4, math.pi): ("-4.110495009119758851972022", "0.0"),
+    (7, 4, math.pi): ("-4.150899847672034782466996", "0.0"),
+    (8, 4, math.pi): ("-4.17191478868824733828632", "0.0"),
+    (3, 4, 0.4): ("4.337749851200752837734307", "2.604566573405294354868627"),
+    (4, 4, 0.4): ("4.128404912318088440401037", "2.026580445155483695389558"),
+    (5, 4, 0.4): ("3.997410070417765718445217", "1.803349975632983196787498"),
+    (6, 4, 0.4): ("3.929485602041853205965666", "1.710651404507508302640563"),
+    (7, 4, 0.4): ("3.89573180456022189980849", "1.669670375869671843582179"),
+    (8, 4, 0.4): ("3.879085864272295037653999", "1.650737002915506414532155"),
+    (3, 4, 1.3): ("0.4092682030551597044688203", "4.174564875472065300882288"),
+    (4, 4, 1.3): ("0.7696891058512029823360453", "4.150349392666458198699749"),
+    (5, 4, 1.3): ("0.9496792390854629182327447", "4.109837664528065620232662"),
+    (6, 4, 1.3): ("1.037709721026700926663708", "4.079995853804952241098353"),
+    (7, 4, 1.3): ("1.080582506137546146804087", "4.061957175376265574723561"),
+    (8, 4, 1.3): ("1.101518448338180231704788", "4.051940514825035784914317"),
+    (3, 4, 2.2): ("-2.528795409966137905198493", "2.80400139492472011840383"),
+    (4, 4, 2.2): ("-2.519653672920181506009533", "3.078271230306070099706412"),
+    (5, 4, 2.2): ("-2.502327581359186739899917", "3.228129929312642956027637"),
+    (6, 4, 2.2): ("-2.488413476557115621655151", "3.307336350085491977045168"),
+    (7, 4, 2.2): ("-2.479420322687432721365763", "3.348343318487750499219577"),
+    (8, 4, 2.2): ("-2.474166199132419135695392", "3.369301127065649169834291"),
+    (3, 4, 3.9): ("-2.91608371310358701097931", "-2.323174958104618502751146"),
+    (4, 4, 3.9): ("-2.989988845462078126420018", "-2.57835454903851686495649"),
+    (5, 4, 3.9): ("-3.021516102363093975105288", "-2.722142062367140725705531"),
+    (6, 4, 3.9): ("-3.034730329964130176913429", "-2.799994205302917803188795"),
+    (7, 4, 3.9): ("-3.040259401663610338176869", "-2.84104822182286058086631"),
+    (8, 4, 3.9): ("-3.042597453365059877504077", "-2.862319497776417745771116"),
+    (3, 4, 5.6): ("3.100287769859966880570324", "-3.562077758141203959047219"),
+    (4, 4, 5.6): ("3.242666266849308381238466", "-3.081883143676413726883535"),
+    (5, 4, 5.6): ("3.265802564377133462628789", "-2.853419699057083764722718"),
+    (6, 4, 5.6): ("3.264185191903140733333452", "-2.746124181286093747341204"),
+    (7, 4, 5.6): ("3.259784831692819455387262", "-2.69526726331198147157265"),
+    (8, 4, 5.6): ("3.256588730452757461778699", "-2.670834907556764562692441"),
+    (3, 5, math.pi): ("-4.051970116361269442719384", "0.0"),
+    (4, 5, math.pi): ("-4.331210349644689927136712", "0.0"),
+    (5, 5, math.pi): ("-4.488136262398788807407548", "0.0"),
+    (6, 5, math.pi): ("-4.573273345516868914861021", "0.0"),
+    (7, 5, math.pi): ("-4.618333397542387791720359", "0.0"),
+    (8, 5, math.pi): ("-4.641770276907402532464764", "0.0"),
+    (3, 5, 0.4): ("4.827465629279209285677142", "2.901046433338379863717504"),
+    (4, 5, 0.4): ("4.594121055216023954637368", "2.256049257607960094031109"),
+    (5, 5, 0.4): ("4.448032660503246932424528", "2.00697278661374109352833"),
+    (6, 5, 0.4): ("4.372273814493954500313252", "1.903554880641334830791734"),
+    (7, 5, 0.4): ("4.334626177931897904730702", "1.857839368272784624884329"),
+    (8, 5, 0.4): ("4.316060019692516986788661", "1.836720024212700201280611"),
+    (3, 5, 1.3): ("0.4534310881903879310470582", "4.644905255367536268522889"),
+    (4, 5, 1.3): ("0.8554179394907502579589238", "4.618050845046364021718143"),
+    (5, 5, 1.3): ("1.056175691334838562445105", "4.572919049081987790413181"),
+    (6, 5, 1.3): ("1.154364292319463345063766", "4.539652660356990875568736"),
+    (7, 5, 1.3): ("1.202184003801040778372735", "4.519539103275961315960936"),
+    (8, 5, 1.3): ("1.225535399040428832164264", "4.50836900887754296174222"),
+    (3, 5, 2.2): ("-2.813680587687086591590848", "3.118364263482847981507206"),
+    (4, 5, 2.2): ("-2.803553567367487304427023", "3.424194889399216789466957"),
+    (5, 5, 2.2): ("-2.784257776926155768378221", "3.591312607125603471768212"),
+    (6, 5, 2.2): ("-2.768750068204076532800084", "3.679645757519791455860443"),
+    (7, 5, 2.2): ("-2.758723894280352874509643", "3.72537931581934016695228"),
+    (8, 5, 2.2): ("-2.752865329861272585485472", "3.748753252354287672571741"),
+    (3, 5, 3.9): ("-3.244146385626282214096218", "-2.583481561429979648329222"),
+    (4, 5, 3.9): ("-3.326603804453362213495023", "-2.868001624537440951051785"),
+    (5, 5, 3.9): ("-3.361780664236860961394304", "-3.028338919226720709981662"),
+    (6, 5, 3.9): ("-3.376524626601102676606517", "-3.115157696205572785566426"),
+    (7, 5, 3.9): ("-3.382693634324261926923869", "-3.160942160209833235874598"),
+    (8, 5, 3.9): ("-3.385302189370142377044792", "-3.184665116549482739315277"),
+    (3, 5, 5.6): ("3.448728493623987755804881", "-3.965880852281399212708001"),
+    (4, 5, 5.6): ("3.607786616217815928792957", "-3.430245908735224261872802"),
+    (5, 5, 5.6): ("3.633662433900576594525384", "-3.175397855691688881525891"),
+    (6, 5, 5.6): ("3.631877981740564476064329", "-3.055713595541645147995953"),
+    (7, 5, 5.6): ("3.626975548908730635708038", "-2.998986314135391944430899"),
+    (8, 5, 5.6): ("3.623412400686794513575793", "-2.971734510242850920687715"),
+    (3, 6, math.pi): ("-4.423410727446931484329428", "0.0"),
+    (4, 6, math.pi): ("-4.728746970860618624252045", "0.0"),
+    (5, 6, math.pi): ("-4.900348973286417758369471", "0.0"),
+    (6, 6, math.pi): ("-4.993452277853613182358719", "0.0"),
+    (7, 6, math.pi): ("-5.042730026854639373967396", "0.0"),
+    (8, 6, math.pi): ("-5.068361161668227822218626", "0.0"),
+    (3, 6, 0.4): ("5.271987743186450889083214", "3.169960451127582675548258"),
+    (4, 6, 0.4): ("5.01688933764237601010038", "2.464284578362705258959919"),
+    (5, 6, 0.4): ("4.857126044751782062653442", "2.19180161675508863290213"),
+    (6, 6, 0.4): ("4.774269829607234323692657", "2.078675036497234864839656"),
+    (7, 6, 0.4): ("4.73309471779634119976581", "2.028671064917556031974586"),
+    (8, 6, 0.4): ("4.712789006361810498750454", "2.005571572316885422567667"),
+    (3, 6, 1.3): ("0.4936907945503420723779627", "5.071920467992414135050631"),
+    (4, 6, 1.3): ("0.9333337216290180618844167", "5.042662741431975446463097"),
+    (5, 6, 1.3): ("1.152904779504002487732812", "4.993341193944480059467134"),
+    (6, 6, 1.3): ("1.260295501684305392078124", "4.956970965016389448325567"),
+    (7, 6, 1.3): ("1.312596600888730952731211", "4.934977253249296251299062"),
+    (8, 6, 1.3): ("1.338136160789991846341149", "4.922762078044548080404439"),
+    (3, 6, 2.2): ("-3.072326228950104272058624", "3.403901765028640196834658"),
+    (4, 6, 2.2): ("-3.061300934845419174848742", "3.738330168634370183497645"),
+    (5, 6, 2.2): ("-3.040218386064979656084754", "3.92108539102581438425867"),
+    (6, 6, 2.2): ("-3.023266066196154218400857", "4.017687418413382232578347"),
+    (7, 6, 2.2): ("-3.012303703428556742517013", "4.067703177175704065315327"),
+    (8, 6, 2.2): ("-3.005897431345741627842931", "4.093266041380275293771444"),
+    (3, 6, 3.9): ("-3.542031001319556393738119", "-2.819932217699036044112841"),
+    (4, 6, 3.9): ("-3.632233851554705278550557", "-3.131040132036618106263746"),
+    (5, 6, 3.9): ("-3.670715893360607873978119", "-3.30637315338262107143279"),
+    (6, 6, 3.9): ("-3.686845222087902819267011", "-3.401316092394661585163064"),
+    (7, 6, 3.9): ("-3.693593782928866132609724", "-3.451386380388453995536807"),
+    (8, 6, 3.9): ("-3.696447325709448396694205", "-3.477330521770833984424237"),
+    (3, 6, 5.6): ("3.765145621619853802967582", "-4.33227899421322640284506"),
+    (4, 6, 5.6): ("3.939293140026098171333067", "-3.746423718280996003066887"),
+    (5, 6, 5.6): ("3.967644945337662023203382", "-3.467675920402590683708711"),
+    (6, 6, 5.6): ("3.965707536077806164753393", "-3.336769463451770098243522"),
+    (7, 6, 5.6): ("3.960349814608395121314853", "-3.274724437236941599880791"),
+    (8, 6, 5.6): ("3.95645401845320386991727", "-3.244918537830765423003782"),
+}
+
+
+class TestCardanoStrideSeries:
+    """The series in sigma = s(x / R**(m - 1)) at strides 2..6, the route's only form there."""
+
+    def test_series_against_references(self):
+        seen = worst = 0.0
+        for n, m, x, rim in _stride_grid():
+            ev = evaluate(n, m, x, "quad-cardano")
+            sigma = _cardano_sigma(x, m)
+            assert abs(sigma) <= S_MAX
+            if abs(x) >= 1e-8:  # below, the route takes the leading terms in x
+                value, est, work = _s_series(n, m, sigma)
+                assert (ev.value, ev.abs_error_est, ev.work) == (value, est + _EST_FLOOR, work)
+            if rim is None:
+                re, im, bound = _fixed_point_reference(n, m, x)
+            else:
+                re, im = map(Fraction, STRIDE_RIM_REFERENCES[n, m, rim])
+                bound = 1e-24
+            err = math.hypot(
+                float(Fraction(ev.value.real) - re), float(Fraction(ev.value.imag) - im)
+            ) + bound
+            ref = abs(complex(float(re), float(im)))
+            assert err <= ev.abs_error_est, (n, m, x, err, ev.abs_error_est)
+            assert err <= 1e-15 * ref, (n, m, x, err / ref)
+            assert ev.value.imag == 0.0 or x.imag != 0.0
+            seen += rim is not None
+            worst = max(worst, err / ref)
+        # rims: every ray's but the positive axis's at 0.5 and S_MAX, and at 0.3 all but
+        # those at angles 0.4 and 5.6, as at stride 1
+        assert seen == 5 * 6 * 16
+        assert worst < 1e-15
+
+    def test_the_kernel_serves_each_stride_in_one_series(self):
+        # S(4, 2; -R**2): |sigma| = 0.17 takes 23 terms, where fold sums two series
+        ev = evaluate(4, 2, -(RIM**2), "quad-cardano")
+        assert ev.work <= 30
+        assert ev.work < evaluate(4, 2, -(RIM**2), "folding").work
+
+    @pytest.mark.parametrize("m", range(2, CARDANO_MAX_STRIDE + 1))
+    def test_refusals_at_strides_past_one(self, m):
+        with pytest.raises(ArgumentError, match=r"\|s\(x / R\*\*\(m - 1\)\)\| <= S_MAX"):
+            evaluate(3, m, 0.999 * RIM**m, "quad-cardano")
+        with pytest.raises(ArgumentError, match="n <= 8 at stride m >= 2"):
+            evaluate(9, m, 1.0, "quad-cardano")
+        with pytest.raises(ArgumentError, match="needs n >= 3"):
+            evaluate(2, m, 1.0, "quad-cardano")
+        assert evaluate(3, m, 0.0, "quad-cardano").value == 0
+
+    def test_refusal_past_the_largest_stride(self):
+        with pytest.raises(ArgumentError, match=r"stride must be in \[1, 6\], got 7"):
+            evaluate(3, 7, 1.0, "quad-cardano")
+
+    @pytest.mark.parametrize("m", range(2, CARDANO_MAX_STRIDE + 1))
+    @pytest.mark.parametrize("x", [1e-300, -1e-300, 1e-300j, 1e-320, 3e-9 - 4e-9j])
+    def test_tiny_arguments_take_the_leading_terms(self, m, x):
+        ev = evaluate(3, m, x, "quad-cardano")
+        assert ev[:2] == evaluate(3, m, x, "folding")[:2]
+        assert ev.work == 3
 
 
 # S(n, 1; x), n = 3..8, at the points of ``_branch_grid`` beyond rho = 0.995 with a
@@ -831,7 +1140,7 @@ class TestCardanoVSeries:
                 reach = max(reach, abs(_v_of(x)))
                 for n in range(3, 9):
                     a, _, _ = _v_series(n, x)
-                    b, _, _ = _s_series(n, s)
+                    b, _, _ = _s_series(n, 1, s)
                     assert abs(a - b) <= 8 * 2.220446049250313e-16 * abs(b), (n, x)
         assert 0.36 < reach and _v_terms(reach) <= _V_TERMS
 

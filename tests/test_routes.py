@@ -31,7 +31,7 @@ from invbinom import (
     run_cross_routes,
     run_special_values,
 )
-from invbinom import routes, series
+from invbinom import integral_reps, routes, series
 from invbinom.cli import EXIT_DOMAIN, main
 from invbinom.integral_reps import TWO_TERM_MIN_X, two_term_limits
 from invbinom.quadrature import QUAD_FLOOR, adaptive_quad
@@ -44,19 +44,30 @@ from test_series import _fixed_point_reference, _summable
 R = 27 / 4
 
 # The route of auto on the rim, where direct summation never pays: closed form
-# for n <= 2 at m = 1, quad-cardano for n >= 3 at m = 1, folding for m >= 2.
+# for n <= 2 at m = 1, quad-cardano for n >= 3 at m = 1, folding for n = 2 at m >= 2; for
+# n >= 3 at m >= 2 quad-cardano's series in sigma off the positive axis (angle pi and 2.0)
+# and folding on it, where |sigma| = 1 (the entry for angle 0).
 RIM_ROUTE = {
-    (2, 1): "closed-form",
-    (2, 2): "folding",
-    (3, 1): "quad-cardano",
-    (3, 2): "folding",
-    (4, 1): "quad-cardano",
-    (4, 2): "folding",
+    (2, 1): ("closed-form", "closed-form"),
+    (2, 2): ("folding", "folding"),
+    (3, 1): ("quad-cardano", "quad-cardano"),
+    (3, 2): ("quad-cardano", "folding"),
+    (4, 1): ("quad-cardano", "quad-cardano"),
+    (4, 2): ("quad-cardano", "folding"),
 }
 
 # (n, m) whose 92-202 terms at rho = 0.9 exceed the budget of 39 per unit of stride past
-# the first (160 at n = 4 and 92 at n = 6 fit the 195 of m = 6).
-FOLDING_AT_0_9 = {(3, 2), (3, 3), (3, 6), (4, 2), (4, 3), (6, 2), (6, 3)}
+# the first (160 at n = 4 and 92 at n = 6 fit the 195 of m = 6); there |sigma| <= 0.52 on
+# every ray, and auto takes quad-cardano's series in sigma.
+OVER_BUDGET_AT_0_9 = {(3, 2), (3, 3), (3, 6), (4, 2), (4, 3), (6, 2), (6, 3)}
+
+
+def _sigma(x, m):
+    """|sigma| of quad-cardano at stride m, written apart from the library: the root of
+    4 R**m sigma / (1 + sigma)**2 = x in the closed unit disk, (1 - v)/(1 + v) with
+    v = sqrt(1 - x / R**m) (principal)."""
+    v = cmath.sqrt(1.0 - complex(x) / R**m)
+    return abs((1.0 - v) / (1.0 + v))
 
 
 def _inside(x, m=1):
@@ -75,7 +86,7 @@ class TestResolveAuto:
     @pytest.mark.parametrize("rho", [1e-9, 0.3, 0.9])
     @pytest.mark.parametrize("n", [3, 4, 6])
     def test_high_weight_sums_directly_where_few_terms_suffice(self, n, rho, m):
-        route = "folding" if rho == 0.9 and (n, m) in FOLDING_AT_0_9 else "direct-sum"
+        route = "quad-cardano" if rho == 0.9 and (n, m) in OVER_BUDGET_AT_0_9 else "direct-sum"
         for theta in (0.0, math.pi, 2.0):
             assert resolve_auto(n, m, _at(rho, m, theta)) == route
             assert evaluate(n, m, _at(rho, m, theta)).method == route
@@ -83,8 +94,10 @@ class TestResolveAuto:
     @pytest.mark.parametrize("n,m", list(RIM_ROUTE))
     @pytest.mark.parametrize("rho", [1.0, 1.0 - 1e-3, 1.0 - 1e-4])
     def test_rim_points_keep_their_route(self, n, m, rho):
+        off_axis, on_axis = RIM_ROUTE[n, m]
         for theta in (0.0, math.pi, 2.0):
-            assert resolve_auto(n, m, _at(rho, m, theta)) == RIM_ROUTE[n, m]
+            want = on_axis if theta == 0.0 else off_axis
+            assert resolve_auto(n, m, _at(rho, m, theta)) == want, theta
 
     @pytest.mark.parametrize("m", [1, 2, 3, 6])
     @pytest.mark.parametrize("n", [0, 1, 2])
@@ -138,42 +151,68 @@ class TestResolveAuto:
 
     def test_quadrature_where_direct_summation_costs_more(self):
         assert resolve_auto(3, 1, 0.99 * R) == "quad-cardano"
-        assert resolve_auto(3, 2, 0.999 * R**2) == "folding"
+        assert resolve_auto(3, 2, 0.99 * R**2 * cmath.exp(0.5j)) == "quad-cardano"
+        assert resolve_auto(3, 2, 0.999 * R**2) == "folding"  # |sigma| = 0.94
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_the_stride_series_serves_up_to_s_max(self, n, m, monkeypatch):
+        # on both sides of |sigma| = S_MAX: on the positive axis (x near 0.9375 R**m) and on
+        # the rim (about 7.6 degrees off it), auto takes the series where it serves and
+        # folds where it does not, and the route it takes never refuses. The direct-sum
+        # budget is set to 0, so that only the series' limit decides.
+        monkeypatch.setattr(routes, "DIRECT_TERM_BUDGET", (0,) * 7)
+        s_max = integral_reps.S_MAX
+        for ray in (lambda t: t * R**m, lambda t: _inside(R**m * cmath.exp(0.3j * (1 - t)), m)):
+            lo, hi = 0.5, 1.0  # |sigma| grows along both paths
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if _sigma(ray(mid), m) <= s_max else (lo, mid)
+            for t, want in ((lo * (1 - 1e-9), "quad-cardano"), (hi * (1 + 1e-9), "folding")):
+                x = ray(t)
+                assert resolve_auto(n, m, x) == want, (n, m, t)
+                ev = evaluate(n, m, x)
+                assert ev.method == want and math.isfinite(abs(ev.value))
+                if want == "folding":
+                    with pytest.raises(ArgumentError, match="S_MAX"):
+                        evaluate(n, m, x, "quad-cardano")
 
     # (n, m, rho, x / |x|) -> route, with the predicted terms and the direct-sum / folding
     # times (us, min of 7 batches of 1 ms, tools/auto_break_even._times; 2-core x86-64 VM,
     # CPython 3.11) that place each point on its side of the break-even. The budget,
     # 39 (m - 1) up to n = 7 and 78 (m - 1) at n = 8, is the median break-even over both
     # real axes and angle 0.7; at complex x it lies about twice as high as the break-even.
+    # Past the budget auto takes quad-cardano's series in sigma where |sigma| <= S_MAX, which
+    # costs less than folding, and folds elsewhere; the budget is measured against folding.
     @pytest.mark.parametrize(
         "n,m,rho,unit,route",
         [
             (3, 2, 0.385, -1, "direct-sum"),  # 28 terms: 6.4 vs 7.9
-            (3, 2, 0.643, -1, "folding"),  # 56 terms: 9.0 vs 7.7
+            (3, 2, 0.643, -1, "quad-cardano"),  # 56 terms: 9.0 vs 7.7
             (3, 6, 0.853, -1, "direct-sum"),  # 140 terms: 18.0 vs 22.7
-            (3, 6, 0.929, -1, "folding"),  # 278 terms: 32.0 vs 22.6
+            (3, 6, 0.929, -1, "quad-cardano"),  # 278 terms: 32.0 vs 22.6
             (5, 3, 0.738, -1, "direct-sum"),  # 55 terms: 9.0 vs 11.7
-            (5, 3, 0.885, -1, "folding"),  # 110 terms: 15.0 vs 11.9
+            (5, 3, 0.885, -1, "quad-cardano"),  # 110 terms: 15.0 vs 11.9
             (4, 4, 0.785, 1, "direct-sum"),  # 80 terms: 11.8 vs 17.4
-            (4, 4, 0.9, 1, "folding"),  # 160 terms: 20.0 vs 19.4
+            (4, 4, 0.9, 1, "quad-cardano"),  # 160 terms: 20.0 vs 19.4
             (8, 2, 0.937, 1, "direct-sum"),  # 60 terms: 9.4 vs 12.0
-            (8, 2, 0.995, 1, "folding"),  # 94 terms: 13.1 vs 7.9
+            (8, 2, 0.995, 1, "folding"),  # 94 terms: 13.1 vs 7.9; |sigma| = 0.87
             (3, 3, 0.526, cmath.exp(0.7j), "direct-sum"),  # 40 terms: 11.8 vs 11.9
-            (3, 3, 0.771, cmath.exp(0.7j), "folding"),  # 90 terms: 22.0 vs 12.5
+            (3, 3, 0.771, cmath.exp(0.7j), "quad-cardano"),  # 90 terms: 22.0 vs 12.5
         ],
     )
     def test_budget_sits_at_the_measured_break_even(self, n, m, rho, unit, route):
         assert routes.DIRECT_TERM_BUDGET == (39, 39, 39, 39, 39, 78, 75)
         assert resolve_auto(n, m, rho * R**m * unit) == route
 
-    def test_a_short_term_cap_keeps_folding(self, monkeypatch):
+    def test_a_short_term_cap_keeps_the_stride_series(self, monkeypatch):
         x = 0.3 * R**2  # 23 terms
         assert evaluate(3, 2, x).method == "direct-sum"
-        assert evaluate(3, 2, x, max_terms=20).method == "folding"
-        assert resolve_auto(3, 2, x, max_terms=20) == "folding"
+        assert evaluate(3, 2, x, max_terms=20).method == "quad-cardano"
+        assert resolve_auto(3, 2, x, max_terms=20) == "quad-cardano"
         monkeypatch.setattr(routes, "DEFAULT_MAX_TERMS", 20)  # the cap for max_terms None
-        assert evaluate(3, 2, x).method == "folding"
-        assert resolve_auto(3, 2, x) == "folding"
+        assert evaluate(3, 2, x).method == "quad-cardano"
+        assert resolve_auto(3, 2, x) == "quad-cardano"
 
     def test_the_term_cap_reaches_every_direct_sum(self, monkeypatch):
         # each call runs a direct sum that needs more than 5 terms, so both an explicit cap
@@ -220,7 +259,7 @@ class TestResolveAuto:
 
     def test_tolerance_is_passed_through(self):
         x = 0.55 * R**2  # 43 terms at tol 1e-15, 13 at 1e-6
-        assert evaluate(3, 2, x).method == "folding"
+        assert evaluate(3, 2, x).method == "quad-cardano"
         assert evaluate(3, 2, x, tol=1e-6).method == "direct-sum"
         with pytest.raises(ArgumentError, match="tol must be positive"):
             evaluate(3, 1, 0.5, tol=0.0)
@@ -228,14 +267,14 @@ class TestResolveAuto:
     def test_an_explicit_tol_keeps_auto_off_direct_sums_that_stop_above_it(self):
         # 26 terms at tol 1e-6, within the budget of 39, but the tail past the stop is
         # predicted at 3.6e-6 relative: the old rule summed 27 terms, 1.8e-6 off relative
-        # with an estimate of 2.8e-6. Folding over quad-cardano is within 1e-15.
+        # with an estimate of 2.8e-6. quad-cardano's series in sigma is within 1e-15.
         x = 0.8 * R**2
         ref = _fixed_point_reference(3, 2, complex(x))[0]
         direct = evaluate(3, 2, x, "direct-sum", tol=1e-6)
         assert direct.work == 27 and abs(direct.value.real - float(ref)) > 1e-6 * float(ref)
         assert series._predicted_estimate(3, 2, 0.8, 1e-6) > 1e-6
         ev = evaluate(3, 2, x, tol=1e-6)
-        assert ev.method == "folding"
+        assert ev.method == "quad-cardano"
         assert abs(ev.value.real - float(ref)) <= 1e-15 * float(ref)
 
     # Below QUAD_FLOOR auto once summed these directly, to an estimate of 7,371 tol
@@ -313,7 +352,8 @@ def _term_count_rule(n, m, x, tol, cap):
         return "direct-sum"
     if m > 6:
         return "direct-sum"
-    return "quad-cardano" if m == 1 else "folding"
+    in_sigma = m == 1 or n <= 8 and _sigma(x, m) <= 0.6  # the stride-m series in sigma
+    return "quad-cardano" if in_sigma else "folding"
 
 
 def _rule_grid():
@@ -361,7 +401,8 @@ class TestAutoRuleEquivalence:
                 resolve_auto(3, 1, 1e-20, tol=tol)
         for cap in (1, 2, 3):
             assert resolve_auto(3, 1, 1e-20, tol=1e-12, max_terms=cap) == "quad-cardano"
-            assert resolve_auto(3, 2, 1e-20, tol=1e-12, max_terms=cap) == "folding"
+            assert resolve_auto(3, 2, 1e-20, tol=1e-12, max_terms=cap) == "quad-cardano"
+            assert resolve_auto(9, 2, 1e-20, tol=1e-12, max_terms=cap) == "folding"
             with pytest.raises(ArgumentError, match="QUAD_FLOOR"):  # below the quadrature floor
                 resolve_auto(3, 1, 1e-20, tol=1e-15, max_terms=cap)
         assert resolve_auto(3, 2, 1e-20, max_terms=4) == "direct-sum"  # 1 term: 1.125 + 2 <= 4
@@ -789,7 +830,9 @@ ROUTE_LIMITS = [
     ("quad-polylog", 0, 1, 0.5),
     ("quad-polylog", 2, 12, 1.0),
     ("quad-cardano", 2, 1, 0.5),
-    ("quad-cardano", 3, 2, 1.0),
+    ("quad-cardano", 3, 2, 45.5),  # |sigma| = 0.93 > S_MAX
+    ("quad-cardano", 9, 2, 1.0),
+    ("quad-cardano", 3, 7, 1.0),
     ("quad-two-term", 1, 1, 0.5),
     ("quad-two-term", 2, 1, 0.5j),
     ("quad-two-term", 2, 1, 1e-3),
@@ -1107,7 +1150,7 @@ def _evaluate_at(method):
     return lambda tol: evaluate(n, m, x, method, tol=tol)
 
 
-def _fold_over(inner):
+def _fold_at_tol(inner):
     """fold at S(2, 2; 1), or S(3, 2; 1) over quad-cardano."""
     n = 3 if inner == "quad-cardano" else 2
     return lambda tol: fold(n, 2, 1.0, inner, tol=tol)
@@ -1117,7 +1160,7 @@ def _fold_over(inner):
 TOL_ENTRIES = [
     *((f"evaluate {method}", _evaluate_at(method)) for method in (*METHODS, "auto")),
     ("resolve_auto", lambda tol: resolve_auto(3, 1, 0.5, tol=tol)),
-    *((f"fold over {inner}", _fold_over(inner)) for inner in METHODS if inner != "folding"),
+    *((f"fold over {inner}", _fold_at_tol(inner)) for inner in METHODS if inner != "folding"),
     ("adaptive_quad", lambda tol: adaptive_quad(math.sin, 0.0, 1.0, tol)),
     ("run_special_values", lambda tol: run_special_values(tol)),
     ("run_cross_routes", lambda tol: run_cross_routes(tol=tol)),

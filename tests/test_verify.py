@@ -93,7 +93,11 @@ class TestCrossRoutes:
             (SeriesParams(2, 1, 27 / 4), {"closed-form", "quad-polylog", "quad-two-term"}),
             (SeriesParams(2, 2, 45.5625), {"folding[closed-form]", "quad-polylog"}),
             (SeriesParams(3, 1, 27 / 4), {"quad-polylog", "quad-cardano", "quad-two-term"}),
-            (SeriesParams(3, 2, -45.5625), {"quad-polylog", "folding[quad-cardano]"}),
+            (
+                SeriesParams(3, 2, -45.5625),
+                {"quad-polylog", "quad-cardano", "folding[quad-cardano]"},
+            ),
+            (SeriesParams(3, 2, 45.5625), {"quad-polylog", "folding[quad-cardano]"}),
         ],
     )
     def test_rim_points_leave_out_direct_summation(self, p, expected):

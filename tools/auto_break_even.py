@@ -1,19 +1,25 @@
-"""Break-even of ``auto``'s cost rule: direct summation against the route it passes over.
+"""Break-even of ``auto``'s cost rule: direct summation against the routes it passes over.
 
 For each weight n, stride m and angle (0, 0.7 and pi), the script sweeps
-rho = |x| / R**m upwards over RHOS and times two routes at x = rho R**m e**(i angle),
-each through ``evaluate`` (the minimum over ``--repeats`` batches of calls, the two
-routes alternating batch by batch):
+rho = |x| / R**m upwards over RHOS and times the routes at x = rho R**m e**(i angle),
+each through ``evaluate`` (the minimum over ``--repeats`` batches of calls, the routes
+alternating batch by batch):
 
 * ``direct-sum``, whose cost grows with its term count K;
-* the route ``auto`` takes instead: ``folding`` at m >= 2 (over ``quad-cardano`` for
-  n >= 3, over ``closed-form`` for n <= 2), ``quad-cardano`` at m = 1 for n >= 3.
+* the routes ``auto`` takes instead: ``folding`` at m >= 2 (over ``quad-cardano`` for
+  n >= 3, over ``closed-form`` for n <= 2), ``quad-cardano`` at m = 1 for n >= 3, and at
+  m 2..6 for n 3..8 also ``quad-cardano``'s series in sigma, where |sigma| <= S_MAX (it
+  refuses near x = R**m on the positive axis, and those points are left out of its
+  comparison).
 
-A sweep's break-even is the first term count at which direct summation was the slower,
-interpolated linearly in the time difference between the last point where it was the
-faster and that one; a sweep stops once direct summation has been the slower at three
-points in a row. Where direct summation was never the slower, up to rho = 0.995, the
-sweep has no break-even: it counts as above every budget (inf). Per weight the script
+A sweep's break-even against a route is the first term count at which direct summation
+was the slower, interpolated linearly in the time difference between the last point where
+it was the faster and that one; a sweep stops once direct summation has been the slower
+than every route at three points in a row. Where direct summation was never the slower, up
+to rho = 0.995, the sweep has no break-even: it counts as above every budget (inf). The
+budgets in ``routes`` were measured against folding; the break-even against the series in
+sigma, printed next to it, is the one a re-measured budget would take. Per route and
+weight the script
 prints each sweep's break-even, and the median and range per unit of stride in both
 forms that ``routes`` can use, K / m and K / (m - 1). With each it prints, at each
 angle, the spread over the strides (interquartile range over median): a budget of one
@@ -23,7 +29,7 @@ summation was the faster.
 
 Standard library only; run from the root of a source checkout:
 
-    python3 tools/auto_break_even.py                 # n 3..8, m 1..6 (about 2 minutes)
+    python3 tools/auto_break_even.py                 # n 3..8, m 1..6 (about 4 minutes)
     python3 tools/auto_break_even.py --weights 0 1 2 --strides 2 3 4 5 6
 """
 
@@ -40,6 +46,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from invbinom import evaluate  # noqa: E402
+from invbinom.routes import ROUTES  # noqa: E402
 from invbinom.series import convergence_radius  # noqa: E402
 
 RHOS = (1e-6, 1e-3, 0.01, 0.05, 0.1, 0.15, 0.2, 0.25)
@@ -57,45 +64,58 @@ def _per_call(fn, number: int) -> float:
     return (time.perf_counter() - start) / number
 
 
-def _times(direct, other, repeats: int) -> tuple[float, float]:
-    """Minimum seconds per call of each route, batches alternating between the two."""
-    number = max(1, int(BATCH_S / max(_per_call(direct, 1), _per_call(other, 1))))
-    best_direct = best_other = math.inf
+def _times(direct, others, repeats: int) -> tuple[float, list[float]]:
+    """Minimum seconds per call of direct summation and of each other route, batches
+    alternating between them."""
+    number = max(1, int(BATCH_S / max(_per_call(fn, 1) for fn in (direct, *others))))
+    best_direct, best = math.inf, [math.inf] * len(others)
     for _ in range(repeats):
         best_direct = min(best_direct, _per_call(direct, number))
-        best_other = min(best_other, _per_call(other, number))
-    return best_direct, best_other
+        best = [min(b, _per_call(fn, number)) for b, fn in zip(best, others)]
+    return best_direct, best
+
+
+def _others(n: int, m: int) -> tuple[str, ...]:
+    """The routes auto takes in place of direct summation at (n, m), by name."""
+    if m == 1:
+        return ("quad-cardano",)
+    return ("folding", "quad-cardano") if 3 <= n <= 8 and m <= 6 else ("folding",)
 
 
 def _sweep(n: int, m: int, theta: float, repeats: int):
-    """(terms, direct seconds, other seconds) at each rho; at m >= 2 only until direct
-    summation has lost three in a row."""
-    other = "quad-cardano" if m == 1 else "folding"
+    """(terms, direct seconds, {route: seconds}) at each rho, a route left out where it
+    refuses x; at m >= 2 only until direct summation has lost to every route three in a
+    row."""
     points, behind = [], 0
     for rho in RHOS:
         x = rho * convergence_radius(m) * UNITS[theta]
         terms = evaluate(n, m, x, "direct-sum").work
-        t_direct, t_other = _times(
-            lambda: evaluate(n, m, x, "direct-sum"), lambda: evaluate(n, m, x, other), repeats
+        names = [name for name in _others(n, m) if ROUTES[name].refuses(n, m, x) is None]
+        t_direct, t_others = _times(
+            lambda: evaluate(n, m, x, "direct-sum"),
+            [lambda name=name: evaluate(n, m, x, name) for name in names],
+            repeats,
         )
-        points.append((terms, t_direct, t_other))
-        behind = behind + 1 if t_direct > t_other else 0
+        points.append((terms, t_direct, dict(zip(names, t_others))))
+        behind = behind + 1 if all(t_direct > t for t in t_others) else 0
         if behind == 3 and m > 1:
             break
     return points
 
 
-def _break_even(points) -> tuple[float, bool]:
-    """The interpolated first term count at which direct summation was the slower, and
-    True; where it never was, the last term count, a lower bound, and False."""
-    for i, (terms, t_direct, t_other) in enumerate(points):
+def _break_even(points, name: str) -> tuple[float, bool]:
+    """Against route ``name``, over the points it serves: the interpolated first term count
+    at which direct summation was the slower, and True; where it never was, the last term
+    count, a lower bound, and False."""
+    served = [(terms, d, others[name]) for terms, d, others in points if name in others]
+    for i, (terms, t_direct, t_other) in enumerate(served):
         if t_direct > t_other:
             if i == 0:
                 return terms, True
-            k0, d0, o0 = points[i - 1]
+            k0, d0, o0 = served[i - 1]
             lead, lag = o0 - d0, t_direct - t_other
             return k0 + (terms - k0) * lead / (lead + lag), True
-    return points[-1][0], False
+    return served[-1][0], False
 
 
 def _spread(values) -> float:
@@ -105,28 +125,28 @@ def _spread(values) -> float:
 
 
 def report(n: int, strides, repeats: int) -> None:
-    # (angle, m) -> break-even per unit of stride in each form; inf where never crossed
-    per_unit = {"m": {}, "m - 1": {}}
+    # (route, form) -> {(angle, m): break-even per unit of stride}; inf where never crossed
+    per_unit = {}
     faster_at_one = total_at_one = 0
     for m in strides:
         for theta in UNITS:
             points = _sweep(n, m, theta, repeats)
             if m == 1:
-                faster_at_one += sum(d < o for _, d, o in points)
+                faster_at_one += sum(d < o["quad-cardano"] for _, d, o in points)
                 total_at_one += len(points)
                 continue
-            k, crossed = _break_even(points)
-            shown = f"{k:.0f} terms" if crossed else f"above {k} terms (never the slower)"
-            print(f"  n={n} m={m} angle={theta:.2f}: break-even {shown}", flush=True)
-            if not crossed:
-                k = math.inf
-            per_unit["m"][theta, m] = k / m
-            per_unit["m - 1"][theta, m] = k / (m - 1)
+            shown = []
+            for name in _others(n, m):
+                k, crossed = _break_even(points, name)
+                shown.append(f"vs {name} " + (f"{k:.0f}" if crossed else f"above {k} (never)"))
+                k = k if crossed else math.inf
+                per_unit.setdefault((name, "m"), {})[theta, m] = k / m
+                per_unit.setdefault((name, "m - 1"), {})[theta, m] = k / (m - 1)
+            print(f"  n={n} m={m} angle={theta:.2f}: break-even terms {', '.join(shown)}",
+                  flush=True)
     if total_at_one:
         print(f"n={n} m=1: direct-sum the faster at {faster_at_one} of {total_at_one} points")
-    for form, by_sweep in per_unit.items():
-        if not by_sweep:
-            continue
+    for (name, form), by_sweep in per_unit.items():
         values = sorted(by_sweep.values())
         spreads = []
         for theta in UNITS:
@@ -134,8 +154,8 @@ def report(n: int, strides, repeats: int) -> None:
             if len(row) >= 2 and math.isfinite(max(row)):
                 spreads.append(f"{_spread(row):.2f}")
         print(
-            f"n={n} break-even per {form}: median {statistics.median(values):.1f}, range"
-            f" {values[0]:.1f}..{values[-1]:.1f} over {len(values)} sweeps; spread over"
+            f"n={n} vs {name}, break-even per {form}: median {statistics.median(values):.1f},"
+            f" range {values[0]:.1f}..{values[-1]:.1f} over {len(values)} sweeps; spread over"
             f" strides at each angle {' '.join(spreads) or '-'}"
         )
 
