@@ -14,9 +14,9 @@ The kernels of three independent routes of ``evaluate``:
   at S(3, 1; 0.5) to 0.5 ms at S(3, 1; 27/4) (one Intel Xeon core). At strides 2..6 and
   weights 3..8 it sums S(n, m; x) as one series in sigma = s(x / R**(m - 1)) where
   |sigma| <= S_MAX, everywhere but within 0.9 R**(m - 1) of x = R**m: 6-8 us where ``fold``
-  sums m stride-1 series in 9-41 us. It is the route ``auto`` takes where direct
-  summation, which decays like k**(1/2 - n) on the rim, costs more; ``fold`` calls its
-  stride-1 kernel too, and serves the strides near x = R**m.
+  sums m stride-1 series in 9-41 us. ``auto`` takes it wherever it serves, ahead of direct
+  summation, which decays like k**(1/2 - n) on the rim; ``fold`` calls its stride-1 kernel
+  too, and serves the strides near x = R**m.
 * quad-two-term (``_two_term_kernel``) evaluates the two-term log/trig form whose limits
   come from the Cardano root, each integral in s with u = limit * s**3. Restricted
   to real x, where its trigonometric integrand is derived; complex arguments
@@ -24,9 +24,10 @@ The kernels of three independent routes of ``evaluate``:
   S ~ x/3, so it refuses 0 < |x| < TWO_TERM_MIN_X = 0.002 (``two_term_limits``
   still serves down to 1e-306).
 
-Each kernel takes ``tol`` as ``evaluate`` checked it, None for the default: the
-quadratures pass it to ``adaptive_quad``, whose tolerance rule (``quad_tol``) refuses a
-tol below QUAD_FLOOR, and quad-cardano applies that rule itself.
+The quadrature kernels take ``tol`` as ``evaluate`` checked it, None for the default, and
+pass it to ``adaptive_quad``, whose tolerance rule (``quad_tol``) refuses a tol below
+QUAD_FLOOR. quad-cardano, like the closed forms, takes no tol: each of its series reports
+its own bound.
 
 Sign convention of the angular limit: ``two_term_limits`` returns
 beta = 3*arctan(sqrt(3)/(1 - 2*phi)), which is negative on (0, 27/4] with
@@ -46,7 +47,7 @@ from operator import add, floordiv, mul
 from .closed_forms import _TINY_X, _leading_terms, _radical, phi
 from .errors import ArgumentError, DomainError, checked_number
 from .polylog import _li, li
-from .quadrature import adaptive_quad, quad_tol
+from .quadrature import adaptive_quad
 from .series import _EPS, RADIUS_BASE, SeriesParams, _inside, _sum_kernel
 
 _TWO_PI = 2.0 * math.pi
@@ -171,7 +172,7 @@ _DIRECT_TOL = 1e-17
 CARDANO_MAX_STRIDE = 6
 
 
-def _cardano_kernel(n: int, m: int, xc: complex, tol, max_terms: int) -> tuple[complex, float, int]:
+def _cardano_kernel(n: int, m: int, xc: complex, max_terms: int) -> tuple[complex, float, int]:
     """``evaluate``'s quad-cardano (value, abs_error_est, work) of S(n, m; x), n >= 3, at
     summable x != 0 that ``routes`` admits, through the Cardano root q = phi(x), by a power
     series. At stride 1: for n <= 8 in s = 1/q**3 (x = 27 s / (1 + s)**2) where
@@ -180,9 +181,8 @@ def _cardano_kernel(n: int, m: int, xc: complex, tol, max_terms: int) -> tuple[c
     sum under the term cap ``max_terms``). At strides 2..CARDANO_MAX_STRIDE, n <= 8, in
     sigma = s(x / R**(m - 1)) (x = 4 R**m sigma / (1 + sigma)**2) where |sigma| <= S_MAX,
     the only points the route serves there. Below |x| = 1e-8 its three leading terms, as
-    ``fold``'s. ``work`` counts the terms. It checks tol alone, as a quadrature's: the route
-    refuses one below QUAD_FLOOR."""
-    quad_tol(tol)
+    ``fold``'s. ``work`` counts the terms. Like the closed forms it takes no tol: each
+    series reports its own bound."""
     if abs(xc) < _TINY_X:
         return _leading_terms(n, m, xc)
     if n > _S_WEIGHTS:

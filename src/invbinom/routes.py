@@ -8,22 +8,19 @@ Direct-sum serves every stride, quad-polylog strides up to POLYLOG_MAX_STRIDE = 
 Beta integral, no fold), folding up to 6, and quad-cardano up to CARDANO_MAX_STRIDE = 6:
 at m >= 2 weights 3..8 where its series variable sigma = s(x / R**(m - 1)) has
 |sigma| <= S_MAX, all of the disk but within 0.9 R**(m - 1) of x = R**m. The closed forms
-and quad-two-term serve stride 1 only, and folding reaches stride m through them. At
-m = 1 ``auto`` takes the closed forms for n <= 2 and quad-cardano for 3 <= n <= 8 (below
-QUAD_FLOOR, which quad-cardano refuses, a direct sum where it comes within that floor);
-otherwise it is a cost rule: direct summation when its predicted term count undercuts
-the budget (m >= 2), else quad-cardano where it serves (one series in sigma, or at m = 1
-above weight 8 its direct sum) and folding where it does not; past the strides folding
-serves, direct summation. ``evaluate`` is the one evaluator of every route: ``fold``, the
-folding route over a chosen inner route, shares its one check and one Evaluation.
-quad-polylog is never chosen by ``auto`` and stays an explicit route and verify's
+and quad-two-term serve stride 1 only, and folding reaches stride m through them. ``auto``
+takes the closed forms at m = 1 for n <= 2 and quad-cardano's series wherever it serves for
+3 <= n <= 8, at every tol; elsewhere it is a cost rule: direct summation when its predicted
+term count undercuts the budget, else folding, or quad-cardano's direct sum at m = 1 above
+weight 8; past the strides folding serves, direct summation. ``evaluate`` is the one
+evaluator of every route: ``fold``, the folding route over a chosen inner route, shares
+its one check and one Evaluation. quad-polylog is never chosen by ``auto`` and stays an explicit route and verify's
 cross-check. The one ``tol`` and the one term cap go to the route's kernel, which passes
 them to every layer.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from operator import index
 
@@ -42,7 +39,6 @@ from .integral_reps import (
     _polylog_kernel,
     _two_term_kernel,
 )
-from .quadrature import QUAD_FLOOR, quad_tol
 from .series import (
     SERIES_TOL,
     Evaluation,
@@ -63,8 +59,8 @@ class Route(namedtuple("Route", "name limits kernel")):
     """An evaluation route (name, limits, kernel): ``limits(n, m, x)`` says why its
     operation cannot serve summable (n, m, x), None if it can; ``kernel(n, m, x, tol,
     max_terms)`` gives (value, abs_error_est, work) at summable x != 0 that ``limits``
-    accepts, with no domain or tolerance check but the quadrature's floor (ArgumentError
-    for a tol below QUAD_FLOOR).
+    accepts, with no domain or tolerance check but a quadrature's floor (ArgumentError for a
+    tol below QUAD_FLOOR).
     """
 
     __slots__ = ()
@@ -136,7 +132,7 @@ ROUTES: dict[str, Route] = {
         Route(
             "quad-cardano",
             _cardano_limits,
-            lambda n, m, x, tol, cap: _cardano_kernel(n, m, x, tol, cap),
+            lambda n, m, x, tol, cap: _cardano_kernel(n, m, x, cap),
         ),
         Route(
             "quad-two-term",
@@ -161,12 +157,12 @@ METHODS = tuple(ROUTES)
 # over m - 1 (tools/auto_break_even.py, rho up to 0.995; 2-core x86-64 VM, CPython 3.11).
 # Two runs gave 38.3-39.9 at every n = 3..7, and 78 at n = 8, where 7 of 15 sweeps never
 # crossed. Over m - 1 it is flat in m at each angle, but complex x, whose terms cost direct
-# summation twice as much, halves it (19-26 at angle 0.7, 37-66 on the real axes). At m = 1
-# quad-cardano was the faster at every point (117 per weight, rho 1e-6..0.995), so auto
-# takes it there. The last entry, per unit of stride, serves n >= 9, where quad-cardano is
-# itself a direct sum (at 1e-17). At n = 3..8 and m 2..6 auto takes quad-cardano's series in
-# sigma past the budget where it serves, which costs less than folding: the budget was
-# measured against folding and stays so until it is re-measured against that series.
+# summation twice as much, halves it (19-26 at angle 0.7, 37-66 on the real axes). The
+# last entry, per unit of stride, serves n >= 9, where quad-cardano is itself a direct sum
+# (at 1e-17). quad-cardano's series was faster than direct summation at every point
+# swept (m = 1 and, in sigma, m 2..6), so auto takes it wherever it serves, and the budget
+# decides only where folding, the route it was measured against, is the alternative:
+# within 0.9 R**(m - 1) of R**m at m 2..6, and at n >= 9.
 DIRECT_TERM_BUDGET = (39, 39, 39, 39, 39, 78, 75)
 
 
@@ -186,19 +182,18 @@ def resolve_auto(
     n: int, m: int, x: complex, *, tol: float | None = None, max_terms: int | None = None
 ) -> str:
     """The route ``auto`` takes at (n, m, x), after ``evaluate``'s domain, ``tol`` and
-    ``max_terms`` rules: at m = 1 the closed form for n <= 2 and quad-cardano for
-    3 <= n <= 8; otherwise direct summation when ``terms_needed`` at rho = |x| / R**m and
-    ``tol`` (SERIES_TOL by default) is within the budget and, with room for the estimate's
-    error, within the term cap ``max_terms`` (DEFAULT_MAX_TERMS for None); else, where
-    folding serves the stride (direct summation past it), quad-cardano where it serves
-    (at m = 1, and at m 2..6 for 3 <= n <= 8 where |sigma| <= S_MAX) and folding elsewhere.
-    The budget is LOW_WEIGHT_TERM_BUDGET[n] * (m - 1) for n <= 2,
-    DIRECT_TERM_BUDGET[n - 3] * (m - 1) for n <= 8, DIRECT_TERM_BUDGET[-1] * m above. For
-    3 <= n <= 8 an explicit ``tol`` admits direct summation only where
-    ``series._predicted_estimate`` is within max(tol, QUAD_FLOOR) relative; below
-    QUAD_FLOOR, which quad-cardano refuses, that test alone decides for every n >= 3, m = 1
-    included, and where it fails raises quad-cardano's ArgumentError. ``within_terms``
-    compares with the budget in one test.
+    ``max_terms`` rules, in order: the closed form at m = 1 for n <= 2; quad-cardano wherever
+    its limits accept the point for 3 <= n <= 8 (every m = 1 point, and |sigma| <= S_MAX at
+    m 2..6), whatever ``tol`` and ``max_terms``, as its series takes neither; direct
+    summation when ``terms_needed`` at rho = |x| / R**m and ``tol`` (SERIES_TOL by default)
+    is within the budget and, with room for the estimate's error, within the term cap
+    ``max_terms`` (DEFAULT_MAX_TERMS for None); else folding where it serves the stride
+    (quad-cardano's direct sum at m = 1 above weight 8), and direct summation past it. The
+    budget is LOW_WEIGHT_TERM_BUDGET[n] * (m - 1) for n <= 2, DIRECT_TERM_BUDGET[n - 3] *
+    (m - 1) for n <= 8, DIRECT_TERM_BUDGET[-1] * m above; for 3 <= n <= 8 an explicit ``tol``
+    admits direct summation only where ``series._predicted_estimate`` is within it.
+    ``within_terms`` compares with the smaller of budget and cap in one test. ``auto``
+    refuses no summable point.
     """
     xc, ax, radius = _summable(n, m, x)
     return _auto(n, m, xc, checked_tol(tol, None), _term_cap(max_terms), ax / radius).name
@@ -221,32 +216,26 @@ def _term_cap(max_terms) -> int:
 def _auto(n: int, m: int, x: complex, tol, max_terms: int, rho: float) -> Route:
     """``resolve_auto``'s route at summable x, a checked ``tol``, the term cap and
     rho = |x| / R**m."""
-    explicit = tol is not None
-    below_floor = explicit and tol < QUAD_FLOOR  # None: quad-cardano's own default
-    if m == 1 and (n <= 2 or n <= _S_WEIGHTS and not below_floor):
-        return ROUTES["closed-form" if n <= 2 else "quad-cardano"]
-    tol = SERIES_TOL if tol is None else tol
-    if n <= 2:
-        budget = LOW_WEIGHT_TERM_BUDGET[n] * (m - 1)
-    elif n > _S_WEIGHTS and not below_floor:  # quad-cardano is a direct sum here
-        budget = DIRECT_TERM_BUDGET[-1] * m
-    else:  # the series in s or v, or below the floor, which quad-cardano refuses
-        budget = math.inf if below_floor else DIRECT_TERM_BUDGET[n - 3] * (m - 1)
-        if explicit and _predicted_estimate(n, m, rho, tol) > max(tol, QUAD_FLOOR):
-            budget = 0  # the direct sum would stop above tol (or above the floor)
-    admits = budget >= 1 and within_terms(n, rho, tol, budget)
-    if admits or below_floor:
-        # the stop rule can take up to ~10% more terms than estimated (2 more at k = 1), so
-        # direct summation needs 1.125 * terms + 2 <= cap, that is terms <= 8 (cap - 2) / 9
-        fit = 8 * (max_terms - 2) // 9
-        if admits and budget <= fit or 1 <= fit < budget and within_terms(n, rho, tol, fit):
-            return ROUTES["direct-sum"]
-    if m > 1 and ROUTES["folding"].limits(n, m, x) is not None:
-        return ROUTES["direct-sum"]
-    if below_floor and n > 2:
-        quad_tol(tol)  # raises
     cardano = ROUTES["quad-cardano"]
-    return cardano if n > 2 and cardano.limits(n, m, x) is None else ROUTES["folding"]
+    if n <= 2:
+        if m == 1:
+            return ROUTES["closed-form"]
+        budget = LOW_WEIGHT_TERM_BUDGET[n] * (m - 1)
+    elif n > _S_WEIGHTS:  # quad-cardano is a direct sum here
+        budget = DIRECT_TERM_BUDGET[-1] * m
+    elif cardano.limits(n, m, x) is None:
+        return cardano
+    elif tol is not None and _predicted_estimate(n, m, rho, tol) > tol:
+        budget = 0  # the direct sum would stop above tol
+    else:
+        budget = DIRECT_TERM_BUDGET[n - 3] * (m - 1)
+    # the stop rule can take up to ~10% more terms than estimated (2 more at k = 1), so
+    # direct summation needs 1.125 * terms + 2 <= cap, that is terms <= 8 (cap - 2) / 9
+    budget = min(budget, 8 * (max_terms - 2) // 9)
+    tol = SERIES_TOL if tol is None else tol
+    if budget >= 1 and within_terms(n, rho, tol, budget) or ROUTES["folding"].limits(n, m, x):
+        return ROUTES["direct-sum"]  # past the strides folding serves, whatever the cost
+    return cardano if m == 1 else ROUTES["folding"]
 
 
 def evaluate(

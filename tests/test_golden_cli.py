@@ -141,6 +141,10 @@ place. The
 three stride-m ``quad-cardano`` hashes, S(3,2;20), S(4,2;-45.5625) and S(5,3;100+200i), were
 recorded with that series. Every other hash kept its bytes: ``auto`` at S(3,2;20) sums
 directly, and explicit folding is unchanged.
+When ``auto`` began to take quad-cardano wherever that route serves at weights 3..8, ahead of
+direct summation, ``auto`` at S(3,2;20) stopped summing its 34 terms directly: its hash
+became the ``quad-cardano`` hash of the same point (20d0d31d -> 1f7c2b49). Every other hash,
+``verify`` included, kept its bytes.
 """
 
 import hashlib
@@ -268,7 +272,7 @@ GOLDEN = {
         "d1c81469d6b323780f23bc7bebf2c5f9003d87225f4bff38ebd5a60c7329a4fc"
     ),
     "eval --n 3 --m 2 --x 20 --method auto --output json": (
-        "20d0d31d884f160dc83eb79f4624b4085dfee7ef8d1661f913a9eb1aa5e2737b"
+        "1f7c2b49f78cb67819c1ed3641a4dc1407be1f70c267b2bbc9ae3246242cea9c"
     ),
     "eval --n 3 --m 8 --x 2966501.190067826+2498649.4830240267i --method direct-sum --output json": (
         "1311fa95bf4fae2a004c9939ea77939567b1e9b18e906b14af37a74d01e5bd2e"

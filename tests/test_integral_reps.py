@@ -563,7 +563,7 @@ class TestCardanoSeries:
             value, est, work = _s_series(n, 1, s)
             if abs(x) >= 1e-8:  # below, the route sums the series in x itself
                 # the kernel runs no direct sum here, so a term cap of 1 changes nothing
-                assert integral_reps._cardano_kernel(n, 1, x, None, 1) == (value, est, work)
+                assert integral_reps._cardano_kernel(n, 1, x, 1) == (value, est, work)
             if rim is None:
                 re, im, bound = _fixed_point_reference(n, 1, x)
             else:

@@ -56,12 +56,6 @@ RIM_ROUTE = {
     (4, 2): ("quad-cardano", "folding"),
 }
 
-# (n, m) whose 92-202 terms at rho = 0.9 exceed the budget of 39 per unit of stride past
-# the first (160 at n = 4 and 92 at n = 6 fit the 195 of m = 6); there |sigma| <= 0.52 on
-# every ray, and auto takes quad-cardano's series in sigma.
-OVER_BUDGET_AT_0_9 = {(3, 2), (3, 3), (3, 6), (4, 2), (4, 3), (6, 2), (6, 3)}
-
-
 def _sigma(x, m):
     """|sigma| of quad-cardano at stride m, written apart from the library: the root of
     4 R**m sigma / (1 + sigma)**2 = x in the closed unit disk, (1 - v)/(1 + v) with
@@ -84,12 +78,24 @@ def _at(rho, m, theta=0.0):
 class TestResolveAuto:
     @pytest.mark.parametrize("m", [2, 3, 6])
     @pytest.mark.parametrize("rho", [1e-9, 0.3, 0.9])
-    @pytest.mark.parametrize("n", [3, 4, 6])
+    @pytest.mark.parametrize("n", [9, 10, 12])
     def test_high_weight_sums_directly_where_few_terms_suffice(self, n, rho, m):
-        route = "quad-cardano" if rho == 0.9 and (n, m) in OVER_BUDGET_AT_0_9 else "direct-sum"
+        # above weight 8 quad-cardano has no series: 2 to 37 terms, within 75 m, sum directly
         for theta in (0.0, math.pi, 2.0):
-            assert resolve_auto(n, m, _at(rho, m, theta)) == route
-            assert evaluate(n, m, _at(rho, m, theta)).method == route
+            assert resolve_auto(n, m, _at(rho, m, theta)) == "direct-sum"
+            assert evaluate(n, m, _at(rho, m, theta)).method == "direct-sum"
+
+    @pytest.mark.parametrize("m", [2, 3, 6])
+    @pytest.mark.parametrize("rho", [1e-9, 0.3, 0.9])
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_the_stride_series_comes_before_direct_summation(self, n, rho, m):
+        # at weights 3..8 quad-cardano's series in sigma (|sigma| <= 0.52 here) serves even
+        # where a direct sum needs 2 terms, at every tol and term cap
+        for theta in (0.0, math.pi, 2.0):
+            x = _at(rho, m, theta)
+            assert resolve_auto(n, m, x) == "quad-cardano"
+            assert resolve_auto(n, m, x, tol=1e-6, max_terms=10**6) == "quad-cardano"
+            assert evaluate(n, m, x).method == "quad-cardano"
 
     @pytest.mark.parametrize("n,m", list(RIM_ROUTE))
     @pytest.mark.parametrize("rho", [1.0, 1.0 - 1e-3, 1.0 - 1e-4])
@@ -177,42 +183,42 @@ class TestResolveAuto:
                     with pytest.raises(ArgumentError, match="S_MAX"):
                         evaluate(n, m, x, "quad-cardano")
 
-    # (n, m, rho, x / |x|) -> route, with the predicted terms and the direct-sum / folding
-    # times (us, min of 7 batches of 1 ms, tools/auto_break_even._times; 2-core x86-64 VM,
-    # CPython 3.11) that place each point on its side of the break-even. The budget,
-    # 39 (m - 1) up to n = 7 and 78 (m - 1) at n = 8, is the median break-even over both
-    # real axes and angle 0.7; at complex x it lies about twice as high as the break-even.
-    # Past the budget auto takes quad-cardano's series in sigma where |sigma| <= S_MAX, which
-    # costs less than folding, and folds elsewhere; the budget is measured against folding.
+    # (n, m, rho) on the positive axis -> route, with the predicted terms. The budget,
+    # 39 (m - 1) up to n = 7 and 78 (m - 1) at n = 8, is the median break-even against folding
+    # that tools/auto_break_even.py measured over both real axes and angle 0.7. As
+    # quad-cardano's series in sigma comes first wherever it serves, the budget decides only
+    # where folding is the alternative: within 0.9 R**(m - 1) of R**m, where |sigma| > S_MAX
+    # (rho > 0.9375 on the positive axis), past stride 6 and above weight 8.
     @pytest.mark.parametrize(
-        "n,m,rho,unit,route",
+        "n,m,rho,route",
         [
-            (3, 2, 0.385, -1, "direct-sum"),  # 28 terms: 6.4 vs 7.9
-            (3, 2, 0.643, -1, "quad-cardano"),  # 56 terms: 9.0 vs 7.7
-            (3, 6, 0.853, -1, "direct-sum"),  # 140 terms: 18.0 vs 22.7
-            (3, 6, 0.929, -1, "quad-cardano"),  # 278 terms: 32.0 vs 22.6
-            (5, 3, 0.738, -1, "direct-sum"),  # 55 terms: 9.0 vs 11.7
-            (5, 3, 0.885, -1, "quad-cardano"),  # 110 terms: 15.0 vs 11.9
-            (4, 4, 0.785, 1, "direct-sum"),  # 80 terms: 11.8 vs 17.4
-            (4, 4, 0.9, 1, "quad-cardano"),  # 160 terms: 20.0 vs 19.4
-            (8, 2, 0.937, 1, "direct-sum"),  # 60 terms: 9.4 vs 12.0
-            (8, 2, 0.995, 1, "folding"),  # 94 terms: 13.1 vs 7.9; |sigma| = 0.87
-            (3, 3, 0.526, cmath.exp(0.7j), "direct-sum"),  # 40 terms: 11.8 vs 11.9
-            (3, 3, 0.771, cmath.exp(0.7j), "quad-cardano"),  # 90 terms: 22.0 vs 12.5
+            (8, 2, 0.97, "direct-sum"),  # 75 terms, within 78
+            (8, 2, 0.995, "folding"),  # 94 terms; |sigma| = 0.87
+            (7, 4, 0.96, "direct-sum"),  # 106 terms, within 117
+            (7, 4, 0.97, "folding"),  # 118 terms
+            (6, 6, 0.97, "direct-sum"),  # 189 terms, within 195
+            (6, 6, 0.98, "folding"),  # 230 terms
+            (5, 6, 0.94, "direct-sum"),  # 181 terms
+            (5, 6, 0.96, "folding"),  # 242 terms
         ],
     )
-    def test_budget_sits_at_the_measured_break_even(self, n, m, rho, unit, route):
+    def test_budget_decides_only_where_folding_is_the_alternative(self, n, m, rho, route):
         assert routes.DIRECT_TERM_BUDGET == (39, 39, 39, 39, 39, 78, 75)
-        assert resolve_auto(n, m, rho * R**m * unit) == route
+        x = rho * R**m
+        assert _sigma(x, m) > integral_reps.S_MAX
+        assert resolve_auto(n, m, x) == route
+        assert evaluate(n, m, x).method == route
 
-    def test_a_short_term_cap_keeps_the_stride_series(self, monkeypatch):
-        x = 0.3 * R**2  # 23 terms
-        assert evaluate(3, 2, x).method == "direct-sum"
-        assert evaluate(3, 2, x, max_terms=20).method == "quad-cardano"
-        assert resolve_auto(3, 2, x, max_terms=20) == "quad-cardano"
-        monkeypatch.setattr(routes, "DEFAULT_MAX_TERMS", 20)  # the cap for max_terms None
-        assert evaluate(3, 2, x).method == "quad-cardano"
-        assert resolve_auto(3, 2, x) == "quad-cardano"
+    def test_a_short_term_cap_keeps_folding(self, monkeypatch):
+        x = 0.97 * R**2  # 75 terms at n = 8; |sigma| = 0.71, past S_MAX
+        assert evaluate(8, 2, x).method == "direct-sum"
+        assert evaluate(8, 2, x, max_terms=80).method == "folding"
+        assert resolve_auto(8, 2, x, max_terms=80) == "folding"
+        # the series in sigma sums no series in x, so a cap leaves it in place
+        assert resolve_auto(3, 2, 0.3 * R**2, max_terms=1) == "quad-cardano"
+        monkeypatch.setattr(routes, "DEFAULT_MAX_TERMS", 80)  # the cap for max_terms None
+        assert evaluate(8, 2, x).method == "folding"
+        assert resolve_auto(8, 2, x) == "folding"
 
     def test_the_term_cap_reaches_every_direct_sum(self, monkeypatch):
         # each call runs a direct sum that needs more than 5 terms, so both an explicit cap
@@ -246,11 +252,12 @@ class TestResolveAuto:
         assert evaluate(2, 1, 0.3 * R).method == "closed-form"
         assert evaluate(2, 2, R**2).method == "folding"
 
-    @pytest.mark.parametrize("n,m,rho", [(3, 2, 0.3), (5, 2, 0.3), (6, 3, 0.35), (4, 2, 0.9)])
+    @pytest.mark.parametrize("n,m,rho", [(0, 2, 0.35), (1, 2, 0.3), (2, 2, 0.5), (2, 3, 0.5)])
     def test_auto_never_picks_direct_summation_that_hits_its_cap(self, n, m, rho, monkeypatch):
-        # the estimate falls up to 2 terms short here; a ConvergenceError fails the test.
-        # The cost budget is lifted so that only the cap decides.
-        monkeypatch.setattr(routes, "DIRECT_TERM_BUDGET", (10**6,) * 7)
+        # the estimate falls 2 terms short here, where folding over the closed forms is the
+        # alternative; a ConvergenceError fails the test. The cost budget is lifted so that
+        # only the cap decides.
+        monkeypatch.setattr(routes, "LOW_WEIGHT_TERM_BUDGET", (10**6,) * 3)
         x = _at(rho, m, 0.5)
         need = evaluate(n, m, x, "direct-sum").work
         caps = range(need - 3, need + need // 8 + 4)
@@ -258,9 +265,9 @@ class TestResolveAuto:
         assert methods[0] != "direct-sum" and methods[-1] == "direct-sum"
 
     def test_tolerance_is_passed_through(self):
-        x = 0.55 * R**2  # 43 terms at tol 1e-15, 13 at 1e-6
-        assert evaluate(3, 2, x).method == "quad-cardano"
-        assert evaluate(3, 2, x, tol=1e-6).method == "direct-sum"
+        x = 0.3 * R**2  # 25 terms at tol 1e-15, past the budget of 22 at n = 2; 9 at 1e-6
+        assert evaluate(2, 2, x).method == "folding"
+        assert evaluate(2, 2, x, tol=1e-6).method == "direct-sum"
         with pytest.raises(ArgumentError, match="tol must be positive"):
             evaluate(3, 1, 0.5, tol=0.0)
 
@@ -277,83 +284,92 @@ class TestResolveAuto:
         assert ev.method == "quad-cardano"
         assert abs(ev.value.real - float(ref)) <= 1e-15 * float(ref)
 
-    # Below QUAD_FLOOR auto once summed these directly, to an estimate of 7,371 tol
-    # (18,193 terms), 7,371, 7,472, 629 and 135 tol relative: the rim's tail bound.
+    # Below QUAD_FLOOR auto once refused these, where a direct sum stops at an estimate of
+    # 7,371 tol (18,193 terms), 7,371, 7,472, 629 and 135 tol relative: the rim's tail bound.
+    # The series takes no tol, so auto answers as at the default tol (by folding over the
+    # series at S(4,2;R**2)). References: mpmath quadrature of the polylog integral, the same
+    # 42 digits at 50 and at 65 digits of working precision.
     @pytest.mark.parametrize(
-        "n,m,x", [(4, 1, R), (4, 1, (1 - 1e-12) * R), (4, 2, R**2), (5, 1, R), (6, 1, -R)]
+        "n,m,x,route,ref",
+        [
+            (4, 1, R, "quad-cardano", "2.52044009458442957562876888613428297438726"),
+            (4, 1, (1 - 1e-12) * R, "quad-cardano", "2.52044009458145500060144576882690724193796"),
+            (4, 2, R**2, "folding", "3.41209013196405243414120927214768552609936"),
+            (5, 1, R, "quad-cardano", "2.36706483778505706475106049312102564181761"),
+            (6, 1, -R, "quad-cardano", "-2.20675879562810178500208036323257521088219"),
+        ],
     )
-    def test_below_the_floor_refuses_where_the_direct_estimate_misses(self, n, m, x):
-        ev = evaluate(n, m, x, "direct-sum", tol=1e-15)
-        assert ev.abs_error_est > 5 * QUAD_FLOOR * abs(ev.value)
-        with pytest.raises(ArgumentError, match="QUAD_FLOOR"):
-            resolve_auto(n, m, x, tol=1e-15)
-        with pytest.raises(ArgumentError, match="QUAD_FLOOR"):
-            evaluate(n, m, x, tol=1e-15)
+    def test_below_the_floor_auto_answers_where_the_direct_estimate_misses(
+        self, n, m, x, route, ref
+    ):
+        direct = evaluate(n, m, x, "direct-sum", tol=1e-15)
+        assert direct.abs_error_est > 5 * QUAD_FLOOR * abs(direct.value)
+        assert resolve_auto(n, m, x, tol=1e-15) == route
+        ev = evaluate(n, m, x, tol=1e-15)
+        assert ev.method == route and ev == evaluate(n, m, x)
+        err = abs(float(Fraction(ev.value.real) - Fraction(ref)))
+        assert ev.value.imag == 0.0 and err <= ev.abs_error_est
+        assert err <= 1e-15 * abs(ev.value)
 
     @pytest.mark.parametrize("x,terms,rel", [(3.375, 35, 9.1e-15), (4.0, 44, 1.8e-14)])
-    def test_just_below_the_floor_few_terms_sum_directly(self, x, terms, rel):
-        # the predicted last term is min(r, 1) tol |S|: charged at tol |S| these
-        # refused, although the direct estimate is within QUAD_FLOOR
+    def test_just_below_the_floor_the_series_answers(self, x, terms, rel):
+        # auto once summed these directly, to an estimate of rel after that many terms; the
+        # series in s answers with the bits it gives at the default tol, a smaller estimate
+        # and fewer terms
+        direct = evaluate(3, 1, x, "direct-sum", tol=2e-14)
+        assert direct.work == terms
+        assert direct.abs_error_est / abs(direct.value) == pytest.approx(rel, rel=0.02)
         ev = evaluate(3, 1, x, tol=2e-14)
-        assert ev.method == "direct-sum" and ev.work == terms
-        assert ev.abs_error_est / abs(ev.value) == pytest.approx(rel, rel=0.02)
+        assert ev.method == "quad-cardano" and ev == evaluate(3, 1, x)
+        assert ev.work < terms and ev.abs_error_est < direct.abs_error_est
+        re, im, bound = _fixed_point_reference(3, 1, complex(x))
+        assert abs(float(Fraction(ev.value.real) - re)) + float(bound) <= ev.abs_error_est
 
-    def test_below_the_floor_direct_sums_come_near_the_floor(self):
-        # auto's prediction takes |S| for the sum of |t_k|, so where the terms alternate or
-        # rotate the estimate may pass QUAD_FLOOR a little (by 1.23 at most on this grid)
-        direct = 0
+    def test_below_the_floor_every_point_is_answered(self):
+        # the series takes no tol: below QUAD_FLOOR auto takes it wherever it serves, with
+        # the bits it gives at the default tol, and folds over it near x = R**m, where the
+        # direct sum's predicted estimate exceeds tol
+        taken = Counter()
         for tol, n, m, rho, theta in itertools.product(
             (1e-15, 1e-16), (3, 4, 6), (1, 2, 6), (0.5, 0.9, 0.95, 0.99, 0.995, 1 - 1e-6, 1.0),
             (0.0, 0.7, math.pi),
         ):
             x = _at(rho, m, theta)
-            try:
-                route = resolve_auto(n, m, x, tol=tol)
-            except ArgumentError:
-                continue
-            assert route == "direct-sum", (n, m, rho, theta, tol)
-            ev = evaluate(n, m, x, "direct-sum", tol=tol)
-            assert ev.abs_error_est <= 1.25 * QUAD_FLOOR * abs(ev.value), (n, m, rho, theta, tol)
-            direct += 1
-        assert direct >= 100
+            ev = evaluate(n, m, x, tol=tol)
+            assert ev.method == resolve_auto(n, m, x, tol=tol)
+            assert cmath.isfinite(ev.value) and math.isfinite(ev.abs_error_est)
+            if ROUTES["quad-cardano"].refuses(n, m, x) is None:
+                assert ev == evaluate(n, m, x, "quad-cardano"), (n, m, rho, theta, tol)
+            else:
+                assert ev.method == "folding", (n, m, rho, theta, tol)
+            taken[ev.method] += 1
+        assert taken == {"quad-cardano": 318, "folding": 60}
 
 
 def _budget(n, m):
-    """The direct-summation budget for n >= 3 above the quadrature floor, per
-    routes.DIRECT_TERM_BUDGET: per unit of stride past the first up to weight 8."""
+    """The direct-summation budget for n >= 3, per routes.DIRECT_TERM_BUDGET: per unit of
+    stride past the first up to weight 8, per unit of stride above."""
     if n <= 8:
         return routes.DIRECT_TERM_BUDGET[n - 3] * (m - 1)
     return routes.DIRECT_TERM_BUDGET[-1] * m
 
 
 def _term_count_rule(n, m, x, tol, cap):
-    """auto's route for n >= 3 by the predicted term count (series.terms_needed); None
-    where it refuses, a tol below the quadrature floor that direct summation cannot come
-    within QUAD_FLOOR of. An explicit tol admits direct summation at n <= 8 only where its
-    predicted estimate is within max(tol, QUAD_FLOOR); None takes SERIES_TOL and no such
-    test."""
-    below_floor = tol is not None and tol < QUAD_FLOOR  # quad-cardano refuses this tol
-    if m == 1 and n <= 8 and not below_floor:
+    """auto's route for n >= 3: quad-cardano's series wherever it serves up to weight 8 (every
+    m = 1 point, and |sigma| <= 0.6 at m 2..6); else direct summation where its predicted term
+    count (series.terms_needed) fits the budget and the term cap and, for an explicit tol at
+    n <= 8, its predicted estimate is within tol (None takes SERIES_TOL and no such test);
+    else folding where it serves the stride, quad-cardano's direct sum at m = 1 above weight
+    8, and direct summation past stride 6."""
+    if n <= 8 and (m == 1 or m <= 6 and _sigma(x, m) <= 0.6):
         return "quad-cardano"
     rho = abs(x) / convergence_radius(m)
-    meets = (
-        tol is None
-        or (n > 8 and not below_floor)  # quad-cardano is a direct sum there
-        or series._predicted_estimate(n, m, rho, tol) <= max(tol, QUAD_FLOOR)
-    )
+    meets = tol is None or n > 8 or series._predicted_estimate(n, m, rho, tol) <= tol
     tol = 1e-15 if tol is None else tol
     need = terms_needed(n, rho, tol)
-    fits = 1.125 * need + 2 <= cap
-    if below_floor:
-        if fits and meets:
-            return "direct-sum"
-        return "direct-sum" if m > 6 else None  # fold serves strides 1..6
-    if need <= _budget(n, m) and fits and meets:
+    if need <= _budget(n, m) and 1.125 * need + 2 <= cap and meets or m > 6:
         return "direct-sum"
-    if m > 6:
-        return "direct-sum"
-    in_sigma = m == 1 or n <= 8 and _sigma(x, m) <= 0.6  # the stride-m series in sigma
-    return "quad-cardano" if in_sigma else "folding"
+    return "quad-cardano" if m == 1 else "folding"
 
 
 def _rule_grid():
@@ -385,10 +401,6 @@ class TestAutoRuleEquivalence:
         for n, m, rho, theta, cap, tol in _rule_grid():
             x = _at(rho, m, theta)
             want = _term_count_rule(n, m, x, tol, cap)
-            if want is None:
-                with pytest.raises(ArgumentError, match="QUAD_FLOOR"):
-                    resolve_auto(n, m, x, tol=tol, max_terms=cap)
-                continue
             assert resolve_auto(n, m, x, tol=tol, max_terms=cap) == want, (n, m, rho, cap, tol)
             need = terms_needed(n, abs(x) / convergence_radius(m), tol or 1e-15)
             budget = min(_budget(n, m), 8 * (cap - 2) // 9)
@@ -403,24 +415,29 @@ class TestAutoRuleEquivalence:
             assert resolve_auto(3, 1, 1e-20, tol=1e-12, max_terms=cap) == "quad-cardano"
             assert resolve_auto(3, 2, 1e-20, tol=1e-12, max_terms=cap) == "quad-cardano"
             assert resolve_auto(9, 2, 1e-20, tol=1e-12, max_terms=cap) == "folding"
-            with pytest.raises(ArgumentError, match="QUAD_FLOOR"):  # below the quadrature floor
-                resolve_auto(3, 1, 1e-20, tol=1e-15, max_terms=cap)
-        assert resolve_auto(3, 2, 1e-20, max_terms=4) == "direct-sum"  # 1 term: 1.125 + 2 <= 4
-        assert resolve_auto(3, 1, 1e-20, max_terms=4) == "quad-cardano"  # at m = 1 always
+            # below the quadrature floor too: the series takes no tol
+            assert resolve_auto(3, 1, 1e-20, tol=1e-15, max_terms=cap) == "quad-cardano"
+        assert resolve_auto(9, 2, 1e-20, max_terms=4) == "direct-sum"  # 1 term: 1.125 + 2 <= 4
+        assert resolve_auto(3, 2, 1e-20, max_terms=4) == "quad-cardano"  # the series comes first
+        assert resolve_auto(3, 1, 1e-20, max_terms=4) == "quad-cardano"
 
-    def test_below_the_quadrature_floor_auto_sums_directly_or_refuses(self):
-        # at tol 1e-15 these gave up after 2,000 subdivisions on quad-cardano or folding
-        # over it; direct summation comes within QUAD_FLOOR of the value
-        for n, m, x in ((3, 1, 6.0), (3, 2, 42.0)):
+    def test_below_the_quadrature_floor_auto_takes_the_series(self):
+        # at tol 1e-15 auto once summed S(3,1;6) and S(3,2;42) directly and refused S(3,1;27/4)
+        # and S(3,2;45); the series in s, v and sigma take no tol, and auto folds over them at
+        # S(3,2;45), where |sigma| = 0.8. A quadrature still refuses that tol. References as
+        # for the rim points above.
+        for n, m, x, route, ref in (
+            (3, 1, 6.0, "quad-cardano", "2.49043622226300026819072351166933703685369"),
+            (3, 2, 42.0, "quad-cardano", "3.55864243723982422689347125725619651804606"),
+            (3, 1, R, "quad-cardano", "2.97450628770876708951876737572496799107391"),
+            (3, 2, 45.0, "folding", "3.95675669992732199189609630694233993182659"),
+        ):
             ev = evaluate(n, m, x, tol=1e-15)
-            assert ev.method == "direct-sum" and ev.abs_error_est <= QUAD_FLOOR * abs(ev.value)
-            assert evaluate(n, m, x, tol=QUAD_FLOOR).method != "direct-sum"
-        # the rim at n = 3 needs 10**6 terms; at S(3,2;45) direct summation's estimate
-        # would be 9.1e-14 relative, four times QUAD_FLOOR
-        for n, m, x in ((3, 1, 6.75), (3, 2, 45.0)):
-            for method in ("auto", "quad-cardano" if m == 1 else "folding"):
-                with pytest.raises(ArgumentError, match="QUAD_FLOOR"):
-                    evaluate(n, m, x, method, tol=1e-15)
+            assert ev.method == route and ev == evaluate(n, m, x, route)
+            err = abs(float(Fraction(ev.value.real) - Fraction(ref)))
+            assert err <= ev.abs_error_est and err <= 1e-15 * abs(ev.value), (n, m, x)
+            with pytest.raises(ArgumentError, match="QUAD_FLOOR"):
+                evaluate(n, m, x, "quad-polylog", tol=1e-15)
 
 
 class TestOneAutoRule:
@@ -452,10 +469,10 @@ class TestOneAutoRule:
                         want = (type(exc), str(exc))
                     assert got == want, (n, m, rho, theta, tol, cap, default)
                     checked[got if isinstance(got, str) else got[0].__name__] += 1
-        # every route auto takes, the error its rule raises below QUAD_FLOOR and the domain
-        # rule's error on the rim at n < 2 are on the grid
+        # every route auto takes and the domain rule's error on the rim at n < 2 are on the
+        # grid; auto refuses no point, below QUAD_FLOOR included
         assert set(checked) == {
-            "closed-form", "quad-cardano", "direct-sum", "folding", "ArgumentError", "DomainError"
+            "closed-form", "quad-cardano", "direct-sum", "folding", "DomainError"
         }, checked
 
 
@@ -614,12 +631,14 @@ class TestAutoFuzz:
         m=st.integers(1, 8),
         rho=st.floats(0.0, 1.0),
         theta=st.floats(allow_nan=False, allow_infinity=False),
+        tol=st.sampled_from((None, 1e-16, 1e-15, 1e-14, 1e-10, 1e-6)),
     )
     @settings(max_examples=300, deadline=None)
-    def test_auto_ends_in_an_evaluation_or_a_series_error(self, n, m, rho, theta):
+    @example(n=3, m=1, rho=0.9, theta=0.0, tol=1e-14)  # once refused: below QUAD_FLOOR
+    def test_auto_ends_in_an_evaluation_or_a_series_error(self, n, m, rho, theta, tol):
         x = _at(rho, m, theta)  # the term cap keeps every example short
         try:
-            ev = evaluate(n, m, x, max_terms=20_000)
+            ev = evaluate(n, m, x, tol=tol, max_terms=20_000)
         except ArgumentError as exc:
             pytest.fail(f"auto raised ArgumentError at S({n},{m};{x!r}): {exc}")
         except SeriesError:
@@ -979,7 +998,8 @@ class TestTermCapRule:
 
     @pytest.mark.parametrize("cap", WRONG_CAPS)
     def test_resolve_auto_refuses_what_evaluate_refuses(self, cap):
-        # at (3, 2, 10) auto folds whatever the cap, and the cap is checked all the same
+        # at (3, 2, 10) auto takes the series in sigma whatever the cap, and the cap is checked
+        # all the same
         message = "must be >= 1" if isinstance(cap, int) else "must be an integer"
         for entry in (evaluate, resolve_auto):
             with pytest.raises(ArgumentError, match=f"max_terms {message}"):
@@ -989,10 +1009,10 @@ class TestTermCapRule:
     def test_the_library_reads_no_environment_variable(self, monkeypatch):
         # only the CLI reads SERIES_MAX_TERMS; every direct sum here runs at the default cap
         calls = [
-            lambda: evaluate(3, 2, 0.3 * R**2),  # auto's direct sum
+            lambda: evaluate(2, 2, 0.2 * R**2),  # auto's direct sum
             lambda: evaluate(9, 2, 45.0),  # a fold over quad-cardano's direct sums
             lambda: evaluate(2, 7, 1.0),  # past the strides folding serves
-            lambda: evaluate(3, 1, 6.0, tol=1e-15),  # below QUAD_FLOOR
+            lambda: evaluate(2, 3, 0.4 * R**3, tol=1e-16),  # below QUAD_FLOOR
             lambda: evaluate(2, 1, R, "direct-sum"),  # the rim's cap error
             lambda: evaluate(2, 1, 6.0, "direct-sum"),
             lambda: evaluate(3, 2, 40.0 + 5j, "direct-sum", max_terms=500),
@@ -1201,10 +1221,11 @@ class TestToleranceRule:
         # the points above are served, so that a refusal comes from the tolerance alone
         assert entry(1e-8) is not None
         assert entry(None) is not None
-        # 1e-15 is the series default: summation and the closed forms serve it, while a
-        # quadrature, which cannot meet it, refuses before it integrates anything (it
-        # gave up after 2,000 subdivisions, 20 ms and more, before the floor was checked)
-        if "quad" not in name:
+        # 1e-15 is the series default: summation, the closed forms and quad-cardano's series,
+        # which take no tol, serve it, while a quadrature, which cannot meet it, refuses before
+        # it integrates anything (it gave up after 2,000 subdivisions, 20 ms and more, before
+        # the floor was checked)
+        if "quad" not in name or "cardano" in name:
             assert entry(1e-15) is not None
             return
         start = time.perf_counter()
@@ -1214,3 +1235,13 @@ class TestToleranceRule:
         assert str(info.value) == (
             f"quadrature needs tol >= QUAD_FLOOR = {QUAD_FLOOR:.3g}, its rounding floor; got 1e-15"
         )
+
+    def test_the_series_takes_no_tol(self):
+        # quad-cardano, like the closed forms, reports its own bound at every tol: at the
+        # branch point one term, 4.4e-16 relative
+        ev = evaluate(3, 1, 6.75, "quad-cardano", tol=1e-15)
+        assert ev == evaluate(3, 1, 6.75, "quad-cardano")
+        assert ev.work == 1 and ev.abs_error_est / abs(ev.value) == pytest.approx(4.4e-16, rel=0.01)
+        for n, x in ((3, 20.0), (4, -45.5625), (5, 30 + 10j), (3, 45.0)):
+            ev = fold(n, 2, x, "quad-cardano", tol=1e-15)
+            assert ev == fold(n, 2, x, "quad-cardano") and cmath.isfinite(ev.value)

@@ -17,9 +17,10 @@ was the slower, interpolated linearly in the time difference between the last po
 it was the faster and that one; a sweep stops once direct summation has been the slower
 than every route at three points in a row. Where direct summation was never the slower, up
 to rho = 0.995, the sweep has no break-even: it counts as above every budget (inf). The
-budgets in ``routes`` were measured against folding; the break-even against the series in
-sigma, printed next to it, is the one a re-measured budget would take. Per route and
-weight the script
+budgets in ``routes`` were measured against folding, and decide only where folding is the
+alternative. The break-even against the series in sigma, printed next to it, is the
+evidence for the rule that ``auto`` takes that series wherever it serves, ahead of any
+budget: direct summation was never the faster there. Per route and weight the script
 prints each sweep's break-even, and the median and range per unit of stride in both
 forms that ``routes`` can use, K / m and K / (m - 1). With each it prints, at each
 angle, the spread over the strides (interquartile range over median): a budget of one
